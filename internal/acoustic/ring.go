@@ -45,8 +45,8 @@ func (r *Room) CompactionHorizon() float64 {
 // Each Append renders only the new [from, to) span — the rest of the
 // window is the saved overlap from earlier hops — so advancing a
 // 50 ms window by a 12.5 ms hop costs one quarter of a window mix,
-// not a full re-mix. The streaming detection path reads whole windows
-// out with Window.
+// not a full re-mix. The fleet's stream lanes read whole windows out
+// with Window.
 //
 // A CaptureRing is owned by one stream: like the microphone it wraps,
 // it must not be used from two goroutines at once.
@@ -55,10 +55,9 @@ type CaptureRing struct {
 	samples []float64 // capacity windowN, write index w
 	w       int
 	filled  int
-	end     float64 // time just past the newest appended sample
 
 	hop *audio.Buffer // reused hop capture scratch
-	lin []float64     // reused linearized window
+	win *audio.Buffer // reused linearized window
 }
 
 // NewCaptureRing builds a ring of windowN samples over mic.
@@ -69,7 +68,7 @@ func NewCaptureRing(mic *Microphone, windowN int) *CaptureRing {
 	return &CaptureRing{
 		mic:     mic,
 		samples: make([]float64, windowN),
-		lin:     make([]float64, windowN),
+		win:     &audio.Buffer{SampleRate: mic.room.SampleRate, Samples: make([]float64, windowN)},
 	}
 }
 
@@ -99,37 +98,24 @@ func (c *CaptureRing) Append(from, to float64) error {
 	if c.filled > n {
 		c.filled = n
 	}
-	c.end = to
 	return nil
 }
 
 // Full reports whether a complete window has been appended.
 func (c *CaptureRing) Full() bool { return c.filled == len(c.samples) }
 
-// End returns the time just past the newest appended sample (the `to`
-// of the last successful Append).
-func (c *CaptureRing) End() float64 { return c.end }
-
-// WindowStart returns the time of the oldest sample in a full ring:
-// End minus the window duration.
-func (c *CaptureRing) WindowStart() float64 {
-	return c.end - float64(len(c.samples))/c.mic.room.SampleRate
-}
-
 // Window returns the current window, oldest sample first, as a buffer
-// backed by scratch owned by the ring — valid until the next Append.
-// It is only meaningful once Full.
+// owned by the ring — valid until the next Append. It is only
+// meaningful once Full, and allocates nothing.
 func (c *CaptureRing) Window() *audio.Buffer {
-	n := copy(c.lin, c.samples[c.w:])
-	copy(c.lin[n:], c.samples[:c.w])
-	return &audio.Buffer{SampleRate: c.mic.room.SampleRate, Samples: c.lin}
+	n := copy(c.win.Samples, c.samples[c.w:])
+	copy(c.win.Samples[n:], c.samples[:c.w])
+	return c.win
 }
 
 // LastHop returns the samples of the most recent successful Append,
 // oldest first, backed by scratch owned by the ring — valid until the
-// next Append. The streaming pipeline hands these to its sliding
-// transform kernels, which retain their own state and never need the
-// full window back.
+// next Append.
 func (c *CaptureRing) LastHop() []float64 {
 	if c.hop == nil {
 		return nil
@@ -143,11 +129,7 @@ func (c *CaptureRing) LastHop() []float64 {
 func (c *CaptureRing) Reset() {
 	c.w = 0
 	c.filled = 0
-	c.end = 0
 }
-
-// Mic returns the microphone the ring captures from.
-func (c *CaptureRing) Mic() *Microphone { return c.mic }
 
 // ArrivalOf returns the time e's sound reaches m: the emission start
 // plus the speaker→microphone propagation delay. It returns false when

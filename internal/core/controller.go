@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"mdn/internal/acoustic"
-	"mdn/internal/audio"
 	"mdn/internal/netsim"
 	"mdn/internal/telemetry"
 )
@@ -53,10 +52,9 @@ type Controller struct {
 	sim    *netsim.Sim
 	mic    *acoustic.Microphone
 	ticker *netsim.Ticker
-	fleet  *Fleet
+	fleet  *Fleet // the detection engine; a fleet of one until EnableFleet
 	stream *StreamController
 	devmon *DeviceMonitor
-	buf    *audio.Buffer // reused capture scratch for the single-mic path
 
 	// mu guards the subscriber list so registration is safe from any
 	// goroutine, at any time — including while the poll loop runs.
@@ -92,13 +90,15 @@ const DefaultWindow = 0.050
 
 // NewController builds a controller polling the given microphone.
 func NewController(sim *netsim.Sim, mic *acoustic.Microphone, det *Detector) *Controller {
-	return &Controller{
+	c := &Controller{
 		Window:   DefaultWindow,
 		Detector: det,
 		Errors:   NewErrorLog(),
 		sim:      sim,
 		mic:      mic,
 	}
+	c.EnableFleet(1)
+	return c
 }
 
 // Subscribe registers a per-detection handler under an auto-generated
@@ -130,10 +130,13 @@ func (c *Controller) SubscribeWindowsNamed(name string, fn func(windowStart floa
 
 // Start begins polling at time at (the first analysed window is
 // [at, at+Window)). Call Stop to halt. Starting twice stops the
-// previous poller.
+// previous poller, and starting stops a running stream.
 func (c *Controller) Start(at float64) {
 	if c.ticker != nil {
 		c.ticker.Stop()
+	}
+	if c.stream != nil {
+		c.stream.Stop()
 	}
 	c.started = true
 	c.startAt = at
@@ -164,34 +167,17 @@ func (c *Controller) analyse(from, to float64) {
 	// Decode span: the wall-clock cost of capture + detection, the
 	// quantity Figure 2b bounds against the 50 ms window budget.
 	sp := telemetry.StartSpan(c.tm.decode, c.tm.wall)
-	var dets []Detection
-	if c.fleet != nil {
-		dets = c.fleet.Analyse(from, to)
-	} else if c.devmon != nil {
-		// Single-microphone path with device monitoring: same capture,
-		// same filter, but the threshold is the monitor's recalibrated
-		// floor and the amplitude estimates feed its noise tracker.
-		c.buf = c.mic.CaptureInto(c.buf, from, to)
-		minAmp := c.devmon.floorFor(0, c.Detector.MinAmplitude)
-		var amps []float64
-		dets, amps = c.Detector.DetectCalibrated(c.buf, from, minAmp)
-		c.devmon.ObserveMic(0, from, dets, amps)
-	} else {
-		c.buf = c.mic.CaptureInto(c.buf, from, to)
-		dets = c.Detector.Detect(c.buf, from)
-	}
+	dets := c.fleet.Analyse(from, to)
 	sp.End()
 	c.noteDetections(from, to, dets)
-	if c.Retention > 0 {
-		c.mic.Room().CompactBefore(from - c.Retention)
-	}
 }
 
 // noteDetections folds one analysed window into the controller:
-// counters, health inputs, and the supervised subscriber fan-out. It
-// is the shared back half of the batch window loop and the streaming
-// pipeline — both paths feed the same subscribers with the same batch
-// shape, so applications run unchanged on either.
+// counters, health inputs, the supervised subscriber fan-out, and the
+// Retention compaction. It is the shared back half of the batch window
+// loop and the streaming pipeline — both paths feed the same
+// subscribers with the same batch shape, so applications run unchanged
+// on either.
 func (c *Controller) noteDetections(from, to float64, dets []Detection) {
 	if c.devmon != nil {
 		// Device-health fold: noise EWMAs, recalibration, quarantine,
@@ -218,6 +204,9 @@ func (c *Controller) noteDetections(from, to float64, dets []Detection) {
 			}
 		}
 	}
+	if c.Retention > 0 {
+		c.mic.Room().CompactBefore(from - c.Retention)
+	}
 }
 
 // AnalyseOnce runs one out-of-band analysis over [from, to) without
@@ -236,13 +225,14 @@ func (c *Controller) AnalyseOnce(from, to float64) ([]Detection, error) {
 	return c.Detector.Detect(buf, from), nil
 }
 
-// EnableFleet switches the controller's window analysis to a
-// worker-pool fleet engine cloned from its detector, seeded with the
+// EnableFleet replaces the controller's fleet of one with a
+// worker-pool fleet cloned from its detector, seeded with the
 // controller's own microphone, and returns the fleet so further
 // listening points can be added with AddMicrophone. workers <= 0
 // means GOMAXPROCS. Detections from all microphones are merged by
 // (time, frequency) before dispatch, so subscriber semantics are
-// unchanged — handlers still see one ordered batch per window.
+// unchanged — handlers still see one ordered batch per window. Call it
+// before Start, StartStream and EnableDeviceMonitor.
 func (c *Controller) EnableFleet(workers int) *Fleet {
 	f := NewFleet(c.Detector, workers)
 	f.AddMicrophone(c.mic)
@@ -250,8 +240,8 @@ func (c *Controller) EnableFleet(workers int) *Fleet {
 	return f
 }
 
-// Fleet returns the controller's fleet engine, or nil when the
-// controller is on the single-microphone path.
+// Fleet returns the controller's detection engine: a one-worker fleet
+// of the controller's own microphone unless EnableFleet replaced it.
 func (c *Controller) Fleet() *Fleet { return c.fleet }
 
 // Mic returns the controller's microphone.

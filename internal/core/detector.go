@@ -174,18 +174,8 @@ func (d *Detector) Clone() *Detector {
 // The returned slice is scratch owned by the detector, valid until
 // the next Detect call; copy it to retain detections across windows.
 func (d *Detector) Detect(buf *audio.Buffer, windowStart float64) []Detection {
-	if buf == nil || buf.Len() == 0 {
-		return nil
-	}
-	// Holding the watch lock across the whole analysis makes each
-	// window atomic with respect to AddWatch: an edit either precedes
-	// the window entirely or waits for the next one.
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.watch) == 0 {
-		return nil
-	}
-	return d.filter(d.amplitudes(buf), windowStart)
+	dets, _ := d.DetectCalibrated(buf, windowStart, d.MinAmplitude)
+	return dets
 }
 
 // DetectCalibrated is Detect with an explicit absolute threshold and
@@ -201,13 +191,33 @@ func (d *Detector) DetectCalibrated(buf *audio.Buffer, windowStart, minAmp float
 	if buf == nil || buf.Len() == 0 {
 		return nil, nil
 	}
+	// Holding the watch lock across the whole analysis makes each
+	// window atomic with respect to AddWatch: an edit either precedes
+	// the window entirely or waits for the next one.
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if len(d.watch) == 0 {
 		return nil, nil
 	}
 	amps := d.amplitudes(buf)
-	d.out = filterDetections(d.out[:0], amps, d.watch, minAmp, d.RelativeFloor, windowStart)
+	// Keep what clears both the absolute floor and the relative floor (a
+	// fraction of the loudest watched frequency in the window).
+	maxAmp := 0.0
+	for _, a := range amps {
+		if a > maxAmp {
+			maxAmp = a
+		}
+	}
+	floor := minAmp
+	if rel := d.RelativeFloor * maxAmp; rel > floor {
+		floor = rel
+	}
+	d.out = d.out[:0]
+	for i, a := range amps {
+		if a >= floor {
+			d.out = append(d.out, Detection{Time: windowStart, Frequency: d.watch[i], Amplitude: a})
+		}
+	}
 	if len(d.out) == 0 {
 		return nil, amps
 	}
@@ -216,9 +226,9 @@ func (d *Detector) DetectCalibrated(buf *audio.Buffer, windowStart, minAmp float
 
 // amplitudes computes the per-watch pre-threshold amplitude estimates
 // of one window — the raw material of both the threshold filter and
-// the streaming path's edge dedup (which needs sub-threshold values
-// for its release hysteresis). The caller holds d.mu; the returned
-// slice is detector scratch.
+// the stream's edge dedup (which needs sub-threshold values for its
+// release hysteresis). The caller holds d.mu; the returned slice is
+// detector scratch.
 func (d *Detector) amplitudes(buf *audio.Buffer) []float64 {
 	switch d.Method {
 	case MethodFFT:
@@ -242,71 +252,29 @@ func (d *Detector) ampsGoertzel(buf *audio.Buffer) []float64 {
 	return d.amps
 }
 
-// filter applies the absolute and relative thresholds to per-watch
-// amplitude estimates. The caller holds d.mu.
-func (d *Detector) filter(amps []float64, windowStart float64) []Detection {
-	d.out = filterDetections(d.out[:0], amps, d.watch, d.MinAmplitude, d.RelativeFloor, windowStart)
-	if len(d.out) == 0 {
-		return nil
-	}
-	return d.out
-}
-
-// filterDetections appends the amplitudes that clear both the absolute
-// floor and the relative floor (a fraction of the loudest watched
-// frequency in the window) to out as detections. It is shared by the
-// batch detector and the streaming per-window filter so the two apply
-// identical float operations — the bit-exactness contract at
-// hop == window.
-func filterDetections(out []Detection, amps, watch []float64, minAmp, relFloor, windowStart float64) []Detection {
-	maxAmp := 0.0
-	for _, a := range amps {
-		if a > maxAmp {
-			maxAmp = a
-		}
-	}
-	floor := minAmp
-	if rel := relFloor * maxAmp; rel > floor {
-		floor = rel
-	}
-	for i, a := range amps {
-		if a >= floor {
-			out = append(out, Detection{Time: windowStart, Frequency: watch[i], Amplitude: a})
-		}
-	}
-	return out
-}
-
 func (d *Detector) ampsFFT(buf *audio.Buffer) []float64 {
 	n := buf.Len()
 	fftSize := dsp.NextPowerOfTwo(n)
 	plan := dsp.PlanFFT(fftSize)
-	d.mags = plan.WindowedSpectrumScratch(d.mags, buf.Samples, dsp.Hann, &d.fftScr)
+	mags := plan.WindowedSpectrumScratch(d.mags, buf.Samples, dsp.Hann, &d.fftScr)
+	d.mags = mags
 	d.amps = growFloats(d.amps, len(d.watch))
-	fftAmplitudes(d.amps, d.mags, d.watch, n, fftSize, buf.SampleRate, d.ToleranceHz)
-	return d.amps
-}
-
-// fftAmplitudes converts half-spectrum magnitudes into per-watch
-// amplitude estimates: the peak bin within tolHz of each watched
-// frequency, rescaled by the window's coherent gain. It is shared by
-// the batch FFT path and the streaming overlap-save STFT path, which
-// is what makes the two bit-exact over the same spectrum.
-func fftAmplitudes(amps, mags, watch []float64, n, fftSize int, sampleRate, tolHz float64) {
+	// Each watched frequency's amplitude is the peak bin within
+	// ToleranceHz, rescaled by the window's coherent gain: the FFT bin
+	// magnitude of a full-window sinusoid is A*n*gain/2.
 	gain := dsp.Hann.Gain(n)
-	span := int(math.Ceil(tolHz / dsp.BinResolution(fftSize, sampleRate)))
-	for i, f := range watch {
-		center := dsp.FrequencyBin(f, fftSize, sampleRate)
+	span := int(math.Ceil(d.ToleranceHz / dsp.BinResolution(fftSize, buf.SampleRate)))
+	for i, f := range d.watch {
+		center := dsp.FrequencyBin(f, fftSize, buf.SampleRate)
 		best := 0.0
 		for k := center - span; k <= center+span; k++ {
 			if k >= 0 && k < len(mags) && mags[k] > best {
 				best = mags[k]
 			}
 		}
-		// Amplitude estimate: FFT bin magnitude of a full-window
-		// sinusoid is A*n*gain/2 (window coherent gain).
-		amps[i] = 2 * best / (float64(n) * gain)
+		d.amps[i] = 2 * best / (float64(n) * gain)
 	}
+	return d.amps
 }
 
 func growFloats(s []float64, n int) []float64 {

@@ -257,8 +257,7 @@ type DeviceMonitor struct {
 }
 
 // EnableDeviceMonitor attaches a device-health monitor to the
-// controller: every microphone known at call time (the fleet's list,
-// or the controller's own on the single-microphone path) is tracked
+// controller: every microphone of its fleet at call time is tracked
 // for noise drift and deafness, and speakers registered afterwards
 // with WatchSpeaker are tracked for detuning and silence. Call after
 // EnableFleet and after all microphones are registered; returns the
@@ -281,14 +280,10 @@ func (c *Controller) EnableDeviceMonitor() *DeviceMonitor {
 		rewrite:          make(map[float64]float64),
 		detected:         make(map[float64]float64),
 	}
-	if c.fleet != nil {
-		for _, mic := range c.fleet.mics {
-			m.mics = append(m.mics, &micTracker{name: mic.Name, mic: mic})
-		}
-		c.fleet.mon = m
-	} else {
-		m.mics = append(m.mics, &micTracker{name: c.mic.Name, mic: c.mic})
+	for _, mic := range c.fleet.mics {
+		m.mics = append(m.mics, &micTracker{name: mic.Name, mic: mic})
 	}
+	c.fleet.mon = m
 	c.devmon = m
 	if c.tm.reg != nil {
 		m.Instrument(c.tm.reg)
@@ -346,12 +341,6 @@ func (m *DeviceMonitor) floorFor(i int, def float64) float64 {
 		return m.mics[i].floor
 	}
 	return def
-}
-
-// micQuarantined reports whether microphone i is quarantined (the
-// streaming path's skip test).
-func (m *DeviceMonitor) micQuarantined(i int) bool {
-	return i < len(m.mics) && m.mics[i].quarantined
 }
 
 // activeMics counts microphones currently in the fan-out.
@@ -503,9 +492,7 @@ func (m *DeviceMonitor) quarantine(i int, t *micTracker) {
 	t.quarantined = true
 	t.missStreak = 0
 	t.probeHits = 0
-	if f := m.ctrl.fleet; f != nil {
-		f.SetQuarantined(i, true)
-	}
+	m.ctrl.fleet.SetQuarantined(i, true)
 	t.quarantines++
 	m.quarantines++
 	m.classifyMic(t)
@@ -557,9 +544,7 @@ func (m *DeviceMonitor) probeQuarantined(i int, t *micTracker, from, to float64,
 		t.quarantined = false
 		t.missStreak = 0
 		t.probeHits = 0
-		if f := m.ctrl.fleet; f != nil {
-			f.SetQuarantined(i, false)
-		}
+		m.ctrl.fleet.SetQuarantined(i, false)
 		t.rejoins++
 		m.rejoins++
 		m.classifyMic(t)
@@ -751,23 +736,23 @@ const (
 // that stays at the commanded frequencies retrains the fingerprint
 // level instead (an aging driver playing quieter is not a fault).
 func (m *DeviceMonitor) probeSpeaker(t *speakerTracker, from, to float64) probeVerdict {
-	var ref *micTracker
-	for _, mt := range m.mics {
+	ref := -1
+	for i, mt := range m.mics {
 		if !mt.quarantined {
-			ref = mt
+			ref = i
 			break
 		}
 	}
-	if ref == nil {
+	if ref < 0 {
 		return probeNothing
 	}
-	m.probeBuf = ref.mic.CaptureInto(m.probeBuf, from, to)
+	m.probeBuf = m.mics[ref].mic.CaptureInto(m.probeBuf, from, to)
 	buf := m.probeBuf
 	n := buf.Len()
 	if n == 0 {
 		return probeNothing
 	}
-	minAmp := m.floorFor(micIndex(m.mics, ref), m.ctrl.Detector.MinAmplitude)
+	minAmp := m.floorFor(ref, m.ctrl.Detector.MinAmplitude)
 	scale := 2 / float64(n)
 
 	// The commanded bins are the baseline the grid must beat: an
@@ -800,7 +785,7 @@ func (m *DeviceMonitor) probeSpeaker(t *speakerTracker, from, to float64) probeV
 		}
 	}
 	if bestAmp >= minAmp && bestAmp > m.TuneFactor*commanded {
-		m.rekeySpeaker(t, bestRatio, to)
+		m.rekeySpeaker(t, bestRatio)
 		return probeRekeyed
 	}
 	if commanded >= minAmp {
@@ -818,10 +803,10 @@ func (m *DeviceMonitor) probeSpeaker(t *speakerTracker, from, to float64) probeV
 }
 
 // rekeySpeaker installs a re-key: the controller watches each
-// commanded frequency shifted by ratio, detections there are rewritten
-// back before dispatch, and a running stream is restarted so its
-// watch-list snapshot includes the shifted frequencies.
-func (m *DeviceMonitor) rekeySpeaker(t *speakerTracker, ratio, now float64) {
+// commanded frequency shifted by ratio — the fleet picks the edit up
+// at its next window, batch or streamed — and detections there are
+// rewritten back before dispatch.
+func (m *DeviceMonitor) rekeySpeaker(t *speakerTracker, ratio float64) {
 	t.shifted = t.shifted[:0]
 	for _, f := range t.freqs {
 		sh := f * ratio
@@ -834,7 +819,6 @@ func (m *DeviceMonitor) rekeySpeaker(t *speakerTracker, ratio, now float64) {
 	t.rekeys++
 	m.rekeys++
 	m.setSpeakerState(t, DeviceDetuned)
-	m.restartStream(now)
 }
 
 // healSpeaker retires an active re-key: the commanded frequency is
@@ -857,29 +841,6 @@ func (m *DeviceMonitor) setSpeakerState(t *speakerTracker, s DeviceState) {
 		t.transitions++
 		m.transitions++
 	}
-}
-
-// restartStream restarts a running streaming pipeline at time now so
-// its start-time watch snapshot picks up a re-key. The restarted
-// stream re-primes over one window (a warm-up the batch path does not
-// pay — the cost of the stream's snapshot design).
-func (m *DeviceMonitor) restartStream(now float64) {
-	st := m.ctrl.stream
-	if st == nil {
-		return
-	}
-	hop := st.Hop()
-	st.Stop()
-	m.ctrl.StartStream(now, hop)
-}
-
-func micIndex(mics []*micTracker, t *micTracker) int {
-	for i, mt := range mics {
-		if mt == t {
-			return i
-		}
-	}
-	return 0
 }
 
 // Snapshot returns every tracked device's health row, microphones in

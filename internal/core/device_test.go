@@ -257,14 +257,43 @@ func TestDeviceMonitorStreamQuarantineAndRejoin(t *testing.T) {
 	}
 }
 
-// runQuarantinedFleet analyses one window with the given microphones
-// quarantined and returns a copy of the merged detections.
-func runQuarantinedFleet(n, workers int, quar []int) []Detection {
+// TestStreamKeepsHandleAcrossRekey: a re-key on a running stream
+// edits the live watch list in place, so the controller keeps the
+// handle StartStream returned, and at hop == window that handle counts
+// every analysed window.
+func TestStreamKeepsHandleAcrossRekey(t *testing.T) {
+	r := newDeviceRig(1)
+	r.mon.SilentWindows = 10
+	r.mon.WatchSpeaker("s1", nil, devBeatFreq)
+	r.sp.ScheduleDetune(2.0, 2.5, 1.04)
+	r.scheduleBeats(6)
+	s := r.ctrl.StartStream(0, r.ctrl.Window)
+	r.sim.RunUntil(6)
+	if d := deviceByName(r.mon.Snapshot(), "s1"); d.Rekeys != 1 {
+		t.Fatalf("s1 = %+v, want one re-key", d)
+	}
+	if r.ctrl.Stream() != s {
+		t.Fatal("re-key replaced the stream handle")
+	}
+	if s.Hops != r.ctrl.Windows {
+		t.Errorf("stream hops = %d, controller windows = %d", s.Hops, r.ctrl.Windows)
+	}
+}
+
+// runQuarantinedFleet analyses with the given microphones quarantined
+// and returns a copy of the merged detections. hopN == 0 analyses one
+// batch window. hopN > 0 streams 50 ms windows by hopN-sample hops over
+// 0.2 s and holds the quarantine only for hops closing in (35, 135) ms,
+// so quarantined lanes sit hops out, then rejoin and re-prime.
+func runQuarantinedFleet(n, workers int, quar []int, hopN int) []Detection {
 	_, mics, det := fleetRoom(n)
 	f := NewFleet(det, workers)
 	defer f.Close()
 	for _, m := range mics {
 		f.AddMicrophone(m)
+	}
+	if hopN > 0 {
+		return streamQuarantinedFleet(f, quar, hopN)
 	}
 	for _, i := range quar {
 		f.SetQuarantined(i, true)
@@ -275,32 +304,52 @@ func runQuarantinedFleet(n, workers int, quar []int) []Detection {
 	return out
 }
 
+func streamQuarantinedFleet(f *Fleet, quar []int, hopN int) []Detection {
+	const windowN, rate = 2205, 44100.0
+	f.setHop(windowN/rate, windowN, hopN)
+	hop := float64(hopN) / rate
+	var out []Detection
+	for k := 1; k*hopN <= 4*windowN; k++ {
+		to := float64(k) * hop
+		for _, i := range quar {
+			f.SetQuarantined(i, to > 0.035 && to < 0.135)
+		}
+		dets, _, _ := f.analyse(to-hop, to)
+		out = append(out, dets...)
+	}
+	return out
+}
+
 // TestFleetQuarantineByteIdenticalAcrossWorkers pins the determinism
 // contract under failover: with any subset of microphones quarantined,
-// the merged detections are bit-exact at every worker count.
+// the merged detections are bit-exact at every worker count — on the
+// batch path and on streams at hop < window and hop == window, where
+// the quarantine flips mid-stream.
 func TestFleetQuarantineByteIdenticalAcrossWorkers(t *testing.T) {
 	const n = 8
-	full := runQuarantinedFleet(n, 1, nil)
-	if len(full) == 0 {
-		t.Fatal("fleet heard nothing")
-	}
-	subsets := [][]int{{0}, {3}, {0, 2}, {1, 2, 3, 4, 5, 6}, {0, 1, 2, 3, 4, 5, 6}}
-	for _, quar := range subsets {
-		want := runQuarantinedFleet(n, 1, quar)
-		if len(want) >= len(full) {
-			t.Fatalf("quarantining %v did not shrink the merge (%d vs %d)",
-				quar, len(want), len(full))
+	for _, hopN := range []int{0, 441, 2205} {
+		full := runQuarantinedFleet(n, 1, nil, hopN)
+		if len(full) == 0 {
+			t.Fatalf("hopN=%d: fleet heard nothing", hopN)
 		}
-		for _, workers := range []int{2, 4, 8} {
-			got := runQuarantinedFleet(n, workers, quar)
-			if len(got) != len(want) {
-				t.Fatalf("quar=%v workers=%d: %d detections, want %d",
-					quar, workers, len(got), len(want))
+		subsets := [][]int{{0}, {3}, {0, 2}, {1, 2, 3, 4, 5, 6}, {0, 1, 2, 3, 4, 5, 6}}
+		for _, quar := range subsets {
+			want := runQuarantinedFleet(n, 1, quar, hopN)
+			if len(want) >= len(full) {
+				t.Fatalf("hopN=%d: quarantining %v did not shrink the merge (%d vs %d)",
+					hopN, quar, len(want), len(full))
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("quar=%v workers=%d: detection %d = %+v, want %+v (bit-exact)",
-						quar, workers, i, got[i], want[i])
+			for _, workers := range []int{2, 4, 8} {
+				got := runQuarantinedFleet(n, workers, quar, hopN)
+				if len(got) != len(want) {
+					t.Fatalf("hopN=%d quar=%v workers=%d: %d detections, want %d",
+						hopN, quar, workers, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("hopN=%d quar=%v workers=%d: detection %d = %+v, want %+v (bit-exact)",
+							hopN, quar, workers, i, got[i], want[i])
+					}
 				}
 			}
 		}

@@ -9,15 +9,17 @@ import (
 	"mdn/internal/telemetry"
 )
 
-// Fleet is the controller's many-switch listening engine: one
-// analysis window fanned out over N microphones on a fixed pool of
-// workers, each worker running its own Detector clone. The paper's
-// deployments are fleets — many switches emitting tones toward one
-// listening controller — and a single Detector cannot serve them
-// concurrently because its per-window scratch is reused (the DSP
-// plans underneath are shared and concurrency-safe; the scratch is
-// not). Cloning the detector per worker shares the plans and
-// duplicates only the scratch.
+// Fleet is the controller's one detection pipeline, batch or streamed
+// (a lone microphone is a fleet of one): one analysis window fanned out
+// over N microphones on a fixed pool of workers, each worker running
+// its own Detector clone. The paper's deployments are fleets — many
+// switches emitting tones toward one listening controller — and a
+// single Detector cannot serve them concurrently because its
+// per-window scratch is reused (the DSP plans underneath are shared
+// and concurrency-safe; the scratch is not). Cloning the detector per
+// worker shares the plans and duplicates only the scratch. At
+// hop < window (see setHop) each microphone's lane keeps the
+// window − hop overlap, so a hop captures only its new span.
 //
 // Determinism contract: Analyse returns the same detection slice for
 // the same room state regardless of worker count or scheduling order.
@@ -25,7 +27,8 @@ import (
 // runs after the barrier, ordering detections by (time, frequency)
 // with microphone registration order breaking exact ties — so
 // subscriber semantics are identical to a serial multi-microphone
-// loop.
+// loop. A lone microphone on the batch path keeps the detector's
+// watch-list order, as a bare Detector would.
 //
 // A Fleet is driven from one goroutine (the simulation loop):
 // AddMicrophone and Analyse must not race each other. The concurrency
@@ -38,8 +41,17 @@ type Fleet struct {
 	dets    []*Detector     // one clone per worker
 	bufs    []*audio.Buffer // one capture buffer per worker
 	out     [][]Detection   // per-microphone results, reused
+	amps    [][]float64     // per-microphone pre-threshold amplitudes, reused
 	merged  []Detection
 	sortTmp []Detection // merge-sort scratch, reserved with merged
+
+	// Stream state (see setHop): the window in seconds while a stream
+	// drives the fleet (0 on the batch path), and the lanes, which exist
+	// only at hop < window.
+	streamWindow float64
+	windowN      int
+	lanes        []lane
+	appendHop    bool // the in-flight attempt appends the hop to the lanes
 
 	// mon, when set, receives each microphone's per-window amplitude
 	// estimates and supplies per-microphone detection floors (see
@@ -57,10 +69,10 @@ type Fleet struct {
 	active      []int
 	activeDirty bool
 
-	// Window bounds for the in-flight fan-out; written before tasks
-	// are sent, read by workers after receiving one (the channel send
-	// is the happens-before edge).
-	from, to float64
+	// Captured span and analysed window start of the in-flight fan-out;
+	// written before tasks are sent, read by workers after receiving one
+	// (the channel send is the happens-before edge).
+	from, to, winStart float64
 
 	tasks   chan micShard
 	wg      sync.WaitGroup
@@ -106,6 +118,13 @@ func NewFleet(template *Detector, workers int) *Fleet {
 // Workers returns the pool size.
 func (f *Fleet) Workers() int { return f.workers }
 
+// lane is one microphone's state at hop < window: the ring holding the
+// window − hop overlap, and the in-flight hop's append error.
+type lane struct {
+	ring *acoustic.CaptureRing
+	err  error
+}
+
 // AddMicrophone registers one listening point. Call from the driving
 // goroutine only, not concurrently with Analyse.
 func (f *Fleet) AddMicrophone(m *acoustic.Microphone) {
@@ -114,6 +133,10 @@ func (f *Fleet) AddMicrophone(m *acoustic.Microphone) {
 	}
 	f.mics = append(f.mics, m)
 	f.out = append(f.out, nil)
+	f.amps = append(f.amps, nil)
+	if f.windowN > 0 {
+		f.lanes = append(f.lanes, lane{ring: acoustic.NewCaptureRing(m, f.windowN)})
+	}
 	f.quarMu.Lock()
 	f.quarantined = append(f.quarantined, false)
 	f.activeDirty = true
@@ -145,7 +168,9 @@ func (f *Fleet) IsQuarantined(i int) bool {
 }
 
 // syncActive rebuilds the active-microphone index snapshot when the
-// quarantine set moved. Called at fan-out, before workers read it.
+// quarantine set moved. Called at fan-out, before workers read it. A
+// quarantined lane's ring is emptied, so on rejoin it re-primes from
+// the live edge rather than splicing in pre-quarantine samples.
 func (f *Fleet) syncActive() {
 	f.quarMu.Lock()
 	defer f.quarMu.Unlock()
@@ -156,10 +181,31 @@ func (f *Fleet) syncActive() {
 	for i, q := range f.quarantined {
 		if !q {
 			f.active = append(f.active, i)
+		} else if f.lanes != nil {
+			f.lanes[i].ring.Reset()
 		}
 	}
 	f.activeDirty = false
 }
+
+// setHop parameterises the fleet by its hop: windows of window seconds
+// (windowN samples) advancing by hopN samples; all zero is the batch
+// path. At hopN < windowN every microphone gets a fresh lane; at
+// hopN == windowN each window is captured whole, the batch code path.
+func (f *Fleet) setHop(window float64, windowN, hopN int) {
+	f.streamWindow, f.windowN, f.lanes = window, 0, nil
+	if hopN < windowN {
+		f.windowN = windowN
+		for _, m := range f.mics {
+			f.lanes = append(f.lanes, lane{ring: acoustic.NewCaptureRing(m, windowN)})
+		}
+	}
+}
+
+// watch returns the watch list the last window ran under: the worker
+// clones' shared snapshot. Valid on the driving goroutine once a window
+// has been analysed.
+func (f *Fleet) watch() []float64 { return f.dets[0].watch }
 
 // Microphones returns the number of registered listening points.
 func (f *Fleet) Microphones() int { return len(f.mics) }
@@ -180,14 +226,27 @@ func (f *Fleet) Instrument(reg *telemetry.Registry) {
 // by the fleet, valid until the next Analyse call — the same contract
 // as Detector.Detect. Steady-state calls allocate nothing.
 func (f *Fleet) Analyse(from, to float64) []Detection {
+	dets, _, _ := f.analyse(from, to)
+	return dets
+}
+
+// analyse runs one window over every active microphone. [from, to) is
+// the captured span: the whole window, or with lanes the newest hop of
+// the window ending at to. ok is false when no active microphone holds
+// a full window; err is a lane's append failure (see settleLanes).
+func (f *Fleet) analyse(from, to float64) (dets []Detection, ok bool, err error) {
 	if len(f.mics) == 0 {
-		return nil
+		return nil, false, nil
 	}
 	f.syncActive()
 	if len(f.active) == 0 {
-		return nil
+		return nil, false, nil
 	}
 	sp := telemetry.StartSpan(f.window, f.wall)
+	f.from, f.to, f.winStart = from, to, from
+	if f.lanes != nil {
+		f.winStart = to - f.streamWindow
+	}
 	for attempt := 0; ; attempt++ {
 		// Snapshot the watch revision the whole window will run under.
 		// Watch edits are serialized through the template's mutex, so a
@@ -196,8 +255,10 @@ func (f *Fleet) Analyse(from, to float64) []Detection {
 		rev := f.template.WatchRev()
 		f.syncClones(rev)
 		f.reserve()
-		f.from, f.to = from, to
-		if f.workers == 1 || len(f.active) == 1 {
+		// Lanes append the hop once; a stale-watch retry re-analyses the
+		// windows they already hold.
+		f.appendHop = attempt == 0
+		if f.workers == 1 || len(f.active) == 1 || f.closed {
 			// Serial reference path: same per-microphone work, same merge.
 			for _, i := range f.active {
 				f.analyseMic(0, i)
@@ -227,27 +288,54 @@ func (f *Fleet) Analyse(from, to float64) []Detection {
 		f.StaleWindows++
 		f.stale.Inc()
 	}
+	ok = true
+	if f.lanes != nil {
+		if ok, err = f.settleLanes(); err != nil {
+			sp.End()
+			return nil, false, err
+		}
+	}
 	f.merged = f.merged[:0]
 	for _, i := range f.active {
 		f.merged = append(f.merged, f.out[i]...)
 	}
-	sortDetections(f.merged, f.sortTmp)
+	if len(f.mics) > 1 || f.streamWindow > 0 {
+		sortDetections(f.merged, f.sortTmp)
+	}
 	sp.End()
 	if len(f.merged) == 0 {
-		return nil
+		return nil, ok, nil
 	}
-	return f.merged
+	return f.merged, ok, nil
+}
+
+// settleLanes reports whether any active lane holds a full window
+// after the hop. A failed append instead resets every lane and returns
+// the first active lane's error.
+func (f *Fleet) settleLanes() (bool, error) {
+	full := false
+	for _, i := range f.active {
+		if err := f.lanes[i].err; err != nil {
+			for j := range f.lanes {
+				f.lanes[j].ring.Reset()
+				f.lanes[j].err = nil
+			}
+			return false, err
+		}
+		full = full || f.lanes[i].ring.Full()
+	}
+	return full, nil
 }
 
 // Close stops the worker goroutines. The fleet stays usable on the
 // serial path after Close; call it when tearing a fleet down so pools
 // built per benchmark iteration or per test do not leak goroutines.
 func (f *Fleet) Close() {
-	if f.started && !f.closed {
+	if f.started {
 		close(f.tasks)
-		f.closed = true
 		f.started = false
 	}
+	f.closed = true
 }
 
 // syncClones brings the per-worker detectors in line with the live
@@ -294,6 +382,9 @@ func (f *Fleet) reserve() {
 		if cap(f.out[i]) < per {
 			f.out[i] = make([]Detection, 0, per)
 		}
+		if cap(f.amps[i]) < per {
+			f.amps[i] = make([]float64, 0, per)
+		}
 	}
 }
 
@@ -301,9 +392,6 @@ func (f *Fleet) reserve() {
 func (f *Fleet) start() {
 	if f.started {
 		return
-	}
-	if f.closed {
-		panic("core: Analyse on a closed Fleet with multiple workers")
 	}
 	f.tasks = make(chan micShard)
 	for w := 0; w < f.workers; w++ {
@@ -348,22 +436,50 @@ func (f *Fleet) worker(w int) {
 	}
 }
 
-// analyseMic captures one microphone's window with worker w's scratch
-// and stores the detections in the microphone's result slot. With a
+// analyseMic analyses one microphone's window with worker w's scratch
+// and stores the detections and amplitudes in the microphone's result
+// slots. With a
 // device monitor attached, the detection threshold is the monitor's
 // recalibrated per-microphone floor and the amplitude estimates feed
 // its noise tracker (stored per microphone, folded after the barrier).
 func (f *Fleet) analyseMic(w, i int) {
-	f.bufs[w] = f.mics[i].CaptureInto(f.bufs[w], f.from, f.to)
-	if f.mon != nil {
-		minAmp := f.mon.floorFor(i, f.dets[w].MinAmplitude)
-		dets, amps := f.dets[w].DetectCalibrated(f.bufs[w], f.from, minAmp)
-		f.mon.ObserveMic(i, f.from, dets, amps)
-		f.out[i] = append(f.out[i][:0], dets...)
+	f.out[i], f.amps[i] = f.out[i][:0], f.amps[i][:0]
+	buf := f.capture(w, i)
+	if buf == nil {
 		return
 	}
-	dets := f.dets[w].Detect(f.bufs[w], f.from)
-	f.out[i] = append(f.out[i][:0], dets...)
+	d := f.dets[w]
+	minAmp := d.MinAmplitude
+	if f.mon != nil {
+		minAmp = f.mon.floorFor(i, minAmp)
+	}
+	dets, amps := d.DetectCalibrated(buf, f.winStart, minAmp)
+	if f.mon != nil {
+		f.mon.ObserveMic(i, f.winStart, dets, amps)
+	}
+	f.out[i] = append(f.out[i], dets...)
+	f.amps[i] = append(f.amps[i], amps...)
+}
+
+// capture returns microphone i's window for worker w: captured whole
+// into the worker's buffer without lanes, or the lane's ring after the
+// hop is appended. It returns nil while the ring is still priming or
+// when the append failed.
+func (f *Fleet) capture(w, i int) *audio.Buffer {
+	if f.lanes == nil {
+		f.bufs[w] = f.mics[i].CaptureInto(f.bufs[w], f.from, f.to)
+		return f.bufs[w]
+	}
+	l := &f.lanes[i]
+	if f.appendHop {
+		if l.err = l.ring.Append(f.from, f.to); l.err != nil {
+			return nil
+		}
+	}
+	if !l.ring.Full() {
+		return nil
+	}
+	return l.ring.Window()
 }
 
 // sortDetections orders detections by (Time, Frequency), stable: exact

@@ -81,6 +81,60 @@ func TestFleetMatchesSerialExactly(t *testing.T) {
 	}
 }
 
+// TestFleetAnalyseAfterCloseRunsSerially: a closed multi-worker fleet
+// keeps analysing on the serial path, with the same result.
+func TestFleetAnalyseAfterCloseRunsSerially(t *testing.T) {
+	want := runFleet(8, 1)
+	_, mics, det := fleetRoom(8)
+	f := NewFleet(det, 4)
+	for _, m := range mics {
+		f.AddMicrophone(m)
+	}
+	f.Analyse(0, 0.065) // starts the pool
+	f.Close()
+	got := f.Analyse(0, 0.065)
+	if len(got) != len(want) {
+		t.Fatalf("after Close: %d detections, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("after Close: detection %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestFleetLaneReprimesOnRejoin: a quarantined lane's ring is emptied,
+// so after rejoining it holds a full window again only once a whole
+// window of fresh hops has been appended.
+func TestFleetLaneReprimesOnRejoin(t *testing.T) {
+	_, mics, det := fleetRoom(2)
+	f := NewFleet(det, 1)
+	for _, m := range mics {
+		f.AddMicrophone(m)
+	}
+	const windowN, hopN = 2205, 441
+	f.setHop(windowN/44100.0, windowN, hopN)
+	hop := hopN / 44100.0
+	step := func(k int) {
+		to := float64(k) * hop
+		if _, _, err := f.analyse(to-hop, to); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := 1; k <= 5; k++ {
+		step(k)
+	}
+	f.SetQuarantined(1, true)
+	step(6)
+	f.SetQuarantined(1, false)
+	for k := 7; k <= 11; k++ {
+		step(k)
+		if full := f.lanes[1].ring.Full(); full != (k == 11) {
+			t.Fatalf("hop %d after rejoin: lane full = %v", k, full)
+		}
+	}
+}
+
 func TestFleetMergeOrderedByTimeThenFrequency(t *testing.T) {
 	dets := runFleet(8, 4)
 	for i := 1; i < len(dets); i++ {

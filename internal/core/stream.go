@@ -4,60 +4,27 @@ import (
 	"fmt"
 	"math"
 
-	"mdn/internal/acoustic"
-	"mdn/internal/dsp"
 	"mdn/internal/netsim"
-	"mdn/internal/parallel"
 	"mdn/internal/telemetry"
 )
 
-// StreamController is the controller's low-latency detection path: an
-// incremental pipeline that advances the analysis window by a hop —
-// a fraction of the window — instead of a whole window at a time, so
-// a watched tone is detected within one hop of its onset rather than
-// at the close of the window it lands in. The batch loop's worst case
-// is a full window of dead time before analysis even starts; both
-// teleorchestra papers (arXiv 1808.09399, 1809.07864) argue SDN+audio
-// control loops live or die on exactly this delay.
+// StreamController is the controller's low-latency detection path: its
+// fleet (see Fleet) advancing the analysis window by a hop — a fraction
+// of the window — instead of a whole window at a time, so a watched
+// tone is detected within one hop of its onset rather than at the
+// close of the window it lands in. Both teleorchestra papers (arXiv
+// 1808.09399, 1809.07864) argue SDN+audio control loops live or die
+// on exactly this delay. At hop == window the stream runs the batch
+// code path and is bit-exact with it; at hop < window equivalence is
+// behavioural (same tones detected, sooner).
 //
-// Per microphone the pipeline is three stages coupled by an SPSC
-// queue:
-//
-//	capture   — acoustic.CaptureRing renders only the new hop span
-//	            (the window-minus-hop overlap is saved, not re-mixed)
-//	            and publishes the hop frame to the queue;
-//	transform — dsp.SlidingGoertzel (staggered resonator banks, no
-//	            sample retention) or dsp.OverlapSTFT (overlap-save
-//	            ring + cached FFT plan) consumes frames and emits one
-//	            full-window magnitude vector per hop;
-//	detect    — the shared threshold filter turns magnitudes into
-//	            Detections, merged across microphones and fanned out
-//	            through the batch controller's own subscriber list.
-//
-// In the deterministic simulation all three stages run on the sim
-// goroutine — each hop pushes one frame and drains it immediately —
-// so results are reproducible; the SPSC coupling is what lets a real
-// deployment move capture onto its own producer thread without
-// restructuring (the queue is lock-free and allocation-free).
-//
-// Equivalence contract: at hop == window the streaming path is
-// bit-exact with the batch path — same capture spans (hence identical
-// samples, including the self-noise stream, which is seeded by the
-// window start), same per-window transform (the sliding kernels
-// reproduce their batch counterparts' float operations exactly), same
-// filter, same subscriber dispatch, same health and counter updates.
-// At hop < window the per-window spans differ by construction, so
-// equivalence is behavioural (same tones detected, sooner), not
-// bit-level.
-//
-// On top of the per-window batches the stream runs an EdgeDedup over
-// the pre-threshold amplitudes: a tone straddling any number of hop
-// windows is one onset, reported through OnOnset and the
+// On top of the fleet the stream runs an EdgeDedup over the
+// per-frequency peak of the active microphones' pre-threshold
+// amplitudes, so a tone straddling any number of hop windows is one
+// onset, reported through OnOnset and the
 // mdn_stream_detect_latency_seconds histogram (sim-time latency from
-// the emission's arrival at the microphone to the firing hop close).
-//
-// A StreamController snapshots the detector's watch list when
-// started; frequencies added later need a restart to be heard.
+// the emission's arrival at the loudest microphone to the firing hop
+// close).
 type StreamController struct {
 	// OnOnset, when set, receives each deduplicated tone onset: the
 	// first hop window in which the frequency's amplitude reached the
@@ -66,19 +33,12 @@ type StreamController struct {
 	// simulation goroutine, outside the supervision barrier.
 	OnOnset func(Detection)
 
-	ctrl    *Controller
-	hop     float64 // hop duration, seconds
-	window  float64 // analysis window, seconds (ctrl.Window at start)
-	hopN    int
-	windowN int
-	rate    float64
-	freqs   []float64 // watch-list snapshot at start
-	tol     float64   // ToleranceHz snapshot, for the latency probe
+	ctrl   *Controller
+	hop    float64 // hop duration, seconds
+	window float64 // analysis window, seconds (ctrl.Window at start)
 
-	pipes   []*streamPipe
-	merged  []Detection
-	sortTmp []Detection
-	peak    []float64 // per-frequency max amplitude across pipes, per hop
+	peak    []float64 // per-frequency max amplitude across active mics, per hop
+	peakMic []int     // the microphone holding each peak (lowest index on ties)
 	dedup   *EdgeDedup
 	ticker  *netsim.Ticker
 
@@ -92,50 +52,12 @@ type StreamController struct {
 	tm streamMetrics
 }
 
-// streamPipe is one microphone's capture → transform lane. Exactly one
-// of sg/stft is set, by detection method.
-type streamPipe struct {
-	idx  int // microphone index (fleet order; 0 on the single-mic path)
-	ring *acoustic.CaptureRing
-	q    *parallel.SPSC[hopFrame]
-	pool [][]float64 // frame sample buffers, one per queue slot
-	seq  int
-
-	// skipped marks a pipe sitting out hops because its microphone is
-	// quarantined; on rejoin the pipe resets and re-primes from the
-	// live edge.
-	skipped bool
-
-	sg    *dsp.SlidingGoertzel
-	stft  *dsp.OverlapSTFT
-	emit  func(mags []float64) // preallocated SlidingGoertzel callback
-	curTo float64              // hop close of the frame being transformed
-
-	amps    []float64 // per-watch amplitude estimates of the last window
-	dets    []Detection
-	emitted bool // a full window completed this hop
-}
-
-// hopFrame is one captured hop span in flight between the capture and
-// transform stages. samples points into the pipe's frame pool; the
-// slot is safe to reuse once the frame is popped (pool size == queue
-// capacity, so the producer cannot lap the consumer).
-type hopFrame struct {
-	from, to float64
-	samples  []float64
-}
-
-// streamQueueCap bounds in-flight hop frames per pipe. The synchronous
-// sim drains every hop so depth never exceeds one; the headroom is for
-// deployments that run capture on its own goroutine.
-const streamQueueCap = 4
-
 // StartStream begins streaming analysis at time at with the given hop,
 // replacing any running batch poll loop. The hop must subdivide the
 // controller's Window into an integer number of integer-sample hops
 // (e.g. 10 ms hops of a 50 ms window at 44.1 kHz); StartStream panics
 // otherwise, because a misaligned hop is a deployment wiring error.
-// hop == Window is valid and reproduces the batch path exactly.
+// hop == Window is valid and runs the batch code path exactly.
 //
 // Subscribers registered on the controller receive one batch per hop
 // (each covering the trailing full window) once the first window has
@@ -147,8 +69,6 @@ func (c *Controller) StartStream(at, hop float64) *StreamController {
 	if err := CheckStreamHop(c.Window, rate, hop); err != nil {
 		panic(err.Error())
 	}
-	windowN := int(math.Round(c.Window * rate))
-	hopN := int(math.Round(hop * rate))
 	if c.ticker != nil {
 		c.ticker.Stop()
 		c.ticker = nil
@@ -156,33 +76,13 @@ func (c *Controller) StartStream(at, hop float64) *StreamController {
 	if c.stream != nil {
 		c.stream.Stop()
 	}
+	c.fleet.setHop(c.Window, int(math.Round(c.Window*rate)), int(math.Round(hop*rate)))
 	s := &StreamController{
-		ctrl:    c,
-		hop:     hop,
-		window:  c.Window,
-		hopN:    hopN,
-		windowN: windowN,
-		rate:    rate,
-		freqs:   c.Detector.Watch(),
-		tol:     c.Detector.ToleranceHz,
+		ctrl:   c,
+		hop:    hop,
+		window: c.Window,
+		dedup:  NewEdgeDedup(0, c.Detector.MinAmplitude),
 	}
-	mics := []*acoustic.Microphone{c.mic}
-	if c.fleet != nil {
-		// Fleet integration: stream every registered listening point,
-		// merging per-window detections in the fleet's order.
-		mics = c.fleet.mics
-	}
-	for i, m := range mics {
-		p := s.newPipe(m)
-		p.idx = i
-		s.pipes = append(s.pipes, p)
-	}
-	nf := len(s.freqs)
-	bound := nf * len(s.pipes)
-	s.merged = make([]Detection, 0, bound)
-	s.sortTmp = make([]Detection, bound)
-	s.peak = make([]float64, nf)
-	s.dedup = NewEdgeDedup(nf, c.Detector.MinAmplitude)
 	if c.tm.reg != nil {
 		s.Instrument(c.tm.reg)
 	}
@@ -220,77 +120,33 @@ func CheckStreamHop(window, sampleRate, hop float64) error {
 	return nil
 }
 
-// newPipe builds one microphone's capture → transform lane.
-func (s *StreamController) newPipe(m *acoustic.Microphone) *streamPipe {
-	p := &streamPipe{
-		ring: acoustic.NewCaptureRing(m, s.windowN),
-		q:    parallel.NewSPSC[hopFrame](streamQueueCap),
-		amps: make([]float64, len(s.freqs)),
-		dets: make([]Detection, 0, len(s.freqs)),
-	}
-	for i := 0; i < p.q.Cap(); i++ {
-		p.pool = append(p.pool, make([]float64, s.hopN))
-	}
-	if s.ctrl.Detector.Method == MethodFFT {
-		p.stft = dsp.NewOverlapSTFT(s.windowN)
-	} else {
-		p.sg = dsp.NewSlidingGoertzel(s.freqs, s.rate, s.windowN, s.hopN)
-		// Preallocated emission callback: built once so the per-hop
-		// transform stage creates no closures.
-		p.emit = func(mags []float64) {
-			scale := 2 / float64(s.windowN)
-			for i, m := range mags {
-				p.amps[i] = m * scale
-			}
-			p.finishWindow(s)
-		}
-	}
-	return p
-}
-
-// step advances every pipe by one hop: capture, transform, merge,
-// dedup, dispatch. It runs on the simulation goroutine once per hop.
+// step advances the fleet by one hop — capture, transform, detect,
+// merge — then folds the onset dedup and dispatches the window. It
+// runs on the simulation goroutine once per hop.
 func (s *StreamController) step(from, to float64) {
 	sp := telemetry.StartSpan(s.tm.hopWall, s.tm.wall)
 	s.Hops++
 	s.tm.hops.Inc()
-	for _, p := range s.pipes {
-		if s.skipPipe(p) {
-			continue
-		}
-		if err := p.capture(from, to); err != nil {
-			s.captureError(to, err)
-			sp.End()
-			return
-		}
-	}
-	emitted := false
-	for i := range s.peak {
-		s.peak[i] = 0
-	}
-	for _, p := range s.pipes {
-		if p.skipped {
-			continue
-		}
-		p.drain(s)
-		emitted = emitted || p.emitted
-	}
-	if !emitted {
-		// Warm-up: the first window has not filled yet (hop < window
-		// only; at hop == window the first hop completes a window).
+	f := s.ctrl.fleet
+	dets, ok, err := f.analyse(from, to)
+	if err != nil {
+		// The hop precedes the compaction horizon. The fleet has reset its
+		// lanes, so the stream re-primes at the live edge instead of
+		// analysing a window with a hole in it.
+		s.CaptureErrors++
+		s.tm.captureErrs.Inc()
+		s.ctrl.Errors.Record(to, "stream", err)
 		sp.End()
 		return
 	}
-	s.merged = s.merged[:0]
-	for _, p := range s.pipes {
-		s.merged = append(s.merged, p.dets...)
+	if !ok {
+		// Warm-up: no lane has filled a window yet (hop < window only; at
+		// hop == window every hop completes a window).
+		sp.End()
+		return
 	}
-	sortDetections(s.merged, s.sortTmp)
-	dets := s.merged
-	if len(dets) == 0 {
-		dets = nil
-	}
-	winStart := to - s.window
+	watch := f.watch()
+	s.foldPeaks(f, len(watch))
 	// The dedup's attack level carries this window's relative floor —
 	// identical leakage rejection to the detection filter, so an onset
 	// can only fire for a frequency the filter would also report.
@@ -300,112 +156,41 @@ func (s *StreamController) step(from, to float64) {
 			maxPeak = a
 		}
 	}
-	s.dedup.Step(s.peak, s.ctrl.Detector.RelativeFloor*maxPeak, func(i int) { s.onset(to, i) })
-	s.ctrl.noteDetections(winStart, to, dets)
-	if r := s.ctrl.Retention; r > 0 {
-		s.pipes[0].ring.Mic().Room().CompactBefore(winStart - r)
-	}
+	s.dedup.Step(s.peak, s.ctrl.Detector.RelativeFloor*maxPeak, func(i int) { s.onset(to, watch[i], i) })
+	s.ctrl.noteDetections(to-s.window, to, dets)
 	sp.End()
 }
 
-// skipPipe reports whether pipe p sits this hop out because its
-// microphone is quarantined by the device monitor. A rejoining pipe
-// resets first so it re-primes from the live edge instead of splicing
-// pre-quarantine samples onto the current window.
-func (s *StreamController) skipPipe(p *streamPipe) bool {
-	mon := s.ctrl.devmon
-	if mon != nil && mon.micQuarantined(p.idx) {
-		if !p.skipped {
-			p.skipped = true
-			p.dets = p.dets[:0]
-			p.emitted = false
-		}
-		return true
+// foldPeaks takes the per-frequency maximum of the active microphones'
+// amplitudes over the window just analysed, and which microphone holds
+// it. The vectors grow with the live watch list.
+func (s *StreamController) foldPeaks(f *Fleet, nf int) {
+	if len(s.peak) < nf {
+		s.peak = append(s.peak, make([]float64, nf-len(s.peak))...)
+		s.peakMic = append(s.peakMic, make([]int, nf-len(s.peakMic))...)
+		s.dedup.active = append(s.dedup.active, make([]bool, nf-len(s.dedup.active))...)
 	}
-	if p.skipped {
-		p.skipped = false
-		p.reset()
+	for j := range s.peak {
+		s.peak[j] = 0
 	}
-	return false
-}
-
-// capture renders [from, to) into the pipe's ring and publishes the
-// hop frame to the transform queue. Frame samples are copied into a
-// pool slot so the queue's contents stay valid if capture runs ahead
-// of the transform stage (up to the queue capacity).
-func (p *streamPipe) capture(from, to float64) error {
-	if err := p.ring.Append(from, to); err != nil {
-		return err
-	}
-	hop := p.ring.LastHop()
-	buf := p.pool[p.seq%len(p.pool)]
-	p.seq++
-	n := copy(buf, hop)
-	if !p.q.TryPush(hopFrame{from: from, to: to, samples: buf[:n]}) {
-		// Queue full — cannot happen in the synchronous sim (every hop
-		// is drained before the next), and a decoupled producer would
-		// block or drop by policy here. Fail loudly rather than lose a
-		// frame silently.
-		panic("core: stream transform stage fell behind capture")
-	}
-	return nil
-}
-
-// drain runs the transform stage: every queued hop frame advances the
-// sliding kernel, and each completed window lands in p.dets/p.amps.
-func (p *streamPipe) drain(s *StreamController) {
-	p.emitted = false
-	for {
-		fr, ok := p.q.TryPop()
-		if !ok {
-			return
-		}
-		p.curTo = fr.to
-		if p.sg != nil {
-			p.sg.Process(fr.samples, p.emit)
-			continue
-		}
-		p.stft.Append(fr.samples)
-		if !p.stft.Full() {
-			continue
-		}
-		mags := p.stft.Spectrum(dsp.Hann)
-		fftAmplitudes(p.amps, mags, s.freqs, s.windowN, p.stft.FFTSize(), s.rate, s.tol)
-		p.finishWindow(s)
-	}
-}
-
-// finishWindow filters one completed window's amplitude estimates into
-// detections (identical float operations to the batch filter) and
-// folds them into the stream's per-frequency amplitude peaks for the
-// onset dedup.
-func (p *streamPipe) finishWindow(s *StreamController) {
-	p.emitted = true
-	d := s.ctrl.Detector
-	winStart := p.curTo - s.window
-	minAmp := d.MinAmplitude
-	if mon := s.ctrl.devmon; mon != nil {
-		minAmp = mon.floorFor(p.idx, minAmp)
-	}
-	p.dets = filterDetections(p.dets[:0], p.amps, s.freqs, minAmp, d.RelativeFloor, winStart)
-	if mon := s.ctrl.devmon; mon != nil {
-		mon.ObserveMic(p.idx, winStart, p.dets, p.amps)
-	}
-	for i, a := range p.amps {
-		if a > s.peak[i] {
-			s.peak[i] = a
+	for _, i := range f.active {
+		for j, a := range f.amps[i] {
+			if a > s.peak[j] {
+				s.peak[j] = a
+				s.peakMic[j] = i
+			}
 		}
 	}
 }
 
-// onset handles one deduplicated rising edge at hop close time at:
-// counters, the sim-time sound-to-detection latency histogram (ground
-// truth from the emission schedule via LatestArrivalBefore), and the
-// OnOnset callback.
-func (s *StreamController) onset(at float64, i int) {
+// onset handles one deduplicated rising edge of frequency freq (watch
+// index i) at hop close time at: counters, the sim-time
+// sound-to-detection latency histogram (ground truth from the emission
+// schedule via LatestArrivalBefore, at the microphone that heard the
+// tone loudest), and the OnOnset callback.
+func (s *StreamController) onset(at, freq float64, i int) {
 	s.Onsets++
 	s.tm.onsets.Inc()
-	f := s.freqs[i]
 	// Latency attribution: the rising edge was produced by the window
 	// [at-window, at), so only an emission arriving inside it (plus one
 	// hop of slack) can be its cause. An onset with no such arrival —
@@ -413,41 +198,12 @@ func (s *StreamController) onset(at float64, i int) {
 	// re-armed long after the tone began — is counted but contributes
 	// no latency observation, because pairing it with a stale emission
 	// would poison the percentiles.
-	if arr, ok := s.pipes[0].ring.Mic().LatestArrivalBefore(f, s.tol, at); ok && at-arr <= s.window+s.hop {
+	mic := s.ctrl.fleet.mics[s.peakMic[i]]
+	if arr, ok := mic.LatestArrivalBefore(freq, s.ctrl.Detector.ToleranceHz, at); ok && at-arr <= s.window+s.hop {
 		s.tm.detectLatency.Observe(at - arr)
 	}
 	if s.OnOnset != nil {
-		s.OnOnset(Detection{Time: at, Frequency: f, Amplitude: s.peak[i]})
-	}
-}
-
-// captureError handles a hop whose span precedes the compaction
-// horizon: the error is counted and recorded, and the pipeline resets
-// so the stream re-primes cleanly at the live edge instead of
-// analysing a window with a hole in it.
-func (s *StreamController) captureError(now float64, err error) {
-	s.CaptureErrors++
-	s.tm.captureErrs.Inc()
-	s.ctrl.Errors.Record(now, "stream", err)
-	for _, p := range s.pipes {
-		p.reset()
-	}
-}
-
-// reset clears the pipe's ring, sliding kernel, and in-flight frames so
-// it re-primes cleanly — after a capture error, or when a quarantined
-// microphone rejoins.
-func (p *streamPipe) reset() {
-	p.ring.Reset()
-	if p.sg != nil {
-		p.sg.Reset()
-	} else {
-		p.stft.Reset()
-	}
-	for {
-		if _, ok := p.q.TryPop(); !ok {
-			break
-		}
+		s.OnOnset(Detection{Time: at, Frequency: freq, Amplitude: s.peak[i]})
 	}
 }
 
@@ -460,15 +216,12 @@ func (s *StreamController) Stop() {
 	if s.ctrl.stream == s {
 		s.ctrl.stream = nil
 		s.ctrl.started = false
+		s.ctrl.fleet.setHop(0, 0, 0)
 	}
 }
 
 // Hop returns the stream's hop in seconds.
 func (s *StreamController) Hop() float64 { return s.hop }
-
-// Freqs returns the watch-list snapshot the stream analyses (shared
-// slice; read-only).
-func (s *StreamController) Freqs() []float64 { return s.freqs }
 
 // streamMetrics is the stream's telemetry handle set; nil (and no-op)
 // until Instrument.

@@ -8,7 +8,7 @@ import (
 )
 
 // BenchmarkStreamHop measures one steady-state streaming step — hop
-// capture, SPSC hand-off, sliding transform, filter, dedup, dispatch —
+// capture into the lane ring, transform, filter, dedup, dispatch —
 // at the default 10 ms hop and at hop == window (the batch-equivalent
 // setting), for both detection methods, against the batch loop's
 // per-window analyse. The wall-time budget: a 10 ms hop must cost well

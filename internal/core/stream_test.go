@@ -7,6 +7,7 @@ import (
 
 	"mdn/internal/acoustic"
 	"mdn/internal/audio"
+	"mdn/internal/telemetry"
 )
 
 // streamSchedule places a repeatable tone schedule in a testbed: three
@@ -239,8 +240,8 @@ func TestStreamStopHalts(t *testing.T) {
 	}
 }
 
-// TestStreamSteadyStateAllocs drives the full per-hop path — capture,
-// SPSC hand-off, sliding transform, filter, dedup, dispatch — and
+// TestStreamSteadyStateAllocs drives the full per-hop path — ring
+// capture, transform, filter, dedup, dispatch — and
 // requires zero steady-state allocations, the same discipline the batch
 // fleet path holds.
 func TestStreamSteadyStateAllocs(t *testing.T) {
@@ -273,5 +274,32 @@ func TestStreamSteadyStateAllocs(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Errorf("streaming hop allocates %g/op in steady state, want 0", allocs)
+	}
+}
+
+// TestStreamLatencyAttributedToLoudestMic: with two microphones 30 m
+// apart and a tone beside the second, the onset's latency is measured
+// at the microphone that heard it loudest — not at microphone 0, where
+// the sound has not yet arrived when the onset fires.
+func TestStreamLatencyAttributedToLoudestMic(t *testing.T) {
+	tb := newTestbed(7)
+	near := tb.room.AddMicrophone("near", acoustic.Position{X: 30}, 0.0005)
+	freqs := tb.plan.MustAllocate("s1", 1)
+	sp := tb.room.AddSpeaker("s1", acoustic.Position{X: 29})
+	sp.Play(0.1037, audio.Tone{Frequency: freqs[0], Duration: 0.090,
+		Amplitude: acoustic.SPLToAmplitude(60)})
+	ctrl := tb.controller(freqs)
+	ctrl.EnableFleet(1).AddMicrophone(near)
+	ctrl.Instrument(telemetry.New())
+	const hop = 0.010
+	s := ctrl.StartStream(0, hop)
+	tb.sim.RunUntil(0.5)
+
+	lat := s.DetectLatency()
+	if lat.Count() != 1 {
+		t.Fatalf("%d latency observations (%d onsets), want exactly 1", lat.Count(), s.Onsets)
+	}
+	if got := lat.Sum(); got <= 0 || got > hop+1e-9 {
+		t.Errorf("sound-to-detection latency = %.4fs, want within one hop (%.3fs)", got, hop)
 	}
 }

@@ -1,158 +1,7 @@
 package dsp
 
-import (
-	"fmt"
-	"math"
-)
-
-// This file holds the incremental transform kernels of the streaming
-// detection path: a sliding Goertzel bank that emits a full-window
-// magnitude vector every hop without retaining samples, and an
-// overlap-save STFT front end that re-reads the retained
-// window-minus-hop overlap from a ring instead of re-capturing it.
-//
-// Both kernels are bit-exact with their batch counterparts: a window
-// emitted by SlidingGoertzel equals GoertzelPlan.MagnitudesInto over
-// the same samples (same recursion, same operation order per
-// frequency), and an OverlapSTFT frame equals
-// FFTPlan.WindowedSpectrumScratch over the same samples. At
-// hop == window the streaming path therefore reproduces the batch
-// path's output exactly — the equivalence the streaming controller's
-// tests and CI gate on.
-
-// SlidingGoertzel evaluates a bank of Goertzel filters over a sliding
-// window of WindowN samples advancing by HopN samples, incrementally:
-// each input sample is consumed once, state is O(banks × frequencies),
-// and no sample history is kept at all. It is implemented as
-// WindowN/HopN staggered resonator banks — bank b starts at sample
-// b·HopN, runs the standard Goertzel recursion for WindowN samples,
-// emits its magnitudes, and restarts — so every emitted window is
-// computed by exactly the per-window recursion of
-// GoertzelPlan.MagnitudesInto, making the sliding output bit-exact
-// with batch analysis of the same window. (A recursive per-sample
-// sliding DFT would cost less per hop but drifts numerically and only
-// handles bin-aligned frequencies; MDN tones are not bin-aligned.)
-//
-// State is reused between calls, so a SlidingGoertzel is not safe for
-// concurrent use; give each stream its own.
-type SlidingGoertzel struct {
-	// SampleRate is the rate the coefficients were derived for.
-	SampleRate float64
-	// WindowN is the analysis window length in samples.
-	WindowN int
-	// HopN is the hop (emission stride) in samples.
-	HopN int
-
-	freqs []float64
-	coeff []float64 // 2*cos(2*pi*f/rate) per frequency
-
-	// banks*nf resonator state, laid out bank-major: bank b's state
-	// for frequency j is s1[b*nf+j].
-	s1, s2 []float64
-	// startIn[b] counts samples until bank b begins its first window;
-	// remaining[b] counts samples until bank b emits.
-	startIn   []int
-	remaining []int
-
-	mags []float64 // emission scratch, one magnitude per frequency
-}
-
-// NewSlidingGoertzel builds a sliding bank for the given frequencies.
-// windowN must be a positive multiple of hopN so each hop boundary
-// completes exactly one window; it panics otherwise, because a
-// misaligned hop is a programming error.
-func NewSlidingGoertzel(freqs []float64, sampleRate float64, windowN, hopN int) *SlidingGoertzel {
-	if hopN <= 0 || windowN <= 0 || windowN%hopN != 0 {
-		panic(fmt.Sprintf("dsp: SlidingGoertzel window %d is not a positive multiple of hop %d", windowN, hopN))
-	}
-	banks := windowN / hopN
-	nf := len(freqs)
-	s := &SlidingGoertzel{
-		SampleRate: sampleRate,
-		WindowN:    windowN,
-		HopN:       hopN,
-		freqs:      append([]float64(nil), freqs...),
-		coeff:      make([]float64, nf),
-		s1:         make([]float64, banks*nf),
-		s2:         make([]float64, banks*nf),
-		startIn:    make([]int, banks),
-		remaining:  make([]int, banks),
-		mags:       make([]float64, nf),
-	}
-	for j, f := range s.freqs {
-		s.coeff[j] = 2 * math.Cos(2*math.Pi*f/sampleRate)
-	}
-	s.Reset()
-	return s
-}
-
-// Freqs returns the planned frequencies (shared slice; read-only).
-func (s *SlidingGoertzel) Freqs() []float64 { return s.freqs }
-
-// Banks returns the number of staggered resonator banks
-// (WindowN / HopN).
-func (s *SlidingGoertzel) Banks() int { return len(s.startIn) }
-
-// Reset discards all resonator state and restarts the stagger: the
-// next sample fed to Process is sample zero of the first window.
-func (s *SlidingGoertzel) Reset() {
-	for i := range s.s1 {
-		s.s1[i] = 0
-		s.s2[i] = 0
-	}
-	for b := range s.startIn {
-		s.startIn[b] = b * s.HopN
-		s.remaining[b] = s.WindowN
-	}
-}
-
-// Process consumes samples in order, advancing every active bank once
-// per sample, and calls emit each time a bank completes a window. The
-// magnitude slice passed to emit is scratch owned by the bank, valid
-// until Process continues — copy it to retain. Feeding HopN samples
-// per call yields exactly one emission per call once the first window
-// has filled. Process allocates nothing.
-func (s *SlidingGoertzel) Process(samples []float64, emit func(mags []float64)) {
-	nf := len(s.freqs)
-	if nf == 0 {
-		return
-	}
-	coeff := s.coeff
-	for _, x := range samples {
-		for b := range s.startIn {
-			if s.startIn[b] > 0 {
-				s.startIn[b]--
-				continue
-			}
-			s1 := s.s1[b*nf : (b+1)*nf]
-			s2 := s.s2[b*nf : (b+1)*nf]
-			for j, c := range coeff {
-				s0 := x + c*s1[j] - s2[j]
-				s2[j] = s1[j]
-				s1[j] = s0
-			}
-			s.remaining[b]--
-			if s.remaining[b] == 0 {
-				for j := range s.mags {
-					power := s1[j]*s1[j] + s2[j]*s2[j] - coeff[j]*s1[j]*s2[j]
-					if power < 0 {
-						power = 0
-					}
-					s.mags[j] = math.Sqrt(power)
-				}
-				for j := range s1 {
-					s1[j] = 0
-					s2[j] = 0
-				}
-				s.remaining[b] = s.WindowN
-				emit(s.mags)
-			}
-		}
-	}
-}
-
-// OverlapSTFT is the streaming front end of the FFT detection method:
-// a sample ring of one window plus per-hop spectrum evaluation. Each
+// OverlapSTFT is an incremental STFT front end: a sample ring of one
+// window plus per-hop spectrum evaluation. Each
 // hop appends only the new samples; the window-minus-hop overlap is
 // saved in the ring and re-read rather than re-captured — the
 // overlap-save discipline, applied to analysis frames. Frame spectra

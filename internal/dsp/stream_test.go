@@ -22,85 +22,6 @@ func streamTestSignal(n int, rate float64) []float64 {
 	return s
 }
 
-func TestSlidingGoertzelBitExactWithBatch(t *testing.T) {
-	const (
-		rate    = 44100.0
-		windowN = 2205
-	)
-	freqs := []float64{1017, 2531, 3700}
-	signal := streamTestSignal(windowN*6, rate)
-	for _, hopN := range []int{441, 735, windowN} {
-		sg := NewSlidingGoertzel(freqs, rate, windowN, hopN)
-		batch := NewGoertzelPlan(freqs, rate)
-		var ref []float64
-		win := 0
-		// Feed hop-sized chunks; window w covers samples
-		// [w*hopN, w*hopN+windowN) and must match the batch plan over
-		// exactly those samples, float for float.
-		for off := 0; off+hopN <= len(signal); off += hopN {
-			sg.Process(signal[off:off+hopN], func(mags []float64) {
-				start := win * hopN
-				ref = batch.MagnitudesInto(ref, signal[start:start+windowN])
-				for j := range mags {
-					if mags[j] != ref[j] {
-						t.Fatalf("hopN=%d window %d freq %g: sliding %v != batch %v",
-							hopN, win, freqs[j], mags[j], ref[j])
-					}
-				}
-				win++
-			})
-		}
-		wantWins := (len(signal) - windowN) / hopN
-		if win != wantWins+1 {
-			t.Errorf("hopN=%d emitted %d windows, want %d", hopN, win, wantWins+1)
-		}
-	}
-}
-
-func TestSlidingGoertzelResetRestartsStagger(t *testing.T) {
-	const rate, windowN, hopN = 44100.0, 2205, 441
-	freqs := []float64{1017}
-	signal := streamTestSignal(windowN*2, rate)
-	sg := NewSlidingGoertzel(freqs, rate, windowN, hopN)
-	first := math.NaN()
-	sg.Process(signal[:windowN], func(m []float64) { first = m[0] })
-	sg.Reset()
-	again := math.NaN()
-	sg.Process(signal[:windowN], func(m []float64) { again = m[0] })
-	if first != again || math.IsNaN(first) {
-		t.Fatalf("post-Reset window %v != first window %v", again, first)
-	}
-}
-
-func TestSlidingGoertzelMisalignedHopPanics(t *testing.T) {
-	for _, bad := range []struct{ windowN, hopN int }{
-		{2205, 440}, // does not divide
-		{2205, 0},
-		{2205, -441},
-		{0, 441},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("windowN=%d hopN=%d did not panic", bad.windowN, bad.hopN)
-				}
-			}()
-			NewSlidingGoertzel([]float64{1000}, 44100, bad.windowN, bad.hopN)
-		}()
-	}
-}
-
-func TestSlidingGoertzelProcessAllocs(t *testing.T) {
-	const rate, windowN, hopN = 44100.0, 2205, 441
-	sg := NewSlidingGoertzel([]float64{1017, 2531}, rate, windowN, hopN)
-	signal := streamTestSignal(hopN, rate)
-	emit := func([]float64) {}
-	sg.Process(signal, emit) // warm up
-	if got := testing.AllocsPerRun(200, func() { sg.Process(signal, emit) }); got != 0 {
-		t.Errorf("Process allocates %g/op, want 0", got)
-	}
-}
-
 func TestOverlapSTFTBitExactWithBatch(t *testing.T) {
 	const (
 		rate    = 44100.0

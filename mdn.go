@@ -85,14 +85,15 @@ type (
 	SubscriberStatus = core.SubscriberStatus
 	// WireCounters aggregates one wire's sent/dropped/corrupted counts.
 	WireCounters = core.WireCounters
-	// Fleet fans one analysis window over many microphones on a
+	// Fleet is the controller's detection engine: it fans each
+	// analysis window, batch or streamed, over its microphones on a
 	// worker pool of detector clones, merging detections
 	// deterministically (see Controller.EnableFleet).
 	Fleet = core.Fleet
-	// StreamController is the incremental low-latency detection path:
-	// ring-buffered capture feeding sliding transform kernels, one
-	// analysis per hop instead of one per window (see
-	// Controller.StartStream).
+	// StreamController is the low-latency detection path: the
+	// controller's fleet run once per hop instead of once per window,
+	// each microphone's ring carrying the window − hop overlap, plus
+	// onset dedup on top (see Controller.StartStream).
 	StreamController = core.StreamController
 	// EdgeDedup collapses per-window tone presence into rising-edge
 	// onsets with hysteresis.
