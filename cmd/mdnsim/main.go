@@ -4,14 +4,14 @@
 // controller runs the streaming low-latency detection path — the
 // analysis window advances by -hop seconds per step instead of a whole
 // 50 ms window — and the report gains sound-to-detection latency
-// percentiles. With -chaos it instead
-// runs the built-in chaos sweep: the end-to-end pipelines under a
-// range of injected control-channel fault rates. With -modem it runs
-// the acoustic data channel's FEC × symbol-corruption sweep. With
-// With -traffic it runs the exact-vs-sketch analytics sweep over
-// flow-count scales on the pooled traffic engine. With
-// -metrics the run's telemetry registry is dumped to stdout after the
-// report, in Prometheus text exposition format.
+// percentiles. With -sweep chaos|modem|traffic it instead runs a
+// built-in sweep whose column axis -grid sets: control-channel drop
+// rates for the end-to-end pipelines, symbol-corruption rates for the
+// modem's FEC schemes, or flow counts for the exact-vs-sketch analytics
+// comparison; sweep reports are byte-identical at any -workers
+// setting. With -metrics the run's telemetry registry is dumped to
+// stdout after the report, in Prometheus text exposition format. A
+// flag the selected mode does not read is an error.
 //
 // Usage:
 //
@@ -19,22 +19,22 @@
 //	mdnsim -f scenario.json -json
 //	mdnsim -f scenario.json -stream -hop 0.01
 //	cat scenario.json | mdnsim
-//	mdnsim -chaos -seed 7
-//	mdnsim -chaos -chaos-drops 0,0.3 -chaos-duration 10 -json
-//	mdnsim -chaos -workers 4
-//	mdnsim -chaos -metrics
-//	mdnsim -modem -seed 7
-//	mdnsim -modem -modem-rates 0,0.05 -modem-fecs none,rs_p48 -json
-//	mdnsim -traffic -seed 7
-//	mdnsim -traffic -traffic-flows 10000,100000 -workers 4 -json
+//	mdnsim -sweep chaos -seed 7
+//	mdnsim -sweep chaos -grid 0,0.3 -duration 10 -json
+//	mdnsim -sweep chaos -workers 4 -metrics
+//	mdnsim -sweep modem -grid 0,0.05 -stream
+//	mdnsim -sweep traffic -grid 10000,100000 -workers 4 -json
 package main
 
 import (
+	"cmp"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -43,273 +43,233 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fmt.Fprintln(os.Stderr, "mdnsim:", err)
+		os.Exit(1)
+	}
+}
+
+// modeFlags lists the flags each mode reads; "" is the scenario-file
+// mode. Any other flag set explicitly is an error rather than silently
+// ignored.
+var modeFlags = map[string][]string{
+	"":        {"json", "metrics", "f", "stream", "hop"},
+	"chaos":   {"json", "metrics", "sweep", "grid", "seed", "workers", "duration", "stream", "hop"},
+	"modem":   {"json", "metrics", "sweep", "grid", "seed", "workers", "stream", "hop"},
+	"traffic": {"json", "metrics", "sweep", "grid", "seed", "workers"},
+}
+
+// run parses args, runs the selected scenario or sweep, and writes the
+// report (and, with -metrics, the telemetry dump) to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("mdnsim", flag.ContinueOnError)
 	var (
-		file     = flag.String("f", "", "scenario JSON file (default: stdin)")
-		jsonOut  = flag.Bool("json", false, "emit the report as JSON")
-		chaos    = flag.Bool("chaos", false, "run the chaos sweep instead of a scenario file")
-		drops    = flag.String("chaos-drops", "", "comma-separated drop probabilities to sweep (default 0,0.1,0.3,0.5)")
-		duration = flag.Float64("chaos-duration", 0, "simulated seconds per chaos point (default 30)")
-		seed     = flag.Int64("seed", 1, "chaos sweep seed")
-		workers  = flag.Int("workers", 0, "chaos sweep worker pool size (0 = GOMAXPROCS, 1 = serial); the report is identical at any setting")
-		metrics  = flag.Bool("metrics", false, "dump the run's telemetry in Prometheus text format after the report")
-		stream   = flag.Bool("stream", false, "run the streaming low-latency detection path (scenario, chaos and modem runs)")
-		hop      = flag.Float64("hop", 0, "streaming hop in seconds (default 0.01; must subdivide the 50 ms window into whole samples)")
-		mdm      = flag.Bool("modem", false, "run the modem FEC × symbol-corruption sweep instead of a scenario file")
-		mdmRates = flag.String("modem-rates", "", "comma-separated symbol corruption rates to sweep (default 0,0.02,0.05,0.1)")
-		mdmFECs  = flag.String("modem-fecs", "", "comma-separated FEC schemes to sweep (default none,hamming7_4,rs_p48)")
-		traffic  = flag.Bool("traffic", false, "run the exact-vs-sketch traffic analytics sweep instead of a scenario file")
-		trFlows  = flag.String("traffic-flows", "", "comma-separated flow counts to sweep (default 10000,100000,1000000)")
+		file     = fs.String("f", "", "scenario JSON file (default: stdin)")
+		jsonOut  = fs.Bool("json", false, "emit the report as JSON")
+		mode     = fs.String("sweep", "", "run a built-in sweep instead of a scenario file: chaos, modem or traffic")
+		grid     = fs.String("grid", "", "comma-separated column axis of the sweep: drop rates (chaos, default 0,0.1,0.3,0.5), corruption rates (modem, default 0,0.02,0.05,0.1) or flow counts (traffic, default 10000,100000,1000000)")
+		duration = fs.Float64("duration", 0, "simulated seconds per chaos point (default 30)")
+		seed     = fs.Int64("seed", 1, "sweep seed")
+		workers  = fs.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS, 1 = serial); the report is identical at any setting")
+		metrics  = fs.Bool("metrics", false, "dump the run's telemetry in Prometheus text format after the report")
+		stream   = fs.Bool("stream", false, "run the streaming low-latency detection path (scenario, chaos and modem runs)")
+		hop      = fs.Float64("hop", 0, "streaming hop in seconds (default 0.01; must subdivide the 50 ms window into whole samples)")
 	)
-	flag.Parse()
-
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	reads, ok := modeFlags[*mode]
+	if !ok {
+		return fmt.Errorf("unknown -sweep %q (have chaos, modem, traffic)", *mode)
+	}
+	var unread []string
+	fs.Visit(func(f *flag.Flag) {
+		if !slices.Contains(reads, f.Name) {
+			unread = append(unread, "-"+f.Name)
+		}
+	})
+	if unread != nil {
+		return fmt.Errorf("%s not read by the %s run", strings.Join(unread, ", "), cmp.Or(*mode, "scenario"))
+	}
 	if *hop != 0 && !*stream {
-		fatal(fmt.Errorf("-hop requires -stream"))
+		return fmt.Errorf("-hop requires -stream")
 	}
-	modes := 0
-	for _, m := range []bool{*chaos, *mdm, *traffic} {
-		if m {
-			modes++
+	streamHop := 0.0
+	if *stream {
+		streamHop = *hop
+		if streamHop == 0 {
+			streamHop = scenario.DefaultHopS
 		}
-	}
-	if modes > 1 {
-		fatal(fmt.Errorf("-chaos, -modem and -traffic are mutually exclusive"))
-	}
-	if *traffic {
-		runTrafficSweep(*seed, *trFlows, *workers, *jsonOut, *metrics)
-		return
-	}
-	if *mdm {
-		streamHop := 0.0
-		if *stream {
-			streamHop = *hop
-			if streamHop == 0 {
-				streamHop = scenario.DefaultHopS
-			}
-		}
-		runModemSweep(*seed, *mdmRates, *mdmFECs, streamHop, *workers, *jsonOut)
-		return
-	}
-	if *chaos {
-		streamHop := 0.0
-		if *stream {
-			streamHop = *hop
-			if streamHop == 0 {
-				streamHop = scenario.DefaultHopS
-			}
-		}
-		runChaos(*seed, *drops, *duration, streamHop, *workers, *jsonOut, *metrics)
-		return
 	}
 
-	var in io.Reader = os.Stdin
-	if *file != "" {
-		f, err := os.Open(*file)
+	if *mode == "" {
+		rep, err := runScenario(*file, *stream, *hop)
 		if err != nil {
-			fatal(err)
+			return err
+		}
+		return write(stdout, rep, formatReport(rep), rep.Metrics, *jsonOut, *metrics)
+	}
+	reg := telemetry.New()
+	rep, err := runSweep(*mode, *grid, *seed, *workers, *duration, streamHop, reg)
+	if err != nil {
+		return err
+	}
+	snap := reg.Snapshot()
+	return write(stdout, rep, rep.Table(), &snap, *jsonOut, *metrics)
+}
+
+// runSweep runs the named sweep with grid as its column axis, recording
+// its telemetry into reg.
+func runSweep(mode, grid string, seed int64, workers int, duration, streamHop float64, reg *telemetry.Registry) (interface{ Table() string }, error) {
+	if mode == "traffic" {
+		flows, err := parseGrid(grid, strconv.Atoi)
+		if err != nil {
+			return nil, err
+		}
+		return scenario.RunTrafficSweep(scenario.TrafficSweepConfig{Seed: seed, FlowCounts: flows, Workers: workers}, reg)
+	}
+	rates, err := parseGrid(grid, func(s string) (float64, error) { return strconv.ParseFloat(s, 64) })
+	if err != nil {
+		return nil, err
+	}
+	if mode == "modem" {
+		return scenario.RunModemSweep(scenario.ModemSweepConfig{Seed: seed, CorruptRates: rates,
+			StreamHop: streamHop, Workers: workers}, reg)
+	}
+	return scenario.RunChaos(scenario.ChaosConfig{Seed: seed, DropRates: rates, DurationS: duration,
+		StreamHop: streamHop, Workers: workers}, reg)
+}
+
+// write prints the report as indented JSON or as its table, then, with
+// metrics, the telemetry dump after a blank line (so the dump itself
+// stays parseable).
+func write(stdout io.Writer, rep any, table string, snap *telemetry.Snapshot, jsonOut, metrics bool) error {
+	if jsonOut {
+		enc := json.NewEncoder(stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(rep); err != nil {
+			return err
+		}
+	} else {
+		fmt.Fprint(stdout, table)
+	}
+	if !metrics || snap == nil {
+		return nil
+	}
+	fmt.Fprintln(stdout)
+	return snap.WriteText(stdout)
+}
+
+// runScenario loads a scenario file (stdin when path is empty), applies
+// the -stream / -hop overrides, and runs it.
+func runScenario(path string, stream bool, hop float64) (*scenario.Report, error) {
+	var in io.Reader = os.Stdin
+	if path != "" {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
 		}
 		defer f.Close()
 		in = f
 	}
 	cfg, err := scenario.Load(in)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
-	if *stream {
+	if stream {
 		cfg.Stream = true
-		if *hop != 0 {
-			cfg.HopS = *hop
+		if hop != 0 {
+			cfg.HopS = hop
 		}
 		if err := cfg.Validate(); err != nil {
-			fatal(err)
+			return nil, err
 		}
 	}
-	rep, err := scenario.Run(cfg)
-	if err != nil {
-		fatal(err)
-	}
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fatal(err)
-		}
-		printMetrics(rep.Metrics, *metrics)
-		return
-	}
-	printReport(rep)
-	printMetrics(rep.Metrics, *metrics)
+	return scenario.Run(cfg)
 }
 
-func runChaos(seed int64, drops string, duration, streamHop float64, workers int, jsonOut, metrics bool) {
-	cfg := scenario.ChaosConfig{Seed: seed, DurationS: duration, Workers: workers, StreamHop: streamHop}
-	if drops != "" {
-		for _, s := range strings.Split(drops, ",") {
-			v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-			if err != nil {
-				fatal(fmt.Errorf("parsing -chaos-drops: %w", err))
-			}
-			cfg.DropRates = append(cfg.DropRates, v)
+// parseGrid parses a comma-separated -grid list; empty means the
+// sweep's default axis.
+func parseGrid[T any](list string, parse func(string) (T, error)) ([]T, error) {
+	if list == "" {
+		return nil, nil
+	}
+	var out []T
+	for _, s := range strings.Split(list, ",") {
+		v, err := parse(strings.TrimSpace(s))
+		if err != nil {
+			return nil, fmt.Errorf("parsing -grid: %w", err)
 		}
+		out = append(out, v)
 	}
-	rep, err := scenario.RunChaos(cfg)
-	if err != nil {
-		fatal(err)
-	}
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fatal(err)
-		}
-		printMetrics(rep.Metrics, metrics)
-		return
-	}
-	fmt.Print(rep.Table())
-	printMetrics(rep.Metrics, metrics)
+	return out, nil
 }
 
-func runModemSweep(seed int64, rates, fecs string, streamHop float64, workers int, jsonOut bool) {
-	cfg := scenario.ModemSweepConfig{Seed: seed, Workers: workers, StreamHop: streamHop}
-	if rates != "" {
-		for _, s := range strings.Split(rates, ",") {
-			v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-			if err != nil {
-				fatal(fmt.Errorf("parsing -modem-rates: %w", err))
-			}
-			cfg.CorruptRates = append(cfg.CorruptRates, v)
-		}
-	}
-	if fecs != "" {
-		for _, s := range strings.Split(fecs, ",") {
-			cfg.FECs = append(cfg.FECs, strings.TrimSpace(s))
-		}
-	}
-	rep, err := scenario.RunModemSweep(cfg)
-	if err != nil {
-		fatal(err)
-	}
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	fmt.Print(rep.Table())
-}
-
-func runTrafficSweep(seed int64, flows string, workers int, jsonOut, metrics bool) {
-	cfg := scenario.TrafficSweepConfig{Seed: seed, Workers: workers}
-	if flows != "" {
-		for _, s := range strings.Split(flows, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil {
-				fatal(fmt.Errorf("parsing -traffic-flows: %w", err))
-			}
-			cfg.FlowCounts = append(cfg.FlowCounts, v)
-		}
-	}
-	reg := telemetry.New()
-	rep, err := scenario.RunTrafficSweep(cfg, reg)
-	if err != nil {
-		fatal(err)
-	}
-	snap := reg.Snapshot()
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fatal(err)
-		}
-		printMetrics(&snap, metrics)
-		return
-	}
-	fmt.Print(rep.Table())
-	printMetrics(&snap, metrics)
-}
-
-// printMetrics dumps the telemetry snapshot in Prometheus text format
-// when -metrics is set. A blank line separates it from the report so
-// the dump itself stays parseable.
-func printMetrics(snap *telemetry.Snapshot, enabled bool) {
-	if !enabled || snap == nil {
-		return
-	}
-	fmt.Println()
-	if err := snap.WriteText(os.Stdout); err != nil {
-		fatal(err)
-	}
-}
-
-func printReport(rep *scenario.Report) {
-	fmt.Printf("scenario %q: %.1f s simulated, %d capture windows, %d tone detections\n\n",
+// formatReport renders a scenario run report as text.
+func formatReport(rep *scenario.Report) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "scenario %q: %.1f s simulated, %d capture windows, %d tone detections\n\n",
 		rep.Name, rep.DurationS, rep.WindowsAnalysed, rep.TonesDetected)
-	fmt.Println("hosts:")
+	fmt.Fprintln(&b, "hosts:")
 	for _, h := range rep.Hosts {
-		fmt.Printf("  %-8s tx %6d pkts / %9d B    rx %6d pkts / %9d B\n",
+		fmt.Fprintf(&b, "  %-8s tx %6d pkts / %9d B    rx %6d pkts / %9d B\n",
 			h.Name, h.TxPackets, h.TxBytes, h.RxPackets, h.RxBytes)
 	}
-	fmt.Println("\napplications:")
+	fmt.Fprintln(&b, "\napplications:")
 	for _, a := range rep.Apps {
-		fmt.Printf("  %s on %s: %d event(s)\n", a.Type, a.Switch, len(a.Events))
-		const maxShown = 12
-		shown := len(a.Events)
-		if shown > maxShown {
-			shown = maxShown
-		}
+		fmt.Fprintf(&b, "  %s on %s: %d event(s)\n", a.Type, a.Switch, len(a.Events))
+		shown := min(len(a.Events), 12)
 		for _, e := range a.Events[:shown] {
-			fmt.Printf("    %s\n", e)
+			fmt.Fprintf(&b, "    %s\n", e)
 		}
 		if rest := len(a.Events) - shown; rest > 0 {
-			fmt.Printf("    ... and %d more\n", rest)
+			fmt.Fprintf(&b, "    ... and %d more\n", rest)
 		}
 	}
 	if h := rep.Health; h != nil {
-		fmt.Printf("\ncontroller health: %s", h.StateName)
+		fmt.Fprintf(&b, "\ncontroller health: %s", h.StateName)
 		if len(h.Reasons) > 0 {
-			fmt.Printf(" (%s)", strings.Join(h.Reasons, "; "))
+			fmt.Fprintf(&b, " (%s)", strings.Join(h.Reasons, "; "))
 		}
-		fmt.Printf("\n  %d window(s), %d recovered panic(s), %d quarantined, %d error(s) logged\n",
+		fmt.Fprintf(&b, "\n  %d window(s), %d recovered panic(s), %d quarantined, %d error(s) logged\n",
 			h.Windows, h.HandlerPanics, len(h.Quarantined), h.ErrorsTotal)
 		for _, w := range h.Wire {
-			fmt.Printf("  wire %-8s %-8s sent %6d  dropped %5d  corrupted %5d\n",
+			fmt.Fprintf(&b, "  wire %-8s %-8s sent %6d  dropped %5d  corrupted %5d\n",
 				w.Kind, w.Name, w.Sent, w.Dropped, w.Corrupted)
 		}
 	}
 	if len(rep.Devices) > 0 {
-		fmt.Println("\ndevices:")
+		fmt.Fprintln(&b, "\ndevices:")
 		for _, d := range rep.Devices {
-			fmt.Printf("  %-8s %-8s %-8s", d.Kind, d.Name, d.State)
+			fmt.Fprintf(&b, "  %-8s %-8s %-8s", d.Kind, d.Name, d.State)
 			if d.Kind == "mic" {
-				fmt.Printf(" noise %.6f", d.NoiseFloor)
+				fmt.Fprintf(&b, " noise %.6f", d.NoiseFloor)
 				if d.Floor > 0 {
-					fmt.Printf(" floor %.6f", d.Floor)
+					fmt.Fprintf(&b, " floor %.6f", d.Floor)
 				}
 				if d.Quarantined {
-					fmt.Print(" QUARANTINED")
+					fmt.Fprint(&b, " QUARANTINED")
 				}
 			} else {
 				if d.DetuneRatio != 0 && d.DetuneRatio != 1 {
-					fmt.Printf(" detune ×%.4f", d.DetuneRatio)
+					fmt.Fprintf(&b, " detune ×%.4f", d.DetuneRatio)
 				}
 				if d.Muted {
-					fmt.Print(" MUTED")
+					fmt.Fprint(&b, " MUTED")
 				}
 			}
-			fmt.Printf("  recal %d quarantine %d rejoin %d rekey %d\n",
+			fmt.Fprintf(&b, "  recal %d quarantine %d rejoin %d rekey %d\n",
 				d.Recalibrations, d.Quarantines, d.Rejoins, d.Rekeys)
 		}
 	}
 	if s := rep.Stream; s != nil {
-		fmt.Printf("\nstreaming path: hop %.0f ms, %d hop(s), %d onset(s), %d capture error(s)\n",
+		fmt.Fprintf(&b, "\nstreaming path: hop %.0f ms, %d hop(s), %d onset(s), %d capture error(s)\n",
 			s.HopS*1000, s.Hops, s.Onsets, s.CaptureErrors)
-		fmt.Printf("  sound-to-detection latency: p50 %.1f ms, p99 %.1f ms (sim time)\n",
+		fmt.Fprintf(&b, "  sound-to-detection latency: p50 %.1f ms, p99 %.1f ms (sim time)\n",
 			s.DetectP50*1000, s.DetectP99*1000)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "mdnsim:", err)
-	os.Exit(1)
+	return b.String()
 }

@@ -131,20 +131,6 @@ func (c *CaptureRing) Reset() {
 	c.filled = 0
 }
 
-// ArrivalOf returns the time e's sound reaches m: the emission start
-// plus the speaker→microphone propagation delay. It returns false when
-// e's speaker is not registered in m's room.
-func (m *Microphone) ArrivalOf(e Emission) (float64, bool) {
-	r := m.room
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	sp := r.speakers[e.Speaker]
-	if sp == nil || m.idx >= len(sp.pairs) {
-		return 0, false
-	}
-	return e.At + sp.pairs[m.idx].del, true
-}
-
 // LatestArrivalBefore returns the arrival time at m of the emission
 // within tol Hz of freq whose sound most recently reached m at or
 // before time t, and whether one exists. It is the ground-truth lookup

@@ -207,9 +207,6 @@ func (f *Fleet) setHop(window float64, windowN, hopN int) {
 // has been analysed.
 func (f *Fleet) watch() []float64 { return f.dets[0].watch }
 
-// Microphones returns the number of registered listening points.
-func (f *Fleet) Microphones() int { return len(f.mics) }
-
 // Instrument registers the fleet's telemetry: a gauge of workers
 // currently busy and a histogram of per-window fan-out wall time
 // (capture + detect across all microphones, barrier included).

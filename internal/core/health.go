@@ -167,15 +167,6 @@ func (c *Controller) noteWindow(end float64, dets []Detection) {
 	h.ringN++
 }
 
-// SetHealthThresholds overrides the degradation trip points; zero
-// values keep the defaults (DefaultStallWindows and friends).
-func (c *Controller) SetHealthThresholds(stallWindows, degradeLossRate, degradeErrorAge, degradeAmpMargin float64) {
-	c.health.StallWindows = stallWindows
-	c.health.DegradeLossRate = degradeLossRate
-	c.health.DegradeErrorAge = degradeErrorAge
-	c.health.DegradeAmpMargin = degradeAmpMargin
-}
-
 // RegisterChannel adds an openflow control channel's fault counters
 // to the Health snapshot.
 func (c *Controller) RegisterChannel(name string, ch *openflow.Channel) {

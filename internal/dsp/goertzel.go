@@ -67,9 +67,6 @@ func NewGoertzelPlan(freqs []float64, sampleRate float64) *GoertzelPlan {
 	return g
 }
 
-// Freqs returns the planned frequencies (shared slice; read-only).
-func (g *GoertzelPlan) Freqs() []float64 { return g.freqs }
-
 // MagnitudesInto streams the block once, advancing every resonator
 // per sample, and writes one magnitude per planned frequency into
 // dst (reusing its capacity). Results match Goertzel per frequency.

@@ -293,14 +293,6 @@ func MagnitudesInto(dst []float64, spec []complex128) []float64 {
 	return dst
 }
 
-// PowerInto writes |spec[k]|² element-wise into dst, reusing its
-// capacity, and returns the result.
-func PowerInto(dst []float64, spec []complex128) []float64 {
-	dst = growFloat(dst, len(spec))
-	powerInto(dst, spec)
-	return dst
-}
-
 func magnitudesInto(dst []float64, spec []complex128) {
 	for i, c := range spec {
 		re, im := real(c), imag(c)

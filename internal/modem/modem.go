@@ -106,12 +106,6 @@ func (c Config) withDefaults() Config {
 // occupies: one sync tone per bank plus 16 tones per lane per bank.
 func (c Config) Tones() int { return banks + banks*c.Lanes*symbolValues }
 
-// RawBitsPerSecond is the symbol-layer throughput before framing and
-// FEC overhead.
-func (c Config) RawBitsPerSecond() float64 {
-	return 4 * float64(c.Lanes) / c.SymbolPeriod
-}
-
 // toneRef identifies what a watched frequency means to the modem.
 type toneRef struct {
 	sync bool

@@ -6,9 +6,6 @@ package netsim
 // experiments cut a link mid-run and watch which control path keeps
 // working.
 
-// PortStateHandler observes port up/down transitions on a node.
-type PortStateHandler func(port int, up bool)
-
 // SetDown marks the port (and its peer) up or down. Packets sent into
 // a downed port — including those already queued — are dropped.
 func (p *Port) SetDown(down bool) {

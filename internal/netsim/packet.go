@@ -9,9 +9,8 @@ import (
 
 // Protocol numbers (IANA) used by the simulator.
 const (
-	ProtoICMP uint8 = 1
-	ProtoTCP  uint8 = 6
-	ProtoUDP  uint8 = 17
+	ProtoTCP uint8 = 6
+	ProtoUDP uint8 = 17
 )
 
 // FiveTuple identifies a flow, exactly as the paper's heavy-hitter

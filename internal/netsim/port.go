@@ -109,10 +109,6 @@ type Port struct {
 	lostOnDown uint64
 }
 
-// Peer returns the port at the far end of the link, or nil when
-// unconnected.
-func (p *Port) Peer() *Port { return p.peer }
-
 // Send enqueues a packet for transmission; if the queue is full the
 // packet is dropped (counted in Out.Drops). Transmission is
 // store-and-forward: serialisation delay Size*8/RateBps, then Latency.

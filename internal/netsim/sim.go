@@ -175,9 +175,6 @@ func (s *Sim) After(d float64, fn func()) {
 // no-op for them.
 func (s *Sim) EnablePacketPool() { s.poolEnabled = true }
 
-// PacketPoolEnabled reports whether EnablePacketPool was called.
-func (s *Sim) PacketPoolEnabled() bool { return s.poolEnabled }
-
 // newPacket returns a zeroed packet, recycled when the pool is on.
 func (s *Sim) newPacket() *Packet {
 	if s.poolEnabled {

@@ -8,7 +8,7 @@
 // happens-before edge) when it returns. It says nothing about order —
 // callers that need deterministic output write results[i] and keep
 // ordering decisions out of the concurrent section entirely. That is
-// what lets the chaos sweep produce byte-identical reports at any
+// what lets the sweep runner produce byte-identical reports at any
 // worker count.
 package parallel
 

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"mdn/internal/acoustic"
@@ -10,7 +9,6 @@ import (
 	"mdn/internal/mp"
 	"mdn/internal/netsim"
 	"mdn/internal/openflow"
-	"mdn/internal/parallel"
 	"mdn/internal/telemetry"
 )
 
@@ -38,12 +36,6 @@ type ChaosConfig struct {
 	// DropRates are the message-drop probabilities to sweep
 	// (default 0, 0.1, 0.3, 0.5).
 	DropRates []float64 `json:"drop_rates,omitempty"`
-	// FlipProb and TruncProb add bit-flip and truncation corruption at
-	// every point (default 0).
-	FlipProb  float64 `json:"flip_prob,omitempty"`
-	TruncProb float64 `json:"trunc_prob,omitempty"`
-	// JitterMaxS adds up to this much extra one-way latency (default 0).
-	JitterMaxS float64 `json:"jitter_max_s,omitempty"`
 	// DurationS is the simulated length of each point (default 30).
 	DurationS float64 `json:"duration_s,omitempty"`
 	// Scenarios selects pipelines (default all of ChaosScenarioNames).
@@ -54,12 +46,9 @@ type ChaosConfig struct {
 	// StreamHop == 0.05 (the full window) is the equivalence setting:
 	// it reproduces the batch report byte-identically.
 	StreamHop float64 `json:"stream_hop,omitempty"`
-	// Workers bounds the sweep's worker pool. Points are independent —
-	// each builds its own simulation, room, and controller, and derives
-	// its fault stream from Seed and its grid position, not from
-	// execution order — so they run concurrently; <= 0 means
-	// GOMAXPROCS, 1 forces the serial sweep. The report is
-	// byte-identical at every worker count.
+	// Workers bounds the sweep's worker pool (<= 0 means GOMAXPROCS, 1
+	// forces the serial sweep). The report is byte-identical at every
+	// worker count.
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -108,23 +97,14 @@ type ChaosReport struct {
 	Seed      int64        `json:"seed"`
 	DurationS float64      `json:"duration_s"`
 	Points    []ChaosPoint `json:"points"`
-
-	// Metrics is the sweep's aggregate telemetry snapshot: every point
-	// shares one registry, so counters and histograms accumulate across
-	// the whole sweep. It is excluded from the JSON report because the
-	// wall-clock histograms (decode, dispatch) vary run to run — the
-	// JSON stays byte-identical per config; dump Metrics.Text() for the
-	// Prometheus view.
-	Metrics *telemetry.Snapshot `json:"-"`
 }
 
-// RunChaos executes the sweep and returns its report. The grid of
-// (scenario, drop rate) points fans out over cfg.Workers goroutines
-// (GOMAXPROCS when <= 0); each point owns its whole world — sim, room,
-// controller, fault stream — and writes into a pre-assigned report
-// slot, so the report is byte-identical to the serial sweep at every
-// worker count.
-func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
+// RunChaos executes the (scenario × drop rate) grid on the sweep
+// runner and returns its report. Every point records its telemetry
+// into reg (nil runs unmetered); the registry's get-or-create series
+// accumulate across the whole sweep, and stay out of the report
+// because its wall-clock histograms vary run to run.
+func RunChaos(cfg ChaosConfig, reg *telemetry.Registry) (*ChaosReport, error) {
 	drops := cfg.DropRates
 	if len(drops) == 0 {
 		drops = []float64{0, 0.1, 0.3, 0.5}
@@ -158,43 +138,19 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 			return nil, fmt.Errorf("scenario: stream_hop: %w", err)
 		}
 	}
-	type gridCell struct{ si, ri int }
-	cells := make([]gridCell, 0, len(names)*len(drops))
-	for si := range names {
-		for ri := range drops {
-			cells = append(cells, gridCell{si, ri})
-		}
-	}
-	rep := &ChaosReport{Seed: cfg.Seed, DurationS: dur, Points: make([]ChaosPoint, len(cells))}
-	// One registry for the whole sweep, shared across workers: its
-	// get-or-create series are guarded internally and update with
-	// atomics, and the JSON report excludes the snapshot, so the
-	// byte-identity contract is untouched by telemetry interleaving.
-	reg := telemetry.New()
-	parallel.ForEach(len(cells), parallel.Workers(cfg.Workers), func(i int) {
-		c := cells[i]
-		faults := netsim.Faults{
-			DropProb:  drops[c.ri],
-			FlipProb:  cfg.FlipProb,
-			TruncProb: cfg.TruncProb,
-			JitterMax: cfg.JitterMaxS,
-			// Per-point stream derived from the grid position, never
-			// from execution order: same config, same faults. The seed
-			// is bit-mixed because math/rand's early draws are visibly
-			// correlated across sequential seeds.
-			Seed: mixSeed(cfg.Seed*10000 + int64(c.si)*100 + int64(c.ri)),
-		}
-		pt := runs[c.si](reg, faults, dur, cfg.StreamHop)
-		pt.Scenario = names[c.si]
-		pt.DropRate = drops[c.ri]
+	pts, err := sweep(cfg.Seed, cfg.Workers, len(names), len(drops), func(r, c int, seed int64) ChaosPoint {
+		pt := runs[r](reg, netsim.Faults{DropProb: drops[c], Seed: seed}, dur, cfg.StreamHop)
+		pt.Scenario = names[r]
+		pt.DropRate = drops[c]
 		if pt.GroundTruth > 0 {
 			pt.Recall = float64(pt.Detected) / float64(pt.GroundTruth)
 		}
-		rep.Points[i] = pt
+		return pt
 	})
-	snap := reg.Snapshot()
-	rep.Metrics = &snap
-	return rep, nil
+	if err != nil {
+		return nil, err
+	}
+	return &ChaosReport{Seed: cfg.Seed, DurationS: dur, Points: pts}, nil
 }
 
 // Table renders the sweep as a fixed-width degradation table.
@@ -209,17 +165,6 @@ func (r *ChaosReport) Table() string {
 			p.Health, p.RecoveredPanics, p.Quarantined, p.Notes)
 	}
 	return b.String()
-}
-
-// mixSeed finalises a seed splitmix64-style. Sequential seeds fed
-// straight to math/rand produce correlated early draws (a seed one
-// apart can yield a fault stream with zero drops at 30% probability);
-// mixing decorrelates the sweep's points.
-func mixSeed(s int64) int64 {
-	z := uint64(s) + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
 }
 
 // chaosRun measures one pipeline under one fault setting, recording
@@ -594,17 +539,4 @@ func chaosDeviceHealth(reg *telemetry.Registry, faults netsim.Faults, dur, strea
 	pt.Notes = fmt.Sprintf("recal=%d quarantine=%d rejoin=%d rekey=%d",
 		recals, quars, rejoins, rekeys)
 	return pt
-}
-
-// SortPoints orders a report's points by scenario then drop rate —
-// already the generation order, but callers merging reports use it to
-// restore the canonical layout.
-func (r *ChaosReport) SortPoints() {
-	sort.SliceStable(r.Points, func(i, j int) bool {
-		a, b := r.Points[i], r.Points[j]
-		if a.Scenario != b.Scenario {
-			return a.Scenario < b.Scenario
-		}
-		return a.DropRate < b.DropRate
-	})
 }

