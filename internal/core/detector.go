@@ -307,52 +307,79 @@ type OnsetFilter struct {
 	// Instrument method).
 	Onsets uint64
 
-	states map[float64]*onsetState
+	// The filter runs once per window for every subscribed app, so a
+	// steady state must not allocate: states is a reused table of the
+	// frequencies heard recently (present, or silent but not yet
+	// re-armed), and out is the onset scratch Step returns.
+	states []onsetState
+	out    []Detection
 }
 
 type onsetState struct {
-	streak int  // consecutive windows present
-	fired  bool // onset emitted for the current activity burst
-	silent int  // consecutive silent windows since last presence
+	freq    float64
+	present bool // seen in the current window
+	streak  int  // consecutive windows present
+	fired   bool // onset emitted for the current activity burst
+	silent  int  // consecutive silent windows since last presence
 }
 
 // NewOnsetFilter returns a filter with 2-window confirmation that
 // re-arms after one silent window.
 func NewOnsetFilter() *OnsetFilter {
-	return &OnsetFilter{ConfirmWindows: 2, HoldWindows: 1, states: make(map[float64]*onsetState)}
+	return &OnsetFilter{ConfirmWindows: 2, HoldWindows: 1}
 }
 
 // Step consumes the detections of one window and returns the
-// confirmed onsets. Call it once per controller window, in order,
-// even when detections is empty (silence advances the re-arm
-// countdown).
+// confirmed onsets, in detection order. Call it once per controller
+// window, in order, even when detections is empty (silence advances
+// the re-arm countdown).
+//
+// The returned slice is scratch owned by the filter, valid until the
+// next Step call; copy it to retain onsets across windows. Steady-state
+// Step does not allocate.
 func (o *OnsetFilter) Step(detections []Detection) []Detection {
-	present := make(map[float64]bool, len(detections))
-	var onsets []Detection
+	o.out = o.out[:0]
 	for _, det := range detections {
-		present[det.Frequency] = true
-		st := o.states[det.Frequency]
-		if st == nil {
-			st = &onsetState{}
-			o.states[det.Frequency] = st
-		}
+		st := o.state(det.Frequency)
+		st.present = true
 		st.streak++
 		st.silent = 0
 		if !st.fired && st.streak >= o.ConfirmWindows {
 			st.fired = true
 			o.Onsets++
-			onsets = append(onsets, det)
+			o.out = append(o.out, det)
 		}
 	}
-	for f, st := range o.states {
-		if present[f] {
-			continue
+	// Advance every absent frequency's re-arm countdown and compact the
+	// table in place, dropping the frequencies that re-armed.
+	kept := o.states[:0]
+	for _, st := range o.states {
+		if st.present {
+			st.present = false
+		} else {
+			st.streak = 0
+			st.silent++
+			if st.silent >= o.HoldWindows {
+				continue
+			}
 		}
-		st.streak = 0
-		st.silent++
-		if st.silent >= o.HoldWindows {
-			delete(o.states, f)
+		kept = append(kept, st)
+	}
+	o.states = kept
+	if len(o.out) == 0 {
+		return nil
+	}
+	return o.out
+}
+
+// state returns freq's entry in the table, appending a fresh one when
+// the frequency is not tracked.
+func (o *OnsetFilter) state(freq float64) *onsetState {
+	for i := range o.states {
+		if o.states[i].freq == freq {
+			return &o.states[i]
 		}
 	}
-	return onsets
+	o.states = append(o.states, onsetState{freq: freq})
+	return &o.states[len(o.states)-1]
 }

@@ -135,8 +135,10 @@ func (hb *Heartbeat) HandleWindow(_ float64, dets []Detection) {
 }
 
 func (hb *Heartbeat) check(now float64) {
-	for freq, dev := range hb.devices {
-		_ = freq
+	// Registration order, not map order: devices that miss the same
+	// check alert in a reproducible order.
+	for _, freq := range hb.freqs {
+		dev := hb.devices[freq]
 		if dev.beaten {
 			dev.beaten = false
 			dev.missed = 0
@@ -167,8 +169,8 @@ func (hb *Heartbeat) Instrument(reg *telemetry.Registry, name string) {
 
 // BeatsOf returns how many heartbeats of the named device were heard.
 func (hb *Heartbeat) BeatsOf(name string) uint64 {
-	for _, dev := range hb.devices {
-		if dev.name == name {
+	for _, freq := range hb.freqs {
+		if dev := hb.devices[freq]; dev.name == name {
 			return dev.Beats
 		}
 	}

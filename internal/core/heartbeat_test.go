@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"mdn/internal/acoustic"
@@ -103,6 +105,49 @@ func TestHeartbeatAlertOnceUntilRecovery(t *testing.T) {
 	tb.sim.RunUntil(25)
 	if len(hb.Alerts) != 2 {
 		t.Fatalf("alerts = %+v, want 2 (one per death)", hb.Alerts)
+	}
+}
+
+// TestHeartbeatSimultaneousAlertsInRegistrationOrder: when several
+// devices miss the same check, their alerts come out in registration
+// order on every run, not in map iteration order.
+func TestHeartbeatSimultaneousAlertsInRegistrationOrder(t *testing.T) {
+	const devices = 8
+	for run := 0; run < 20; run++ {
+		tb := newTestbed(403)
+		hb := NewHeartbeat()
+		var want []string
+		var freqs []float64
+		for i := 0; i < devices; i++ {
+			name := fmt.Sprintf("s%d", i)
+			a := 2 * math.Pi * float64(i) / devices
+			v := tb.voiceAt(name, acoustic.Position{X: math.Cos(a), Y: math.Sin(a)})
+			f, err := hb.Register(tb.plan, name, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, name)
+			freqs = append(freqs, f)
+		}
+		ctrl := tb.controller(hb.Frequencies())
+		hb.Start(ctrl, 0)
+		ctrl.Start(0)
+		for _, f := range freqs {
+			tk, err := hb.StartDevice(tb.sim, f, 0.2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tb.sim.After(3, tk.Stop) // every device dies at once
+		}
+		tb.sim.RunUntil(3 + hb.AlertDeadline())
+
+		var got []string
+		for _, a := range hb.Alerts {
+			got = append(got, a.Device)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("run %d: alert order %v, want registration order %v", run, got, want)
+		}
 	}
 }
 

@@ -28,7 +28,9 @@ type PortKnock struct {
 	errs  *ErrorLog
 
 	freqForPort map[uint16]float64
-	portForFreq map[float64]uint16
+	// symForFreq maps each knock tone to its FSM symbol, built once
+	// so the per-window dispatch does not format strings.
+	symForFreq map[float64]string
 
 	// Opened reports whether the knock sequence was accepted and the
 	// open rule sent.
@@ -76,7 +78,7 @@ func NewPortKnock(plan *FrequencyPlan, switchName string, voice *Voice, ch *open
 		prog:        openflow.NewProgrammer(ch, 2),
 		onset:       NewOnsetFilter(),
 		freqForPort: make(map[uint16]float64, len(distinct)),
-		portForFreq: make(map[float64]uint16, len(distinct)),
+		symForFreq:  make(map[float64]string, len(distinct)),
 	}
 	pk.prog.OnResult = func(m openflow.FlowMod, err error) {
 		if err != nil {
@@ -88,11 +90,11 @@ func NewPortKnock(plan *FrequencyPlan, switchName string, voice *Voice, ch *open
 	}
 	for i, p := range distinct {
 		pk.freqForPort[p] = freqs[i]
-		pk.portForFreq[freqs[i]] = p
+		pk.symForFreq[freqs[i]] = knockSymbol(p)
 	}
 	symbols := make([]string, len(sequence))
 	for i, p := range sequence {
-		symbols[i] = fmt.Sprintf("port%d", p)
+		symbols[i] = knockSymbol(p)
 	}
 	pk.fsm = SequenceFSM(symbols)
 	pk.fsm.OnAccept = pk.open
@@ -103,7 +105,7 @@ func NewPortKnock(plan *FrequencyPlan, switchName string, voice *Voice, ch *open
 // Frequencies returns the knock-port frequencies the controller must
 // watch.
 func (pk *PortKnock) Frequencies() []float64 {
-	out := make([]float64, 0, len(pk.portForFreq))
+	out := make([]float64, 0, len(pk.freqForPort))
 	for _, p := range distinctOrder(pk.Sequence) {
 		out = append(out, pk.freqForPort[p])
 	}
@@ -134,13 +136,14 @@ func (pk *PortKnock) Tap(pkt *netsim.Packet, _ int) {
 // window (wire via Controller.SubscribeWindows).
 func (pk *PortKnock) HandleWindow(_ float64, dets []Detection) {
 	for _, det := range pk.onset.Step(dets) {
-		port, ok := pk.portForFreq[det.Frequency]
-		if !ok {
-			continue
+		if sym, ok := pk.symForFreq[det.Frequency]; ok {
+			pk.fsm.Step(sym)
 		}
-		pk.fsm.Step(fmt.Sprintf("port%d", port))
 	}
 }
+
+// knockSymbol is the FSM symbol of a knock on port p.
+func knockSymbol(p uint16) string { return fmt.Sprintf("port%d", p) }
 
 // Programmer exposes the retrying flow programmer (to tune backoff or
 // read its counters).

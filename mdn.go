@@ -23,7 +23,9 @@ type (
 	Detection = core.Detection
 	// Method selects Goertzel or FFT analysis.
 	Method = core.Method
-	// OnsetFilter confirms tone onsets across windows.
+	// OnsetFilter confirms tone onsets across windows. The onsets its
+	// Step returns are filter-owned scratch, valid until the next Step
+	// (the same rule as Detector.Detect); copy them to keep them.
 	OnsetFilter = core.OnsetFilter
 	// Controller is the MDN controller event loop.
 	Controller = core.Controller
