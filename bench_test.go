@@ -164,6 +164,27 @@ func BenchmarkCaptureInto(b *testing.B) {
 	}
 }
 
+// BenchmarkToneMix is the capture path's per-tone cost: one 100 ms tone
+// mixed into a 50 ms batch window and into a 10 ms streaming hop, both
+// inside the tone so every block is a steady-state one.
+func BenchmarkToneMix(b *testing.B) {
+	const sr = 44100.0
+	tone := audio.Tone{Frequency: 1234.5, Duration: 0.1, Amplitude: 0.3, Phase: 0.4}
+	for _, c := range []struct {
+		name   string
+		window float64
+	}{{"window=50ms", 0.05}, {"hop=10ms", 0.01}} {
+		b.Run(c.name, func(b *testing.B) {
+			out := audio.NewBuffer(sr, c.window)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tone.MixEnvelopeAt(out, -0.03, audio.DefaultEnvelope)
+			}
+		})
+	}
+}
+
 // BenchmarkCaptureCulled measures audibility culling on the capture
 // path: a 256-speaker sparse room (10 m rack-row spacing) where the
 // microphone can hear only the handful of emitters above its noise

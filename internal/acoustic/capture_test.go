@@ -88,6 +88,33 @@ func TestCaptureIntoMatchesCapture(t *testing.T) {
 	}
 }
 
+// TestCaptureSplitInvariant pins what keeps streaming captures equal to
+// batch ones: with a noiseless microphone, capturing [a, c) gives the
+// same samples, bit for bit, as capturing [a, b) and [b, c) and
+// concatenating, for split points b off the tone-synthesis block grid.
+func TestCaptureSplitInvariant(t *testing.T) {
+	const sr = 44100.0
+	calls := append(testSchedule(),
+		playCall{"s2", 0.05, audio.Tone{Frequency: 2345.6, Duration: 0.4, Amplitude: 0.25, Phase: 0.7}})
+	r, _ := roomWith(calls)
+	mic := r.AddMicrophone("quiet", Position{X: 0.3, Y: -0.4}, 0)
+	const a, c = 2205, 24255 // samples: [50 ms, 550 ms)
+	want := mic.Capture(a/sr, c/sr)
+	for _, b := range []int{a + 1, a + 441, a + 441 + 13, a + 1000, 13337, c - 1} {
+		head := mic.Capture(a/sr, float64(b)/sr)
+		tail := mic.Capture(float64(b)/sr, c/sr)
+		got := append(head.Samples, tail.Samples...)
+		if len(got) != want.Len() {
+			t.Fatalf("split at %d: %d samples, want %d", b, len(got), want.Len())
+		}
+		for i := range want.Samples {
+			if got[i] != want.Samples[i] {
+				t.Fatalf("split at %d: sample %d = %x, want %x", b, a+i, got[i], want.Samples[i])
+			}
+		}
+	}
+}
+
 func TestCaptureIntoSteadyStateAllocs(t *testing.T) {
 	_, mic := roomWith(testSchedule())
 	buf := mic.CaptureInto(nil, 0, 0.05) // warm up scratch

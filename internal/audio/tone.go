@@ -33,52 +33,35 @@ func (t Tone) Render(sampleRate float64) *Buffer {
 }
 
 // RenderEnvelope synthesizes the tone with an explicit attack/release
-// length in seconds.
+// length in seconds. Samples come from the block-anchored kernel
+// described at mixSamples: within 5·10⁻¹⁰·Amplitude of
+// Amplitude·sin(2πf·i/sampleRate + Phase), not bit-identical to it.
 func (t Tone) RenderEnvelope(sampleRate, envelope float64) *Buffer {
 	b := NewBuffer(sampleRate, t.Duration)
 	n := len(b.Samples)
-	if n == 0 {
-		return b
-	}
-	edge := int(envelope * sampleRate)
-	if edge > n/2 {
-		edge = n / 2
-	}
-	w := 2 * math.Pi * t.Frequency / sampleRate
-	for i := 0; i < n; i++ {
-		v := t.Amplitude * math.Sin(w*float64(i)+t.Phase)
-		switch {
-		case edge > 0 && i < edge:
-			v *= float64(i) / float64(edge)
-		case edge > 0 && i >= n-edge:
-			v *= float64(n-1-i) / float64(edge)
-		}
-		b.Samples[i] = v
-	}
+	t.mixSamples(b.Samples, sampleRate, 0, n, n, envelopeEdge(envelope, sampleRate, n))
 	return b
 }
 
 // MixEnvelopeAt synthesizes the tone directly into b starting at the
 // given offset in seconds, with the same attack/release envelope as
 // RenderEnvelope, and returns b. The samples added are bit-identical
-// to b.MixAt(t.RenderEnvelope(b.SampleRate, envelope), offset, 1) —
-// same synthesis arithmetic, same rounding — but nothing is allocated,
-// which is what the acoustic capture hot path needs to reach zero
-// steady-state allocations.
+// to b.MixAt(t.RenderEnvelope(b.SampleRate, envelope), offset, 1):
+// both run the same kernel, whose sample i depends only on the tone,
+// the rate, the envelope and i — never on offset or on how much of
+// the tone lands inside b. Mixing a tone in consecutive chunks thus
+// adds exactly what one call over their union adds, which is what
+// keeps streaming captures equal to batch ones. Nothing is allocated,
+// so the acoustic capture hot path stays at zero steady-state
+// allocations.
 func (t Tone) MixEnvelopeAt(b *Buffer, offset, envelope float64) *Buffer {
 	sr := b.SampleRate
 	n := int(math.Round(t.Duration * sr))
 	if n <= 0 {
 		return b
 	}
-	edge := int(envelope * sr)
-	if edge > n/2 {
-		edge = n / 2
-	}
-	w := 2 * math.Pi * t.Frequency / sr
 	start := int(math.Round(offset * sr))
-	// Clamp the tone-sample range to the part that lands inside b, so
-	// the loop carries no per-sample bounds test.
+	// Clamp the tone-sample range to the part that lands inside b.
 	lo, hi := 0, n
 	if start < 0 {
 		lo = -start
@@ -86,17 +69,75 @@ func (t Tone) MixEnvelopeAt(b *Buffer, offset, envelope float64) *Buffer {
 	if start+hi > len(b.Samples) {
 		hi = len(b.Samples) - start
 	}
-	for i := lo; i < hi; i++ {
-		v := t.Amplitude * math.Sin(w*float64(i)+t.Phase)
-		switch {
-		case edge > 0 && i < edge:
-			v *= float64(i) / float64(edge)
-		case edge > 0 && i >= n-edge:
-			v *= float64(n-1-i) / float64(edge)
-		}
-		b.Samples[start+i] += v
+	if lo >= hi {
+		return b
 	}
+	t.mixSamples(b.Samples[start+lo:start+hi], sr, lo, hi, n, envelopeEdge(envelope, sr, n))
 	return b
+}
+
+// envelopeEdge is the attack/release length in samples of an n-sample
+// tone: envelope seconds, shortened to at most half the tone.
+func envelopeEdge(envelope, sampleRate float64, n int) int {
+	edge := int(envelope * sampleRate)
+	if edge > n/2 {
+		edge = n / 2
+	}
+	return edge
+}
+
+// toneBlock is the anchor spacing of mixSamples, in tone samples.
+const toneBlock = 32
+
+// mixSamples adds samples [lo, hi) of an n-sample tone with edge-sample
+// linear attack/release ramps into dst, dst[0] receiving sample lo.
+//
+// Sample a+k, with a a multiple of toneBlock and 0 <= k < toneBlock, is
+// the angle-sum expansion Amplitude·(sin θa·cos kω + cos θa·sin kω) of
+// Amplitude·sin(ω(a+k) + Phase): one exact math.Sincos anchor θa per
+// block, the kω terms from a per-call table built by rotating by ω
+// (rounding ~10⁻¹⁴, far below the anchors'). Anchors sit on the tone's
+// own sample grid, so every sample is a pure function of (tone, rate,
+// edge, index) however the range is cut. The deviation from a
+// per-sample math.Sin is argument rounding, at most 5·10⁻¹⁰·Amplitude
+// for 20 Hz–20 kHz tones up to 30 s at 44.1 kHz. Only blocks that touch
+// a ramp pay for the envelope; the rest run a branch-free loop.
+func (t Tone) mixSamples(dst []float64, sampleRate float64, lo, hi, n, edge int) {
+	w := 2 * math.Pi * t.Frequency / sampleRate
+	var sinK, cosK [toneBlock]float64
+	s1, c1 := math.Sincos(w)
+	sinK[0], cosK[0] = 0, 1
+	for k := 1; k < toneBlock; k++ {
+		sinK[k] = sinK[k-1]*c1 + cosK[k-1]*s1
+		cosK[k] = cosK[k-1]*c1 - sinK[k-1]*s1
+	}
+	fe := float64(edge)
+	for a := lo - lo%toneBlock; a < hi; a += toneBlock {
+		s, c := math.Sincos(w*float64(a) + t.Phase)
+		s, c = t.Amplitude*s, t.Amplitude*c
+		k0, k1 := max(lo-a, 0), min(hi-a, toneBlock)
+		out := dst[a+k0-lo : a+k1-lo]
+		if edge > 0 && (a < edge || a+toneBlock > n-edge) {
+			for k := k0; k < k1; k++ {
+				v := s*cosK[k] + c*sinK[k]
+				switch i := a + k; {
+				case i < edge:
+					v *= float64(i) / fe
+				case i >= n-edge:
+					v *= float64(n-1-i) / fe
+				}
+				out[k-k0] += v
+			}
+			continue
+		}
+		// Equal lengths let the compiler drop the loop's bounds checks.
+		cs, sn := cosK[k0:k1], sinK[k0:k1]
+		sn = sn[:len(cs)]
+		out = out[:len(cs)]
+		for k := range cs {
+			out[k] += s*cs[k] + c*sn[k]
+		}
+	}
 }
 
 // Chord renders several simultaneous tones of equal duration into one

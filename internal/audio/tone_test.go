@@ -98,3 +98,81 @@ func TestSequenceEmpty(t *testing.T) {
 		t.Error("empty sequence should be empty")
 	}
 }
+
+// TestToneKernelDeviationBound pins the block-anchored synthesis error:
+// every sample stays within 1e-9·Amplitude of the per-sample
+// Amplitude·sin(ω·i+φ) (times the same ramp where the envelope is on),
+// across the audio band, several phases and 30 ms to 30 s tones.
+func TestToneKernelDeviationBound(t *testing.T) {
+	const sr = 44100.0
+	durations := []float64{0.03, 1, 30}
+	if testing.Short() {
+		durations = durations[:2]
+	}
+	worst := 0.0
+	for _, hz := range []float64{20, 440, 5000, 20000} {
+		for _, phase := range []float64{0, 1.1, -2.5} {
+			for _, d := range durations {
+				for _, env := range []float64{0, DefaultEnvelope} {
+					tone := Tone{Frequency: hz, Duration: d, Amplitude: 0.7, Phase: phase}
+					got := tone.RenderEnvelope(sr, env).Samples
+					n := len(got)
+					edge := envelopeEdge(env, sr, n)
+					w := 2 * math.Pi * hz / sr
+					for i, v := range got {
+						want := tone.Amplitude * math.Sin(w*float64(i)+phase)
+						switch {
+						case edge > 0 && i < edge:
+							want *= float64(i) / float64(edge)
+						case edge > 0 && i >= n-edge:
+							want *= float64(n-1-i) / float64(edge)
+						}
+						dev := math.Abs(v-want) / tone.Amplitude
+						if dev > 1e-9 {
+							t.Fatalf("%+v envelope %g: sample %d = %.17g, want %.17g (deviation %.3g·A)",
+								tone, env, i, v, want, dev)
+						}
+						worst = math.Max(worst, dev)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("worst deviation %.3g·Amplitude", worst)
+}
+
+// TestToneKernelChunkInvariant pins the property streaming capture
+// relies on: mixing a tone into consecutive chunks of a timeline, of
+// any length and with the tone starting before, inside or after the
+// first chunk, adds bit-identical samples to one call over the whole
+// timeline.
+func TestToneKernelChunkInvariant(t *testing.T) {
+	const sr = 44100.0
+	tones := []Tone{
+		{Frequency: 440, Duration: 0.1, Amplitude: 0.3},
+		{Frequency: 1234.5, Duration: 0.031, Amplitude: 0.8, Phase: 1.1},
+		{Frequency: 19000, Duration: 0.25, Amplitude: 0.05, Phase: -2},
+		{Frequency: 7900, Duration: 0.004, Amplitude: 0.5}, // shorter than the envelope
+	}
+	const span = 13230 // 300 ms of timeline
+	for _, tone := range tones {
+		for _, toneStart := range []int{0, 5, -1000, -4409, 2205} {
+			want := &Buffer{SampleRate: sr, Samples: make([]float64, span)}
+			tone.MixEnvelopeAt(want, float64(toneStart)/sr, DefaultEnvelope)
+			for _, chunk := range []int{1, 31, 33, 441, 1000, 2205} {
+				var got []float64
+				for from := 0; from < span; from += chunk {
+					c := &Buffer{SampleRate: sr, Samples: make([]float64, min(chunk, span-from))}
+					tone.MixEnvelopeAt(c, float64(toneStart-from)/sr, DefaultEnvelope)
+					got = append(got, c.Samples...)
+				}
+				for i := range want.Samples {
+					if got[i] != want.Samples[i] {
+						t.Fatalf("%+v start %d chunk %d: sample %d = %x, want %x",
+							tone, toneStart, chunk, i, got[i], want.Samples[i])
+					}
+				}
+			}
+		}
+	}
+}

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -25,6 +27,20 @@ func runAndCheck(t *testing.T, id string) *Result {
 }
 
 func TestFig2a(t *testing.T) { runAndCheck(t, "fig2a") }
+
+// TestFig2aDeterministic pins fig2a's output run to run: the per-switch
+// rows come in allocation order, s1…s5, and the spectrum is identical.
+func TestFig2aDeterministic(t *testing.T) {
+	a, b := Fig2a(), Fig2a()
+	if !reflect.DeepEqual(a.Rows, b.Rows) || !reflect.DeepEqual(a.Series, b.Series) {
+		t.Fatalf("two runs differ:\n%s\n%s", Render(a), Render(b))
+	}
+	for i := 0; i < 5; i++ {
+		if want := fmt.Sprintf("switch s%d ", i+1); !strings.HasPrefix(a.Rows[i].Name, want) {
+			t.Errorf("row %d = %q, want prefix %q", i, a.Rows[i].Name, want)
+		}
+	}
+}
 
 func TestFig2b(t *testing.T) {
 	r := runAndCheck(t, "fig2b")

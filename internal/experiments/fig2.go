@@ -28,7 +28,7 @@ func Fig2a() *Result {
 	plan := core.DefaultPlan()
 
 	var allFreqs []float64
-	sets := make(map[string][]float64)
+	var names []string // allocation order, s1…s5: fixes the row order
 	for i := 0; i < nSwitches; i++ {
 		name := fmt.Sprintf("s%d", i+1)
 		sp := room.AddSpeaker(name, acoustic.Position{X: 0.8 + 0.4*float64(i), Y: float64(i % 2)})
@@ -39,7 +39,7 @@ func Fig2a() *Result {
 		if err != nil {
 			panic(err)
 		}
-		sets[name] = freqs
+		names = append(names, name)
 		allFreqs = append(allFreqs, freqs...)
 		sim.Schedule(0.5, func() {
 			for _, f := range freqs {
@@ -61,7 +61,7 @@ func Fig2a() *Result {
 		}
 	}
 	allFound := true
-	for name := range sets {
+	for _, name := range names {
 		got := identified[name]
 		ok := got == tonesPer
 		allFound = allFound && ok
