@@ -84,9 +84,16 @@ type Detector struct {
 	// each goroutine its own (the FFT plans they share underneath
 	// are concurrency-safe).
 	gplan *dsp.GoertzelPlan // rebuilt when watch list or rate changes
-	amps  []float64
-	mags  []float64
-	out   []Detection
+	// bins lists, watch by watch, the FFT bins each watch's peak is
+	// taken over: watch i owns bins[binEnd[i-1]:binEnd[i]]. It is
+	// rebuilt when the watch list, sample rate, transform size or
+	// tolerance changes, keyed by binKey.
+	bins   []int
+	binEnd []int
+	binKey fftBinKey
+	amps   []float64
+	power  []float64
+	out    []Detection
 	// fftScr is detector-owned FFT workspace. The plan's default
 	// pooled scratch lives in a sync.Pool the GC may clear between
 	// 50 ms windows, which would make "steady state" re-allocate
@@ -142,6 +149,7 @@ func (d *Detector) AddWatch(freqs ...float64) {
 	defer d.mu.Unlock()
 	d.watch = append(d.watch, freqs...)
 	d.gplan = nil // coefficients are stale
+	d.bins = nil
 	d.watchRev.Add(1)
 }
 
@@ -252,29 +260,60 @@ func (d *Detector) ampsGoertzel(buf *audio.Buffer) []float64 {
 	return d.amps
 }
 
+// fftBinKey is what the FFT detector's bin list depends on besides
+// the watch list.
+type fftBinKey struct {
+	fftSize     int
+	sampleRate  float64
+	toleranceHz float64
+}
+
+// ampsFFT estimates each watched frequency's amplitude as the peak bin
+// within ToleranceHz of the windowed spectrum, rescaled by the window's
+// coherent gain: the FFT bin magnitude of a full-window sinusoid is
+// A*n*gain/2. Only the watched bins' power is computed, and the peak is
+// taken over power; sqrt is monotone and correctly rounded, so
+// sqrt(max power) is bit for bit the max magnitude.
 func (d *Detector) ampsFFT(buf *audio.Buffer) []float64 {
 	n := buf.Len()
 	fftSize := dsp.NextPowerOfTwo(n)
-	plan := dsp.PlanFFT(fftSize)
-	mags := plan.WindowedSpectrumScratch(d.mags, buf.Samples, dsp.Hann, &d.fftScr)
-	d.mags = mags
+	key := fftBinKey{fftSize, buf.SampleRate, d.ToleranceHz}
+	if d.bins == nil || d.binKey != key {
+		d.buildBins(key)
+	}
+	d.power = dsp.PlanFFT(fftSize).WindowedPowerAtScratch(d.power, buf.Samples, dsp.Hann, d.bins, &d.fftScr)
 	d.amps = growFloats(d.amps, len(d.watch))
-	// Each watched frequency's amplitude is the peak bin within
-	// ToleranceHz, rescaled by the window's coherent gain: the FFT bin
-	// magnitude of a full-window sinusoid is A*n*gain/2.
 	gain := dsp.Hann.Gain(n)
-	span := int(math.Ceil(d.ToleranceHz / dsp.BinResolution(fftSize, buf.SampleRate)))
-	for i, f := range d.watch {
-		center := dsp.FrequencyBin(f, fftSize, buf.SampleRate)
+	lo := 0
+	for i, hi := range d.binEnd {
 		best := 0.0
-		for k := center - span; k <= center+span; k++ {
-			if k >= 0 && k < len(mags) && mags[k] > best {
-				best = mags[k]
+		for _, p := range d.power[lo:hi] {
+			if p > best {
+				best = p
 			}
 		}
-		d.amps[i] = 2 * best / (float64(n) * gain)
+		d.amps[i] = 2 * math.Sqrt(best) / (float64(n) * gain)
+		lo = hi
 	}
 	return d.amps
+}
+
+// buildBins lists, for each watch, the bins within ToleranceHz of its
+// centre bin that lie in the half spectrum.
+func (d *Detector) buildBins(key fftBinKey) {
+	span := int(math.Ceil(key.toleranceHz / dsp.BinResolution(key.fftSize, key.sampleRate)))
+	d.bins = d.bins[:0]
+	d.binEnd = d.binEnd[:0]
+	for _, f := range d.watch {
+		center := dsp.FrequencyBin(f, key.fftSize, key.sampleRate)
+		for k := center - span; k <= center+span; k++ {
+			if k >= 0 && k <= key.fftSize/2 {
+				d.bins = append(d.bins, k)
+			}
+		}
+		d.binEnd = append(d.binEnd, len(d.bins))
+	}
+	d.binKey = key
 }
 
 func growFloats(s []float64, n int) []float64 {

@@ -1,0 +1,239 @@
+package dsp
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// oracleTransform is the radix-2 butterfly loop the fused kernel
+// replaced, kept verbatim: a bit-reversal swap pass, then one pass per
+// stage reading twiddle with stride N/size. sign is +1 for the forward
+// transform, -1 for the inverse (which conjugates the twiddle factors).
+func (p *FFTPlan) oracleTransform(x []complex128, sign float64) {
+	n := p.N
+	if n < 2 {
+		return
+	}
+	for i, j := range p.rev {
+		if int(j) > i {
+			x[i], x[j] = x[j], x[i]
+		}
+	}
+	tw := p.twiddle
+	for size := 2; size <= n; size <<= 1 {
+		half := size >> 1
+		stride := n / size
+		for start := 0; start < n; start += size {
+			ti := 0
+			for k := start; k < start+half; k++ {
+				w := tw[ti]
+				w = complex(real(w), sign*imag(w))
+				ti += stride
+				b := x[k+half] * w
+				a := x[k]
+				x[k] = a + b
+				x[k+half] = a - b
+			}
+		}
+	}
+}
+
+// oracleRealSpectrum is the packed real-input transform as it stood on
+// the oracle loop: sequential packing, the swap pass inside the
+// transform, and the split over every bin.
+func (p *FFTPlan) oracleRealSpectrum(x []float64, coef []float64) []complex128 {
+	n := p.N
+	h := n / 2
+	dst := make([]complex128, h+1)
+	if n == 1 {
+		v := 0.0
+		if len(x) > 0 {
+			v = x[0]
+			if coef != nil {
+				v *= coef[0]
+			}
+		}
+		dst[0] = complex(v, 0)
+		return dst
+	}
+	z := make([]complex128, h)
+	m := len(x)
+	full := m / 2
+	if coef == nil {
+		for k := 0; k < full; k++ {
+			z[k] = complex(x[2*k], x[2*k+1])
+		}
+	} else {
+		for k := 0; k < full; k++ {
+			z[k] = complex(x[2*k]*coef[2*k], x[2*k+1]*coef[2*k+1])
+		}
+	}
+	for k := full; k < h; k++ {
+		re := 0.0
+		if 2*k < m {
+			re = x[2*k]
+			if coef != nil {
+				re *= coef[2*k]
+			}
+		}
+		z[k] = complex(re, 0)
+	}
+	p.half.oracleTransform(z, 1)
+	z0 := z[0]
+	dst[0] = complex(real(z0)+imag(z0), 0)
+	dst[h] = complex(real(z0)-imag(z0), 0)
+	for k := 1; k < h; k++ {
+		zk := z[k]
+		zm := z[h-k]
+		zm = complex(real(zm), -imag(zm))
+		a := zk + zm
+		b := zk - zm
+		c := p.twiddle[k] * b
+		dst[k] = complex(0.5*(real(a)+imag(c)), 0.5*(imag(a)-real(c)))
+	}
+	return dst
+}
+
+// kernelSizes is every power of two from 1 to 4096: odd and even stage
+// counts, so both the paired passes and the unpaired last stage run.
+func kernelSizes() []int {
+	var sizes []int
+	for n := 1; n <= 4096; n *= 2 {
+		sizes = append(sizes, n)
+	}
+	return sizes
+}
+
+// randomComplex draws n complex samples; zeroFrom > 0 zero-pads from
+// that index on, so exact zeros flow through the butterflies.
+func randomComplex(n, zeroFrom int, seed int64) []complex128 {
+	rng := rand.New(rand.NewSource(seed))
+	x := make([]complex128, n)
+	for i := range x {
+		if zeroFrom > 0 && i >= zeroFrom {
+			break
+		}
+		x[i] = complex(2*rng.Float64()-1, 2*rng.Float64()-1)
+	}
+	return x
+}
+
+// TestKernelMatchesOracleTransform holds the fused kernel to the old
+// butterfly loop under == (which equates +0 and -0) for the forward and
+// the conjugated inverse transform, on random and zero-padded inputs.
+func TestKernelMatchesOracleTransform(t *testing.T) {
+	for _, n := range kernelSizes() {
+		p := PlanFFT(n)
+		for _, zeroFrom := range []int{0, n/2 + 1, n / 4, 1} {
+			x := randomComplex(n, zeroFrom, int64(n+zeroFrom))
+
+			got := append([]complex128(nil), x...)
+			p.Transform(got)
+			want := append([]complex128(nil), x...)
+			p.oracleTransform(want, 1)
+			requireEqualComplex(t, fmt.Sprintf("forward n=%d zeroFrom=%d", n, zeroFrom), got, want)
+
+			got = append(got[:0], x...)
+			p.InverseTransform(got)
+			want = append(want[:0], x...)
+			p.oracleTransform(want, -1)
+			inv := 1 / float64(n)
+			for i := range want {
+				want[i] = complex(real(want[i])*inv, imag(want[i])*inv)
+			}
+			requireEqualComplex(t, fmt.Sprintf("inverse n=%d zeroFrom=%d", n, zeroFrom), got, want)
+		}
+	}
+}
+
+// TestRealSpectrumMatchesOracle holds the bit-reversed packing and the
+// kernel under it to the oracle's real-input transform, raw and under
+// every window, at full length and zero-padded.
+func TestRealSpectrumMatchesOracle(t *testing.T) {
+	var s FFTScratch
+	for _, n := range kernelSizes() {
+		p := PlanFFT(n)
+		for _, m := range []int{0, 1, n/2 + 1, n - 1, n} {
+			if m > n || m < 0 {
+				continue
+			}
+			x := randomReal(m, int64(7*n+m))
+			for _, win := range []Window{Rectangular, Hann, Hamming, Blackman} {
+				coef := win.coefficients(m)
+				got := p.realSpectrumWindowed(nil, x, coef, &s)
+				want := p.oracleRealSpectrum(x, coef)
+				requireEqualComplex(t, fmt.Sprintf("n=%d m=%d %v", n, m, win), got, want)
+			}
+		}
+	}
+	// The detector's shape: 2205 samples into 4096 points.
+	x := randomReal(2205, 11)
+	p := PlanFFT(4096)
+	coef := Hann.coefficients(len(x))
+	requireEqualComplex(t, "n=4096 m=2205 hann", p.realSpectrumWindowed(nil, x, coef, &s), p.oracleRealSpectrum(x, coef))
+}
+
+// TestWindowedPowerAtMatchesSpectrum requires the band-limited entry
+// point to reproduce the full power spectrum at every requested bin,
+// and its square root the magnitude spectrum, bit for bit: DC and
+// Nyquist included, bins repeated and unsorted, all four windows,
+// inputs of length 1, odd, 2205 and N.
+func TestWindowedPowerAtMatchesSpectrum(t *testing.T) {
+	var s FFTScratch
+	var pow, full, mags []float64
+	for _, n := range []int{1, 2, 4, 8, 64, 4096} {
+		p := PlanFFT(n)
+		h := n / 2
+		bins := []int{h, 0, h / 2, 0, h, h / 3, 1 % (h + 1), h / 2}
+		for _, m := range []int{1, n/2 + 1 | 1, 2205, n} {
+			if m > n {
+				continue
+			}
+			x := randomReal(m, int64(n*31+m))
+			for _, win := range []Window{Rectangular, Hann, Hamming, Blackman} {
+				pow = p.WindowedPowerAtScratch(pow, x, win, bins, &s)
+				full = p.WindowedPowerSpectrumScratch(full, x, win, &s)
+				mags = p.WindowedSpectrumScratch(mags, x, win, &s)
+				if len(pow) != len(bins) {
+					t.Fatalf("n=%d m=%d %v: %d values for %d bins", n, m, win, len(pow), len(bins))
+				}
+				for i, k := range bins {
+					if pow[i] != full[k] {
+						t.Fatalf("n=%d m=%d %v bin %d: power %v, spectrum %v", n, m, win, k, pow[i], full[k])
+					}
+					if math.Sqrt(pow[i]) != mags[k] {
+						t.Fatalf("n=%d m=%d %v bin %d: sqrt(power) %v, magnitude %v", n, m, win, k, math.Sqrt(pow[i]), mags[k])
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestWindowedPowerAtRejectsOutOfRangeBins(t *testing.T) {
+	p := PlanFFT(8)
+	for _, k := range []int{-1, 5} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("bin %d: want panic", k)
+				}
+			}()
+			p.WindowedPowerAtScratch(nil, randomReal(8, 1), Hann, []int{k}, &FFTScratch{})
+		}()
+	}
+}
+
+func requireEqualComplex(t *testing.T, name string, got, want []complex128) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d, want %d", name, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s: bin %d = %v, oracle %v", name, i, got[i], want[i])
+		}
+	}
+}

@@ -8,31 +8,45 @@ import (
 )
 
 // FFTPlan holds everything precomputed for transforms of one length:
-// the twiddle-factor table, the bit-reversal permutation, and (for the
-// packed real-input transform) the half-length sub-plan and per-plan
-// scratch pool. Plans are built once per size, cached globally, and
-// safe for concurrent use — the per-call mutable state lives in pooled
-// scratch, never on the plan itself.
+// the twiddle-factor table, the bit-reversal permutation, the
+// per-pass twiddle tables of the fused kernel, and (for the packed
+// real-input transform) the half-length sub-plan and per-plan scratch
+// pool. Plans are built once per size, cached globally, and safe for
+// concurrent use — the per-call mutable state lives in pooled scratch,
+// never on the plan itself.
 //
-// The planned entry points replace the per-call math.Sincos of the old
-// transform with one table lookup per butterfly, which is where most
-// of the controller hot path's time went.
+// Every entry point runs one forward kernel (forward): a size-2 stage
+// without multiplies, then the remaining stages fused in pairs
+// (radix-2²) on contiguous twiddle tables, so each pair makes one
+// pass over the data. Its outputs equal the textbook radix-2
+// butterfly loop's under == (only the signs of exact zeros may
+// differ); the tests keep that loop as their oracle.
 type FFTPlan struct {
 	// N is the transform length (a power of two).
 	N int
 
-	// twiddle[k] = exp(-2*pi*i*k/N) for k < N/2. Stage `size` of the
-	// decimation-in-time transform reads it with stride N/size. The
-	// same table provides the split coefficients of the packed
+	// twiddle[k] = exp(-2*pi*i*k/N) for k < N/2: the kernel's passes
+	// are built from it, the last stage of an odd stage count reads it
+	// directly, and it provides the split coefficients of the packed
 	// real-input transform.
 	twiddle []complex128
 	// rev is the bit-reversal permutation of 0..N-1.
 	rev []int32
+	// passes holds one table per fused pair of stages, in kernel order;
+	// pass i covers groups of 4h points where h = len(passes[i]).
+	passes [][]quadTwiddle
+	// oddStage reports a final unpaired size-N stage, run on twiddle.
+	oddStage bool
 	// half is the N/2 plan driving RealSpectrumInto. nil when N == 1.
 	half *FFTPlan
 
 	scratch sync.Pool // *FFTScratch
 }
+
+// quadTwiddle holds the three twiddles butterfly j of a fused pass
+// reads: w1 for both size-2h butterflies, w2 and w3 for the two
+// size-4h ones.
+type quadTwiddle struct{ w1, w2, w3 complex128 }
 
 // FFTScratch is the per-call mutable state of a planned transform: the
 // packed complex input of the real transform, the half spectrum, and a
@@ -78,12 +92,30 @@ func newFFTPlan(n int) *FFTPlan {
 		s, c := math.Sincos(-2 * math.Pi * float64(k) / float64(n))
 		p.twiddle[k] = complex(c, s)
 	}
-	if n > 1 {
-		p.rev = make([]int32, n)
-		shift := 64 - uint(bits.Len(uint(n-1)))
-		for i := 0; i < n; i++ {
-			p.rev[i] = int32(bits.Reverse64(uint64(i)) >> shift)
+	p.rev = make([]int32, n)
+	shift := 64 - uint(bits.Len(uint(n-1)))
+	for i := 0; i < n; i++ {
+		p.rev[i] = int32(bits.Reverse64(uint64(i)) >> shift)
+	}
+	// Stage `size` reads twiddle with stride N/size. After the size-2
+	// stage, stages pair up as (size, 2·size) for size = 4, 16, 64, …
+	// The pass tables share one backing array.
+	entries := 0
+	for size := 4; 2*size <= n; size *= 4 {
+		entries += size / 2
+	}
+	all := make([]quadTwiddle, 0, entries)
+	size := 4
+	for ; 2*size <= n; size *= 4 {
+		h := size / 2
+		s1, s2 := n/size, n/(2*size)
+		for j := 0; j < h; j++ {
+			all = append(all, quadTwiddle{p.twiddle[j*s1], p.twiddle[j*s2], p.twiddle[(j+h)*s2]})
 		}
+		p.passes = append(p.passes, all[len(all)-h:])
+	}
+	p.oddStage = size == n
+	if n > 1 {
 		p.half = PlanFFT(half)
 	}
 	p.scratch.New = func() interface{} {
@@ -104,20 +136,31 @@ func (p *FFTPlan) getScratch() *FFTScratch {
 // p.N.
 func (p *FFTPlan) Transform(x []complex128) {
 	p.checkLen(x)
-	p.transform(x, 1)
+	for i, j := range p.rev {
+		if int(j) > i {
+			x[i], x[j] = x[j], x[i]
+		}
+	}
+	p.forward(x)
 }
 
 // InverseTransform computes the in-place inverse FFT of x including
 // the 1/N normalisation, so InverseTransform(Transform(x)) == x up to
-// rounding.
+// rounding. It runs the forward kernel through conjugation:
+// IFFT(x) = conj(FFT(conj(x)))/N.
 func (p *FFTPlan) InverseTransform(x []complex128) {
 	p.checkLen(x)
-	p.transform(x, -1)
+	for i, c := range x {
+		x[i] = conj(c)
+	}
+	p.Transform(x)
 	inv := 1 / float64(p.N)
-	for i := range x {
-		x[i] = complex(real(x[i])*inv, imag(x[i])*inv)
+	for i, c := range x {
+		x[i] = complex(real(c)*inv, -imag(c)*inv)
 	}
 }
+
+func conj(c complex128) complex128 { return complex(real(c), -imag(c)) }
 
 func (p *FFTPlan) checkLen(x []complex128) {
 	if len(x) != p.N {
@@ -125,34 +168,46 @@ func (p *FFTPlan) checkLen(x []complex128) {
 	}
 }
 
-// transform runs the iterative decimation-in-time butterflies. sign is
-// +1 for the forward transform, -1 for the inverse (which conjugates
-// the twiddle factors).
-func (p *FFTPlan) transform(x []complex128, sign float64) {
+// forward runs the decimation-in-time butterflies in place on x, which
+// holds the input in bit-reversed order. Each butterfly does exactly
+// the radix-2 arithmetic of its stage — only the order of the passes
+// over memory changes — so results match the one-stage-per-pass loop.
+func (p *FFTPlan) forward(x []complex128) {
 	n := p.N
-	if n < 2 {
-		return
+	x = x[:n]
+	// Size 2: the only twiddle is tw[0] = (1, -0); skipping the
+	// multiply changes at most the sign of a zero.
+	for y := x; len(y) >= 2; y = y[2:] {
+		a, b := y[0], y[1]
+		y[0], y[1] = a+b, a-b
 	}
-	for i, j := range p.rev {
-		if int(j) > i {
-			x[i], x[j] = x[j], x[i]
+	// Stages size and 2·size in one pass: group j's four points
+	// q0..q3[j] go through both stages in registers.
+	for _, tw := range p.passes {
+		h := len(tw)
+		for start := 0; start < len(x); start += 4 * h {
+			blk := x[start:]
+			q0, q1, q2, q3 := blk[:h], blk[h:][:h], blk[2*h:][:h], blk[3*h:][:h]
+			for j, w := range tw {
+				a0, a1, a2, a3 := q0[j], q1[j], q2[j], q3[j]
+				b := a1 * w.w1
+				a0, a1 = a0+b, a0-b
+				b = a3 * w.w1
+				a2, a3 = a2+b, a2-b
+				b = a2 * w.w2
+				q0[j], q2[j] = a0+b, a0-b
+				b = a3 * w.w3
+				q1[j], q3[j] = a1+b, a1-b
+			}
 		}
 	}
-	tw := p.twiddle
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		stride := n / size
-		for start := 0; start < n; start += size {
-			ti := 0
-			for k := start; k < start+half; k++ {
-				w := tw[ti]
-				w = complex(real(w), sign*imag(w))
-				ti += stride
-				b := x[k+half] * w
-				a := x[k]
-				x[k] = a + b
-				x[k+half] = a - b
-			}
+	if p.oddStage {
+		h := n / 2
+		lo, hi := x[:h], x[h:][:h]
+		for j, w := range p.twiddle[:h] {
+			b := hi[j] * w
+			a := lo[j]
+			lo[j], hi[j] = a+b, a-b
 		}
 	}
 }
@@ -177,13 +232,10 @@ func (p *FFTPlan) RealSpectrumInto(dst []complex128, x []float64) []complex128 {
 // packing buffer (grown to fit the plan if the caller's scratch is
 // smaller).
 func (p *FFTPlan) realSpectrumWindowed(dst []complex128, x []float64, coef []float64, s *FFTScratch) []complex128 {
-	n := p.N
-	if len(x) > n {
-		panic(fmt.Sprintf("dsp: real input length %d exceeds plan length %d", len(x), n))
-	}
-	h := n / 2
+	h := p.N / 2
 	dst = growComplex(dst, h+1)
-	if n == 1 {
+	if p.N == 1 {
+		p.checkReal(x)
 		v := 0.0
 		if len(x) > 0 {
 			v = x[0]
@@ -194,17 +246,80 @@ func (p *FFTPlan) realSpectrumWindowed(dst []complex128, x []float64, coef []flo
 		dst[0] = complex(v, 0)
 		return dst
 	}
+	z := p.packedSpectrum(x, coef, s)
+	dst[0], dst[h] = splitEdges(z[0])
+	for k := 1; k < h; k++ {
+		dst[k] = p.splitBin(z, k)
+	}
+	return dst
+}
+
+// WindowedPowerAtScratch is WindowedPowerSpectrumScratch evaluated only
+// at the given bins: dst[i] = |X[bins[i]]|², equal to the power
+// spectrum's value there. The transform is still the full one; what it
+// skips is the split and |X|² of every bin nobody reads, which is most
+// of them for a detector watching a few hundred bins of 2049. Bins may
+// repeat and come in any order; each must lie in [0, p.N/2]. dst is
+// reused when it has capacity, and s is the caller-owned workspace.
+func (p *FFTPlan) WindowedPowerAtScratch(dst []float64, x []float64, win Window, bins []int, s *FFTScratch) []float64 {
+	h := p.N / 2
+	for _, k := range bins {
+		if k < 0 || k > h {
+			panic(fmt.Sprintf("dsp: bin %d outside [0, %d]", k, h))
+		}
+	}
+	dst = growFloat(dst, len(bins))
+	coef := win.coefficients(len(x))
+	if p.N == 1 {
+		s.spec = p.realSpectrumWindowed(s.spec[:0], x, coef, s)
+		for i := range bins {
+			dst[i] = power(s.spec[0])
+		}
+		return dst
+	}
+	z := p.packedSpectrum(x, coef, s)
+	lo, hi := splitEdges(z[0])
+	for i, k := range bins {
+		var c complex128
+		switch k {
+		case 0:
+			c = lo
+		case h:
+			c = hi
+		default:
+			c = p.splitBin(z, k)
+		}
+		dst[i] = power(c)
+	}
+	return dst
+}
+
+func (p *FFTPlan) checkReal(x []float64) {
+	if len(x) > p.N {
+		panic(fmt.Sprintf("dsp: real input length %d exceeds plan length %d", len(x), p.N))
+	}
+}
+
+// packedSpectrum packs the (windowed, zero-padded) real input x into
+// the N/2-point complex signal z[k] = x[2k] + i·x[2k+1], writing each
+// z[k] straight to its bit-reversed slot, and transforms it with the
+// half-length kernel. It returns Z, held in s. p.N must be >= 2.
+func (p *FFTPlan) packedSpectrum(x []float64, coef []float64, s *FFTScratch) []complex128 {
+	p.checkReal(x)
+	h := p.N / 2
 	s.z = growComplex(s.z, h)
 	z := s.z
+	rev := p.half.rev
 	m := len(x)
 	full := m / 2 // pairs with both samples in range
 	if coef == nil {
-		for k := 0; k < full; k++ {
-			z[k] = complex(x[2*k], x[2*k+1])
+		for k, r := range rev[:full] {
+			z[r] = complex(x[2*k], x[2*k+1])
 		}
 	} else {
-		for k := 0; k < full; k++ {
-			z[k] = complex(x[2*k]*coef[2*k], x[2*k+1]*coef[2*k+1])
+		coef = coef[:m]
+		for k, r := range rev[:full] {
+			z[r] = complex(x[2*k]*coef[2*k], x[2*k+1]*coef[2*k+1])
 		}
 	}
 	for k := full; k < h; k++ {
@@ -215,26 +330,28 @@ func (p *FFTPlan) realSpectrumWindowed(dst []complex128, x []float64, coef []flo
 				re *= coef[2*k]
 			}
 		}
-		z[k] = complex(re, 0)
+		z[rev[k]] = complex(re, 0)
 	}
-	p.half.transform(z, 1)
+	p.half.forward(z)
+	return z
+}
 
-	// Split: with Z = FFT(z), X[k] = (A - i*w^k*B)/2 where
-	// A = Z[k]+conj(Z[h-k]), B = Z[k]-conj(Z[h-k]), w = exp(-2πi/N).
-	z0 := z[0]
-	dst[0] = complex(real(z0)+imag(z0), 0)
-	dst[h] = complex(real(z0)-imag(z0), 0)
-	for k := 1; k < h; k++ {
-		zk := z[k]
-		zm := z[h-k]
-		zm = complex(real(zm), -imag(zm))
-		a := zk + zm
-		b := zk - zm
-		c := p.twiddle[k] * b
-		// -i*c = complex(imag(c), -real(c))
-		dst[k] = complex(0.5*(real(a)+imag(c)), 0.5*(imag(a)-real(c)))
-	}
-	return dst
+// splitEdges returns bins 0 and N/2 of the real spectrum from Z[0].
+func splitEdges(z0 complex128) (dc, nyquist complex128) {
+	return complex(real(z0)+imag(z0), 0), complex(real(z0)-imag(z0), 0)
+}
+
+// splitBin returns bin k (0 < k < N/2) of the real spectrum from the
+// packed spectrum Z: X[k] = (A - i*w^k*B)/2 where A = Z[k]+conj(Z[h-k]),
+// B = Z[k]-conj(Z[h-k]), w = exp(-2πi/N).
+func (p *FFTPlan) splitBin(z []complex128, k int) complex128 {
+	zk := z[k]
+	zm := conj(z[len(z)-k])
+	a := zk + zm
+	b := zk - zm
+	c := p.twiddle[k] * b
+	// -i*c = complex(imag(c), -real(c))
+	return complex(0.5*(real(a)+imag(c)), 0.5*(imag(a)-real(c)))
 }
 
 // WindowedSpectrumInto windows x (without modifying it), zero-pads to
@@ -302,7 +419,11 @@ func magnitudesInto(dst []float64, spec []complex128) {
 
 func powerInto(dst []float64, spec []complex128) {
 	for i, c := range spec {
-		re, im := real(c), imag(c)
-		dst[i] = re*re + im*im
+		dst[i] = power(c)
 	}
+}
+
+func power(c complex128) float64 {
+	re, im := real(c), imag(c)
+	return re*re + im*im
 }
