@@ -79,7 +79,7 @@ func BenchmarkAblationDetectorMethod(b *testing.B) {
 		for i := range watch {
 			watch[i] = 400 + 20*float64(i)
 		}
-		for _, m := range []Method{MethodGoertzel, MethodFFT} {
+		for _, m := range []Method{MethodGoertzel, core.MethodFFT} {
 			det := NewDetector(m, watch)
 			b.Run(m.String()+"-watch-"+strconv.Itoa(n), func(b *testing.B) {
 				b.ReportAllocs()
@@ -164,24 +164,41 @@ func BenchmarkCaptureInto(b *testing.B) {
 	}
 }
 
-// BenchmarkToneMix is the capture path's per-tone cost: one 100 ms tone
-// mixed into a 50 ms batch window and into a 10 ms streaming hop, both
-// inside the tone so every block is a steady-state one.
-func BenchmarkToneMix(b *testing.B) {
-	const sr = 44100.0
+// toneMix returns the capture path's per-tone step: one 100 ms tone
+// mixed into a window-long buffer, inside the tone so every block is a
+// steady-state one.
+func toneMix(window float64) func() {
 	tone := audio.Tone{Frequency: 1234.5, Duration: 0.1, Amplitude: 0.3, Phase: 0.4}
-	for _, c := range []struct {
-		name   string
-		window float64
-	}{{"window=50ms", 0.05}, {"hop=10ms", 0.01}} {
+	out := audio.NewBuffer(44100, window)
+	return func() { tone.MixEnvelopeAt(out, -0.03, audio.DefaultEnvelope) }
+}
+
+// toneMixWindows are the 50 ms batch window and the 10 ms streaming hop.
+var toneMixWindows = []struct {
+	name   string
+	window float64
+}{{"window=50ms", 0.05}, {"hop=10ms", 0.01}}
+
+// BenchmarkToneMix is the capture path's per-tone cost (see toneMix).
+func BenchmarkToneMix(b *testing.B) {
+	for _, c := range toneMixWindows {
 		b.Run(c.name, func(b *testing.B) {
-			out := audio.NewBuffer(sr, c.window)
+			mix := toneMix(c.window)
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tone.MixEnvelopeAt(out, -0.03, audio.DefaultEnvelope)
+				mix()
 			}
 		})
+	}
+}
+
+// TestToneMixSteadyStateAllocs holds both BenchmarkToneMix rows to 0
+// allocs per mix.
+func TestToneMixSteadyStateAllocs(t *testing.T) {
+	for _, c := range toneMixWindows {
+		if allocs := testing.AllocsPerRun(100, toneMix(c.window)); allocs != 0 {
+			t.Errorf("%s: tone mix allocates %v/op, want 0", c.name, allocs)
+		}
 	}
 }
 
@@ -238,16 +255,15 @@ func fleetRoom(n int) ([]*acoustic.Microphone, *Detector) {
 		sp.Play(0, audio.Tone{Frequency: freqs[i], Duration: 3600,
 			Amplitude: acoustic.SPLToAmplitude(60)})
 	}
-	return mics, NewDetector(MethodFFT, freqs)
+	return mics, NewDetector(core.MethodFFT, freqs)
 }
 
-// BenchmarkFleet drives the fleet engine through the facade: one
-// 50 ms controller window fanned over N microphones by per-worker
-// detector clones, serial versus a GOMAXPROCS pool, with detections
-// merged deterministically. Every row must hold 0 allocs/op at
-// steady state. The full 1–1024-voice scale suite — culled versus
+// BenchmarkFleet drives the fleet engine: one 50 ms controller window
+// fanned over N microphones by per-worker detector clones, serial
+// versus a GOMAXPROCS pool, with detections merged deterministically.
+// Every row must hold 0 allocs/op at steady state. The full 1–1024-voice scale suite — culled versus
 // nocull on sparse placement — and the worker sweep live in
-// internal/core (numbers in BENCH_PR6.json).
+// internal/core (numbers in DESIGN.md §5f).
 func BenchmarkFleet(b *testing.B) {
 	for _, n := range []int{1, 8, 64} {
 		mics, det := fleetRoom(n)
@@ -256,7 +272,7 @@ func BenchmarkFleet(b *testing.B) {
 			workers int
 		}{{"serial", 1}, {"parallel", runtime.GOMAXPROCS(0)}} {
 			b.Run("voices="+strconv.Itoa(n)+"/"+w.name, func(b *testing.B) {
-				f := NewFleet(det, w.workers)
+				f := core.NewFleet(det, w.workers)
 				defer f.Close()
 				for _, m := range mics {
 					f.AddMicrophone(m)
@@ -460,7 +476,7 @@ func TestFacadeSmoke(t *testing.T) {
 	freqs := tb.Plan.MustAllocate("s1", 1)
 	ctrl := tb.NewController(freqs)
 	var heard []Detection
-	ctrl.Subscribe(func(d Detection) { heard = append(heard, d) })
+	ctrl.SubscribeWindows(func(_ float64, dets []Detection) { heard = append(heard, dets...) })
 	ctrl.Start(0)
 	tb.Sim.Schedule(0.3, func() { voice.Play(freqs[0]) })
 	tb.Sim.RunUntil(1)

@@ -27,7 +27,11 @@ func TestChaosMetricsDumpParses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := reg.Snapshot().Text()
+	var b strings.Builder
+	if err := reg.Snapshot().WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	text := b.String()
 	if err := telemetry.ValidateText(strings.NewReader(text)); err != nil {
 		t.Fatalf("metrics dump does not parse: %v\n%s", err, text)
 	}

@@ -7,16 +7,17 @@
 // an MDN controller decodes tone sequences with the FFT and reacts —
 // installing flow rules, raising alerts, balancing load.
 //
-// The package is a facade over the implementation packages:
+// The package is a small facade over the implementation packages,
+// holding what the example programs call:
 //
-//   - frequency planning with the paper's 20 Hz spacing
-//     (FrequencyPlan, DefaultPlan)
-//   - tone detection over captured audio (Detector, OnsetFilter)
-//   - the controller event loop (Controller)
-//   - the paper's applications: PortKnock, HeavyHitter, PortScan,
-//     QueueMonitor, LoadBalancer, FanMonitor
 //   - a Testbed builder assembling the simulated network, acoustic
-//     room, and Music Protocol plumbing
+//     room, frequency plan (FrequencyPlan) and controller microphone
+//   - tone detection over captured audio (Detector, OnsetFilter) and
+//     the controller event loop (Controller)
+//   - the paper's applications: PortKnock (§4), HeavyHitter, PortScan
+//     and SpreadDetector (§5), Relay (§8) and FanMonitor (§7)
+//   - the acoustic data channel (ModemBand, ModemTransmitter,
+//     ModemReceiver)
 //
 // See the examples directory for runnable end-to-end scenarios and
 // cmd/mdnbench for the paper's full evaluation.

@@ -1,6 +1,13 @@
 package mdn
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 
 	"mdn/internal/acoustic"
@@ -8,6 +15,80 @@ import (
 	"mdn/internal/netsim"
 	"mdn/internal/openflow"
 )
+
+// TestFacadeExportsOnlyWhatExamplesUse keeps the facade small: every
+// exported name in mdn.go must be used by an example program,
+// example_test.go or the README, or appear in the signature of a name
+// that is. Anything else belongs in its internal package only.
+func TestFacadeExportsOnlyWhatExamplesUse(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "mdn.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpus := readFile(t, "README.md") + readFile(t, "example_test.go")
+	mains, _ := filepath.Glob("examples/*/main.go")
+	for _, m := range mains {
+		corpus += readFile(t, m)
+	}
+
+	// sigs maps each declared name (Type.Method for methods) to the
+	// part of its declaration that can need other names.
+	sigs := map[string]ast.Node{}
+	var names []string
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			name := d.Name.Name
+			if d.Recv != nil {
+				name = strings.TrimPrefix(types.ExprString(d.Recv.List[0].Type), "*") + "." + name
+			}
+			sigs[name], names = d.Type, append(names, name)
+		case *ast.GenDecl:
+			for _, s := range d.Specs {
+				switch s := s.(type) {
+				case *ast.TypeSpec:
+					sigs[s.Name.Name], names = s.Type, append(names, s.Name.Name)
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						sigs[n.Name], names = s, append(names, n.Name)
+					}
+				}
+			}
+		}
+	}
+
+	kept := map[string]bool{}
+	var keep func(name string)
+	keep = func(name string) {
+		if kept[name] {
+			return
+		}
+		kept[name] = true
+		ast.Inspect(sigs[name], func(n ast.Node) bool {
+			if _, ok := n.(*ast.SelectorExpr); ok {
+				return false // another package's name
+			}
+			if id, ok := n.(*ast.Ident); ok && sigs[id.Name] != nil {
+				keep(id.Name)
+			}
+			return true
+		})
+	}
+	for _, name := range names {
+		if _, method, ok := strings.Cut(name, "."); ok {
+			if strings.Contains(corpus, "."+method+"(") {
+				keep(name)
+			}
+		} else if regexp.MustCompile(`\bmdn\.` + name + `\b`).MatchString(corpus) {
+			keep(name)
+		}
+	}
+	for _, name := range names {
+		if ast.IsExported(name[strings.LastIndex(name, ".")+1:]) && !kept[name] {
+			t.Errorf("mdn.go exports %s, which no example, example_test.go or README uses and no used signature needs", name)
+		}
+	}
+}
 
 // TestFacadeConstructors exercises every facade wrapper once, so the
 // public API surface stays wired to the implementation.
@@ -18,10 +99,7 @@ func TestFacadeConstructors(t *testing.T) {
 	if p := NewFrequencyPlan(400, 4000, 20); p.Capacity() != 181 {
 		t.Errorf("plan capacity = %d", p.Capacity())
 	}
-	if DefaultPlan().Capacity() == 0 {
-		t.Error("default plan empty")
-	}
-	det := NewDetector(MethodFFT, []float64{500})
+	det := NewDetector(MethodGoertzel, []float64{500})
 	if det == nil || len(det.Watch()) != 1 {
 		t.Error("detector wrapper broken")
 	}
@@ -48,18 +126,6 @@ func TestFacadeConstructors(t *testing.T) {
 	if err != nil || len(ps.Frequencies()) != 4 {
 		t.Errorf("portscan wrapper: %v", err)
 	}
-	qm, err := NewQueueMonitor(tb.Plan, sw, 2, voice)
-	if err != nil || len(qm.Frequencies()) != 3 {
-		t.Errorf("queuemon wrapper: %v", err)
-	}
-	qm2 := NewQueueMonitorWithTones(sw, 3, voice, [3]float64{500, 600, 700})
-	if qm2.LevelFor(600) != LevelMid {
-		t.Error("queuemon tones wrapper broken")
-	}
-	lb := NewLoadBalancer(qm2, ch, openflow.FlowMod{Command: openflow.FlowAdd, Action: netsim.Drop()})
-	if lb == nil || lb.Triggered {
-		t.Error("loadbalancer wrapper broken")
-	}
 	fm := NewFanMonitor(tb.Mic, []float64{1050, 2100})
 	if fm == nil || len(fm.Harmonics) != 2 {
 		t.Error("fanmonitor wrapper broken")
@@ -68,77 +134,16 @@ func TestFacadeConstructors(t *testing.T) {
 	if err != nil || len(sd.Frequencies()) != 4 {
 		t.Errorf("spread wrapper: %v", err)
 	}
-	mc, err := NewMelodyCodec(tb.Plan, "s5")
-	if err != nil || len(mc.Frequencies()) != 17 {
-		t.Errorf("melody wrapper: %v", err)
-	}
-	arr := NewMicArray(tb.Sim, det, tb.Mic)
-	if arr == nil {
-		t.Error("micarray wrapper broken")
-	}
-	mgr := NewManager(tb.Sim, tb.Mic, tb.Plan)
-	if err := mgr.Deploy(hh); err != nil {
-		t.Errorf("manager deploy: %v", err)
-	}
-	hb := NewHeartbeat()
-	if _, err := hb.Register(tb.Plan, "s6", voice); err != nil {
-		t.Errorf("heartbeat wrapper: %v", err)
-	}
-	cc := NewCongestionController(qm2, fakeRate{})
-	if cc == nil || cc.Beta != 0.5 {
-		t.Error("congestion wrapper broken")
-	}
-	kg := NewKnockGenerator([]byte("secret"))
-	if len(kg.SequenceAt(0)) != 3 || !kg.Verify(0, kg.SequenceAt(0)) {
-		t.Error("knock generator wrapper broken")
-	}
 	// Constants re-exported sanely.
-	if DefaultSpacing != 20 || DefaultStride != 4 {
-		t.Error("constants wrong")
+	if DefaultStride != 4 {
+		t.Error("stride constant wrong")
 	}
 	if MethodGoertzel.String() != "goertzel" {
 		t.Error("method constant wrong")
 	}
-	if DeviceHealthy.String() != "healthy" || DeviceDetuned.String() != "detuned" {
-		t.Error("device state constants wrong")
-	}
-}
-
-// TestFacadeDeviceMonitor exercises the device-health exports: the
-// monitor rides a controller, watches a speaker, and both the health
-// snapshot and the room's read-only mic stats flow through the facade
-// types.
-func TestFacadeDeviceMonitor(t *testing.T) {
-	tb := NewTestbed(502)
-	_, voice := tb.AddVoicedSwitch("s1", 1, 0)
-	ctl := tb.NewController([]float64{700})
-
-	var mon *DeviceMonitor = ctl.EnableDeviceMonitor()
-	mon.WatchSpeaker("s1", voice, 700)
-
-	ctl.Start(0)
-	for ts := 0.1; ts < 1.0; ts += 0.3 {
-		tb.Sim.Schedule(ts, func() { voice.Play(700) })
-	}
-	tb.Sim.RunUntil(1.2)
-	ctl.Stop()
-
-	var rows []DeviceHealth = mon.Snapshot()
-	if len(rows) != 2 {
-		t.Fatalf("device rows = %d, want mic + speaker", len(rows))
-	}
-	var st DeviceState = DeviceHealthy
-	for _, d := range rows {
-		if d.State != st.String() {
-			t.Errorf("%s %s state = %s, want healthy", d.Kind, d.Name, d.State)
-		}
-	}
-	var ms MicStats = tb.Room.Microphone("controller").StatsAt(1.0)
-	if ms.NoiseRMS <= 0 || ms.Sensitivity != 1 {
-		t.Errorf("mic stats = %+v", ms)
-	}
-	if h := ctl.Health(); len(h.Devices) != 2 {
-		t.Errorf("health devices = %d, want 2", len(h.Devices))
+	tb.EnableCulling()
+	if tb.Room.CullThreshold != CullAuto {
+		t.Error("EnableCulling did not select CullAuto")
 	}
 }
 
@@ -179,15 +184,7 @@ func TestFacadeModem(t *testing.T) {
 	if string(fr.Payload) != string(payload) {
 		t.Errorf("payload = %q, want %q", fr.Payload, payload)
 	}
-	var _ ModemFEC = ModemFECNone{}
-	var _ ModemFEC = ModemFECHamming{}
-	var _ ModemFEC = ModemFECRS{}
 }
-
-type fakeRate struct{}
-
-func (fakeRate) SetRate(float64) {}
-func (fakeRate) Rate() float64   { return 1 }
 
 // TestFacadeRelay exercises the relay wrapper with real plumbing.
 func TestFacadeRelay(t *testing.T) {
@@ -202,75 +199,4 @@ func TestFacadeRelay(t *testing.T) {
 	relay.Start(0)
 	tb.Sim.RunUntil(0.2)
 	relay.Stop()
-}
-
-// TestFacadeSketch exercises the sketch and traffic-engine exports:
-// the counters install through the app seams and the flow set drives
-// a pooled simulator.
-func TestFacadeSketch(t *testing.T) {
-	cms, err := NewCountMin(0.01, 0.01, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cms.Update(7, 3)
-	if cms.Estimate(7) < 3 {
-		t.Error("count-min underestimated")
-	}
-	hll, err := NewHyperLogLog(12, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hll.Add(7)
-	if hll.Estimate() == 0 {
-		t.Error("hll empty after Add")
-	}
-	tk, err := NewTopK(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tk.Update(7, 1)
-	if len(tk.Items()) != 1 {
-		t.Errorf("topk items = %d", len(tk.Items()))
-	}
-
-	tb := NewTestbed(502)
-	_, voice := tb.AddVoicedSwitch("sk1", 1, 0)
-	hh, err := NewHeavyHitter(tb.Plan, "sk1", voice, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fc, err := NewSketchFlowCounter(0.01, 0.01, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hh.SetFlowCounter(fc)
-	ps, err := NewPortScan(tb.Plan, "sk1", voice, 7000, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dc, err := NewSketchDistinctCounter(12, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps.SetDistinctCounter(dc)
-
-	sim := netsim.NewSim()
-	sim.EnablePacketPool()
-	h1 := netsim.NewHost(sim, "h1", netsim.MustAddr("10.0.0.1"))
-	h2 := netsim.NewHost(sim, "h2", netsim.MustAddr("10.0.0.2"))
-	sw := netsim.NewSwitch(sim, "fs1")
-	netsim.Connect(sim, h1, 1, sw, 1, 1e9, 1e-6, 0)
-	netsim.Connect(sim, sw, 2, h2, 1, 1e9, 1e-6, 0)
-	sw.InstallRule(netsim.Rule{Match: netsim.Match{Dst: h2.Addr}, Action: netsim.Output(2)})
-	fs := StartFlowSet(sim, h1, FlowSetConfig{
-		Specs: []FlowSpec{{
-			Flow: netsim.FiveTuple{Src: h1.Addr, Dst: h2.Addr, SrcPort: 1000, DstPort: 80, Proto: netsim.ProtoUDP},
-			PPS:  100,
-		}},
-		Stop: 0.5, Seed: 1,
-	})
-	sim.RunUntil(1)
-	if fs.Sent == 0 {
-		t.Error("flow set sent nothing")
-	}
 }

@@ -13,11 +13,7 @@
 // poll in fixed-size chunks exactly like a real audio capture loop.
 package acoustic
 
-import (
-	"math"
-
-	"mdn/internal/dsp"
-)
+import "math"
 
 // SpeedOfSound is the propagation speed used for delays, in m/s.
 const SpeedOfSound = 343.0
@@ -35,13 +31,6 @@ const FullScaleSPL = 90.0
 // calibration.
 func SPLToAmplitude(db float64) float64 {
 	return math.Pow(10, (db-FullScaleSPL)/20)
-}
-
-// AmplitudeToSPL converts a linear amplitude (at 1 m) to dB SPL under
-// the package calibration. Non-positive amplitudes map to the
-// dsp.AmplitudeDB floor plus the calibration offset.
-func AmplitudeToSPL(a float64) float64 {
-	return dsp.AmplitudeDB(a) + FullScaleSPL
 }
 
 // Position is a location in the room, in metres.

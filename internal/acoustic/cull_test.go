@@ -225,7 +225,7 @@ func TestCaptureTelemetryCounters(t *testing.T) {
 		t.Errorf("scan histogram count = %d, want 1", got)
 	}
 	var text bytes.Buffer
-	if err := reg.WriteText(&text); err != nil {
+	if err := reg.Snapshot().WriteText(&text); err != nil {
 		t.Fatalf("WriteText: %v", err)
 	}
 	if err := telemetry.ValidateText(strings.NewReader(text.String())); err != nil {

@@ -134,55 +134,9 @@ func (m *Microphone) sensAt(t float64) float64 {
 	return m.sensRamp.atBase(1, t)
 }
 
-// MicStats is a read-only snapshot of one microphone's state at a
-// point in simulated time: its configured noise floor and the
-// degradation-model effective values. Used by the recalibrator and
-// handy for debugging fleet runs.
-type MicStats struct {
-	// Name identifies the microphone.
-	Name string
-	// BaseNoiseRMS is the configured SelfNoiseRMS.
-	BaseNoiseRMS float64
-	// NoiseRMS is the effective self-noise floor at the query time,
-	// after any scheduled ramps.
-	NoiseRMS float64
-	// Sensitivity is the capture gain at the query time (1 healthy,
-	// 0 deaf).
-	Sensitivity float64
-	// Deaf reports a zero sensitivity.
-	Deaf bool
-}
-
-// StatsAt returns the microphone's degradation state at time t.
-func (m *Microphone) StatsAt(t float64) MicStats {
-	r := m.room
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	sens := m.sensAt(t)
-	return MicStats{
-		Name:         m.Name,
-		BaseNoiseRMS: m.SelfNoiseRMS,
-		NoiseRMS:     m.noiseAt(t),
-		Sensitivity:  sens,
-		Deaf:         sens == 0,
-	}
-}
-
 // Microphone returns the named microphone or nil.
 func (r *Room) Microphone(name string) *Microphone {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.mics[name]
-}
-
-// MicrophoneNames returns the registered microphone names in
-// registration order.
-func (r *Room) MicrophoneNames() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, len(r.micList))
-	for i, m := range r.micList {
-		names[i] = m.Name
-	}
-	return names
 }

@@ -15,11 +15,6 @@ func TestSPLCalibration(t *testing.T) {
 	if a := SPLToAmplitude(30); math.Abs(a-1e-3) > 1e-15 {
 		t.Errorf("30 dB -> %g, want 1e-3", a)
 	}
-	for _, db := range []float64{30, 50, 85, 90} {
-		if got := AmplitudeToSPL(SPLToAmplitude(db)); math.Abs(got-db) > 1e-9 {
-			t.Errorf("SPL round trip %g -> %g", db, got)
-		}
-	}
 }
 
 func TestPositionDistance(t *testing.T) {

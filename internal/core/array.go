@@ -115,14 +115,3 @@ func (a *MicArray) analyse(from, to float64) {
 		}
 	}
 }
-
-// AnalyseOnce runs one out-of-band analysis over [from, to),
-// returning attributed detections.
-func (a *MicArray) AnalyseOnce(from, to float64) []ArrayDetection {
-	var out []ArrayDetection
-	saved := a.handlers
-	a.handlers = []func(ArrayDetection){func(ad ArrayDetection) { out = append(out, ad) }}
-	a.analyse(from, to)
-	a.handlers = saved
-	return out
-}

@@ -77,7 +77,9 @@ func TestMicArrayAmplitudeMap(t *testing.T) {
 	bed := newArrayBed(t)
 	bed.sim.Schedule(0.5, func() { bed.voiceA.Play(bed.sharedFrequency) })
 	bed.sim.RunUntil(1)
-	got := bed.arr.AnalyseOnce(0.5, 0.56)
+	var got []ArrayDetection
+	bed.arr.Subscribe(func(ad ArrayDetection) { got = append(got, ad) })
+	bed.arr.analyse(0.5, 0.56)
 	if len(got) != 1 {
 		t.Fatalf("got %+v", got)
 	}

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"mdn/internal/netsim"
-	"mdn/internal/telemetry"
-)
+import "mdn/internal/netsim"
 
 // RateSetter is the control surface the congestion controller drives:
 // anything whose send rate can be set in packets/second.
@@ -85,20 +82,4 @@ func (cc *CongestionController) HandleWindow(at float64, dets []Detection) {
 			// Hold: the queue is in the operating band.
 		}
 	}
-}
-
-// Instrument exposes the controller's counters under
-// app="congestion", switch=switchName. Events are rate adjustments;
-// increases and decreases also get dedicated series.
-func (cc *CongestionController) Instrument(reg *telemetry.Registry, switchName string) {
-	reg.Func(appLabels(metricAppOnsets, "congestion", switchName),
-		func() float64 { return float64(cc.onset.Onsets) })
-	reg.Func(appLabels(metricAppEvents, "congestion", switchName),
-		func() float64 { return float64(cc.Increases + cc.Decreases) })
-	reg.Func(appLabels(metricAppHistoryDropped, "congestion", switchName),
-		func() float64 { return float64(cc.HistoryDropped) })
-	reg.Func(telemetry.Label(metricCongestionIncrease, "switch", switchName),
-		func() float64 { return float64(cc.Increases) })
-	reg.Func(telemetry.Label(metricCongestionDecrease, "switch", switchName),
-		func() float64 { return float64(cc.Decreases) })
 }

@@ -101,29 +101,17 @@ func NewController(sim *netsim.Sim, mic *acoustic.Microphone, det *Detector) *Co
 	return c
 }
 
-// Subscribe registers a per-detection handler under an auto-generated
-// name. Registration is safe from any goroutine, before or after
-// Start; a handler registered mid-run sees windows beginning with the
-// next one.
-func (c *Controller) Subscribe(fn func(Detection)) {
-	c.SubscribeNamed("", fn)
-}
-
-// SubscribeNamed registers a per-detection handler under an explicit
-// name, which identifies it in Health reports and quarantine lists.
-func (c *Controller) SubscribeNamed(name string, fn func(Detection)) {
-	c.addSubscriber(&subscriber{name: name, onDet: fn})
-}
-
 // SubscribeWindows registers a per-window handler receiving the whole
-// detection batch (possibly empty) — what onset filters need. Like
-// Subscribe, it is safe from any goroutine at any time.
+// detection batch (possibly empty) — what onset filters need.
+// Registration is safe from any goroutine, before or after Start; a
+// handler registered mid-run sees windows beginning with the next one.
 func (c *Controller) SubscribeWindows(fn func(windowStart float64, dets []Detection)) {
 	c.SubscribeWindowsNamed("", fn)
 }
 
 // SubscribeWindowsNamed registers a per-window handler under an
-// explicit name.
+// explicit name, which identifies it in Health reports and quarantine
+// lists.
 func (c *Controller) SubscribeWindowsNamed(name string, fn func(windowStart float64, dets []Detection)) {
 	c.addSubscriber(&subscriber{name: name, onWin: fn})
 }
@@ -193,16 +181,7 @@ func (c *Controller) noteDetections(from, to float64, dets []Detection) {
 	c.noteWindow(to, dets)
 	subs := c.snapshotSubs()
 	for _, s := range subs {
-		if s.onWin != nil {
-			c.invoke(s, subCall{win: true, from: from, dets: dets})
-		}
-	}
-	for _, det := range dets {
-		for _, s := range subs {
-			if s.onDet != nil {
-				c.invoke(s, subCall{det: det})
-			}
-		}
+		c.invoke(s, from, dets)
 	}
 	if c.Retention > 0 {
 		c.mic.Room().CompactBefore(from - c.Retention)
@@ -239,10 +218,6 @@ func (c *Controller) EnableFleet(workers int) *Fleet {
 	c.fleet = f
 	return f
 }
-
-// Fleet returns the controller's detection engine: a one-worker fleet
-// of the controller's own microphone unless EnableFleet replaced it.
-func (c *Controller) Fleet() *Fleet { return c.fleet }
 
 // Mic returns the controller's microphone.
 func (c *Controller) Mic() *acoustic.Microphone { return c.mic }

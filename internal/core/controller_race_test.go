@@ -7,7 +7,7 @@ import (
 
 // TestSubscribeDuringRunIsRaceFree registers subscribers from other
 // goroutines while the simulation dispatches windows — the documented
-// cross-goroutine contract of Subscribe/SubscribeWindows. Run with
+// cross-goroutine contract of SubscribeWindows. Run with
 // -race (CI does): a torn subscriber slice or unlocked append shows up
 // as a data race, not a flake.
 func TestSubscribeDuringRunIsRaceFree(t *testing.T) {
@@ -29,7 +29,7 @@ func TestSubscribeDuringRunIsRaceFree(t *testing.T) {
 				windows[g]++
 				mu.Unlock()
 			})
-			ctrl.Subscribe(func(Detection) {})
+			ctrl.SubscribeWindowsNamed("", func(float64, []Detection) {})
 		}()
 	}
 	close(start)

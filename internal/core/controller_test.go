@@ -15,7 +15,7 @@ func TestControllerHearsScheduledTones(t *testing.T) {
 	ctrl := tb.controller(freqs)
 
 	var dets []Detection
-	ctrl.Subscribe(func(d Detection) { dets = append(dets, d) })
+	ctrl.SubscribeWindows(func(_ float64, ds []Detection) { dets = append(dets, ds...) })
 	ctrl.Start(0)
 
 	tb.sim.Schedule(0.5, func() { voice.Play(freqs[0]) })
@@ -125,7 +125,11 @@ func TestControllerMultipleSpeakersSimultaneously(t *testing.T) {
 	f2 := tb.plan.MustAllocate("s2", 1)
 	ctrl := tb.controller(append(append([]float64{}, f1...), f2...))
 	var heard []float64
-	ctrl.Subscribe(func(d Detection) { heard = append(heard, d.Frequency) })
+	ctrl.SubscribeWindows(func(_ float64, dets []Detection) {
+		for _, d := range dets {
+			heard = append(heard, d.Frequency)
+		}
+	})
 	ctrl.Start(0)
 	tb.sim.Schedule(0.5, func() {
 		v1.Play(f1[0])

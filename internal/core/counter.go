@@ -26,8 +26,6 @@ type FlowCounter interface {
 	Reset()
 	// Bytes is the resident size of the counting state.
 	Bytes() int
-	// Updates is the total Add weight since the last Reset.
-	Updates() uint64
 }
 
 // DistinctCounter is the distinct-key store behind PortScan and
@@ -42,8 +40,6 @@ type DistinctCounter interface {
 	Reset()
 	// Bytes is the resident size of the counting state.
 	Bytes() int
-	// Updates is the number of Observe calls since the last Reset.
-	Updates() uint64
 }
 
 // FreqKey maps a tone frequency onto the counter key space.
@@ -57,8 +53,7 @@ const exactEntryBytes = 48
 // and the accuracy oracle for sketch sweeps. Reset clears the map in
 // place, so steady-state intervals allocate nothing.
 type ExactFlowCounter struct {
-	counts  map[uint64]uint64
-	updates uint64
+	counts map[uint64]uint64
 }
 
 // NewExactFlowCounter returns an empty exact counter.
@@ -69,7 +64,6 @@ func NewExactFlowCounter() *ExactFlowCounter {
 // Add implements FlowCounter.
 func (e *ExactFlowCounter) Add(key uint64, n uint64) {
 	e.counts[key] += n
-	e.updates += n
 }
 
 // Estimate implements FlowCounter (exactly, here).
@@ -78,14 +72,10 @@ func (e *ExactFlowCounter) Estimate(key uint64) uint64 { return e.counts[key] }
 // Reset implements FlowCounter, retaining the map's storage.
 func (e *ExactFlowCounter) Reset() {
 	clear(e.counts)
-	e.updates = 0
 }
 
 // Bytes implements FlowCounter.
 func (e *ExactFlowCounter) Bytes() int { return len(e.counts) * exactEntryBytes }
-
-// Updates implements FlowCounter.
-func (e *ExactFlowCounter) Updates() uint64 { return e.updates }
 
 // Keys returns the number of tracked keys.
 func (e *ExactFlowCounter) Keys() int { return len(e.counts) }
@@ -133,8 +123,7 @@ func (s *SketchFlowCounter) Updates() uint64 { return s.cms.Weight() }
 
 // ExactDistinctCounter is the exact set-backed DistinctCounter.
 type ExactDistinctCounter struct {
-	seen    map[uint64]struct{}
-	updates uint64
+	seen map[uint64]struct{}
 }
 
 // NewExactDistinctCounter returns an empty exact distinct counter.
@@ -145,7 +134,6 @@ func NewExactDistinctCounter() *ExactDistinctCounter {
 // Observe implements DistinctCounter.
 func (e *ExactDistinctCounter) Observe(key uint64) {
 	e.seen[key] = struct{}{}
-	e.updates++
 }
 
 // Distinct implements DistinctCounter (exactly, here).
@@ -154,14 +142,10 @@ func (e *ExactDistinctCounter) Distinct() int { return len(e.seen) }
 // Reset implements DistinctCounter, retaining the set's storage.
 func (e *ExactDistinctCounter) Reset() {
 	clear(e.seen)
-	e.updates = 0
 }
 
 // Bytes implements DistinctCounter.
 func (e *ExactDistinctCounter) Bytes() int { return len(e.seen) * exactEntryBytes }
-
-// Updates implements DistinctCounter.
-func (e *ExactDistinctCounter) Updates() uint64 { return e.updates }
 
 // SketchDistinctCounter is a HyperLogLog-backed DistinctCounter with
 // standard error 1.04/sqrt(2^precision).

@@ -18,11 +18,11 @@ func TestExactFlowCounterBasics(t *testing.T) {
 	if got := c.Estimate(99); got != 0 {
 		t.Fatalf("Estimate(99) = %d", got)
 	}
-	if c.Updates() != 6 || c.Keys() != 2 || c.Bytes() == 0 {
-		t.Fatalf("updates=%d keys=%d bytes=%d", c.Updates(), c.Keys(), c.Bytes())
+	if c.Keys() != 2 || c.Bytes() == 0 {
+		t.Fatalf("keys=%d bytes=%d", c.Keys(), c.Bytes())
 	}
 	c.Reset()
-	if c.Estimate(1) != 0 || c.Updates() != 0 || c.Bytes() != 0 {
+	if c.Estimate(1) != 0 || c.Bytes() != 0 {
 		t.Fatal("reset left state")
 	}
 }
@@ -32,11 +32,11 @@ func TestExactDistinctCounterBasics(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.Observe(uint64(i % 5))
 	}
-	if c.Distinct() != 5 || c.Updates() != 10 {
-		t.Fatalf("distinct=%d updates=%d", c.Distinct(), c.Updates())
+	if c.Distinct() != 5 {
+		t.Fatalf("distinct=%d", c.Distinct())
 	}
 	c.Reset()
-	if c.Distinct() != 0 || c.Updates() != 0 {
+	if c.Distinct() != 0 {
 		t.Fatal("reset left state")
 	}
 }

@@ -73,14 +73,3 @@ func (e *EdgeDedup) Step(amps []float64, floor float64, fire func(i int)) {
 		}
 	}
 }
-
-// Active reports whether index i is currently in its active burst
-// (fired, not yet released).
-func (e *EdgeDedup) Active(i int) bool { return e.active[i] }
-
-// Reset clears all activity state, re-arming every index.
-func (e *EdgeDedup) Reset() {
-	for i := range e.active {
-		e.active[i] = false
-	}
-}

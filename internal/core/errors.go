@@ -86,18 +86,6 @@ func (l *ErrorLog) Total() uint64 {
 	return l.total
 }
 
-// Errors returns a copy of the retained history, oldest first.
-func (l *ErrorLog) Errors() []AppError {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]AppError, len(l.errs))
-	copy(out, l.errs)
-	return out
-}
-
 // Since counts retained errors recorded at or after time t — the
 // "recent error rate" input of the health state machine.
 func (l *ErrorLog) Since(t float64) int {

@@ -115,9 +115,6 @@ func NewFleet(template *Detector, workers int) *Fleet {
 	return &Fleet{template: template, workers: parallel.Workers(workers)}
 }
 
-// Workers returns the pool size.
-func (f *Fleet) Workers() int { return f.workers }
-
 // lane is one microphone's state at hop < window: the ring holding the
 // window − hop overlap, and the in-flight hop's append error.
 type lane struct {
@@ -158,13 +155,6 @@ func (f *Fleet) SetQuarantined(i int, q bool) {
 		f.quarantined[i] = q
 		f.activeDirty = true
 	}
-}
-
-// IsQuarantined reports whether microphone i is out of the fan-out.
-func (f *Fleet) IsQuarantined(i int) bool {
-	f.quarMu.Lock()
-	defer f.quarMu.Unlock()
-	return i >= 0 && i < len(f.quarantined) && f.quarantined[i]
 }
 
 // syncActive rebuilds the active-microphone index snapshot when the

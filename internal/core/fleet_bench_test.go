@@ -52,10 +52,11 @@ func benchFleetRoom(n int, cull bool) ([]*acoustic.Microphone, *Detector) {
 	return mics, det
 }
 
-func benchFleet(b *testing.B, n, workers int, cull bool) {
+// steadyFleet builds the n-voice fleet warmed up past the settle point
+// and returns it with a step analysing the next window.
+func steadyFleet(n, workers int, cull bool) (*Fleet, func()) {
 	mics, det := benchFleetRoom(n, cull)
 	f := NewFleet(det, workers)
-	defer f.Close()
 	for _, m := range mics {
 		f.AddMicrophone(m)
 	}
@@ -70,11 +71,34 @@ func benchFleet(b *testing.B, n, workers int, cull bool) {
 	// timed region measures the steady state.
 	f.Analyse(settle, settle+0.050)
 	f.Analyse(settle+0.050, settle+0.100)
+	i := 0
+	return f, func() {
+		from := settle + float64(2+i%1000)*0.050
+		i++
+		f.Analyse(from, from+0.050)
+	}
+}
+
+func benchFleet(b *testing.B, n, workers int, cull bool) {
+	f, step := steadyFleet(n, workers, cull)
+	defer f.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		from := settle + float64(2+i%1000)*0.050
-		f.Analyse(from, from+0.050)
+		step()
+	}
+}
+
+// TestFleet64VoiceSteadyStateAllocs holds the 64-voice serial rows of
+// BenchmarkFleet, culled and nocull, to 0 allocs per window.
+func TestFleet64VoiceSteadyStateAllocs(t *testing.T) {
+	for _, cull := range []bool{true, false} {
+		f, step := steadyFleet(64, 1, cull)
+		allocs := testing.AllocsPerRun(10, step)
+		f.Close()
+		if allocs != 0 {
+			t.Errorf("cull=%v: 64-voice serial window allocates %v/op, want 0", cull, allocs)
+		}
 	}
 }
 

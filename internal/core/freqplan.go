@@ -10,7 +10,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // DefaultSpacing is the paper's empirically determined minimum
@@ -161,16 +160,6 @@ func (p *FrequencyPlan) Set(name string) []float64 {
 func (p *FrequencyPlan) Devices() []string {
 	out := make([]string, len(p.order))
 	copy(out, p.order)
-	return out
-}
-
-// AllAssigned returns every allocated frequency in ascending order.
-func (p *FrequencyPlan) AllAssigned() []float64 {
-	var out []float64
-	for _, name := range p.order {
-		out = append(out, p.sets[name]...)
-	}
-	sort.Float64s(out)
 	return out
 }
 

@@ -23,7 +23,7 @@ func TestPlanAllocateDisjointSets(t *testing.T) {
 		t.Errorf("s2 set starts at %g, want 500", b[0])
 	}
 	// Disjoint and all 20 Hz apart.
-	all := p.AllAssigned()
+	all := append(append([]float64{}, a...), b...)
 	if len(all) != 10 {
 		t.Fatalf("assigned = %d", len(all))
 	}

@@ -56,9 +56,6 @@ func (f *FSM) AddTransition(state, symbol, next string) {
 // State returns the current state.
 func (f *FSM) State() string { return f.state }
 
-// Reset returns the machine to the start state.
-func (f *FSM) Reset() { f.state = f.Start }
-
 // Step consumes one symbol and returns the new state.
 func (f *FSM) Step(symbol string) string {
 	next, ok := f.transitions[f.state][symbol]

@@ -98,7 +98,7 @@ func TestFSMManualConstruction(t *testing.T) {
 func TestFSMResetAndSequencePanics(t *testing.T) {
 	f := SequenceFSM([]string{"a", "b"})
 	f.Step("a")
-	f.Reset()
+	f.Step("x") // a wrong symbol resets to the start state
 	if f.State() != "q0" {
 		t.Error("Reset failed")
 	}

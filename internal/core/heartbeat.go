@@ -59,16 +59,6 @@ type HeartbeatAlert struct {
 	MissedBeats int
 }
 
-// AlertDeadline is the documented worst case from a device's last
-// heard beat to its alert: MissThreshold consecutive period checks
-// must fail, the check phase adds up to one period, and detection
-// latency a fraction more — (MissThreshold + 2) × Period in total.
-// Tests (including the fault-injection sweeps) hold the monitor to
-// this bound.
-func (hb *Heartbeat) AlertDeadline() float64 {
-	return (float64(hb.MissThreshold) + 2) * hb.Period
-}
-
 // NewHeartbeat builds a monitor with a 1 s period and a 3-beat miss
 // threshold.
 func NewHeartbeat() *Heartbeat {

@@ -8,10 +8,18 @@ import (
 	"mdn/internal/netsim"
 )
 
+// alertDeadline is the worst case from a device's last heard beat to
+// its alert: MissThreshold consecutive period checks must fail, the
+// check phase adds up to one period, and detection latency a fraction
+// more — (MissThreshold + 2) × Period in total.
+func alertDeadline(hb *Heartbeat) float64 {
+	return (float64(hb.MissThreshold) + 2) * hb.Period
+}
+
 // TestHeartbeatUnderFaultInjection sweeps wire drop rates over the
 // heartbeat pipeline with a device death mid-run. At every rate the
 // monitor must raise the death alert within its documented
-// AlertDeadline of the death; at 0% it must raise exactly one alert
+// alertDeadline of the death; at 0% it must raise exactly one alert
 // and none before the death.
 func TestHeartbeatUnderFaultInjection(t *testing.T) {
 	const death = 6.0
@@ -36,7 +44,7 @@ func TestHeartbeatUnderFaultInjection(t *testing.T) {
 				t.Fatal(err)
 			}
 			tb.sim.After(death, ticker.Stop)
-			tb.sim.RunUntil(death + hb.AlertDeadline() + 1)
+			tb.sim.RunUntil(death + alertDeadline(hb) + 1)
 
 			if drop == 0 {
 				if len(hb.Alerts) != 1 {
@@ -50,7 +58,7 @@ func TestHeartbeatUnderFaultInjection(t *testing.T) {
 			// of the death. (Lossy runs may alert early — dropped beats
 			// are indistinguishable from death, and that alert never
 			// clears because no beat follows.)
-			deadline := death + hb.AlertDeadline()
+			deadline := death + alertDeadline(hb)
 			got := false
 			for _, a := range hb.Alerts {
 				if a.Time <= deadline {

@@ -139,7 +139,7 @@ func TestHeartbeatSimultaneousAlertsInRegistrationOrder(t *testing.T) {
 			}
 			tb.sim.After(3, tk.Stop) // every device dies at once
 		}
-		tb.sim.RunUntil(3 + hb.AlertDeadline())
+		tb.sim.RunUntil(3 + alertDeadline(hb))
 
 		var got []string
 		for _, a := range hb.Alerts {

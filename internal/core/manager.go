@@ -117,18 +117,8 @@ func (m *Manager) wireApps(at float64) {
 	}
 }
 
-// Stop halts polling.
-func (m *Manager) Stop() { m.Ctrl.Stop() }
-
 // Health returns the managed controller's health snapshot.
 func (m *Manager) Health() HealthSnapshot { return m.Ctrl.Health() }
-
-// Apps returns the deployed applications.
-func (m *Manager) Apps() []App {
-	out := make([]App, len(m.apps))
-	copy(out, m.apps)
-	return out
-}
 
 // Compile-time checks that the package's applications satisfy the
 // interfaces the Manager dispatches on.

@@ -37,8 +37,8 @@ func TestManagerDeploysMultipleApps(t *testing.T) {
 	if err := m.Deploy(ps); err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Apps()) != 2 {
-		t.Fatalf("apps = %d", len(m.Apps()))
+	if len(m.apps) != 2 {
+		t.Fatalf("apps = %d", len(m.apps))
 	}
 	m.Start(0)
 
@@ -93,7 +93,6 @@ func TestManagerDeployAfterStartFails(t *testing.T) {
 	if err := m.Deploy(qm2); err == nil {
 		t.Fatal("deploy after start accepted")
 	}
-	m.Stop()
 }
 
 type emptyApp struct{}

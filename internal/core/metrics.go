@@ -161,13 +161,11 @@ const (
 )
 
 const (
-	metricAppOnsets          = "mdn_app_onsets_total"
-	metricAppEvents          = "mdn_app_events_total"
-	metricAppHistoryDropped  = "mdn_app_history_dropped_total"
-	metricVoiceEmitted       = "mdn_voice_emitted_total"
-	metricVoiceSuppressed    = "mdn_voice_suppressed_total"
-	metricCongestionIncrease = "mdn_congestion_increases_total"
-	metricCongestionDecrease = "mdn_congestion_decreases_total"
+	metricAppOnsets         = "mdn_app_onsets_total"
+	metricAppEvents         = "mdn_app_events_total"
+	metricAppHistoryDropped = "mdn_app_history_dropped_total"
+	metricVoiceEmitted      = "mdn_voice_emitted_total"
+	metricVoiceSuppressed   = "mdn_voice_suppressed_total"
 )
 
 // Sketch-analytics metric names. The update/bytes series appear only

@@ -61,9 +61,6 @@ func NewRelay(sim *netsim.Sim, mic *acoustic.Microphone, pi *mp.Pi, mapping map[
 // Detector exposes the relay's detector for threshold calibration.
 func (r *Relay) Detector() *Detector { return r.ctrl.Detector }
 
-// Voice exposes the relay's emitter for intensity/duration policy.
-func (r *Relay) Voice() *Voice { return r.voice }
-
 // Start begins listening at time at.
 func (r *Relay) Start(at float64) { r.ctrl.Start(at) }
 

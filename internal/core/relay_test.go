@@ -86,7 +86,7 @@ func TestRelayExtendsReach(t *testing.T) {
 func TestRelayWithoutRelayNothingHeard(t *testing.T) {
 	bed := newRelayBed(t)
 	var heard int
-	bed.ctrl.Subscribe(func(Detection) { heard++ })
+	bed.ctrl.SubscribeWindows(func(_ float64, dets []Detection) { heard += len(dets) })
 	// Relay NOT started.
 	bed.ctrl.Start(0)
 	bed.sim.Schedule(0.5, func() { bed.srcVoice.Play(bed.inFreq) })

@@ -173,7 +173,7 @@ func TestStreamCompactMidStream(t *testing.T) {
 	if s.CaptureErrors != 1 {
 		t.Fatalf("CaptureErrors = %d, want exactly 1 (one hop behind the horizon)", s.CaptureErrors)
 	}
-	recorded := ctrl.Errors.Errors()
+	recorded := ctrl.Errors.errs
 	found := false
 	for _, e := range recorded {
 		if e.App == "stream" && errors.Is(e.Err, acoustic.ErrCompacted) {

@@ -115,9 +115,6 @@ func (sd *SpreadDetector) SetDistinctCounter(c DistinctCounter) {
 	}
 }
 
-// DistinctCounter returns the active distinct-bucket store.
-func (sd *SpreadDetector) DistinctCounter() DistinctCounter { return sd.distinct }
-
 // Frequencies returns the bucket tones the controller must watch.
 func (sd *SpreadDetector) Frequencies() []float64 {
 	out := make([]float64, len(sd.freqs))

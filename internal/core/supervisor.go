@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"mdn/internal/telemetry"
 )
@@ -17,7 +16,6 @@ import (
 // accumulate toward quarantine.
 type subscriber struct {
 	name  string
-	onDet func(Detection)
 	onWin func(windowStart float64, dets []Detection)
 
 	consecutive   int
@@ -38,8 +36,8 @@ const DefaultQuarantineThreshold = 3
 // SubscriberStatus is one subscriber's supervision state, surfaced
 // through Health().
 type SubscriberStatus struct {
-	// Name identifies the subscriber (explicit via SubscribeNamed, or
-	// auto-generated).
+	// Name identifies the subscriber (explicit via
+	// SubscribeWindowsNamed, or auto-generated).
 	Name string
 	// Panics counts recovered panics in this subscriber.
 	Panics uint64
@@ -50,28 +48,9 @@ type SubscriberStatus struct {
 	QuarantinedAt float64
 }
 
-// subCall is one pending subscriber callback, passed by value so the
-// dispatch loop builds no closures — the per-window hot path must not
-// allocate. win selects the window-batch handler; otherwise the
-// per-detection handler runs.
-type subCall struct {
-	win  bool
-	from float64
-	dets []Detection
-	det  Detection
-}
-
-func (call *subCall) run(s *subscriber) {
-	if call.win {
-		s.onWin(call.from, call.dets)
-	} else {
-		s.onDet(call.det)
-	}
-}
-
 // invoke runs one subscriber callback under the supervision barrier.
 // It must be called on the simulation goroutine.
-func (c *Controller) invoke(s *subscriber, call subCall) {
+func (c *Controller) invoke(s *subscriber, from float64, dets []Detection) {
 	if s.quarantined {
 		return
 	}
@@ -103,9 +82,9 @@ func (c *Controller) invoke(s *subscriber, call subCall) {
 	if c.ProfileSubscribers {
 		// The profiling path allocates (one closure per call) — it is
 		// an opt-in diagnostic, not a steady-state setting.
-		telemetry.Do("mdn_subscriber", s.name, func() { call.run(s) })
+		telemetry.Do("mdn_subscriber", s.name, func() { s.onWin(from, dets) })
 	} else {
-		call.run(s)
+		s.onWin(from, dets)
 	}
 }
 
@@ -134,28 +113,10 @@ func (c *Controller) addSubscriber(s *subscriber) {
 	c.subsGen++
 	if s.name == "" {
 		c.autoName++
-		kind := "handler"
-		if s.onWin != nil {
-			kind = "window-handler"
-		}
-		s.name = fmt.Sprintf("%s-%d", kind, c.autoName)
+		s.name = fmt.Sprintf("window-handler-%d", c.autoName)
 	}
 	c.instrumentSub(s)
 	c.subs = append(c.subs, s)
-}
-
-// QuarantinedHandlers returns the names of quarantined subscribers in
-// name order. Like Health, call it on the simulation goroutine (or
-// when the simulation is idle).
-func (c *Controller) QuarantinedHandlers() []string {
-	var out []string
-	for _, s := range c.snapshotSubs() {
-		if s.quarantined {
-			out = append(out, s.name)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Subscribers returns every subscriber's supervision status in

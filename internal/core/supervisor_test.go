@@ -51,14 +51,13 @@ func TestQuarantineAfterConsecutivePanics(t *testing.T) {
 	if ctrl.HandlerPanics != DefaultQuarantineThreshold {
 		t.Errorf("HandlerPanics = %d, want %d", ctrl.HandlerPanics, DefaultQuarantineThreshold)
 	}
-	q := ctrl.QuarantinedHandlers()
-	if len(q) != 1 || q[0] != "bad" {
-		t.Errorf("quarantined = %v, want [bad]", q)
+	if s := ctrl.Subscribers(); len(s) != 1 || !s[0].Quarantined || s[0].Name != "bad" {
+		t.Errorf("subscribers = %+v, want bad quarantined", s)
 	}
 
 	// The error log carries both taxonomy classes.
 	var panicsLogged, quarantinesLogged int
-	for _, e := range ctrl.Errors.Errors() {
+	for _, e := range ctrl.Errors.errs {
 		if errors.Is(e.Err, ErrQuarantined) {
 			quarantinesLogged++
 		} else if errors.Is(e.Err, ErrHandlerPanic) {
@@ -91,8 +90,8 @@ func TestTransientPanicsResetConsecutiveCount(t *testing.T) {
 	if calls != 30 {
 		t.Errorf("flaky subscriber called %d times, want 30 (never quarantined)", calls)
 	}
-	if got := ctrl.QuarantinedHandlers(); len(got) != 0 {
-		t.Errorf("quarantined = %v, want none", got)
+	if s := ctrl.Subscribers(); s[0].Quarantined {
+		t.Errorf("subscribers = %+v, want none quarantined", s)
 	}
 	if ctrl.HandlerPanics != 10 {
 		t.Errorf("HandlerPanics = %d, want 10", ctrl.HandlerPanics)
@@ -126,12 +125,14 @@ func TestPanickingDetectionHandlerIsSupervised(t *testing.T) {
 	freq := tb.plan.MustAllocate("s1", 1)[0]
 	ctrl := tb.controller([]float64{freq})
 	panics := 0
-	ctrl.SubscribeNamed("det-bomb", func(Detection) {
-		panics++
-		panic("detection bomb")
+	ctrl.SubscribeWindowsNamed("det-bomb", func(_ float64, dets []Detection) {
+		if len(dets) > 0 {
+			panics += len(dets)
+			panic("detection bomb")
+		}
 	})
 	heard := 0
-	ctrl.Subscribe(func(Detection) { heard++ })
+	ctrl.SubscribeWindows(func(_ float64, dets []Detection) { heard += len(dets) })
 	ctrl.Start(0)
 	tb.sim.Schedule(0.2, func() { voice.Play(freq) })
 	tb.sim.RunUntil(1.0)
@@ -152,7 +153,7 @@ func TestErrorLogBoundsHistory(t *testing.T) {
 	if l.Total() != 10 {
 		t.Errorf("Total = %d, want 10", l.Total())
 	}
-	errs := l.Errors()
+	errs := l.errs
 	if len(errs) != 4 {
 		t.Fatalf("retained %d errors, want 4", len(errs))
 	}
@@ -167,7 +168,7 @@ func TestErrorLogBoundsHistory(t *testing.T) {
 func TestNilErrorLogIsSafe(t *testing.T) {
 	var l *ErrorLog
 	l.Record(1, "app", ErrFlowProgram) // must not panic
-	if l.Total() != 0 || l.Since(0) != 0 || l.Errors() != nil {
+	if l.Total() != 0 || l.Since(0) != 0 {
 		t.Error("nil log must be empty")
 	}
 }

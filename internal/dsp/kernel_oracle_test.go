@@ -194,7 +194,7 @@ func TestWindowedPowerAtMatchesSpectrum(t *testing.T) {
 			x := randomReal(m, int64(n*31+m))
 			for _, win := range []Window{Rectangular, Hann, Hamming, Blackman} {
 				pow = p.WindowedPowerAtScratch(pow, x, win, bins, &s)
-				full = p.WindowedPowerSpectrumScratch(full, x, win, &s)
+				full = p.windowedInto(full, x, win, true, &s)
 				mags = p.WindowedSpectrumScratch(mags, x, win, &s)
 				if len(pow) != len(bins) {
 					t.Fatalf("n=%d m=%d %v: %d values for %d bins", n, m, win, len(pow), len(bins))

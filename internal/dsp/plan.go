@@ -254,7 +254,7 @@ func (p *FFTPlan) realSpectrumWindowed(dst []complex128, x []float64, coef []flo
 	return dst
 }
 
-// WindowedPowerAtScratch is WindowedPowerSpectrumScratch evaluated only
+// WindowedPowerAtScratch is WindowedPowerSpectrumInto evaluated only
 // at the given bins: dst[i] = |X[bins[i]]|², equal to the power
 // spectrum's value there. The transform is still the full one; what it
 // skips is the split and |X|² of every bin nobody reads, which is most
@@ -380,12 +380,6 @@ func (p *FFTPlan) WindowedPowerSpectrumInto(dst []float64, x []float64, win Wind
 // clearing the pool (see FFTScratch).
 func (p *FFTPlan) WindowedSpectrumScratch(dst []float64, x []float64, win Window, s *FFTScratch) []float64 {
 	return p.windowedInto(dst, x, win, false, s)
-}
-
-// WindowedPowerSpectrumScratch is WindowedPowerSpectrumInto using the
-// caller-owned workspace s instead of the plan's pooled scratch.
-func (p *FFTPlan) WindowedPowerSpectrumScratch(dst []float64, x []float64, win Window, s *FFTScratch) []float64 {
-	return p.windowedInto(dst, x, win, true, s)
 }
 
 func (p *FFTPlan) windowedInto(dst []float64, x []float64, win Window, power bool, s *FFTScratch) []float64 {

@@ -226,7 +226,7 @@ func TestWindowedSpectrumScratchMatchesPooled(t *testing.T) {
 			pooledMag := p.WindowedSpectrumInto(nil, x, win)
 			ownedMag := p.WindowedSpectrumScratch(nil, x, win, &s)
 			pooledPow := p.WindowedPowerSpectrumInto(nil, x, win)
-			ownedPow := p.WindowedPowerSpectrumScratch(nil, x, win, &s)
+			ownedPow := p.windowedInto(nil, x, win, true, &s)
 			for k := range pooledMag {
 				if pooledMag[k] != ownedMag[k] {
 					t.Fatalf("n=%d win=%v bin %d: scratch magnitude %g != pooled %g",

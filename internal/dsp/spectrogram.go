@@ -133,11 +133,6 @@ func STFTFrames(x []float64, sampleRate float64, fftSize, hopSize int, win Windo
 // NumFrames returns the number of analysis frames.
 func (s *Spectrogram) NumFrames() int { return len(s.Power) }
 
-// FrameDuration returns the hop interval in seconds.
-func (s *Spectrogram) FrameDuration() float64 {
-	return float64(s.HopSize) / s.SampleRate
-}
-
 // Mel projects every frame onto the given mel filter bank, producing a
 // mel-scaled spectrogram: rows are frames, columns are mel bands. The
 // bank must have been built for this spectrogram's FFTSize and
@@ -199,9 +194,4 @@ func AmplitudeDB(a float64) float64 {
 		return floor
 	}
 	return db
-}
-
-// DBToAmplitude converts decibels to a linear amplitude.
-func DBToAmplitude(db float64) float64 {
-	return math.Pow(10, db/20)
 }

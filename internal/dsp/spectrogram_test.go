@@ -16,9 +16,6 @@ func TestSTFTFrameCount(t *testing.T) {
 	if sg.NumFrames() != wantFrames {
 		t.Errorf("frames = %d, want %d", sg.NumFrames(), wantFrames)
 	}
-	if sg.FrameDuration() != 512.0/sampleRate {
-		t.Errorf("frame duration = %g", sg.FrameDuration())
-	}
 	if len(sg.Power[0]) != 2048/2+1 {
 		t.Errorf("spectrum width = %d", len(sg.Power[0]))
 	}
@@ -85,14 +82,5 @@ func TestDBConversions(t *testing.T) {
 	}
 	if db := AmplitudeDB(-1); db != -120 {
 		t.Errorf("AmplitudeDB(-1) = %g, want floor", db)
-	}
-	if a := DBToAmplitude(20); math.Abs(a-10) > 1e-12 {
-		t.Errorf("DBToAmplitude(20) = %g, want 10", a)
-	}
-	// Round trip.
-	for _, db := range []float64{-60, -20, 0, 12, 40} {
-		if got := AmplitudeDB(DBToAmplitude(db)); math.Abs(got-db) > 1e-9 {
-			t.Errorf("dB round trip %g -> %g", db, got)
-		}
 	}
 }

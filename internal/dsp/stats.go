@@ -67,18 +67,6 @@ func (c *CDF) At(v float64) float64 {
 	return float64(idx) / float64(len(c.samples))
 }
 
-// Mean returns the sample mean, or NaN when empty.
-func (c *CDF) Mean() float64 {
-	if len(c.samples) == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for _, v := range c.samples {
-		sum += v
-	}
-	return sum / float64(len(c.samples))
-}
-
 // String summarises the distribution.
 func (c *CDF) String() string {
 	if len(c.samples) == 0 {

@@ -86,6 +86,3 @@ func (o *OverlapSTFT) Spectrum(win Window) []float64 {
 	o.mags = o.plan.WindowedSpectrumScratch(o.mags, o.Window(), win, &o.scr)
 	return o.mags
 }
-
-// FFTSize returns the transform length used by Spectrum.
-func (o *OverlapSTFT) FFTSize() int { return o.plan.N }

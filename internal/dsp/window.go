@@ -93,25 +93,6 @@ func (w Window) compute(n int) []float64 {
 	return out
 }
 
-// Coefficients returns the n window coefficients. For n <= 1 it
-// returns a slice of ones (a single-sample window cannot taper). The
-// result is a fresh copy the caller may mutate; hot paths inside dsp
-// use the shared cache instead.
-func (w Window) Coefficients(n int) []float64 {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]float64, n)
-	if coef := w.coefficients(n); coef != nil {
-		copy(out, coef)
-	} else {
-		for i := range out {
-			out[i] = 1
-		}
-	}
-	return out
-}
-
 // Apply multiplies x by the window in place and returns x. It uses
 // the cached coefficients, so steady-state calls allocate nothing.
 func (w Window) Apply(x []float64) []float64 {

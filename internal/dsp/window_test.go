@@ -22,7 +22,7 @@ func TestWindowNames(t *testing.T) {
 
 func TestWindowCoefficientsBounds(t *testing.T) {
 	for _, w := range []Window{Rectangular, Hann, Hamming, Blackman} {
-		coef := w.Coefficients(257)
+		coef := w.compute(257)
 		if len(coef) != 257 {
 			t.Fatalf("%v: len = %d", w, len(coef))
 		}
@@ -36,7 +36,7 @@ func TestWindowCoefficientsBounds(t *testing.T) {
 
 func TestWindowSymmetry(t *testing.T) {
 	for _, w := range []Window{Hann, Hamming, Blackman} {
-		coef := w.Coefficients(128)
+		coef := w.compute(128)
 		for i := range coef {
 			j := len(coef) - 1 - i
 			if math.Abs(coef[i]-coef[j]) > 1e-12 {
@@ -47,7 +47,7 @@ func TestWindowSymmetry(t *testing.T) {
 }
 
 func TestHannEndpointsAndPeak(t *testing.T) {
-	coef := Hann.Coefficients(101)
+	coef := Hann.compute(101)
 	if coef[0] > 1e-12 || coef[100] > 1e-12 {
 		t.Errorf("Hann endpoints = %g, %g, want 0", coef[0], coef[100])
 	}
@@ -57,10 +57,10 @@ func TestHannEndpointsAndPeak(t *testing.T) {
 }
 
 func TestWindowDegenerateSizes(t *testing.T) {
-	if Hann.Coefficients(0) != nil {
+	if Hann.coefficients(0) != nil {
 		t.Error("size 0 should give nil")
 	}
-	one := Hann.Coefficients(1)
+	one := Hann.compute(1)
 	if len(one) != 1 || one[0] != 1 {
 		t.Errorf("size 1 should give [1], got %v", one)
 	}

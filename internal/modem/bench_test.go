@@ -119,9 +119,8 @@ func TestReceiverWindowAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkModemReceiverWindow is the CI gate's measurable twin of
-// TestReceiverWindowAllocs: run with -benchmem, it must report
-// 0 allocs/op.
+// BenchmarkModemReceiverWindow times the path TestReceiverWindowAllocs
+// holds to 0 allocs per window.
 func BenchmarkModemReceiverWindow(b *testing.B) {
 	rx, from, dets := benchReceiver(b)
 	b.ReportAllocs()

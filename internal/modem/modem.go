@@ -164,9 +164,6 @@ func Plan(cfg Config) *core.FrequencyPlan {
 	return core.NewFrequencyPlan(400, top, core.DefaultSpacing)
 }
 
-// Config returns the band's (defaults-filled) configuration.
-func (b *Band) Config() Config { return b.cfg }
-
 // Frequencies returns every tone in the band — what the controller's
 // detector must watch.
 func (b *Band) Frequencies() []float64 {

@@ -102,6 +102,3 @@ func (s *Sounder) Emit(m Message) {
 	}
 	s.pi.HandleAfter(decoded, s.faults.Jitter())
 }
-
-// Pi returns the attached Pi.
-func (s *Sounder) Pi() *Pi { return s.pi }

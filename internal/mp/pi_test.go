@@ -66,7 +66,7 @@ func TestSounderWirePath(t *testing.T) {
 	if snd.SentBytes != 2*WireSize {
 		t.Errorf("sent bytes = %d", snd.SentBytes)
 	}
-	if snd.Pi().Played != 2 {
+	if pi.Played != 2 {
 		t.Errorf("played = %d", pi.Played)
 	}
 	if len(room.Emissions()) != 2 {

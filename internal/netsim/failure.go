@@ -39,10 +39,6 @@ func (p *Port) SetDown(down bool) {
 	notify(p.peer)
 }
 
-// Down reports whether the port is administratively or physically
-// down.
-func (p *Port) Down() bool { return p.down }
-
 // LostOnDown returns packets flushed from this port's queue by a
 // link-down event.
 func (p *Port) LostOnDown() uint64 { return p.lostOnDown }

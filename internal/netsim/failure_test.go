@@ -20,7 +20,7 @@ func TestLinkDownDropsTraffic(t *testing.T) {
 	if h2.RxPackets != 5 {
 		t.Errorf("delivered = %d, want only the pre-failure 5", h2.RxPackets)
 	}
-	if !pa.Down() {
+	if !pa.down {
 		t.Error("port should report down")
 	}
 }

@@ -95,9 +95,6 @@ func StartFlowSet(sim *Sim, h *Host, cfg FlowSetConfig) *FlowSet {
 // Stop halts the batch before its natural end.
 func (fs *FlowSet) Stop() { fs.stopped = true }
 
-// Active returns the number of flows still emitting.
-func (fs *FlowSet) Active() int { return len(fs.flows) }
-
 // step emits every flow due at the current time and re-arms one event
 // at the next due time. This is the entire per-packet scheduling path:
 // a heap sift and a pooled Send, no allocations.

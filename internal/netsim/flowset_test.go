@@ -40,8 +40,8 @@ func flowSpecs(n int, pps float64) []FlowSpec {
 // emits ~pps packets per flow (phase jitter trims at most one).
 func TestFlowSetCBRCounts(t *testing.T) {
 	sim, h1, h2 := flowSetTopoFull(t, true)
-	if fs := StartFlowSet(sim, h1, FlowSetConfig{}); fs.Active() != 0 {
-		t.Fatalf("empty flow set active = %d", fs.Active())
+	if fs := StartFlowSet(sim, h1, FlowSetConfig{}); len(fs.flows) != 0 {
+		t.Fatalf("empty flow set active = %d", len(fs.flows))
 	}
 	const n, pps = 50, 100.0
 	fs := StartFlowSet(sim, h1, FlowSetConfig{
@@ -55,8 +55,8 @@ func TestFlowSetCBRCounts(t *testing.T) {
 	if h2.RxPackets != fs.Sent {
 		t.Fatalf("received %d != sent %d", h2.RxPackets, fs.Sent)
 	}
-	if fs.Active() != 0 {
-		t.Fatalf("%d flows still active after stop time", fs.Active())
+	if len(fs.flows) != 0 {
+		t.Fatalf("%d flows still active after stop time", len(fs.flows))
 	}
 }
 
@@ -104,13 +104,13 @@ func TestFlowSetPoissonRate(t *testing.T) {
 func TestFlowSetSingleEvent(t *testing.T) {
 	sim, h1, _ := flowSetTopoFull(t, true)
 	StartFlowSet(sim, h1, FlowSetConfig{Specs: flowSpecs(1000, 10), Start: 0, Stop: 5, Seed: 1})
-	if got := sim.Pending(); got != 1 {
+	if got := len(sim.events); got != 1 {
 		t.Fatalf("flow set pends %d events, want 1", got)
 	}
 	sim.RunUntil(0.5)
 	// Mid-run: the one re-armed step event plus any in-flight
 	// tx/deliver events; the step event itself never multiplies.
-	if got := sim.Pending(); got > 4 {
+	if got := len(sim.events); got > 4 {
 		t.Fatalf("flow set pends %d events mid-run", got)
 	}
 }
@@ -224,20 +224,34 @@ func TestQueueRingWraps(t *testing.T) {
 	}
 }
 
+// trafficDrive starts n pooled 1000 pps flows host -> switch -> host,
+// warms the pool, heaps and queue rings, and returns a step advancing
+// the clock by dt together with the receiving host.
+func trafficDrive(tb testing.TB, n int, seed int64, dt float64) (func(), *Host) {
+	sim, h1, h2 := flowSetTopoFull(tb, true)
+	StartFlowSet(sim, h1, FlowSetConfig{Specs: flowSpecs(n, 1000), Start: 0, Stop: 1e9, Seed: seed})
+	sim.RunUntil(1)
+	target := 1.0
+	return func() {
+		target += dt
+		sim.RunUntil(target)
+	}, h2
+}
+
 // TestTrafficSteadyStateAllocs is the engine's headline gate: once the
 // pool and heaps are warm, pushing a packet host -> switch -> host
-// allocates nothing.
+// allocates nothing — at 64 flows in 1 ms steps and at
+// BenchmarkTrafficDrive's 256 flows, one packet per step.
 func TestTrafficSteadyStateAllocs(t *testing.T) {
-	sim, h1, _ := flowSetTopoFull(t, true)
-	StartFlowSet(sim, h1, FlowSetConfig{Specs: flowSpecs(64, 1000), Start: 0, Stop: 1e6, Seed: 9})
-	sim.RunUntil(1) // warm pool, event heap, queue rings
-	target := 1.0
-	allocs := testing.AllocsPerRun(2000, func() {
-		target += 1e-3
-		sim.RunUntil(target)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state traffic allocates %.2f/op", allocs)
+	for _, c := range []struct {
+		flows int
+		seed  int64
+		dt    float64
+	}{{64, 9, 1e-3}, {256, 13, 1 / 256e3}} {
+		step, _ := trafficDrive(t, c.flows, c.seed, c.dt)
+		if allocs := testing.AllocsPerRun(2000, step); allocs != 0 {
+			t.Fatalf("%d flows: steady-state traffic allocates %.2f/op", c.flows, allocs)
+		}
 	}
 }
 
@@ -260,7 +274,7 @@ func TestSchedulerSteadyStateAllocs(t *testing.T) {
 }
 
 // BenchmarkScheduler measures one schedule+dispatch round trip on a
-// warm heap. CI gates it at 0 allocs/op.
+// warm heap (TestSchedulerSteadyStateAllocs holds it to 0 allocs/op).
 func BenchmarkScheduler(b *testing.B) {
 	sim := NewSim()
 	fn := func() {}
@@ -278,19 +292,14 @@ func BenchmarkScheduler(b *testing.B) {
 
 // BenchmarkTrafficDrive measures the full per-packet forwarding path
 // (flow-set emit -> host send -> switch lookup -> deliver) with the
-// packet pool on. CI gates it at 0 allocs/op.
+// packet pool on (TestTrafficSteadyStateAllocs holds it to 0
+// allocs/op).
 func BenchmarkTrafficDrive(b *testing.B) {
-	sim, h1, h2 := flowSetTopoFull(b, true)
-	const totalPPS = 256 * 1000.0
-	StartFlowSet(sim, h1, FlowSetConfig{Specs: flowSpecs(256, 1000), Start: 0, Stop: 1e9, Seed: 13})
-	sim.RunUntil(1) // warm
-	dt := 1 / totalPPS
-	target := 1.0
+	step, h2 := trafficDrive(b, 256, 13, 1/256e3)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		target += dt
-		sim.RunUntil(target)
+		step()
 	}
 	b.StopTimer()
 	if h2.RxPackets == 0 {

@@ -25,16 +25,6 @@ type Host struct {
 	TxBytes uint64
 
 	nextPktID uint64
-
-	// rxLog records (time, cumulative bytes) pairs when sampling is
-	// enabled with SampleGoodput.
-	rxSamples []Sample
-	sampler   *Ticker
-
-	// latencies records per-packet one-way delay when enabled with
-	// TrackLatency.
-	latencies    []float64
-	trackLatency bool
 }
 
 // Sample is one point of a sampled time series.
@@ -50,9 +40,6 @@ func NewHost(sim *Sim, name string, addr netip.Addr) *Host {
 	return &Host{Name: name, Addr: addr, sim: sim}
 }
 
-// NodeName implements Node.
-func (h *Host) NodeName() string { return h.Name }
-
 func (h *Host) attachPort(p *Port) {
 	if h.port != nil {
 		panic("netsim: host " + h.Name + " already connected")
@@ -67,26 +54,12 @@ func (h *Host) Port() *Port { return h.port }
 func (h *Host) Receive(pkt *Packet, _ int) {
 	h.RxPackets++
 	h.RxBytes += uint64(pkt.Size)
-	if h.trackLatency {
-		h.latencies = append(h.latencies, h.sim.Now()-pkt.CreatedAt)
-	}
 	if h.OnReceive != nil {
 		h.OnReceive(pkt)
 	}
 	// Delivery is the end of the packet's life; recycle it. With the
 	// pool enabled, OnReceive must not retain the pointer.
 	h.sim.releasePacket(pkt)
-}
-
-// TrackLatency starts recording each delivered packet's one-way delay
-// (send timestamp to delivery).
-func (h *Host) TrackLatency() { h.trackLatency = true }
-
-// Latencies returns the recorded one-way delays in arrival order.
-func (h *Host) Latencies() []float64 {
-	out := make([]float64, len(h.latencies))
-	copy(out, h.latencies)
-	return out
 }
 
 // Send transmits one packet with the given flow and size right now.
@@ -103,24 +76,4 @@ func (h *Host) Send(flow FiveTuple, size int) {
 	pkt.Size = size
 	pkt.CreatedAt = h.sim.Now()
 	h.port.Send(pkt)
-}
-
-// SampleGoodput records cumulative received bytes every interval
-// seconds starting at start; RxSeries returns the series. Calling it
-// again restarts sampling.
-func (h *Host) SampleGoodput(start, interval float64) {
-	if h.sampler != nil {
-		h.sampler.Stop()
-	}
-	h.rxSamples = nil
-	h.sampler = h.sim.Every(start, interval, func(now float64) {
-		h.rxSamples = append(h.rxSamples, Sample{Time: now, Value: float64(h.RxBytes)})
-	})
-}
-
-// RxSeries returns the sampled cumulative received-bytes series.
-func (h *Host) RxSeries() []Sample {
-	out := make([]Sample, len(h.rxSamples))
-	copy(out, h.rxSamples)
-	return out
 }

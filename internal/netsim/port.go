@@ -2,14 +2,12 @@ package netsim
 
 // Node is anything that can terminate a link: a host or a switch.
 type Node interface {
-	// NodeName returns the unique node name.
-	NodeName() string
 	// Receive handles a packet arriving on the given local port.
 	Receive(pkt *Packet, inPort int)
 }
 
 // Queue is a drop-tail FIFO of packets with a fixed capacity,
-// counting drops and tracking a high-water mark. Its occupancy is what
+// counting drops. Its occupancy is what
 // the paper's switches translate into queue tones (Section 6). The
 // buffer is a ring: pushes and pops recycle the same backing array, so
 // a steady-state queue allocates nothing (the old slice-slide
@@ -20,11 +18,9 @@ type Queue struct {
 	// unbounded.
 	Capacity int
 
-	buf       []*Packet
-	head, n   int
-	drops     uint64
-	enqueued  uint64
-	highWater int
+	buf     []*Packet
+	head, n int
+	drops   uint64
 }
 
 // Len returns the current occupancy in packets.
@@ -32,12 +28,6 @@ func (q *Queue) Len() int { return q.n }
 
 // Drops returns the number of packets rejected by a full queue.
 func (q *Queue) Drops() uint64 { return q.drops }
-
-// Enqueued returns the total number of packets accepted.
-func (q *Queue) Enqueued() uint64 { return q.enqueued }
-
-// HighWater returns the maximum occupancy ever observed.
-func (q *Queue) HighWater() int { return q.highWater }
 
 // Push appends a packet, reporting whether it was accepted.
 func (q *Queue) Push(p *Packet) bool {
@@ -50,10 +40,6 @@ func (q *Queue) Push(p *Packet) bool {
 	}
 	q.buf[(q.head+q.n)%len(q.buf)] = p
 	q.n++
-	q.enqueued++
-	if q.n > q.highWater {
-		q.highWater = q.n
-	}
 	return true
 }
 

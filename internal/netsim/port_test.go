@@ -1,6 +1,11 @@
 package netsim
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
+
+func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func TestQueueDropTail(t *testing.T) {
 	q := &Queue{Capacity: 2}
@@ -11,8 +16,8 @@ func TestQueueDropTail(t *testing.T) {
 	if q.Push(p3) {
 		t.Error("push beyond capacity must fail")
 	}
-	if q.Drops() != 1 || q.Enqueued() != 2 || q.HighWater() != 2 {
-		t.Errorf("drops=%d enq=%d hw=%d", q.Drops(), q.Enqueued(), q.HighWater())
+	if q.Drops() != 1 || q.Len() != 2 {
+		t.Errorf("drops=%d len=%d", q.Drops(), q.Len())
 	}
 	if got := q.Pop(); got != p1 {
 		t.Error("FIFO order violated")
@@ -48,7 +53,7 @@ func TestLinkDeliveryTiming(t *testing.T) {
 	h2.OnReceive = func(*Packet) { arrival = sim.Now() }
 	h1.Send(tuple(1, 2), 1500)
 	sim.Run()
-	if !AlmostEqual(arrival, 0.022, 1e-9) {
+	if !almostEqual(arrival, 0.022, 1e-9) {
 		t.Errorf("arrival = %g, want 0.022", arrival)
 	}
 	if h2.RxPackets != 1 || h2.RxBytes != 1500 {
@@ -70,7 +75,7 @@ func TestLinkSerialisesBackToBack(t *testing.T) {
 	if len(arrivals) != 2 {
 		t.Fatalf("arrivals = %v", arrivals)
 	}
-	if !AlmostEqual(arrivals[1]-arrivals[0], 0.012, 1e-9) {
+	if !almostEqual(arrivals[1]-arrivals[0], 0.012, 1e-9) {
 		t.Errorf("spacing = %g, want 0.012", arrivals[1]-arrivals[0])
 	}
 }
@@ -122,20 +127,19 @@ func TestHostGoodputSampling(t *testing.T) {
 	h1 := NewHost(sim, "h1", MustAddr("10.0.0.1"))
 	h2 := NewHost(sim, "h2", MustAddr("10.0.0.2"))
 	Connect(sim, h1, 1, h2, 1, 1e9, 0, 0)
-	h2.SampleGoodput(0, 0.1)
+	var series []uint64
+	sim.Every(0, 0.1, func(float64) { series = append(series, h2.RxBytes) })
 	StartCBR(sim, h1, tuple(1, 2), 100, 1000, 0, 1)
 	sim.RunUntil(1)
-	series := h2.RxSeries()
 	if len(series) < 10 {
 		t.Fatalf("series too short: %d", len(series))
 	}
-	last := series[len(series)-1]
-	if last.Value < 90000 {
-		t.Errorf("final cumulative bytes = %g, want ~100000", last.Value)
+	if last := series[len(series)-1]; last < 90000 {
+		t.Errorf("final cumulative bytes = %d, want ~100000", last)
 	}
 	// Monotone nondecreasing.
 	for i := 1; i < len(series); i++ {
-		if series[i].Value < series[i-1].Value {
+		if series[i] < series[i-1] {
 			t.Fatal("cumulative series decreased")
 		}
 	}
@@ -146,22 +150,18 @@ func TestHostLatencyTracking(t *testing.T) {
 	h1 := NewHost(sim, "h1", MustAddr("10.0.0.1"))
 	h2 := NewHost(sim, "h2", MustAddr("10.0.0.2"))
 	Connect(sim, h1, 1, h2, 1, 1e6, 0.010, 0) // 12 ms tx + 10 ms prop
-	h2.TrackLatency()
+	var lat []float64
+	h2.OnReceive = func(pkt *Packet) { lat = append(lat, sim.Now()-pkt.CreatedAt) }
 	h1.Send(tuple(1, 2), 1500)
 	h1.Send(tuple(1, 2), 1500) // queues behind the first: higher delay
 	sim.Run()
-	lat := h2.Latencies()
 	if len(lat) != 2 {
 		t.Fatalf("latencies = %v", lat)
 	}
-	if !AlmostEqual(lat[0], 0.022, 1e-9) {
+	if !almostEqual(lat[0], 0.022, 1e-9) {
 		t.Errorf("first latency = %g, want 0.022", lat[0])
 	}
-	if !AlmostEqual(lat[1], 0.034, 1e-9) {
+	if !almostEqual(lat[1], 0.034, 1e-9) {
 		t.Errorf("queued latency = %g, want 0.034", lat[1])
-	}
-	// Untracked host records nothing.
-	if len(h1.Latencies()) != 0 {
-		t.Error("untracked host recorded latencies")
 	}
 }

@@ -263,6 +263,3 @@ func (s *Sim) Run() int {
 	}
 	return n
 }
-
-// Pending returns the number of queued events.
-func (s *Sim) Pending() int { return len(s.events) }

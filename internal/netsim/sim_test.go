@@ -89,12 +89,12 @@ func TestSimEveryAndStop(t *testing.T) {
 	}
 	want := []float64{1, 1.5, 2, 2.5}
 	for i := range want {
-		if !AlmostEqual(times[i], want[i], 1e-9) {
+		if !almostEqual(times[i], want[i], 1e-9) {
 			t.Errorf("tick %d at %g, want %g", i, times[i], want[i])
 		}
 	}
-	if s.Pending() != 0 {
-		t.Errorf("pending = %d after stop", s.Pending())
+	if len(s.events) != 0 {
+		t.Errorf("pending = %d after stop", len(s.events))
 	}
 }
 

@@ -133,9 +133,6 @@ type Rule struct {
 	Bytes uint64
 }
 
-// Evicted reports whether a timeout removed the rule.
-func (r *Rule) Evicted() bool { return r.evicted }
-
 // Switch is a store-and-forward switch with a prioritised match-action
 // flow table. It models both the paper's physical Zodiac FX and its
 // Mininet virtual switches.
@@ -178,9 +175,6 @@ type Switch struct {
 func NewSwitch(sim *Sim, name string) *Switch {
 	return &Switch{Name: name, sim: sim, ports: make(map[int]*Port)}
 }
-
-// NodeName implements Node.
-func (s *Switch) NodeName() string { return s.Name }
 
 func (s *Switch) attachPort(p *Port) {
 	if _, dup := s.ports[p.Index]; dup {

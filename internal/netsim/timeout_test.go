@@ -11,7 +11,7 @@ func TestRuleHardTimeout(t *testing.T) {
 	// Traffic before and after the timeout.
 	StartCBR(sim, h1, tuple(1, 80), 10, 100, 0, 4)
 	sim.RunUntil(5)
-	if !rule.Evicted() {
+	if !rule.evicted {
 		t.Fatal("hard timeout did not evict")
 	}
 	if len(s.Rules()) != 0 {
@@ -32,12 +32,12 @@ func TestRuleIdleTimeoutRefreshedByTraffic(t *testing.T) {
 	// Steady traffic at 2 pps keeps the rule alive well past 1 s.
 	StartCBR(sim, h1, tuple(1, 80), 2, 100, 0, 5)
 	sim.RunUntil(5.5)
-	if rule.Evicted() {
+	if rule.evicted {
 		t.Fatal("active rule evicted despite traffic")
 	}
 	// After the flow stops, the rule idles out.
 	sim.RunUntil(8)
-	if !rule.Evicted() {
+	if !rule.evicted {
 		t.Fatal("idle rule not evicted")
 	}
 	if h2.RxPackets != 10 {
@@ -52,7 +52,7 @@ func TestRuleIdleTimeoutWithoutTraffic(t *testing.T) {
 		IdleTimeout: 0.5,
 	})
 	sim.RunUntil(1)
-	if !rule.Evicted() || len(s.Rules()) != 0 {
+	if !rule.evicted || len(s.Rules()) != 0 {
 		t.Error("untouched rule should idle out at 0.5 s")
 	}
 }
@@ -61,11 +61,11 @@ func TestRuleNoTimeoutsPersist(t *testing.T) {
 	sim, _, s, h2, _ := star(t, false)
 	rule := s.InstallRule(Rule{Priority: 1, Match: Match{Dst: h2.Addr}, Action: Output(2)})
 	sim.RunUntil(100)
-	if rule.Evicted() || len(s.Rules()) != 1 {
+	if rule.evicted || len(s.Rules()) != 1 {
 		t.Error("rule without timeouts must persist")
 	}
-	if sim.Pending() != 0 {
-		t.Errorf("timeout machinery leaked %d events", sim.Pending())
+	if len(sim.events) != 0 {
+		t.Errorf("timeout machinery leaked %d events", len(sim.events))
 	}
 }
 
@@ -79,7 +79,7 @@ func TestRuleBothTimeoutsHardWins(t *testing.T) {
 	// timeout still fires at t=3.
 	StartCBR(sim, h1, tuple(1, 80), 5, 100, 0, 10)
 	sim.RunUntil(3.5)
-	if !rule.Evicted() {
+	if !rule.evicted {
 		t.Error("hard timeout should win over refreshed idle timeout")
 	}
 }
@@ -107,13 +107,13 @@ func TestRemoveRulesStopsEvictionTimerChain(t *testing.T) {
 		IdleTimeout: 1,
 	})
 	s.RemoveRules(func(x *Rule) bool { return x == r })
-	if !r.Evicted() {
+	if !r.evicted {
 		t.Fatal("removed rule not marked evicted")
 	}
 	// The one armed check fires at t=1 and must terminate the chain:
 	// no events may remain, however far the clock advances.
 	sim.RunUntil(1000)
-	if n := sim.Pending(); n != 0 {
+	if n := len(sim.events); n != 0 {
 		t.Errorf("%d eviction events still pending after removal", n)
 	}
 }

@@ -64,13 +64,6 @@ type Rhombus struct {
 	S1, S2, S3, S4 *Switch
 }
 
-// NewRhombus builds the diamond with identical links everywhere and
-// initial routing pinned to the upper path (s1→s2→s4), matching the
-// paper's "initially using a single path" setup.
-func NewRhombus(sim *Sim, link LinkSpec) *Rhombus {
-	return NewRhombusLinks(sim, link, link)
-}
-
 // NewRhombusLinks builds the diamond with distinct host-access and
 // switch-core link specs. Congestion experiments want fast host links
 // so queues build inside the network (at s1's core-facing ports)
@@ -103,16 +96,4 @@ func NewRhombusLinks(sim *Sim, hostLink, coreLink LinkSpec) *Rhombus {
 	r.S3.InstallRule(Rule{Priority: 1, Match: Match{Dst: r.H1.Addr}, Action: Output(1)})
 	r.S1.InstallRule(Rule{Priority: 1, Match: Match{Dst: r.H1.Addr}, Action: Output(1)})
 	return r
-}
-
-// BalanceUpper installs the load-balancing Flow-MOD on s1: traffic to
-// h2 round-robins across the upper and lower paths. This is exactly
-// the rule the MDN controller installs when it hears the congestion
-// tone (Figure 5a).
-func (r *Rhombus) BalanceUpper() *Rule {
-	return r.S1.InstallRule(Rule{
-		Priority: 10,
-		Match:    Match{Dst: r.H2.Addr},
-		Action:   Split(2, 3),
-	})
 }

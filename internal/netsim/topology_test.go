@@ -28,7 +28,8 @@ func TestLinePanicsOnZeroSwitches(t *testing.T) {
 
 func TestRhombusSinglePathInitially(t *testing.T) {
 	sim := NewSim()
-	r := NewRhombus(sim, LinkSpec{RateBps: 1e9, Latency: 0.001})
+	link := LinkSpec{RateBps: 1e9, Latency: 0.001}
+	r := NewRhombusLinks(sim, link, link)
 	f := FiveTuple{Src: r.H1.Addr, Dst: r.H2.Addr, SrcPort: 1, DstPort: 2, Proto: ProtoUDP}
 	for i := 0; i < 10; i++ {
 		r.H1.Send(f, 100)
@@ -47,8 +48,11 @@ func TestRhombusSinglePathInitially(t *testing.T) {
 
 func TestRhombusBalanceSplitsTraffic(t *testing.T) {
 	sim := NewSim()
-	r := NewRhombus(sim, LinkSpec{RateBps: 1e9, Latency: 0.001})
-	r.BalanceUpper()
+	link := LinkSpec{RateBps: 1e9, Latency: 0.001}
+	r := NewRhombusLinks(sim, link, link)
+	// The Flow-MOD the MDN controller installs on the congestion tone
+	// (Figure 5a): traffic to h2 round-robins across both paths.
+	r.S1.InstallRule(Rule{Priority: 10, Match: Match{Dst: r.H2.Addr}, Action: Split(2, 3)})
 	f := FiveTuple{Src: r.H1.Addr, Dst: r.H2.Addr, SrcPort: 1, DstPort: 2, Proto: ProtoUDP}
 	for i := 0; i < 10; i++ {
 		r.H1.Send(f, 100)
@@ -64,7 +68,8 @@ func TestRhombusBalanceSplitsTraffic(t *testing.T) {
 
 func TestRhombusReversePath(t *testing.T) {
 	sim := NewSim()
-	r := NewRhombus(sim, LinkSpec{RateBps: 1e9, Latency: 0.001})
+	link := LinkSpec{RateBps: 1e9, Latency: 0.001}
+	r := NewRhombusLinks(sim, link, link)
 	f := FiveTuple{Src: r.H2.Addr, Dst: r.H1.Addr, SrcPort: 2, DstPort: 1, Proto: ProtoUDP}
 	r.H2.Send(f, 100)
 	sim.Run()

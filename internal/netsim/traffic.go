@@ -1,9 +1,6 @@
 package netsim
 
-import (
-	"math"
-	"math/rand"
-)
+import "math/rand"
 
 // Source is a running traffic generator; Stop halts it.
 type Source struct {
@@ -158,17 +155,10 @@ func RateToPPS(bps float64, size int) float64 {
 	return bps / (float64(size) * 8)
 }
 
-// AlmostEqual reports whether two floats agree within tol — a helper
-// for experiment assertions on virtual-time arithmetic.
-func AlmostEqual(a, b, tol float64) bool {
-	return math.Abs(a-b) <= tol
-}
-
 // PacedSource is a CBR source whose rate can be changed while it
 // runs — the control surface for MDN congestion control, where the
 // controller adjusts senders from queue tones instead of ECN marks.
 type PacedSource struct {
-	src  *Source
 	sim  *Sim
 	h    *Host
 	flow FiveTuple
@@ -183,17 +173,16 @@ func StartPaced(sim *Sim, h *Host, flow FiveTuple, pps float64, size int, start,
 	if pps <= 0 {
 		panic("netsim: paced rate must be positive")
 	}
-	p := &PacedSource{src: &Source{}, sim: sim, h: h, flow: flow, size: size, stop: stop, rate: pps}
+	p := &PacedSource{sim: sim, h: h, flow: flow, size: size, stop: stop, rate: pps}
 	sim.Schedule(start, p.emit)
 	return p
 }
 
 func (p *PacedSource) emit() {
-	if p.src.stopped || p.sim.Now() >= p.stop {
+	if p.sim.Now() >= p.stop {
 		return
 	}
 	p.h.Send(p.flow, p.size)
-	p.src.Sent++
 	next := p.sim.Now() + 1/p.rate
 	if next < p.stop {
 		p.sim.Schedule(next, p.emit)
@@ -211,9 +200,3 @@ func (p *PacedSource) SetRate(pps float64) {
 
 // Rate returns the current rate in packets/second.
 func (p *PacedSource) Rate() float64 { return p.rate }
-
-// Sent returns packets emitted so far.
-func (p *PacedSource) Sent() uint64 { return p.src.Sent }
-
-// Stop halts the source.
-func (p *PacedSource) Stop() { p.src.Stop() }

@@ -121,9 +121,6 @@ func (p *Programmer) Forget(m FlowMod) {
 	}
 }
 
-// Pending returns how many rules are mid-retry.
-func (p *Programmer) Pending() int { return p.pending }
-
 // Install programs the rule through the channel, retrying lost or
 // corrupted sends with backoff. It returns an error only for rules
 // the wire format rejects outright (wrapping ErrBadMessage or

@@ -37,9 +37,9 @@ func TestProgrammerInstallsFirstTry(t *testing.T) {
 	if len(sw.Rules()) != 1 {
 		t.Errorf("switch has %d rules, want 1", len(sw.Rules()))
 	}
-	if p.Attempts != 1 || p.Retries != 0 || p.Installs != 1 || p.Pending() != 0 {
+	if p.Attempts != 1 || p.Retries != 0 || p.Installs != 1 || p.pending != 0 {
 		t.Errorf("counters attempts=%d retries=%d installs=%d pending=%d",
-			p.Attempts, p.Retries, p.Installs, p.Pending())
+			p.Attempts, p.Retries, p.Installs, p.pending)
 	}
 }
 
@@ -109,8 +109,8 @@ func TestProgrammerExhaustsRetriesOnDeadWire(t *testing.T) {
 		t.Errorf("attempts=%d retries=%d, want %d/%d",
 			p.Attempts, p.Retries, DefaultMaxAttempts, DefaultMaxAttempts-1)
 	}
-	if p.Failures != 1 || p.Pending() != 0 {
-		t.Errorf("failures=%d pending=%d, want 1/0", p.Failures, p.Pending())
+	if p.Failures != 1 || p.pending != 0 {
+		t.Errorf("failures=%d pending=%d, want 1/0", p.Failures, p.pending)
 	}
 	if len(sw.Rules()) != 0 {
 		t.Errorf("dead wire installed %d rules", len(sw.Rules()))
@@ -155,8 +155,8 @@ func TestProgrammerRejectsInvalidRuleSynchronously(t *testing.T) {
 	if onResultCalled {
 		t.Error("OnResult fired for a synchronous validation failure")
 	}
-	if p.Attempts != 0 || p.Pending() != 0 {
-		t.Errorf("attempts=%d pending=%d after rejected install, want 0/0", p.Attempts, p.Pending())
+	if p.Attempts != 0 || p.pending != 0 {
+		t.Errorf("attempts=%d pending=%d after rejected install, want 0/0", p.Attempts, p.pending)
 	}
 }
 

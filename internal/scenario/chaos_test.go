@@ -46,12 +46,15 @@ func TestChaosSweepIsDeterministic(t *testing.T) {
 	// Virtual-time telemetry is deterministic too: the flow-programming
 	// latency histogram (Install→outcome on simulated time) must agree
 	// between the sweeps, counts and sums alike.
-	aSnap, bSnap := aReg.Snapshot(), bReg.Snapshot()
-	for _, m := range aSnap.Metrics {
+	bMetrics := make(map[string]telemetry.MetricSnapshot)
+	for _, m := range bReg.Snapshot().Metrics {
+		bMetrics[m.Name] = m
+	}
+	for _, m := range aReg.Snapshot().Metrics {
 		if m.Kind != "histogram" || !containsSubstr(m.Name, "mdn_flow_program_seconds") {
 			continue
 		}
-		bm, ok := bSnap.Find(m.Name)
+		bm, ok := bMetrics[m.Name]
 		if !ok {
 			t.Errorf("%s missing from second sweep", m.Name)
 			continue
@@ -71,7 +74,7 @@ func TestChaosRejectsMisalignedStreamHop(t *testing.T) {
 }
 
 // BenchmarkChaosSweep measures the sweep wall clock serial versus
-// pooled — the speedup evidence for BENCH_PR5.json. On a single-core
+// pooled (DESIGN.md §5e records its numbers). On a single-core
 // host the pooled rows pin scheduling overhead instead of scaling.
 func BenchmarkChaosSweep(b *testing.B) {
 	for _, w := range []int{1, 4} {
@@ -265,7 +268,11 @@ func TestChaosDeviceHealthSelfHeals(t *testing.T) {
 
 	// The mdn_device_* series render and survive exposition-format
 	// validation.
-	txt := reg.Snapshot().Text()
+	var b strings.Builder
+	if err := reg.Snapshot().WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	txt := b.String()
 	if err := telemetry.ValidateText(strings.NewReader(txt)); err != nil {
 		t.Errorf("metrics dump invalid: %v", err)
 	}

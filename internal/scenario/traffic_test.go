@@ -69,7 +69,11 @@ func TestTrafficSweepTelemetry(t *testing.T) {
 	if _, err := RunTrafficSweep(cfg, reg); err != nil {
 		t.Fatal(err)
 	}
-	txt := reg.Snapshot().Text()
+	var b strings.Builder
+	if err := reg.Snapshot().WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	txt := b.String()
 	if err := telemetry.ValidateText(strings.NewReader(txt)); err != nil {
 		t.Fatalf("metrics dump invalid: %v", err)
 	}

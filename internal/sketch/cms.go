@@ -34,7 +34,6 @@ type CountMin struct {
 	width, depth int
 	seed         uint64
 	cells        []uint64 // depth rows of width cells, row-major
-	updates      uint64
 	weight       uint64
 }
 
@@ -71,23 +70,6 @@ func NewCountMinShape(width, depth int, seed uint64) (*CountMin, error) {
 	}, nil
 }
 
-// Width returns the per-row counter count.
-func (c *CountMin) Width() int { return c.width }
-
-// Depth returns the number of hash rows.
-func (c *CountMin) Depth() int { return c.depth }
-
-// Epsilon returns the additive-error fraction the shape guarantees:
-// estimates exceed truth by at most Epsilon()·Weight() with
-// probability 1−Delta().
-func (c *CountMin) Epsilon() float64 { return math.E / float64(c.width) }
-
-// Delta returns the failure probability of the epsilon bound.
-func (c *CountMin) Delta() float64 { return math.Exp(-float64(c.depth)) }
-
-// Updates returns the number of Update calls.
-func (c *CountMin) Updates() uint64 { return c.updates }
-
 // Weight returns the total weight added (the N of the ε·N bound).
 func (c *CountMin) Weight() uint64 { return c.weight }
 
@@ -99,7 +81,6 @@ func (c *CountMin) Update(key uint64, n uint64) {
 	if n == 0 {
 		return
 	}
-	c.updates++
 	c.weight += n
 	h1, h2 := hashPair(key, c.seed)
 	w := uint64(c.width)
@@ -165,7 +146,6 @@ func (c *CountMin) Merge(o *CountMin) error {
 	for i, v := range o.cells {
 		c.cells[i] += v
 	}
-	c.updates += o.updates
 	c.weight += o.weight
 	return nil
 }
@@ -174,6 +154,5 @@ func (c *CountMin) Merge(o *CountMin) error {
 // releasing or reallocating the array.
 func (c *CountMin) Reset() {
 	clear(c.cells)
-	c.updates = 0
 	c.weight = 0
 }

@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -23,14 +24,14 @@ func TestCountMinShapeFromKnobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Width() != 2719 { // ceil(e/0.001)
-		t.Fatalf("width = %d, want 2719", c.Width())
+	if c.width != 2719 { // ceil(e/0.001)
+		t.Fatalf("width = %d, want 2719", c.width)
 	}
-	if c.Depth() != 5 { // ceil(ln 100)
-		t.Fatalf("depth = %d, want 5", c.Depth())
+	if c.depth != 5 { // ceil(ln 100)
+		t.Fatalf("depth = %d, want 5", c.depth)
 	}
-	if c.Epsilon() > 0.001 || c.Delta() > 0.01 {
-		t.Fatalf("guarantees eps=%g delta=%g exceed requested knobs", c.Epsilon(), c.Delta())
+	if eps, delta := math.E/float64(c.width), math.Exp(-float64(c.depth)); eps > 0.001 || delta > 0.01 {
+		t.Fatalf("guarantees eps=%g delta=%g exceed requested knobs", eps, delta)
 	}
 	if c.Bytes() != 8*2719*5 {
 		t.Fatalf("bytes = %d", c.Bytes())
@@ -128,9 +129,8 @@ func TestCountMinMergeBitExact(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if merged.Weight() != single.Weight() || merged.Updates() != single.Updates() {
-		t.Fatalf("merged weight/updates %d/%d != single %d/%d",
-			merged.Weight(), merged.Updates(), single.Weight(), single.Updates())
+	if merged.Weight() != single.Weight() {
+		t.Fatalf("merged weight %d != single %d", merged.Weight(), single.Weight())
 	}
 	for i := range single.cells {
 		if merged.cells[i] != single.cells[i] {
@@ -155,7 +155,7 @@ func TestCountMinResetReuses(t *testing.T) {
 	c, _ := NewCountMinShape(256, 3, 5)
 	c.Update(17, 4)
 	c.Reset()
-	if c.Estimate(17) != 0 || c.Weight() != 0 || c.Updates() != 0 {
+	if c.Estimate(17) != 0 || c.Weight() != 0 {
 		t.Fatal("reset left state behind")
 	}
 	allocs := testing.AllocsPerRun(100, c.Reset)

@@ -43,15 +43,6 @@ func NewHyperLogLog(p uint8, seed uint64) (*HyperLogLog, error) {
 	return &HyperLogLog{p: p, seed: seed, regs: make([]uint8, 1<<p)}, nil
 }
 
-// Precision returns p.
-func (h *HyperLogLog) Precision() uint8 { return h.p }
-
-// Registers returns m = 2ᵖ.
-func (h *HyperLogLog) Registers() int { return len(h.regs) }
-
-// StdError returns the estimator's relative standard error 1.04/√m.
-func (h *HyperLogLog) StdError() float64 { return 1.04 / math.Sqrt(float64(len(h.regs))) }
-
 // Updates returns the number of Add calls.
 func (h *HyperLogLog) Updates() uint64 { return h.updates }
 
@@ -104,9 +95,6 @@ func (h *HyperLogLog) Estimate() float64 {
 	}
 	return e
 }
-
-// Count returns Estimate rounded to the nearest integer.
-func (h *HyperLogLog) Count() int { return int(math.Round(h.Estimate())) }
 
 // Merge takes the register-wise maximum of o into h. Both sketches
 // must share precision and seed. The merged registers are exactly

@@ -22,7 +22,6 @@ type TopK struct {
 	k       int
 	entries []tkEntry      // min-heap on (count, key)
 	index   map[uint64]int // key -> heap position
-	updates uint64
 }
 
 type tkEntry struct {
@@ -43,14 +42,8 @@ func NewTopK(k int) (*TopK, error) {
 	}, nil
 }
 
-// K returns the capacity.
-func (t *TopK) K() int { return t.k }
-
 // Len returns the number of tracked keys.
 func (t *TopK) Len() int { return len(t.entries) }
-
-// Updates returns the number of Update calls.
-func (t *TopK) Updates() uint64 { return t.updates }
 
 // Bytes returns the tracker's footprint in bytes: the entry array plus
 // an estimate of the index map (two words per entry).
@@ -107,7 +100,6 @@ func (t *TopK) Update(key uint64, n uint64) {
 	if n == 0 {
 		return
 	}
-	t.updates++
 	if i, ok := t.index[key]; ok {
 		t.entries[i].count += n
 		t.siftDown(i)
@@ -129,26 +121,6 @@ func (t *TopK) Update(key uint64, n uint64) {
 	min.count += n
 	min.key = key
 	t.siftDown(0)
-}
-
-// Estimate returns the tracked (count, err) for key. ok is false when
-// the key is not tracked; its true count is then at most the minimum
-// tracked count.
-func (t *TopK) Estimate(key uint64) (count, err uint64, ok bool) {
-	i, ok := t.index[key]
-	if !ok {
-		return 0, 0, false
-	}
-	return t.entries[i].count, t.entries[i].err, true
-}
-
-// MinCount returns the smallest tracked count (0 when not yet full) —
-// the ceiling on any untracked key's true count.
-func (t *TopK) MinCount() uint64 {
-	if len(t.entries) < t.k {
-		return 0
-	}
-	return t.entries[0].count
 }
 
 // Item is one tracked key with its count bounds.
@@ -217,7 +189,6 @@ func (t *TopK) Merge(o *TopK) error {
 		min.key = it.Key
 		t.siftDown(0)
 	}
-	t.updates += o.updates
 	return nil
 }
 
@@ -225,5 +196,4 @@ func (t *TopK) Merge(o *TopK) error {
 func (t *TopK) Reset() {
 	t.entries = t.entries[:0]
 	clear(t.index)
-	t.updates = 0
 }

@@ -5,6 +5,15 @@ import (
 	"testing"
 )
 
+// tracked indexes the tracker's items by key.
+func tracked(tk *TopK) map[uint64]Item {
+	m := make(map[uint64]Item, tk.Len())
+	for _, it := range tk.Items() {
+		m[it.Key] = it
+	}
+	return m
+}
+
 func TestTopKTracksExactWhenUnderCapacity(t *testing.T) {
 	tk, err := NewTopK(16)
 	if err != nil {
@@ -13,14 +22,15 @@ func TestTopKTracksExactWhenUnderCapacity(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		tk.Update(uint64(i), uint64(i+1))
 	}
+	items := tracked(tk)
 	for i := 0; i < 8; i++ {
-		count, errBound, ok := tk.Estimate(uint64(i))
-		if !ok || count != uint64(i+1) || errBound != 0 {
-			t.Fatalf("key %d: (%d, %d, %v)", i, count, errBound, ok)
+		it, ok := items[uint64(i)]
+		if !ok || it.Count != uint64(i+1) || it.Err != 0 {
+			t.Fatalf("key %d: %+v, %v", i, it, ok)
 		}
 	}
-	if tk.MinCount() != 0 {
-		t.Fatalf("under capacity MinCount = %d", tk.MinCount())
+	if tk.Len() != 8 {
+		t.Fatalf("under capacity Len = %d, want 8", tk.Len())
 	}
 }
 
@@ -45,11 +55,13 @@ func TestTopKSpaceSavingBounds(t *testing.T) {
 			t.Fatalf("key %d: guaranteed %d > true %d", it.Key, it.Count-it.Err, truth)
 		}
 	}
-	// Any key whose true count beats the tracked minimum must be in.
-	min := tk.MinCount()
+	// Any key whose true count beats the tracked minimum (the last of
+	// the count-ordered items) must be in.
+	items := tracked(tk)
+	min := tk.Items()[k-1].Count
 	for key, truth := range exact {
 		if truth > min {
-			if _, _, ok := tk.Estimate(key); !ok {
+			if _, ok := items[key]; !ok {
 				t.Fatalf("key %d (true %d > min %d) evicted", key, truth, min)
 			}
 		}
@@ -121,12 +133,12 @@ func TestTopKResetReuses(t *testing.T) {
 		tk.Update(uint64(i), 1)
 	}
 	tk.Reset()
-	if tk.Len() != 0 || tk.Updates() != 0 {
+	if tk.Len() != 0 {
 		t.Fatal("reset left state")
 	}
 	tk.Update(4, 2)
-	if c, _, ok := tk.Estimate(4); !ok || c != 2 {
-		t.Fatalf("post-reset estimate = %d, %v", c, ok)
+	if it, ok := tracked(tk)[4]; !ok || it.Count != 2 {
+		t.Fatalf("post-reset estimate = %d, %v", it.Count, ok)
 	}
 }
 

@@ -35,7 +35,7 @@ func TestStreamLatencyBucketsResolveBimodalLoad(t *testing.T) {
 
 	// The dump with the new bucket ladder must stay valid Prometheus
 	// text exposition.
-	text := r.Snapshot().Text()
+	text := dump(t, r)
 	if err := ValidateText(strings.NewReader(text)); err != nil {
 		t.Fatalf("stream-bucket dump does not validate: %v\n%s", err, text)
 	}

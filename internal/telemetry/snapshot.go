@@ -39,17 +39,6 @@ type BucketCount struct {
 	Count uint64 `json:"count"`
 }
 
-// Find returns the named metric (exact match, including labels) and
-// whether it exists.
-func (s Snapshot) Find(name string) (MetricSnapshot, bool) {
-	for _, m := range s.Metrics {
-		if m.Name == name {
-			return m, true
-		}
-	}
-	return MetricSnapshot{}, false
-}
-
 // WriteText renders the snapshot in the Prometheus text exposition
 // format (version 0.0.4): one TYPE comment per metric, histograms
 // expanded into _bucket/_sum/_count series with le labels merged into
@@ -74,17 +63,6 @@ func (s Snapshot) WriteText(w io.Writer) error {
 	}
 	return bw.Flush()
 }
-
-// Text renders WriteText to a string.
-func (s Snapshot) Text() string {
-	var b strings.Builder
-	_ = s.WriteText(&b)
-	return b.String()
-}
-
-// WriteText renders the registry's current state; see
-// Snapshot.WriteText.
-func (r *Registry) WriteText(w io.Writer) error { return r.Snapshot().WriteText(w) }
 
 // splitName separates "name{a="b"}" into name and `a="b"` (labels
 // without braces, empty when absent).

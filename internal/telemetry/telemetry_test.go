@@ -8,6 +8,16 @@ import (
 	"testing"
 )
 
+// dump renders the registry in the Prometheus text format.
+func dump(t *testing.T, r *Registry) string {
+	t.Helper()
+	var b strings.Builder
+	if err := r.Snapshot().WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
 func TestCounterGaugeBasics(t *testing.T) {
 	r := New()
 	c := r.Counter("mdn_test_total")
@@ -72,10 +82,10 @@ func TestHistogramBucketsAndQuantile(t *testing.T) {
 		t.Errorf("sum = %g", got)
 	}
 	snap := r.Snapshot()
-	m, ok := snap.Find("mdn_lat_seconds")
-	if !ok {
-		t.Fatal("histogram missing from snapshot")
+	if len(snap.Metrics) != 1 || snap.Metrics[0].Name != "mdn_lat_seconds" {
+		t.Fatalf("snapshot = %+v, want the one histogram", snap.Metrics)
 	}
+	m := snap.Metrics[0]
 	want := []uint64{2, 3, 4} // cumulative; 0.001 is inclusive
 	for i, b := range m.Buckets {
 		if b.Count != want[i] {
@@ -107,8 +117,8 @@ func TestFuncGaugesSum(t *testing.T) {
 	r := New()
 	r.Func("mdn_wire_sent_total", func() float64 { return 3 })
 	r.Func("mdn_wire_sent_total", func() float64 { return 4 })
-	m, ok := r.Snapshot().Find("mdn_wire_sent_total")
-	if !ok || m.Value != 7 {
+	m := r.Snapshot().Metrics[0]
+	if m.Name != "mdn_wire_sent_total" || m.Value != 7 {
 		t.Errorf("func gauge = %+v, want 7", m)
 	}
 	if m.Kind != "gauge" {
@@ -133,7 +143,7 @@ func TestTextDumpValidates(t *testing.T) {
 	h.Observe(0.0004)
 	h.Observe(5)
 
-	text := r.Snapshot().Text()
+	text := dump(t, r)
 	if err := ValidateText(strings.NewReader(text)); err != nil {
 		t.Fatalf("dump does not validate: %v\n%s", err, text)
 	}
