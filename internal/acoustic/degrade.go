@@ -97,7 +97,7 @@ func (m *Microphone) ScheduleSensitivityRamp(start, end, target float64) {
 // ScheduleAmplitudeDecay schedules the speaker's output gain (1.0 =
 // healthy) to ramp from its current value to target over [start, end)
 // seconds. The gain applies to emissions at their scheduled start
-// time, before the MaxAmplitude clamp.
+// time.
 func (s *Speaker) ScheduleAmplitudeDecay(start, end, target float64) {
 	if target < 0 {
 		panic("acoustic: negative speaker gain")

@@ -12,7 +12,7 @@ import (
 // room's compaction horizon: CompactBefore has dropped emissions that
 // would have sounded in the requested span, so rendering it would
 // silently mix silence where tones used to be. Readers that look back
-// in time — the streaming ring, out-of-band AnalyseOnce re-captures —
+// in time — the streaming ring, out-of-band re-captures —
 // must treat the window as unavailable, not quiet.
 var ErrCompacted = errors.New("acoustic: capture window precedes compaction horizon")
 

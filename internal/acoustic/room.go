@@ -28,9 +28,6 @@ type Speaker struct {
 	Name string
 	// Pos is the speaker's position.
 	Pos Position
-	// MaxAmplitude saturates emissions: tones louder than this are
-	// clipped to it, like a real driver. Zero means no limit.
-	MaxAmplitude float64
 
 	room *Room
 
@@ -67,9 +64,6 @@ func (s *Speaker) Play(at float64, tone audio.Tone) {
 	}
 	if len(s.detuneRamp.ramps) > 0 {
 		tone.Frequency *= s.detuneRamp.atBase(1, at)
-	}
-	if s.MaxAmplitude > 0 && tone.Amplitude > s.MaxAmplitude {
-		tone.Amplitude = s.MaxAmplitude
 	}
 	r.insertEmission(emission{Emission: Emission{At: at, Tone: tone, Speaker: s.Name}, sp: s})
 }

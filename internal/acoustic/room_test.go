@@ -89,18 +89,6 @@ func TestRoomPropagationDelay(t *testing.T) {
 	}
 }
 
-func TestRoomSpeakerSaturation(t *testing.T) {
-	r := newTestRoom()
-	sp := r.AddSpeaker("sw", Position{1, 0, 0})
-	sp.MaxAmplitude = 0.2
-	mic := r.AddMicrophone("ctl", Position{0, 0, 0}, 0)
-	sp.Play(0, audio.Tone{Frequency: 500, Duration: 0.2, Amplitude: 5})
-	buf := mic.Capture(0.05, 0.15)
-	if p := buf.Peak(); p > 0.21 {
-		t.Errorf("peak = %g, speaker should clip to 0.2", p)
-	}
-}
-
 func TestRoomNoiseSourceWindowed(t *testing.T) {
 	r := newTestRoom()
 	mic := r.AddMicrophone("ctl", Position{0, 0, 0}, 0)

@@ -11,8 +11,9 @@ func exp2(x float64) float64 { return math.Exp2(x) }
 // Fan models a server cooling fan as heard by a nearby microphone
 // (Section 7 of the paper). The acoustic signature of an axial fan is
 // a blade-pass fundamental (RPM/60 × blade count) with a stack of
-// harmonics riding on broadband turbulence noise. A failed fan
-// contributes nothing.
+// fanHarmonics harmonics riding on broadband turbulence noise at a
+// quarter of the fundamental's level. A failed fan contributes
+// nothing.
 type Fan struct {
 	// RPM is the rotational speed. Typical 1U server fans spin at
 	// 9–15 kRPM; the default model uses 9000.
@@ -22,15 +23,13 @@ type Fan struct {
 	// Level is the amplitude of the blade-pass fundamental at the
 	// fan itself.
 	Level float64
-	// Harmonics is how many harmonics above the fundamental to
-	// render (default 5 when zero).
-	Harmonics int
-	// TurbulenceLevel is the RMS of the broadband turbulence
-	// component (default Level/4 when zero).
-	TurbulenceLevel float64
 	// Seed decorrelates the turbulence of different fans.
 	Seed int64
 }
+
+// fanHarmonics is how many harmonics, fundamental included, a fan
+// renders.
+const fanHarmonics = 5
 
 // DefaultFan returns the reference server fan used by the Figure 6/7
 // experiments: 9000 RPM, 7 blades.
@@ -51,12 +50,8 @@ func (f Fan) BladePassHz() float64 {
 // harmonic stack (fundamental first). These are the bands the
 // fan-failure detector watches.
 func (f Fan) HarmonicFrequencies() []float64 {
-	n := f.Harmonics
-	if n <= 0 {
-		n = 5
-	}
 	base := f.BladePassHz()
-	out := make([]float64, n)
+	out := make([]float64, fanHarmonics)
 	for i := range out {
 		out[i] = base * float64(i+1)
 	}
@@ -102,11 +97,7 @@ func (f Fan) Render(sampleRate, d float64) *Buffer {
 		}
 		out.Samples[i] = v
 	}
-	turb := f.TurbulenceLevel
-	if turb <= 0 {
-		turb = level / 4
-	}
-	out.MixAt(PinkNoise(sampleRate, d, turb, f.Seed+100), 0, 1)
+	out.MixAt(PinkNoise(sampleRate, d, level/4, f.Seed+100), 0, 1)
 	return out
 }
 

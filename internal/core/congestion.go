@@ -19,14 +19,6 @@ type RateSetter interface {
 // multiplicative decrease on the congested tone, hold on the mid
 // tone, additive increase on the low tone.
 type CongestionController struct {
-	// Beta is the multiplicative decrease factor applied on a
-	// congested (high) tone. DCTCP-like gentle decrease by default.
-	Beta float64
-	// IncreasePPS is the additive increase applied on a low tone.
-	IncreasePPS float64
-	// MinPPS floors the rate.
-	MinPPS float64
-
 	qm     *QueueMonitor
 	source RateSetter
 	onset  *OnsetFilter
@@ -36,26 +28,31 @@ type CongestionController struct {
 	// Increases counts additive increases applied.
 	Increases uint64
 
-	// HistoryMax bounds RateLog to the last N entries (0 means
-	// DefaultHistoryMax).
-	HistoryMax int
 	// HistoryDropped counts entries evicted from RateLog by the bound.
 	HistoryDropped uint64
 	// RateLog records (time, rate) after each adjustment, last
-	// HistoryMax.
+	// historyMax.
 	RateLog []netsim.Sample
 }
+
+// AIMD settings of the congestion controller.
+const (
+	// beta is the multiplicative decrease factor applied on a
+	// congested (high) tone: a DCTCP-like gentle decrease.
+	beta = 0.5
+	// increasePPS is the additive increase applied on a low tone.
+	increasePPS = 5
+	// minPPS floors the rate.
+	minPPS = 1
+)
 
 // NewCongestionController wires a paced source to a queue monitor's
 // tones.
 func NewCongestionController(qm *QueueMonitor, source RateSetter) *CongestionController {
 	return &CongestionController{
-		Beta:        0.5,
-		IncreasePPS: 5,
-		MinPPS:      1,
-		qm:          qm,
-		source:      source,
-		onset:       NewOnsetFilter(),
+		qm:     qm,
+		source: source,
+		onset:  NewOnsetFilter(),
 	}
 }
 
@@ -65,19 +62,19 @@ func (cc *CongestionController) HandleWindow(at float64, dets []Detection) {
 	for _, det := range cc.onset.Step(dets) {
 		switch cc.qm.LevelFor(det.Frequency) {
 		case LevelHigh:
-			rate := cc.source.Rate() * cc.Beta
-			if rate < cc.MinPPS {
-				rate = cc.MinPPS
+			rate := cc.source.Rate() * beta
+			if rate < minPPS {
+				rate = minPPS
 			}
 			cc.source.SetRate(rate)
 			cc.Decreases++
 			cc.RateLog = appendBounded(cc.RateLog, netsim.Sample{Time: at, Value: rate},
-				cc.HistoryMax, &cc.HistoryDropped)
+				historyMax, &cc.HistoryDropped)
 		case LevelLow:
-			cc.source.SetRate(cc.source.Rate() + cc.IncreasePPS)
+			cc.source.SetRate(cc.source.Rate() + increasePPS)
 			cc.Increases++
 			cc.RateLog = appendBounded(cc.RateLog, netsim.Sample{Time: at, Value: cc.source.Rate()},
-				cc.HistoryMax, &cc.HistoryDropped)
+				historyMax, &cc.HistoryDropped)
 		case LevelMid:
 			// Hold: the queue is in the operating band.
 		}

@@ -82,7 +82,6 @@ func TestCongestionControllerRecoversRate(t *testing.T) {
 
 func TestCongestionControllerMinRateFloor(t *testing.T) {
 	bed := newCongestionBed(t, 92, true)
-	bed.cc.MinPPS = 10
 	// Hammer it with synthetic congested onsets.
 	high := Detection{Frequency: 700, Amplitude: 0.01}
 	for i := 0; i < 20; i++ {
@@ -90,8 +89,8 @@ func TestCongestionControllerMinRateFloor(t *testing.T) {
 		bed.cc.HandleWindow(float64(i)+0.5, nil)
 		bed.cc.HandleWindow(float64(i)+0.6, []Detection{high})
 	}
-	if r := bed.src.Rate(); r < 10 {
-		t.Errorf("rate %g fell below the floor", r)
+	if r := bed.src.Rate(); r != minPPS {
+		t.Errorf("rate %g, want the floor %d", r, minPPS)
 	}
 }
 

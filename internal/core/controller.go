@@ -15,38 +15,28 @@ import (
 // program switches hold openflow channels of their own.
 //
 // The fan-out is supervised: every subscriber runs inside a recover
-// barrier, a subscriber that panics repeatedly is quarantined (see
-// QuarantineThreshold), and the controller's liveness, error rates,
-// and wire-fault counters roll up into the Health snapshot.
+// barrier, a subscriber that panics quarantineThreshold times in a row
+// is quarantined, and the controller's liveness, error rates, and
+// wire-fault counters roll up into the Health snapshot.
 type Controller struct {
 	// Window is the capture/analysis window in seconds. The paper
 	// processes ~50 ms samples (Figure 2b).
 	Window float64
 	// Detector analyses each window.
 	Detector *Detector
-	// QuarantineThreshold is how many consecutive panics disable a
-	// subscriber (0 means DefaultQuarantineThreshold). A window that
-	// completes without panicking resets the count.
-	QuarantineThreshold int
 	// Errors collects application and subscriber failures; it feeds
 	// the health state machine. Applications deployed by a Manager
 	// share it.
 	Errors *ErrorLog
-	// ProfileSubscribers, when true, runs each subscriber callback
-	// under a pprof label ("mdn_subscriber" = name) so CPU profiles
-	// attribute samples per application. It allocates per call — an
-	// opt-in profiling aid, not a steady-state setting.
-	ProfileSubscribers bool
 	// Retention, when positive, bounds the acoustic history the window
 	// loop keeps: after analysing [from, to) the controller compacts
 	// the room's emission store below from−Retention (see
 	// acoustic.Room.CompactBefore), so a long-running deployment's
 	// memory tracks the audible horizon instead of the whole schedule.
 	// 0 (the default) keeps every emission — required when anything
-	// re-captures arbitrary past windows out of band (AnalyseOnce
-	// consumers, experiment WAV dumps). Out-of-band reads behind the
-	// compaction horizon fail with acoustic.ErrCompacted rather than
-	// silently analysing silence.
+	// re-captures arbitrary past windows out of band (experiment WAV
+	// dumps). Out-of-band reads behind the compaction horizon fail with
+	// acoustic.ErrCompacted rather than silently analysing silence.
 	Retention float64
 
 	sim    *netsim.Sim
@@ -186,22 +176,6 @@ func (c *Controller) noteDetections(from, to float64, dets []Detection) {
 	if c.Retention > 0 {
 		c.mic.Room().CompactBefore(from - c.Retention)
 	}
-}
-
-// AnalyseOnce runs one out-of-band analysis over [from, to) without
-// the poll loop — used by passive applications (fan monitoring) and
-// tests. Unlike the live window loop it may look arbitrarily far back
-// in time, so it captures through the checked path: when the requested
-// span precedes the room's compaction horizon (see
-// acoustic.Room.CompactBefore and Controller.Retention) it returns an
-// error wrapping acoustic.ErrCompacted instead of silently analysing a
-// window with the dropped emissions mixed as silence.
-func (c *Controller) AnalyseOnce(from, to float64) ([]Detection, error) {
-	buf, err := c.mic.CaptureChecked(nil, from, to)
-	if err != nil {
-		return nil, err
-	}
-	return c.Detector.Detect(buf, from), nil
 }
 
 // EnableFleet replaces the controller's fleet of one with a

@@ -84,29 +84,6 @@ func TestControllerRestart(t *testing.T) {
 	}
 }
 
-func TestControllerAnalyseOnce(t *testing.T) {
-	tb := newTestbed(5)
-	voice := tb.voiceAt("s1", acoustic.Position{X: 1})
-	freqs := tb.plan.MustAllocate("s1", 1)
-	ctrl := tb.controller(freqs)
-	tb.sim.Schedule(0.2, func() { voice.Play(freqs[0]) })
-	tb.sim.RunUntil(1)
-	got, err := ctrl.AnalyseOnce(0.2, 0.3)
-	if err != nil {
-		t.Fatalf("AnalyseOnce: %v", err)
-	}
-	if len(got) != 1 || got[0].Frequency != freqs[0] {
-		t.Errorf("AnalyseOnce = %+v", got)
-	}
-	quiet, err := ctrl.AnalyseOnce(0.5, 0.6)
-	if err != nil {
-		t.Fatalf("AnalyseOnce: %v", err)
-	}
-	if len(quiet) != 0 {
-		t.Error("silence misdetected")
-	}
-}
-
 func TestControllerAccessors(t *testing.T) {
 	tb := newTestbed(6)
 	ctrl := tb.controller(nil)
@@ -161,7 +138,7 @@ func TestVoiceRateLimiting(t *testing.T) {
 	})
 	tb.sim.Schedule(0.2, func() {
 		if !voice.Play(700) {
-			t.Error("replay after MinGap should pass")
+			t.Error("replay after VoiceMinGap should pass")
 		}
 	})
 	tb.sim.Run()

@@ -102,7 +102,6 @@ func TestIntervalCloseAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hh.HistoryMax = 8
 
 	voice2 := tb.voiceAt("s2", acoustic.Position{X: 1.4})
 	sd, err := NewSpreadDetector(tb.plan, "s2", voice2, ModeSuperspreader,
@@ -110,18 +109,16 @@ func TestIntervalCloseAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sd.HistoryMax = 8
 
 	voice3 := tb.voiceAt("s3", acoustic.Position{X: 1.6})
 	ps, err := NewPortScan(tb.plan, "s3", voice3, 7000, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps.HistoryMax = 8
 
-	// Warm: fill histories to their caps and exercise the counters so
-	// map storage exists to be reused.
-	for i := 0; i < 16; i++ {
+	// Warm: fill histories past their bound and exercise the counters
+	// so map storage exists to be reused.
+	for i := 0; i < historyMax+16; i++ {
 		hh.counter.Add(FreqKey(hh.freqs[i%len(hh.freqs)]), 1)
 		hh.closeInterval(float64(i))
 		sd.distinct.Observe(FreqKey(sd.freqs[i%len(sd.freqs)]))

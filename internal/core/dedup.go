@@ -3,11 +3,11 @@ package core
 // EdgeDedup collapses per-window tone presence into rising-edge
 // onsets with hysteresis: a frequency fires once when its amplitude
 // first reaches Threshold and cannot fire again until the amplitude
-// has fallen below Release (a fraction of the threshold). A tone that
-// straddles a window or hop boundary is therefore one onset, not one
-// per window — the duplicate-detection bug class the once-per-interval
-// PortScan fix in PR 4 hit at the application layer, closed here at
-// the detection layer.
+// has fallen below the release level (hysteresis × Threshold). A tone
+// that straddles a window or hop boundary is therefore one onset, not
+// one per window — the duplicate-detection bug class the
+// once-per-interval PortScan fix in PR 4 hit at the application layer,
+// closed here at the detection layer.
 //
 // The release level sits *below* the attack threshold (a Schmitt
 // trigger) so a borderline tone whose amplitude estimate wobbles
@@ -22,24 +22,20 @@ type EdgeDedup struct {
 	// Threshold is the attack level: index i fires when amps[i] rises
 	// to >= Threshold while inactive.
 	Threshold float64
-	// Release is the re-arm level: index i goes inactive when amps[i]
-	// falls below Release. It must be <= Threshold; the gap is the
-	// hysteresis band in which state holds.
-	Release float64
 
 	active []bool
 }
 
-// DefaultHysteresis is the default release fraction: a tone re-arms
-// once its amplitude falls below half the attack threshold.
-const DefaultHysteresis = 0.5
+// hysteresis is the release fraction: index i goes inactive (a tone
+// re-arms) once amps[i] falls below hysteresis × Threshold, half the
+// attack threshold. The gap is the band in which state holds.
+const hysteresis = 0.5
 
 // NewEdgeDedup builds a dedup over n frequencies with the given attack
-// threshold and the default release of DefaultHysteresis × threshold.
+// threshold.
 func NewEdgeDedup(n int, threshold float64) *EdgeDedup {
 	return &EdgeDedup{
 		Threshold: threshold,
-		Release:   DefaultHysteresis * threshold,
 		active:    make([]bool, n),
 	}
 }
@@ -53,11 +49,11 @@ func NewEdgeDedup(n int, threshold float64) *EdgeDedup {
 // relative floor the detection filter computed (a fraction of the
 // window's loudest watched amplitude) so spectral leakage from a loud
 // tone cannot fire a phantom onset at a neighbouring frequency. The
-// release comparison always uses the raw Release level: a tone masked
+// release comparison always uses the raw release level: a tone masked
 // below a loud window's floor but still physically sounding must not
 // re-arm and fire again when the masker stops.
 func (e *EdgeDedup) Step(amps []float64, floor float64, fire func(i int)) {
-	attack := e.Threshold
+	attack, release := e.Threshold, hysteresis*e.Threshold
 	if floor > attack {
 		attack = floor
 	}
@@ -68,7 +64,7 @@ func (e *EdgeDedup) Step(amps []float64, floor float64, fire func(i int)) {
 			if fire != nil {
 				fire(i)
 			}
-		case e.active[i] && a < e.Release:
+		case e.active[i] && a < release:
 			e.active[i] = false
 		}
 	}

@@ -167,72 +167,71 @@ type speakerTracker struct {
 	rekeys      uint64
 }
 
+// Device-monitor settings.
+const (
+	// noiseAlpha is the EWMA smoothing factor of the per-microphone
+	// bin-noise estimate and of each speaker's trained level.
+	noiseAlpha = 0.3
+	// noiseMargin sets the recalibrated threshold to margin × the
+	// noise estimate: tones must clear the noise floor by 12 dB.
+	noiseMargin = 4
+	// recalBand is the hysteresis band: an established floor moves
+	// only when the candidate differs by more than this fraction.
+	// Every move is one recalibration event.
+	recalBand = 0.25
+	// deafWindows quarantines a microphone after this many consecutive
+	// windows in which the fleet heard tones and it heard nothing.
+	// Keep it above the fleet's longest inter-beat gap in windows:
+	// while a drifting microphone's noise still reads as detections
+	// (the transient before its floor recalibrates), every window looks
+	// like a tone window, and healthy microphones accrue misses across
+	// the real silences.
+	deafWindows = 8
+	// probeEvery probes each quarantined microphone every N windows.
+	probeEvery = 2
+	// rejoinHits rejoins a quarantined microphone after this many
+	// consecutive successful probes, and retires a speaker re-key
+	// after this many windows with the commanded frequency back.
+	rejoinHits = 3
+	// maxDetuneRatio bounds the detune search to commanded × (1 ±
+	// ratio); detuneStep is the grid step.
+	maxDetuneRatio = 0.06
+	detuneStep     = 0.005
+	// minLevelRatio is the fingerprint match floor: a detection of a
+	// speaker's commanded frequency counts as sound from that speaker
+	// only at or above this fraction of its trained level. Below it is
+	// noise or leakage remnants.
+	minLevelRatio = 0.35
+	// strongLevelRatio splits the audible band in two: at or above
+	// this fraction of the trained level a hit is STRONG — the speaker
+	// is verifiably in tune at its fingerprinted volume, and the level
+	// EWMA trains. Between minLevelRatio and this, a hit is WEAK: a
+	// partial-window beat, a quieter driver, or spectral leakage of a
+	// detuned tone into the commanded bin — which at low frequencies
+	// runs ~40% of the tone (400 Hz detuned 4% sits only 0.8
+	// window-cycles off its bin), far above any absolute floor. Weak
+	// hits never train: training on leakage walks the fingerprint down
+	// onto it and blinds the detune detector.
+	strongLevelRatio = 0.7
+	// tuneFactor is the probe's dominance test: a shifted grid peak
+	// re-keys the speaker only when it exceeds tuneFactor × the
+	// commanded bins' own amplitude. An in-tune tone leaks nearly
+	// full-strength onto adjacent grid ratios, so absolute level alone
+	// cannot distinguish "detuned" from "merely quieter" — dominance
+	// can.
+	tuneFactor = 1.5
+)
+
 // DeviceMonitor watches the controller's microphones and registered
 // speakers for degradation and heals what it can. Build one with
 // Controller.EnableDeviceMonitor after the fleet's microphones are
 // registered; drive is automatic (the controller folds every analysed
-// window into it). All exported knobs must be set before the first
-// window.
+// window into it). SilentWindows must be set before the first window.
 type DeviceMonitor struct {
-	// NoiseAlpha is the EWMA smoothing factor of the per-microphone
-	// bin-noise estimate (default 0.3).
-	NoiseAlpha float64
-	// NoiseMargin sets the recalibrated threshold to margin × the
-	// noise estimate (default 4 — tones must clear the noise floor by
-	// 12 dB).
-	NoiseMargin float64
-	// RecalBand is the hysteresis band: an established floor moves
-	// only when the candidate differs by more than this fraction
-	// (default 0.25). Every move is one recalibration event.
-	RecalBand float64
-	// DeafWindows quarantines a microphone after this many consecutive
-	// windows in which the fleet heard tones and it heard nothing
-	// (default 8). Keep it above the fleet's longest inter-beat gap in
-	// windows: while a drifting microphone's noise still reads as
-	// detections (the transient before its floor recalibrates), every
-	// window looks like a tone window, and healthy microphones accrue
-	// misses across the real silences.
-	DeafWindows int
-	// ProbeEvery probes each quarantined microphone every N windows
-	// (default 2).
-	ProbeEvery int
-	// RejoinHits rejoins a quarantined microphone after this many
-	// consecutive successful probes, and retires a speaker re-key
-	// after this many windows with the commanded frequency back
-	// (default 3).
-	RejoinHits int
 	// SilentWindows triggers a speaker probe after this many
 	// consecutive windows without any of its trained frequencies
 	// (default 20).
 	SilentWindows int
-	// MaxDetuneRatio bounds the detune search to commanded × (1 ±
-	// ratio) (default 0.06); DetuneStep is the grid step (default
-	// 0.005).
-	MaxDetuneRatio float64
-	DetuneStep     float64
-	// MinLevelRatio is the fingerprint match floor: a detection of a
-	// speaker's commanded frequency counts as sound from that speaker
-	// only at or above this fraction of its trained level (default
-	// 0.35). Below it is noise or leakage remnants.
-	MinLevelRatio float64
-	// StrongLevelRatio splits the audible band in two: at or above
-	// this fraction of the trained level (default 0.7) a hit is STRONG
-	// — the speaker is verifiably in tune at its fingerprinted volume,
-	// and the level EWMA trains. Between MinLevelRatio and this, a hit
-	// is WEAK: a partial-window beat, a quieter driver, or spectral
-	// leakage of a detuned tone into the commanded bin — which at low
-	// frequencies runs ~40% of the tone (400 Hz detuned 4% sits only
-	// 0.8 window-cycles off its bin), far above any absolute floor.
-	// Weak hits never train: training on leakage walks the fingerprint
-	// down onto it and blinds the detune detector.
-	StrongLevelRatio float64
-	// TuneFactor is the probe's dominance test: a shifted grid peak
-	// re-keys the speaker only when it exceeds TuneFactor × the
-	// commanded bins' own amplitude (default 1.5). An in-tune tone
-	// leaks nearly full-strength onto adjacent grid ratios, so
-	// absolute level alone cannot distinguish "detuned" from "merely
-	// quieter" — dominance can.
-	TuneFactor float64
 
 	ctrl     *Controller
 	mics     []*micTracker
@@ -261,24 +260,13 @@ type DeviceMonitor struct {
 // for noise drift and deafness, and speakers registered afterwards
 // with WatchSpeaker are tracked for detuning and silence. Call after
 // EnableFleet and after all microphones are registered; returns the
-// monitor for knob tuning and speaker registration.
+// monitor for speaker registration.
 func (c *Controller) EnableDeviceMonitor() *DeviceMonitor {
 	m := &DeviceMonitor{
-		NoiseAlpha:       0.3,
-		NoiseMargin:      4,
-		RecalBand:        0.25,
-		DeafWindows:      8,
-		ProbeEvery:       2,
-		RejoinHits:       3,
-		SilentWindows:    20,
-		MaxDetuneRatio:   0.06,
-		DetuneStep:       0.005,
-		MinLevelRatio:    0.35,
-		StrongLevelRatio: 0.7,
-		TuneFactor:       1.5,
-		ctrl:             c,
-		rewrite:          make(map[float64]float64),
-		detected:         make(map[float64]float64),
+		SilentWindows: 20,
+		ctrl:          c,
+		rewrite:       make(map[float64]float64),
+		detected:      make(map[float64]float64),
 	}
 	for _, mic := range c.fleet.mics {
 		m.mics = append(m.mics, &micTracker{name: mic.Name, mic: mic})
@@ -397,7 +385,7 @@ func (m *DeviceMonitor) finishWindow(from, to float64, dets []Detection) []Detec
 		} else if anyDetected {
 			t.missStreak++
 		}
-		if t.missStreak >= m.DeafWindows && m.activeMics() > 1 {
+		if t.missStreak >= deafWindows && m.activeMics() > 1 {
 			m.quarantine(i, t)
 		}
 		m.classifyMic(t)
@@ -432,7 +420,7 @@ func (m *DeviceMonitor) finishWindow(from, to float64, dets []Detection) []Detec
 // default 50 ms window) holds a majority of inter-beat silences for
 // heartbeat-style traffic (a 65 ms tone every 300 ms covers 2 windows
 // in 6). A voice sounding in EVERY window would defeat the filter —
-// the assumption is MDN's own pacing, where Voice.MinGap forces
+// the assumption is MDN's own pacing, where VoiceMinGap forces
 // silence between same-frequency tones.
 const noiseRingWindows = 8
 
@@ -462,16 +450,16 @@ func (m *DeviceMonitor) foldNoise(t *micTracker, v float64) {
 		t.seeded = true
 		return
 	}
-	t.ewma += m.NoiseAlpha * (med - t.ewma)
+	t.ewma += noiseAlpha * (med - t.ewma)
 }
 
 // recalibrate moves one microphone's absolute detection threshold to
-// NoiseMargin × its noise estimate when that exceeds the detector
+// noiseMargin × its noise estimate when that exceeds the detector
 // default, with a hysteresis band so a floor in steady state never
 // churns. Each move is one recalibration event.
 func (m *DeviceMonitor) recalibrate(t *micTracker) {
 	base := m.ctrl.Detector.MinAmplitude
-	cand := m.NoiseMargin * t.ewma
+	cand := noiseMargin * t.ewma
 	if cand <= base {
 		if t.floor != 0 {
 			t.floor = 0
@@ -480,7 +468,7 @@ func (m *DeviceMonitor) recalibrate(t *micTracker) {
 		}
 		return
 	}
-	if t.floor == 0 || math.Abs(cand-t.floor) > m.RecalBand*t.floor {
+	if t.floor == 0 || math.Abs(cand-t.floor) > recalBand*t.floor {
 		t.floor = cand
 		t.recalibrations++
 		m.recalibrations++
@@ -499,12 +487,12 @@ func (m *DeviceMonitor) quarantine(i int, t *micTracker) {
 }
 
 // probeQuarantined captures the quarantined microphone on the side
-// every ProbeEvery windows: its noise estimate keeps tracking (so the
+// every probeEvery windows: its noise estimate keeps tracking (so the
 // floor recalibrates down once a noise fault clears), and a probe that
 // hears a frequency the active fleet also heard counts toward rejoin.
 func (m *DeviceMonitor) probeQuarantined(i int, t *micTracker, from, to float64, anyDetected bool) {
 	t.observed = false
-	if m.ProbeEvery > 1 && m.windows%uint64(m.ProbeEvery) != 0 {
+	if m.windows%probeEvery != 0 {
 		return
 	}
 	// The microphone is out of the fan-out, so the driver is its only
@@ -540,7 +528,7 @@ func (m *DeviceMonitor) probeQuarantined(i int, t *micTracker, from, to float64,
 		// There were tones to hear and the probe missed them all.
 		t.probeHits = 0
 	}
-	if t.probeHits >= m.RejoinHits {
+	if t.probeHits >= rejoinHits {
 		t.quarantined = false
 		t.missStreak = 0
 		t.probeHits = 0
@@ -588,7 +576,7 @@ func (m *DeviceMonitor) classifyMic(t *micTracker) {
 // returns at full strength.
 func (m *DeviceMonitor) observeSpeaker(t *speakerTracker, from, to float64) {
 	// Classify this window's sound at the commanded frequencies.
-	// Strong hits (>= StrongLevelRatio × trained level) prove the
+	// Strong hits (>= strongLevelRatio × trained level) prove the
 	// speaker in tune and train the EWMA; weak hits — a partial-window
 	// beat, a quieter driver, or a detuned tone's leakage back into
 	// the commanded bin — count as sound but never train, so leakage
@@ -606,11 +594,11 @@ func (m *DeviceMonitor) observeSpeaker(t *speakerTracker, from, to float64) {
 			strongOrig = true
 			continue
 		}
-		if a < m.MinLevelRatio*lv {
+		if a < minLevelRatio*lv {
 			continue // noise or leakage remnants: not this speaker
 		}
-		if a >= m.StrongLevelRatio*lv {
-			t.level[f] = lv + m.NoiseAlpha*(a-lv)
+		if a >= strongLevelRatio*lv {
+			t.level[f] = lv + noiseAlpha*(a-lv)
 			t.trainCount++
 			strongOrig = true
 		} else {
@@ -655,7 +643,7 @@ func (m *DeviceMonitor) observeSpeaker(t *speakerTracker, from, to float64) {
 		default:
 			t.silentStreak++
 		}
-		if t.healStreak >= m.RejoinHits {
+		if t.healStreak >= rejoinHits {
 			m.healSpeaker(t)
 			return
 		}
@@ -732,7 +720,7 @@ const (
 
 // probeSpeaker searches a reference capture for the suspect speaker's
 // tones across the detune grid. A shifted peak that dominates the
-// commanded bins by TuneFactor re-keys the speaker; audible energy
+// commanded bins by tuneFactor re-keys the speaker; audible energy
 // that stays at the commanded frequencies retrains the fingerprint
 // level instead (an aging driver playing quieter is not a fault).
 func (m *DeviceMonitor) probeSpeaker(t *speakerTracker, from, to float64) probeVerdict {
@@ -769,13 +757,13 @@ func (m *DeviceMonitor) probeSpeaker(t *speakerTracker, from, to float64) probeV
 		commanded += probeAmps[i]
 	}
 
-	steps := int(math.Round(m.MaxDetuneRatio / m.DetuneStep))
+	steps := int(math.Round(maxDetuneRatio / detuneStep))
 	bestAmp, bestRatio := 0.0, 1.0
 	for k := -steps; k <= steps; k++ {
 		if k == 0 {
 			continue // the in-tune baseline is measured above
 		}
-		r := 1 + float64(k)*m.DetuneStep
+		r := 1 + float64(k)*detuneStep
 		sum := 0.0
 		for _, f := range t.freqs {
 			sum += dsp.Goertzel(buf.Samples, f*r, buf.SampleRate) * scale
@@ -784,7 +772,7 @@ func (m *DeviceMonitor) probeSpeaker(t *speakerTracker, from, to float64) probeV
 			bestAmp, bestRatio = sum, r
 		}
 	}
-	if bestAmp >= minAmp && bestAmp > m.TuneFactor*commanded {
+	if bestAmp >= minAmp && bestAmp > tuneFactor*commanded {
 		m.rekeySpeaker(t, bestRatio)
 		return probeRekeyed
 	}
@@ -794,7 +782,7 @@ func (m *DeviceMonitor) probeSpeaker(t *speakerTracker, from, to float64) probeV
 		// forever (or, worse, muting a merely quieter driver).
 		for i, f := range t.freqs {
 			if lv, seen := t.level[f]; seen && probeAmps[i] >= minAmp {
-				t.level[f] = lv + m.NoiseAlpha*(probeAmps[i]-lv)
+				t.level[f] = lv + noiseAlpha*(probeAmps[i]-lv)
 			}
 		}
 		return probeInTune

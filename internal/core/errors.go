@@ -41,20 +41,16 @@ type AppError struct {
 //
 // The log is safe for concurrent use.
 type ErrorLog struct {
-	// Max bounds the retained history; older entries are evicted
-	// (counters keep counting). Zero means DefaultErrorLogMax.
-	Max int
-
-	mu    sync.Mutex
-	errs  []AppError
-	total uint64
+	mu      sync.Mutex
+	errs    []AppError
+	evicted uint64
 }
 
-// DefaultErrorLogMax is the retained-history bound of a zero-valued
-// ErrorLog.
-const DefaultErrorLogMax = 256
+// errorLogMax bounds an ErrorLog's retained history; older entries are
+// evicted (counters keep counting).
+const errorLogMax = 256
 
-// NewErrorLog returns an empty log with the default bound.
+// NewErrorLog returns an empty log.
 func NewErrorLog() *ErrorLog { return &ErrorLog{} }
 
 // Record appends one failure.
@@ -64,15 +60,7 @@ func (l *ErrorLog) Record(time float64, app string, err error) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.total++
-	max := l.Max
-	if max <= 0 {
-		max = DefaultErrorLogMax
-	}
-	l.errs = append(l.errs, AppError{Time: time, App: app, Err: err})
-	if len(l.errs) > max {
-		l.errs = append(l.errs[:0], l.errs[len(l.errs)-max:]...)
-	}
+	l.errs = appendBounded(l.errs, AppError{Time: time, App: app, Err: err}, errorLogMax, &l.evicted)
 }
 
 // Total returns how many errors were ever recorded (including evicted
@@ -83,7 +71,7 @@ func (l *ErrorLog) Total() uint64 {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.total
+	return l.evicted + uint64(len(l.errs))
 }
 
 // Since counts retained errors recorded at or after time t — the

@@ -19,18 +19,22 @@ type FanMonitor struct {
 	// Harmonics are the fan frequencies to watch (blade-pass
 	// fundamental and overtones).
 	Harmonics []float64
-	// WindowDur is the analysis window length in seconds.
-	WindowDur float64
-	// AlertRatio is the failure criterion: alert when the mean
-	// relative amplitude drop across harmonics exceeds this fraction
-	// of the baseline (0.5 = harmonics lost half their amplitude).
-	AlertRatio float64
 
 	mic *acoustic.Microphone
 
 	baseline []float64 // per-harmonic amplitude
 	trained  bool
 }
+
+// Fan-monitor settings.
+const (
+	// fanWindow is the analysis window length in seconds.
+	fanWindow = 0.5
+	// fanAlertRatio is the failure criterion: alert when the mean
+	// relative amplitude drop across harmonics exceeds this fraction
+	// of the baseline (0.5 = harmonics lost half their amplitude).
+	fanAlertRatio = 0.5
+)
 
 // ErrNotTrained reports a check before training.
 var ErrNotTrained = errors.New("core: fan monitor has no baseline; call Train first")
@@ -41,10 +45,8 @@ func NewFanMonitor(mic *acoustic.Microphone, harmonics []float64) *FanMonitor {
 	h := make([]float64, len(harmonics))
 	copy(h, harmonics)
 	return &FanMonitor{
-		Harmonics:  h,
-		WindowDur:  0.5,
-		AlertRatio: 0.5,
-		mic:        mic,
+		Harmonics: h,
+		mic:       mic,
 	}
 }
 
@@ -56,8 +58,8 @@ func (fm *FanMonitor) amplitudes(from, to float64) []float64 {
 	windows := 0
 	var gplan *dsp.GoertzelPlan
 	var mags []float64
-	for t := from; t+fm.WindowDur <= to+1e-9; t += fm.WindowDur {
-		buf := fm.mic.Capture(t, t+fm.WindowDur)
+	for t := from; t+fanWindow <= to+1e-9; t += fanWindow {
+		buf := fm.mic.Capture(t, t+fanWindow)
 		n := float64(buf.Len())
 		if n == 0 {
 			continue
@@ -82,7 +84,7 @@ func (fm *FanMonitor) amplitudes(from, to float64) []float64 {
 // Train learns the healthy-fan baseline from [from, to). The interval
 // must hold at least one analysis window.
 func (fm *FanMonitor) Train(from, to float64) error {
-	if to-from < fm.WindowDur {
+	if to-from < fanWindow {
 		return errors.New("core: training interval shorter than one analysis window")
 	}
 	fm.baseline = fm.amplitudes(from, to)
@@ -136,7 +138,7 @@ func (fm *FanMonitor) Check(from, to float64) (failed bool, score float64, err e
 	if err != nil {
 		return false, 0, err
 	}
-	return score >= fm.AlertRatio, score, nil
+	return score >= fanAlertRatio, score, nil
 }
 
 // AmplitudeDiff computes the paper's Figure 7 statistic directly: the

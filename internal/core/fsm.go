@@ -16,12 +16,9 @@ type FSM struct {
 	// OnAccept runs when the machine reaches Accept.
 	OnAccept func()
 	// OnReset runs whenever an unexpected symbol resets the machine
-	// (not on accept).
+	// to Start (not on accept): a wrong knock restarts
+	// authentication.
 	OnReset func(state, symbol string)
-	// StrictReset controls what a wrong symbol does: if true the
-	// machine returns to Start; if false it stays put. Port knocking
-	// wants true (a wrong knock restarts authentication).
-	StrictReset bool
 
 	transitions map[string]map[string]string
 	state       string
@@ -37,7 +34,6 @@ func NewFSM(start, accept string) *FSM {
 	return &FSM{
 		Start:       start,
 		Accept:      accept,
-		StrictReset: true,
 		transitions: make(map[string]map[string]string),
 		state:       start,
 	}
@@ -64,14 +60,12 @@ func (f *FSM) Step(symbol string) string {
 		if f.OnReset != nil {
 			f.OnReset(f.state, symbol)
 		}
-		if f.StrictReset {
-			f.state = f.Start
-			// The wrong symbol may itself be the first symbol of a
-			// valid sequence — re-dispatch once from the start state,
-			// like real port-knocking daemons do.
-			if n2, ok2 := f.transitions[f.state][symbol]; ok2 {
-				f.state = n2
-			}
+		f.state = f.Start
+		// The wrong symbol may itself be the first symbol of a valid
+		// sequence — re-dispatch once from the start state, like real
+		// port-knocking daemons do.
+		if n2, ok2 := f.transitions[f.state][symbol]; ok2 {
+			f.state = n2
 		}
 		return f.state
 	}

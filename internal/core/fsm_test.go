@@ -53,20 +53,6 @@ func TestFSMWrongSymbolCanRestartSequence(t *testing.T) {
 	}
 }
 
-func TestFSMNonStrictStaysPut(t *testing.T) {
-	f := SequenceFSM([]string{"a", "b"})
-	f.StrictReset = false
-	f.Step("a")
-	f.Step("x")
-	if f.State() != "q1" {
-		t.Errorf("state = %q, want q1 (non-strict)", f.State())
-	}
-	f.Step("b")
-	if f.Accepts != 1 {
-		t.Error("should still accept")
-	}
-}
-
 func TestFSMRepeatedAccepts(t *testing.T) {
 	f := SequenceFSM([]string{"k"})
 	for i := 0; i < 3; i++ {

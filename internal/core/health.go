@@ -40,9 +40,7 @@ func (s HealthState) String() string {
 	}
 }
 
-// Health thresholds. They are fields of no struct so a Controller can
-// stay zero-configured; override per controller via the exported
-// knobs below when a deployment needs different trip points.
+// Health thresholds.
 const (
 	// DefaultStallWindows: this many consecutive expected windows
 	// missing marks the controller Stalled.
@@ -139,12 +137,6 @@ type healthInputs struct {
 	ring          [healthRingSize]windowStat
 	ringN         int // total windows noted (ring index = ringN % size)
 	wires         []wireRef
-
-	// Overrides of the Default* thresholds; zero means default.
-	StallWindows     float64
-	DegradeLossRate  float64
-	DegradeErrorAge  float64
-	DegradeAmpMargin float64
 }
 
 type windowStat struct {
@@ -201,13 +193,6 @@ func (c *Controller) RegisterVoice(name string, v *Voice) {
 	c.RegisterSounder(name, v.Sounder())
 }
 
-func (h *healthInputs) threshold(v, def float64) float64 {
-	if v > 0 {
-		return v
-	}
-	return def
-}
-
 // Health rolls the controller's supervision inputs — the window
 // watchdog, the detection-amplitude trend, per-app error rates, the
 // quarantine list, and registered wire fault counters — into one
@@ -232,8 +217,7 @@ func (c *Controller) Health() HealthSnapshot {
 		}
 	}
 
-	errAge := h.threshold(h.DegradeErrorAge, DefaultDegradeErrorAge)
-	snap.RecentErrors = c.Errors.Since(now - errAge)
+	snap.RecentErrors = c.Errors.Since(now - DefaultDegradeErrorAge)
 
 	// Recent detection-amplitude margin (SNR trend stand-in): mean of
 	// the per-window loudest detection over windows that had any.
@@ -283,7 +267,7 @@ func (c *Controller) Health() HealthSnapshot {
 	}
 
 	// Verdict: Stalled beats Degraded beats Healthy.
-	stallAfter := h.threshold(h.StallWindows, DefaultStallWindows) * c.Window
+	stallAfter := DefaultStallWindows * c.Window
 	if c.started && now-h.lastWindowEnd > stallAfter {
 		snap.Reasons = append(snap.Reasons, fmt.Sprintf(
 			"no window analysed for %.3f s (stall threshold %.3f s)", now-h.lastWindowEnd, stallAfter))
@@ -310,17 +294,15 @@ func (c *Controller) Health() HealthSnapshot {
 			snap.Reasons = append(snap.Reasons, fmt.Sprintf("%d subscriber(s) quarantined", len(snap.Quarantined)))
 		}
 		if snap.RecentErrors > 0 {
-			snap.Reasons = append(snap.Reasons, fmt.Sprintf("%d error(s) in the last %.0f s", snap.RecentErrors, errAge))
+			snap.Reasons = append(snap.Reasons, fmt.Sprintf("%d error(s) in the last %.0f s", snap.RecentErrors, DefaultDegradeErrorAge))
 		}
-		lossTrip := h.threshold(h.DegradeLossRate, DefaultDegradeLossRate)
-		if sent >= minWireSample && snap.WireLossRate >= lossTrip {
+		if sent >= minWireSample && snap.WireLossRate >= DefaultDegradeLossRate {
 			snap.Reasons = append(snap.Reasons, fmt.Sprintf(
 				"wire loss %.1f%% over %d message(s)", 100*snap.WireLossRate, sent))
 		}
-		ampTrip := h.threshold(h.DegradeAmpMargin, DefaultDegradeAmpMargin)
-		if cnt >= 8 && snap.AmplitudeMargin > 0 && snap.AmplitudeMargin < ampTrip {
+		if cnt >= 8 && snap.AmplitudeMargin > 0 && snap.AmplitudeMargin < DefaultDegradeAmpMargin {
 			snap.Reasons = append(snap.Reasons, fmt.Sprintf(
-				"detection amplitude margin %.2fx of floor (trip %.2fx)", snap.AmplitudeMargin, ampTrip))
+				"detection amplitude margin %.2fx of floor (trip %.2fx)", snap.AmplitudeMargin, DefaultDegradeAmpMargin))
 		}
 		if len(snap.Reasons) > 0 {
 			snap.State = Degraded

@@ -17,21 +17,15 @@ import (
 type Heartbeat struct {
 	// Period is the beat interval in seconds.
 	Period float64
-	// MissThreshold is how many consecutive missed beats raise an
-	// alert.
-	MissThreshold int
 
 	onset *OnsetFilter
 
 	devices map[float64]*heartbeatDevice
 	freqs   []float64
 
-	// HistoryMax bounds Alerts to the last N entries (0 means
-	// DefaultHistoryMax).
-	HistoryMax int
 	// HistoryDropped counts entries evicted from Alerts by the bound.
 	HistoryDropped uint64
-	// Alerts accumulates raised alerts (last HistoryMax).
+	// Alerts accumulates raised alerts (last historyMax).
 	Alerts []HeartbeatAlert
 
 	events uint64 // alerts raised, including evicted ones
@@ -59,14 +53,17 @@ type HeartbeatAlert struct {
 	MissedBeats int
 }
 
+// HeartbeatMissThreshold is how many consecutive missed beats raise
+// an alert.
+const HeartbeatMissThreshold = 3
+
 // NewHeartbeat builds a monitor with a 1 s period and a 3-beat miss
 // threshold.
 func NewHeartbeat() *Heartbeat {
 	return &Heartbeat{
-		Period:        1.0,
-		MissThreshold: 3,
-		onset:         NewOnsetFilter(),
-		devices:       make(map[float64]*heartbeatDevice),
+		Period:  1.0,
+		onset:   NewOnsetFilter(),
+		devices: make(map[float64]*heartbeatDevice),
 	}
 }
 
@@ -136,12 +133,12 @@ func (hb *Heartbeat) check(now float64) {
 			continue
 		}
 		dev.missed++
-		if dev.missed >= hb.MissThreshold && !dev.alerted {
+		if dev.missed >= HeartbeatMissThreshold && !dev.alerted {
 			dev.alerted = true
 			hb.events++
 			hb.Alerts = appendBounded(hb.Alerts, HeartbeatAlert{
 				Time: now, Device: dev.name, MissedBeats: dev.missed,
-			}, hb.HistoryMax, &hb.HistoryDropped)
+			}, historyMax, &hb.HistoryDropped)
 		}
 	}
 }

@@ -9,11 +9,11 @@ import (
 )
 
 // alertDeadline is the worst case from a device's last heard beat to
-// its alert: MissThreshold consecutive period checks must fail, the
-// check phase adds up to one period, and detection latency a fraction
-// more — (MissThreshold + 2) × Period in total.
+// its alert: HeartbeatMissThreshold consecutive period checks must
+// fail, the check phase adds up to one period, and detection latency a
+// fraction more — (HeartbeatMissThreshold + 2) × Period in total.
 func alertDeadline(hb *Heartbeat) float64 {
-	return (float64(hb.MissThreshold) + 2) * hb.Period
+	return (HeartbeatMissThreshold + 2) * hb.Period
 }
 
 // TestHeartbeatUnderFaultInjection sweeps wire drop rates over the

@@ -45,8 +45,8 @@ func TestHeartbeatDetectsDeath(t *testing.T) {
 	if a.Device != "s1" {
 		t.Errorf("alerted device = %s", a.Device)
 	}
-	if a.Time < 5+float64(hb.MissThreshold)*hb.Period-1 || a.Time > 5+float64(hb.MissThreshold+2)*hb.Period {
-		t.Errorf("alert at %g, want ~%g", a.Time, 5+float64(hb.MissThreshold)*hb.Period)
+	if a.Time < 5+HeartbeatMissThreshold*hb.Period-1 || a.Time > 5+(HeartbeatMissThreshold+2)*hb.Period {
+		t.Errorf("alert at %g, want ~%g", a.Time, 5+HeartbeatMissThreshold*hb.Period)
 	}
 	if hb.BeatsOf("s1") < 3 || hb.BeatsOf("s2") < 9 {
 		t.Errorf("beats: s1=%d s2=%d", hb.BeatsOf("s1"), hb.BeatsOf("s2"))

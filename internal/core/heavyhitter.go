@@ -28,14 +28,11 @@ type HeavyHitter struct {
 	counter    FlowCounter
 	intervalAt float64
 
-	// HistoryMax bounds Reports and History to the last N entries
-	// each (0 means DefaultHistoryMax).
-	HistoryMax int
 	// HistoryDropped counts entries evicted from Reports and History
 	// by the bound.
 	HistoryDropped uint64
 
-	// Reports accumulates flagged buckets (last HistoryMax).
+	// Reports accumulates flagged buckets (last historyMax).
 	Reports []HHReport
 	// History records per-interval counts for plotting (Figure 4a-b),
 	// bounded like Reports.
@@ -145,10 +142,10 @@ func (hh *HeavyHitter) closeInterval(now float64) {
 			hh.events++
 			hh.Reports = appendBounded(hh.Reports, HHReport{
 				Time: now, Frequency: f, Bucket: i, Count: c,
-			}, hh.HistoryMax, &hh.HistoryDropped)
+			}, historyMax, &hh.HistoryDropped)
 		}
 	}
-	hh.History = appendBounded(hh.History, sample, hh.HistoryMax, &hh.HistoryDropped)
+	hh.History = appendBounded(hh.History, sample, historyMax, &hh.HistoryDropped)
 	hh.counter.Reset()
 }
 

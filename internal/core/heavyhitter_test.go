@@ -129,7 +129,7 @@ func TestHeavyHitterBucketOfStable(t *testing.T) {
 
 func TestHeavyHitterHistoryCountsRateLimited(t *testing.T) {
 	// Even a very fast flow cannot produce more onsets per second
-	// than the voice MinGap allows (~6.7/s at 150 ms).
+	// than VoiceMinGap allows (~6.7/s at 150 ms).
 	bed := newHHBed(t, 24, 8)
 	netsim.StartCBR(bed.sim, bed.h1, flowTo(bed.h2, 777), 1000, 1500, 0, 2)
 	bed.sim.RunUntil(2)

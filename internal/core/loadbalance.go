@@ -9,7 +9,8 @@ import (
 // LoadBalancer is the Section 6 traffic-engineering application: it
 // listens for a queue monitor's "congested" tone and, on first
 // hearing it, sends the Flow-MOD that splits traffic across two
-// ports (Figure 5a-b). The entire control loop is out-of-band: the
+// ports (Figure 5a-b). Later congested tones are ignored: the paper's
+// experiment splits once. The entire control loop is out-of-band: the
 // only signal from switch to controller is sound.
 //
 // Flow programming goes through a retrying openflow.Programmer, so a
@@ -19,10 +20,6 @@ import (
 type LoadBalancer struct {
 	// SplitRule is the Flow-MOD installed on congestion.
 	SplitRule openflow.FlowMod
-	// OneShot keeps the balancer from re-sending the rule on every
-	// subsequent congested tone (the paper's experiment splits
-	// once).
-	OneShot bool
 
 	qm    *QueueMonitor
 	prog  *openflow.Programmer
@@ -50,7 +47,6 @@ type LoadBalancer struct {
 func NewLoadBalancer(qm *QueueMonitor, ch *openflow.Channel, splitRule openflow.FlowMod) *LoadBalancer {
 	lb := &LoadBalancer{
 		SplitRule: splitRule,
-		OneShot:   true,
 		qm:        qm,
 		prog:      openflow.NewProgrammer(ch, 1),
 		onset:     NewOnsetFilter(),
@@ -66,8 +62,8 @@ func NewLoadBalancer(qm *QueueMonitor, ch *openflow.Channel, splitRule openflow.
 	return lb
 }
 
-// Programmer exposes the retrying flow programmer (to tune backoff or
-// read its counters).
+// Programmer exposes the retrying flow programmer (to read its
+// counters).
 func (lb *LoadBalancer) Programmer() *openflow.Programmer { return lb.prog }
 
 // SetErrorLog routes programming failures into a shared log —
@@ -91,17 +87,12 @@ func (lb *LoadBalancer) HandleWindow(_ float64, dets []Detection) {
 		if lb.qm.LevelFor(det.Frequency) != LevelHigh {
 			continue
 		}
-		if lb.OneShot && lb.Triggered {
+		if lb.Triggered {
 			return
 		}
 		lb.Triggers++
 		lb.Triggered = true
 		lb.TriggeredAt = det.Time
-		if !lb.OneShot {
-			// A re-trigger is fresh intent, not a retry: clear the
-			// idempotency key so the rule really is sent again.
-			lb.prog.Forget(lb.SplitRule)
-		}
 		if err := lb.prog.Install(lb.SplitRule); err != nil {
 			lb.recordFailure(err)
 		}

@@ -23,12 +23,9 @@ type MelodyCodec struct {
 	onset   *OnsetFilter
 
 	// Messages holds completed decoded messages, bounded like every
-	// other application log: at most MessagesMax entries are kept
-	// (0 means DefaultHistoryMax), oldest evicted first and counted
-	// in MessagesDropped.
+	// other application log: at most historyMax entries are kept,
+	// oldest evicted first and counted in MessagesDropped.
 	Messages [][]byte
-	// MessagesMax overrides the Messages bound (0 = DefaultHistoryMax).
-	MessagesMax int
 	// MessagesDropped counts messages evicted by the bound.
 	MessagesDropped uint64
 	// Overflows counts in-progress decodes abandoned because the
@@ -95,7 +92,7 @@ func (mc *MelodyCodec) Encode(msg []byte) ([]float64, error) {
 }
 
 // Transmit plays an encoded message through a voice, one tone per
-// slot slightly wider than the voice's MinGap (so repeated nibbles
+// slot slightly wider than VoiceMinGap (so repeated nibbles
 // are never rate-limited away), starting at time at on the voice's
 // simulator clock. It returns the time the last tone starts.
 func (mc *MelodyCodec) Transmit(voice *Voice, at float64, msg []byte) (float64, error) {
@@ -103,7 +100,7 @@ func (mc *MelodyCodec) Transmit(voice *Voice, at float64, msg []byte) (float64, 
 	if err != nil {
 		return 0, err
 	}
-	slot := voice.MinGap + 0.01
+	slot := VoiceMinGap + 0.01
 	for i, f := range tones {
 		f := f
 		voice.sim.Schedule(at+float64(i)*slot, func() { voice.Play(f) })
@@ -140,7 +137,7 @@ func (mc *MelodyCodec) consume(freq float64) {
 			// Complete message terminated by the marker.
 			msg := make([]byte, len(mc.current))
 			copy(msg, mc.current)
-			mc.Messages = appendBounded(mc.Messages, msg, mc.MessagesMax, &mc.MessagesDropped)
+			mc.Messages = appendBounded(mc.Messages, msg, historyMax, &mc.MessagesDropped)
 		}
 		mc.state = 0
 		mc.current = mc.current[:0]

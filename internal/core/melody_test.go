@@ -100,18 +100,19 @@ func TestMelodyMessagesBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc.MessagesMax = 3
-	for i := 0; i < 5; i++ {
-		tones, _ := mc.Encode([]byte{byte(i)})
+	const sent = historyMax + 2
+	for i := 0; i < sent; i++ {
+		tones, _ := mc.Encode([]byte{byte(i >> 8), byte(i)})
 		for _, f := range tones {
 			mc.consume(f)
 		}
 	}
-	if len(mc.Messages) != 3 {
-		t.Fatalf("kept %d messages, want 3", len(mc.Messages))
+	if len(mc.Messages) != historyMax {
+		t.Fatalf("kept %d messages, want %d", len(mc.Messages), historyMax)
 	}
-	if mc.Messages[0][0] != 2 || mc.Messages[2][0] != 4 {
-		t.Errorf("kept wrong window: %v", mc.Messages)
+	first, last := mc.Messages[0], mc.Messages[historyMax-1]
+	if int(first[0])<<8|int(first[1]) != 2 || int(last[0])<<8|int(last[1]) != sent-1 {
+		t.Errorf("kept messages %v..%v, want 2..%d", first, last, sent-1)
 	}
 	if mc.MessagesDropped != 2 {
 		t.Errorf("dropped = %d, want 2", mc.MessagesDropped)
@@ -309,7 +310,7 @@ func TestMelodyOverAirTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slot := voice.MinGap + 0.01
+	slot := VoiceMinGap + 0.01
 	cut := len(tones) / 2
 	for i, f := range tones[:cut] {
 		f := f

@@ -145,8 +145,8 @@ func (pk *PortKnock) HandleWindow(_ float64, dets []Detection) {
 // knockSymbol is the FSM symbol of a knock on port p.
 func knockSymbol(p uint16) string { return fmt.Sprintf("port%d", p) }
 
-// Programmer exposes the retrying flow programmer (to tune backoff or
-// read its counters).
+// Programmer exposes the retrying flow programmer (to read its
+// counters).
 func (pk *PortKnock) Programmer() *openflow.Programmer { return pk.prog }
 
 // SetErrorLog routes programming failures into a shared log —

@@ -28,14 +28,11 @@ type PortScan struct {
 	distinct DistinctCounter
 	alerted  bool // alert already raised in the current interval
 
-	// HistoryMax bounds Alerts and Sweep to the last N entries each
-	// (0 means DefaultHistoryMax).
-	HistoryMax int
 	// HistoryDropped counts entries evicted from Alerts and Sweep by
 	// the bound.
 	HistoryDropped uint64
 
-	// Alerts accumulates raised alerts (last HistoryMax).
+	// Alerts accumulates raised alerts (last historyMax).
 	Alerts []ScanAlert
 	// Sweep records onsets in time order for the spectrogram view,
 	// bounded like Alerts.
@@ -136,13 +133,13 @@ func (ps *PortScan) HandleWindow(_ float64, dets []Detection) {
 			continue
 		}
 		ps.distinct.Observe(FreqKey(det.Frequency))
-		ps.Sweep = appendBounded(ps.Sweep, det, ps.HistoryMax, &ps.HistoryDropped)
+		ps.Sweep = appendBounded(ps.Sweep, det, historyMax, &ps.HistoryDropped)
 		if d := ps.distinct.Distinct(); d >= ps.Threshold && !ps.alerted {
 			ps.alerted = true
 			ps.events++
 			ps.Alerts = appendBounded(ps.Alerts, ScanAlert{
 				Time: det.Time, DistinctPorts: d,
-			}, ps.HistoryMax, &ps.HistoryDropped)
+			}, historyMax, &ps.HistoryDropped)
 		}
 	}
 }

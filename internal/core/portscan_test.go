@@ -151,21 +151,20 @@ func TestPortScanOneAlertPerInterval(t *testing.T) {
 func TestPortScanHistoryBounded(t *testing.T) {
 	bed := newScanBed(t, 37, 8000, 12)
 	ps := bed.ps
-	ps.HistoryMax = 4
 	ps.Threshold = 100 // never alert; isolate the Sweep bound
 	freqs := ps.Frequencies()
 	at := 1.0
-	for round := 0; round < 2; round++ {
-		for i := 0; i < 5; i++ {
-			at = feedPort(ps, at, freqs[i])
+	for i := 0; i < historyMax+6; i++ {
+		at = feedPort(ps, at, freqs[i%5])
+		if i%5 == 4 {
+			ps.closeInterval(at)
 		}
-		ps.closeInterval(at)
 	}
-	if len(ps.Sweep) != 4 {
-		t.Errorf("sweep holds %d entries, want bound of 4", len(ps.Sweep))
+	if len(ps.Sweep) != historyMax {
+		t.Errorf("sweep holds %d entries, want bound of %d", len(ps.Sweep), historyMax)
 	}
 	if ps.HistoryDropped != 6 {
-		t.Errorf("HistoryDropped = %d, want 6 (10 onsets - 4 kept)", ps.HistoryDropped)
+		t.Errorf("HistoryDropped = %d, want 6 (onsets beyond the bound)", ps.HistoryDropped)
 	}
 	// The survivors are the most recent onsets.
 	for i := 1; i < len(ps.Sweep); i++ {

@@ -49,15 +49,12 @@ type QueueMonitor struct {
 	freqs [3]float64
 	onset *OnsetFilter
 
-	// HistoryMax bounds QueueSeries, ToneLog and Heard to the last N
-	// entries each (0 means DefaultHistoryMax).
-	HistoryMax int
-	// HistoryDropped counts entries evicted from the three logs by
-	// the bound.
+	// HistoryDropped counts entries evicted from QueueSeries, ToneLog
+	// and Heard, which keep the last historyMax entries each.
 	HistoryDropped uint64
 
 	// QueueSeries records the switch-side occupancy samples
-	// (Figure 5a/5c ground truth), last HistoryMax.
+	// (Figure 5a/5c ground truth), last historyMax.
 	QueueSeries []netsim.Sample
 	// ToneLog records the switch-side tones as (time, level), bounded
 	// like QueueSeries.
@@ -150,10 +147,10 @@ func (qm *QueueMonitor) StartSwitchSide(sim *netsim.Sim, at float64) *netsim.Tic
 	return sim.Every(at, qm.SampleInterval, func(now float64) {
 		qLen := qm.sw.QueueLen(qm.port)
 		qm.QueueSeries = appendBounded(qm.QueueSeries, netsim.Sample{Time: now, Value: float64(qLen)},
-			qm.HistoryMax, &qm.HistoryDropped)
+			historyMax, &qm.HistoryDropped)
 		lvl := qm.LevelOf(qLen)
 		qm.ToneLog = appendBounded(qm.ToneLog, LevelSample{Time: now, Level: lvl},
-			qm.HistoryMax, &qm.HistoryDropped)
+			historyMax, &qm.HistoryDropped)
 		qm.voice.Play(qm.freqs[lvl])
 	})
 }
@@ -165,7 +162,7 @@ func (qm *QueueMonitor) HandleWindow(_ float64, dets []Detection) {
 		if lvl := qm.LevelFor(det.Frequency); lvl >= 0 {
 			qm.heard++
 			qm.Heard = appendBounded(qm.Heard, LevelSample{Time: det.Time, Level: lvl},
-				qm.HistoryMax, &qm.HistoryDropped)
+				historyMax, &qm.HistoryDropped)
 		}
 	}
 }

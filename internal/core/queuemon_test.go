@@ -228,31 +228,6 @@ func TestLoadBalancerSplitsOnCongestionTone(t *testing.T) {
 	}
 }
 
-func TestLoadBalancerNonOneShotRetriggers(t *testing.T) {
-	tb := newTestbed(45)
-	sw := netsim.NewSwitch(tb.sim, "s1")
-	voice := tb.voiceAt("s1", acoustic.Position{X: 1})
-	qm := NewQueueMonitorWithTones(sw, 2, voice, DefaultQueueFrequencies)
-	ch := openflow.NewChannel(tb.sim, sw, 0)
-	lb := NewLoadBalancer(qm, ch, openflow.FlowMod{Command: openflow.FlowAdd, Priority: 5, Action: netsim.Drop()})
-	lb.OneShot = false
-	// Feed synthetic congested detections directly. Two confirmed
-	// bursts separated by silence re-trigger a non-one-shot balancer.
-	high := Detection{Time: 1, Frequency: 700, Amplitude: 0.01}
-	lb.HandleWindow(1, []Detection{high})
-	lb.HandleWindow(2, []Detection{high}) // confirmed -> trigger 1
-	lb.HandleWindow(3, nil)               // silence re-arms
-	lb.HandleWindow(4, []Detection{high})
-	lb.HandleWindow(5, []Detection{high}) // confirmed -> trigger 2
-	if lb.Triggers != 2 {
-		t.Errorf("triggers = %d, want 2", lb.Triggers)
-	}
-	tb.sim.Run()
-	if len(sw.Rules()) != 2 {
-		t.Errorf("rules installed = %d", len(sw.Rules()))
-	}
-}
-
 func TestLevelName(t *testing.T) {
 	if LevelName(LevelLow) != "low" || LevelName(LevelMid) != "mid" ||
 		LevelName(LevelHigh) != "high" || LevelName(9) != "unknown" {

@@ -191,8 +191,8 @@ func TestStreamCompactMidStream(t *testing.T) {
 	}
 
 	// Out-of-band reads behind the horizon fail typed too.
-	if _, err := ctrl.AnalyseOnce(0.10, 0.15); !errors.Is(err, acoustic.ErrCompacted) {
-		t.Errorf("AnalyseOnce behind horizon = %v, want ErrCompacted", err)
+	if _, err := tb.mic.CaptureChecked(nil, 0.10, 0.15); !errors.Is(err, acoustic.ErrCompacted) {
+		t.Errorf("CaptureChecked behind horizon = %v, want ErrCompacted", err)
 	}
 }
 

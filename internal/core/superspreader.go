@@ -62,14 +62,11 @@ type SpreadDetector struct {
 
 	distinct DistinctCounter
 
-	// HistoryMax bounds Alerts and History to the last N entries each
-	// (0 means DefaultHistoryMax).
-	HistoryMax int
 	// HistoryDropped counts entries evicted from Alerts and History by
 	// the bound.
 	HistoryDropped uint64
 
-	// Alerts accumulates raised alerts (last HistoryMax).
+	// Alerts accumulates raised alerts (last historyMax).
 	Alerts []SpreadAlert
 	// History records per-interval distinct counts, bounded like
 	// Alerts.
@@ -181,11 +178,11 @@ func (sd *SpreadDetector) HandleWindow(_ float64, dets []Detection) {
 func (sd *SpreadDetector) closeInterval(now float64) {
 	distinct := sd.distinct.Distinct()
 	sd.History = appendBounded(sd.History, netsim.Sample{Time: now, Value: float64(distinct)},
-		sd.HistoryMax, &sd.HistoryDropped)
+		historyMax, &sd.HistoryDropped)
 	if distinct > sd.K {
 		sd.events++
 		sd.Alerts = appendBounded(sd.Alerts, SpreadAlert{Time: now, Distinct: distinct},
-			sd.HistoryMax, &sd.HistoryDropped)
+			historyMax, &sd.HistoryDropped)
 	}
 	sd.distinct.Reset()
 }

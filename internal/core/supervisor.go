@@ -8,7 +8,7 @@ import (
 
 // subscriber is one supervised handler registration. The controller
 // runs every handler inside a recover barrier: a panicking subscriber
-// is counted and, after QuarantineThreshold consecutive panics,
+// is counted and, after quarantineThreshold consecutive panics,
 // quarantined (never called again) — one misbehaving application
 // cannot take down port knocking, heavy-hitter detection, and
 // heartbeats with it. A window that completes without panicking
@@ -29,9 +29,9 @@ type subscriber struct {
 	dispatch *telemetry.Histogram
 }
 
-// DefaultQuarantineThreshold is how many consecutive panics disable a
+// quarantineThreshold is how many consecutive panics disable a
 // subscriber.
-const DefaultQuarantineThreshold = 3
+const quarantineThreshold = 3
 
 // SubscriberStatus is one subscriber's supervision state, surfaced
 // through Health().
@@ -64,11 +64,7 @@ func (c *Controller) invoke(s *subscriber, from float64, dets []Detection) {
 			s.consecutive++
 			now := c.sim.Now()
 			c.Errors.Record(now, s.name, fmt.Errorf("%w: %s: %v", ErrHandlerPanic, s.name, r))
-			threshold := c.QuarantineThreshold
-			if threshold <= 0 {
-				threshold = DefaultQuarantineThreshold
-			}
-			if s.consecutive >= threshold {
+			if s.consecutive >= quarantineThreshold {
 				s.quarantined = true
 				s.quarantinedAt = now
 				c.tm.quarantines.Inc()
@@ -79,13 +75,7 @@ func (c *Controller) invoke(s *subscriber, from float64, dets []Detection) {
 		}
 		s.consecutive = 0
 	}()
-	if c.ProfileSubscribers {
-		// The profiling path allocates (one closure per call) — it is
-		// an opt-in diagnostic, not a steady-state setting.
-		telemetry.Do("mdn_subscriber", s.name, func() { s.onWin(from, dets) })
-	} else {
-		s.onWin(from, dets)
-	}
+	s.onWin(from, dets)
 }
 
 // snapshotSubs returns the subscriber list as seen under the

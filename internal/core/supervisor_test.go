@@ -44,12 +44,12 @@ func TestQuarantineAfterConsecutivePanics(t *testing.T) {
 	ctrl.Start(0)
 	tb.sim.RunUntil(1.0) // 20 windows, far beyond the threshold
 
-	if calls != DefaultQuarantineThreshold {
+	if calls != quarantineThreshold {
 		t.Errorf("subscriber called %d times, want exactly %d (then quarantined)",
-			calls, DefaultQuarantineThreshold)
+			calls, quarantineThreshold)
 	}
-	if ctrl.HandlerPanics != DefaultQuarantineThreshold {
-		t.Errorf("HandlerPanics = %d, want %d", ctrl.HandlerPanics, DefaultQuarantineThreshold)
+	if ctrl.HandlerPanics != quarantineThreshold {
+		t.Errorf("HandlerPanics = %d, want %d", ctrl.HandlerPanics, quarantineThreshold)
 	}
 	if s := ctrl.Subscribers(); len(s) != 1 || !s[0].Quarantined || s[0].Name != "bad" {
 		t.Errorf("subscribers = %+v, want bad quarantined", s)
@@ -67,16 +67,16 @@ func TestQuarantineAfterConsecutivePanics(t *testing.T) {
 			t.Errorf("error attributed to %q, want bad", e.App)
 		}
 	}
-	if panicsLogged != DefaultQuarantineThreshold || quarantinesLogged != 1 {
+	if panicsLogged != quarantineThreshold || quarantinesLogged != 1 {
 		t.Errorf("logged %d panics / %d quarantines, want %d / 1",
-			panicsLogged, quarantinesLogged, DefaultQuarantineThreshold)
+			panicsLogged, quarantinesLogged, quarantineThreshold)
 	}
 }
 
 func TestTransientPanicsResetConsecutiveCount(t *testing.T) {
 	tb, ctrl := supervisedController(3)
 	calls := 0
-	// Panic on every third window: never DefaultQuarantineThreshold in
+	// Panic on every third window: never quarantineThreshold in
 	// a row, so the subscriber must stay live.
 	ctrl.SubscribeWindowsNamed("flaky", func(float64, []Detection) {
 		calls++
@@ -100,22 +100,6 @@ func TestTransientPanicsResetConsecutiveCount(t *testing.T) {
 		if s.Name == "flaky" && s.Panics != 10 {
 			t.Errorf("per-subscriber panics = %d, want 10", s.Panics)
 		}
-	}
-}
-
-func TestQuarantineThresholdOverride(t *testing.T) {
-	tb, ctrl := supervisedController(4)
-	ctrl.QuarantineThreshold = 1
-	calls := 0
-	ctrl.SubscribeWindows(func(float64, []Detection) {
-		calls++
-		panic("one strike")
-	})
-	ctrl.Start(0)
-	tb.sim.RunUntil(0.5)
-
-	if calls != 1 {
-		t.Errorf("subscriber called %d times, want 1 with threshold 1", calls)
 	}
 }
 
@@ -146,22 +130,23 @@ func TestPanickingDetectionHandlerIsSupervised(t *testing.T) {
 }
 
 func TestErrorLogBoundsHistory(t *testing.T) {
-	l := &ErrorLog{Max: 4}
-	for i := 0; i < 10; i++ {
+	l := NewErrorLog()
+	const recorded = errorLogMax + 6
+	for i := 0; i < recorded; i++ {
 		l.Record(float64(i), "app", ErrFlowProgram)
 	}
-	if l.Total() != 10 {
-		t.Errorf("Total = %d, want 10", l.Total())
+	if l.Total() != recorded {
+		t.Errorf("Total = %d, want %d", l.Total(), recorded)
 	}
 	errs := l.errs
-	if len(errs) != 4 {
-		t.Fatalf("retained %d errors, want 4", len(errs))
+	if len(errs) != errorLogMax {
+		t.Fatalf("retained %d errors, want %d", len(errs), errorLogMax)
 	}
-	if errs[0].Time != 6 || errs[3].Time != 9 {
-		t.Errorf("retained window [%g, %g], want [6, 9]", errs[0].Time, errs[3].Time)
+	if errs[0].Time != 6 || errs[errorLogMax-1].Time != recorded-1 {
+		t.Errorf("retained window [%g, %g], want [6, %d]", errs[0].Time, errs[errorLogMax-1].Time, recorded-1)
 	}
-	if got := l.Since(8); got != 2 {
-		t.Errorf("Since(8) = %d, want 2", got)
+	if got := l.Since(recorded - 2); got != 2 {
+		t.Errorf("Since(%d) = %d, want 2", recorded-2, got)
 	}
 }
 

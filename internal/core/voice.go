@@ -22,12 +22,6 @@ type Voice struct {
 	// Intensity is the emission loudness in dB SPL at 1 m. The paper
 	// played tones of at least 30 dB; the default is 60 dB.
 	Intensity float64
-	// MinGap is the minimum time between two emissions of the same
-	// frequency, in seconds. It must be long enough that at least one
-	// full controller window of silence separates consecutive tones
-	// (tone duration + propagation + two windows), or the onset
-	// filter cannot re-arm and undercounts.
-	MinGap float64
 
 	sim     *netsim.Sim
 	sounder *mp.Sounder
@@ -40,12 +34,18 @@ type Voice struct {
 	Suppressed uint64
 }
 
+// VoiceMinGap is the minimum time between two emissions of the same
+// frequency, in seconds. It must be long enough that at least one full
+// controller window of silence separates consecutive tones (tone
+// duration + propagation + two windows), or the onset filter cannot
+// re-arm and undercounts.
+const VoiceMinGap = 0.150
+
 // NewVoice wires a voice to a switch's Music Protocol sounder.
 func NewVoice(sim *netsim.Sim, sounder *mp.Sounder) *Voice {
 	return &Voice{
 		ToneDuration: 0.065,
 		Intensity:    60,
-		MinGap:       0.150,
 		sim:          sim,
 		sounder:      sounder,
 		last:         make(map[float64]float64),
@@ -53,14 +53,14 @@ func NewVoice(sim *netsim.Sim, sounder *mp.Sounder) *Voice {
 }
 
 // Play emits a tone at freq now, unless the same frequency was played
-// less than MinGap ago. It reports whether the tone was emitted.
+// less than VoiceMinGap ago. It reports whether the tone was emitted.
 func (v *Voice) Play(freq float64) bool {
 	if v.muted {
 		v.Suppressed++
 		return false
 	}
 	now := v.sim.Now()
-	if t, seen := v.last[freq]; seen && now-t < v.MinGap {
+	if t, seen := v.last[freq]; seen && now-t < VoiceMinGap {
 		v.Suppressed++
 		return false
 	}

@@ -456,7 +456,7 @@ func ExtHeartbeat() *Result {
 		lag := hb.Alerts[0].Time - dieAt
 		r.row("detection latency", "threshold x period",
 			lag > 2 && lag < 5.5, "%.1f s after death (threshold %d x %.0f s)",
-			lag, hb.MissThreshold, hb.Period)
+			lag, core.HeartbeatMissThreshold, hb.Period)
 	}
 	r.note("no packets are exchanged with the monitored devices at any point")
 	return r

@@ -42,7 +42,6 @@ func BenchmarkModemGoodput(b *testing.B) {
 	b.Run("melody-baseline", func(b *testing.B) {
 		var bps float64
 		for i := 0; i < b.N; i++ {
-			lb := newLoopback(b, 22, DefaultConfig())
 			mc, err := core.NewMelodyCodec(core.DefaultPlan(), "s1")
 			if err != nil {
 				b.Fatal(err)
@@ -52,7 +51,7 @@ func BenchmarkModemGoodput(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			slot := core.NewVoice(lb.sim, nil).MinGap + 0.01
+			slot := core.VoiceMinGap + 0.01
 			bps = float64(8*len(msg)) / (float64(len(tones)) * slot)
 		}
 		b.ReportMetric(bps, "bits/s")

@@ -183,8 +183,8 @@ func TestModemGoodputBeatsMelodyTenfold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// MelodyCodec.Transmit paces one tone per MinGap+10 ms slot.
-	slot := core.NewVoice(lb.sim, nil).MinGap + 0.01
+	// MelodyCodec.Transmit paces one tone per VoiceMinGap+10 ms slot.
+	slot := core.VoiceMinGap + 0.01
 	melodyBps := float64(8*len(mmsg)) / (float64(len(tones)) * slot)
 	if melodyBps <= 0 {
 		t.Fatal("degenerate melody baseline")

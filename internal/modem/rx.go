@@ -72,10 +72,8 @@ type Receiver struct {
 	geo        geometry
 
 	// Frames holds delivered frames, oldest first, bounded by
-	// FramesMax (default DefaultFramesMax) with keep-last-N eviction.
+	// framesMax with keep-last-N eviction.
 	Frames []Frame
-	// FramesMax bounds Frames; ≤0 means DefaultFramesMax.
-	FramesMax int
 	// FramesEvicted counts frames dropped from Frames by the bound.
 	FramesEvicted uint64
 
@@ -104,8 +102,8 @@ type Receiver struct {
 	lastDone  float64
 }
 
-// DefaultFramesMax bounds the receiver's delivered-frame buffer.
-const DefaultFramesMax = 256
+// framesMax bounds the receiver's delivered-frame buffer.
+const framesMax = 256
 
 const (
 	rxIdle = iota
@@ -334,11 +332,11 @@ func (r *Receiver) finish(from float64) {
 	r.FramesRx++
 	r.PayloadBits += 8 * uint64(len(payload))
 	r.lastDone = from
-	max := r.FramesMax
-	if max <= 0 {
-		max = DefaultFramesMax
+	r.Frames = append(r.Frames, fr)
+	if n := len(r.Frames) - framesMax; n > 0 {
+		r.FramesEvicted += uint64(n)
+		r.Frames = append(r.Frames[:0], r.Frames[n:]...)
 	}
-	r.Frames = appendBounded(r.Frames, fr, max, &r.FramesEvicted)
 	if r.onFrame != nil {
 		r.onFrame(fr)
 	}
@@ -392,17 +390,4 @@ func (r *Receiver) Instrument(reg *telemetry.Registry, channel string) {
 	reg.Func(l("mdn_modem_symbols_rx"), func() float64 { return float64(r.SymbolsRx) })
 	reg.Func(l("mdn_modem_payload_bits"), func() float64 { return float64(r.PayloadBits) })
 	reg.Func(l("mdn_modem_goodput_bps"), r.GoodputBps)
-}
-
-// appendBounded appends keeping only the last max elements (a local
-// twin of the core package's unexported helper).
-func appendBounded[T any](s []T, v T, max int, dropped *uint64) []T {
-	s = append(s, v)
-	if max > 0 && len(s) > max {
-		n := len(s) - max
-		*dropped += uint64(n)
-		copy(s, s[n:])
-		s = s[:max]
-	}
-	return s
 }

@@ -1,21 +1,24 @@
 package netsim
 
-import "math"
+// FlowSpec describes one flow of a FlowSet.
+type FlowSpec struct {
+	Flow FiveTuple
+	// PPS is the flow's packet rate.
+	PPS float64
+	// Size is the packet size in bytes.
+	Size int
+}
 
-// FlowSetConfig describes a batch of flows driven by one scheduler
-// event.
+// FlowSetConfig describes a batch of constant-rate flows driven by one
+// scheduler event.
 type FlowSetConfig struct {
 	// Specs lists the flows. Size <= 0 falls back to
 	// DefaultPacketSize.
 	Specs []FlowSpec
 	// Start and Stop bound emission in virtual seconds.
 	Start, Stop float64
-	// Seed drives the per-flow phase jitter and (when Poisson) the
-	// inter-arrival draws.
+	// Seed drives the per-flow phase jitter.
 	Seed int64
-	// Poisson switches from fixed pacing to exponential
-	// inter-arrivals at each flow's mean rate.
-	Poisson bool
 }
 
 // fsFlow is one flow's scheduling state inside a FlowSet.
@@ -23,15 +26,14 @@ type fsFlow struct {
 	next     float64 // next emission time (heap key)
 	phase    float64 // first emission time, for drift-free CBR pacing
 	interval float64 // 1/PPS
-	pps      float64
-	count    uint64 // packets emitted
-	rng      uint64 // splitmix64 state for Poisson draws
+	count    uint64  // packets emitted
+	rng      uint64  // splitmix64 state for the phase jitter
 	flow     FiveTuple
 	size     int
 }
 
-// FlowSet drives N concurrent flows from a single scheduled event.
-// Where StartMix arms one self-rescheduling closure per flow — N
+// FlowSet drives N concurrent CBR flows from a single scheduled event.
+// Where one Source per flow arms a self-rescheduling closure — N
 // pending events and N live closures for N flows — a FlowSet keeps a
 // value-typed min-heap of per-flow next-emission times and keeps
 // exactly one event in the simulator, re-armed with one pre-bound
@@ -44,7 +46,6 @@ type FlowSet struct {
 	sim     *Sim
 	h       *Host
 	stop    float64
-	poisson bool
 	stopped bool
 	flows   []fsFlow
 	stepFn  func() // fs.step bound once; reused for every re-arm
@@ -53,7 +54,7 @@ type FlowSet struct {
 // StartFlowSet launches the batch. All emission times are derived
 // deterministically from cfg.Seed, so runs replay exactly.
 func StartFlowSet(sim *Sim, h *Host, cfg FlowSetConfig) *FlowSet {
-	fs := &FlowSet{sim: sim, h: h, stop: cfg.Stop, poisson: cfg.Poisson}
+	fs := &FlowSet{sim: sim, h: h, stop: cfg.Stop}
 	fs.stepFn = fs.step
 	fs.flows = make([]fsFlow, 0, len(cfg.Specs))
 	seed := uint64(cfg.Seed)
@@ -67,18 +68,13 @@ func StartFlowSet(sim *Sim, h *Host, cfg FlowSetConfig) *FlowSet {
 		}
 		f := fsFlow{
 			interval: 1 / sp.PPS,
-			pps:      sp.PPS,
 			rng:      seed + uint64(i)*0x9e3779b97f4a7c15,
 			flow:     sp.Flow,
 			size:     size,
 		}
 		// Deterministic phase jitter spreads first emissions across
 		// one interval so CBR flows do not fire in lockstep bursts.
-		if cfg.Poisson {
-			f.phase = cfg.Start + f.exp()
-		} else {
-			f.phase = cfg.Start + f.uniform()*f.interval
-		}
+		f.phase = cfg.Start + f.uniform()*f.interval
 		if f.phase >= cfg.Stop {
 			continue
 		}
@@ -108,14 +104,9 @@ func (fs *FlowSet) step() {
 		fs.h.Send(f.flow, f.size)
 		fs.Sent++
 		f.count++
-		var next float64
-		if fs.poisson {
-			next = now + f.exp()
-		} else {
-			// Counter-based timing avoids drift from accumulating
-			// the interval in floating point.
-			next = f.phase + float64(f.count)*f.interval
-		}
+		// Counter-based timing avoids drift from accumulating the
+		// interval in floating point.
+		next := f.phase + float64(f.count)*f.interval
 		if next >= fs.stop {
 			fs.removeRoot()
 			continue
@@ -137,12 +128,6 @@ func (f *fsFlow) uniform() float64 {
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	x ^= x >> 31
 	return float64(x>>11) / (1 << 53)
-}
-
-// exp draws an exponential inter-arrival at the flow's mean rate.
-func (f *fsFlow) exp() float64 {
-	u := f.uniform()
-	return -math.Log(1-u) / f.pps
 }
 
 // Heap of fsFlow by next emission time.

@@ -147,13 +147,8 @@ type Switch struct {
 	Tap func(pkt *Packet, inPort int)
 
 	// PacketIn, when set, receives packets that hit an
-	// ActionController rule or miss the table entirely (when
-	// MissToController is true).
+	// ActionController rule. Table misses are dropped.
 	PacketIn func(sw *Switch, pkt *Packet, inPort int)
-
-	// MissToController punts table misses to PacketIn instead of
-	// dropping them.
-	MissToController bool
 
 	// OnPortState, when set, observes port up/down transitions
 	// (the OpenFlow Port-Status signal).
@@ -300,12 +295,6 @@ func (s *Switch) Receive(pkt *Packet, inPort int) {
 	rule := s.Lookup(pkt, inPort)
 	if rule == nil {
 		s.TableMisses++
-		if s.MissToController && s.PacketIn != nil {
-			// The handler may re-inject the packet (install a rule and
-			// resend), so ownership transfers to it: no release here.
-			s.PacketIn(s, pkt, inPort)
-			return
-		}
 		s.sim.releasePacket(pkt)
 		return
 	}

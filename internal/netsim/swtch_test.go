@@ -49,23 +49,6 @@ func TestSwitchTableMissDrops(t *testing.T) {
 	}
 }
 
-func TestSwitchMissToController(t *testing.T) {
-	sim, h1, s, _, _ := star(t, false)
-	s.MissToController = true
-	var punted *Packet
-	s.PacketIn = func(sw *Switch, pkt *Packet, inPort int) {
-		punted = pkt
-		if inPort != 1 {
-			t.Errorf("inPort = %d", inPort)
-		}
-	}
-	h1.Send(tuple(1, 2), 100)
-	sim.Run()
-	if punted == nil {
-		t.Fatal("no PacketIn")
-	}
-}
-
 func TestSwitchPriorityOrdering(t *testing.T) {
 	sim, h1, s, h2, _ := star(t, false)
 	s.InstallRule(Rule{Priority: 1, Match: Match{}, Action: Drop()})

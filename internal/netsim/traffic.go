@@ -112,49 +112,6 @@ func StartPortScan(sim *Sim, h *Host, base FiveTuple, firstPort uint16, count in
 	return src
 }
 
-// FlowSpec describes one flow of a mix.
-type FlowSpec struct {
-	Flow FiveTuple
-	// PPS is the flow's mean packet rate.
-	PPS float64
-	// Size is the packet size in bytes.
-	Size int
-}
-
-// StartMix launches a Poisson source per flow spec (seeded
-// independently); used to build the heavy-hitter workload of one
-// elephant among mice.
-func StartMix(sim *Sim, h *Host, specs []FlowSpec, start, stop float64, seed int64) []*Source {
-	out := make([]*Source, len(specs))
-	for i, sp := range specs {
-		size := sp.Size
-		if size <= 0 {
-			size = DefaultPacketSize
-		}
-		out[i] = StartPoisson(sim, h, sp.Flow, sp.PPS, size, start, stop, seed+int64(i)*7919)
-	}
-	return out
-}
-
-// OfferedLoad returns the aggregate offered rate of a mix in bits per
-// second.
-func OfferedLoad(specs []FlowSpec) float64 {
-	total := 0.0
-	for _, sp := range specs {
-		size := sp.Size
-		if size <= 0 {
-			size = DefaultPacketSize
-		}
-		total += sp.PPS * float64(size) * 8
-	}
-	return total
-}
-
-// RateToPPS converts a bit rate to packets/second for a packet size.
-func RateToPPS(bps float64, size int) float64 {
-	return bps / (float64(size) * 8)
-}
-
 // PacedSource is a CBR source whose rate can be changed while it
 // runs — the control surface for MDN congestion control, where the
 // controller adjusts senders from queue tones instead of ECN marks.

@@ -1,9 +1,6 @@
 package netsim
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func pipe(t *testing.T, rate float64) (*Sim, *Host, *Host) {
 	t.Helper()
@@ -111,33 +108,5 @@ func TestPortScanCoversRange(t *testing.T) {
 		if !seen[p] {
 			t.Errorf("port %d not scanned", p)
 		}
-	}
-}
-
-func TestStartMixAndOfferedLoad(t *testing.T) {
-	sim, h1, h2 := pipe(t, 1e9)
-	specs := []FlowSpec{
-		{Flow: tuple(1, 80), PPS: 100, Size: 1000},
-		{Flow: tuple(2, 81), PPS: 10}, // default size
-	}
-	if got := OfferedLoad(specs); got != 100*1000*8+10*DefaultPacketSize*8 {
-		t.Errorf("offered load = %g", got)
-	}
-	srcs := StartMix(sim, h1, specs, 0, 5, 99)
-	sim.RunUntil(5)
-	if len(srcs) != 2 {
-		t.Fatal("wrong source count")
-	}
-	if srcs[0].Sent < 300 || srcs[1].Sent > srcs[0].Sent {
-		t.Errorf("mix rates look wrong: %d vs %d", srcs[0].Sent, srcs[1].Sent)
-	}
-	if h2.RxPackets != srcs[0].Sent+srcs[1].Sent {
-		t.Errorf("rx %d != sent %d", h2.RxPackets, srcs[0].Sent+srcs[1].Sent)
-	}
-}
-
-func TestRateToPPS(t *testing.T) {
-	if got := RateToPPS(12e6, 1500); math.Abs(got-1000) > 1e-9 {
-		t.Errorf("RateToPPS = %g, want 1000", got)
 	}
 }

@@ -24,16 +24,6 @@ var ErrRetriesExhausted = errors.New("openflow: flow programming retries exhaust
 // The programmer is driven entirely by the simulation goroutine; it
 // is not safe for concurrent use from other goroutines.
 type Programmer struct {
-	// MaxAttempts bounds tries per rule (default 8).
-	MaxAttempts int
-	// BaseBackoff is the first retry delay in seconds (default 50 ms);
-	// it doubles per retry up to MaxBackoff (default 1 s).
-	BaseBackoff float64
-	MaxBackoff  float64
-	// JitterFrac spreads each backoff uniformly over
-	// [1-JitterFrac/2, 1+JitterFrac/2) of its nominal value
-	// (default 0.5), decorrelating retry storms.
-	JitterFrac float64
 	// OnResult, when set, observes each rule's terminal outcome: err
 	// is nil on confirmed install, wraps ErrRetriesExhausted on
 	// give-up. Validation failures are returned synchronously by
@@ -66,25 +56,27 @@ type Programmer struct {
 	tmProgram    *telemetry.Histogram
 }
 
-// Programming defaults.
+// Retry policy.
 const (
-	DefaultMaxAttempts = 8
-	DefaultBaseBackoff = 0.050
-	DefaultMaxBackoff  = 1.0
-	DefaultJitterFrac  = 0.5
+	// maxAttempts bounds tries per rule.
+	maxAttempts = 8
+	// baseBackoff is the first retry delay in seconds; it doubles per
+	// retry up to maxBackoff.
+	baseBackoff = 0.050
+	maxBackoff  = 1.0
+	// jitterFrac spreads each backoff uniformly over
+	// [1-jitterFrac/2, 1+jitterFrac/2) of its nominal value,
+	// decorrelating retry storms.
+	jitterFrac = 0.5
 )
 
 // NewProgrammer wraps a channel. The seed drives the retry jitter, so
 // runs replay exactly.
 func NewProgrammer(ch *Channel, seed int64) *Programmer {
 	return &Programmer{
-		MaxAttempts: DefaultMaxAttempts,
-		BaseBackoff: DefaultBaseBackoff,
-		MaxBackoff:  DefaultMaxBackoff,
-		JitterFrac:  DefaultJitterFrac,
-		ch:          ch,
-		rng:         rand.New(rand.NewSource(seed)),
-		installed:   make(map[string]bool),
+		ch:        ch,
+		rng:       rand.New(rand.NewSource(seed)),
+		installed: make(map[string]bool),
 	}
 }
 
@@ -165,11 +157,7 @@ func (p *Programmer) attempt(m FlowMod, key string, try int, start float64) {
 		p.finish(m, start, nil)
 		return
 	}
-	max := p.MaxAttempts
-	if max <= 0 {
-		max = DefaultMaxAttempts
-	}
-	if try+1 >= max {
+	if try+1 >= maxAttempts {
 		p.Failures++
 		p.tmFailures.Inc()
 		p.finish(m, start, fmt.Errorf("%w: %d attempts lost on %q",
@@ -188,29 +176,14 @@ func (p *Programmer) finish(m FlowMod, start float64, err error) {
 }
 
 // backoff returns the delay before retry number try+1: exponential
-// from BaseBackoff, capped at MaxBackoff, jittered by JitterFrac.
+// from baseBackoff, capped at maxBackoff, jittered by jitterFrac.
 func (p *Programmer) backoff(try int) float64 {
-	base := p.BaseBackoff
-	if base <= 0 {
-		base = DefaultBaseBackoff
-	}
-	limit := p.MaxBackoff
-	if limit <= 0 {
-		limit = DefaultMaxBackoff
-	}
-	d := base
-	for i := 0; i < try && d < limit; i++ {
+	d := baseBackoff
+	for i := 0; i < try && d < maxBackoff; i++ {
 		d *= 2
 	}
-	if d > limit {
-		d = limit
+	if d > maxBackoff {
+		d = maxBackoff
 	}
-	jf := p.JitterFrac
-	if jf < 0 {
-		jf = 0
-	}
-	if jf > 0 {
-		d *= 1 + jf*(p.rng.Float64()-0.5)
-	}
-	return d
+	return d * (1 + jitterFrac*(p.rng.Float64()-0.5))
 }

@@ -105,9 +105,9 @@ func TestProgrammerExhaustsRetriesOnDeadWire(t *testing.T) {
 	if !errors.Is(result, ErrRetriesExhausted) {
 		t.Errorf("terminal error = %v, want ErrRetriesExhausted", result)
 	}
-	if p.Attempts != DefaultMaxAttempts || p.Retries != DefaultMaxAttempts-1 {
+	if p.Attempts != maxAttempts || p.Retries != maxAttempts-1 {
 		t.Errorf("attempts=%d retries=%d, want %d/%d",
-			p.Attempts, p.Retries, DefaultMaxAttempts, DefaultMaxAttempts-1)
+			p.Attempts, p.Retries, maxAttempts, maxAttempts-1)
 	}
 	if p.Failures != 1 || p.pending != 0 {
 		t.Errorf("failures=%d pending=%d, want 1/0", p.Failures, p.pending)
@@ -162,11 +162,10 @@ func TestProgrammerRejectsInvalidRuleSynchronously(t *testing.T) {
 
 func TestProgrammerBackoffIsBoundedAndJittered(t *testing.T) {
 	_, _, p := programmerFixture(t, nil)
+	const lo, hi = baseBackoff * (1 - jitterFrac/2), maxBackoff * (1 + jitterFrac/2)
 	prev := 0.0
 	for try := 0; try < 20; try++ {
 		d := p.backoff(try)
-		lo := p.BaseBackoff * (1 - p.JitterFrac/2)
-		hi := p.MaxBackoff * (1 + p.JitterFrac/2)
 		if d < lo || d > hi {
 			t.Errorf("backoff(%d) = %g outside [%g, %g]", try, d, lo, hi)
 		}

@@ -27,8 +27,6 @@
 package telemetry
 
 import (
-	"context"
-	"runtime/pprof"
 	"strings"
 	"time"
 )
@@ -99,14 +97,6 @@ func (s Span) End() float64 {
 	d := s.src.Now() - s.t0
 	s.h.Observe(d)
 	return d
-}
-
-// Do runs fn under a pprof label, so CPU and goroutine profiles of a
-// busy controller attribute samples to the named subscriber. This is
-// the optional profiling hook — it allocates a labelled context, so
-// callers gate it behind a flag rather than paying it every window.
-func Do(key, value string, fn func()) {
-	pprof.Do(context.Background(), pprof.Labels(key, value), func(context.Context) { fn() })
 }
 
 // Label renders name{k1="v1",k2="v2"} from alternating key/value

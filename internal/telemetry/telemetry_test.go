@@ -222,11 +222,3 @@ func TestConcurrentUpdates(t *testing.T) {
 		t.Errorf("sum = %g, want 8", h.Sum())
 	}
 }
-
-func TestDoRunsUnderLabel(t *testing.T) {
-	ran := false
-	Do("subscriber", "x", func() { ran = true })
-	if !ran {
-		t.Error("Do did not invoke fn")
-	}
-}
