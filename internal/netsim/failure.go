@@ -9,34 +9,24 @@ package netsim
 // SetDown marks the port (and its peer) up or down. Packets sent into
 // a downed port — including those already queued — are dropped.
 func (p *Port) SetDown(down bool) {
-	p.down = down
+	sides := []*Port{p}
 	if p.peer != nil {
-		p.peer.down = down
+		sides = append(sides, p.peer)
 	}
-	if down {
-		// Drain the output queues: frames on a dead wire are lost
-		// (and recycled if pool-born).
-		for pkt := p.Out.Pop(); pkt != nil; pkt = p.Out.Pop() {
-			p.lostOnDown++
-			p.sim.releasePacket(pkt)
-		}
-		if p.peer != nil {
-			for pkt := p.peer.Out.Pop(); pkt != nil; pkt = p.peer.Out.Pop() {
-				p.peer.lostOnDown++
-				p.peer.sim.releasePacket(pkt)
-			}
+	for _, side := range sides {
+		side.down = down
+		// Frames queued on a dead wire are lost (and recycled if
+		// pool-born).
+		for down && side.Out.Len() > 0 {
+			side.lostOnDown++
+			side.sim.releasePacket(side.Out.Pop())
 		}
 	}
-	notify := func(side *Port) {
-		if side == nil {
-			return
-		}
+	for _, side := range sides {
 		if sw, ok := side.Owner.(*Switch); ok && sw.OnPortState != nil {
 			sw.OnPortState(side.Index, !down)
 		}
 	}
-	notify(p)
-	notify(p.peer)
 }
 
 // LostOnDown returns packets flushed from this port's queue by a

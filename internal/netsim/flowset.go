@@ -13,7 +13,9 @@ type FlowSpec struct {
 // scheduler event.
 type FlowSetConfig struct {
 	// Specs lists the flows. Size <= 0 falls back to
-	// DefaultPacketSize.
+	// DefaultPacketSize. The FlowSet reads each packet's five-tuple
+	// and size from Specs in place for its whole lifetime, so callers
+	// must not mutate the slice after StartFlowSet.
 	Specs []FlowSpec
 	// Start and Stop bound emission in virtual seconds.
 	Start, Stop float64
@@ -21,21 +23,31 @@ type FlowSetConfig struct {
 	Seed int64
 }
 
-// fsFlow is one flow's scheduling state inside a FlowSet.
+// fsFlow is one flow's pacing state: 24 bytes and no pointers, so the
+// flow table costs the garbage collector nothing to scan.
 type fsFlow struct {
-	next     float64 // next emission time (heap key)
 	phase    float64 // first emission time, for drift-free CBR pacing
 	interval float64 // 1/PPS
 	count    uint64  // packets emitted
-	rng      uint64  // splitmix64 state for the phase jitter
-	flow     FiveTuple
-	size     int
+}
+
+// fsKey is one FlowSet heap entry: a flow's next emission time and its
+// index into Specs.
+type fsKey struct {
+	next float64
+	i    int
+}
+
+// before orders keys by (next, i), a total order, so the emission
+// sequence does not depend on the heap's shape.
+func (k fsKey) before(o fsKey) bool {
+	return k.next < o.next || k.next == o.next && k.i < o.i
 }
 
 // FlowSet drives N concurrent CBR flows from a single scheduled event.
 // Where one Source per flow arms a self-rescheduling closure — N
 // pending events and N live closures for N flows — a FlowSet keeps a
-// value-typed min-heap of per-flow next-emission times and keeps
+// 4-ary min-heap of 16-byte (next emission, flow index) keys and keeps
 // exactly one event in the simulator, re-armed with one pre-bound
 // method value. At 10^6 flows that is the difference between the event
 // heap holding a million closures and holding one.
@@ -43,131 +55,116 @@ type FlowSet struct {
 	// Sent counts packets emitted so far.
 	Sent uint64
 
-	sim     *Sim
-	h       *Host
-	stop    float64
-	stopped bool
-	flows   []fsFlow
-	stepFn  func() // fs.step bound once; reused for every re-arm
+	sim    *Sim
+	h      *Host
+	stop   float64
+	specs  []FlowSpec
+	flows  []fsFlow // indexed like specs
+	heap   []fsKey
+	stepFn func() // fs.step bound once; reused for every re-arm
 }
 
 // StartFlowSet launches the batch. All emission times are derived
-// deterministically from cfg.Seed, so runs replay exactly.
+// deterministically from cfg.Seed, so runs replay exactly. It
+// allocates the same few objects whatever the flow count.
 func StartFlowSet(sim *Sim, h *Host, cfg FlowSetConfig) *FlowSet {
-	fs := &FlowSet{sim: sim, h: h, stop: cfg.Stop}
+	fs := &FlowSet{
+		sim: sim, h: h, stop: cfg.Stop, specs: cfg.Specs,
+		flows: make([]fsFlow, len(cfg.Specs)),
+		heap:  make([]fsKey, 0, len(cfg.Specs)),
+	}
 	fs.stepFn = fs.step
-	fs.flows = make([]fsFlow, 0, len(cfg.Specs))
 	seed := uint64(cfg.Seed)
-	for i, sp := range cfg.Specs {
-		if sp.PPS <= 0 {
+	for i := range cfg.Specs {
+		pps := cfg.Specs[i].PPS
+		if pps <= 0 {
 			panic("netsim: FlowSet rates must be positive")
 		}
-		size := sp.Size
-		if size <= 0 {
-			size = DefaultPacketSize
-		}
-		f := fsFlow{
-			interval: 1 / sp.PPS,
-			rng:      seed + uint64(i)*0x9e3779b97f4a7c15,
-			flow:     sp.Flow,
-			size:     size,
-		}
+		f := &fs.flows[i]
+		f.interval = 1 / pps
 		// Deterministic phase jitter spreads first emissions across
 		// one interval so CBR flows do not fire in lockstep bursts.
-		f.phase = cfg.Start + f.uniform()*f.interval
-		if f.phase >= cfg.Stop {
-			continue
+		f.phase = cfg.Start + splitmixUnit(seed+uint64(i)*0x9e3779b97f4a7c15)*f.interval
+		if f.phase < cfg.Stop {
+			fs.heap = append(fs.heap, fsKey{next: f.phase, i: i})
 		}
-		f.next = f.phase
-		fs.flows = append(fs.flows, f)
-		fs.siftUp(len(fs.flows) - 1)
 	}
-	if len(fs.flows) > 0 {
-		sim.Schedule(fs.flows[0].next, fs.stepFn)
+	for i := (len(fs.heap) - 2) / 4; i >= 0; i-- {
+		fs.siftDown(i)
+	}
+	if len(fs.heap) > 0 {
+		sim.Schedule(fs.heap[0].next, fs.stepFn)
 	}
 	return fs
 }
-
-// Stop halts the batch before its natural end.
-func (fs *FlowSet) Stop() { fs.stopped = true }
 
 // step emits every flow due at the current time and re-arms one event
 // at the next due time. This is the entire per-packet scheduling path:
 // a heap sift and a pooled Send, no allocations.
 func (fs *FlowSet) step() {
-	if fs.stopped {
-		return
-	}
 	now := fs.sim.now
-	for len(fs.flows) > 0 && fs.flows[0].next <= now {
-		f := &fs.flows[0]
-		fs.h.Send(f.flow, f.size)
+	for len(fs.heap) > 0 && fs.heap[0].next <= now {
+		i := fs.heap[0].i
+		sp := &fs.specs[i]
+		size := sp.Size
+		if size <= 0 {
+			size = DefaultPacketSize
+		}
+		fs.h.Send(sp.Flow, size)
 		fs.Sent++
+		f := &fs.flows[i]
 		f.count++
 		// Counter-based timing avoids drift from accumulating the
 		// interval in floating point.
-		next := f.phase + float64(f.count)*f.interval
-		if next >= fs.stop {
-			fs.removeRoot()
-			continue
+		if next := f.phase + float64(f.count)*f.interval; next < fs.stop {
+			fs.heap[0].next = next
+		} else {
+			n := len(fs.heap) - 1
+			fs.heap[0] = fs.heap[n]
+			fs.heap = fs.heap[:n]
 		}
-		f.next = next
 		fs.siftDown(0)
 	}
-	if len(fs.flows) > 0 {
-		fs.sim.Schedule(fs.flows[0].next, fs.stepFn)
+	if len(fs.heap) > 0 {
+		fs.sim.Schedule(fs.heap[0].next, fs.stepFn)
 	}
 }
 
-// uniform draws the next value in [0,1) from the flow's splitmix64
-// stream.
-func (f *fsFlow) uniform() float64 {
-	f.rng += 0x9e3779b97f4a7c15
-	x := f.rng
+// splitmixUnit advances a splitmix64 state once and maps the output to
+// [0,1).
+func splitmixUnit(x uint64) float64 {
+	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	x ^= x >> 31
 	return float64(x>>11) / (1 << 53)
 }
 
-// Heap of fsFlow by next emission time.
-
-func (fs *FlowSet) siftUp(i int) {
-	s := fs.flows
-	for i > 0 {
-		parent := (i - 1) / 2
-		if s[parent].next <= s[i].next {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
+// siftDown restores the 4-ary heap below i, moving smaller children up
+// into a hole and writing the sifted key once.
 func (fs *FlowSet) siftDown(i int) {
-	s := fs.flows
-	n := len(s)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			break
-		}
-		min := left
-		if right := left + 1; right < n && s[right].next < s[left].next {
-			min = right
-		}
-		if s[i].next <= s[min].next {
-			break
-		}
-		s[i], s[min] = s[min], s[i]
-		i = min
+	h := fs.heap
+	n := len(h)
+	if i >= n {
+		return
 	}
-}
-
-func (fs *FlowSet) removeRoot() {
-	s := fs.flows
-	n := len(s) - 1
-	s[0] = s[n]
-	fs.flows = s[:n]
-	fs.siftDown(0)
+	k := h[i]
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j, end := c+1, min(c+4, n); j < end; j++ {
+			if h[j].before(h[m]) {
+				m = j
+			}
+		}
+		if !h[m].before(k) {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	h[i] = k
 }

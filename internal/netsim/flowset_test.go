@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math"
 	"testing"
 )
 
@@ -40,8 +41,8 @@ func flowSpecs(n int, pps float64) []FlowSpec {
 // emits ~pps packets per flow (phase jitter trims at most one).
 func TestFlowSetCBRCounts(t *testing.T) {
 	sim, h1, h2 := flowSetTopoFull(t, true)
-	if fs := StartFlowSet(sim, h1, FlowSetConfig{}); len(fs.flows) != 0 {
-		t.Fatalf("empty flow set active = %d", len(fs.flows))
+	if fs := StartFlowSet(sim, h1, FlowSetConfig{}); len(fs.heap) != 0 {
+		t.Fatalf("empty flow set active = %d", len(fs.heap))
 	}
 	const n, pps = 50, 100.0
 	fs := StartFlowSet(sim, h1, FlowSetConfig{
@@ -55,8 +56,8 @@ func TestFlowSetCBRCounts(t *testing.T) {
 	if h2.RxPackets != fs.Sent {
 		t.Fatalf("received %d != sent %d", h2.RxPackets, fs.Sent)
 	}
-	if len(fs.flows) != 0 {
-		t.Fatalf("%d flows still active after stop time", len(fs.flows))
+	if len(fs.heap) != 0 {
+		t.Fatalf("%d flows still active after stop time", len(fs.heap))
 	}
 }
 
@@ -91,21 +92,33 @@ func TestFlowSetSingleEvent(t *testing.T) {
 	}
 	sim.RunUntil(0.5)
 	// Mid-run: the one re-armed step event plus any in-flight
-	// tx/deliver events; the step event itself never multiplies.
+	// arrival and wire-free events; the step event itself never multiplies.
 	if got := len(sim.events); got > 4 {
 		t.Fatalf("flow set pends %d events mid-run", got)
 	}
 }
 
-func TestFlowSetStop(t *testing.T) {
-	sim, h1, _ := flowSetTopoFull(t, true)
-	fs := StartFlowSet(sim, h1, FlowSetConfig{Specs: flowSpecs(5, 100), Start: 0, Stop: 10, Seed: 1})
-	sim.RunUntil(1)
-	atStop := fs.Sent
-	fs.Stop()
-	sim.RunUntil(10)
-	if fs.Sent != atStop {
-		t.Fatalf("stopped flow set kept emitting: %d -> %d", atStop, fs.Sent)
+// TestStartFlowSetAllocs: StartFlowSet allocates the same few objects
+// at 10^3 and 10^5 flows — nothing per flow. Each run builds a fresh
+// sim and host (two of the counted objects) so the scheduled event
+// lands on an empty heap. The minimum over a few trials is kept:
+// AllocsPerRun counts process-wide mallocs, and a garbage collection
+// that the large tables trigger can add a runtime allocation to one.
+func TestStartFlowSetAllocs(t *testing.T) {
+	var allocs []float64
+	for _, n := range []int{1e3, 1e5} {
+		specs := flowSpecs(n, 10)
+		least := math.Inf(1)
+		for trial := 0; trial < 3; trial++ {
+			least = math.Min(least, testing.AllocsPerRun(5, func() {
+				sim := NewSim()
+				StartFlowSet(sim, NewHost(sim, "h", MustAddr("10.0.0.1")), FlowSetConfig{Specs: specs, Stop: 1, Seed: 1})
+			}))
+		}
+		allocs = append(allocs, least)
+	}
+	if allocs[0] != allocs[1] || allocs[1] > 8 {
+		t.Fatalf("StartFlowSet allocates %v at 10^3 / 10^5 flows, want one small constant", allocs)
 	}
 }
 

@@ -27,11 +27,6 @@ func (f FiveTuple) String() string {
 	return fmt.Sprintf("%d %s:%d>%s:%d", f.Proto, f.Src, f.SrcPort, f.Dst, f.DstPort)
 }
 
-// Reverse returns the tuple of the reply direction.
-func (f FiveTuple) Reverse() FiveTuple {
-	return FiveTuple{Src: f.Dst, Dst: f.Src, SrcPort: f.DstPort, DstPort: f.SrcPort, Proto: f.Proto}
-}
-
 // Hash returns a stable 64-bit FNV-1a hash of the tuple. The MDN
 // heavy-hitter application maps this hash onto its frequency set.
 func (f FiveTuple) Hash() uint64 {

@@ -43,17 +43,6 @@ func TestFiveTupleHashSpreadProperty(t *testing.T) {
 	}
 }
 
-func TestFiveTupleReverse(t *testing.T) {
-	a := tuple(1000, 80)
-	r := a.Reverse()
-	if r.Src != a.Dst || r.Dst != a.Src || r.SrcPort != 80 || r.DstPort != 1000 {
-		t.Errorf("reverse = %+v", r)
-	}
-	if r.Reverse() != a {
-		t.Error("double reverse should be identity")
-	}
-}
-
 func TestFiveTupleString(t *testing.T) {
 	s := tuple(1000, 80).String()
 	if !strings.Contains(s, "10.0.0.1:1000") || !strings.Contains(s, "10.0.0.2:80") {

@@ -43,18 +43,13 @@ func (q *Queue) Push(p *Packet) bool {
 	return true
 }
 
-// grow doubles the ring, unwrapping it into the new array.
+// grow doubles the ring, unwrapping it into the new array. It runs
+// only when the ring is full.
 func (q *Queue) grow() {
-	size := 2 * len(q.buf)
-	if size == 0 {
-		size = 8
-	}
-	buf := make([]*Packet, size)
-	for i := 0; i < q.n; i++ {
-		buf[i] = q.buf[(q.head+i)%len(q.buf)]
-	}
-	q.buf = buf
-	q.head = 0
+	buf := make([]*Packet, max(8, 2*len(q.buf)))
+	n := copy(buf, q.buf[q.head:])
+	copy(buf[n:], q.buf[:q.head])
+	q.buf, q.head = buf, 0
 }
 
 // Pop removes and returns the head packet, or nil when empty.
@@ -71,7 +66,8 @@ func (q *Queue) Pop() *Packet {
 
 // Port is one directed endpoint of a link: it transmits packets from
 // its owner toward the peer port's owner, serialising at Rate and
-// then propagating with Latency. Each Port has its own output queue.
+// then propagating with Latency. Each Port has its own output queue,
+// holding the packets that wait behind a busy wire.
 type Port struct {
 	// Owner is the node this port belongs to.
 	Owner Node
@@ -87,59 +83,66 @@ type Port struct {
 
 	sim  *Sim
 	peer *Port
-	busy bool
 	down bool
-	// inFlight is the packet currently being serialised (between
-	// transmitNext and txDone).
-	inFlight   *Packet
+	// busyUntil is when the wire finishes serialising its current
+	// frame. txArmed marks a pending txDone event, which exists only
+	// while packets wait in Out.
+	busyUntil  float64
+	txArmed    bool
 	lostOnDown uint64
 }
 
-// Send enqueues a packet for transmission; if the queue is full the
-// packet is dropped (counted in Out.Drops). Transmission is
-// store-and-forward: serialisation delay Size*8/RateBps, then Latency.
-// Send takes ownership of the packet: dropped packets return to the
-// simulator's pool.
+// Send transmits a packet, or enqueues it behind a busy wire; if the
+// queue is full the packet is dropped (counted in Out.Drops).
+// Transmission is store-and-forward: serialisation delay
+// Size*8/RateBps, then Latency. Send takes ownership of the packet:
+// dropped packets return to the simulator's pool.
 func (p *Port) Send(pkt *Packet) {
 	if p.peer == nil || p.down {
 		p.sim.releasePacket(pkt) // unplugged or downed port: packet vanishes
+		return
+	}
+	if !p.txArmed && p.busyUntil <= p.sim.now {
+		p.transmit(pkt)
 		return
 	}
 	if !p.Out.Push(pkt) {
 		p.sim.releasePacket(pkt)
 		return
 	}
-	if !p.busy {
-		p.transmitNext()
+	if !p.txArmed {
+		p.armTxDone()
 	}
 }
 
-// transmitNext starts serialising the head-of-queue packet. The two
-// steps of the traversal — wire free at the end of serialisation,
-// arrival after propagation — are typed events, so the per-packet path
-// schedules no closures.
-func (p *Port) transmitNext() {
-	pkt := p.Out.Pop()
-	if pkt == nil {
-		p.busy = false
-		return
-	}
-	p.busy = true
+// transmit starts serialising pkt now and schedules its arrival at
+// the far end: one event per link traversal.
+func (p *Port) transmit(pkt *Packet) {
 	tx := 0.0
 	if p.RateBps > 0 {
 		tx = float64(pkt.Size) * 8 / p.RateBps
 	}
-	p.inFlight = pkt
-	p.sim.scheduleTxDone(p.sim.now+tx, p)
+	p.busyUntil = p.sim.now + tx
+	p.sim.schedule(p.busyUntil+p.Latency, event{kind: evDeliver, port: p, pkt: pkt})
 }
 
-// txDone fires when the wire finishes serialising: the frame enters
-// propagation and the next queued packet starts.
+// armTxDone schedules the wire-free event at the end of the current
+// frame.
+func (p *Port) armTxDone() {
+	p.txArmed = true
+	p.sim.schedule(p.busyUntil, event{kind: evTxDone, port: p})
+}
+
+// txDone fires when the wire finishes serialising: the head-of-queue
+// packet starts, and the event re-arms while more packets wait.
 func (p *Port) txDone() {
-	pkt := p.inFlight
-	p.inFlight = nil
-	p.sim.scheduleDeliver(p.sim.now+p.Latency, p, pkt)
-	p.transmitNext()
+	p.txArmed = false
+	if pkt := p.Out.Pop(); pkt != nil { // nil: a link-down flushed the queue
+		p.transmit(pkt)
+		if p.Out.Len() > 0 {
+			p.armTxDone()
+		}
+	}
 }
 
 // deliver lands a frame at the far end.

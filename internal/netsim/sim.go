@@ -9,85 +9,95 @@
 // reproducible.
 //
 // The engine is built to drive millions of flows per simulated second:
-// the event heap is a value-typed binary heap (no interface{} boxing,
-// no per-event allocation once warm), the per-packet transmit and
-// deliver steps are typed events rather than captured closures, and an
-// opt-in packet free list (EnablePacketPool) recycles Packet structs
-// through the Host.Send → Port → Switch forwarding path, so the
-// steady-state per-packet cost is zero allocations.
+// the event heap is a binary heap of pointer-free keys into a reused
+// slot table (no interface{} boxing, no write barriers while sifting,
+// no per-event allocation once warm), and a link traversal costs one
+// typed event — the frame's arrival, scheduled when serialisation
+// starts — plus a wire-free event only while packets wait behind a
+// busy wire. An opt-in packet free list (EnablePacketPool) recycles
+// Packet structs through the Host.Send → Port → Switch forwarding
+// path, so the steady-state per-packet cost is zero allocations.
 package netsim
 
-// Event kinds. evFunc is the general callback; evTxDone and evDeliver
-// are the two per-packet steps of every link traversal, encoded as
-// typed events so forwarding never allocates a closure.
+// Event kinds. evFunc is the general callback; evTxDone (the wire
+// frees up for the next queued frame) and evDeliver (a frame lands at
+// the far end) are the per-packet link steps, encoded as typed events
+// so forwarding never allocates a closure.
 const (
 	evFunc uint8 = iota
 	evTxDone
 	evDeliver
 )
 
-// event is one scheduled occurrence.
+// event is one scheduled occurrence. It waits in a Sim slot while its
+// key sits in the heap.
 type event struct {
-	at   float64
-	seq  uint64
 	kind uint8
 	fn   func()  // evFunc
 	port *Port   // evTxDone: transmitter; evDeliver: transmitting side
 	pkt  *Packet // evDeliver
 }
 
+// evKey is an event's heap entry: its time, its sequence number and
+// the slot holding the event. Keys carry no pointers, so a sift copies
+// 24 bytes and needs no write barriers.
+type evKey struct {
+	at   float64
+	seq  uint64
+	slot uint32
+}
+
 // before orders events by time, then scheduling order.
-func (e *event) before(o *event) bool {
-	if e.at != o.at {
-		return e.at < o.at
+func (k *evKey) before(o *evKey) bool {
+	if k.at != o.at {
+		return k.at < o.at
 	}
-	return e.seq < o.seq
+	return k.seq < o.seq
 }
 
 // eventHeap is a value-typed binary min-heap. Compared to
 // container/heap it neither boxes events through interface{} nor
 // allocates per push: the backing array is reused across the run, so
-// steady-state scheduling costs zero allocations.
-type eventHeap []event
+// steady-state scheduling costs zero allocations. Sifts move entries
+// into a hole and write the sifted key once, instead of swapping.
+type eventHeap []evKey
 
-func (h *eventHeap) push(e event) {
-	*h = append(*h, e)
+func (h *eventHeap) push(k evKey) {
+	*h = append(*h, k)
 	s := *h
 	i := len(s) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !s[i].before(&s[parent]) {
+		if !k.before(&s[parent]) {
 			break
 		}
-		s[i], s[parent] = s[parent], s[i]
+		s[i] = s[parent]
 		i = parent
 	}
+	s[i] = k
 }
 
-func (h *eventHeap) pop() event {
+func (h *eventHeap) pop() evKey {
 	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s[n] = event{} // release fn/port/pkt references
-	s = s[:n]
-	*h = s
+	top, n := s[0], len(s)-1
+	last := s[n]
 	i := 0
 	for {
-		left := 2*i + 1
-		if left >= n {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		min := left
-		if right := left + 1; right < n && s[right].before(&s[left]) {
-			min = right
+		if c+1 < n && s[c+1].before(&s[c]) {
+			c++
 		}
-		if !s[min].before(&s[i]) {
+		if !s[c].before(&last) {
 			break
 		}
-		s[i], s[min] = s[min], s[i]
-		i = min
+		s[i] = s[c]
+		i = c
 	}
+	s[i] = last
+	*h = s[:n]
 	return top
 }
 
@@ -97,6 +107,8 @@ type Sim struct {
 	now    float64
 	seq    uint64
 	events eventHeap
+	slots  []event  // indexed by evKey.slot
+	free   []uint32 // slots not holding a pending event
 
 	// Events counts processed events of every kind — the engine's
 	// throughput numerator (events per wall second, events per
@@ -121,34 +133,36 @@ func (s *Sim) Now() float64 { return s.now }
 
 // Schedule runs fn at virtual time at. Times in the past run
 // immediately at the current time (the engine never travels backward).
+// Events at equal times run in scheduling order.
 func (s *Sim) Schedule(at float64, fn func()) {
+	s.schedule(at, event{kind: evFunc, fn: fn})
+}
+
+// schedule parks e in a free slot and queues its key with the next
+// sequence number.
+func (s *Sim) schedule(at float64, e event) {
 	if at < s.now {
 		at = s.now
 	}
-	s.seq++
-	s.events.push(event{at: at, seq: s.seq, kind: evFunc, fn: fn})
-}
-
-// scheduleTxDone arms the end of a frame's serialisation on port.
-func (s *Sim) scheduleTxDone(at float64, p *Port) {
-	if at < s.now {
-		at = s.now
+	var slot uint32
+	if n := len(s.free); n > 0 {
+		slot, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		slot = uint32(len(s.slots))
+		s.slots = append(s.slots, event{})
 	}
+	s.slots[slot] = e
 	s.seq++
-	s.events.push(event{at: at, seq: s.seq, kind: evTxDone, port: p})
+	s.events.push(evKey{at: at, seq: s.seq, slot: slot})
 }
 
-// scheduleDeliver arms a frame's arrival at the far end of p's link.
-func (s *Sim) scheduleDeliver(at float64, p *Port, pkt *Packet) {
-	if at < s.now {
-		at = s.now
-	}
-	s.seq++
-	s.events.push(event{at: at, seq: s.seq, kind: evDeliver, port: p, pkt: pkt})
-}
-
-// dispatch runs one event.
-func (s *Sim) dispatch(e *event) {
+// step advances the clock to the earliest pending event and runs it.
+func (s *Sim) step() {
+	k := s.events.pop()
+	e := s.slots[k.slot]
+	s.slots[k.slot] = event{} // release fn/port/pkt references
+	s.free = append(s.free, k.slot)
+	s.now = k.at
 	s.Events++
 	switch e.kind {
 	case evFunc:
@@ -238,9 +252,7 @@ func (s *Sim) Every(start, interval float64, fn func(now float64)) *Ticker {
 func (s *Sim) RunUntil(t float64) int {
 	n := 0
 	for len(s.events) > 0 && s.events[0].at <= t {
-		e := s.events.pop()
-		s.now = e.at
-		s.dispatch(&e)
+		s.step()
 		n++
 	}
 	if t > s.now {
@@ -256,9 +268,7 @@ func (s *Sim) RunUntil(t float64) int {
 func (s *Sim) Run() int {
 	n := 0
 	for len(s.events) > 0 {
-		e := s.events.pop()
-		s.now = e.at
-		s.dispatch(&e)
+		s.step()
 		n++
 	}
 	return n

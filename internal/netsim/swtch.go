@@ -155,7 +155,7 @@ type Switch struct {
 	OnPortState func(port int, up bool)
 
 	sim     *Sim
-	ports   map[int]*Port
+	ports   []*Port // indexed by port number; nil where unconnected
 	table   []*Rule
 	ruleSeq uint64
 
@@ -168,26 +168,35 @@ type Switch struct {
 
 // NewSwitch creates an empty switch registered on the simulator.
 func NewSwitch(sim *Sim, name string) *Switch {
-	return &Switch{Name: name, sim: sim, ports: make(map[int]*Port)}
+	return &Switch{Name: name, sim: sim}
 }
 
 func (s *Switch) attachPort(p *Port) {
-	if _, dup := s.ports[p.Index]; dup {
-		panic(fmt.Sprintf("netsim: switch %s port %d already connected", s.Name, p.Index))
+	if p.Index < 1 || s.Port(p.Index) != nil {
+		panic(fmt.Sprintf("netsim: switch %s port %d already connected or below 1", s.Name, p.Index))
+	}
+	if grow := p.Index + 1 - len(s.ports); grow > 0 {
+		s.ports = append(s.ports, make([]*Port, grow)...)
 	}
 	s.ports[p.Index] = p
 }
 
 // Port returns the port with the given number, or nil.
-func (s *Switch) Port(n int) *Port { return s.ports[n] }
+func (s *Switch) Port(n int) *Port {
+	if n < 0 || n >= len(s.ports) {
+		return nil
+	}
+	return s.ports[n]
+}
 
 // Ports returns the connected port numbers in ascending order.
 func (s *Switch) Ports() []int {
 	out := make([]int, 0, len(s.ports))
-	for n := range s.ports {
-		out = append(out, n)
+	for n, p := range s.ports {
+		if p != nil {
+			out = append(out, n)
+		}
 	}
-	sort.Ints(out)
 	return out
 }
 
@@ -326,8 +335,8 @@ func (s *Switch) Receive(pkt *Packet, inPort int) {
 			s.sim.releasePacket(pkt)
 		}
 	case ActionFlood:
-		for _, n := range s.Ports() {
-			if n != inPort {
+		for n, p := range s.ports {
+			if p != nil && n != inPort {
 				// Each egress gets its own copy so per-copy Hops
 				// accounting stays independent. Copies are not pool
 				// members: the original alone returns to the free
@@ -348,9 +357,12 @@ func (s *Switch) Receive(pkt *Packet, inPort int) {
 	}
 }
 
+// sendOut forwards pkt out the given port; a rule naming an
+// unconnected port drops the packet.
 func (s *Switch) sendOut(portNo int, pkt *Packet) {
-	p := s.ports[portNo]
+	p := s.Port(portNo)
 	if p == nil {
+		s.sim.releasePacket(pkt)
 		return
 	}
 	s.TxPackets++
@@ -361,7 +373,7 @@ func (s *Switch) sendOut(portNo int, pkt *Packet) {
 // for unknown ports) — the quantity the paper polls with tc every
 // 300 ms.
 func (s *Switch) QueueLen(portNo int) int {
-	p := s.ports[portNo]
+	p := s.Port(portNo)
 	if p == nil {
 		return 0
 	}

@@ -221,18 +221,56 @@ func TestSwitchQueueLen(t *testing.T) {
 	}
 }
 
+// TestSwitchDuplicatePortPanics: a second link on a connected port, or
+// a port numbered below 1, is constructor misuse.
 func TestSwitchDuplicatePortPanics(t *testing.T) {
-	sim := NewSim()
-	s := NewSwitch(sim, "s")
-	h1 := NewHost(sim, "h1", MustAddr("10.0.0.1"))
-	h2 := NewHost(sim, "h2", MustAddr("10.0.0.2"))
-	Connect(sim, h1, 1, s, 1, 1e9, 0, 0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+	for _, port := range []int{1, 0, -1} {
+		sim := NewSim()
+		s := NewSwitch(sim, "s")
+		Connect(sim, NewHost(sim, "h1", MustAddr("10.0.0.1")), 1, s, 1, 1e9, 0, 0)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("port %d: expected panic", port)
+				}
+			}()
+			Connect(sim, NewHost(sim, "h2", MustAddr("10.0.0.2")), 1, s, port, 1e9, 0, 0)
+		}()
+	}
+}
+
+// TestSwitchPortTable: the dense port table answers for any port
+// number, connected or not, and lists connected ports in order.
+func TestSwitchPortTable(t *testing.T) {
+	_, _, s, _, _ := star(t, true)
+	for _, n := range []int{-1, 0, 4, 99} {
+		if s.Port(n) != nil || s.QueueLen(n) != 0 {
+			t.Errorf("unconnected port %d answered", n)
 		}
-	}()
-	Connect(sim, h2, 1, s, 1, 1e9, 0, 0)
+	}
+	if got := s.Ports(); len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+		t.Errorf("ports = %v, want [1 2 3]", got)
+	}
+}
+
+// TestOutputToUnconnectedPortReleasesPacket: a rule naming a port with
+// no link drops the packet back into the pool, so after warm-up the
+// pool serves every packet and allocates none.
+func TestOutputToUnconnectedPortReleasesPacket(t *testing.T) {
+	sim := NewSim()
+	sim.EnablePacketPool()
+	h1 := NewHost(sim, "h1", MustAddr("10.0.0.1"))
+	s := NewSwitch(sim, "s1")
+	Connect(sim, h1, 1, s, 1, 1e9, 1e-6, 0)
+	s.InstallRule(Rule{Action: Output(99)})
+	StartCBR(sim, h1, tuple(1, 2), 1000, 100, 0, 2)
+	sim.RunUntil(0.5)
+	warm, pooled := sim.PacketsAllocated, sim.PacketsPooled
+	sim.RunUntil(2)
+	if sim.PacketsAllocated != warm || sim.PacketsPooled == pooled {
+		t.Fatalf("allocated %d -> %d, pooled %d -> %d: packets leak from the pool",
+			warm, sim.PacketsAllocated, pooled, sim.PacketsPooled)
+	}
 }
 
 func TestActionKindString(t *testing.T) {

@@ -2,15 +2,11 @@ package netsim
 
 import "math/rand"
 
-// Source is a running traffic generator; Stop halts it.
+// Source is a running traffic generator.
 type Source struct {
-	stopped bool
 	// Sent counts packets emitted so far.
 	Sent uint64
 }
-
-// Stop halts the generator before its natural end.
-func (s *Source) Stop() { s.stopped = true }
 
 // StartCBR emits size-byte packets of the given flow from host at a
 // constant rate of pps packets/second over [start, stop).
@@ -23,9 +19,6 @@ func StartCBR(sim *Sim, h *Host, flow FiveTuple, pps float64, size int, start, s
 	var emit func()
 	n := 0
 	emit = func() {
-		if src.stopped {
-			return
-		}
 		h.Send(flow, size)
 		src.Sent++
 		n++
@@ -50,9 +43,6 @@ func StartRamp(sim *Sim, h *Host, flow FiveTuple, startPPS, endPPS float64, size
 	src := &Source{}
 	var emit func()
 	emit = func() {
-		if src.stopped {
-			return
-		}
 		now := sim.Now()
 		if now >= stop {
 			return
@@ -80,7 +70,7 @@ func StartPoisson(sim *Sim, h *Host, flow FiveTuple, pps float64, size int, star
 	rng := rand.New(rand.NewSource(seed))
 	var emit func()
 	emit = func() {
-		if src.stopped || sim.Now() >= stop {
+		if sim.Now() >= stop {
 			return
 		}
 		h.Send(flow, size)
@@ -100,9 +90,6 @@ func StartPortScan(sim *Sim, h *Host, base FiveTuple, firstPort uint16, count in
 		port := firstPort + uint16(i)
 		at := start + float64(i)*interval
 		sim.Schedule(at, func() {
-			if src.stopped {
-				return
-			}
 			f := base
 			f.DstPort = port
 			h.Send(f, 64)

@@ -23,16 +23,6 @@ func TestCBRRateAndWindow(t *testing.T) {
 	}
 }
 
-func TestCBRStop(t *testing.T) {
-	sim, h1, _ := pipe(t, 1e9)
-	src := StartCBR(sim, h1, tuple(1, 2), 1000, 100, 0, 100)
-	sim.After(0.1, func() { src.Stop() })
-	sim.RunUntil(1)
-	if src.Sent < 90 || src.Sent > 110 {
-		t.Errorf("sent = %d, want ~100 before stop", src.Sent)
-	}
-}
-
 func TestCBRPanicsOnBadRate(t *testing.T) {
 	sim, h1, _ := pipe(t, 1e9)
 	defer func() {

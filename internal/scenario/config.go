@@ -98,6 +98,11 @@ type SwitchConfig struct {
 	Y    float64 `json:"y"`
 }
 
+// maxSwitchPorts bounds the port numbers a scenario may use: a
+// netsim switch keeps a dense table indexed by port number, so an
+// unbounded number would size that table from untrusted input.
+const maxSwitchPorts = 1024
+
 // HostConfig attaches a host to a switch port.
 type HostConfig struct {
 	Name   string `json:"name"`
@@ -294,6 +299,11 @@ func (c *Config) Validate() error {
 		}
 		switches[s.Name] = true
 	}
+	type swPort struct {
+		sw   string
+		port int
+	}
+	var plugs []swPort // every switch port a host or link occupies
 	hosts := map[string]bool{}
 	for _, h := range c.Hosts {
 		if h.Name == "" {
@@ -309,11 +319,23 @@ func (c *Config) Validate() error {
 		if _, err := netip.ParseAddr(h.Addr); err != nil {
 			return fmt.Errorf("scenario: host %q address: %w", h.Name, err)
 		}
+		plugs = append(plugs, swPort{h.Switch, h.Port})
 	}
 	for _, l := range c.Links {
 		if !switches[l.A] || !switches[l.B] {
 			return fmt.Errorf("scenario: link %s<->%s references unknown switch", l.A, l.B)
 		}
+		plugs = append(plugs, swPort{l.A, l.APort}, swPort{l.B, l.BPort})
+	}
+	used := map[swPort]bool{}
+	for _, p := range plugs {
+		if p.port < 1 || p.port > maxSwitchPorts {
+			return fmt.Errorf("scenario: switch %q port %d outside 1..%d", p.sw, p.port, maxSwitchPorts)
+		}
+		if used[p] {
+			return fmt.Errorf("scenario: switch %q port %d connected twice", p.sw, p.port)
+		}
+		used[p] = true
 	}
 	for _, r := range c.Rules {
 		if !switches[r.Switch] {

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -127,6 +128,35 @@ func TestValidateRejects(t *testing.T) {
 		if _, err := Load(strings.NewReader(js)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// TestValidateRejectsBadSwitchPorts: every (switch, port) pair a
+// scenario plugs must be unique and inside 1..maxSwitchPorts; each case
+// would otherwise pass Validate and panic in netsim.Connect at run time.
+func TestValidateRejectsBadSwitchPorts(t *testing.T) {
+	const head = `{"duration_s":1,"switches":[{"name":"s1"},{"name":"s2"}],`
+	host := func(name string, port int) string {
+		return fmt.Sprintf(`{"name":%q,"addr":"10.0.0.%d","switch":"s1","port":%d}`, name, len(name), port)
+	}
+	for name, js := range map[string]string{
+		"two hosts on one port":   head + `"hosts":[` + host("a", 1) + `,` + host("bb", 1) + `]}`,
+		"host and link on port":   head + `"hosts":[` + host("a", 1) + `],"links":[{"a":"s1","a_port":1,"b":"s2","b_port":1}]}`,
+		"two links on one port":   head + `"links":[{"a":"s1","a_port":2,"b":"s2","b_port":1},{"a":"s2","a_port":2,"b":"s1","b_port":2}]}`,
+		"link looped to its port": head + `"links":[{"a":"s1","a_port":3,"b":"s1","b_port":3}]}`,
+		"host port zero":          head + `"hosts":[` + host("a", 0) + `]}`,
+		"host port negative":      head + `"hosts":[` + host("a", -1) + `]}`,
+		"host port above max":     head + `"hosts":[` + host("a", maxSwitchPorts+1) + `]}`,
+		"link port zero":          head + `"links":[{"a":"s1","a_port":0,"b":"s2","b_port":1}]}`,
+		"link port above max":     head + `"links":[{"a":"s1","a_port":1,"b":"s2","b_port":` + fmt.Sprint(maxSwitchPorts+1) + `}]}`,
+	} {
+		if _, err := Load(strings.NewReader(js)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	ok := head + `"hosts":[` + host("a", 1) + `,` + host("bb", maxSwitchPorts) + `],"links":[{"a":"s1","a_port":2,"b":"s2","b_port":2}]}`
+	if _, err := Load(strings.NewReader(ok)); err != nil {
+		t.Errorf("distinct in-range ports rejected: %v", err)
 	}
 }
 
