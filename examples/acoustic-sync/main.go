@@ -48,7 +48,7 @@ func main() {
 	// Marshal the table into one modem payload.
 	var payload []byte
 	for _, m := range table {
-		b, err := openflow.Marshal(m)
+		b, err := openflow.MarshalFlowMod(m)
 		if err != nil {
 			panic(err)
 		}
@@ -86,10 +86,8 @@ func main() {
 				return
 			}
 			rest = rest[n:]
-			if m, ok := msg.(openflow.FlowMod); ok {
-				m.Apply(standby)
-				installed++
-			}
+			msg.(openflow.FlowMod).Apply(standby)
+			installed++
 		}
 		fmt.Printf("t=%.3fs  standby installed %d rules from frame seq=%d\n",
 			fr.Time, installed, fr.Seq)

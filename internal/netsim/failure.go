@@ -22,11 +22,6 @@ func (p *Port) SetDown(down bool) {
 			side.sim.releasePacket(side.Out.Pop())
 		}
 	}
-	for _, side := range sides {
-		if sw, ok := side.Owner.(*Switch); ok && sw.OnPortState != nil {
-			sw.OnPortState(side.Index, !down)
-		}
-	}
 }
 
 // LostOnDown returns packets flushed from this port's queue by a

@@ -70,21 +70,3 @@ func TestLinkUpRestoresService(t *testing.T) {
 		t.Errorf("rx = %d, want 1 after link restored", h2.RxPackets)
 	}
 }
-
-func TestPortStatusNotification(t *testing.T) {
-	sim := NewSim()
-	sw := NewSwitch(sim, "s1")
-	h := NewHost(sim, "h", MustAddr("10.0.0.1"))
-	_, pb := Connect(sim, h, 1, sw, 3, 1e9, 0, 0)
-	var events []int
-	var states []bool
-	sw.OnPortState = func(port int, up bool) {
-		events = append(events, port)
-		states = append(states, up)
-	}
-	pb.SetDown(true)
-	pb.SetDown(false)
-	if len(events) != 2 || events[0] != 3 || states[0] != false || states[1] != true {
-		t.Errorf("events=%v states=%v", events, states)
-	}
-}

@@ -163,29 +163,6 @@ func TestPacketPoolDisabledByDefault(t *testing.T) {
 	}
 }
 
-// TestPacketPoolFloodCopies: flood copies must survive the original's
-// release — each egress owns an independent packet.
-func TestPacketPoolFloodCopies(t *testing.T) {
-	sim := NewSim()
-	sim.EnablePacketPool()
-	h1 := NewHost(sim, "h1", MustAddr("10.0.0.1"))
-	h2 := NewHost(sim, "h2", MustAddr("10.0.0.2"))
-	h3 := NewHost(sim, "h3", MustAddr("10.0.0.3"))
-	sw := NewSwitch(sim, "s1")
-	Connect(sim, h1, 1, sw, 1, 1e9, 1e-6, 0)
-	Connect(sim, sw, 2, h2, 1, 1e9, 1e-6, 0)
-	Connect(sim, sw, 3, h3, 1, 1e9, 1e-6, 0)
-	sw.InstallRule(Rule{Action: Action{Kind: ActionFlood}})
-	flow := FiveTuple{Src: h1.Addr, Dst: h2.Addr, SrcPort: 1, DstPort: 2, Proto: ProtoUDP}
-	for i := 0; i < 100; i++ {
-		h1.Send(flow, 100)
-	}
-	sim.Run()
-	if h2.RxPackets != 100 || h3.RxPackets != 100 {
-		t.Fatalf("flood delivered %d/%d, want 100/100", h2.RxPackets, h3.RxPackets)
-	}
-}
-
 // TestQueueRingWraps exercises Pop/Push across the ring boundary.
 func TestQueueRingWraps(t *testing.T) {
 	var q Queue

@@ -183,8 +183,8 @@ func (s *Sim) After(d float64, fn func()) {
 // structs from a free list and the forwarding plane returns them when
 // a packet reaches its end (delivered to a host, dropped by a queue, a
 // downed link, a drop rule, or the loop guard). With the pool on, a
-// packet passed to Tap, PacketIn or OnReceive callbacks is only valid
-// for the duration of the call — handlers must copy what they keep.
+// packet passed to Tap or OnReceive callbacks is only valid for the
+// duration of the call — handlers must copy what they keep.
 // Packets built by hand (&Packet{...}) are unaffected: Release is a
 // no-op for them.
 func (s *Sim) EnablePacketPool() { s.poolEnabled = true }

@@ -40,32 +40,31 @@ func (m Match) Matches(pkt *Packet, inPort int) bool {
 	return true
 }
 
-// ActionKind enumerates what a matching rule does with a packet.
+// ActionKind enumerates what a matching rule does with a packet. The
+// values are the Flow-MOD wire encoding; 3 and 4 are unassigned.
 type ActionKind int
 
 // Rule actions.
 const (
 	// ActionDrop discards the packet.
-	ActionDrop ActionKind = iota
+	ActionDrop ActionKind = 0
 	// ActionOutput forwards out Ports[0].
-	ActionOutput
+	ActionOutput ActionKind = 1
 	// ActionSplit round-robins packets across Ports — the paper's
 	// load-balancing Flow-MOD splits traffic across two ports.
-	ActionSplit
-	// ActionFlood forwards out every port except the ingress.
-	ActionFlood
-	// ActionController punts the packet to the controller callback.
-	ActionController
+	ActionSplit ActionKind = 2
 	// ActionHashSplit spreads flows across Ports by five-tuple hash
 	// (ECMP): every packet of one flow takes the same path, avoiding
 	// the reordering that round-robin ActionSplit can cause.
-	ActionHashSplit
+	ActionHashSplit ActionKind = 5
 )
 
 // Valid reports whether k is a defined action kind. The wire codecs
 // reject anything else, so a flipped byte cannot install a rule whose
 // action silently falls through to drop.
-func (k ActionKind) Valid() bool { return k >= ActionDrop && k <= ActionHashSplit }
+func (k ActionKind) Valid() bool {
+	return k == ActionDrop || k == ActionOutput || k == ActionSplit || k == ActionHashSplit
+}
 
 // String names the action kind.
 func (k ActionKind) String() string {
@@ -76,10 +75,6 @@ func (k ActionKind) String() string {
 		return "output"
 	case ActionSplit:
 		return "split"
-	case ActionFlood:
-		return "flood"
-	case ActionController:
-		return "controller"
 	case ActionHashSplit:
 		return "hash-split"
 	default:
@@ -135,7 +130,9 @@ type Rule struct {
 
 // Switch is a store-and-forward switch with a prioritised match-action
 // flow table. It models both the paper's physical Zodiac FX and its
-// Mininet virtual switches.
+// Mininet virtual switches. Its control plane is rule installation
+// only: InstallRule is what a Flow-MOD does, and rules leave the table
+// only by timing out. Table misses are dropped.
 type Switch struct {
 	// Name is the unique switch name.
 	Name string
@@ -145,14 +142,6 @@ type Switch struct {
 	// tone-emitting logic here (e.g. "play a sound whose frequency
 	// is based on the destination port", Section 5).
 	Tap func(pkt *Packet, inPort int)
-
-	// PacketIn, when set, receives packets that hit an
-	// ActionController rule. Table misses are dropped.
-	PacketIn func(sw *Switch, pkt *Packet, inPort int)
-
-	// OnPortState, when set, observes port up/down transitions
-	// (the OpenFlow Port-Status signal).
-	OnPortState func(port int, up bool)
 
 	sim     *Sim
 	ports   []*Port // indexed by port number; nil where unconnected
@@ -244,7 +233,7 @@ func (s *Switch) scheduleEviction(r *Rule) {
 		idleDue := r.IdleTimeout > 0 && now >= r.lastHitAt+r.IdleTimeout-1e-12
 		if hardDue || idleDue {
 			r.evicted = true
-			s.RemoveRules(func(x *Rule) bool { return x == r })
+			s.removeRules(func(x *Rule) bool { return x == r })
 			return
 		}
 		// Traffic refreshed the idle clock: re-arm.
@@ -252,11 +241,11 @@ func (s *Switch) scheduleEviction(r *Rule) {
 	})
 }
 
-// RemoveRules deletes every rule matching the predicate and returns
+// removeRules deletes every rule matching the predicate and returns
 // how many were removed. Removed rules are marked evicted so any
 // pending timeout check terminates instead of re-arming forever on a
 // rule that is no longer in the table.
-func (s *Switch) RemoveRules(pred func(*Rule) bool) int {
+func (s *Switch) removeRules(pred func(*Rule) bool) int {
 	kept := s.table[:0]
 	removed := 0
 	for _, r := range s.table {
@@ -331,26 +320,6 @@ func (s *Switch) Receive(pkt *Packet, inPort int) {
 		if n := len(rule.Action.Ports); n > 0 {
 			port := rule.Action.Ports[pkt.Flow.Hash()%uint64(n)]
 			s.sendOut(port, pkt)
-		} else {
-			s.sim.releasePacket(pkt)
-		}
-	case ActionFlood:
-		for n, p := range s.ports {
-			if p != nil && n != inPort {
-				// Each egress gets its own copy so per-copy Hops
-				// accounting stays independent. Copies are not pool
-				// members: the original alone returns to the free
-				// list.
-				cp := *pkt
-				cp.pooled = false
-				s.sendOut(n, &cp)
-			}
-		}
-		s.sim.releasePacket(pkt)
-	case ActionController:
-		if s.PacketIn != nil {
-			// As with table misses, the handler owns the packet.
-			s.PacketIn(s, pkt, inPort)
 		} else {
 			s.sim.releasePacket(pkt)
 		}

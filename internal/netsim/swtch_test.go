@@ -119,32 +119,6 @@ func TestSwitchSplitRoundRobin(t *testing.T) {
 	}
 }
 
-func TestSwitchFlood(t *testing.T) {
-	sim, h1, s, h2, h3 := star(t, true)
-	s.InstallRule(Rule{Priority: 1, Match: Match{}, Action: Action{Kind: ActionFlood}})
-	h1.Send(tuple(1, 80), 100)
-	sim.Run()
-	if h2.RxPackets != 1 || h3.RxPackets != 1 {
-		t.Errorf("flood delivered %d/%d", h2.RxPackets, h3.RxPackets)
-	}
-	if h1.RxPackets != 0 {
-		t.Error("flood must not echo to ingress")
-	}
-}
-
-func TestSwitchControllerAction(t *testing.T) {
-	sim, h1, s, _, _ := star(t, false)
-	hits := 0
-	s.PacketIn = func(*Switch, *Packet, int) { hits++ }
-	s.InstallRule(Rule{Priority: 1, Match: Match{DstPort: 22}, Action: Action{Kind: ActionController}})
-	f := tuple(1, 22)
-	h1.Send(f, 100)
-	sim.Run()
-	if hits != 1 {
-		t.Errorf("controller hits = %d", hits)
-	}
-}
-
 func TestSwitchTapSeesEverything(t *testing.T) {
 	sim, h1, s, h2, _ := star(t, false)
 	var tapped []uint16
@@ -162,7 +136,7 @@ func TestSwitchRemoveRules(t *testing.T) {
 	sim, h1, s, h2, _ := star(t, false)
 	s.InstallRule(Rule{Priority: 1, Match: Match{DstPort: 80}, Action: Output(2)})
 	s.InstallRule(Rule{Priority: 1, Match: Match{DstPort: 81}, Action: Output(2)})
-	if n := s.RemoveRules(func(r *Rule) bool { return r.Match.DstPort == 80 }); n != 1 {
+	if n := s.removeRules(func(r *Rule) bool { return r.Match.DstPort == 80 }); n != 1 {
 		t.Fatalf("removed = %d", n)
 	}
 	h1.Send(tuple(1, 80), 100)
@@ -276,7 +250,7 @@ func TestOutputToUnconnectedPortReleasesPacket(t *testing.T) {
 func TestActionKindString(t *testing.T) {
 	names := map[ActionKind]string{
 		ActionDrop: "drop", ActionOutput: "output", ActionSplit: "split",
-		ActionFlood: "flood", ActionController: "controller", ActionKind(42): "unknown",
+		ActionHashSplit: "hash-split", ActionKind(42): "unknown",
 	}
 	for k, want := range names {
 		if k.String() != want {

@@ -90,23 +90,23 @@ func TestManualRemoveBeforeTimeoutIsSafe(t *testing.T) {
 		Priority: 1, Match: Match{Dst: h2.Addr}, Action: Output(2),
 		HardTimeout: 2,
 	})
-	s.RemoveRules(func(*Rule) bool { return true })
+	s.removeRules(func(*Rule) bool { return true })
 	sim.RunUntil(5) // the armed eviction event must not panic or re-add
 	if len(s.Rules()) != 0 {
 		t.Error("table should stay empty")
 	}
 }
 
-// Regression: RemoveRules (the FlowDelete path) used to leave removed
-// idle-timeout rules un-evicted, so each scheduleEviction closure
-// re-armed forever and the event heap grew without bound in long runs.
+// Regression: removeRules used to leave removed idle-timeout rules
+// un-evicted, so each scheduleEviction closure re-armed forever and
+// the event heap grew without bound in long runs.
 func TestRemoveRulesStopsEvictionTimerChain(t *testing.T) {
 	sim, _, s, h2, _ := star(t, false)
 	r := s.InstallRule(Rule{
 		Priority: 1, Match: Match{Dst: h2.Addr}, Action: Output(2),
 		IdleTimeout: 1,
 	})
-	s.RemoveRules(func(x *Rule) bool { return x == r })
+	s.removeRules(func(x *Rule) bool { return x == r })
 	if !r.evicted {
 		t.Fatal("removed rule not marked evicted")
 	}

@@ -90,16 +90,7 @@ func (c *Channel) TrySendFlowMod(m FlowMod) (delivered bool, err error) {
 		}
 		return false, fmt.Errorf("openflow: flow-mod failed wire round-trip: %w", err)
 	}
-	fm, ok2 := decoded.(FlowMod)
-	if !ok2 {
-		// Corruption can re-frame the bytes as another message type;
-		// the switch rejects it as an unexpected message.
-		if c.faults != nil {
-			c.CorruptedFlowMods++
-			return false, nil
-		}
-		return false, fmt.Errorf("%w: flow-mod decoded as %T", ErrBadMessage, decoded)
-	}
+	fm := decoded.(FlowMod) // the only message Unmarshal decodes
 	delay := c.Latency + c.faults.Jitter()
 	c.sim.After(delay, func() { fm.Apply(c.sw) })
 	return true, nil

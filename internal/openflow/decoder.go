@@ -5,7 +5,7 @@ import (
 	"io"
 )
 
-// Encoder writes framed control messages to a stream.
+// Encoder writes framed Flow-MODs to a stream.
 type Encoder struct {
 	w io.Writer
 }
@@ -13,10 +13,9 @@ type Encoder struct {
 // NewEncoder returns an encoder writing to w.
 func NewEncoder(w io.Writer) *Encoder { return &Encoder{w: w} }
 
-// Encode marshals and writes one message (FlowMod, PacketIn, or
-// PortStatus).
-func (e *Encoder) Encode(msg interface{}) error {
-	wire, err := Marshal(msg)
+// Encode marshals and writes one Flow-MOD.
+func (e *Encoder) Encode(m FlowMod) error {
+	wire, err := MarshalFlowMod(m)
 	if err != nil {
 		return err
 	}

@@ -9,12 +9,12 @@ import (
 	"mdn/internal/netsim"
 )
 
-func sampleMessages() []interface{} {
-	return []interface{}{
-		FlowMod{Command: FlowAdd, Priority: 9, Match: sampleMatch(), Action: netsim.Split(1, 2)},
-		PacketIn{Switch: "s1", InPort: 3, Flow: netsim.FiveTuple{SrcPort: 80, DstPort: 1000, Proto: netsim.ProtoTCP}, Size: 64},
-		PortStatus{Switch: "s2", Port: 4, Up: true},
-		FlowMod{Command: FlowDelete, Match: netsim.Match{DstPort: 22}, Action: netsim.Drop()},
+func sampleMessages() []FlowMod {
+	return []FlowMod{
+		{Command: FlowAdd, Priority: 9, Match: sampleMatch(), Action: netsim.Split(1, 2)},
+		{Command: FlowAdd, Priority: 3, Match: netsim.Match{DstPort: 1000, Proto: netsim.ProtoTCP}, Action: netsim.Output(4), IdleTimeout: 2},
+		{Command: FlowAdd, Priority: 1, Match: netsim.Match{InPort: 4}, Action: netsim.HashSplit(2, 3), HardTimeout: 30},
+		{Command: FlowAdd, Match: netsim.Match{DstPort: 22}, Action: netsim.Drop()},
 	}
 }
 
@@ -33,17 +33,11 @@ func TestEncoderDecoderStream(t *testing.T) {
 		if err != nil {
 			t.Fatalf("message %d: %v", i, err)
 		}
-		switch w := want.(type) {
-		case FlowMod:
-			g := got.(FlowMod)
-			if g.Command != w.Command || g.Match != w.Match {
-				t.Errorf("message %d: got %+v", i, g)
-			}
-		default:
-			// PacketIn and PortStatus are comparable.
-			if got != want {
-				t.Errorf("message %d: got %+v want %+v", i, got, want)
-			}
+		g := got.(FlowMod)
+		if g.Priority != want.Priority || g.Match != want.Match || g.Action.Kind != want.Action.Kind ||
+			len(g.Action.Ports) != len(want.Action.Ports) ||
+			g.IdleTimeout != want.IdleTimeout || g.HardTimeout != want.HardTimeout {
+			t.Errorf("message %d: got %+v want %+v", i, g, want)
 		}
 	}
 	if _, err := dec.Decode(); err != io.EOF {
@@ -57,26 +51,24 @@ func TestEncoderDecoderStream(t *testing.T) {
 func TestDecoderResyncsPastGarbage(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write([]byte{0xDE, 0xAD, 0xBE, 0xEF}) // leading garbage
-	first := must(MarshalPortStatus(PortStatus{Switch: "s1", Port: 1, Up: true}))
-	buf.Write(first)
+	buf.Write(must(MarshalFlowMod(FlowMod{Command: FlowAdd, Priority: 1, Action: netsim.Output(1)})))
 	buf.Write([]byte{0x0F}) // half a magic, then more garbage
 	buf.Write([]byte{0x00, 0x42, 0x42})
-	second := must(MarshalPacketIn(PacketIn{Switch: "s2", InPort: 2}))
-	buf.Write(second)
+	buf.Write(must(MarshalFlowMod(FlowMod{Command: FlowAdd, Priority: 2, Action: netsim.Drop()})))
 
 	dec := NewDecoder(&buf)
 	got1, err := dec.Decode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got1.(PortStatus).Switch != "s1" {
+	if got1.(FlowMod).Priority != 1 {
 		t.Errorf("first message: %+v", got1)
 	}
 	got2, err := dec.Decode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got2.(PacketIn).Switch != "s2" {
+	if got2.(FlowMod).Priority != 2 {
 		t.Errorf("second message: %+v", got2)
 	}
 	if dec.Resyncs == 0 || dec.SkippedBytes == 0 {
@@ -92,7 +84,7 @@ func TestDecoderSurvivesFlippedByte(t *testing.T) {
 	// must always still decode — a flipped byte costs one message, not
 	// the connection.
 	first := must(MarshalFlowMod(FlowMod{Command: FlowAdd, Action: netsim.Output(7), Priority: 3}))
-	second := must(MarshalPortStatus(PortStatus{Switch: "survivor", Port: 9}))
+	second := must(MarshalFlowMod(FlowMod{Command: FlowAdd, Action: netsim.Output(9), Priority: 99}))
 	for off := 0; off < len(first); off++ {
 		stream := append([]byte(nil), first...)
 		stream[off] ^= 0x40
@@ -104,7 +96,7 @@ func TestDecoderSurvivesFlippedByte(t *testing.T) {
 			if err != nil {
 				break
 			}
-			if ps, ok := msg.(PortStatus); ok && ps.Switch == "survivor" {
+			if msg.(FlowMod).Priority == 99 {
 				sawSurvivor = true
 			}
 		}
@@ -115,7 +107,7 @@ func TestDecoderSurvivesFlippedByte(t *testing.T) {
 }
 
 func TestDecoderTruncatedTail(t *testing.T) {
-	wire := must(MarshalPacketIn(PacketIn{Switch: "s", InPort: 1}))
+	wire := must(MarshalFlowMod(FlowMod{Command: FlowAdd, Action: netsim.Output(1)}))
 	dec := NewDecoder(bytes.NewReader(wire[:len(wire)-3]))
 	if _, err := dec.Decode(); err != io.ErrUnexpectedEOF {
 		t.Errorf("err = %v, want io.ErrUnexpectedEOF", err)
@@ -127,8 +119,11 @@ func TestEncoderRejectsUnencodable(t *testing.T) {
 	if err := enc.Encode(FlowMod{Command: 9}); !errors.Is(err, ErrBadMessage) {
 		t.Errorf("bad command: err = %v", err)
 	}
-	if err := enc.Encode("not a message"); !errors.Is(err, ErrBadMessage) {
-		t.Errorf("wrong type: err = %v", err)
+	if err := enc.Encode(FlowMod{Command: FlowAdd, Action: netsim.Action{Kind: 3}}); !errors.Is(err, ErrBadMessage) {
+		t.Errorf("unassigned action kind: err = %v", err)
+	}
+	if err := enc.Encode(FlowMod{Command: FlowAdd, Action: netsim.Split(make([]int, MaxActionPorts+1)...)}); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("too many ports: err = %v", err)
 	}
 }
 

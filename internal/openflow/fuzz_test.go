@@ -14,8 +14,10 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x0F, 0x4D, 1, 0, 0})
 	f.Add(must(MarshalFlowMod(FlowMod{Command: FlowAdd, Priority: 7, Match: netsim.Match{DstPort: 80}, Action: netsim.Split(1, 2), IdleTimeout: 1.5})))
-	f.Add(must(MarshalPacketIn(PacketIn{Switch: "zodiac", InPort: 3, Size: 1500})))
-	f.Add(must(MarshalPortStatus(PortStatus{Switch: "s1", Port: 2, Up: true})))
+	f.Add(must(MarshalFlowMod(FlowMod{Command: FlowAdd, Priority: -3, Match: sampleMatch(), Action: netsim.HashSplit(4, 5, 6), HardTimeout: 30})))
+	deleted := must(MarshalFlowMod(FlowMod{Command: FlowAdd, Match: netsim.Match{DstPort: 22}, Action: netsim.Drop()}))
+	deleted[headerLen] = 1 // the retired delete command
+	f.Add(deleted)
 	corrupt := must(MarshalFlowMod(FlowMod{Command: FlowAdd, Action: netsim.Output(4)}))
 	corrupt[headerLen+5+matchLen+16] = 0xEE // action kind
 	f.Add(corrupt)
@@ -25,7 +27,7 @@ func FuzzUnmarshal(f *testing.F) {
 			if n <= 0 || n > len(data) {
 				t.Fatalf("consumed %d of %d", n, len(data))
 			}
-			reWire, mErr := Marshal(msg)
+			reWire, mErr := MarshalFlowMod(msg.(FlowMod))
 			if mErr != nil {
 				t.Fatalf("decoded message does not re-marshal: %v", mErr)
 			}

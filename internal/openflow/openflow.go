@@ -1,7 +1,7 @@
-// Package openflow provides the minimal OpenFlow-like control-plane
-// messages the Music-Defined Networking controller uses to program
-// switches: Flow-MOD (install/remove rules), Packet-In (table punts),
-// and Port-Status. Messages have a compact binary wire format so the
+// Package openflow provides the one OpenFlow-like control-plane
+// message the Music-Defined Networking controller sends: a Flow-MOD
+// that installs a rule on a switch, the closing step of every MDN
+// application. Flow-MODs have a compact binary wire format so the
 // control channel can run over a real transport as well as inside the
 // simulator.
 package openflow
@@ -16,45 +16,28 @@ import (
 	"mdn/internal/netsim"
 )
 
-// MessageType discriminates control messages.
+// MessageType discriminates control messages on the wire.
 type MessageType uint8
 
-// Control message types.
-const (
-	// TypeFlowMod installs or removes a flow rule.
-	TypeFlowMod MessageType = iota + 1
-	// TypePacketIn reports a packet punted to the controller.
-	TypePacketIn
-	// TypePortStatus reports a port going up or down.
-	TypePortStatus
-)
+// TypeFlowMod is the only control message type: it installs a flow
+// rule.
+const TypeFlowMod MessageType = 1
 
 // String names the message type.
 func (t MessageType) String() string {
-	switch t {
-	case TypeFlowMod:
+	if t == TypeFlowMod {
 		return "flow-mod"
-	case TypePacketIn:
-		return "packet-in"
-	case TypePortStatus:
-		return "port-status"
-	default:
-		return "unknown"
 	}
+	return "unknown"
 }
 
 // FlowModCommand selects what a Flow-MOD does.
 type FlowModCommand uint8
 
-// Flow-MOD commands.
-const (
-	// FlowAdd installs the rule.
-	FlowAdd FlowModCommand = iota
-	// FlowDelete removes rules whose match equals the message match.
-	FlowDelete
-)
+// FlowAdd installs the rule; it is the only Flow-MOD command.
+const FlowAdd FlowModCommand = 0
 
-// FlowMod asks a switch to add or delete a rule.
+// FlowMod asks a switch to add a rule.
 type FlowMod struct {
 	Command  FlowModCommand
 	Priority int32
@@ -66,45 +49,16 @@ type FlowMod struct {
 	HardTimeout float64
 }
 
-// PacketIn reports a packet that hit a controller action or missed
-// the table.
-type PacketIn struct {
-	// Switch is the reporting switch name.
-	Switch string
-	// InPort is the ingress port.
-	InPort int32
-	// Flow is the packet's five-tuple.
-	Flow netsim.FiveTuple
-	// Size is the packet size in bytes.
-	Size int32
-}
-
-// PortStatus reports a port state change.
-type PortStatus struct {
-	// Switch is the reporting switch name.
-	Switch string
-	// Port is the port number.
-	Port int32
-	// Up reports the new state.
-	Up bool
-}
-
-// Apply executes the Flow-MOD against a simulated switch, returning
-// the installed rule for FlowAdd (nil for FlowDelete).
+// Apply installs the Flow-MOD's rule on a simulated switch and
+// returns it.
 func (m FlowMod) Apply(sw *netsim.Switch) *netsim.Rule {
-	switch m.Command {
-	case FlowAdd:
-		return sw.InstallRule(netsim.Rule{
-			Priority:    int(m.Priority),
-			Match:       m.Match,
-			Action:      m.Action,
-			IdleTimeout: m.IdleTimeout,
-			HardTimeout: m.HardTimeout,
-		})
-	case FlowDelete:
-		sw.RemoveRules(func(r *netsim.Rule) bool { return r.Match == m.Match })
-	}
-	return nil
+	return sw.InstallRule(netsim.Rule{
+		Priority:    int(m.Priority),
+		Match:       m.Match,
+		Action:      m.Action,
+		IdleTimeout: m.IdleTimeout,
+		HardTimeout: m.HardTimeout,
+	})
 }
 
 // Wire format: every message is
@@ -121,9 +75,6 @@ const magic = 0x0F4D
 // never a silent truncating cast, which would emit desynced garbage
 // the peer misparses.
 const (
-	// MaxNameLen is the longest switch name the one-byte length prefix
-	// carries.
-	MaxNameLen = 255
 	// MaxActionPorts is the most ports one action can list on the wire.
 	MaxActionPorts = 255
 	// MaxPayload is the largest payload the 16-bit length field frames.
@@ -162,13 +113,6 @@ func checkMatch(m netsim.Match) error {
 	}
 	if m.InPort < 0 || m.InPort > maxPort {
 		return fmt.Errorf("%w: in-port %d outside [0, %d]", ErrBadMessage, m.InPort, maxPort)
-	}
-	return nil
-}
-
-func checkName(name string) error {
-	if len(name) > MaxNameLen {
-		return fmt.Errorf("%w: switch name %d bytes, max %d", ErrTooLarge, len(name), MaxNameLen)
 	}
 	return nil
 }
@@ -220,9 +164,9 @@ func unmarshalMatch(src []byte) netsim.Match {
 const matchLen = 17
 
 // Validate checks the Flow-MOD against the wire format's limits and
-// field domains; Marshal refuses anything Validate rejects.
+// field domains; MarshalFlowMod refuses anything Validate rejects.
 func (m FlowMod) Validate() error {
-	if m.Command != FlowAdd && m.Command != FlowDelete {
+	if m.Command != FlowAdd {
 		return fmt.Errorf("%w: unknown flow-mod command %d", ErrBadMessage, m.Command)
 	}
 	if err := checkMatch(m.Match); err != nil {
@@ -270,83 +214,6 @@ func MarshalFlowMod(m FlowMod) ([]byte, error) {
 	return frame(TypeFlowMod, payload)
 }
 
-// Validate checks the Packet-In against the wire format's limits.
-func (p PacketIn) Validate() error {
-	if err := checkName(p.Switch); err != nil {
-		return err
-	}
-	if err := checkAddr(p.Flow.Src); err != nil {
-		return err
-	}
-	return checkAddr(p.Flow.Dst)
-}
-
-// MarshalPacketIn encodes a Packet-In, or reports why it cannot ride
-// the wire format.
-func MarshalPacketIn(p PacketIn) ([]byte, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	name := []byte(p.Switch)
-	payload := make([]byte, 1+len(name)+4+matchLen+4)
-	payload[0] = byte(len(name))
-	copy(payload[1:], name)
-	off := 1 + len(name)
-	binary.BigEndian.PutUint32(payload[off:], uint32(p.InPort))
-	off += 4
-	marshalMatch(payload[off:], netsim.Match{
-		Src: p.Flow.Src, Dst: p.Flow.Dst,
-		SrcPort: p.Flow.SrcPort, DstPort: p.Flow.DstPort, Proto: p.Flow.Proto,
-	})
-	off += matchLen
-	binary.BigEndian.PutUint32(payload[off:], uint32(p.Size))
-	return frame(TypePacketIn, payload)
-}
-
-// Validate checks the Port-Status against the wire format's limits.
-func (p PortStatus) Validate() error {
-	return checkName(p.Switch)
-}
-
-// MarshalPortStatus encodes a Port-Status, or reports why it cannot
-// ride the wire format.
-func MarshalPortStatus(p PortStatus) ([]byte, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	name := []byte(p.Switch)
-	payload := make([]byte, 1+len(name)+4+1)
-	payload[0] = byte(len(name))
-	copy(payload[1:], name)
-	off := 1 + len(name)
-	binary.BigEndian.PutUint32(payload[off:], uint32(p.Port))
-	if p.Up {
-		payload[off+4] = 1
-	}
-	return frame(TypePortStatus, payload)
-}
-
-// Marshal encodes any control message (FlowMod, PacketIn, or
-// PortStatus).
-func Marshal(msg interface{}) ([]byte, error) {
-	switch m := msg.(type) {
-	case FlowMod:
-		return MarshalFlowMod(m)
-	case *FlowMod:
-		return MarshalFlowMod(*m)
-	case PacketIn:
-		return MarshalPacketIn(m)
-	case *PacketIn:
-		return MarshalPacketIn(*m)
-	case PortStatus:
-		return MarshalPortStatus(m)
-	case *PortStatus:
-		return MarshalPortStatus(*m)
-	default:
-		return nil, fmt.Errorf("%w: cannot marshal %T", ErrBadMessage, msg)
-	}
-}
-
 func frame(t MessageType, payload []byte) ([]byte, error) {
 	if len(payload) > MaxPayload {
 		return nil, fmt.Errorf("%w: payload %d bytes, max %d", ErrTooLarge, len(payload), MaxPayload)
@@ -359,8 +226,8 @@ func frame(t MessageType, payload []byte) ([]byte, error) {
 	return out, nil
 }
 
-// Unmarshal decodes one framed message, returning the decoded value
-// (FlowMod, PacketIn, or PortStatus) and the number of bytes consumed.
+// Unmarshal decodes one framed message, returning the decoded FlowMod
+// and the number of bytes consumed.
 func Unmarshal(b []byte) (interface{}, int, error) {
 	if len(b) < headerLen {
 		return nil, 0, fmt.Errorf("%w: short header", ErrBadMessage)
@@ -375,89 +242,44 @@ func Unmarshal(b []byte) (interface{}, int, error) {
 	}
 	payload := b[headerLen : headerLen+n]
 	total := headerLen + n
-	switch t {
-	case TypeFlowMod:
-		if len(payload) < 5+matchLen+16+2 {
-			return nil, 0, fmt.Errorf("%w: short flow-mod", ErrBadMessage)
-		}
-		m := FlowMod{
-			Command:  FlowModCommand(payload[0]),
-			Priority: int32(binary.BigEndian.Uint32(payload[1:5])),
-			Match:    unmarshalMatch(payload[5:]),
-		}
-		if m.Command != FlowAdd && m.Command != FlowDelete {
-			return nil, 0, fmt.Errorf("%w: unknown flow-mod command %d", ErrBadMessage, m.Command)
-		}
-		if m.Match.InPort > maxPort {
-			return nil, 0, fmt.Errorf("%w: match in-port outside [0, %d]", ErrBadMessage, maxPort)
-		}
-		off := 5 + matchLen
-		m.IdleTimeout = math.Float64frombits(binary.BigEndian.Uint64(payload[off:]))
-		m.HardTimeout = math.Float64frombits(binary.BigEndian.Uint64(payload[off+8:]))
-		if checkTimeout("idle", m.IdleTimeout) != nil || checkTimeout("hard", m.HardTimeout) != nil {
-			return nil, 0, fmt.Errorf("%w: bad flow-mod timeouts", ErrBadMessage)
-		}
-		off += 16
-		m.Action.Kind = netsim.ActionKind(payload[off])
-		if !m.Action.Kind.Valid() {
-			return nil, 0, fmt.Errorf("%w: unknown action kind %d", ErrBadMessage, payload[off])
-		}
-		np := int(payload[off+1])
-		if len(payload) != off+2+np*4 {
-			return nil, 0, fmt.Errorf("%w: flow-mod ports length mismatch", ErrBadMessage)
-		}
-		for i := 0; i < np; i++ {
-			port := binary.BigEndian.Uint32(payload[off+2+i*4:])
-			if port > maxPort {
-				return nil, 0, fmt.Errorf("%w: action port %d outside [0, %d]", ErrBadMessage, port, maxPort)
-			}
-			m.Action.Ports = append(m.Action.Ports, int(port))
-		}
-		return m, total, nil
-	case TypePacketIn:
-		if len(payload) < 1 {
-			return nil, 0, fmt.Errorf("%w: short packet-in", ErrBadMessage)
-		}
-		nameLen := int(payload[0])
-		if len(payload) != 1+nameLen+4+matchLen+4 {
-			return nil, 0, fmt.Errorf("%w: packet-in length mismatch", ErrBadMessage)
-		}
-		p := PacketIn{Switch: string(payload[1 : 1+nameLen])}
-		off := 1 + nameLen
-		p.InPort = int32(binary.BigEndian.Uint32(payload[off:]))
-		off += 4
-		m := unmarshalMatch(payload[off:])
-		if m.InPort != 0 {
-			// The embedded match's in-port slot is reserved (the
-			// packet's ingress rides the dedicated InPort field);
-			// nonzero bytes mean corruption.
-			return nil, 0, fmt.Errorf("%w: packet-in reserved in-port bytes", ErrBadMessage)
-		}
-		p.Flow = netsim.FiveTuple{Src: m.Src, Dst: m.Dst, SrcPort: m.SrcPort, DstPort: m.DstPort, Proto: m.Proto}
-		off += matchLen
-		p.Size = int32(binary.BigEndian.Uint32(payload[off:]))
-		return p, total, nil
-	case TypePortStatus:
-		if len(payload) < 1 {
-			return nil, 0, fmt.Errorf("%w: short port-status", ErrBadMessage)
-		}
-		nameLen := int(payload[0])
-		if len(payload) != 1+nameLen+5 {
-			return nil, 0, fmt.Errorf("%w: port-status length mismatch", ErrBadMessage)
-		}
-		p := PortStatus{Switch: string(payload[1 : 1+nameLen])}
-		off := 1 + nameLen
-		p.Port = int32(binary.BigEndian.Uint32(payload[off:]))
-		switch payload[off+4] {
-		case 0:
-			p.Up = false
-		case 1:
-			p.Up = true
-		default:
-			return nil, 0, fmt.Errorf("%w: port-status state byte %d", ErrBadMessage, payload[off+4])
-		}
-		return p, total, nil
-	default:
+	if t != TypeFlowMod {
 		return nil, 0, fmt.Errorf("%w: unknown type %d", ErrBadMessage, t)
 	}
+	if len(payload) < 5+matchLen+16+2 {
+		return nil, 0, fmt.Errorf("%w: short flow-mod", ErrBadMessage)
+	}
+	m := FlowMod{
+		Command:  FlowModCommand(payload[0]),
+		Priority: int32(binary.BigEndian.Uint32(payload[1:5])),
+		Match:    unmarshalMatch(payload[5:]),
+	}
+	if m.Command != FlowAdd {
+		return nil, 0, fmt.Errorf("%w: unknown flow-mod command %d", ErrBadMessage, m.Command)
+	}
+	if m.Match.InPort > maxPort {
+		return nil, 0, fmt.Errorf("%w: match in-port outside [0, %d]", ErrBadMessage, maxPort)
+	}
+	off := 5 + matchLen
+	m.IdleTimeout = math.Float64frombits(binary.BigEndian.Uint64(payload[off:]))
+	m.HardTimeout = math.Float64frombits(binary.BigEndian.Uint64(payload[off+8:]))
+	if checkTimeout("idle", m.IdleTimeout) != nil || checkTimeout("hard", m.HardTimeout) != nil {
+		return nil, 0, fmt.Errorf("%w: bad flow-mod timeouts", ErrBadMessage)
+	}
+	off += 16
+	m.Action.Kind = netsim.ActionKind(payload[off])
+	if !m.Action.Kind.Valid() {
+		return nil, 0, fmt.Errorf("%w: unknown action kind %d", ErrBadMessage, payload[off])
+	}
+	np := int(payload[off+1])
+	if len(payload) != off+2+np*4 {
+		return nil, 0, fmt.Errorf("%w: flow-mod ports length mismatch", ErrBadMessage)
+	}
+	for i := 0; i < np; i++ {
+		port := binary.BigEndian.Uint32(payload[off+2+i*4:])
+		if port > maxPort {
+			return nil, 0, fmt.Errorf("%w: action port %d outside [0, %d]", ErrBadMessage, port, maxPort)
+		}
+		m.Action.Ports = append(m.Action.Ports, int(port))
+	}
+	return m, total, nil
 }

@@ -2,11 +2,11 @@ package openflow
 
 import (
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"math"
 	"math/rand"
 	"net/netip"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -63,7 +63,7 @@ func TestFlowModRoundTrip(t *testing.T) {
 }
 
 func TestFlowModWildcardsRoundTrip(t *testing.T) {
-	in := FlowMod{Command: FlowDelete, Priority: 1, Action: netsim.Drop()}
+	in := FlowMod{Command: FlowAdd, Priority: 1, Action: netsim.Drop()}
 	out, _, err := Unmarshal(must(MarshalFlowMod(in)))
 	if err != nil {
 		t.Fatal(err)
@@ -74,39 +74,6 @@ func TestFlowModWildcardsRoundTrip(t *testing.T) {
 	}
 	if got.Match.Src.IsValid() {
 		t.Error("zero address should stay invalid (wildcard)")
-	}
-}
-
-func TestPacketInRoundTrip(t *testing.T) {
-	in := PacketIn{
-		Switch: "zodiac-3",
-		InPort: 2,
-		Flow: netsim.FiveTuple{
-			Src: netsim.MustAddr("10.0.0.9"), Dst: netsim.MustAddr("10.0.0.1"),
-			SrcPort: 5555, DstPort: 22, Proto: netsim.ProtoTCP,
-		},
-		Size: 1500,
-	}
-	out, _, err := Unmarshal(must(MarshalPacketIn(in)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := out.(PacketIn)
-	if got != in {
-		t.Errorf("got %+v, want %+v", got, in)
-	}
-}
-
-func TestPortStatusRoundTrip(t *testing.T) {
-	for _, up := range []bool{true, false} {
-		in := PortStatus{Switch: "s1", Port: 4, Up: up}
-		out, _, err := Unmarshal(must(MarshalPortStatus(in)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out.(PortStatus) != in {
-			t.Errorf("got %+v, want %+v", out, in)
-		}
 	}
 }
 
@@ -155,15 +122,17 @@ func TestFlowModApply(t *testing.T) {
 	sw := netsim.NewSwitch(sim, "s1")
 	add := FlowMod{Command: FlowAdd, Priority: 7, Match: netsim.Match{DstPort: 80}, Action: netsim.Output(2)}
 	rule := add.Apply(sw)
-	if rule == nil || len(sw.Rules()) != 1 {
+	if rule == nil || len(sw.Rules()) != 1 || sw.Rules()[0] != rule {
 		t.Fatal("rule not installed")
 	}
-	del := FlowMod{Command: FlowDelete, Match: netsim.Match{DstPort: 80}}
-	if del.Apply(sw) != nil {
-		t.Error("delete should return nil")
+	if rule.Priority != 7 || rule.Match != add.Match || rule.Action.Kind != netsim.ActionOutput || rule.Action.Ports[0] != 2 {
+		t.Errorf("installed rule %+v does not carry the Flow-MOD's fields", rule)
 	}
-	if len(sw.Rules()) != 0 {
-		t.Error("rule not removed")
+	// A second add of the same match installs a second rule: the
+	// control plane only ever adds.
+	add.Apply(sw)
+	if len(sw.Rules()) != 2 {
+		t.Errorf("rules = %d after two adds, want 2", len(sw.Rules()))
 	}
 }
 
@@ -189,10 +158,7 @@ func TestChannelLatencyAndDelivery(t *testing.T) {
 }
 
 func TestMessageTypeString(t *testing.T) {
-	names := map[MessageType]string{
-		TypeFlowMod: "flow-mod", TypePacketIn: "packet-in",
-		TypePortStatus: "port-status", MessageType(9): "unknown",
-	}
+	names := map[MessageType]string{TypeFlowMod: "flow-mod", MessageType(9): "unknown"}
 	for k, want := range names {
 		if k.String() != want {
 			t.Errorf("%d.String() = %q", k, k.String())
@@ -244,28 +210,6 @@ func TestFlowModRejectsNegativeTimeouts(t *testing.T) {
 
 // --- wire-format limit regressions: fields at and past each boundary ---
 
-func TestMarshalNameBoundary(t *testing.T) {
-	name255 := strings.Repeat("n", MaxNameLen)
-	wire := must(MarshalPacketIn(PacketIn{Switch: name255}))
-	out, _, err := Unmarshal(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := out.(PacketIn).Switch; got != name255 {
-		t.Errorf("255-byte name corrupted: %d bytes back", len(got))
-	}
-	if _, err := MarshalPacketIn(PacketIn{Switch: name255 + "x"}); !errors.Is(err, ErrTooLarge) {
-		t.Errorf("256-byte name: err = %v, want ErrTooLarge", err)
-	}
-	wire = must(MarshalPortStatus(PortStatus{Switch: name255, Port: 1}))
-	if out, _, err := Unmarshal(wire); err != nil || out.(PortStatus).Switch != name255 {
-		t.Errorf("port-status 255-byte name: %v", err)
-	}
-	if _, err := MarshalPortStatus(PortStatus{Switch: name255 + "x"}); !errors.Is(err, ErrTooLarge) {
-		t.Errorf("port-status 256-byte name: err = %v, want ErrTooLarge", err)
-	}
-}
-
 func TestMarshalPortCountBoundary(t *testing.T) {
 	ports := make([]int, MaxActionPorts)
 	for i := range ports {
@@ -292,7 +236,10 @@ func TestMarshalRejectsBadFields(t *testing.T) {
 		m    FlowMod
 	}{
 		{"unknown command", FlowMod{Command: 9, Action: netsim.Drop()}},
+		{"delete command", FlowMod{Command: 1, Action: netsim.Drop()}},
 		{"unknown action kind", FlowMod{Command: FlowAdd, Action: netsim.Action{Kind: 99}}},
+		{"unassigned action kind 3", FlowMod{Command: FlowAdd, Action: netsim.Action{Kind: 3}}},
+		{"unassigned action kind 4", FlowMod{Command: FlowAdd, Action: netsim.Action{Kind: 4}}},
 		{"negative action kind", FlowMod{Command: FlowAdd, Action: netsim.Action{Kind: -1}}},
 		{"negative port", FlowMod{Command: FlowAdd, Action: netsim.Output(-1)}},
 		{"NaN timeout", FlowMod{Command: FlowAdd, Action: netsim.Drop(), IdleTimeout: math.NaN()}},
@@ -300,14 +247,13 @@ func TestMarshalRejectsBadFields(t *testing.T) {
 		{"negative in-port", FlowMod{Command: FlowAdd, Action: netsim.Drop(), Match: netsim.Match{InPort: -1}}},
 		{"IPv6 src", FlowMod{Command: FlowAdd, Action: netsim.Drop(),
 			Match: netsim.Match{Src: netip.MustParseAddr("2001:db8::1")}}},
+		{"IPv6 dst", FlowMod{Command: FlowAdd, Action: netsim.Drop(),
+			Match: netsim.Match{Dst: netip.MustParseAddr("::1")}}},
 	}
 	for _, c := range cases {
 		if _, err := MarshalFlowMod(c.m); !errors.Is(err, ErrBadMessage) {
 			t.Errorf("%s: err = %v, want ErrBadMessage", c.name, err)
 		}
-	}
-	if _, err := MarshalPacketIn(PacketIn{Flow: netsim.FiveTuple{Dst: netip.MustParseAddr("::1")}}); !errors.Is(err, ErrBadMessage) {
-		t.Errorf("packet-in IPv6 dst: err = %v, want ErrBadMessage", err)
 	}
 }
 
@@ -320,12 +266,18 @@ func TestUnmarshalRejectsCorruptFields(t *testing.T) {
 	fm := must(MarshalFlowMod(FlowMod{Command: FlowAdd, Action: netsim.Output(2)}))
 	kindOff := headerLen + 5 + matchLen + 16
 	cases := map[string][]byte{
-		"corrupt action kind":    flip(fm, kindOff, 99),
-		"corrupt command":        flip(fm, headerLen, 7),
-		"corrupt port count":     flip(fm, kindOff+1, 9), // length no longer matches
-		"trailing junk":          append(append([]byte(nil), fm...), 0xAA),
-		"corrupt up byte":        flip(must(MarshalPortStatus(PortStatus{Switch: "s", Port: 1})), headerLen+1+1+4, 2),
-		"packet-in name overrun": flip(must(MarshalPacketIn(PacketIn{Switch: "s"})), headerLen, 200),
+		"corrupt action kind": flip(fm, kindOff, 99),
+		"corrupt command":     flip(fm, headerLen, 7),
+		"corrupt port count":  flip(fm, kindOff+1, 9), // length no longer matches
+		"trailing junk":       append(append([]byte(nil), fm...), 0xAA),
+		// Wire values the codec once accepted: a delete command, the
+		// flood and controller action kinds, and well-formed Packet-In
+		// (type 2, empty name) and Port-Status (type 3) frames.
+		"delete command": flip(fm, headerLen, 1),
+		"action kind 3":  flip(fm, kindOff, 3),
+		"action kind 4":  flip(fm, kindOff, 4),
+		"type 2 frame":   append([]byte{0x0F, 0x4D, 2, 0, 26}, make([]byte, 26)...),
+		"type 3 frame":   {0x0F, 0x4D, 3, 0, 7, 1, 's', 0, 0, 0, 1, 1},
 	}
 	for name, wire := range cases {
 		if name == "trailing junk" {
@@ -339,7 +291,32 @@ func TestUnmarshalRejectsCorruptFields(t *testing.T) {
 	}
 }
 
-// --- randomized marshal→unmarshal equality for every message type ---
+// TestFlowModWireBytes pins the wire encoding of a Flow-MOD for each
+// action kind, so the surviving kinds keep the byte values (drop 0,
+// output 1, split 2, hash-split 5) every earlier peer sends.
+func TestFlowModWireBytes(t *testing.T) {
+	const head = "0f4d01"            // magic, type flow-mod
+	const body = "00" + "00000007" + // command add, priority 7
+		"00000000" + "00000000" + "0a000002" + "0000" + "0050" + "06" + // match: any in-port and src, dst 10.0.0.2, dst port 80, TCP
+		"0000000000000000" + "4024000000000000" // idle 0, hard 10
+	for _, c := range []struct {
+		action netsim.Action
+		want   string
+	}{
+		{netsim.Drop(), head + "0028" + body + "00" + "00"},
+		{netsim.Output(2), head + "002c" + body + "01" + "01" + "00000002"},
+		{netsim.Split(2, 3), head + "0030" + body + "02" + "02" + "00000002" + "00000003"},
+		{netsim.HashSplit(2, 3), head + "0030" + body + "05" + "02" + "00000002" + "00000003"},
+	} {
+		m := FlowMod{Command: FlowAdd, Priority: 7, Action: c.action, HardTimeout: 10,
+			Match: netsim.Match{Dst: netsim.MustAddr("10.0.0.2"), DstPort: 80, Proto: netsim.ProtoTCP}}
+		if got := hex.EncodeToString(must(MarshalFlowMod(m))); got != c.want {
+			t.Errorf("%s:\n got  %s\n want %s", c.action.Kind, got, c.want)
+		}
+	}
+}
+
+// --- randomized marshal→unmarshal equality ---
 
 func randAddr(rng *rand.Rand) netip.Addr {
 	if rng.Intn(4) == 0 {
@@ -361,21 +338,23 @@ func randMatch(rng *rand.Rand) netsim.Match {
 
 func TestRandomizedRoundTrips(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	kinds := []netsim.ActionKind{netsim.ActionDrop, netsim.ActionOutput, netsim.ActionSplit, netsim.ActionHashSplit}
 	for i := 0; i < 500; i++ {
 		fm := FlowMod{
-			Command:     FlowModCommand(rng.Intn(2)),
+			Command:     FlowAdd,
 			Priority:    rng.Int31() - rng.Int31(),
 			Match:       randMatch(rng),
 			IdleTimeout: float64(rng.Intn(100)) / 10,
 			HardTimeout: float64(rng.Intn(1000)) / 10,
 		}
-		fm.Action.Kind = netsim.ActionKind(rng.Intn(6))
+		fm.Action.Kind = kinds[rng.Intn(len(kinds))]
 		for j := rng.Intn(5); j > 0; j-- {
 			fm.Action.Ports = append(fm.Action.Ports, rng.Intn(1<<16))
 		}
-		out, n, err := Unmarshal(must(MarshalFlowMod(fm)))
-		if err != nil {
-			t.Fatalf("flow-mod %d: %v", i, err)
+		wire := must(MarshalFlowMod(fm))
+		out, n, err := Unmarshal(wire)
+		if err != nil || n != len(wire) {
+			t.Fatalf("flow-mod %d: consumed %d of %d: %v", i, n, len(wire), err)
 		}
 		got := out.(FlowMod)
 		if got.Command != fm.Command || got.Priority != fm.Priority || got.Match != fm.Match ||
@@ -387,34 +366,6 @@ func TestRandomizedRoundTrips(t *testing.T) {
 			if got.Action.Ports[j] != fm.Action.Ports[j] {
 				t.Fatalf("flow-mod %d port %d: %d != %d", i, j, got.Action.Ports[j], fm.Action.Ports[j])
 			}
-		}
-		_ = n
-
-		pi := PacketIn{
-			Switch: strings.Repeat("s", rng.Intn(MaxNameLen+1)),
-			InPort: rng.Int31(),
-			Flow: netsim.FiveTuple{
-				Src: randAddr(rng), Dst: randAddr(rng),
-				SrcPort: uint16(rng.Intn(1 << 16)), DstPort: uint16(rng.Intn(1 << 16)),
-				Proto: uint8(rng.Intn(256)),
-			},
-			Size: rng.Int31(),
-		}
-		out, _, err = Unmarshal(must(MarshalPacketIn(pi)))
-		if err != nil {
-			t.Fatalf("packet-in %d: %v", i, err)
-		}
-		if out.(PacketIn) != pi {
-			t.Fatalf("packet-in %d: got %+v want %+v", i, out, pi)
-		}
-
-		ps := PortStatus{Switch: pi.Switch, Port: rng.Int31(), Up: rng.Intn(2) == 1}
-		out, _, err = Unmarshal(must(MarshalPortStatus(ps)))
-		if err != nil {
-			t.Fatalf("port-status %d: %v", i, err)
-		}
-		if out.(PortStatus) != ps {
-			t.Fatalf("port-status %d: got %+v want %+v", i, out, ps)
 		}
 	}
 }

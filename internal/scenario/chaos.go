@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"mdn/internal/acoustic"
@@ -36,7 +37,8 @@ type ChaosConfig struct {
 	// DropRates are the message-drop probabilities to sweep
 	// (default 0, 0.1, 0.3, 0.5).
 	DropRates []float64 `json:"drop_rates,omitempty"`
-	// DurationS is the simulated length of each point (default 30).
+	// DurationS is the simulated length of each point: finite and
+	// non-negative, 0 meaning the default 30.
 	DurationS float64 `json:"duration_s,omitempty"`
 	// Scenarios selects pipelines (default all of ChaosScenarioNames).
 	Scenarios []string `json:"scenarios,omitempty"`
@@ -110,7 +112,10 @@ func RunChaos(cfg ChaosConfig, reg *telemetry.Registry) (*ChaosReport, error) {
 		drops = []float64{0, 0.1, 0.3, 0.5}
 	}
 	dur := cfg.DurationS
-	if dur <= 0 {
+	if dur < 0 || math.IsNaN(dur) || math.IsInf(dur, 0) {
+		return nil, fmt.Errorf("scenario: chaos duration %g must be finite and non-negative", dur)
+	}
+	if dur == 0 {
 		dur = 30
 	}
 	names := cfg.Scenarios
@@ -129,7 +134,7 @@ func RunChaos(cfg ChaosConfig, reg *telemetry.Registry) (*ChaosReport, error) {
 		runs[i] = run
 	}
 	for _, rate := range drops {
-		if rate < 0 || rate > 1 {
+		if !(rate >= 0 && rate <= 1) { // also rejects NaN
 			return nil, fmt.Errorf("scenario: chaos drop rate %g outside [0, 1]", rate)
 		}
 	}

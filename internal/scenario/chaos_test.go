@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -303,6 +304,14 @@ func TestChaosBadDropRateRejected(t *testing.T) {
 	_, err := RunChaos(ChaosConfig{DropRates: []float64{1.5}, DurationS: 5}, nil)
 	if err == nil {
 		t.Fatal("drop rate 1.5 accepted")
+	}
+	if _, err := RunChaos(ChaosConfig{DropRates: []float64{math.NaN()}, DurationS: 5}, nil); err == nil {
+		t.Error("NaN drop rate accepted")
+	}
+	for _, d := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := RunChaos(ChaosConfig{DropRates: []float64{0}, DurationS: d}, nil); err == nil {
+			t.Errorf("duration %g accepted", d)
+		}
 	}
 }
 

@@ -266,6 +266,19 @@ func Load(r io.Reader) (*Config, error) {
 	return &c, nil
 }
 
+// checkIPv4 accepts IPv4 and IPv4-in-6 addresses, the only ones the
+// simulated hosts carry and a Flow-MOD match can hold.
+func checkIPv4(s string) error {
+	a, err := netip.ParseAddr(s)
+	if err != nil {
+		return err
+	}
+	if !a.Is4() && !a.Is4In6() {
+		return fmt.Errorf("%s is not an IPv4 address", a)
+	}
+	return nil
+}
+
 // Validate checks referential integrity and parameter sanity.
 func (c *Config) Validate() error {
 	if c.DurationS <= 0 {
@@ -316,7 +329,7 @@ func (c *Config) Validate() error {
 		if !switches[h.Switch] {
 			return fmt.Errorf("scenario: host %q references unknown switch %q", h.Name, h.Switch)
 		}
-		if _, err := netip.ParseAddr(h.Addr); err != nil {
+		if err := checkIPv4(h.Addr); err != nil {
 			return fmt.Errorf("scenario: host %q address: %w", h.Name, err)
 		}
 		plugs = append(plugs, swPort{h.Switch, h.Port})
@@ -340,6 +353,11 @@ func (c *Config) Validate() error {
 	for _, r := range c.Rules {
 		if !switches[r.Switch] {
 			return fmt.Errorf("scenario: rule references unknown switch %q", r.Switch)
+		}
+		if r.Dst != "" {
+			if err := checkIPv4(r.Dst); err != nil {
+				return fmt.Errorf("scenario: rule on %q dst: %w", r.Switch, err)
+			}
 		}
 		switch r.Action {
 		case "output", "split", "hashsplit":
@@ -373,7 +391,7 @@ func (c *Config) Validate() error {
 			if a.Buckets <= 0 {
 				return fmt.Errorf("scenario: %s on %q needs buckets", a.Type, a.Switch)
 			}
-			if _, err := netip.ParseAddr(a.Watch); err != nil {
+			if err := checkIPv4(a.Watch); err != nil {
 				return fmt.Errorf("scenario: %s on %q needs a valid watch address: %w", a.Type, a.Switch, err)
 			}
 		default:

@@ -149,7 +149,7 @@ func RunModemSweep(cfg ModemSweepConfig, reg *telemetry.Registry) (*ModemSweepRe
 		schemes[i] = fec
 	}
 	for _, r := range rates {
-		if r < 0 || r > 1 {
+		if !(r >= 0 && r <= 1) { // also rejects NaN
 			return nil, fmt.Errorf("scenario: modem corrupt rate %g outside [0, 1]", r)
 		}
 	}

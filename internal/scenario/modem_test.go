@@ -1,6 +1,9 @@
 package scenario
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func modemSweepTestConfig() ModemSweepConfig {
 	return ModemSweepConfig{Seed: 7}
@@ -107,6 +110,9 @@ func TestModemSweepRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := RunModemSweep(ModemSweepConfig{CorruptRates: []float64{1.5}}, nil); err == nil {
 		t.Error("out-of-range rate accepted")
+	}
+	if _, err := RunModemSweep(ModemSweepConfig{CorruptRates: []float64{math.NaN()}}, nil); err == nil {
+		t.Error("NaN rate accepted")
 	}
 	if _, err := RunModemSweep(ModemSweepConfig{StreamHop: 0.012}, nil); err == nil {
 		t.Error("misaligned stream hop accepted")

@@ -3,6 +3,8 @@ package scenario
 import (
 	"fmt"
 	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -107,17 +109,21 @@ func TestValidateRejects(t *testing.T) {
 		"empty switch":     `{"duration_s":1,"switches":[{"name":""}]}`,
 		"host bad switch":  `{"duration_s":1,"switches":[{"name":"s"}],"hosts":[{"name":"h","addr":"10.0.0.1","switch":"x","port":1}]}`,
 		"host bad addr":    `{"duration_s":1,"switches":[{"name":"s"}],"hosts":[{"name":"h","addr":"nope","switch":"s","port":1}]}`,
+		"host IPv6 addr":   `{"duration_s":1,"switches":[{"name":"s"}],"hosts":[{"name":"h","addr":"::2","switch":"s","port":1}]}`,
 		"dup host":         `{"duration_s":1,"switches":[{"name":"s"}],"hosts":[{"name":"h","addr":"10.0.0.1","switch":"s","port":1},{"name":"h","addr":"10.0.0.2","switch":"s","port":2}]}`,
 		"empty host":       `{"duration_s":1,"switches":[{"name":"s"}],"hosts":[{"name":"","addr":"10.0.0.1","switch":"s","port":1}]}`,
 		"bad link":         `{"duration_s":1,"switches":[{"name":"s"}],"links":[{"a":"s","a_port":1,"b":"x","b_port":1}]}`,
 		"bad rule action":  `{"duration_s":1,"switches":[{"name":"s"}],"rules":[{"switch":"s","action":"teleport"}]}`,
 		"rule no ports":    `{"duration_s":1,"switches":[{"name":"s"}],"rules":[{"switch":"s","action":"output"}]}`,
 		"rule bad switch":  `{"duration_s":1,"switches":[{"name":"s"}],"rules":[{"switch":"x","action":"drop"}]}`,
+		"rule bad dst":     `{"duration_s":1,"switches":[{"name":"s"}],"rules":[{"switch":"s","dst":"not-an-ip","action":"drop"}]}`,
+		"rule IPv6 dst":    `{"duration_s":1,"switches":[{"name":"s"}],"rules":[{"switch":"s","dst":"2001:db8::2","action":"drop"}]}`,
 		"bad app type":     `{"duration_s":1,"switches":[{"name":"s"}],"apps":[{"type":"magic","switch":"s"}]}`,
 		"app bad switch":   `{"duration_s":1,"switches":[{"name":"s"}],"apps":[{"type":"heartbeat","switch":"x"}]}`,
 		"hh no buckets":    `{"duration_s":1,"switches":[{"name":"s"}],"apps":[{"type":"heavyhitter","switch":"s"}]}`,
 		"scan no ports":    `{"duration_s":1,"switches":[{"name":"s"}],"apps":[{"type":"portscan","switch":"s"}]}`,
 		"qm no port":       `{"duration_s":1,"switches":[{"name":"s"}],"apps":[{"type":"queuemon","switch":"s"}]}`,
+		"ddos IPv6 watch":  `{"duration_s":1,"switches":[{"name":"s"}],"apps":[{"type":"ddos","switch":"s","buckets":4,"watch":"::1"}]}`,
 		"traffic unknown":  `{"duration_s":1,"switches":[{"name":"s"}],"hosts":[{"name":"h","addr":"10.0.0.1","switch":"s","port":1}],"traffic":[{"type":"warp","from":"h","to":"h","start_s":0,"stop_s":1}]}`,
 		"traffic bad host": `{"duration_s":1,"switches":[{"name":"s"}],"hosts":[{"name":"h","addr":"10.0.0.1","switch":"s","port":1}],"traffic":[{"type":"cbr","from":"x","to":"h","pps":1,"start_s":0,"stop_s":1}]}`,
 		"traffic bad time": `{"duration_s":1,"switches":[{"name":"s"}],"hosts":[{"name":"h","addr":"10.0.0.1","switch":"s","port":1}],"traffic":[{"type":"cbr","from":"h","to":"h","pps":1,"start_s":2,"stop_s":1}]}`,
@@ -281,54 +287,79 @@ func TestDDoSScenarioAlertsOnlyDuringFlood(t *testing.T) {
 }
 
 // TestStreamScenarioEquivalentToBatchAtFullWindow runs the demo
-// scenario on both detection paths with the streaming hop set to the
-// full window: every observable — window count, tone count, every
-// application's event log, host traffic — must be identical, because at
-// hop == window the streaming pipeline is bit-exact with the batch
-// loop. This is the CI equivalence smoke in miniature.
+// scenario and every shipped scenarios/*.json on both detection paths
+// with the streaming hop set to the full window: every observable —
+// window count, tone count, every application's event log, host
+// traffic, the health snapshot and the device rows — must be
+// identical, because at hop == window the streaming pipeline is
+// bit-exact with the batch loop. This is the CI equivalence smoke in
+// miniature.
 func TestStreamScenarioEquivalentToBatchAtFullWindow(t *testing.T) {
-	run := func(stream bool) *Report {
-		cfg, err := Load(strings.NewReader(demoScenario))
+	type input struct{ name, js string }
+	inputs := []input{{"demo", demoScenario}}
+	files, err := filepath.Glob("../../scenarios/*.json")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no shipped scenarios found: %v", err)
+	}
+	for _, f := range files {
+		b, err := os.ReadFile(f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stream {
-			cfg.Stream = true
-			cfg.HopS = 0.050
-			if err := cfg.Validate(); err != nil {
-				t.Fatal(err)
+		inputs = append(inputs, input{filepath.Base(f), string(b)})
+	}
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			run := func(stream bool) *Report {
+				cfg, err := Load(strings.NewReader(in.js))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if stream {
+					cfg.Stream = true
+					cfg.HopS = 0.050
+					if err := cfg.Validate(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				rep, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rep
 			}
-		}
-		rep, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	batch, streamed := run(false), run(true)
-	if streamed.Stream == nil {
-		t.Fatal("stream run carries no stream report")
-	}
-	if streamed.WindowsAnalysed != batch.WindowsAnalysed {
-		t.Errorf("windows: stream %d != batch %d", streamed.WindowsAnalysed, batch.WindowsAnalysed)
-	}
-	if streamed.TonesDetected != batch.TonesDetected {
-		t.Errorf("tones: stream %d != batch %d", streamed.TonesDetected, batch.TonesDetected)
-	}
-	if len(streamed.Apps) != len(batch.Apps) {
-		t.Fatalf("app report counts differ: %d vs %d", len(streamed.Apps), len(batch.Apps))
-	}
-	for i := range batch.Apps {
-		b, s := batch.Apps[i], streamed.Apps[i]
-		if b.Type != s.Type || strings.Join(b.Events, "|") != strings.Join(s.Events, "|") {
-			t.Errorf("app %s events diverged:\nstream: %v\nbatch:  %v", b.Type, s.Events, b.Events)
-		}
-	}
-	for i := range batch.Hosts {
-		if batch.Hosts[i] != streamed.Hosts[i] {
-			t.Errorf("host %s traffic diverged: %+v vs %+v",
-				batch.Hosts[i].Name, streamed.Hosts[i], batch.Hosts[i])
-		}
+			batch, streamed := run(false), run(true)
+			if streamed.Stream == nil {
+				t.Fatal("stream run carries no stream report")
+			}
+			if streamed.WindowsAnalysed != batch.WindowsAnalysed {
+				t.Errorf("windows: stream %d != batch %d", streamed.WindowsAnalysed, batch.WindowsAnalysed)
+			}
+			if streamed.TonesDetected != batch.TonesDetected {
+				t.Errorf("tones: stream %d != batch %d", streamed.TonesDetected, batch.TonesDetected)
+			}
+			if len(streamed.Apps) != len(batch.Apps) {
+				t.Fatalf("app report counts differ: %d vs %d", len(streamed.Apps), len(batch.Apps))
+			}
+			for i := range batch.Apps {
+				b, s := batch.Apps[i], streamed.Apps[i]
+				if b.Type != s.Type || strings.Join(b.Events, "|") != strings.Join(s.Events, "|") {
+					t.Errorf("app %s events diverged:\nstream: %v\nbatch:  %v", b.Type, s.Events, b.Events)
+				}
+			}
+			for i := range batch.Hosts {
+				if batch.Hosts[i] != streamed.Hosts[i] {
+					t.Errorf("host %s traffic diverged: %+v vs %+v",
+						batch.Hosts[i].Name, streamed.Hosts[i], batch.Hosts[i])
+				}
+			}
+			if !reflect.DeepEqual(streamed.Health, batch.Health) {
+				t.Errorf("health diverged:\nstream: %+v\nbatch:  %+v", streamed.Health, batch.Health)
+			}
+			if !reflect.DeepEqual(streamed.Devices, batch.Devices) {
+				t.Errorf("device rows diverged:\nstream: %+v\nbatch:  %+v", streamed.Devices, batch.Devices)
+			}
+		})
 	}
 }
 
