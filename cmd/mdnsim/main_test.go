@@ -15,14 +15,14 @@ import (
 // TestChaosMetricsDumpParses is the -metrics acceptance check: a chaos
 // run under packet loss must produce a telemetry dump that parses as
 // Prometheus text and carries a nonzero decode-latency histogram and
-// nonzero openflow retry counters.
+// nonzero openflow retry counters. It runs the same sweep as CI's
+// `mdnsim -sweep chaos -duration 8 -grid 0.3 -seed 7 -metrics`.
 func TestChaosMetricsDumpParses(t *testing.T) {
 	reg := telemetry.New()
 	_, err := scenario.RunChaos(scenario.ChaosConfig{
 		Seed:      7,
 		DropRates: []float64{0.3},
 		DurationS: 8,
-		Scenarios: []string{"portknock", "loadbalance"},
 	}, reg)
 	if err != nil {
 		t.Fatal(err)

@@ -179,6 +179,10 @@ const (
 	// only when the candidate differs by more than this fraction.
 	// Every move is one recalibration event.
 	recalBand = 0.25
+	// silentWindows triggers a speaker probe after this many
+	// consecutive windows without any of its trained frequencies, and
+	// mutes a speaker after this many probes that heard nothing.
+	silentWindows = 20
 	// deafWindows quarantines a microphone after this many consecutive
 	// windows in which the fleet heard tones and it heard nothing.
 	// Keep it above the fleet's longest inter-beat gap in windows:
@@ -226,13 +230,8 @@ const (
 // speakers for degradation and heals what it can. Build one with
 // Controller.EnableDeviceMonitor after the fleet's microphones are
 // registered; drive is automatic (the controller folds every analysed
-// window into it). SilentWindows must be set before the first window.
+// window into it).
 type DeviceMonitor struct {
-	// SilentWindows triggers a speaker probe after this many
-	// consecutive windows without any of its trained frequencies
-	// (default 20).
-	SilentWindows int
-
 	ctrl     *Controller
 	mics     []*micTracker
 	speakers []*speakerTracker
@@ -263,10 +262,9 @@ type DeviceMonitor struct {
 // monitor for speaker registration.
 func (c *Controller) EnableDeviceMonitor() *DeviceMonitor {
 	m := &DeviceMonitor{
-		SilentWindows: 20,
-		ctrl:          c,
-		rewrite:       make(map[float64]float64),
-		detected:      make(map[float64]float64),
+		ctrl:     c,
+		rewrite:  make(map[float64]float64),
+		detected: make(map[float64]float64),
 	}
 	for _, mic := range c.fleet.mics {
 		m.mics = append(m.mics, &micTracker{name: mic.Name, mic: mic})
@@ -647,7 +645,7 @@ func (m *DeviceMonitor) observeSpeaker(t *speakerTracker, from, to float64) {
 			m.healSpeaker(t)
 			return
 		}
-		if t.silentStreak >= m.SilentWindows {
+		if t.silentStreak >= silentWindows {
 			// The shifted tone vanished too: the speaker died after the
 			// re-key. Retire the rewrite and mute.
 			for _, sh := range t.shifted {
@@ -678,7 +676,7 @@ func (m *DeviceMonitor) observeSpeaker(t *speakerTracker, from, to float64) {
 			// exactly what a detuned speaker's leakage looks like.
 			t.silentStreak++
 		}
-		if t.silentStreak < m.SilentWindows {
+		if t.silentStreak < silentWindows {
 			return
 		}
 		// Suspicion tripped: probe every window until a verdict lands —
@@ -690,7 +688,7 @@ func (m *DeviceMonitor) observeSpeaker(t *speakerTracker, from, to float64) {
 			t.probeMisses = 0
 		case probeNothing:
 			t.probeMisses++
-			if t.probeMisses >= m.SilentWindows {
+			if t.probeMisses >= silentWindows {
 				t.silentStreak = 0
 				t.probeMisses = 0
 				if t.voice != nil {

@@ -151,7 +151,6 @@ func TestDeviceMonitorQuarantinesAndRejoinsNoisyMic(t *testing.T) {
 // speaker comes back in tune.
 func TestDeviceMonitorRekeysDetunedSpeakerAndHeals(t *testing.T) {
 	r := newDeviceRig(1)
-	r.mon.SilentWindows = 10
 	r.mon.WatchSpeaker("s1", nil, devBeatFreq)
 	// Ramps first (Play evaluates them at each tone's start time).
 	r.sp.ScheduleDetune(2.0, 2.5, 1.04)
@@ -206,7 +205,6 @@ func TestDeviceMonitorRekeysDetunedSpeakerAndHeals(t *testing.T) {
 // shared channel.
 func TestDeviceMonitorMutesDeadSpeaker(t *testing.T) {
 	r := newDeviceRig(1)
-	r.mon.SilentWindows = 10
 	r.sp.ScheduleAmplitudeDecay(2.0, 2.5, 0)
 
 	voice := NewVoice(r.sim, mp.NewSounder(mp.NewPi(r.sim, r.sp, 0.002)))
@@ -263,7 +261,6 @@ func TestDeviceMonitorStreamQuarantineAndRejoin(t *testing.T) {
 // every analysed window.
 func TestStreamKeepsHandleAcrossRekey(t *testing.T) {
 	r := newDeviceRig(1)
-	r.mon.SilentWindows = 10
 	r.mon.WatchSpeaker("s1", nil, devBeatFreq)
 	r.sp.ScheduleDetune(2.0, 2.5, 1.04)
 	r.scheduleBeats(6)

@@ -5,6 +5,8 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
+	"time"
 )
 
 // Handler consumes decoded MP messages arriving over a transport.
@@ -18,43 +20,64 @@ type Server struct {
 	// Handler receives every valid decoded message.
 	Handler Handler
 
-	mu     sync.Mutex
+	closed atomic.Bool
+	mu     sync.Mutex // guards ln and done
 	ln     net.Listener
-	closed bool
+	done   chan struct{} // closed when Serve returns
 	wg     sync.WaitGroup
 }
 
+// deadliner is a listener whose Accept can time out, as TCP and Unix
+// listeners' can: a closing Server drains its backlog through it.
+type deadliner interface{ SetDeadline(time.Time) error }
+
+// drainWait is how long a closing Server drains its accept backlog.
+// Queued connections are accepted at once, and the drain's single
+// deadline keeps a client that keeps connecting from holding Close
+// open. Close therefore takes at least drainWait on a listener that
+// supports deadlines.
+const drainWait = 20 * time.Millisecond
+
 // Serve accepts connections on ln until Close. It returns nil after a
-// clean Close, or the accept error otherwise. Serve on an already
-// closed server closes ln and returns nil immediately.
+// clean Close, or the accept error otherwise. Once closed — also when
+// Close ran first — Serve serves the connections ln has already
+// queued, closes ln and returns nil.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
-	if s.closed {
-		// Close already ran (or is running): it cannot see this
-		// listener, so close it here instead of accepting forever.
-		s.mu.Unlock()
-		ln.Close()
-		return nil
+	draining := s.closed.Load()
+	if !draining {
+		s.ln, s.done = ln, make(chan struct{})
+		defer close(s.done)
 	}
-	s.ln = ln
 	s.mu.Unlock()
-	for {
+	defer ln.Close()
+	d, canDrain := ln.(deadliner)
+	// One deadline for the whole drain: an expired one fails Accept
+	// before it looks at the backlog.
+	startDrain := func() bool { return canDrain && d.SetDeadline(time.Now().Add(drainWait)) == nil }
+	if draining {
+		canDrain = startDrain()
+	}
+	for !draining || canDrain {
 		conn, err := ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return nil
-			}
+		if err == nil {
+			s.wg.Add(1)
+			go func() {
+				defer s.wg.Done()
+				s.serveConn(conn)
+			}()
+			continue
+		}
+		if !s.closed.Load() {
 			return err
 		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.serveConn(conn)
-		}()
+		if draining {
+			break
+		}
+		draining, canDrain = true, startDrain()
 	}
+	s.wg.Wait()
+	return nil
 }
 
 func (s *Server) serveConn(conn net.Conn) {
@@ -77,16 +100,21 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// Close stops accepting and waits for in-flight connections to
-// finish.
+// Close stops accepting, serves every connection the listener has
+// already queued, and waits for in-flight connections to finish.
 func (s *Server) Close() error {
+	s.closed.Store(true)
 	s.mu.Lock()
-	s.closed = true
-	ln := s.ln
+	ln, done := s.ln, s.done
 	s.mu.Unlock()
 	var err error
 	if ln != nil {
-		err = ln.Close()
+		// Wake Serve's Accept. A listener with a deadline stays open
+		// for Serve to drain; Serve closes it on return.
+		if d, ok := ln.(deadliner); !ok || d.SetDeadline(time.Now()) != nil {
+			err = ln.Close()
+		}
+		<-done
 	}
 	s.wg.Wait()
 	return err

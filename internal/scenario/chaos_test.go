@@ -178,6 +178,35 @@ func TestChaosGracefulDegradation(t *testing.T) {
 	}
 }
 
+// TestChaosStreamInstallsRules runs the rule-installing pipelines on
+// the 10 ms streaming path. Every point must install its rule, except
+// one known failure: at 0 % drop the stream path's phantom onsets
+// (ROADMAP item 2) keep the knock from ever completing. That point
+// must report recall 0, and the test fails once it passes, so the
+// expectation is updated with the fix.
+func TestChaosStreamInstallsRules(t *testing.T) {
+	cfg := chaosTestConfig()
+	cfg.Scenarios = []string{"portknock", "loadbalance"}
+	cfg.StreamHop = 0.01
+	rep, err := RunChaos(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Points) != 6 {
+		t.Fatalf("%d points, want 6", len(rep.Points))
+	}
+	for _, p := range rep.Points {
+		knownFailing := p.Scenario == "portknock" && p.DropRate == 0
+		switch installed := containsInstalled(p.Notes); {
+		case knownFailing && (installed || p.Recall != 0):
+			t.Errorf("%s at 0%%: installed=%v recall %.2f; the known stream failure is gone, update this test",
+				p.Scenario, installed, p.Recall)
+		case !knownFailing && !installed:
+			t.Errorf("%s at %.0f%%: notes %q, want installed=true", p.Scenario, 100*p.DropRate, p.Notes)
+		}
+	}
+}
+
 func containsInstalled(notes string) bool {
 	const want = "installed=true"
 	for i := 0; i+len(want) <= len(notes); i++ {

@@ -9,9 +9,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/netip"
 
 	"mdn/internal/core"
+	"mdn/internal/netsim"
+	"mdn/internal/openflow"
 )
 
 // Config is the root of a scenario description.
@@ -103,6 +106,12 @@ type SwitchConfig struct {
 // unbounded number would size that table from untrusted input.
 const maxSwitchPorts = 1024
 
+// maxOfferedPackets caps the packets a cbr, poisson or ramp generator
+// may offer (peak rate × active span), far above the shipped scenarios'
+// ~2·10⁴, so a validated config cannot hang the simulator. A scan is
+// bounded by its port range instead.
+const maxOfferedPackets = 1_000_000
+
 // HostConfig attaches a host to a switch port.
 type HostConfig struct {
 	Name   string `json:"name"`
@@ -126,7 +135,8 @@ type LinkConfig struct {
 	Queue     int     `json:"queue,omitempty"`
 }
 
-// RuleConfig pre-installs a flow rule.
+// RuleConfig is a flow rule: pre-installed on Switch, or, as an app's
+// Install, sent by that app with Switch left empty.
 type RuleConfig struct {
 	Switch   string `json:"switch"`
 	Priority int    `json:"priority"`
@@ -140,18 +150,23 @@ type RuleConfig struct {
 // AppConfig deploys one MDN application on a switch.
 type AppConfig struct {
 	// Type: heavyhitter, portscan, queuemon, heartbeat, ddos,
-	// superspreader.
+	// superspreader, portknock, loadbalance.
 	Type   string `json:"type"`
 	Switch string `json:"switch"`
 
 	// heavyhitter, ddos, superspreader.
 	Buckets   int `json:"buckets,omitempty"`
 	Threshold int `json:"threshold,omitempty"`
-	// portscan.
+	// portscan, portknock: ports first_port … first_port+num_ports-1
+	// (for portknock, the secret knock sequence in that order).
 	FirstPort uint16 `json:"first_port,omitempty"`
 	NumPorts  int    `json:"num_ports,omitempty"`
-	// queuemon.
+	// queuemon, loadbalance: the monitored output queue.
 	Port int `json:"port,omitempty"`
+	// portknock, loadbalance: the rule the app sends to its switch
+	// over an OpenFlow channel when the knock completes or congestion
+	// is heard. Switch stays empty.
+	Install *RuleConfig `json:"install,omitempty"`
 	// heartbeat.
 	PeriodS float64 `json:"period_s,omitempty"`
 	// ddos (the protected host) / superspreader (the suspect host):
@@ -266,6 +281,69 @@ func Load(r io.Reader) (*Config, error) {
 	return &c, nil
 }
 
+// checkRule validates a rule's match, priority and action: the one
+// check behind pre-installed rules and an app's install. Priority
+// must fit a Flow-MOD's int32 field.
+func checkRule(r RuleConfig) error {
+	if r.Dst != "" {
+		if err := checkIPv4(r.Dst); err != nil {
+			return fmt.Errorf("dst: %w", err)
+		}
+	}
+	if r.Priority < math.MinInt32 || r.Priority > math.MaxInt32 {
+		return fmt.Errorf("priority %d outside int32", r.Priority)
+	}
+	switch r.Action {
+	case "output", "split", "hashsplit":
+		if len(r.Ports) == 0 {
+			return fmt.Errorf("action %q needs ports", r.Action)
+		}
+	case "drop":
+	default:
+		return fmt.Errorf("unknown action %q", r.Action)
+	}
+	if len(r.Ports) > openflow.MaxActionPorts {
+		return fmt.Errorf("%d ports, max %d", len(r.Ports), openflow.MaxActionPorts)
+	}
+	for _, p := range r.Ports {
+		if p < 1 || p > maxSwitchPorts {
+			return fmt.Errorf("port %d outside 1..%d", p, maxSwitchPorts)
+		}
+	}
+	return nil
+}
+
+// installsRules reports whether an app type sends a rule to its switch.
+func installsRules(appType string) bool { return appType == "portknock" || appType == "loadbalance" }
+
+// netRule converts a validated rule config.
+func netRule(rc RuleConfig) netsim.Rule {
+	rule := netsim.Rule{Priority: rc.Priority}
+	if rc.Dst != "" {
+		rule.Match.Dst = netsim.MustAddr(rc.Dst)
+	}
+	rule.Match.DstPort = rc.DstPort
+	switch rc.Action {
+	case "output":
+		rule.Action = netsim.Output(rc.Ports[0])
+	case "drop":
+		rule.Action = netsim.Drop()
+	case "split":
+		rule.Action = netsim.Split(rc.Ports...)
+	case "hashsplit":
+		rule.Action = netsim.HashSplit(rc.Ports...)
+	}
+	return rule
+}
+
+// endPPS is a ramp's final rate: end_pps, or ten times pps when unset.
+func (t TrafficConfig) endPPS() float64 {
+	if t.EndPPS == 0 {
+		return t.PPS * 10
+	}
+	return t.EndPPS
+}
+
 // checkIPv4 accepts IPv4 and IPv4-in-6 addresses, the only ones the
 // simulated hosts carry and a Flow-MOD match can hold.
 func checkIPv4(s string) error {
@@ -332,11 +410,17 @@ func (c *Config) Validate() error {
 		if err := checkIPv4(h.Addr); err != nil {
 			return fmt.Errorf("scenario: host %q address: %w", h.Name, err)
 		}
+		if h.RateMbps < 0 || h.LatencyMs < 0 || h.Queue < 0 {
+			return fmt.Errorf("scenario: host %q rate_mbps, latency_ms and queue must be non-negative", h.Name)
+		}
 		plugs = append(plugs, swPort{h.Switch, h.Port})
 	}
 	for _, l := range c.Links {
 		if !switches[l.A] || !switches[l.B] {
 			return fmt.Errorf("scenario: link %s<->%s references unknown switch", l.A, l.B)
+		}
+		if l.RateMbps < 0 || l.LatencyMs < 0 || l.Queue < 0 {
+			return fmt.Errorf("scenario: link %s<->%s rate_mbps, latency_ms and queue must be non-negative", l.A, l.B)
 		}
 		plugs = append(plugs, swPort{l.A, l.APort}, swPort{l.B, l.BPort})
 	}
@@ -354,39 +438,49 @@ func (c *Config) Validate() error {
 		if !switches[r.Switch] {
 			return fmt.Errorf("scenario: rule references unknown switch %q", r.Switch)
 		}
-		if r.Dst != "" {
-			if err := checkIPv4(r.Dst); err != nil {
-				return fmt.Errorf("scenario: rule on %q dst: %w", r.Switch, err)
-			}
-		}
-		switch r.Action {
-		case "output", "split", "hashsplit":
-			if len(r.Ports) == 0 {
-				return fmt.Errorf("scenario: rule on %q action %q needs ports", r.Switch, r.Action)
-			}
-		case "drop":
-		default:
-			return fmt.Errorf("scenario: unknown rule action %q", r.Action)
+		if err := checkRule(r); err != nil {
+			return fmt.Errorf("scenario: rule on %q: %w", r.Switch, err)
 		}
 	}
 	for i, a := range c.Apps {
 		if !switches[a.Switch] {
 			return fmt.Errorf("scenario: app %d references unknown switch %q", i, a.Switch)
 		}
+		if a.Threshold < 0 || a.PeriodS < 0 {
+			return fmt.Errorf("scenario: app %d threshold and period_s must be non-negative", i)
+		}
+		if installsRules(a.Type) != (a.Install != nil) {
+			return fmt.Errorf("scenario: app %d: portknock and loadbalance, and only they, take an install", i)
+		}
+		if a.Install != nil {
+			if a.Install.Switch != "" {
+				return fmt.Errorf("scenario: app %d install names a switch; it goes to the app's own", i)
+			}
+			if err := checkRule(*a.Install); err != nil {
+				return fmt.Errorf("scenario: app %d install: %w", i, err)
+			}
+		}
 		switch a.Type {
 		case "heavyhitter":
 			if a.Buckets <= 0 {
 				return fmt.Errorf("scenario: heavyhitter on %q needs buckets", a.Switch)
 			}
-		case "portscan":
+		case "portscan", "portknock":
 			if a.NumPorts <= 0 {
-				return fmt.Errorf("scenario: portscan on %q needs num_ports", a.Switch)
+				return fmt.Errorf("scenario: %s on %q needs num_ports", a.Type, a.Switch)
 			}
-		case "queuemon":
-			if a.Port <= 0 {
-				return fmt.Errorf("scenario: queuemon on %q needs port", a.Switch)
+			if int(a.FirstPort)+a.NumPorts-1 > math.MaxUint16 {
+				return fmt.Errorf("scenario: %s on %q ports run past 65535", a.Type, a.Switch)
+			}
+		case "queuemon", "loadbalance":
+			if a.Port <= 0 || a.Port > maxSwitchPorts {
+				return fmt.Errorf("scenario: %s on %q needs a port in 1..%d", a.Type, a.Switch, maxSwitchPorts)
 			}
 		case "heartbeat":
+			if a.PeriodS != 0 && a.PeriodS < core.VoiceMinGap {
+				return fmt.Errorf("scenario: heartbeat on %q period_s %g below the voice's %g s minimum gap",
+					a.Switch, a.PeriodS, core.VoiceMinGap)
+			}
 		case "ddos", "superspreader":
 			if a.Buckets <= 0 {
 				return fmt.Errorf("scenario: %s on %q needs buckets", a.Type, a.Switch)
@@ -423,6 +517,9 @@ func (c *Config) Validate() error {
 		if !hosts[tr.To] {
 			return fmt.Errorf("scenario: traffic %d to unknown host %q", i, tr.To)
 		}
+		if tr.EndPPS < 0 || tr.Size < 0 || tr.IntervalMs < 0 {
+			return fmt.Errorf("scenario: traffic %d end_pps, size and interval_ms must be non-negative", i)
+		}
 		switch tr.Type {
 		case "cbr", "poisson", "ramp":
 			if tr.PPS <= 0 {
@@ -431,11 +528,21 @@ func (c *Config) Validate() error {
 			if tr.StopS <= tr.StartS {
 				return fmt.Errorf("scenario: traffic %d has stop <= start", i)
 			}
+			rate := tr.PPS
+			if tr.Type == "ramp" {
+				rate = math.Max(rate, tr.endPPS())
+			}
+			if offered := rate * (math.Min(tr.StopS, c.DurationS) - tr.StartS); offered > maxOfferedPackets {
+				return fmt.Errorf("scenario: traffic %d offers %.3g packets, max %d", i, offered, maxOfferedPackets)
+			}
 		case "portscan":
 			// A scan's end is first_port + num_ports probes; stop_s
 			// is not used.
 			if tr.NumPorts <= 0 {
 				return fmt.Errorf("scenario: traffic %d needs num_ports", i)
+			}
+			if int(tr.FirstPort)+tr.NumPorts-1 > math.MaxUint16 {
+				return fmt.Errorf("scenario: traffic %d ports run past 65535", i)
 			}
 		default:
 			return fmt.Errorf("scenario: unknown traffic type %q", tr.Type)
@@ -446,6 +553,9 @@ func (c *Config) Validate() error {
 		case "song", "datacenter", "office":
 		default:
 			return fmt.Errorf("scenario: unknown noise type %q (entry %d)", n.Type, i)
+		}
+		if n.Level < 0 {
+			return fmt.Errorf("scenario: noise %d level must be non-negative", i)
 		}
 	}
 	mics := map[string]bool{"controller": true}

@@ -4,26 +4,74 @@ import (
 	"fmt"
 	"strings"
 
+	"mdn/internal/acoustic"
 	"mdn/internal/core"
 	"mdn/internal/modem"
+	"mdn/internal/mp"
 	"mdn/internal/netsim"
 	"mdn/internal/telemetry"
 )
 
-// chaosModem runs the acoustic data channel through the chaos
-// harness's faulty wire: frames of Reed-Solomon-coded payload ride
-// the same MP hop the control pipelines use, so message drops become
-// symbol erasures and bit flips become wrong tones. Ground truth is
-// frames sent; detection is CRC-verified frames delivered.
+// modemWorld builds and starts the modem's testbed: switch speaker s1
+// a metre from the controller's microphone on a faulty MP hop, with a
+// transmitter on its voice and a receiver (then canary, if any) on the
+// controller's windows, all instrumented into reg. The modem's 130
+// guard-banded tones bring their own spectrum. Detection runs batch,
+// or streamed when streamHop > 0: one ticker registration at the same
+// call position, so at streamHop == Window the report is unchanged.
+func modemWorld(reg *telemetry.Registry, faults netsim.Faults, fec modem.FEC, streamHop float64, canary *probe) (
+	*netsim.Sim, *core.Controller, *modem.Transmitter, *modem.Receiver, error) {
+	sim := netsim.NewSim()
+	room := acoustic.NewRoom(44100, faults.Seed)
+	// Same acoustic-plane defaults as the scenario runner: cull at the
+	// microphone noise floor, compact behind the window loop.
+	room.CullThreshold = acoustic.CullAuto
+	mic := room.AddMicrophone("controller", acoustic.Position{}, 0.0005)
+	sp := room.AddSpeaker("s1", acoustic.Position{X: 1})
+	voice := core.NewVoice(sim, mp.NewSounder(mp.NewPi(sim, sp, 0.002)))
+	voice.Sounder().InjectFaults(faults)
+	ctrl := core.NewController(sim, mic, core.NewDetector(core.MethodGoertzel, nil))
+	// Instrument before registering the voice so the acoustic hop's
+	// fault counters are exposed too.
+	ctrl.Instrument(reg)
+	ctrl.Retention = 2
+	room.Instrument(reg)
+	ctrl.RegisterVoice("s1", voice)
+	voice.Instrument(reg, "s1")
+
+	cfg := modem.DefaultConfig()
+	cfg.FEC = fec
+	band, err := modem.NewBand(modem.Plan(cfg), "s1", cfg)
+	if err != nil {
+		return nil, nil, nil, nil, err
+	}
+	tx, rx := modem.NewTransmitter(sim, band, voice), modem.NewReceiver(band)
+	tx.Instrument(reg, "s1")
+	rx.Instrument(reg, "s1")
+	ctrl.Detector.AddWatch(band.Frequencies()...)
+	ctrl.SubscribeWindowsNamed("modem", rx.HandleWindow)
+	if canary != nil {
+		ctrl.SubscribeWindowsNamed("canary", canary.HandleWindow)
+	}
+	if streamHop > 0 {
+		ctrl.StartStream(0, streamHop)
+	} else {
+		ctrl.Start(0)
+	}
+	return sim, ctrl, tx, rx, nil
+}
+
+// chaosModem runs the acoustic data channel through the chaos sweep's
+// faulty wire: frames of Reed-Solomon-coded payload ride the same MP
+// hop the control pipelines use, so message drops become symbol
+// erasures and bit flips become wrong tones. Ground truth is frames
+// sent; detection is CRC-verified frames delivered.
 func chaosModem(reg *telemetry.Registry, faults netsim.Faults, dur, streamHop float64) ChaosPoint {
-	e := newChaosEnv(reg, faults, streamHop)
 	fec := modem.FECRS{Parity: modem.DefaultRSParity}
-	tx, rx, err := e.modemLink(fec)
+	sim, ctrl, tx, rx, err := modemWorld(reg, faults, fec, streamHop, &probe{})
 	if err != nil {
 		return ChaosPoint{Notes: "setup failed: " + err.Error()}
 	}
-	e.addCanary()
-	e.start()
 
 	payload := make([]byte, 32)
 	for i := range payload {
@@ -43,9 +91,9 @@ func chaosModem(reg *telemetry.Registry, faults netsim.Faults, dur, streamHop fl
 		at = end
 	}
 
-	var pt ChaosPoint
-	pt.GroundTruth = frames
-	e.finish(dur, &pt)
+	pt := ChaosPoint{GroundTruth: frames}
+	sim.RunUntil(dur)
+	pt.setHealth(ctrl.Health())
 	pt.Detected = int(rx.FramesRx)
 	if pt.Detected > frames {
 		// The last, uncounted frame straddling the horizon delivered
@@ -56,27 +104,6 @@ func chaosModem(reg *telemetry.Registry, faults netsim.Faults, dur, streamHop fl
 		fec.Name(), rx.GoodputBps(), rx.FECCorrected,
 		rx.CRCFailures, rx.FECFailures, rx.HeaderFailures)
 	return pt
-}
-
-// modemLink puts a modem with the given FEC on the env's speaker and
-// controller: a transmitter on the voice, a receiver subscribed to the
-// controller's windows, both instrumented into the env's registry. The
-// modem's 130 guard-banded tones outgrow the shared default plan, so
-// the channel brings its own spectrum.
-func (e *chaosEnv) modemLink(fec modem.FEC) (*modem.Transmitter, *modem.Receiver, error) {
-	cfg := modem.DefaultConfig()
-	cfg.FEC = fec
-	band, err := modem.NewBand(modem.Plan(cfg), "s1", cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	tx := modem.NewTransmitter(e.sim, band, e.voice)
-	rx := modem.NewReceiver(band)
-	tx.Instrument(e.reg, "s1")
-	rx.Instrument(e.reg, "s1")
-	e.ctrl.Detector.AddWatch(band.Frequencies()...)
-	e.ctrl.SubscribeWindowsNamed("modem", rx.HandleWindow)
-	return tx, rx, nil
 }
 
 // ModemSweepConfig parameterises a modem corruption sweep: a grid of
@@ -170,17 +197,15 @@ func RunModemSweep(cfg ModemSweepConfig, reg *telemetry.Registry) (*ModemSweepRe
 	return &ModemSweepReport{Seed: cfg.Seed, Points: pts}, nil
 }
 
-// modemPoint measures one (FEC, corruption rate) cell on the chaos
-// testbed with a clean wire: the corruptor attacks payload symbols at
+// modemPoint measures one (FEC, corruption rate) cell on the modem
+// world with a clean wire: the corruptor attacks payload symbols at
 // schedule time.
 func modemPoint(reg *telemetry.Registry, fec modem.FEC, rate float64, seed int64, streamHop float64) ModemSweepPoint {
-	e := newChaosEnv(reg, netsim.Faults{Seed: seed}, streamHop)
-	tx, rx, err := e.modemLink(fec)
+	sim, _, tx, rx, err := modemWorld(reg, netsim.Faults{Seed: seed}, fec, streamHop, nil)
 	if err != nil {
 		return ModemSweepPoint{}
 	}
 	tx.Corruptor = modem.NewCorruptor(rate, seed+1)
-	e.start()
 
 	// Every point sends 6 frames of 64 payload bytes.
 	payload := make([]byte, 64)
@@ -195,7 +220,7 @@ func modemPoint(reg *telemetry.Registry, fec modem.FEC, rate float64, seed int64
 		}
 		at = end
 	}
-	e.sim.RunUntil(at + 0.5)
+	sim.RunUntil(at + 0.5)
 
 	pt := ModemSweepPoint{
 		FramesTx:         tx.FramesTx,

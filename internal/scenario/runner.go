@@ -8,6 +8,7 @@ import (
 	"mdn/internal/core"
 	"mdn/internal/mp"
 	"mdn/internal/netsim"
+	"mdn/internal/openflow"
 	"mdn/internal/telemetry"
 )
 
@@ -88,12 +89,45 @@ type AppReport struct {
 	Type   string `json:"type"`
 	Switch string `json:"switch"`
 	// Events is app-specific: heavy-hitter reports, scan alerts,
-	// decoded queue levels, heartbeat alerts.
+	// decoded queue levels, heartbeat alerts, and the rule-installing
+	// apps' sent and installed times.
 	Events []string `json:"events"`
+	// Flow-programming counters of the rule-installing apps
+	// (portknock, loadbalance): rules confirmed installed, wire sends,
+	// re-sends among them, and rules given up on.
+	Installs uint64 `json:"installs,omitempty"`
+	Attempts uint64 `json:"attempts,omitempty"`
+	Retries  uint64 `json:"retries,omitempty"`
+	Failures uint64 `json:"failures,omitempty"`
+}
+
+// balancer is a loadbalance app: its queue monitor decodes each
+// window before the balancer acts on the levels heard.
+type balancer struct {
+	*core.QueueMonitor
+	lb *core.LoadBalancer
+}
+
+func (b balancer) HandleWindow(start float64, dets []core.Detection) {
+	b.QueueMonitor.HandleWindow(start, dets)
+	b.lb.HandleWindow(start, dets)
 }
 
 // Run executes the scenario and returns its report.
 func Run(c *Config) (*Report, error) {
+	reg := telemetry.New()
+	rep, err := run(c, reg, nil)
+	if err == nil {
+		snap := reg.Snapshot()
+		rep.Metrics = &snap
+	}
+	return rep, err
+}
+
+// run builds the scenario's world, records its telemetry into reg (nil
+// runs unmetered) and runs it. A non-nil probe subscribes after every
+// app and receives the voices' emission total at the end.
+func run(c *Config, reg *telemetry.Registry, probe *probe) (*Report, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
@@ -118,24 +152,19 @@ func Run(c *Config) (*Report, error) {
 	}
 	plan := core.DefaultPlan()
 
-	// Switches with voices.
+	// Switches with voices. Each switch's wire faults draw from its own
+	// stream, derived from the scenario seed so runs replay exactly.
 	sws := make(map[string]*netsim.Switch, len(c.Switches))
 	voices := make(map[string]*core.Voice, len(c.Switches))
+	faultSeed := make(map[string]int64, len(c.Switches))
 	for i, sc := range c.Switches {
 		sw := netsim.NewSwitch(sim, sc.Name)
 		sp := room.AddSpeaker(sc.Name, acoustic.Position{X: sc.X, Y: sc.Y})
 		voices[sc.Name] = core.NewVoice(sim, mp.NewSounder(mp.NewPi(sim, sp, 0.002)))
 		sws[sc.Name] = sw
-		if f := c.Faults; f != nil {
-			voices[sc.Name].Sounder().InjectFaults(netsim.Faults{
-				DropProb:  f.DropProb,
-				FlipProb:  f.FlipProb,
-				TruncProb: f.TruncProb,
-				JitterMax: f.JitterMaxS,
-				// Per-switch stream, derived from the scenario seed so
-				// runs replay exactly.
-				Seed: c.Seed*1000 + int64(i),
-			})
+		faultSeed[sc.Name] = c.Seed*1000 + int64(i)
+		if c.Faults != nil {
+			voices[sc.Name].Sounder().InjectFaults(c.Faults.wire(faultSeed[sc.Name]))
 		}
 	}
 
@@ -168,28 +197,12 @@ func Run(c *Config) (*Report, error) {
 	}
 	// Rules.
 	for _, rc := range c.Rules {
-		rule := netsim.Rule{Priority: rc.Priority}
-		if rc.Dst != "" {
-			rule.Match.Dst = netsim.MustAddr(rc.Dst)
-		}
-		rule.Match.DstPort = rc.DstPort
-		switch rc.Action {
-		case "output":
-			rule.Action = netsim.Output(rc.Ports[0])
-		case "drop":
-			rule.Action = netsim.Drop()
-		case "split":
-			rule.Action = netsim.Split(rc.Ports...)
-		case "hashsplit":
-			rule.Action = netsim.HashSplit(rc.Ports...)
-		}
-		sws[rc.Switch].InstallRule(rule)
+		sws[rc.Switch].InstallRule(netRule(rc))
 	}
 
 	// Applications, via the manager. Every switch's control hop feeds
 	// the controller's health snapshot.
 	mgr := core.NewManager(sim, mic, plan)
-	reg := telemetry.New()
 	mgr.Ctrl.Instrument(reg)
 	mgr.Ctrl.Retention = 2
 	room.Instrument(reg)
@@ -199,14 +212,32 @@ func Run(c *Config) (*Report, error) {
 	}
 	type deployed struct {
 		cfg AppConfig
-		app interface{}
+		app core.App
 	}
 	var apps []deployed
+	// A switch running a rule-installing app gets one OpenFlow channel,
+	// faulted like its sounder but on a stream of its own.
+	channels := make(map[string]*openflow.Channel)
+	channel := func(name string) *openflow.Channel {
+		if ch := channels[name]; ch != nil {
+			return ch
+		}
+		ch := openflow.NewChannel(sim, sws[name], 0.005)
+		if c.Faults != nil {
+			ch.InjectFaults(c.Faults.wire(mixSeed(faultSeed[name])))
+		}
+		mgr.Ctrl.RegisterChannel(name, ch)
+		channels[name] = ch
+		return ch
+	}
 	taps := make(map[string][]func(*netsim.Packet, int))
 	// Frequencies each switch's speaker is commanded to emit, collected
 	// as applications deploy — the device monitor's speaker fingerprints
-	// train on these.
+	// train on these. beats marks the switches whose speaker sounds
+	// periodically (a heartbeat or a queue monitor): only those can be
+	// told apart from a dead one by their silence.
 	switchFreqs := make(map[string][]float64)
+	beats := make(map[string]bool)
 	hb := core.NewHeartbeat()
 	hbUsed := false
 	for appIdx, ac := range c.Apps {
@@ -214,6 +245,8 @@ func Run(c *Config) (*Report, error) {
 		// Per-app deterministic sketch seed: scenario seed plus the
 		// app's position, so two sketch apps never share hash streams.
 		sketchSeed := uint64(c.Seed)*0x9e3779b97f4a7c15 + uint64(appIdx) + 1
+		var app core.App                  // deployed through the manager
+		var tap func(*netsim.Packet, int) // the switch-side hook, if any
 		switch ac.Type {
 		case "heavyhitter":
 			hh, err := core.NewHeavyHitter(plan, ac.Switch, voice, ac.Buckets)
@@ -232,13 +265,8 @@ func Run(c *Config) (*Report, error) {
 				}
 				hh.SetFlowCounter(fc)
 			}
-			if err := mgr.Deploy(hh); err != nil {
-				return nil, err
-			}
 			hh.Instrument(reg, ac.Switch)
-			taps[ac.Switch] = append(taps[ac.Switch], hh.Tap)
-			switchFreqs[ac.Switch] = append(switchFreqs[ac.Switch], hh.Frequencies()...)
-			apps = append(apps, deployed{ac, hh})
+			app, tap = hh, hh.Tap
 		case "portscan":
 			ps, err := core.NewPortScan(plan, ac.Switch, voice, ac.FirstPort, ac.NumPorts)
 			if err != nil {
@@ -254,25 +282,34 @@ func Run(c *Config) (*Report, error) {
 				}
 				ps.SetDistinctCounter(dc)
 			}
-			if err := mgr.Deploy(ps); err != nil {
+			ps.Instrument(reg, ac.Switch)
+			app, tap = ps, ps.Tap
+		case "portknock":
+			seq := make([]uint16, ac.NumPorts)
+			for i := range seq {
+				seq[i] = ac.FirstPort + uint16(i)
+			}
+			pk, err := core.NewPortKnock(plan, ac.Switch, voice, channel(ac.Switch), seq, flowMod(*ac.Install))
+			if err != nil {
 				return nil, err
 			}
-			ps.Instrument(reg, ac.Switch)
-			taps[ac.Switch] = append(taps[ac.Switch], ps.Tap)
-			switchFreqs[ac.Switch] = append(switchFreqs[ac.Switch], ps.Frequencies()...)
-			apps = append(apps, deployed{ac, ps})
-		case "queuemon":
+			pk.Programmer().Instrument(reg)
+			app, tap = pk, pk.Tap
+		case "queuemon", "loadbalance":
 			qm, err := core.NewQueueMonitor(plan, sws[ac.Switch], ac.Port, voice)
 			if err != nil {
 				return nil, err
 			}
-			if err := mgr.Deploy(qm); err != nil {
-				return nil, err
-			}
 			qm.Instrument(reg, ac.Switch)
+			beats[ac.Switch] = true
 			qm.StartSwitchSide(sim, 0.05)
-			switchFreqs[ac.Switch] = append(switchFreqs[ac.Switch], qm.Frequencies()...)
-			apps = append(apps, deployed{ac, qm})
+			app = qm
+			if ac.Type == "loadbalance" {
+				lb := core.NewLoadBalancer(qm, channel(ac.Switch), flowMod(*ac.Install))
+				lb.SetErrorLog(mgr.Ctrl.Errors)
+				lb.Programmer().Instrument(reg)
+				app = balancer{qm, lb}
+			}
 		case "ddos", "superspreader":
 			mode := core.ModeDDoSVictim
 			if ac.Type == "superspreader" {
@@ -294,13 +331,8 @@ func Run(c *Config) (*Report, error) {
 				}
 				sd.SetDistinctCounter(dc)
 			}
-			if err := mgr.Deploy(sd); err != nil {
-				return nil, err
-			}
 			sd.Instrument(reg, ac.Switch)
-			taps[ac.Switch] = append(taps[ac.Switch], sd.Tap)
-			switchFreqs[ac.Switch] = append(switchFreqs[ac.Switch], sd.Frequencies()...)
-			apps = append(apps, deployed{ac, sd})
+			app, tap = sd, sd.Tap
 		case "heartbeat":
 			f, err := hb.Register(plan, ac.Switch, voice)
 			if err != nil {
@@ -313,8 +345,18 @@ func Run(c *Config) (*Report, error) {
 				return nil, err
 			}
 			switchFreqs[ac.Switch] = append(switchFreqs[ac.Switch], f)
+			beats[ac.Switch] = true
 			hbUsed = true
+			continue
 		}
+		if err := mgr.Deploy(app); err != nil {
+			return nil, err
+		}
+		if tap != nil {
+			taps[ac.Switch] = append(taps[ac.Switch], tap)
+		}
+		switchFreqs[ac.Switch] = append(switchFreqs[ac.Switch], app.Frequencies()...)
+		apps = append(apps, deployed{ac, app})
 	}
 	if hbUsed {
 		if err := mgr.Deploy(hb); err != nil {
@@ -336,8 +378,8 @@ func Run(c *Config) (*Report, error) {
 	}
 	// Device health: extra listening points fan out through the fleet
 	// engine; any fault (or any extra mic) arms the monitor so floors
-	// recalibrate, deaf mics quarantine and rejoin, and faulted
-	// speakers are fingerprinted for re-keying.
+	// recalibrate, deaf mics quarantine and rejoin, and periodically
+	// sounding speakers are fingerprinted for re-keying.
 	if len(extraMics) > 0 {
 		fleet := mgr.Ctrl.EnableFleet(0)
 		for _, m := range extraMics {
@@ -348,13 +390,16 @@ func Run(c *Config) (*Report, error) {
 	}
 	if len(extraMics) > 0 || len(c.DeviceFaults) > 0 {
 		mon := mgr.Ctrl.EnableDeviceMonitor()
-		watched := map[string]bool{}
 		for _, df := range c.DeviceFaults {
 			applyDeviceFault(room, df)
-			speakerFault := df.Kind == FaultSpeakerDecay || df.Kind == FaultSpeakerDetune
-			if speakerFault && !watched[df.Device] {
-				watched[df.Device] = true
-				mon.WatchSpeaker(df.Device, voices[df.Device], switchFreqs[df.Device]...)
+		}
+		// Every periodically sounding speaker is watched, faulted or
+		// not: the controller is not told in advance which one will
+		// fail. An event-driven speaker is quiet by design, and the
+		// monitor would take its silence for death and mute it.
+		for _, sc := range c.Switches {
+			if beats[sc.Name] {
+				mon.WatchSpeaker(sc.Name, voices[sc.Name], switchFreqs[sc.Name]...)
 			}
 		}
 	}
@@ -367,6 +412,9 @@ func Run(c *Config) (*Report, error) {
 		stream = mgr.StartStream(0, hop)
 	} else {
 		mgr.Start(0)
+	}
+	if probe != nil {
+		mgr.Ctrl.SubscribeWindowsNamed("canary", probe.HandleWindow)
 	}
 
 	// Traffic.
@@ -387,11 +435,7 @@ func Run(c *Config) (*Report, error) {
 		case "poisson":
 			netsim.StartPoisson(sim, from, flow, tc.PPS, size, tc.StartS, tc.StopS, c.Seed+int64(tc.SrcPort))
 		case "ramp":
-			end := tc.EndPPS
-			if end <= 0 {
-				end = tc.PPS * 10
-			}
-			netsim.StartRamp(sim, from, flow, tc.PPS, end, size, tc.StartS, tc.StopS)
+			netsim.StartRamp(sim, from, flow, tc.PPS, tc.endPPS(), size, tc.StartS, tc.StopS)
 		case "portscan":
 			interval := tc.IntervalMs / 1000
 			if interval <= 0 {
@@ -421,6 +465,11 @@ func Run(c *Config) (*Report, error) {
 	}
 
 	sim.RunUntil(c.DurationS)
+	if probe != nil {
+		for _, v := range voices {
+			probe.emitted += v.Emitted
+		}
+	}
 
 	// Build the report.
 	rep := &Report{Name: c.Name, DurationS: c.DurationS}
@@ -452,9 +501,15 @@ func Run(c *Config) (*Report, error) {
 					"t=%.1fs port scan: %d distinct ports", a.Time, a.DistinctPorts))
 			}
 		case *core.QueueMonitor:
-			for _, l := range app.HeardLevels() {
-				ar.Events = append(ar.Events, core.LevelName(l))
-			}
+			ar.Events = heardLevels(app)
+		case *core.PortKnock:
+			ar.Events = ruleEvents("open", app.Opened, app.OpenedAt, app.Installed, app.InstalledAt)
+			ar.flowCounters(app.Programmer())
+		case balancer:
+			lb := app.lb
+			ar.Events = append(ruleEvents("split", lb.Triggered, lb.TriggeredAt, lb.Installed, lb.InstalledAt),
+				heardLevels(app.QueueMonitor)...)
+			ar.flowCounters(lb.Programmer())
 		case *core.Heartbeat:
 			for _, a := range app.Alerts {
 				ar.Events = append(ar.Events, fmt.Sprintf(
@@ -471,8 +526,6 @@ func Run(c *Config) (*Report, error) {
 	}
 	health := mgr.Health()
 	rep.Health = &health
-	snap := reg.Snapshot()
-	rep.Metrics = &snap
 	if mon := mgr.Ctrl.DeviceMonitor(); mon != nil {
 		rep.Devices = mon.Snapshot()
 	}
@@ -487,6 +540,50 @@ func Run(c *Config) (*Report, error) {
 		}
 	}
 	return rep, nil
+}
+
+// heardLevels names the levels a queue monitor decoded, consecutive
+// repeats collapsed.
+func heardLevels(qm *core.QueueMonitor) []string {
+	var out []string
+	for _, l := range qm.HeardLevels() {
+		out = append(out, core.LevelName(l))
+	}
+	return out
+}
+
+// ruleEvents lists when a rule-installing app sent its rule and when
+// the switch confirmed it.
+func ruleEvents(rule string, sent bool, sentAt float64, installed bool, installedAt float64) (out []string) {
+	if sent {
+		out = append(out, fmt.Sprintf("t=%.2fs %s rule sent", sentAt, rule))
+	}
+	if installed {
+		out = append(out, fmt.Sprintf("t=%.2fs %s rule installed", installedAt, rule))
+	}
+	return out
+}
+
+// flowCounters copies an app programmer's counters into its row.
+func (ar *AppReport) flowCounters(p *openflow.Programmer) {
+	ar.Installs, ar.Attempts, ar.Retries, ar.Failures = p.Installs, p.Attempts, p.Retries, p.Failures
+}
+
+// flowMod converts a validated install into the Flow-MOD an app sends.
+func flowMod(rc RuleConfig) openflow.FlowMod {
+	r := netRule(rc)
+	return openflow.FlowMod{Command: openflow.FlowAdd, Priority: int32(r.Priority), Match: r.Match, Action: r.Action}
+}
+
+// wire is the fault configuration of one control hop seeded seed.
+func (f *FaultsConfig) wire(seed int64) netsim.Faults {
+	return netsim.Faults{
+		DropProb:  f.DropProb,
+		FlipProb:  f.FlipProb,
+		TruncProb: f.TruncProb,
+		JitterMax: f.JitterMaxS,
+		Seed:      seed,
+	}
 }
 
 // applyDeviceFault schedules one validated degradation ramp (and its

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"mdn/internal/core"
 )
 
 const demoScenario = `{
@@ -129,6 +131,38 @@ func TestValidateRejects(t *testing.T) {
 		"traffic bad time": `{"duration_s":1,"switches":[{"name":"s"}],"hosts":[{"name":"h","addr":"10.0.0.1","switch":"s","port":1}],"traffic":[{"type":"cbr","from":"h","to":"h","pps":1,"start_s":2,"stop_s":1}]}`,
 		"traffic no pps":   `{"duration_s":1,"switches":[{"name":"s"}],"hosts":[{"name":"h","addr":"10.0.0.1","switch":"s","port":1}],"traffic":[{"type":"cbr","from":"h","to":"h","start_s":0,"stop_s":1}]}`,
 		"bad noise":        `{"duration_s":1,"switches":[{"name":"s"}],"noise":[{"type":"thunder"}]}`,
+
+		// Negative values where 0 means "default".
+		"neg host rate":     `{"duration_s":1,"switches":[{"name":"s"}],"hosts":[{"name":"h","addr":"10.0.0.1","switch":"s","port":1,"rate_mbps":-1}]}`,
+		"neg host latency":  `{"duration_s":1,"switches":[{"name":"s"}],"hosts":[{"name":"h","addr":"10.0.0.1","switch":"s","port":1,"latency_ms":-1}]}`,
+		"neg host queue":    `{"duration_s":1,"switches":[{"name":"s"}],"hosts":[{"name":"h","addr":"10.0.0.1","switch":"s","port":1,"queue":-1}]}`,
+		"neg link queue":    `{"duration_s":1,"switches":[{"name":"s"},{"name":"t"}],"links":[{"a":"s","a_port":1,"b":"t","b_port":1,"queue":-5}]}`,
+		"neg app threshold": `{"duration_s":1,"switches":[{"name":"s"}],"apps":[{"type":"heavyhitter","switch":"s","buckets":4,"threshold":-1}]}`,
+		"neg period":        `{"duration_s":1,"switches":[{"name":"s"}],"apps":[{"type":"heartbeat","switch":"s","period_s":-0.5}]}`,
+		"neg size":          `{"duration_s":1,"switches":[{"name":"s"}],"hosts":[{"name":"h","addr":"10.0.0.1","switch":"s","port":1}],"traffic":[{"type":"cbr","from":"h","to":"h","pps":1,"size":-1,"start_s":0,"stop_s":1}]}`,
+		"neg end pps":       `{"duration_s":1,"switches":[{"name":"s"}],"hosts":[{"name":"h","addr":"10.0.0.1","switch":"s","port":1}],"traffic":[{"type":"ramp","from":"h","to":"h","pps":1,"end_pps":-1,"start_s":0,"stop_s":1}]}`,
+		"neg interval":      `{"duration_s":1,"switches":[{"name":"s"}],"hosts":[{"name":"h","addr":"10.0.0.1","switch":"s","port":1}],"traffic":[{"type":"portscan","from":"h","to":"h","num_ports":2,"interval_ms":-1,"start_s":0}]}`,
+		"neg noise level":   `{"duration_s":1,"switches":[{"name":"s"}],"noise":[{"type":"song","level":-0.1}]}`,
+		// A heartbeat faster than the voice can replay one tone.
+		"heartbeat 1ns": `{"duration_s":1,"switches":[{"name":"s"}],"apps":[{"type":"heartbeat","switch":"s","period_s":1e-9}]}`,
+		// Port ranges past 65535.
+		"app ports wrap":     `{"duration_s":1,"switches":[{"name":"s"}],"apps":[{"type":"portscan","switch":"s","first_port":65530,"num_ports":12}]}`,
+		"knock ports wrap":   `{"duration_s":1,"switches":[{"name":"s"}],"apps":[{"type":"portknock","switch":"s","first_port":65535,"num_ports":2,"install":{"action":"drop"}}]}`,
+		"traffic ports wrap": `{"duration_s":1,"switches":[{"name":"s"}],"hosts":[{"name":"h","addr":"10.0.0.1","switch":"s","port":1}],"traffic":[{"type":"portscan","from":"h","to":"h","first_port":65530,"num_ports":12,"start_s":0}]}`,
+		// Generators offering more than maxOfferedPackets.
+		"cbr 1e12 pps":      `{"duration_s":1,"switches":[{"name":"s"}],"hosts":[{"name":"h","addr":"10.0.0.1","switch":"s","port":1}],"traffic":[{"type":"cbr","from":"h","to":"h","pps":1e12,"start_s":0,"stop_s":1}]}`,
+		"ramp 1e12 end pps": `{"duration_s":1,"switches":[{"name":"s"}],"hosts":[{"name":"h","addr":"10.0.0.1","switch":"s","port":1}],"traffic":[{"type":"ramp","from":"h","to":"h","pps":1,"end_pps":1e12,"start_s":0,"stop_s":1}]}`,
+		"scan 1e8 ports":    `{"duration_s":1,"switches":[{"name":"s"}],"hosts":[{"name":"h","addr":"10.0.0.1","switch":"s","port":1}],"traffic":[{"type":"portscan","from":"h","to":"h","num_ports":100000000,"start_s":0}]}`,
+		// The rule-installing apps and their install.
+		"knock no install":     `{"duration_s":1,"switches":[{"name":"s"}],"apps":[{"type":"portknock","switch":"s","first_port":7001,"num_ports":3}]}`,
+		"lb no install":        `{"duration_s":1,"switches":[{"name":"s"}],"apps":[{"type":"loadbalance","switch":"s","port":2}]}`,
+		"install bad action":   `{"duration_s":1,"switches":[{"name":"s"}],"apps":[{"type":"portknock","switch":"s","first_port":7001,"num_ports":3,"install":{"action":"teleport"}}]}`,
+		"install IPv6 dst":     `{"duration_s":1,"switches":[{"name":"s"}],"apps":[{"type":"portknock","switch":"s","first_port":7001,"num_ports":3,"install":{"dst":"2001:db8::2","action":"drop"}}]}`,
+		"install priority":     `{"duration_s":1,"switches":[{"name":"s"}],"apps":[{"type":"loadbalance","switch":"s","port":2,"install":{"priority":4294967296,"action":"drop"}}]}`,
+		"install names switch": `{"duration_s":1,"switches":[{"name":"s"}],"apps":[{"type":"loadbalance","switch":"s","port":2,"install":{"switch":"s","action":"drop"}}]}`,
+		"install on scan":      `{"duration_s":1,"switches":[{"name":"s"}],"apps":[{"type":"portscan","switch":"s","num_ports":3,"install":{"action":"drop"}}]}`,
+		"knock no ports":       `{"duration_s":1,"switches":[{"name":"s"}],"apps":[{"type":"portknock","switch":"s","install":{"action":"drop"}}]}`,
+		"lb no port":           `{"duration_s":1,"switches":[{"name":"s"}],"apps":[{"type":"loadbalance","switch":"s","install":{"action":"drop"}}]}`,
 	}
 	for name, js := range cases {
 		if _, err := Load(strings.NewReader(js)); err == nil {
@@ -418,14 +452,16 @@ func TestValidateRejectsBadStreamConfig(t *testing.T) {
 }
 
 // TestScenarioDeviceFaultsSelfHeal drives the declarative JSON route
-// through the same arc the chaos pipeline proves imperatively: a
-// three-microphone fleet, a noise-ramped mic that is repaired mid-run,
-// and a persistently detuned speaker. The report must carry a Devices
+// through the same arc the chaos pipeline proves: a three-microphone
+// fleet, a noise-ramped mic that is repaired mid-run, and a
+// persistently detuned speaker. The report must carry a Devices
 // section showing the recalibration, the quarantine round-trip, and
 // the re-key — and the heartbeat app must keep hearing its device
-// through the re-key (no false death alert).
+// through the re-key (no false death alert). With a second, unfaulted
+// switch beating too, the monitor watches that speaker as well — it is
+// not told in advance which one will fail — and reports it healthy.
 func TestScenarioDeviceFaultsSelfHeal(t *testing.T) {
-	js := `{
+	const faulted = `{
 	  "name": "degrading", "seed": 7, "duration_s": 12,
 	  "switches": [{"name": "s1", "x": 1}],
 	  "mics": [{"name": "m1", "y": 1}, {"name": "m2", "y": 2}],
@@ -437,49 +473,107 @@ func TestScenarioDeviceFaultsSelfHeal(t *testing.T) {
 	     "level": 1.04}
 	  ]
 	}`
-	cfg, err := Load(strings.NewReader(js))
-	if err != nil {
-		t.Fatal(err)
+	twoSwitch := strings.NewReplacer(
+		`"switches": [{"name": "s1", "x": 1}]`,
+		`"switches": [{"name": "s1", "x": 1}, {"name": "s2", "x": -1}]`,
+		`"apps": [{"type": "heartbeat", "switch": "s1", "period_s": 0.3}]`,
+		`"apps": [{"type": "heartbeat", "switch": "s1", "period_s": 0.3},
+		          {"type": "heartbeat", "switch": "s2"}]`,
+	).Replace(faulted)
+	for _, tc := range []struct {
+		name     string
+		js       string
+		speakers int
+	}{
+		{"one switch", faulted, 1},
+		{"two switches", twoSwitch, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg, err := Load(strings.NewReader(tc.js))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := 3 + tc.speakers; len(rep.Devices) != want {
+				t.Fatalf("%d device rows, want %d (3 mics + %d speakers): %+v",
+					len(rep.Devices), want, tc.speakers, rep.Devices)
+			}
+			byName := map[string]core.DeviceHealth{}
+			for _, d := range rep.Devices {
+				byName[d.Kind+"/"+d.Name] = d
+			}
+			m1 := byName["mic/m1"]
+			if m1.Recalibrations == 0 || m1.Quarantines == 0 || m1.Rejoins == 0 {
+				t.Errorf("m1 recal=%d quarantines=%d rejoins=%d, want all > 0",
+					m1.Recalibrations, m1.Quarantines, m1.Rejoins)
+			}
+			if m1.Quarantined {
+				t.Error("m1 still quarantined after the repair")
+			}
+			s1 := byName["speaker/s1"]
+			if s1.State != "detuned" || s1.Rekeys == 0 {
+				t.Errorf("s1 state=%s rekeys=%d, want detuned with a re-key", s1.State, s1.Rekeys)
+			}
+			if tc.speakers == 2 {
+				s2, ok := byName["speaker/s2"]
+				if !ok || s2.State != "healthy" || s2.Rekeys != 0 {
+					t.Errorf("unfaulted speaker s2 = %+v (reported %v), want healthy", s2, ok)
+				}
+			}
+			if rep.Health == nil || rep.Health.StateName != "degraded" {
+				t.Fatalf("health %+v, want degraded (persistent detune)", rep.Health)
+			}
+			for _, a := range rep.Apps {
+				if a.Type == "heartbeat" && len(a.Events) != 0 {
+					t.Errorf("heartbeat alerted through the re-key: %v", a.Events)
+				}
+			}
+		})
 	}
-	rep, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Devices) != 4 {
-		t.Fatalf("%d device rows, want 4 (3 mics + 1 speaker): %+v", len(rep.Devices), rep.Devices)
-	}
-	byName := map[string]struct {
-		state                          string
-		recals, quars, rejoins, rekeys uint64
-		quarantined                    bool
-	}{}
-	for _, d := range rep.Devices {
-		byName[d.Kind+"/"+d.Name] = struct {
-			state                          string
-			recals, quars, rejoins, rekeys uint64
-			quarantined                    bool
-		}{d.State, d.Recalibrations, d.Quarantines, d.Rejoins, d.Rekeys, d.Quarantined}
-	}
-	m1 := byName["mic/m1"]
-	if m1.recals == 0 || m1.quars == 0 || m1.rejoins == 0 {
-		t.Errorf("m1 recal=%d quarantines=%d rejoins=%d, want all > 0",
-			m1.recals, m1.quars, m1.rejoins)
-	}
-	if m1.quarantined {
-		t.Error("m1 still quarantined after the repair")
-	}
-	s1 := byName["speaker/s1"]
-	if s1.state != "detuned" || s1.rekeys == 0 {
-		t.Errorf("s1 state=%s rekeys=%d, want detuned with a re-key", s1.state, s1.rekeys)
-	}
-	if rep.Health == nil || rep.Health.StateName != "degraded" {
-		t.Fatalf("health %+v, want degraded (persistent detune)", rep.Health)
-	}
-	for _, a := range rep.Apps {
-		if a.Type == "heartbeat" && len(a.Events) != 0 {
-			t.Errorf("heartbeat alerted through the re-key: %v", a.Events)
+
+	// An unfaulted s2 that runs only an event-driven app knocks at 1 s
+	// and again at 8 s, and is quiet by design in between: the monitor
+	// must not take that silence for death and mute it.
+	t.Run("event-driven second switch", func(t *testing.T) {
+		cfg, err := Load(strings.NewReader(`{
+		  "name": "quiet", "seed": 7, "duration_s": 12,
+		  "switches": [{"name": "s1", "x": 1}, {"name": "s2", "x": -1}],
+		  "hosts": [{"name": "h1", "addr": "10.0.0.1", "switch": "s2", "port": 1},
+		            {"name": "h2", "addr": "10.0.0.2", "switch": "s2", "port": 2}],
+		  "mics": [{"name": "m1", "y": 1}, {"name": "m2", "y": 2}],
+		  "apps": [{"type": "heartbeat", "switch": "s1", "period_s": 0.3},
+		           {"type": "portknock", "switch": "s2", "first_port": 7001, "num_ports": 3,
+		            "install": {"priority": 10, "dst": "10.0.0.2", "dst_port": 8080,
+		                        "action": "output", "ports": [2]}}],
+		  "traffic": [
+		    {"type": "portscan", "from": "h1", "to": "h2", "src_port": 40001,
+		     "first_port": 7001, "num_ports": 3, "interval_ms": 500, "start_s": 1},
+		    {"type": "portscan", "from": "h1", "to": "h2", "src_port": 40002,
+		     "first_port": 7001, "num_ports": 3, "interval_ms": 500, "start_s": 8}],
+		  "device_faults": [{"kind": "speaker_detune", "device": "s1", "start_s": 3, "end_s": 3.5,
+		                     "level": 1.04}]
+		}`))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		rep, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range rep.Devices {
+			if d.Name == "s2" && (d.State != "healthy" || d.Muted || d.Rekeys != 0) {
+				t.Errorf("unfaulted speaker s2 = %+v, want healthy", d)
+			}
+		}
+		for _, w := range rep.Health.Wire {
+			if w.Kind == "sounder" && w.Name == "s2" && w.Sent != 6 {
+				t.Errorf("s2 sounded %d of its 6 knocks", w.Sent)
+			}
+		}
+	})
 }
 
 func TestValidateRejectsBadDeviceConfig(t *testing.T) {
@@ -515,6 +609,107 @@ func TestValidateRejectsBadSpreadApp(t *testing.T) {
 	for name, js := range cases {
 		if _, err := Load(strings.NewReader(js)); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// loadShipped runs one of the shipped scenarios/*.json.
+func loadShipped(t *testing.T, name string) *Report {
+	t.Helper()
+	f, err := os.Open("../../scenarios/" + name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	cfg, err := Load(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// ruleTimes reads an app row's "t=…s <rule> rule sent|installed"
+// events.
+func ruleTimes(t *testing.T, a AppReport, rule string) (sent, installed float64) {
+	t.Helper()
+	sent, installed = -1, -1
+	for _, e := range a.Events {
+		var at float64
+		if _, err := fmt.Sscanf(e, "t=%fs "+rule+" rule sent", &at); err == nil {
+			sent = at
+		}
+		if _, err := fmt.Sscanf(e, "t=%fs "+rule+" rule installed", &at); err == nil {
+			installed = at
+		}
+	}
+	if sent < 0 || installed < sent {
+		t.Fatalf("%s row: sent %g, installed %g in %v", a.Type, sent, installed, a.Events)
+	}
+	if a.Installs != 1 || a.Attempts == 0 || a.Failures != 0 {
+		t.Errorf("%s row: installs=%d attempts=%d failures=%d, want one clean install",
+			a.Type, a.Installs, a.Attempts, a.Failures)
+	}
+	return sent, installed
+}
+
+// TestPortKnockScenarioReproducesFig3: the shipped portknock scenario is
+// Figure 3's world. Nothing reaches h2 before the third knock (11 s)
+// opens the port; afterwards h2 receives the whole 50 pps × 1000 B
+// stream.
+func TestPortKnockScenarioReproducesFig3(t *testing.T) {
+	rep := loadShipped(t, "portknock.json")
+	if len(rep.Apps) != 1 || rep.Apps[0].Type != "portknock" {
+		t.Fatalf("apps = %+v", rep.Apps)
+	}
+	_, installed := ruleTimes(t, rep.Apps[0], "open")
+	if installed <= 11 || installed > 11.5 {
+		t.Errorf("open rule installed at %.2f s, want just after the third knock at 11 s", installed)
+	}
+	var h2 HostReport
+	for _, h := range rep.Hosts {
+		if h.Name == "h2" {
+			h2 = h
+		}
+	}
+	// Every byte h2 holds arrived after the open: at most the offered
+	// load from then on, and nearly all of it.
+	offered := 50 * 1000 * (rep.DurationS - installed)
+	if got := float64(h2.RxBytes); got > offered+1000 || got < 0.95*offered {
+		t.Errorf("h2 received %.0f B, want the %.0f B offered after the open", got, offered)
+	}
+}
+
+// TestLoadBalanceScenarioReproducesFig5ab: the shipped loadbalance
+// scenario is Figure 5a-b's rhombus. The ramp drives the upper queue
+// low → mid → high, the high tone sends the split, and the queue
+// drains back below high once traffic takes both paths.
+func TestLoadBalanceScenarioReproducesFig5ab(t *testing.T) {
+	rep := loadShipped(t, "loadbalance.json")
+	if len(rep.Apps) != 1 || rep.Apps[0].Type != "loadbalance" {
+		t.Fatalf("apps = %+v", rep.Apps)
+	}
+	lb := rep.Apps[0]
+	sent, _ := ruleTimes(t, lb, "split")
+	if sent < 5 || sent > 11 {
+		t.Errorf("split sent at %.2f s, want late in the ramp", sent)
+	}
+	var levels []string
+	for _, e := range lb.Events {
+		if !strings.HasPrefix(e, "t=") {
+			levels = append(levels, e)
+		}
+	}
+	got := strings.Join(levels, ",")
+	if !strings.HasPrefix(got, "low,mid,high,") || strings.HasSuffix(got, "high") {
+		t.Errorf("heard levels %q, want low, mid, high, then drained", got)
+	}
+	for _, h := range rep.Hosts {
+		if h.Name == "h2" && h.RxPackets == 0 {
+			t.Error("h2 received nothing")
 		}
 	}
 }
