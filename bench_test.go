@@ -419,11 +419,12 @@ func BenchmarkPlannedWindowedSpectrum(b *testing.B) {
 	}
 }
 
-// BenchmarkPlannedGoertzelBank measures the planned single-pass bank
-// (the Goertzel detector's steady state): 0 allocs/op.
+// BenchmarkPlannedGoertzelBank measures the planned bank (the
+// Goertzel detector's steady state) from a handful of tones up to the
+// modem's 130-tone FSK band: 0 allocs/op.
 func BenchmarkPlannedGoertzelBank(b *testing.B) {
 	buf := detectionWindow()
-	for _, n := range []int{3, 12, 48} {
+	for _, n := range []int{3, 12, 48, 130} {
 		watch := make([]float64, n)
 		for i := range watch {
 			watch[i] = 400 + 20*float64(i)

@@ -50,9 +50,14 @@ func TestSongNonStationary(t *testing.T) {
 	b := PopSong(0.8, 5).Render(sr, 4)
 	sg := dsp.STFT(b.Samples, sr, 8192, 8192, dsp.Hann)
 	seen := map[int]bool{}
-	for i := 0; i < sg.NumFrames(); i++ {
-		hz, _ := sg.DominantFrequency(i, 80)
-		seen[int(hz/20)] = true
+	for _, frame := range sg.Power {
+		best := dsp.FrequencyBin(80, sg.FFTSize, sr) // strongest bin at or above 80 Hz
+		for k := best; k < len(frame); k++ {
+			if frame[k] > frame[best] {
+				best = k
+			}
+		}
+		seen[int(dsp.BinFrequency(best, sg.FFTSize, sr)/20)] = true
 	}
 	if len(seen) < 3 {
 		t.Errorf("song too stationary: %d distinct dominant bins", len(seen))

@@ -28,6 +28,24 @@ func TestDetectorGoertzelFindsTone(t *testing.T) {
 	}
 }
 
+// TestDetectorGoertzelSteadyStateAllocs gates the Goertzel detector at
+// the modem's width, a 130-tone bank over a 50 ms window, at 0
+// allocations per window once its plan and scratch exist.
+func TestDetectorGoertzelSteadyStateAllocs(t *testing.T) {
+	watch, err := NewFrequencyPlan(400, 11000, DefaultSpacing).AllocateSpaced("bank", 130, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewDetector(MethodGoertzel, watch)
+	buf := noisyWindow(2205, 9, watch[0], watch[64], watch[129])
+	if dets, _ := d.DetectCalibrated(buf, 0, d.MinAmplitude); len(dets) == 0 { // warm up plan and scratch
+		t.Fatal("no tone detected")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { d.DetectCalibrated(buf, 0, d.MinAmplitude) }); allocs != 0 {
+		t.Errorf("130-tone Goertzel DetectCalibrated allocates %.1f objects/window, want 0", allocs)
+	}
+}
+
 func TestDetectorFFTFindsTone(t *testing.T) {
 	det := NewDetector(MethodFFT, []float64{500, 700, 900})
 	buf := toneBuf(700, 0.05, 0.05)

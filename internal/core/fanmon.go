@@ -51,8 +51,8 @@ func NewFanMonitor(mic *acoustic.Microphone, harmonics []float64) *FanMonitor {
 }
 
 // amplitudes measures the per-harmonic amplitude over [from, to),
-// averaging window-sized chunks. The harmonic stack is evaluated as a
-// single-pass Goertzel bank per chunk.
+// averaging window-sized chunks. The harmonic stack is evaluated as
+// one planned Goertzel bank per chunk.
 func (fm *FanMonitor) amplitudes(from, to float64) []float64 {
 	out := make([]float64, len(fm.Harmonics))
 	windows := 0

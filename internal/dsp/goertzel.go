@@ -24,7 +24,11 @@ func Goertzel(samples []float64, freq, sampleRate float64) float64 {
 		s2 = s1
 		s1 = s0
 	}
-	// Magnitude of the resonator state.
+	return goertzelMagnitude(s1, s2, coeff)
+}
+
+// goertzelMagnitude is the magnitude of a resonator's final state.
+func goertzelMagnitude(s1, s2, coeff float64) float64 {
 	power := s1*s1 + s2*s2 - coeff*s1*s2
 	if power < 0 {
 		power = 0
@@ -34,79 +38,117 @@ func Goertzel(samples []float64, freq, sampleRate float64) float64 {
 
 // GoertzelPlan evaluates a fixed bank of frequencies over sample
 // blocks, precomputing the per-frequency resonator coefficients once
-// and streaming each block in a single pass that advances every
-// resonator — the planned counterpart of calling Goertzel per
-// frequency, which re-derives the coefficient and re-reads the block
-// once per watched tone.
+// and streaming each block through every resonator — the planned
+// counterpart of calling Goertzel per frequency, which re-derives the
+// coefficient for every call. Its magnitudes are bit-identical to
+// Goertzel's.
 //
-// The resonator state is reused between calls, so a plan is NOT safe
-// for concurrent use; give each goroutine its own (construction is
-// cheap — one math.Cos per frequency).
+// A plan is immutable after construction, so one plan is safe for
+// concurrent use.
 type GoertzelPlan struct {
 	// SampleRate is the rate the coefficients were derived for.
 	SampleRate float64
 
-	freqs  []float64
-	coeff  []float64 // 2*cos(2*pi*f/rate) per frequency
-	s1, s2 []float64 // resonator state, reset each block
+	n     int       // planned frequencies
+	coeff []float64 // 2*cos(2*pi*f/rate) per frequency, padded to whole blocks
 }
 
+// goertzelBlock is how many resonators MagnitudesInto advances
+// together. Six measured best over 3- to 130-tone banks on amd64:
+// five was 15-45 % slower from 12 tones up, and eight, 8 % faster at
+// 130 tones, was about 40 % slower at 3 and 12, where most of its
+// lanes are padding.
+const goertzelBlock = 6
+
 // NewGoertzelPlan builds a plan for the given frequencies at
-// sampleRate. The frequency slice is copied.
+// sampleRate.
 func NewGoertzelPlan(freqs []float64, sampleRate float64) *GoertzelPlan {
+	n := len(freqs)
 	g := &GoertzelPlan{
 		SampleRate: sampleRate,
-		freqs:      append([]float64(nil), freqs...),
-		coeff:      make([]float64, len(freqs)),
-		s1:         make([]float64, len(freqs)),
-		s2:         make([]float64, len(freqs)),
+		n:          n,
+		coeff:      make([]float64, (n+goertzelBlock-1)/goertzelBlock*goertzelBlock),
 	}
-	for i, f := range g.freqs {
+	for i, f := range freqs {
 		g.coeff[i] = 2 * math.Cos(2*math.Pi*f/sampleRate)
+	}
+	// Pad the last block with copies of its last real resonator; their
+	// outputs are discarded.
+	for i := n; i < len(g.coeff); i++ {
+		g.coeff[i] = g.coeff[n-1]
 	}
 	return g
 }
 
-// MagnitudesInto streams the block once, advancing every resonator
-// per sample, and writes one magnitude per planned frequency into
-// dst (reusing its capacity). Results match Goertzel per frequency.
+// MagnitudesInto writes one magnitude per planned frequency into dst
+// (reusing its capacity). Results are bit-identical to Goertzel per
+// frequency.
+//
+// The resonators run in blocks of goertzelBlock with the sample loop
+// inside, so each block's state stays in registers for the whole
+// block of samples. Two samples per iteration let each state pair
+// (a, b) swap roles instead of moving: b = x + c*a - b is Goertzel's
+// s0 = x + c*s1 - s2, with the new s1 landing in b and the old s1 (now
+// s2) left in a. Each resonator thus runs Goertzel's float operations
+// in Goertzel's order.
 func (g *GoertzelPlan) MagnitudesInto(dst []float64, samples []float64) []float64 {
-	nf := len(g.freqs)
-	dst = growFloat(dst, nf)
-	if nf == 0 {
-		return dst
-	}
+	dst = growFloat(dst, g.n)
 	if len(samples) == 0 || g.SampleRate <= 0 {
 		for i := range dst {
 			dst[i] = 0
 		}
 		return dst
 	}
-	coeff, s1, s2 := g.coeff, g.s1, g.s2
-	for j := range s1 {
-		s1[j] = 0
-		s2[j] = 0
-	}
-	for _, x := range samples {
-		for j, c := range coeff {
-			s0 := x + c*s1[j] - s2[j]
-			s2[j] = s1[j]
-			s1[j] = s0
+	for j := 0; j < len(g.coeff); j += goertzelBlock {
+		// Read the coefficients through the block's array inside the
+		// loop, not from locals: the compiler then reloads them from
+		// memory instead of holding them, which leaves the registers
+		// to the state.
+		c := (*[goertzelBlock]float64)(g.coeff[j : j+goertzelBlock])
+		var a0, a1, a2, a3, a4, a5 float64 // s1 after an even sample count
+		var b0, b1, b2, b3, b4, b5 float64 // s2 after an even sample count
+		s := samples
+		for ; len(s) >= 2; s = s[2:] {
+			x, y := s[0], s[1]
+			b0 = x + c[0]*a0 - b0
+			b1 = x + c[1]*a1 - b1
+			b2 = x + c[2]*a2 - b2
+			b3 = x + c[3]*a3 - b3
+			b4 = x + c[4]*a4 - b4
+			b5 = x + c[5]*a5 - b5
+			a0 = y + c[0]*b0 - a0
+			a1 = y + c[1]*b1 - a1
+			a2 = y + c[2]*b2 - a2
+			a3 = y + c[3]*b3 - a3
+			a4 = y + c[4]*b4 - a4
+			a5 = y + c[5]*b5 - a5
 		}
-	}
-	for j := range dst {
-		power := s1[j]*s1[j] + s2[j]*s2[j] - coeff[j]*s1[j]*s2[j]
-		if power < 0 {
-			power = 0
+		if len(s) == 1 {
+			x := s[0]
+			b0 = x + c[0]*a0 - b0
+			b1 = x + c[1]*a1 - b1
+			b2 = x + c[2]*a2 - b2
+			b3 = x + c[3]*a3 - b3
+			b4 = x + c[4]*a4 - b4
+			b5 = x + c[5]*a5 - b5
+			a0, a1, a2, a3, a4, a5, b0, b1, b2, b3, b4, b5 = b0, b1, b2, b3, b4, b5, a0, a1, a2, a3, a4, a5
 		}
-		dst[j] = math.Sqrt(power)
+		mags := [goertzelBlock]float64{
+			goertzelMagnitude(a0, b0, c[0]),
+			goertzelMagnitude(a1, b1, c[1]),
+			goertzelMagnitude(a2, b2, c[2]),
+			goertzelMagnitude(a3, b3, c[3]),
+			goertzelMagnitude(a4, b4, c[4]),
+			goertzelMagnitude(a5, b5, c[5]),
+		}
+		copy(dst[j:], mags[:]) // drops the padded lanes
 	}
 	return dst
 }
 
-// GoertzelBank evaluates many frequencies over the same block in a
-// single pass. The result has one magnitude per requested frequency,
-// in order.
+// GoertzelBank evaluates many frequencies over the same block through
+// a one-off GoertzelPlan. The result has one magnitude per requested
+// frequency, in order.
 func GoertzelBank(samples []float64, freqs []float64, sampleRate float64) []float64 {
 	return NewGoertzelPlan(freqs, sampleRate).MagnitudesInto(nil, samples)
 }

@@ -79,14 +79,10 @@ func NewMelFilterBank(numFilters, fftSize int, sampleRate, minHz, maxHz float64)
 	return bank
 }
 
-// Apply projects a half-spectrum (len FFTSize/2+1 power or magnitude
-// values) onto the filter bank, returning one energy per filter.
-func (b *MelFilterBank) Apply(spectrum []float64) []float64 {
-	return b.ApplyInto(nil, spectrum)
-}
-
-// ApplyInto is Apply writing into dst (reusing its capacity), so
-// steady-state projections are allocation-free.
+// ApplyInto projects a half-spectrum (len FFTSize/2+1 power or
+// magnitude values) onto the filter bank, writing one energy per
+// filter into dst (reusing its capacity), so steady-state projections
+// are allocation-free.
 func (b *MelFilterBank) ApplyInto(dst, spectrum []float64) []float64 {
 	dst = growFloat(dst, b.NumFilters)
 	for f, w := range b.weights {

@@ -69,7 +69,7 @@ func TestMelFilterBankLocalisesTone(t *testing.T) {
 	)
 	bank := NewMelFilterBank(nf, fftSize, sampleRate, 50, 8000)
 	x := sine(1000, sampleRate, fftSize)
-	energies := bank.Apply(PowerSpectrum(FFTReal(x)))
+	energies := bank.ApplyInto(nil, PowerSpectrum(FFTReal(x)))
 	best := 0
 	for i, e := range energies {
 		if e > energies[best] {
@@ -108,7 +108,7 @@ func TestMelFilterBankPanics(t *testing.T) {
 
 func TestMelApplyShortSpectrum(t *testing.T) {
 	bank := NewMelFilterBank(8, 1024, 44100, 0, 8000)
-	out := bank.Apply([]float64{1, 2, 3}) // shorter than half spectrum
+	out := bank.ApplyInto(nil, []float64{1, 2, 3}) // shorter than half spectrum
 	if len(out) != 8 {
 		t.Fatalf("len = %d, want 8", len(out))
 	}

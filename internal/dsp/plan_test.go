@@ -137,29 +137,117 @@ func TestIntoReusesCapacity(t *testing.T) {
 	}
 }
 
-// TestGoertzelPlanMatchesGoertzel checks the single-pass bank against
-// the per-frequency reference.
+// sampleOuterMagnitudes is the bank's former kernel, kept as an
+// oracle: samples outer, resonators inner, each resonator's state
+// round-tripping through two slices on every sample.
+func sampleOuterMagnitudes(freqs []float64, sampleRate float64, samples []float64) []float64 {
+	out := make([]float64, len(freqs))
+	if len(samples) == 0 {
+		return out
+	}
+	coeff := make([]float64, len(freqs))
+	for i, f := range freqs {
+		coeff[i] = 2 * math.Cos(2*math.Pi*f/sampleRate)
+	}
+	s1 := make([]float64, len(freqs))
+	s2 := make([]float64, len(freqs))
+	for _, x := range samples {
+		for j, c := range coeff {
+			s0 := x + c*s1[j] - s2[j]
+			s2[j] = s1[j]
+			s1[j] = s0
+		}
+	}
+	for j := range out {
+		power := s1[j]*s1[j] + s2[j]*s2[j] - coeff[j]*s1[j]*s2[j]
+		if power < 0 {
+			power = 0
+		}
+		out[j] = math.Sqrt(power)
+	}
+	return out
+}
+
+// bankFreqs returns n distinct, non-bin-aligned watch frequencies.
+func bankFreqs(n int) []float64 {
+	freqs := make([]float64, n)
+	for i := range freqs {
+		freqs[i] = 300 + 83.7*float64(i)
+	}
+	return freqs
+}
+
+// TestGoertzelPlanMatchesGoertzel checks the blocked bank bit for bit
+// against the per-frequency Goertzel and the sample-outer loop, over
+// watch counts that leave every partial-block width and sample counts
+// of both parities. One plan serves every trial, so no state may leak
+// from one block into the next.
 func TestGoertzelPlanMatchesGoertzel(t *testing.T) {
 	const sampleRate = 44100.0
 	x := randomReal(2205, 11)
-	freqs := []float64{440, 523.25, 700, 880, 1000.5, 2000}
-	gp := NewGoertzelPlan(freqs, sampleRate)
-	var got []float64
-	for trial := 0; trial < 3; trial++ { // state must fully reset between blocks
+	for _, nf := range []int{0, 1, 2, 4, 5, 6, 7, 11, 130} {
+		freqs := bankFreqs(nf)
+		gp := NewGoertzelPlan(freqs, sampleRate)
+		var got []float64
+		for trial := 0; trial < 2; trial++ {
+			for _, n := range []int{0, 1, 2, 3, 2204, 2205} {
+				block := x[:n]
+				got = gp.MagnitudesInto(got, block)
+				if len(got) != nf {
+					t.Fatalf("watch %d, %d samples: %d magnitudes", nf, n, len(got))
+				}
+				loop := sampleOuterMagnitudes(freqs, sampleRate, block)
+				for i, f := range freqs {
+					want := Goertzel(block, f, sampleRate)
+					if math.Float64bits(got[i]) != math.Float64bits(want) {
+						t.Fatalf("watch %d, %d samples, freq %g: bank %g, Goertzel %g", nf, n, f, got[i], want)
+					}
+					if math.Float64bits(got[i]) != math.Float64bits(loop[i]) {
+						t.Fatalf("watch %d, %d samples, freq %g: bank %g, sample-outer loop %g", nf, n, f, got[i], loop[i])
+					}
+				}
+			}
+		}
+		bank := GoertzelBank(x, freqs, sampleRate)
 		got = gp.MagnitudesInto(got, x)
-		for i, f := range freqs {
-			want := Goertzel(x, f, sampleRate)
-			if math.Abs(got[i]-want) > 1e-9*(1+want) {
-				t.Fatalf("trial %d freq %g: bank %g, reference %g", trial, f, got[i], want)
+		for i := range freqs {
+			if math.Float64bits(bank[i]) != math.Float64bits(got[i]) {
+				t.Fatalf("GoertzelBank[%d] = %g, plan = %g", i, bank[i], got[i])
 			}
 		}
 	}
-	bank := GoertzelBank(x, freqs, sampleRate)
-	for i := range freqs {
-		if bank[i] != got[i] {
-			t.Fatalf("GoertzelBank[%d] = %g, plan = %g", i, bank[i], got[i])
-		}
+}
+
+// TestGoertzelPlanConcurrentSharedPlan runs one shared plan from many
+// goroutines (run under -race in CI): the plan is read-only, so every
+// goroutine must get the serial result.
+func TestGoertzelPlanConcurrentSharedPlan(t *testing.T) {
+	const (
+		sampleRate = 44100.0
+		goroutines = 8
+		iterations = 20
+	)
+	x := randomReal(2205, 12)
+	gp := NewGoertzelPlan(bankFreqs(130), sampleRate)
+	want := gp.MagnitudesInto(nil, x)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var got []float64
+			for i := 0; i < iterations; i++ {
+				got = gp.MagnitudesInto(got, x)
+				for k := range got {
+					if got[k] != want[k] {
+						t.Errorf("goroutine result [%d] = %g, serial %g", k, got[k], want[k])
+						return
+					}
+				}
+			}
+		}()
 	}
+	wg.Wait()
 }
 
 // TestPlanConcurrentSharedPlan hammers one shared FFTPlan from many

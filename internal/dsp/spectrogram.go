@@ -148,27 +148,6 @@ func (s *Spectrogram) Mel(bank *MelFilterBank) [][]float64 {
 	return out
 }
 
-// DominantFrequency returns, for frame i, the frequency in Hz of the
-// strongest bin at or above minHz, and its power. It returns (0, 0)
-// for an out-of-range frame.
-func (s *Spectrogram) DominantFrequency(i int, minHz float64) (hz, power float64) {
-	if i < 0 || i >= len(s.Power) {
-		return 0, 0
-	}
-	frame := s.Power[i]
-	kMin := FrequencyBin(minHz, s.FFTSize, s.SampleRate)
-	best := -1
-	for k := kMin; k < len(frame); k++ {
-		if best < 0 || frame[k] > frame[best] {
-			best = k
-		}
-	}
-	if best < 0 {
-		return 0, 0
-	}
-	return BinFrequency(best, s.FFTSize, s.SampleRate), frame[best]
-}
-
 // PowerDB converts a power value to decibels with a -120 dB floor.
 func PowerDB(p float64) float64 {
 	const floor = -120

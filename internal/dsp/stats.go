@@ -53,20 +53,6 @@ func (c *CDF) Quantile(q float64) float64 {
 	return c.samples[lo]*(1-frac) + c.samples[hi]*frac
 }
 
-// At returns the empirical CDF value P(X <= v).
-func (c *CDF) At(v float64) float64 {
-	if len(c.samples) == 0 {
-		return 0
-	}
-	c.ensureSorted()
-	idx := sort.SearchFloat64s(c.samples, v)
-	// Advance over equal values so At is P(X <= v), not P(X < v).
-	for idx < len(c.samples) && c.samples[idx] <= v {
-		idx++
-	}
-	return float64(idx) / float64(len(c.samples))
-}
-
 // String summarises the distribution.
 func (c *CDF) String() string {
 	if len(c.samples) == 0 {
@@ -87,28 +73,4 @@ func (c *CDF) Series() (values, probs []float64) {
 		probs[i] = float64(i+1) / float64(len(c.samples))
 	}
 	return values, probs
-}
-
-// RMS returns the root-mean-square of x (0 for an empty slice).
-func RMS(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range x {
-		sum += v * v
-	}
-	return math.Sqrt(sum / float64(len(x)))
-}
-
-// MeanAbs returns the mean absolute value of x.
-func MeanAbs(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range x {
-		sum += math.Abs(v)
-	}
-	return sum / float64(len(x))
 }

@@ -30,29 +30,10 @@ func TestCDFQuantiles(t *testing.T) {
 	}
 }
 
-func TestCDFAt(t *testing.T) {
-	var c CDF
-	for _, v := range []float64{1, 2, 2, 3} {
-		c.Add(v)
-	}
-	cases := []struct {
-		v    float64
-		want float64
-	}{{0.5, 0}, {1, 0.25}, {2, 0.75}, {2.5, 0.75}, {3, 1}, {9, 1}}
-	for _, tc := range cases {
-		if got := c.At(tc.v); math.Abs(got-tc.want) > 1e-12 {
-			t.Errorf("At(%g) = %g, want %g", tc.v, got, tc.want)
-		}
-	}
-}
-
 func TestCDFEmpty(t *testing.T) {
 	var c CDF
 	if !math.IsNaN(c.Quantile(0.5)) {
 		t.Error("empty CDF should return NaN quantile")
-	}
-	if c.At(1) != 0 {
-		t.Error("empty CDF At should be 0")
 	}
 	if !strings.Contains(c.String(), "empty") {
 		t.Errorf("String() = %q", c.String())
@@ -118,23 +99,5 @@ func TestCDFQuantileMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestRMSAndMeanAbs(t *testing.T) {
-	if RMS(nil) != 0 || MeanAbs(nil) != 0 {
-		t.Error("empty input should give 0")
-	}
-	x := []float64{3, -4}
-	if got := RMS(x); math.Abs(got-math.Sqrt(12.5)) > 1e-12 {
-		t.Errorf("RMS = %g", got)
-	}
-	if got := MeanAbs(x); got != 3.5 {
-		t.Errorf("MeanAbs = %g", got)
-	}
-	// RMS of a unit sine is 1/sqrt(2).
-	s := sine(440, 44100, 44100)
-	if got := RMS(s); math.Abs(got-1/math.Sqrt2) > 0.01 {
-		t.Errorf("sine RMS = %g, want %g", got, 1/math.Sqrt2)
 	}
 }

@@ -316,6 +316,16 @@ func checkRule(r RuleConfig) error {
 // installsRules reports whether an app type sends a rule to its switch.
 func installsRules(appType string) bool { return appType == "portknock" || appType == "loadbalance" }
 
+// appDevice identifies the frequency-plan device an app allocates its
+// tones under. A plan gives each device one frequency set, so two apps
+// that claim one device cannot both deploy.
+func appDevice(a AppConfig) string {
+	if a.Type == "loadbalance" {
+		return a.Switch + "/queuemon" // a balancer listens through a queue monitor
+	}
+	return a.Switch + "/" + a.Type
+}
+
 // netRule converts a validated rule config.
 func netRule(rc RuleConfig) netsim.Rule {
 	rule := netsim.Rule{Priority: rc.Priority}
@@ -442,10 +452,16 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("scenario: rule on %q: %w", r.Switch, err)
 		}
 	}
+	devices := map[string]bool{}
 	for i, a := range c.Apps {
 		if !switches[a.Switch] {
 			return fmt.Errorf("scenario: app %d references unknown switch %q", i, a.Switch)
 		}
+		d := appDevice(a)
+		if devices[d] {
+			return fmt.Errorf("scenario: app %d (%s) claims device %q, which an earlier app already holds", i, a.Type, d)
+		}
+		devices[d] = true
 		if a.Threshold < 0 || a.PeriodS < 0 {
 			return fmt.Errorf("scenario: app %d threshold and period_s must be non-negative", i)
 		}

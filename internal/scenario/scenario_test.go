@@ -163,6 +163,9 @@ func TestValidateRejects(t *testing.T) {
 		"install on scan":      `{"duration_s":1,"switches":[{"name":"s"}],"apps":[{"type":"portscan","switch":"s","num_ports":3,"install":{"action":"drop"}}]}`,
 		"knock no ports":       `{"duration_s":1,"switches":[{"name":"s"}],"apps":[{"type":"portknock","switch":"s","install":{"action":"drop"}}]}`,
 		"lb no port":           `{"duration_s":1,"switches":[{"name":"s"}],"apps":[{"type":"loadbalance","switch":"s","install":{"action":"drop"}}]}`,
+		// Two apps that allocate one frequency-plan device on a switch.
+		"two knocks on s1":   `{"duration_s":1,"switches":[{"name":"s1"}],"apps":[{"type":"portknock","switch":"s1","first_port":7001,"num_ports":3,"install":{"action":"drop"}},{"type":"portknock","switch":"s1","first_port":7101,"num_ports":3,"install":{"action":"drop"}}]}`,
+		"queuemon beside lb": `{"duration_s":1,"switches":[{"name":"s1"}],"apps":[{"type":"loadbalance","switch":"s1","port":2,"install":{"action":"drop"}},{"type":"queuemon","switch":"s1","port":2}]}`,
 	}
 	for name, js := range cases {
 		if _, err := Load(strings.NewReader(js)); err == nil {
