@@ -198,5 +198,4 @@ func TestFacadeRelay(t *testing.T) {
 	}
 	relay.Start(0)
 	tb.Sim.RunUntil(0.2)
-	relay.Stop()
 }

@@ -89,15 +89,15 @@ func TestCaptureIntoMatchesCapture(t *testing.T) {
 }
 
 // TestCaptureSplitInvariant pins what keeps streaming captures equal to
-// batch ones: with a noiseless microphone, capturing [a, c) gives the
-// same samples, bit for bit, as capturing [a, b) and [b, c) and
+// batch ones: with self-noise on, capturing [a, c) gives the same
+// samples, bit for bit, as capturing [a, b) and [b, c) and
 // concatenating, for split points b off the tone-synthesis block grid.
 func TestCaptureSplitInvariant(t *testing.T) {
 	const sr = 44100.0
 	calls := append(testSchedule(),
 		playCall{"s2", 0.05, audio.Tone{Frequency: 2345.6, Duration: 0.4, Amplitude: 0.25, Phase: 0.7}})
 	r, _ := roomWith(calls)
-	mic := r.AddMicrophone("quiet", Position{X: 0.3, Y: -0.4}, 0)
+	mic := r.AddMicrophone("hiss", Position{X: 0.3, Y: -0.4}, 0.01)
 	const a, c = 2205, 24255 // samples: [50 ms, 550 ms)
 	want := mic.Capture(a/sr, c/sr)
 	for _, b := range []int{a + 1, a + 441, a + 441 + 13, a + 1000, 13337, c - 1} {
@@ -153,7 +153,8 @@ func TestEmissionsStaySortedUnderOutOfOrderPlay(t *testing.T) {
 func TestConcurrentCaptureIntoAcrossMicrophones(t *testing.T) {
 	// The fleet fan-out path: one goroutine per microphone, each with
 	// its own pooled buffer, all reading the same room concurrently
-	// while a speaker keeps scheduling. Run under -race in CI.
+	// while a speaker keeps scheduling, plus a second capturer of the
+	// first microphone. Run under -race in CI.
 	r := NewRoom(44100, 3)
 	sp := r.AddSpeaker("s", Position{X: 1})
 	const mics = 8
@@ -164,14 +165,14 @@ func TestConcurrentCaptureIntoAcrossMicrophones(t *testing.T) {
 	sp.Play(0, audio.Tone{Frequency: 600, Duration: 1, Amplitude: 0.2})
 
 	var wg sync.WaitGroup
-	wg.Add(mics + 1)
+	wg.Add(mics + 2)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
 			sp.Play(float64(i)*0.01, audio.Tone{Frequency: 700, Duration: 0.02, Amplitude: 0.1})
 		}
 	}()
-	for _, m := range ms {
+	for _, m := range append(ms, ms[0]) {
 		m := m
 		go func() {
 			defer wg.Done()

@@ -48,8 +48,8 @@ func (r *Room) CompactionHorizon() float64 {
 // not a full re-mix. The fleet's stream lanes read whole windows out
 // with Window.
 //
-// A CaptureRing is owned by one stream: like the microphone it wraps,
-// it must not be used from two goroutines at once.
+// A CaptureRing is owned by one stream: it must not be used from two
+// goroutines at once.
 type CaptureRing struct {
 	mic     *Microphone
 	samples []float64 // capacity windowN, write index w

@@ -3,7 +3,6 @@ package acoustic
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"sync"
 
@@ -111,9 +110,6 @@ type Microphone struct {
 	// idx is the microphone's registration index: its slot in every
 	// speaker's pair-geometry cache.
 	idx int
-	// nameSeed is the FNV-1a hash of Name, the per-microphone
-	// component of the self-noise seed.
-	nameSeed int64
 
 	// noiseRamp and sensRamp are the degradation model (degrade.go):
 	// schedulable ramps on the self-noise floor (base SelfNoiseRMS)
@@ -121,13 +117,6 @@ type Microphone struct {
 	// per capture at the window start.
 	noiseRamp deviceParam
 	sensRamp  deviceParam
-
-	// Capture scratch, reused across windows so steady-state capture
-	// allocates nothing. It makes a Microphone single-capturer: at most
-	// one goroutine may run Capture/CaptureInto on a given microphone
-	// at a time. Different microphones of the same room may capture
-	// concurrently — that is the fleet fan-out path.
-	noiseRng *rand.Rand
 }
 
 // NoiseSource is a continuous background sound (ambience, a pop song,
@@ -255,7 +244,7 @@ func (r *Room) AddMicrophone(name string, pos Position, selfNoiseRMS float64) *M
 	}
 	m := &Microphone{
 		Name: name, Pos: pos, SelfNoiseRMS: selfNoiseRMS,
-		room: r, idx: len(r.micList), nameSeed: hashName(name),
+		room: r, idx: len(r.micList),
 	}
 	for _, s := range r.speakers {
 		g := makePair(s.Pos, pos)
@@ -322,9 +311,8 @@ func (m *Microphone) Capture(from, to float64) *audio.Buffer {
 // lock, and the list is start-time sorted so only the prefix that can
 // be audible before to is visited at all.
 //
-// A microphone may be captured by at most one goroutine at a time (it
-// reuses per-microphone scratch); captures of different microphones
-// may run concurrently.
+// Captures may run concurrently, each into its own out: a microphone
+// keeps no capture state.
 func (m *Microphone) CaptureInto(out *audio.Buffer, from, to float64) *audio.Buffer {
 	r := m.room
 	n := int(math.Round((to - from) * r.SampleRate))
@@ -417,19 +405,11 @@ func (m *Microphone) CaptureInto(out *audio.Buffer, from, to float64) *audio.Buf
 	}
 
 	if selfNoise > 0 {
-		// Seed per (mic, window) so repeated captures of the same
-		// window return identical waveforms. The generator is reused
-		// and reseeded, which reproduces the fresh-generator stream
-		// without allocating. The microphone component is an FNV-1a
-		// hash of the name, so same-length names (mic-0, mic-1, ...)
-		// still get distinct noise streams.
-		seed := r.Seed ^ int64(math.Float64bits(from)) ^ m.nameSeed
-		if m.noiseRng == nil {
-			m.noiseRng = rand.New(rand.NewSource(seed))
-		} else {
-			m.noiseRng.Seed(seed)
-		}
-		audio.MixWhiteNoise(out, selfNoise, m.noiseRng)
+		// Sample i's hiss is a function of (room seed, microphone name,
+		// absolute sample index) alone (selfnoise.go), so repeated or
+		// split captures of one span agree sample for sample.
+		first := int64(math.Round(from * r.SampleRate))
+		addSelfNoise(out.Samples, selfNoise, noiseKey(r.Seed, m.Name), first)
 	}
 	return out
 }
@@ -500,27 +480,4 @@ func (m *Microphone) mixNoise(out *audio.Buffer, src *NoiseSource, from, to floa
 			idx = 0
 		}
 	}
-}
-
-// SNRAt estimates the signal-to-noise ratio in dB that a tone at freq
-// Hz of the given source amplitude played by speaker sp would enjoy
-// at the microphone, against the current noise sources (measured over
-// a 1 s noise window starting at probeTime). When the room models air
-// absorption the estimate includes the frequency-dependent
-// atmospheric loss, which is material for high-frequency tones at
-// distance — the 1/r law alone overestimates those links. Useful for
-// experiment design.
-func (m *Microphone) SNRAt(sp *Speaker, freq, amplitude, probeTime float64) float64 {
-	dist := sp.Pos.Distance(m.Pos)
-	sig := amplitude * attenuation(dist)
-	if m.room.AirAbsorption {
-		sig *= airAbsorption(freq, dist)
-	}
-	sig /= math.Sqrt2 // RMS of a sine
-	noiseBuf := m.Capture(probeTime, probeTime+1)
-	nRMS := noiseBuf.RMS()
-	if nRMS <= 0 {
-		return 120
-	}
-	return 20 * math.Log10(sig/nRMS)
 }

@@ -189,44 +189,6 @@ func TestRoomMinDistanceClamp(t *testing.T) {
 	}
 }
 
-func TestSNRAt(t *testing.T) {
-	r := newTestRoom()
-	sp := r.AddSpeaker("sw", Position{1, 0, 0})
-	mic := r.AddMicrophone("ctl", Position{0, 0, 0}, 0.001)
-	snr := mic.SNRAt(sp, 500, 0.1, 0)
-	// Signal RMS ~0.0707 vs noise 0.001 => ~37 dB.
-	if snr < 30 || snr > 45 {
-		t.Errorf("snr = %g, want ~37", snr)
-	}
-	quiet := r.AddMicrophone("quiet", Position{0, 1, 0}, 0)
-	if snr := quiet.SNRAt(sp, 500, 0.1, 0); snr != 120 {
-		t.Errorf("noiseless snr = %g, want 120", snr)
-	}
-}
-
-func TestSNRAtAppliesAirAbsorption(t *testing.T) {
-	// 18 kHz over 20 m loses ~0.01*18^1.3*20 ≈ 8.6 dB to air
-	// absorption — material, and exactly what SNRAt must subtract when
-	// the room models it. Both rooms share seed and microphone name,
-	// so the 1 s noise probes are identical and the SNR difference
-	// isolates the signal term.
-	snrWith := func(absorb bool) float64 {
-		r := NewRoom(44100, 42)
-		r.AirAbsorption = absorb
-		sp := r.AddSpeaker("sw", Position{20, 0, 0})
-		mic := r.AddMicrophone("ctl", Position{0, 0, 0}, 0.001)
-		return mic.SNRAt(sp, 18000, 0.5, 0)
-	}
-	plain, absorbed := snrWith(false), snrWith(true)
-	wantDrop := AirAbsorptionDBPerMetre(18000) * 20
-	if wantDrop < 5 {
-		t.Fatalf("test setup not material: absorption drop only %g dB", wantDrop)
-	}
-	if got := plain - absorbed; math.Abs(got-wantDrop) > 0.01 {
-		t.Errorf("SNR drop from absorption = %g dB, want %g dB", got, wantDrop)
-	}
-}
-
 func TestNewRoomPanicsOnBadRate(t *testing.T) {
 	defer func() {
 		if recover() == nil {

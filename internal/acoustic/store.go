@@ -170,19 +170,6 @@ func (r *Room) EmissionCount() int {
 // Room returns the room the microphone is registered in.
 func (m *Microphone) Room() *Room { return m.room }
 
-// hashName is FNV-1a over the microphone name: the per-microphone
-// component of the self-noise seed. Hashing (rather than the name
-// length) keeps same-length microphone names on distinct noise
-// streams.
-func hashName(name string) int64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= 1099511628211
-	}
-	return int64(h)
-}
-
 // Capture-path metric names. Counters accumulate across all
 // microphones of the room; the histogram records per-capture scanned
 // counts, so the cull rate (culled/scanned) and the per-window scan

@@ -13,19 +13,6 @@ func WhiteNoise(sampleRate, d, rms float64, seed int64) *Buffer {
 	return b
 }
 
-// MixWhiteNoise adds Gaussian white noise of the given RMS amplitude
-// to every sample of b, drawing from rng, and returns b. With rng
-// freshly seeded the way WhiteNoise seeds its own generator, the added
-// waveform is bit-identical to b.MixAt(WhiteNoise(...), 0, 1) — but
-// the caller owns (and can reuse) the generator, so the capture hot
-// path allocates nothing.
-func MixWhiteNoise(b *Buffer, rms float64, rng *rand.Rand) *Buffer {
-	for i := range b.Samples {
-		b.Samples[i] += rng.NormFloat64() * rms
-	}
-	return b
-}
-
 // PinkNoise returns d seconds of approximately 1/f ("pink") noise with
 // the given RMS amplitude, using the Voss-McCartney multi-octave
 // summation. Pink noise is a better stand-in for room ambience than

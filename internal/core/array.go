@@ -70,14 +70,6 @@ func (a *MicArray) Start(at float64) {
 	})
 }
 
-// Stop halts polling.
-func (a *MicArray) Stop() {
-	if a.ticker != nil {
-		a.ticker.Stop()
-		a.ticker = nil
-	}
-}
-
 func (a *MicArray) analyse(from, to float64) {
 	a.Windows++
 	// Per frequency: amplitude at each microphone.

@@ -99,18 +99,6 @@ func TestMicArrayAmplitudeMap(t *testing.T) {
 	}
 }
 
-func TestMicArrayStop(t *testing.T) {
-	bed := newArrayBed(t)
-	bed.arr.Start(0)
-	bed.sim.RunUntil(0.3)
-	bed.arr.Stop()
-	w := bed.arr.Windows
-	bed.sim.RunUntil(1)
-	if bed.arr.Windows != w {
-		t.Error("array kept polling after Stop")
-	}
-}
-
 func TestMicArrayRequiresMics(t *testing.T) {
 	tb := newTestbed(96)
 	defer func() {

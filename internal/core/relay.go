@@ -64,9 +64,6 @@ func (r *Relay) Detector() *Detector { return r.ctrl.Detector }
 // Start begins listening at time at.
 func (r *Relay) Start(at float64) { r.ctrl.Start(at) }
 
-// Stop halts the relay.
-func (r *Relay) Stop() { r.ctrl.Stop() }
-
 func (r *Relay) handleWindow(_ float64, dets []Detection) {
 	for _, det := range r.onset.Step(dets) {
 		out, ok := r.Mapping[det.Frequency]

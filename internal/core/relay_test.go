@@ -137,15 +137,3 @@ func TestChainMapping(t *testing.T) {
 		t.Errorf("mapping = %v", m)
 	}
 }
-
-func TestRelayStopHalts(t *testing.T) {
-	bed := newRelayBed(t)
-	bed.relay.Start(0)
-	bed.sim.RunUntil(0.5)
-	bed.relay.Stop()
-	bed.sim.Schedule(1.0, func() { bed.srcVoice.Play(bed.inFreq) })
-	bed.sim.RunUntil(2)
-	if bed.relay.Relayed != 0 {
-		t.Error("stopped relay still relaying")
-	}
-}
