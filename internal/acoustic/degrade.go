@@ -50,6 +50,24 @@ func (p *deviceParam) atBase(base, t float64) float64 {
 	return base
 }
 
+// steadyOver reports whether the parameter holds one value over the
+// whole of [t0, t1], and that value, which atBase would return at
+// every t in it: no ramp starts in (t0, t1], and the ramp in force at
+// t0, if any, has ended by t0.
+func (p *deviceParam) steadyOver(base, t0, t1 float64) (float64, bool) {
+	for i := len(p.ramps) - 1; i >= 0; i-- {
+		r := &p.ramps[i]
+		switch {
+		case r.start > t1:
+			continue
+		case r.start > t0 || t0 < r.end:
+			return 0, false
+		}
+		return r.to, true
+	}
+	return base, true
+}
+
 // schedule appends a ramp from the parameter's value at start to
 // target at end. Ramps must be scheduled forward: start must not
 // precede an already-scheduled ramp's start, and end must exceed
@@ -67,8 +85,11 @@ func (p *deviceParam) schedule(base, start, end, target float64) {
 
 // ScheduleNoiseRamp schedules the microphone's self-noise floor to ramp
 // linearly from its current value to targetRMS (linear RMS) over
-// [start, end) seconds. Captures evaluate the floor once per window at
-// the window start, so the ramp lands with window granularity.
+// [start, end) seconds. While a ramp is in progress captures evaluate
+// it per sample, at each sample's absolute time on the room's sample
+// grid, so a ramped hiss is the same however a span is split into
+// captures. The audibility cull floor (CullAuto) still follows the
+// floor at each capture's start.
 func (m *Microphone) ScheduleNoiseRamp(start, end, targetRMS float64) {
 	if targetRMS < 0 {
 		panic("acoustic: negative noise floor")

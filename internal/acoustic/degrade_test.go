@@ -33,6 +33,39 @@ func TestDeviceParamRampEvaluation(t *testing.T) {
 	}
 }
 
+// TestDeviceParamSteadyOver: a span reported steady has atBase equal
+// to the reported value at every point of it, and a span a ramp moves
+// through is never reported steady.
+func TestDeviceParamSteadyOver(t *testing.T) {
+	const base = 0.002
+	var p deviceParam
+	p.schedule(base, 1, 3, 0.010)
+	p.schedule(base, 5, 6, base)
+	p.schedule(base, 5, 5.5, 0.004) // same start: the later ramp wins
+	steady := 0
+	for t0 := 0.0; t0 < 8; t0 += 0.25 {
+		for t1 := t0; t1 < 8; t1 += 0.25 {
+			v, ok := p.steadyOver(base, t0, t1)
+			moves := false
+			for x := t0; x <= t1; x += 0.05 {
+				moves = moves || p.atBase(base, x) != p.atBase(base, t0)
+			}
+			moves = moves || p.atBase(base, t1) != p.atBase(base, t0)
+			switch {
+			case ok && (moves || v != p.atBase(base, t0)):
+				t.Errorf("[%g, %g] reported steady at %g, but atBase moves from %g", t0, t1, v, p.atBase(base, t0))
+			case !ok && !moves && (t1 < 1 || t0 >= 3 && t1 < 5 || t0 >= 5.5):
+				t.Errorf("[%g, %g] outside every ramp reported moving", t0, t1)
+			case ok:
+				steady++
+			}
+		}
+	}
+	if steady == 0 {
+		t.Error("no span reported steady")
+	}
+}
+
 func TestDeviceParamRejectsBackwardSchedule(t *testing.T) {
 	defer func() {
 		if recover() == nil {

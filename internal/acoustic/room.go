@@ -346,12 +346,15 @@ func (m *Microphone) CaptureInto(out *audio.Buffer, from, to float64) *audio.Buf
 	ems := r.emissions
 	cut := sort.Search(len(ems), func(i int) bool { return ems[i].At >= to })
 	lo := r.liveFrom(from, cut)
-	// Degradation model: sensitivity and the effective noise floor are
-	// evaluated once at the window start, so ramps land with window
-	// granularity and repeated captures of the same window agree. A
-	// healthy microphone (no ramps) evaluates both to its base values.
+	// Degradation model: sensitivity and the cull floor are evaluated
+	// once at the window start, so their ramps land with window
+	// granularity and repeated captures of the same window agree. The
+	// self-noise level is a function of the sample index (below). A
+	// healthy microphone (no ramps) evaluates all three to its base
+	// values. Ramps only grow by append, so the noise schedule copied
+	// here stays valid after the lock is released.
 	sens := m.sensAt(from)
-	selfNoise := m.noiseAt(from)
+	noise, baseNoise := m.noiseRamp, m.SelfNoiseRMS
 	floor := r.cullFloorAt(m, from)
 	idx := m.idx
 	var mixed, culled int
@@ -404,12 +407,23 @@ func (m *Microphone) CaptureInto(out *audio.Buffer, from, to float64) *audio.Buf
 		}
 	}
 
-	if selfNoise > 0 {
-		// Sample i's hiss is a function of (room seed, microphone name,
-		// absolute sample index) alone (selfnoise.go), so repeated or
-		// split captures of one span agree sample for sample.
-		first := int64(math.Round(from * r.SampleRate))
-		addSelfNoise(out.Samples, selfNoise, noiseKey(r.Seed, m.Name), first)
+	// Sample i's hiss is a function of (room seed, microphone name,
+	// absolute sample index) alone (selfnoise.go), and so is its level,
+	// so repeated or split captures of one span agree sample for
+	// sample. Only a span a noise ramp is moving through pays for a
+	// per-sample level.
+	first := int64(math.Round(from * r.SampleRate))
+	t0, t1 := float64(first)/r.SampleRate, float64(first+int64(n-1))/r.SampleRate
+	if rms, steady := noise.steadyOver(baseNoise, t0, t1); !steady {
+		key := noiseKey(r.Seed, m.Name)
+		for i := range out.Samples {
+			k := first + int64(i)
+			if rms := noise.atBase(baseNoise, float64(k)/r.SampleRate); rms > 0 {
+				addSelfNoise(out.Samples[i:i+1], rms, key, k)
+			}
+		}
+	} else if rms > 0 {
+		addSelfNoise(out.Samples, rms, noiseKey(r.Seed, m.Name), first)
 	}
 	return out
 }

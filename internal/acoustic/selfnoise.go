@@ -1,19 +1,21 @@
 package acoustic
 
-import "math"
+import (
+	"math"
+
+	"mdn/internal/splitmix"
+)
 
 // A microphone's self-noise is a pure function of the sample index:
 // sample i is a standard Gaussian drawn from the SplitMix64 output
-// mix64(key + i·splitmixGamma), key hashing the room seed and the
-// microphone's name, so any split of a span renders the same noise.
+// splitmix.Mix(key + i·splitmix.Gamma), key hashing the room seed and
+// the microphone's name, so any split of a span renders the same noise.
 // The bits become a Gaussian through a 256-layer ziggurat (Marsaglia
 // and Tsang, 2000; tables after Doornik, 2005): the low 8 bits pick a
 // layer, bit 8 the sign and the top 53 a uniform magnitude. About 99 %
 // of draws end in one compare and one multiply.
 
 const (
-	splitmixGamma = 0x9e3779b97f4a7c15
-
 	zigLayers = 256
 	zigR      = 3.6541528853610088 // start of the tail
 	zigV      = 4.92867323399e-3   // area of every layer
@@ -41,13 +43,6 @@ func init() {
 	}
 }
 
-// mix64 is SplitMix64's output function, a bijection on 64 bits.
-func mix64(z uint64) uint64 {
-	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
-	z = (z ^ z>>27) * 0x94d049bb133111eb
-	return z ^ z>>31
-}
-
 // noiseKey is the self-noise stream of the microphone called name in a
 // room seeded with seed. The name enters as its FNV-1a hash, so
 // same-length names (mic-0, mic-1, ...) get distinct streams.
@@ -56,16 +51,16 @@ func noiseKey(seed int64, name string) uint64 {
 	for i := 0; i < len(name); i++ {
 		h = (h ^ uint64(name[i])) * 1099511628211
 	}
-	return mix64(uint64(seed) ^ mix64(h))
+	return splitmix.Mix(uint64(seed) ^ splitmix.Mix(h))
 }
 
 // addSelfNoise adds rms times the self-noise of stream key to s, whose
 // first sample has absolute index first.
 func addSelfNoise(s []float64, rms float64, key uint64, first int64) {
-	c := key + uint64(first)*splitmixGamma
+	c := key + uint64(first)*splitmix.Gamma
 	for i := range s {
-		u := mix64(c)
-		c += splitmixGamma
+		u := splitmix.Mix(c)
+		c += splitmix.Gamma
 		l, m := u&0xff, u>>11
 		if m >= zigK[l] {
 			s[i] += zigSlow(u) * rms
@@ -82,7 +77,7 @@ func addSelfNoise(s []float64, rms float64, key uint64, first int64) {
 // rejected wedge point redraws from re-mixed bits.
 func zigSlow(u uint64) float64 {
 	uniform := func() float64 { // (0, 1]
-		u = mix64(u + splitmixGamma)
+		u = splitmix.Mix(u + splitmix.Gamma)
 		return float64(int64(u>>11)+1) * 0x1p-53
 	}
 	for {
@@ -98,7 +93,7 @@ func zigSlow(u uint64) float64 {
 				}
 			}
 		case zigF[l]+uniform()*(zigF[l+1]-zigF[l]) >= math.Exp(-0.5*x*x):
-			u = mix64(u + splitmixGamma)
+			u = splitmix.Mix(u + splitmix.Gamma)
 			continue
 		}
 		if sign {

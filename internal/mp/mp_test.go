@@ -110,20 +110,3 @@ func TestDecoderMidMessageCut(t *testing.T) {
 		t.Errorf("err = %v, want ErrUnexpectedEOF", err)
 	}
 }
-
-func TestReadAll(t *testing.T) {
-	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
-	for i := 0; i < 5; i++ {
-		if err := enc.Encode(Message{Frequency: 400 + float64(i)*100, Duration: 0.05, Intensity: 60}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	msgs, err := ReadAll(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(msgs) != 5 || msgs[4].Frequency != 800 {
-		t.Errorf("msgs = %+v", msgs)
-	}
-}

@@ -2,7 +2,6 @@ package mp
 
 import (
 	"errors"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -135,30 +134,8 @@ func Dial(network, addr string) (*Client, error) {
 	return &Client{conn: conn, enc: NewEncoder(conn)}, nil
 }
 
-// NewClient wraps an existing connection (e.g. one side of net.Pipe).
-func NewClient(conn net.Conn) *Client {
-	return &Client{conn: conn, enc: NewEncoder(conn)}
-}
-
 // Send transmits one message.
 func (c *Client) Send(m Message) error { return c.enc.Encode(m) }
 
 // Close closes the connection.
 func (c *Client) Close() error { return c.conn.Close() }
-
-// ReadAll decodes every message from r until EOF, returning the valid
-// ones. Useful for replaying captured MP streams.
-func ReadAll(r io.Reader) ([]Message, error) {
-	dec := NewDecoder(r)
-	var out []Message
-	for {
-		m, err := dec.Decode()
-		if errors.Is(err, io.EOF) {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, m)
-	}
-}

@@ -92,22 +92,6 @@ func TestServerSkipsInvalidMessages(t *testing.T) {
 	}
 }
 
-func TestClientOverPipe(t *testing.T) {
-	server, client := net.Pipe()
-	c := NewClient(client)
-	go func() {
-		_ = c.Send(Message{Frequency: 440, Duration: 0.1, Intensity: 60})
-		c.Close()
-	}()
-	msgs, err := ReadAll(server)
-	if err != nil && err.Error() != "io: read/write on closed pipe" {
-		t.Fatal(err)
-	}
-	if len(msgs) != 1 || msgs[0].Frequency != 440 {
-		t.Errorf("msgs = %+v", msgs)
-	}
-}
-
 // backlogListener is a listener whose accept backlog the test
 // controls. Queued connections wait until an Accept takes them, as in
 // a kernel accept queue, and Accept honours SetDeadline the way a TCP
@@ -118,7 +102,7 @@ type backlogListener struct {
 	queue    []net.Conn
 	deadline time.Time
 	closed   bool
-	wake     chan struct{} // closed and replaced on a deadline or close
+	wake     chan struct{} // closed and replaced on an arrival or deadline; closed for good on Close
 	blocked  chan struct{} // signalled when Accept waits on an empty backlog
 }
 
@@ -135,11 +119,21 @@ func (l *backlogListener) enqueue(conns ...net.Conn) {
 }
 
 // arrive queues a connection and wakes a blocked Accept, as a new
-// connection reaching a kernel accept queue does.
+// connection reaching a kernel accept queue does. A closed listener
+// refuses it.
 func (l *backlogListener) arrive(c net.Conn) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.closed {
+		return
+	}
 	l.queue = append(l.queue, c)
+	l.wakeLocked()
+}
+
+// wakeLocked wakes every blocked Accept. The caller holds l.mu and has
+// checked that the listener is open: Close leaves l.wake closed.
+func (l *backlogListener) wakeLocked() {
 	close(l.wake)
 	l.wake = make(chan struct{})
 }
@@ -181,9 +175,11 @@ func (l *backlogListener) Accept() (net.Conn, error) {
 func (l *backlogListener) SetDeadline(t time.Time) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.closed {
+		return net.ErrClosed
+	}
 	l.deadline = t
-	close(l.wake)
-	l.wake = make(chan struct{})
+	l.wakeLocked()
 	return nil
 }
 

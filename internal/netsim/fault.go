@@ -1,8 +1,9 @@
 package netsim
 
 import (
-	"math/rand"
 	"sync"
+
+	"mdn/internal/splitmix"
 )
 
 // Faults configures wire-level fault injection for a control or
@@ -28,13 +29,14 @@ type Faults struct {
 }
 
 // FaultInjector applies a Faults configuration with a deterministic
-// random stream. A nil injector is valid and injects nothing, so
-// callers can apply it unconditionally.
+// counter-based random stream (splitmix.Stream, 16 bytes). A nil
+// injector is valid and injects nothing, so callers can apply it
+// unconditionally.
 type FaultInjector struct {
 	cfg Faults
 
 	mu  sync.Mutex
-	rng *rand.Rand
+	rng splitmix.Stream
 
 	// Dropped counts messages lost whole.
 	Dropped uint64
@@ -46,7 +48,7 @@ type FaultInjector struct {
 
 // NewFaultInjector builds an injector for the configuration.
 func NewFaultInjector(cfg Faults) *FaultInjector {
-	return &FaultInjector{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	return &FaultInjector{cfg: cfg, rng: splitmix.New(cfg.Seed)}
 }
 
 // Mangle applies drop/flip/truncation to one wire message. It returns

@@ -1,5 +1,7 @@
 package netsim
 
+import "mdn/internal/splitmix"
+
 // FlowSpec describes one flow of a FlowSet.
 type FlowSpec struct {
 	Flow FiveTuple
@@ -84,7 +86,7 @@ func StartFlowSet(sim *Sim, h *Host, cfg FlowSetConfig) *FlowSet {
 		f.interval = 1 / pps
 		// Deterministic phase jitter spreads first emissions across
 		// one interval so CBR flows do not fire in lockstep bursts.
-		f.phase = cfg.Start + splitmixUnit(seed+uint64(i)*0x9e3779b97f4a7c15)*f.interval
+		f.phase = cfg.Start + splitmix.Unit(splitmix.Mix(seed+uint64(i+1)*splitmix.Gamma))*f.interval
 		if f.phase < cfg.Stop {
 			fs.heap = append(fs.heap, fsKey{next: f.phase, i: i})
 		}
@@ -128,16 +130,6 @@ func (fs *FlowSet) step() {
 	if len(fs.heap) > 0 {
 		fs.sim.Schedule(fs.heap[0].next, fs.stepFn)
 	}
-}
-
-// splitmixUnit advances a splitmix64 state once and maps the output to
-// [0,1).
-func splitmixUnit(x uint64) float64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	x ^= x >> 31
-	return float64(x>>11) / (1 << 53)
 }
 
 // siftDown restores the 4-ary heap below i, moving smaller children up

@@ -3,8 +3,8 @@ package openflow
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 
+	"mdn/internal/splitmix"
 	"mdn/internal/telemetry"
 )
 
@@ -31,7 +31,7 @@ type Programmer struct {
 	OnResult func(m FlowMod, err error)
 
 	ch  *Channel
-	rng *rand.Rand
+	rng splitmix.Stream
 
 	installed map[string]bool
 	pending   int
@@ -75,7 +75,7 @@ const (
 func NewProgrammer(ch *Channel, seed int64) *Programmer {
 	return &Programmer{
 		ch:        ch,
-		rng:       rand.New(rand.NewSource(seed)),
+		rng:       splitmix.New(seed),
 		installed: make(map[string]bool),
 	}
 }

@@ -117,27 +117,58 @@ func TestProgrammerExhaustsRetriesOnDeadWire(t *testing.T) {
 	}
 }
 
+// TestProgrammerRecoversOverLossyWire: over a 60 % lossy wire a rule
+// is re-sent until a copy survives. A twin injector with the wire's
+// faults replays its drop decisions, so each seed's outcome is
+// predicted: k drops before the first survivor cost k retries, and the
+// rule lands exactly once if k < maxAttempts. Some of the 20 seeds
+// must land a rule after a retry, which a programmer that never
+// retries cannot.
 func TestProgrammerRecoversOverLossyWire(t *testing.T) {
-	// 60% drop: with 8 attempts the install is overwhelmingly likely;
-	// the seed pins the outcome (this one loses the first few sends,
-	// then delivers).
-	faults := netsim.Faults{DropProb: 0.6, Seed: 4}
-	sim, sw, p := programmerFixture(t, &faults)
-	var result error = errors.New("not called")
-	p.OnResult = func(m FlowMod, err error) { result = err }
-	if err := p.Install(addRule(5)); err != nil {
-		t.Fatal(err)
-	}
-	sim.Run()
+	recovered := 0
+	for seed := int64(0); seed < 20; seed++ {
+		faults := netsim.Faults{DropProb: 0.6, Seed: seed}
+		sim, sw, p := programmerFixture(t, &faults)
+		var result error = errors.New("not called")
+		p.OnResult = func(m FlowMod, err error) { result = err }
+		if err := p.Install(addRule(5)); err != nil {
+			t.Fatal(err)
+		}
+		sim.Run()
 
-	if result != nil {
-		t.Fatalf("OnResult err = %v, want eventual success", result)
+		twin := netsim.NewFaultInjector(faults)
+		drops := uint64(0)
+		for _, ok := twin.Mangle(nil); !ok && drops < maxAttempts; _, ok = twin.Mangle(nil) {
+			drops++
+		}
+		if drops >= maxAttempts {
+			if !errors.Is(result, ErrRetriesExhausted) || p.Attempts != maxAttempts || len(sw.Rules()) != 0 {
+				t.Errorf("seed %d: %d drops: err %v, %d attempts, %d rules; want exhausted after %d",
+					seed, drops, result, p.Attempts, len(sw.Rules()), maxAttempts)
+			}
+			continue
+		}
+		if result != nil || p.Retries != drops || p.Attempts != drops+1 || len(sw.Rules()) != 1 {
+			t.Errorf("seed %d: %d drops: err %v, %d retries of %d attempts, %d rules; want nil, %d of %d, 1",
+				seed, drops, result, p.Retries, p.Attempts, len(sw.Rules()), drops, drops+1)
+		}
+		if drops > 0 && len(sw.Rules()) == 1 {
+			recovered++
+		}
 	}
-	if p.Retries == 0 {
-		t.Error("expected at least one retry over a 60% lossy wire")
+	if recovered == 0 {
+		t.Error("no seed landed its rule after a lost send")
 	}
-	if len(sw.Rules()) != 1 {
-		t.Errorf("switch has %d rules, want exactly 1 (no double install)", len(sw.Rules()))
+}
+
+// TestNewProgrammerAllocs: a programmer is its struct and its
+// idempotency map; the retry stream lives inside the struct.
+func TestNewProgrammerAllocs(t *testing.T) {
+	_, _, p := programmerFixture(t, nil)
+	ch := p.Channel()
+	allocs := testing.AllocsPerRun(100, func() { p = NewProgrammer(ch, 7) })
+	if allocs > 2 {
+		t.Errorf("NewProgrammer allocates %v times, want <= 2", allocs)
 	}
 }
 

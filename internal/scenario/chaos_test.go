@@ -167,12 +167,30 @@ func TestChaosGracefulDegradation(t *testing.T) {
 		}
 	}
 
-	// The flow-programming pipelines must still land their rules at
-	// every drop rate — that is what the retrying programmer buys.
+	// The flow-programming pipelines land every rule their app sends,
+	// at every drop rate — that is what the retrying programmer buys
+	// (a rule is lost only if all 8 sends are, 0.5⁸ ≈ 0.4 % at 50 %).
+	// Whether an app sends at all is the acoustic side's luck: a 1 s
+	// knock round survives 50 % loss only if all three knocks do. On a
+	// clean wire both apps send. Each sent rule is one first attempt
+	// plus its retries.
 	for _, name := range []string{"portknock", "loadbalance"} {
 		for rate, p := range byScenario[name] {
-			if p.Notes == "" || !containsInstalled(p.Notes) {
-				t.Errorf("%s at %.0f%%: notes %q, want installed=true", name, 100*rate, p.Notes)
+			sent := p.FlowAttempts > 0
+			if rate == 0 && !sent {
+				t.Errorf("%s at 0%%: no rule sent on a clean wire (notes %q)", name, p.Notes)
+			}
+			if sent && (!containsInstalled(p.Notes) || p.FlowFailures != 0) {
+				t.Errorf("%s at %.0f%%: sent rule not landed: notes %q, %d failures",
+					name, 100*rate, p.Notes, p.FlowFailures)
+			}
+			if sent && p.FlowAttempts != p.FlowRetries+1 {
+				t.Errorf("%s at %.0f%%: %d attempts with %d retries for one rule",
+					name, 100*rate, p.FlowAttempts, p.FlowRetries)
+			}
+			if !sent && (containsInstalled(p.Notes) || p.Recall != 0) {
+				t.Errorf("%s at %.0f%%: no rule sent, yet notes %q and recall %.2f",
+					name, 100*rate, p.Notes, p.Recall)
 			}
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"mdn/internal/mp"
 	"mdn/internal/netsim"
 	"mdn/internal/openflow"
+	"mdn/internal/splitmix"
 	"mdn/internal/telemetry"
 )
 
@@ -244,7 +245,7 @@ func run(c *Config, reg *telemetry.Registry, probe *probe) (*Report, error) {
 		voice := voices[ac.Switch]
 		// Per-app deterministic sketch seed: scenario seed plus the
 		// app's position, so two sketch apps never share hash streams.
-		sketchSeed := uint64(c.Seed)*0x9e3779b97f4a7c15 + uint64(appIdx) + 1
+		sketchSeed := uint64(c.Seed)*splitmix.Gamma + uint64(appIdx) + 1
 		var app core.App                  // deployed through the manager
 		var tap func(*netsim.Packet, int) // the switch-side hook, if any
 		switch ac.Type {

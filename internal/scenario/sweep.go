@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mdn/internal/parallel"
+	"mdn/internal/splitmix"
 )
 
 // maxSweepAxis bounds each grid axis so every cell's seed key is
@@ -31,13 +32,11 @@ func sweep[P any](seed int64, workers, rows, cols int, point func(r, c int, seed
 	return pts, nil
 }
 
-// mixSeed finalises a seed splitmix64-style. Sequential seeds fed
-// straight to math/rand produce correlated early draws (a seed one
-// apart can yield a fault stream with zero drops at 30% probability);
-// mixing decorrelates the sweep's points.
+// mixSeed finalises a seed with one SplitMix64 step, so neighbouring
+// grid cells and switches get unrelated seeds for every generator
+// they feed, math/rand ones included (sequential math/rand seeds give
+// correlated early draws: a seed one apart once yielded a fault stream
+// with zero drops at 30 % probability).
 func mixSeed(s int64) int64 {
-	z := uint64(s) + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
+	return int64(splitmix.Mix(uint64(s) + splitmix.Gamma))
 }

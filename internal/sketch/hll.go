@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+
+	"mdn/internal/splitmix"
 )
 
 // HyperLogLog estimates the number of distinct keys added. Each key's
@@ -52,7 +54,7 @@ func (h *HyperLogLog) Bytes() int { return len(h.regs) }
 // Add observes one key. It allocates nothing.
 func (h *HyperLogLog) Add(key uint64) {
 	h.updates++
-	x := mix64(key ^ h.seed)
+	x := splitmix.Mix(key ^ h.seed)
 	idx := x >> (64 - h.p)
 	rest := x<<h.p | 1<<(h.p-1) // low bit guard keeps rank <= 64-p+1
 	rank := uint8(bits.LeadingZeros64(rest)) + 1

@@ -17,7 +17,7 @@
 //     preallocated flat arrays; nothing on the per-packet path asks
 //     the allocator for memory.
 //   - Seeded deterministic hashing. Every structure hashes through
-//     splitmix64 finalisers keyed by an explicit seed, so runs replay
+//     splitmix.Mix keyed by an explicit seed, so runs replay
 //     exactly and sharded sketches built from the same seed merge
 //     losslessly.
 //   - Mergeability. Sketches of the same shape and seed merge
@@ -27,18 +27,7 @@
 //     with plain update and HLL, bit-for-bit).
 package sketch
 
-// mix64 is the splitmix64 finaliser: a fast, invertible 64-bit mixer
-// whose output passes strong avalanche tests. All hashing in this
-// package routes through it, keyed by XORing a seed into the input —
-// deterministic across runs and platforms.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
+import "mdn/internal/splitmix"
 
 // hashPair derives the two base hashes for Kirsch–Mitzenmacher double
 // hashing: row i of a depth-d sketch uses h1 + i·h2, which preserves
@@ -46,7 +35,7 @@ func mix64(x uint64) uint64 {
 // d independent hashes. h2 is forced odd so successive rows never
 // collapse onto one lane of a power-of-two table.
 func hashPair(key, seed uint64) (h1, h2 uint64) {
-	h1 = mix64(key ^ seed)
-	h2 = mix64(h1^0x9e3779b97f4a7c15) | 1
+	h1 = splitmix.Mix(key ^ seed)
+	h2 = splitmix.Mix(h1^splitmix.Gamma) | 1
 	return h1, h2
 }

@@ -191,9 +191,3 @@ func (t *TopK) Merge(o *TopK) error {
 	}
 	return nil
 }
-
-// Reset forgets every tracked key in place.
-func (t *TopK) Reset() {
-	t.entries = t.entries[:0]
-	clear(t.index)
-}

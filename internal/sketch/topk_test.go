@@ -127,21 +127,6 @@ func TestTopKMergeRejectsMismatch(t *testing.T) {
 	}
 }
 
-func TestTopKResetReuses(t *testing.T) {
-	tk, _ := NewTopK(8)
-	for i := 0; i < 100; i++ {
-		tk.Update(uint64(i), 1)
-	}
-	tk.Reset()
-	if tk.Len() != 0 {
-		t.Fatal("reset left state")
-	}
-	tk.Update(4, 2)
-	if it, ok := tracked(tk)[4]; !ok || it.Count != 2 {
-		t.Fatalf("post-reset estimate = %d, %v", it.Count, ok)
-	}
-}
-
 // TestTopKSteadyStateAllocs: once full, updates (hits and evictions)
 // touch only preallocated state.
 func TestTopKSteadyStateAllocs(t *testing.T) {

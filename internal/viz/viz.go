@@ -110,24 +110,3 @@ func SpectrogramView(title string, data [][]float64, t0, t1, f0, f1 float64, max
 	b.WriteString(Heatmap(data, maxRows, maxCols))
 	return b.String()
 }
-
-// Sparkline renders values as a one-line intensity strip — handy for
-// queue-length and rate series in CLI output.
-func Sparkline(values []float64) string {
-	if len(values) == 0 {
-		return ""
-	}
-	minV, maxV := values[0], values[0]
-	for _, v := range values {
-		minV = math.Min(minV, v)
-		maxV = math.Max(maxV, v)
-	}
-	if maxV <= minV {
-		maxV = minV + 1
-	}
-	out := make([]byte, len(values))
-	for i, v := range values {
-		out[i] = Cell((v - minV) / (maxV - minV))
-	}
-	return string(out)
-}

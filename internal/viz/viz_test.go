@@ -89,20 +89,3 @@ func TestSpectrogramViewHeader(t *testing.T) {
 		t.Errorf("header missing: %s", out)
 	}
 }
-
-func TestSparkline(t *testing.T) {
-	if Sparkline(nil) != "" {
-		t.Error("empty sparkline should be empty")
-	}
-	s := Sparkline([]float64{0, 5, 10})
-	if len(s) != 3 {
-		t.Fatalf("len = %d", len(s))
-	}
-	if s[0] != ' ' || s[2] != '@' {
-		t.Errorf("sparkline = %q", s)
-	}
-	flat := Sparkline([]float64{3, 3})
-	if len(flat) != 2 {
-		t.Error("flat input should render")
-	}
-}
