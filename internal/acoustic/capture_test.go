@@ -93,7 +93,9 @@ func TestCaptureIntoMatchesCapture(t *testing.T) {
 // samples, bit for bit, as capturing [a, b) and [b, c) and
 // concatenating, for split points b off the tone-synthesis block grid.
 // It holds for a microphone whose noise floor ramps up and back down
-// inside the span, splits landing before, inside and after the ramps.
+// inside the span, splits landing before, inside and after the ramps,
+// for one whose sensitivity ramps, and for a CullAuto room whose
+// microphone's cull floor a noise ramp moves past a tone's level.
 func TestCaptureSplitInvariant(t *testing.T) {
 	const sr = 44100.0
 	calls := append(testSchedule(),
@@ -117,6 +119,29 @@ func TestCaptureSplitInvariant(t *testing.T) {
 				if got[i] != want.Samples[i] {
 					t.Fatalf("%s: split at %d: sample %d = %x, want %x", mic.Name, b, a+i, got[i], want.Samples[i])
 				}
+			}
+		}
+	}
+
+	// [50 ms, 100 ms) whole and split at 70 ms.
+	deaf := r.AddMicrophone("deaf", Position{X: 0.1, Y: 0.2}, 0.01)
+	deaf.ScheduleSensitivityRamp(0, 1, 0.5)
+	// The tone arrives at 0.04 amplitude; the floor ramps from 0.01
+	// through 0.0345 at 50 ms to 0.0443 at 70 ms.
+	culled := NewRoom(sr, 5)
+	culled.CullThreshold = CullAuto
+	culled.AddSpeaker("s", Position{X: 1}).Play(0, audio.Tone{Frequency: 880, Duration: 0.2, Amplitude: 0.04})
+	floored := culled.AddMicrophone("floored", Position{}, 0.01)
+	floored.ScheduleNoiseRamp(0, 1, 0.5)
+	for _, mic := range []*Microphone{deaf, floored} {
+		want := mic.Capture(0.05, 0.1)
+		got := append(mic.Capture(0.05, 0.07).Samples, mic.Capture(0.07, 0.1).Samples...)
+		if len(got) != want.Len() {
+			t.Fatalf("%s: %d samples, want %d", mic.Name, len(got), want.Len())
+		}
+		for i := range want.Samples {
+			if got[i] != want.Samples[i] {
+				t.Fatalf("%s: split at 70 ms: sample %d = %x, want %x", mic.Name, a+i, got[i], want.Samples[i])
 			}
 		}
 	}

@@ -88,8 +88,8 @@ func (p *deviceParam) schedule(base, start, end, target float64) {
 // [start, end) seconds. While a ramp is in progress captures evaluate
 // it per sample, at each sample's absolute time on the room's sample
 // grid, so a ramped hiss is the same however a span is split into
-// captures. The audibility cull floor (CullAuto) still follows the
-// floor at each capture's start.
+// captures. The audibility cull floor (CullAuto) follows it too: each
+// emission is culled against the floor at its own arrival.
 func (m *Microphone) ScheduleNoiseRamp(start, end, targetRMS float64) {
 	if targetRMS < 0 {
 		panic("acoustic: negative noise floor")
@@ -104,7 +104,9 @@ func (m *Microphone) ScheduleNoiseRamp(start, end, targetRMS float64) {
 // linear gain on everything the diaphragm picks up; 1.0 = healthy,
 // 0 = deaf) to ramp from its current value to target over [start, end)
 // seconds. Self-noise is electronics noise downstream of the
-// transducer, so it is NOT scaled: a deaf microphone still hisses.
+// transducer, so it is NOT scaled: a deaf microphone still hisses. Like
+// the noise ramp, the gain is evaluated per sample on the room's
+// absolute grid while the ramp moves, so split captures agree.
 func (m *Microphone) ScheduleSensitivityRamp(start, end, target float64) {
 	if target < 0 {
 		panic("acoustic: negative sensitivity")

@@ -346,16 +346,17 @@ func (m *Microphone) CaptureInto(out *audio.Buffer, from, to float64) *audio.Buf
 	ems := r.emissions
 	cut := sort.Search(len(ems), func(i int) bool { return ems[i].At >= to })
 	lo := r.liveFrom(from, cut)
-	// Degradation model: sensitivity and the cull floor are evaluated
-	// once at the window start, so their ramps land with window
-	// granularity and repeated captures of the same window agree. The
-	// self-noise level is a function of the sample index (below). A
+	// Degradation model: every ramp is evaluated on the absolute time
+	// grid, never at the capture's start, so a span renders the same
+	// however it is split into captures. An emission's cull uses the
+	// sensitivity and floor at its own arrival; the gain and the
+	// self-noise level are functions of the sample index (below). A
 	// healthy microphone (no ramps) evaluates all three to its base
-	// values. Ramps only grow by append, so the noise schedule copied
-	// here stays valid after the lock is released.
-	sens := m.sensAt(from)
-	noise, baseNoise := m.noiseRamp, m.SelfNoiseRMS
-	floor := r.cullFloorAt(m, from)
+	// values. Ramps only grow by append, so the schedules copied here
+	// stay valid after the lock is released.
+	sensRamp, noise, baseNoise := m.sensRamp, m.noiseRamp, m.SelfNoiseRMS
+	ramped := len(sensRamp.ramps) > 0 || len(noise.ramps) > 0
+	sens, floor := 1.0, r.cullFloorAt(m, from) // exact for an unramped mic
 	idx := m.idx
 	var mixed, culled int
 	for i := lo; i < cut; i++ {
@@ -376,6 +377,9 @@ func (m *Microphone) CaptureInto(out *audio.Buffer, from, to float64) *audio.Buf
 		// the walk is the bit-exact legacy mix. Sensitivity applies to
 		// the comparison (multiplying by the healthy 1.0 is exact):
 		// what matters is the level after the degraded transducer.
+		if ramped {
+			sens, floor = m.sensAt(arrive), r.cullFloorAt(m, arrive)
+		}
 		if tone.Amplitude*sens < floor {
 			culled++
 			continue
@@ -399,9 +403,16 @@ func (m *Microphone) CaptureInto(out *audio.Buffer, from, to float64) *audio.Buf
 	// A degraded transducer scales everything it picked up — tones and
 	// room noise alike — but not the self-noise mixed below, which is
 	// electronics hiss downstream of the diaphragm: a deaf microphone
-	// still hisses. The healthy path (sens == 1) skips the pass so the
-	// legacy waveform stays bit-exact.
-	if sens != 1 {
+	// still hisses. Only a span a sensitivity ramp is moving through
+	// pays for a per-sample gain; the healthy path (gain 1) skips the
+	// pass so the legacy waveform stays bit-exact.
+	first := int64(math.Round(from * r.SampleRate))
+	t0, t1 := float64(first)/r.SampleRate, float64(first+int64(n-1))/r.SampleRate
+	if sens, steady := sensRamp.steadyOver(1, t0, t1); !steady {
+		for i := range out.Samples {
+			out.Samples[i] *= sensRamp.atBase(1, float64(first+int64(i))/r.SampleRate)
+		}
+	} else if sens != 1 {
 		for i := range out.Samples {
 			out.Samples[i] *= sens
 		}
@@ -412,8 +423,6 @@ func (m *Microphone) CaptureInto(out *audio.Buffer, from, to float64) *audio.Buf
 	// so repeated or split captures of one span agree sample for
 	// sample. Only a span a noise ramp is moving through pays for a
 	// per-sample level.
-	first := int64(math.Round(from * r.SampleRate))
-	t0, t1 := float64(first)/r.SampleRate, float64(first+int64(n-1))/r.SampleRate
 	if rms, steady := noise.steadyOver(baseNoise, t0, t1); !steady {
 		key := noiseKey(r.Seed, m.Name)
 		for i := range out.Samples {

@@ -30,7 +30,6 @@ type FrequencyPlan struct {
 
 	nextSlot int
 	sets     map[string][]float64
-	order    []string
 	owner    map[int]slotOwner
 }
 
@@ -133,7 +132,6 @@ func (p *FrequencyPlan) AllocateSpaced(name string, n, stride int) ([]float64, e
 		p.nextSlot = p.Capacity()
 	}
 	p.sets[name] = out
-	p.order = append(p.order, name)
 	return out, nil
 }
 
@@ -148,18 +146,6 @@ func (p *FrequencyPlan) MustAllocate(name string, n int) []float64 {
 	if err != nil {
 		panic("core: MustAllocate: " + err.Error())
 	}
-	return out
-}
-
-// Set returns the named device's frequencies (nil if none).
-func (p *FrequencyPlan) Set(name string) []float64 {
-	return p.sets[name]
-}
-
-// Devices returns all device names in allocation order.
-func (p *FrequencyPlan) Devices() []string {
-	out := make([]string, len(p.order))
-	copy(out, p.order)
 	return out
 }
 

@@ -107,16 +107,21 @@ func TestPlanCapacityMatchesPaperClaim(t *testing.T) {
 	}
 }
 
+// TestPlanDevicesOrder: devices take slots in allocation order, not
+// name order, and a frequency no device holds identifies as nothing.
 func TestPlanDevicesOrder(t *testing.T) {
 	p := DefaultPlan()
-	p.MustAllocate("b", 1)
-	p.MustAllocate("a", 1)
-	devs := p.Devices()
-	if len(devs) != 2 || devs[0] != "b" || devs[1] != "a" {
-		t.Errorf("devices = %v", devs)
+	b := p.MustAllocate("b", 1)
+	a := p.MustAllocate("a", 1)
+	if b[0] >= a[0] {
+		t.Errorf("b at %g Hz, a at %g Hz: want b first", b[0], a[0])
 	}
-	if p.Set("missing") != nil {
-		t.Error("unknown device should have nil set")
+	tol := p.DefaultTolerance()
+	if dev, _, ok := p.Identify(b[0], tol); !ok || dev != "b" {
+		t.Errorf("b's tone identifies as %q, %v", dev, ok)
+	}
+	if _, _, ok := p.Identify(a[0]+p.Spacing, tol); ok {
+		t.Error("an unallocated slot identified as a device")
 	}
 }
 

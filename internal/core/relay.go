@@ -75,15 +75,3 @@ func (r *Relay) handleWindow(_ float64, dets []Detection) {
 		r.voice.Play(out)
 	}
 }
-
-// ChainMapping builds the mapping for an n-hop relay chain: each hop
-// shifts its band up by shift Hz, so hop i listens on
-// base+i*shift and emits on base+(i+1)*shift for each of the n
-// frequencies.
-func ChainMapping(freqs []float64, shift float64) map[float64]float64 {
-	out := make(map[float64]float64, len(freqs))
-	for _, f := range freqs {
-		out[f] = f + shift
-	}
-	return out
-}

@@ -130,10 +130,3 @@ func TestRelayRejectsBadMappings(t *testing.T) {
 		t.Error("self-oscillating mapping accepted")
 	}
 }
-
-func TestChainMapping(t *testing.T) {
-	m := ChainMapping([]float64{500, 600}, 1000)
-	if m[500] != 1500 || m[600] != 1600 || len(m) != 2 {
-		t.Errorf("mapping = %v", m)
-	}
-}

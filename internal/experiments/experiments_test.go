@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -162,5 +163,22 @@ func TestAudioAttachmentAndMelSpectrogram(t *testing.T) {
 	empty := &Result{}
 	if empty.MelSpectrogram(32, 8000) != nil {
 		t.Error("no-audio result should yield nil spectrogram")
+	}
+}
+
+// TestScenarioFiguresBuildNoWorld: the network figures run shipped
+// scenarios through scenario.Build, so a runner fix reaches them. Their
+// files must not grow a world builder of their own again.
+func TestScenarioFiguresBuildNoWorld(t *testing.T) {
+	for _, f := range []string{"fig3.go", "fig4.go", "fig5.go", "superspreader.go"} {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, call := range []string{"netsim.NewSim", "acoustic.NewRoom", "core.NewController", "NewVoice"} {
+			if strings.Contains(string(src), call) {
+				t.Errorf("%s calls %s", f, call)
+			}
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"math/rand"
 
 	"mdn/internal/acoustic"
@@ -96,96 +95,6 @@ func ExtFailover() *Result {
 	r.addSeries("out-of-band tones (Hz) — uninterrupted by the t=5 s cut", xs, ys)
 	r.note("uplink cut at t=%.0f s; %d queued in-band reports flushed", cutAt, uplinkSw.LostOnDown())
 	return r
-}
-
-// ExtSuperspreader runs the Section 5 open problem end to end: a
-// worm-like host contacting many destinations is flagged, a normal
-// client is not, and the DDoS-victim mode flags a host hammered by
-// many sources.
-func ExtSuperspreader() *Result {
-	r := &Result{ID: "ext-superspreader", Title: "k-superspreader and DDoS-victim detection (Section 5 open problem)"}
-	const (
-		nHosts  = 12
-		buckets = 24
-		k       = 4
-	)
-	build := func(seed int64, mode core.SpreadMode) (*netsim.Sim, []*netsim.Host, *core.SpreadDetector) {
-		sim := netsim.NewSim()
-		room := acoustic.NewRoom(44100, seed)
-		mic := room.AddMicrophone("controller", acoustic.Position{}, 0.0005)
-		sw := netsim.NewSwitch(sim, "s1")
-		var hosts []*netsim.Host
-		for i := 0; i < nHosts; i++ {
-			h := netsim.NewHost(sim, fmt.Sprintf("h%d", i), netsim.MustAddr(fmt.Sprintf("10.0.1.%d", i+1)))
-			netsim.Connect(sim, h, 1, sw, i+1, 1e9, 0.0001, 0)
-			sw.InstallRule(netsim.Rule{Priority: 1, Match: netsim.Match{Dst: h.Addr}, Action: netsim.Output(i + 1)})
-			hosts = append(hosts, h)
-		}
-		sp := room.AddSpeaker("s1", acoustic.Position{X: 1.2})
-		voice := core.NewVoice(sim, mp.NewSounder(mp.NewPi(sim, sp, 0.002)))
-		sd, err := core.NewSpreadDetector(core.DefaultPlan(), "s1", voice, mode, hosts[0].Addr, buckets, k)
-		if err != nil {
-			panic(err)
-		}
-		sw.Tap = sd.Tap
-		ctrl := core.NewController(sim, mic, core.NewDetector(core.MethodGoertzel, sd.Frequencies()))
-		sd.Start(ctrl, 0)
-		ctrl.Start(0)
-		return sim, hosts, sd
-	}
-
-	// Scenario 1: superspreader.
-	sim, hosts, sd := build(110, core.ModeSuperspreader)
-	spreader := hosts[0]
-	sim.Every(0.2, 0.2, func(now float64) {
-		if now > 4 {
-			return
-		}
-		for _, dst := range hosts[1:] {
-			spreader.Send(netsim.FiveTuple{Src: spreader.Addr, Dst: dst.Addr,
-				SrcPort: 1234, DstPort: 80, Proto: netsim.ProtoTCP}, 64)
-		}
-	})
-	sim.RunUntil(5)
-	r.row("worm-like fan-out flagged as k-superspreader", "distinct destination tones exceed k",
-		len(sd.Alerts) > 0, "%d alerts; first with %d distinct buckets (k=%d)",
-		len(sd.Alerts), firstSpreadDistinct(sd), k)
-
-	// Scenario 2: normal client, same detector.
-	sim2, hosts2, sd2 := build(111, core.ModeSuperspreader)
-	for i, dst := range hosts2[1:3] {
-		netsim.StartPoisson(sim2, hosts2[0], netsim.FiveTuple{Src: hosts2[0].Addr, Dst: dst.Addr,
-			SrcPort: 1234, DstPort: 80, Proto: netsim.ProtoTCP}, 5, 200, 0, 4, int64(i))
-	}
-	sim2.RunUntil(5)
-	r.row("two-peer client not flagged", "no false positive", len(sd2.Alerts) == 0,
-		"%d alerts", len(sd2.Alerts))
-
-	// Scenario 3: DDoS victim.
-	sim3, hosts3, sd3 := build(112, core.ModeDDoSVictim)
-	for i, atk := range hosts3[1:] {
-		netsim.StartPoisson(sim3, atk, netsim.FiveTuple{Src: atk.Addr, Dst: hosts3[0].Addr,
-			SrcPort: 6666, DstPort: 80, Proto: netsim.ProtoUDP}, 8, 100, 0, 4, int64(130+i))
-	}
-	sim3.RunUntil(5)
-	r.row("many-source flood flagged as DDoS victim", "distinct source tones exceed k",
-		len(sd3.Alerts) > 0, "%d alerts; first with %d distinct buckets",
-		len(sd3.Alerts), firstSpreadDistinct(sd3))
-
-	var xs, ys []float64
-	for _, s := range sd.History {
-		xs = append(xs, s.Time)
-		ys = append(ys, s.Value)
-	}
-	r.addSeries("superspreader: distinct destination buckets per interval", xs, ys)
-	return r
-}
-
-func firstSpreadDistinct(sd *core.SpreadDetector) int {
-	if len(sd.Alerts) == 0 {
-		return 0
-	}
-	return sd.Alerts[0].Distinct
 }
 
 // ExtRelay answers the Section 8 open question about multi-hop sound

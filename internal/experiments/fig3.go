@@ -1,97 +1,51 @@
 package experiments
 
 import (
-	"mdn/internal/acoustic"
 	"mdn/internal/core"
-	"mdn/internal/mp"
-	"mdn/internal/netsim"
-	"mdn/internal/openflow"
 )
 
-// Fig3 reproduces Figure 3: port knocking. A sender keeps trying to
-// push TCP traffic to a closed port; nothing is delivered until the
-// controller hears the three knock tones in the correct order and
-// installs the opening flow rule, after which goodput jumps to the
-// send rate. In the paper the sender is blocked for about 34 seconds;
-// the blocked interval here is set by when we schedule the knocks —
-// the shape (flat zero, then tracking the send curve) is the claim.
+// Fig3 reproduces Figure 3: port knocking, on the shipped
+// scenarios/portknock.json. A sender keeps trying to push TCP traffic
+// to a closed port; nothing is delivered until the controller hears
+// the three knock tones in the correct order and installs the opening
+// flow rule, after which goodput jumps to the send rate. In the paper
+// the sender is blocked for about 34 seconds; the blocked interval
+// here is set by when the scenario schedules the knocks — the shape
+// (flat zero, then tracking the send curve) is the claim.
 func Fig3() *Result {
 	r := &Result{ID: "fig3", Title: "Port knocking: bytes sent vs received"}
-	const (
-		sampleRate = 44100.0
-		sendRate   = 50.0 // pps
-		pktSize    = 1000
-		duration   = 20.0
-	)
-	knockTimes := []float64{10.0, 10.5, 11.0}
-	knockPorts := []uint16{7001, 7002, 7003}
+	w, c := world("portknock.json", nil)
+	send, knock := c.Traffic[0], c.Traffic[1]
+	lastKnock := knock.StartS + float64(knock.NumPorts-1)*knock.IntervalMs/1000
+	pk := w.Apps[0].(*core.PortKnock)
+	h1, h2 := w.Hosts["h1"], w.Hosts["h2"]
 
-	sim := netsim.NewSim()
-	room := acoustic.NewRoom(sampleRate, 33)
-	mic := room.AddMicrophone("controller", acoustic.Position{}, 0.0005)
-	plan := core.DefaultPlan()
-
-	h1 := netsim.NewHost(sim, "h1", netsim.MustAddr("10.0.0.1"))
-	h2 := netsim.NewHost(sim, "h2", netsim.MustAddr("10.0.0.2"))
-	sw := netsim.NewSwitch(sim, "s1")
-	netsim.Connect(sim, h1, 1, sw, 1, 1e8, 0.0001, 0)
-	netsim.Connect(sim, h2, 1, sw, 2, 1e8, 0.0001, 0)
-
-	sp := room.AddSpeaker("s1", acoustic.Position{X: 1.5})
-	voice := core.NewVoice(sim, mp.NewSounder(mp.NewPi(sim, sp, 0.002)))
-	ch := openflow.NewChannel(sim, sw, 0.005)
-	pk, err := core.NewPortKnock(plan, "s1", voice, ch, knockPorts, openflow.FlowMod{
-		Command:  openflow.FlowAdd,
-		Priority: 10,
-		Match:    netsim.Match{Dst: h2.Addr, DstPort: 8080},
-		Action:   netsim.Output(2),
-	})
-	if err != nil {
-		panic(err)
-	}
-	sw.Tap = pk.Tap
-
-	ctrl := core.NewController(sim, mic, core.NewDetector(core.MethodGoertzel, pk.Frequencies()))
-	ctrl.SubscribeWindows(pk.HandleWindow)
-	ctrl.Start(0)
-
-	// Sender: continuous TCP attempts to the protected port.
-	dataFlow := netsim.FiveTuple{
-		Src: h1.Addr, Dst: h2.Addr, SrcPort: 40000, DstPort: 8080, Proto: netsim.ProtoTCP,
-	}
-	netsim.StartCBR(sim, h1, dataFlow, sendRate, pktSize, 0, duration)
-	// Knocker.
-	for i, at := range knockTimes {
-		port := knockPorts[i]
-		sim.Schedule(at, func() {
-			h1.Send(netsim.FiveTuple{
-				Src: h1.Addr, Dst: h2.Addr, SrcPort: 40001, DstPort: port, Proto: netsim.ProtoTCP,
-			}, 64)
-		})
-	}
 	// Goodput sampling.
 	var sentX, sentY, recvX, recvY []float64
-	sim.Every(0.25, 0.25, func(now float64) {
+	w.Sim.Every(0.25, 0.25, func(now float64) {
 		sentX = append(sentX, now)
 		sentY = append(sentY, float64(h1.TxBytes))
 		recvX = append(recvX, now)
 		recvY = append(recvY, float64(h2.RxBytes))
 	})
-	sim.RunUntil(duration)
+	// Figure 3b's raw material: the knock melody as heard at the
+	// controller microphone.
+	melody := recordAudio(w, knock.StartS-0.2, lastKnock+0.5)
+	runWorld(w)
 
 	// Shape checks.
 	var recvAtKnock, recvEnd float64
 	for i, x := range recvX {
-		if x <= knockTimes[2] {
+		if x <= lastKnock {
 			recvAtKnock = recvY[i]
 		}
 		recvEnd = recvY[i]
 	}
 	r.row("traffic delivered before the knock completes", "none", recvAtKnock == 0,
 		"%.0f bytes", recvAtKnock)
-	r.row("port opens after third correct knock", "yes", pk.Opened && pk.OpenedAt > knockTimes[2],
-		"opened=%v at t=%.2f s (knock 3 at %.1f s)", pk.Opened, pk.OpenedAt, knockTimes[2])
-	expected := sendRate * pktSize * (duration - pk.OpenedAt) // bytes after opening
+	r.row("port opens after third correct knock", "yes", pk.Opened && pk.OpenedAt > lastKnock,
+		"opened=%v at t=%.2f s (knock 3 at %.1f s)", pk.Opened, pk.OpenedAt, lastKnock)
+	expected := send.PPS * float64(send.Size) * (c.DurationS - pk.OpenedAt) // bytes after opening
 	okGoodput := pk.Opened && recvEnd > 0.8*expected && recvEnd <= expected*1.05
 	r.row("post-open goodput tracks send rate", "receive curve follows send curve",
 		okGoodput, "%.0f bytes received vs %.0f expected", recvEnd, expected)
@@ -100,9 +54,6 @@ func Fig3() *Result {
 	r.addSeries("cumulative bytes received", recvX, recvY)
 	r.note("blocked interval: 0–%.2f s; wrong-order knocks observed: %d",
 		pk.OpenedAt, pk.WrongKnocks)
-	// Figure 3b's raw material: the knock melody as heard at the
-	// controller microphone.
-	r.attachAudio("knock melody at the controller microphone (t=9.8–11.5 s)",
-		mic.Capture(knockTimes[0]-0.2, knockTimes[2]+0.5))
+	r.attachAudio("knock melody at the controller microphone (t=9.8–11.5 s)", melody)
 	return r
 }

@@ -1,86 +1,37 @@
 package experiments
 
 import (
-	"mdn/internal/acoustic"
 	"mdn/internal/core"
-	"mdn/internal/mp"
 	"mdn/internal/netsim"
+	"mdn/internal/scenario"
 )
 
-// telemetryBed is the shared Section 5 testbed: one switch between
-// two hosts, voiced, with a controller listening.
-type telemetryBed struct {
-	sim  *netsim.Sim
-	room *acoustic.Room
-	mic  *acoustic.Microphone
-	plan *core.FrequencyPlan
-	h1   *netsim.Host
-	h2   *netsim.Host
-	sw   *netsim.Switch
-	v    *core.Voice
-}
-
-func newTelemetryBed(seed int64) *telemetryBed {
-	const sampleRate = 44100.0
-	sim := netsim.NewSim()
-	room := acoustic.NewRoom(sampleRate, seed)
-	mic := room.AddMicrophone("controller", acoustic.Position{}, 0.0005)
-	h1 := netsim.NewHost(sim, "h1", netsim.MustAddr("10.0.0.1"))
-	h2 := netsim.NewHost(sim, "h2", netsim.MustAddr("10.0.0.2"))
-	sw := netsim.NewSwitch(sim, "s1")
-	netsim.Connect(sim, h1, 1, sw, 1, 1e9, 0.0001, 0)
-	netsim.Connect(sim, h2, 1, sw, 2, 1e9, 0.0001, 0)
-	sw.InstallRule(netsim.Rule{Priority: 1, Match: netsim.Match{Dst: h2.Addr}, Action: netsim.Output(2)})
-	sp := room.AddSpeaker("s1", acoustic.Position{X: 1.2})
-	v := core.NewVoice(sim, mp.NewSounder(mp.NewPi(sim, sp, 0.002)))
-	return &telemetryBed{
-		sim: sim, room: room, mic: mic, plan: core.DefaultPlan(),
-		h1: h1, h2: h2, sw: sw, v: v,
+// withSong returns a config edit that adds the Figure 4b/4d background
+// when noisy, a deterministic pop song 2.1 m from the controller
+// microphone, and notes it on r; nil when quiet.
+func withSong(r *Result, noisy bool) func(*scenario.Config) {
+	if !noisy {
+		return nil
+	}
+	r.note("background: deterministic pop-song interference at conversation level")
+	return func(c *scenario.Config) {
+		c.Noise = append(c.Noise, scenario.NoiseConfig{Type: "song", Level: 0.02, X: -1.5, Y: 1.5})
 	}
 }
 
+// heavyHitterExperiment runs scenarios/heavyhitter.json: an elephant
+// flow and four mice in other buckets, heard through a detection floor
+// calibrated above the song's partials and below the switch tones.
 func heavyHitterExperiment(id, title string, noisy bool) *Result {
 	r := &Result{ID: id, Title: title}
-	const (
-		duration = 6.0
-		buckets  = 16
-	)
-	bed := newTelemetryBed(400 + int64(len(id)))
-	if noisy {
-		bed.room.AddNoise(core.PopSongNoise(44100, 5, 0.02, 12))
-		r.note("background: deterministic pop-song interference at conversation level")
-	}
-	hh, err := core.NewHeavyHitter(bed.plan, "s1", bed.v, buckets)
-	if err != nil {
-		panic(err)
-	}
-	bed.sw.Tap = hh.Tap
-	det := core.NewDetector(core.MethodGoertzel, hh.Frequencies())
-	// Calibrated threshold: switch tones arrive near 0.026 amplitude
-	// (60 dB at 1.2 m); the pop song's partials stay below ~0.003.
-	// Section 3 treats intensity as a deployment policy knob.
-	det.MinAmplitude = 0.008
-	ctrl := core.NewController(bed.sim, bed.mic, det)
-	hh.Start(ctrl, 0)
-	ctrl.Start(0)
-
-	elephant := netsim.FiveTuple{
-		Src: bed.h1.Addr, Dst: bed.h2.Addr, SrcPort: 5000, DstPort: 80, Proto: netsim.ProtoTCP,
-	}
-	eBucket := hh.BucketOf(elephant)
-	// Four mice in other buckets.
-	var mice []netsim.FiveTuple
-	for p := uint16(6000); len(mice) < 4; p++ {
-		f := netsim.FiveTuple{Src: bed.h1.Addr, Dst: bed.h2.Addr, SrcPort: p, DstPort: 80, Proto: netsim.ProtoTCP}
-		if hh.BucketOf(f) != eBucket {
-			mice = append(mice, f)
-		}
-	}
-	netsim.StartCBR(bed.sim, bed.h1, elephant, 300, 1500, 0.2, duration)
-	for i, m := range mice {
-		netsim.StartPoisson(bed.sim, bed.h1, m, 1.2, 300, 0.2, duration, int64(500+i))
-	}
-	bed.sim.RunUntil(duration)
+	w, c := world("heavyhitter.json", withSong(r, noisy))
+	hh := w.Apps[0].(*core.HeavyHitter)
+	h1, h2 := w.Hosts["h1"], w.Hosts["h2"]
+	el := c.Traffic[0]
+	eBucket := hh.BucketOf(netsim.FiveTuple{
+		Src: h1.Addr, Dst: h2.Addr, SrcPort: el.SrcPort, DstPort: el.DstPort, Proto: netsim.ProtoTCP,
+	})
+	runWorld(w)
 
 	flagged := hh.FlaggedBuckets()
 	onlyElephant := len(flagged) == 1 && flagged[0] == eBucket
@@ -119,40 +70,26 @@ func Fig4b() *Result {
 	return heavyHitterExperiment("fig4b", "Heavy-hitter detection under pop-song noise", true)
 }
 
+// portScanExperiment runs scenarios/portscan.json: one sequential
+// scan of the ports the app watches, a probe every 200 ms.
 func portScanExperiment(id, title string, noisy bool) *Result {
 	r := &Result{ID: id, Title: title}
-	const (
-		numPorts  = 24
-		firstPort = 8000
-		probeGap  = 0.2
-	)
-	bed := newTelemetryBed(600 + int64(len(id)))
-	if noisy {
-		bed.room.AddNoise(core.PopSongNoise(44100, 5, 0.02, 21))
-		r.note("background: deterministic pop-song interference at conversation level")
-	}
-	ps, err := core.NewPortScan(bed.plan, "s1", bed.v, firstPort, numPorts)
-	if err != nil {
-		panic(err)
-	}
-	bed.sw.Tap = ps.Tap
-	det := core.NewDetector(core.MethodGoertzel, ps.Frequencies())
-	det.MinAmplitude = 0.008 // calibrated above the song's partials, below the tones
-	ctrl := core.NewController(bed.sim, bed.mic, det)
-	ps.Start(ctrl, 0)
-	ctrl.Start(0)
-
-	base := netsim.FiveTuple{Src: bed.h1.Addr, Dst: bed.h2.Addr, SrcPort: 4444, Proto: netsim.ProtoTCP}
-	netsim.StartPortScan(bed.sim, bed.h1, base, firstPort, numPorts, probeGap, 0.3)
-	bed.sim.RunUntil(0.3 + float64(numPorts)*probeGap + 1)
+	w, c := world("portscan.json", withSong(r, noisy))
+	ps := w.Apps[0].(*core.PortScan)
+	scan := c.Traffic[0]
+	end := scan.StartS + float64(scan.NumPorts)*scan.IntervalMs/1000
+	// Figure 4c/4d's raw material: the sweep at the controller
+	// microphone (the mel view shows the scan as a rising line).
+	sweep := recordAudio(w, scan.StartS, end+0.3)
+	runWorld(w)
 
 	r.row("scan raises an alert", "scan identified", len(ps.Alerts) > 0,
 		"%d alerts, first covering %d distinct ports", len(ps.Alerts), firstAlertPorts(ps))
 	r.row("sweep visible as a monotone frequency line", "clear log-line on mel spectrogram",
 		ps.SweepIsMonotone(), "monotone=%v over %d onsets", ps.SweepIsMonotone(), len(ps.Sweep))
-	coverage := float64(len(ps.Sweep)) / float64(numPorts)
+	coverage := float64(len(ps.Sweep)) / float64(scan.NumPorts)
 	r.row("probe coverage", "every scanned port heard", coverage >= 0.85,
-		"%.0f%% of %d probes", coverage*100, numPorts)
+		"%.0f%% of %d probes", coverage*100, scan.NumPorts)
 
 	var xs, ys []float64
 	for _, d := range ps.Sweep {
@@ -160,10 +97,7 @@ func portScanExperiment(id, title string, noisy bool) *Result {
 		ys = append(ys, d.Frequency)
 	}
 	r.addSeries("heard port-tone sweep (Hz over time)", xs, ys)
-	// Figure 4c/4d's raw material: the sweep at the controller
-	// microphone (the mel view shows the scan as a rising line).
-	r.attachAudio("port-scan sweep at the controller microphone",
-		bed.mic.Capture(0.3, 0.3+float64(numPorts)*probeGap+0.3))
+	r.attachAudio("port-scan sweep at the controller microphone", sweep)
 	return r
 }
 

@@ -1,50 +1,22 @@
 package experiments
 
 import (
-	"mdn/internal/acoustic"
 	"mdn/internal/core"
-	"mdn/internal/mp"
-	"mdn/internal/netsim"
-	"mdn/internal/openflow"
+	"mdn/internal/scenario"
 )
 
-// Fig5ab reproduces Figure 5a-b: music-defined load balancing. The
-// source ramps its rate over the rhombus's single (upper) path; the
-// switch plays queue tones every 300 ms; when the controller hears
-// the congested tone it installs a Flow-MOD splitting traffic across
-// both paths, and the queue drains back below the high watermark.
+// Fig5ab reproduces Figure 5a-b: music-defined load balancing, on the
+// shipped scenarios/loadbalance.json rhombus. The source ramps its
+// rate over the single (upper) path; the switch plays queue tones
+// every 300 ms; when the controller hears the congested tone it
+// installs a Flow-MOD splitting traffic across both paths, and the
+// queue drains back below the high watermark.
 func Fig5ab() *Result {
 	r := &Result{ID: "fig5ab", Title: "Music-defined load balancing on the rhombus"}
-	const (
-		sampleRate = 44100.0
-		duration   = 12.0
-	)
-	sim := netsim.NewSim()
-	room := acoustic.NewRoom(sampleRate, 55)
-	mic := room.AddMicrophone("controller", acoustic.Position{}, 0.0005)
-
-	rh := netsim.NewRhombusLinks(sim,
-		netsim.LinkSpec{RateBps: 1e7, Latency: 0.0001, QueueCap: 400},
-		netsim.LinkSpec{RateBps: 1e6, Latency: 0.0001, QueueCap: 400})
-	sp := room.AddSpeaker("s1", acoustic.Position{X: 1})
-	voice := core.NewVoice(sim, mp.NewSounder(mp.NewPi(sim, sp, 0.002)))
-	qm := core.NewQueueMonitorWithTones(rh.S1, 2, voice, core.DefaultQueueFrequencies)
-	ch := openflow.NewChannel(sim, rh.S1, 0.005)
-	lb := core.NewLoadBalancer(qm, ch, openflow.FlowMod{
-		Command:  openflow.FlowAdd,
-		Priority: 10,
-		Match:    netsim.Match{Dst: rh.H2.Addr},
-		Action:   netsim.Split(2, 3),
-	})
-	ctrl := core.NewController(sim, mic, core.NewDetector(core.MethodGoertzel, qm.Frequencies()))
-	ctrl.SubscribeWindows(qm.HandleWindow)
-	ctrl.SubscribeWindows(lb.HandleWindow)
-	qm.StartSwitchSide(sim, 0.05)
-	ctrl.Start(0)
-
-	flow := netsim.FiveTuple{Src: rh.H1.Addr, Dst: rh.H2.Addr, SrcPort: 1, DstPort: 2, Proto: netsim.ProtoUDP}
-	netsim.StartRamp(sim, rh.H1, flow, 40, 150, 1500, 0.2, duration)
-	sim.RunUntil(duration)
+	w, _ := world("loadbalance.json", nil)
+	b := w.Apps[0].(scenario.Balancer)
+	qm, lb := b.QueueMonitor, b.LoadBalancer
+	runWorld(w)
 
 	var preMax, postMax float64
 	for _, s := range qm.QueueSeries {
@@ -58,6 +30,7 @@ func Fig5ab() *Result {
 			}
 		}
 	}
+	s2, s3 := w.Switches["s2"], w.Switches["s3"]
 	r.row("congestion tone triggers a Flow-MOD", "split installed when 700 Hz heard",
 		lb.Triggered, "triggered=%v at t=%.2f s", lb.Triggered, lb.TriggeredAt)
 	r.row("queue exceeded high watermark before the split", "> 75 packets", preMax > 75,
@@ -65,55 +38,26 @@ func Fig5ab() *Result {
 	r.row("queue stabilises below watermark after the split", "queue drains", postMax <= 75,
 		"max %d packets (t > trigger+2s)", int(postMax))
 	r.row("lower path carries traffic after the split", "traffic balanced across two routes",
-		rh.S3.RxPackets > 0, "%d packets via s3, %d via s2", rh.S3.RxPackets, rh.S2.RxPackets)
+		s3.RxPackets > 0, "%d packets via s3, %d via s2", s3.RxPackets, s2.RxPackets)
 
-	var qx, qy []float64
-	for _, s := range qm.QueueSeries {
-		qx = append(qx, s.Time)
-		qy = append(qy, s.Value)
-	}
-	r.addSeries("s1 upper-path queue length (packets)", qx, qy)
-	var tx, ty []float64
-	for _, h := range qm.Heard {
-		tx = append(tx, h.Time)
-		ty = append(ty, core.DefaultQueueFrequencies[h.Level])
-	}
-	r.addSeries("controller-heard queue tones (Hz)", tx, ty)
+	r.Series = append(r.Series, queueSeries("s1 upper-path queue length (packets)", qm),
+		heardTones("controller-heard queue tones (Hz)", qm))
 	return r
 }
 
-// Fig5cd reproduces Figure 5c-d: queue-size monitoring. Traffic ramps
-// through a single switch and stops; the switch plays 500/600/700 Hz
-// by occupancy every 300 ms and the controller's decoded levels track
-// the tc-measured queue, returning to 500 Hz after the drain.
+// Fig5cd reproduces Figure 5c-d: queue-size monitoring, on the shipped
+// scenarios/loadpath.json bottleneck. Traffic ramps through a single
+// switch and stops; the switch plays its low/mid/high tone by
+// occupancy every 300 ms and the controller's decoded levels track
+// the tc-measured queue, returning to the low tone after the drain.
 func Fig5cd() *Result {
 	r := &Result{ID: "fig5cd", Title: "Queue-size monitoring (500/600/700 Hz)"}
-	const (
-		sampleRate = 44100.0
-		duration   = 10.0
-	)
-	sim := netsim.NewSim()
-	room := acoustic.NewRoom(sampleRate, 56)
-	mic := room.AddMicrophone("controller", acoustic.Position{}, 0.0005)
-
-	h1 := netsim.NewHost(sim, "h1", netsim.MustAddr("10.0.0.1"))
-	h2 := netsim.NewHost(sim, "h2", netsim.MustAddr("10.0.0.2"))
-	sw := netsim.NewSwitch(sim, "s1")
-	netsim.Connect(sim, h1, 1, sw, 1, 1e9, 0.0001, 0)
-	netsim.Connect(sim, sw, 2, h2, 1, 1e6, 0.0001, 200)
-	sw.InstallRule(netsim.Rule{Priority: 1, Match: netsim.Match{Dst: h2.Addr}, Action: netsim.Output(2)})
-
-	sp := room.AddSpeaker("s1", acoustic.Position{X: 1})
-	voice := core.NewVoice(sim, mp.NewSounder(mp.NewPi(sim, sp, 0.002)))
-	qm := core.NewQueueMonitorWithTones(sw, 2, voice, core.DefaultQueueFrequencies)
-	ctrl := core.NewController(sim, mic, core.NewDetector(core.MethodGoertzel, qm.Frequencies()))
-	ctrl.SubscribeWindows(qm.HandleWindow)
-	qm.StartSwitchSide(sim, 0.05)
-	ctrl.Start(0)
-
-	flow := netsim.FiveTuple{Src: h1.Addr, Dst: h2.Addr, SrcPort: 1, DstPort: 2, Proto: netsim.ProtoUDP}
-	netsim.StartRamp(sim, h1, flow, 50, 300, 1500, 0.2, 4.5)
-	sim.RunUntil(duration)
+	w, c := world("loadpath.json", nil)
+	qm := w.Apps[0].(*core.QueueMonitor)
+	// Figure 5d's raw material: the low→mid→high→…→low staircase at
+	// the controller microphone.
+	staircase := recordAudio(w, 0, c.DurationS)
+	runWorld(w)
 
 	levels := qm.HeardLevels()
 	sawHigh := false
@@ -154,22 +98,28 @@ func Fig5cd() *Result {
 	r.row("decoded levels match tc-measured occupancy", "controller knows the queue range",
 		acc >= 0.9, "%.0f%% agreement over %d tones", acc*100, total)
 
-	var qx, qy []float64
-	for _, s := range qm.QueueSeries {
-		qx = append(qx, s.Time)
-		qy = append(qy, s.Value)
-	}
-	r.addSeries("queue length (packets)", qx, qy)
-	var hx, hy []float64
-	for _, h := range qm.Heard {
-		hx = append(hx, h.Time)
-		hy = append(hy, core.DefaultQueueFrequencies[h.Level])
-	}
-	r.addSeries("heard tones (Hz)", hx, hy)
-	// Figure 5d's raw material: the 500→600→700→…→500 staircase at
-	// the controller microphone.
-	r.attachAudio("queue tones at the controller microphone", mic.Capture(0, duration))
+	r.Series = append(r.Series, queueSeries("queue length (packets)", qm), heardTones("heard tones (Hz)", qm))
+	r.attachAudio("queue tones at the controller microphone", staircase)
 	return r
+}
+
+// queueSeries plots a monitor's switch-side occupancy samples.
+func queueSeries(name string, qm *core.QueueMonitor) Series {
+	s := Series{Name: name}
+	for _, q := range qm.QueueSeries {
+		s.X, s.Y = append(s.X, q.Time), append(s.Y, q.Value)
+	}
+	return s
+}
+
+// heardTones plots the tone of each level the controller decoded.
+func heardTones(name string, qm *core.QueueMonitor) Series {
+	s := Series{Name: name}
+	tones := qm.Frequencies()
+	for _, h := range qm.Heard {
+		s.X, s.Y = append(s.X, h.Time), append(s.Y, tones[h.Level])
+	}
+	return s
 }
 
 func levelNameOrNone(levels []int, i int) string {

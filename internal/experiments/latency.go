@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"mdn/internal/acoustic"
-	"mdn/internal/core"
-	"mdn/internal/mp"
 	"mdn/internal/netsim"
 	"mdn/internal/openflow"
+	"mdn/internal/scenario"
 )
 
 // ExtControlLatency quantifies the price of the sound channel: the
@@ -23,45 +21,28 @@ func ExtControlLatency() *Result {
 	r := &Result{ID: "ext-latency", Title: "Control-loop latency: sound channel vs in-band"}
 	const trials = 5
 
+	// The MDN loop runs scenarios/controlloop.json, one seed a trial:
+	// a 200 pps flow into a 1 Mbps port, and a balancer whose rule
+	// drops the flow once it hears the congested tone. The event is
+	// the queue crossing 75 packets, found from the ground-truth
+	// series afterwards; it ends when the rule, sent once the window
+	// that heard the congested tone is analysed, reaches the switch.
 	runMDN := func(seed int64) float64 {
-		sim := netsim.NewSim()
-		room := acoustic.NewRoom(44100, seed)
-		mic := room.AddMicrophone("controller", acoustic.Position{}, 0.0005)
-		h1 := netsim.NewHost(sim, "h1", netsim.MustAddr("10.0.0.1"))
-		h2 := netsim.NewHost(sim, "h2", netsim.MustAddr("10.0.0.2"))
-		sw := netsim.NewSwitch(sim, "s1")
-		netsim.Connect(sim, h1, 1, sw, 1, 1e9, 0.0001, 0)
-		netsim.Connect(sim, sw, 2, h2, 1, 1e6, 0.0001, 300)
-		sw.InstallRule(netsim.Rule{Priority: 1, Match: netsim.Match{Dst: h2.Addr}, Action: netsim.Output(2)})
-		sp := room.AddSpeaker("s1", acoustic.Position{X: 1})
-		voice := core.NewVoice(sim, mp.NewSounder(mp.NewPi(sim, sp, 0.002)))
-		qm := core.NewQueueMonitorWithTones(sw, 2, voice, core.DefaultQueueFrequencies)
-		ch := openflow.NewChannel(sim, sw, 0.005)
-		lb := core.NewLoadBalancer(qm, ch, openflow.FlowMod{
-			Command: openflow.FlowAdd, Priority: 10, Action: netsim.Drop(),
-		})
-		ctrl := core.NewController(sim, mic, core.NewDetector(core.MethodGoertzel, qm.Frequencies()))
-		ctrl.SubscribeWindows(qm.HandleWindow)
-		ctrl.SubscribeWindows(lb.HandleWindow)
-		qm.StartSwitchSide(sim, 0.05)
-		ctrl.Start(0)
-
-		// Event: the queue crosses 75 packets. Find the crossing
-		// time from the ground-truth series afterwards.
-		flow := netsim.FiveTuple{Src: h1.Addr, Dst: h2.Addr, SrcPort: 1, DstPort: 2, Proto: netsim.ProtoUDP}
-		netsim.StartCBR(sim, h1, flow, 200, 1500, 0.2, 8)
-		sim.RunUntil(8)
+		w, _ := world("controlloop.json", func(c *scenario.Config) { c.Seed = seed })
+		b := w.Apps[0].(scenario.Balancer)
+		runWorld(w)
 		var crossed float64 = -1
-		for _, s := range qm.QueueSeries {
+		for _, s := range b.QueueSeries {
 			if s.Value > 75 {
 				crossed = s.Time
 				break
 			}
 		}
-		if crossed < 0 || !lb.Triggered {
+		lb := b.LoadBalancer
+		if crossed < 0 || !lb.Installed {
 			return -1
 		}
-		return lb.TriggeredAt + 0.005 - crossed // + control latency to apply
+		return lb.InstalledAt + lb.Programmer().Channel().Latency - crossed
 	}
 
 	runInband := func(seed int64) float64 {

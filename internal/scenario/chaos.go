@@ -297,7 +297,11 @@ func chaosConfig(name string, seed int64, drop, dur, streamHop float64) *Config 
 // switches commanded.
 func chaosRun(c *Config, reg *telemetry.Registry) ChaosPoint {
 	p := &probe{onsets: core.NewOnsetFilter()}
-	rep, err := run(c, reg, p)
+	w, err := build(c, reg, p)
+	var rep *Report
+	if err == nil {
+		rep, err = w.Run()
+	}
 	if err != nil {
 		return ChaosPoint{Notes: "setup failed: " + err.Error()}
 	}

@@ -2,7 +2,8 @@
 // described declaratively in JSON: an acoustic room, a switch/host
 // topology, MDN applications, traffic, and background noise. It is
 // the adoption surface of the library — cmd/mdnsim feeds it a file
-// and prints the resulting report.
+// and prints the resulting report, and the paper's network figures
+// observe the worlds Build returns.
 package scenario
 
 import (

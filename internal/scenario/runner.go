@@ -102,22 +102,54 @@ type AppReport struct {
 	Failures uint64 `json:"failures,omitempty"`
 }
 
-// balancer is a loadbalance app: its queue monitor decodes each
-// window before the balancer acts on the levels heard.
-type balancer struct {
+// Balancer is a deployed loadbalance app: its queue monitor decodes
+// each window before the load balancer acts on the levels heard.
+type Balancer struct {
 	*core.QueueMonitor
-	lb *core.LoadBalancer
+	LoadBalancer *core.LoadBalancer
 }
 
-func (b balancer) HandleWindow(start float64, dets []core.Detection) {
+// HandleWindow feeds the window to the monitor, then the balancer.
+func (b Balancer) HandleWindow(start float64, dets []core.Detection) {
 	b.QueueMonitor.HandleWindow(start, dets)
-	b.lb.HandleWindow(start, dets)
+	b.LoadBalancer.HandleWindow(start, dets)
+}
+
+// World is a built scenario, ready to run once. Its exported fields
+// name what a caller may observe: schedule samplers on Sim before Run,
+// read hosts, switches and app state after it.
+type World struct {
+	// Sim is the world's event simulator.
+	Sim *netsim.Sim
+	// Mic is the controller's primary microphone, at the origin.
+	Mic *acoustic.Microphone
+	// Hosts and Switches are the topology, by config name.
+	Hosts    map[string]*netsim.Host
+	Switches map[string]*netsim.Switch
+	// Apps are the deployed applications in config order. Heartbeat
+	// entries are the exception: they register with one shared
+	// *core.Heartbeat, appended last. A loadbalance entry is a
+	// Balancer.
+	Apps []core.App
+
+	cfg     *Config
+	appCfgs []AppConfig // Apps[i]'s config entry
+	mgr     *core.Manager
+	voices  map[string]*core.Voice
+	fleet   *core.Fleet
+	stream  *core.StreamController
+	probe   *probe
+	ran     bool
 }
 
 // Run executes the scenario and returns its report.
 func Run(c *Config) (*Report, error) {
 	reg := telemetry.New()
-	rep, err := run(c, reg, nil)
+	w, err := build(c, reg, nil)
+	if err != nil {
+		return nil, err
+	}
+	rep, err := w.Run()
 	if err == nil {
 		snap := reg.Snapshot()
 		rep.Metrics = &snap
@@ -125,10 +157,13 @@ func Run(c *Config) (*Report, error) {
 	return rep, err
 }
 
-// run builds the scenario's world, records its telemetry into reg (nil
-// runs unmetered) and runs it. A non-nil probe subscribes after every
-// app and receives the voices' emission total at the end.
-func run(c *Config, reg *telemetry.Registry, probe *probe) (*Report, error) {
+// Build validates c and builds its world, unmetered.
+func Build(c *Config) (*World, error) { return build(c, nil, nil) }
+
+// build validates c and builds its world, recording telemetry into
+// reg (nil runs unmetered). A non-nil probe subscribes after every app
+// and receives the voices' emission total at the end of the run.
+func build(c *Config, reg *telemetry.Registry, probe *probe) (*World, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
@@ -211,11 +246,7 @@ func run(c *Config, reg *telemetry.Registry, probe *probe) (*Report, error) {
 		mgr.Ctrl.RegisterVoice(sc.Name, voices[sc.Name])
 		voices[sc.Name].Instrument(reg, sc.Name)
 	}
-	type deployed struct {
-		cfg AppConfig
-		app core.App
-	}
-	var apps []deployed
+	w := &World{Sim: sim, Mic: mic, Hosts: hostsByName, Switches: sws, cfg: c, mgr: mgr, voices: voices, probe: probe}
 	// A switch running a rule-installing app gets one OpenFlow channel,
 	// faulted like its sounder but on a stream of its own.
 	channels := make(map[string]*openflow.Channel)
@@ -309,7 +340,7 @@ func run(c *Config, reg *telemetry.Registry, probe *probe) (*Report, error) {
 				lb := core.NewLoadBalancer(qm, channel(ac.Switch), flowMod(*ac.Install))
 				lb.SetErrorLog(mgr.Ctrl.Errors)
 				lb.Programmer().Instrument(reg)
-				app = balancer{qm, lb}
+				app = Balancer{qm, lb}
 			}
 		case "ddos", "superspreader":
 			mode := core.ModeDDoSVictim
@@ -357,14 +388,14 @@ func run(c *Config, reg *telemetry.Registry, probe *probe) (*Report, error) {
 			taps[ac.Switch] = append(taps[ac.Switch], tap)
 		}
 		switchFreqs[ac.Switch] = append(switchFreqs[ac.Switch], app.Frequencies()...)
-		apps = append(apps, deployed{ac, app})
+		w.Apps, w.appCfgs = append(w.Apps, app), append(w.appCfgs, ac)
 	}
 	if hbUsed {
 		if err := mgr.Deploy(hb); err != nil {
 			return nil, err
 		}
 		hb.Instrument(reg, "controller")
-		apps = append(apps, deployed{AppConfig{Type: "heartbeat", Switch: "*"}, hb})
+		w.Apps, w.appCfgs = append(w.Apps, hb), append(w.appCfgs, AppConfig{Type: "heartbeat", Switch: "*"})
 	}
 	for name, fns := range taps {
 		fns := fns
@@ -382,12 +413,11 @@ func run(c *Config, reg *telemetry.Registry, probe *probe) (*Report, error) {
 	// recalibrate, deaf mics quarantine and rejoin, and periodically
 	// sounding speakers are fingerprinted for re-keying.
 	if len(extraMics) > 0 {
-		fleet := mgr.Ctrl.EnableFleet(0)
+		w.fleet = mgr.Ctrl.EnableFleet(0)
 		for _, m := range extraMics {
-			fleet.AddMicrophone(m)
+			w.fleet.AddMicrophone(m)
 		}
-		fleet.Instrument(reg)
-		defer fleet.Close()
+		w.fleet.Instrument(reg)
 	}
 	if len(extraMics) > 0 || len(c.DeviceFaults) > 0 {
 		mon := mgr.Ctrl.EnableDeviceMonitor()
@@ -404,13 +434,12 @@ func run(c *Config, reg *telemetry.Registry, probe *probe) (*Report, error) {
 			}
 		}
 	}
-	var stream *core.StreamController
 	if c.Stream {
 		hop := c.HopS
 		if hop == 0 {
 			hop = DefaultHopS
 		}
-		stream = mgr.StartStream(0, hop)
+		w.stream = mgr.StartStream(0, hop)
 	} else {
 		mgr.Start(0)
 	}
@@ -464,33 +493,46 @@ func run(c *Config, reg *telemetry.Registry, probe *probe) (*Report, error) {
 		src.Pos = acoustic.Position{X: nc.X, Y: nc.Y}
 		room.AddNoise(src)
 	}
+	return w, nil
+}
 
-	sim.RunUntil(c.DurationS)
-	if probe != nil {
-		for _, v := range voices {
-			probe.emitted += v.Emitted
+// Run runs the world for the config's duration and returns its report.
+// A world runs once.
+func (w *World) Run() (*Report, error) {
+	if w.ran {
+		return nil, fmt.Errorf("scenario: world %q already ran", w.cfg.Name)
+	}
+	w.ran = true
+	c, mgr := w.cfg, w.mgr
+	w.Sim.RunUntil(c.DurationS)
+	if w.fleet != nil {
+		w.fleet.Close()
+	}
+	if w.probe != nil {
+		for _, v := range w.voices {
+			w.probe.emitted += v.Emitted
 		}
 	}
 
-	// Build the report.
 	rep := &Report{Name: c.Name, DurationS: c.DurationS}
 	rep.WindowsAnalysed = mgr.Ctrl.Windows
 	rep.TonesDetected = mgr.Ctrl.Detections
 	var hostNames []string
-	for name := range hostsByName {
+	for name := range w.Hosts {
 		hostNames = append(hostNames, name)
 	}
 	sort.Strings(hostNames)
 	for _, name := range hostNames {
-		h := hostsByName[name]
+		h := w.Hosts[name]
 		rep.Hosts = append(rep.Hosts, HostReport{
 			Name: name, TxPackets: h.TxPackets, RxPackets: h.RxPackets,
 			TxBytes: h.TxBytes, RxBytes: h.RxBytes,
 		})
 	}
-	for _, d := range apps {
-		ar := AppReport{Type: d.cfg.Type, Switch: d.cfg.Switch}
-		switch app := d.app.(type) {
+	for i, app := range w.Apps {
+		ac := w.appCfgs[i]
+		ar := AppReport{Type: ac.Type, Switch: ac.Switch}
+		switch app := app.(type) {
 		case *core.HeavyHitter:
 			for _, r := range app.Reports {
 				ar.Events = append(ar.Events, fmt.Sprintf(
@@ -506,8 +548,8 @@ func run(c *Config, reg *telemetry.Registry, probe *probe) (*Report, error) {
 		case *core.PortKnock:
 			ar.Events = ruleEvents("open", app.Opened, app.OpenedAt, app.Installed, app.InstalledAt)
 			ar.flowCounters(app.Programmer())
-		case balancer:
-			lb := app.lb
+		case Balancer:
+			lb := app.LoadBalancer
 			ar.Events = append(ruleEvents("split", lb.Triggered, lb.TriggeredAt, lb.Installed, lb.InstalledAt),
 				heardLevels(app.QueueMonitor)...)
 			ar.flowCounters(lb.Programmer())
@@ -530,14 +572,14 @@ func run(c *Config, reg *telemetry.Registry, probe *probe) (*Report, error) {
 	if mon := mgr.Ctrl.DeviceMonitor(); mon != nil {
 		rep.Devices = mon.Snapshot()
 	}
-	if stream != nil {
+	if st := w.stream; st != nil {
 		rep.Stream = &StreamReport{
-			HopS:          stream.Hop(),
-			Hops:          stream.Hops,
-			Onsets:        stream.Onsets,
-			CaptureErrors: stream.CaptureErrors,
-			DetectP50:     stream.DetectLatency().Quantile(0.5),
-			DetectP99:     stream.DetectLatency().Quantile(0.99),
+			HopS:          st.Hop(),
+			Hops:          st.Hops,
+			Onsets:        st.Onsets,
+			CaptureErrors: st.CaptureErrors,
+			DetectP50:     st.DetectLatency().Quantile(0.5),
+			DetectP99:     st.DetectLatency().Quantile(0.99),
 		}
 	}
 	return rep, nil

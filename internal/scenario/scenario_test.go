@@ -616,8 +616,8 @@ func TestValidateRejectsBadSpreadApp(t *testing.T) {
 	}
 }
 
-// loadShipped runs one of the shipped scenarios/*.json.
-func loadShipped(t *testing.T, name string) *Report {
+// shippedConfig loads one of the shipped scenarios/*.json.
+func shippedConfig(t *testing.T, name string) *Config {
 	t.Helper()
 	f, err := os.Open("../../scenarios/" + name)
 	if err != nil {
@@ -628,11 +628,50 @@ func loadShipped(t *testing.T, name string) *Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(cfg)
+	return cfg
+}
+
+// loadShipped runs one of the shipped scenarios/*.json.
+func loadShipped(t *testing.T, name string) *Report {
+	t.Helper()
+	rep, err := Run(shippedConfig(t, name))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return rep
+}
+
+// TestBuildRunMatchesRun: a world from Build runs to the report Run
+// gives, less the metrics an unmetered world does not record; it
+// exposes the topology and the balancer's monitor and load balancer;
+// and it runs once.
+func TestBuildRunMatchesRun(t *testing.T) {
+	want := loadShipped(t, "loadbalance.json")
+	want.Metrics = nil
+	w, err := Build(shippedConfig(t, "loadbalance.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := w.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Build+Run report differs from Run:\n%+v\n%+v", got, want)
+	}
+	b, ok := w.Apps[0].(Balancer)
+	if !ok || len(w.Apps) != 1 {
+		t.Fatalf("apps = %T", w.Apps)
+	}
+	if !b.LoadBalancer.Installed || len(b.QueueSeries) == 0 {
+		t.Errorf("balancer installed=%v after %d queue samples", b.LoadBalancer.Installed, len(b.QueueSeries))
+	}
+	if w.Switches["s3"].RxPackets == 0 || w.Hosts["h2"].RxPackets == 0 {
+		t.Error("no traffic over the lower path to h2")
+	}
+	if _, err := w.Run(); err == nil {
+		t.Error("a second Run of one world was accepted")
+	}
 }
 
 // ruleTimes reads an app row's "t=…s <rule> rule sent|installed"
