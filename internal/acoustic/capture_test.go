@@ -1,6 +1,7 @@
 package acoustic
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -91,8 +92,8 @@ func TestCaptureIntoMatchesCapture(t *testing.T) {
 // TestCaptureSplitInvariant pins what keeps streaming captures equal to
 // batch ones: with self-noise on, capturing [a, c) gives the same
 // samples, bit for bit, as capturing [a, b) and [b, c) and
-// concatenating, for split points b off the tone-synthesis block grid.
-// It holds for a microphone whose noise floor ramps up and back down
+// concatenating, for split points b off the tone-synthesis block grid
+// and on a superblock boundary of a tone (its 1024th sample). It holds for a microphone whose noise floor ramps up and back down
 // inside the span, splits landing before, inside and after the ramps,
 // for one whose sensitivity ramps, and for a CullAuto room whose
 // microphone's cull floor a noise ramp moves past a tone's level.
@@ -108,7 +109,12 @@ func TestCaptureSplitInvariant(t *testing.T) {
 	const a, c = 2205, 24255 // samples: [50 ms, 550 ms)
 	for _, mic := range []*Microphone{hiss, ramped} {
 		want := mic.Capture(a/sr, c/sr)
-		for _, b := range []int{a + 1, a + 441, a + 441 + 13, a + 1000, 13337, 18500, 19000, c - 1} {
+		arrive, ok := mic.LatestArrivalBefore(2345.6, 0.1, 1)
+		if !ok {
+			t.Fatalf("%s: the 2345.6 Hz tone never arrives", mic.Name)
+		}
+		super := int(math.Round(arrive*sr)) + 1024
+		for _, b := range []int{a + 1, a + 441, a + 441 + 13, a + 1000, super, 13337, 18500, 19000, c - 1} {
 			head := mic.Capture(a/sr, float64(b)/sr)
 			tail := mic.Capture(float64(b)/sr, c/sr)
 			got := append(head.Samples, tail.Samples...)

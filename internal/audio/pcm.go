@@ -47,30 +47,6 @@ func (b *Buffer) Duration() float64 {
 // Len returns the number of samples.
 func (b *Buffer) Len() int { return len(b.Samples) }
 
-// Clone returns a deep copy.
-func (b *Buffer) Clone() *Buffer {
-	out := &Buffer{SampleRate: b.SampleRate, Samples: make([]float64, len(b.Samples))}
-	copy(out.Samples, b.Samples)
-	return out
-}
-
-// Slice returns the sub-buffer covering [from, to) in seconds, clamped
-// to the buffer bounds. The returned buffer shares storage with b.
-func (b *Buffer) Slice(from, to float64) *Buffer {
-	i := int(math.Round(from * b.SampleRate))
-	j := int(math.Round(to * b.SampleRate))
-	if i < 0 {
-		i = 0
-	}
-	if j > len(b.Samples) {
-		j = len(b.Samples)
-	}
-	if i > j {
-		i = j
-	}
-	return &Buffer{SampleRate: b.SampleRate, Samples: b.Samples[i:j]}
-}
-
 // MixAt adds src into b starting at the given offset in seconds,
 // scaled by gain. Samples of src falling outside b are dropped. It
 // returns b for chaining. MixAt panics when sample rates differ — the
@@ -129,31 +105,4 @@ func (b *Buffer) Normalize(target float64) *Buffer {
 		return b
 	}
 	return b.Gain(target / p)
-}
-
-// Clip limits every sample to [-limit, limit] in place, modelling
-// speaker or ADC saturation, and returns b.
-func (b *Buffer) Clip(limit float64) *Buffer {
-	for i, v := range b.Samples {
-		if v > limit {
-			b.Samples[i] = limit
-		} else if v < -limit {
-			b.Samples[i] = -limit
-		}
-	}
-	return b
-}
-
-// LevelDB returns the RMS level of the buffer in dB relative to the
-// given reference amplitude (20*log10(rms/ref)), with a -120 dB floor.
-func (b *Buffer) LevelDB(ref float64) float64 {
-	rms := b.RMS()
-	if rms <= 0 || ref <= 0 {
-		return -120
-	}
-	db := 20 * math.Log10(rms/ref)
-	if db < -120 {
-		db = -120
-	}
-	return db
 }

@@ -28,33 +28,6 @@ func TestNewBufferPanicsOnBadRate(t *testing.T) {
 	NewBuffer(0, 1)
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	b := NewBuffer(8000, 0.01)
-	b.Samples[0] = 1
-	c := b.Clone()
-	c.Samples[0] = 2
-	if b.Samples[0] != 1 {
-		t.Error("Clone shares storage")
-	}
-}
-
-func TestSliceClamping(t *testing.T) {
-	b := NewBuffer(1000, 1)
-	for i := range b.Samples {
-		b.Samples[i] = float64(i)
-	}
-	s := b.Slice(0.1, 0.2)
-	if s.Len() != 100 || s.Samples[0] != 100 {
-		t.Errorf("slice len=%d first=%g", s.Len(), s.Samples[0])
-	}
-	if b.Slice(-1, 99).Len() != 1000 {
-		t.Error("out-of-range slice should clamp to whole buffer")
-	}
-	if b.Slice(0.9, 0.1).Len() != 0 {
-		t.Error("inverted slice should be empty")
-	}
-}
-
 func TestMixAtOffsets(t *testing.T) {
 	dst := NewBuffer(1000, 1)
 	src := NewBuffer(1000, 0.1)
@@ -125,32 +98,5 @@ func TestNormalizeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestClip(t *testing.T) {
-	b := &Buffer{SampleRate: 100, Samples: []float64{-3, -0.5, 0, 0.5, 3}}
-	b.Clip(1)
-	want := []float64{-1, -0.5, 0, 0.5, 1}
-	for i, v := range want {
-		if b.Samples[i] != v {
-			t.Errorf("clip[%d] = %g, want %g", i, b.Samples[i], v)
-		}
-	}
-}
-
-func TestLevelDB(t *testing.T) {
-	b := &Buffer{SampleRate: 100, Samples: make([]float64, 100)}
-	if db := b.LevelDB(1); db != -120 {
-		t.Errorf("silent level = %g, want -120", db)
-	}
-	for i := range b.Samples {
-		b.Samples[i] = 1
-	}
-	if db := b.LevelDB(1); math.Abs(db) > 1e-9 {
-		t.Errorf("unit DC level = %g, want 0", db)
-	}
-	if db := b.LevelDB(0.1); math.Abs(db-20) > 1e-9 {
-		t.Errorf("level re 0.1 = %g, want 20", db)
 	}
 }

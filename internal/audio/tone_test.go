@@ -68,37 +68,6 @@ func TestChordContainsAllTones(t *testing.T) {
 	}
 }
 
-func TestSequenceTiming(t *testing.T) {
-	const sr = 44100.0
-	b := Sequence(sr, 0.05,
-		Tone{Frequency: 500, Duration: 0.1, Amplitude: 1},
-		Tone{Frequency: 900, Duration: 0.1, Amplitude: 1},
-	)
-	if math.Abs(b.Duration()-0.25) > 1e-3 {
-		t.Errorf("sequence duration = %g, want 0.25", b.Duration())
-	}
-	// First segment is 500 Hz, second is 900 Hz.
-	first := b.Slice(0.02, 0.08)
-	second := b.Slice(0.17, 0.23)
-	if dsp.Goertzel(first.Samples, 500, sr) < 10*dsp.Goertzel(first.Samples, 900, sr) {
-		t.Error("first segment should be 500 Hz")
-	}
-	if dsp.Goertzel(second.Samples, 900, sr) < 10*dsp.Goertzel(second.Samples, 500, sr) {
-		t.Error("second segment should be 900 Hz")
-	}
-	// Gap is silent.
-	gap := b.Slice(0.11, 0.14)
-	if gap.RMS() > 1e-6 {
-		t.Errorf("gap rms = %g, want silence", gap.RMS())
-	}
-}
-
-func TestSequenceEmpty(t *testing.T) {
-	if Sequence(44100, 0.1).Len() != 0 {
-		t.Error("empty sequence should be empty")
-	}
-}
-
 // TestToneKernelDeviationBound pins the block-anchored synthesis error:
 // every sample stays within 1e-9·Amplitude of the per-sample
 // Amplitude·sin(ω·i+φ) (times the same ramp where the envelope is on),
@@ -145,7 +114,9 @@ func TestToneKernelDeviationBound(t *testing.T) {
 // relies on: mixing a tone into consecutive chunks of a timeline, of
 // any length and with the tone starting before, inside or after the
 // first chunk, adds bit-identical samples to one call over the whole
-// timeline.
+// timeline. Chunks of toneSuper±1 samples, a chunk entering one block
+// before a superblock boundary, and windows deep inside a 30 s tone
+// check that an anchor never depends on where a call starts.
 func TestToneKernelChunkInvariant(t *testing.T) {
 	const sr = 44100.0
 	tones := []Tone{
@@ -157,22 +128,71 @@ func TestToneKernelChunkInvariant(t *testing.T) {
 	const span = 13230 // 300 ms of timeline
 	for _, tone := range tones {
 		for _, toneStart := range []int{0, 5, -1000, -4409, 2205} {
-			want := &Buffer{SampleRate: sr, Samples: make([]float64, span)}
-			tone.MixEnvelopeAt(want, float64(toneStart)/sr, DefaultEnvelope)
-			for _, chunk := range []int{1, 31, 33, 441, 1000, 2205} {
-				var got []float64
-				for from := 0; from < span; from += chunk {
-					c := &Buffer{SampleRate: sr, Samples: make([]float64, min(chunk, span-from))}
-					tone.MixEnvelopeAt(c, float64(toneStart-from)/sr, DefaultEnvelope)
-					got = append(got, c.Samples...)
+			want := mixCuts(tone, toneStart, span, nil)
+			for _, chunk := range []int{1, 31, 33, 441, 1000, toneSuper - 1, toneSuper, toneSuper + 1, 2205} {
+				var cuts []int
+				for from := chunk; from < span; from += chunk {
+					cuts = append(cuts, from)
 				}
-				for i := range want.Samples {
-					if got[i] != want.Samples[i] {
-						t.Fatalf("%+v start %d chunk %d: sample %d = %x, want %x",
-							tone, toneStart, chunk, i, got[i], want.Samples[i])
-					}
-				}
+				sameSamples(t, mixCuts(tone, toneStart, span, cuts), want, "%+v start %d chunk %d", tone, toneStart, chunk)
 			}
+			// The second call enters one block before the first
+			// superblock boundary the timeline holds.
+			b := toneSuper
+			for toneStart+b-toneBlock <= 0 {
+				b += toneSuper
+			}
+			cut := []int{toneStart + b - toneBlock}
+			sameSamples(t, mixCuts(tone, toneStart, span, cut), want, "%+v start %d cut %v", tone, toneStart, cut)
+		}
+	}
+
+	// Windows of a 30 s, 20 kHz tone that start mid-superblock, one of
+	// them running into the release ramp, equal the same samples of
+	// the whole tone rendered in one call.
+	long := Tone{Frequency: 20000, Duration: 30, Amplitude: 0.5, Phase: 0.7}
+	whole := long.RenderEnvelope(sr, DefaultEnvelope).Samples
+	for _, from := range []int{29*44100 + 517, len(whole) - 4410} {
+		if from%toneSuper == 0 {
+			t.Fatalf("window at %d starts on a superblock boundary", from)
+		}
+		for _, chunk := range []int{441, 1000, 4410} {
+			var cuts []int
+			for c := chunk; c < 4410; c += chunk {
+				cuts = append(cuts, c)
+			}
+			got := mixCuts(long, -from, 4410, cuts)
+			sameSamples(t, got, whole[from:from+4410], "30 s tone from %d chunk %d", from, chunk)
+		}
+	}
+}
+
+// mixCuts mixes tone, starting at timeline sample toneStart, into a
+// silent span-sample timeline, one MixEnvelopeAt call per piece between
+// the cut points.
+func mixCuts(tone Tone, toneStart, span int, cuts []int) []float64 {
+	const sr = 44100.0
+	out := make([]float64, 0, span)
+	from := 0
+	for _, to := range append(cuts, span) {
+		c := &Buffer{SampleRate: sr, Samples: make([]float64, to-from)}
+		tone.MixEnvelopeAt(c, float64(toneStart-from)/sr, DefaultEnvelope)
+		out = append(out, c.Samples...)
+		from = to
+	}
+	return out
+}
+
+// sameSamples fails the test at the first sample where got and want
+// differ in any bit.
+func sameSamples(t *testing.T, got, want []float64, format string, args ...any) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf(format+": %d samples, want %d", append(args, len(got), len(want))...)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf(format+": sample %d = %x, want %x", append(args, i, got[i], want[i])...)
 		}
 	}
 }
