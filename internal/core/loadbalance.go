@@ -28,12 +28,16 @@ type LoadBalancer struct {
 
 	// Triggered reports whether the split rule was sent.
 	Triggered bool
-	// TriggeredAt is the virtual time of the trigger.
+	// TriggeredAt is when the split rule was sent: the virtual time the
+	// window that heard the congested tone was analysed, one window
+	// after that window's start.
 	TriggeredAt float64
 	// Triggers counts congestion tones acted upon.
 	Triggers uint64
 	// Installed reports the split rule confirmed through the channel
-	// (possibly after retries); InstalledAt is when.
+	// (possibly after retries); InstalledAt is when it lands on the
+	// switch, the channel's Latency after the confirmed send (fault
+	// jitter not included).
 	Installed   bool
 	InstalledAt float64
 	// ProgramFailures counts terminal flow-programming failures.
@@ -57,7 +61,7 @@ func NewLoadBalancer(qm *QueueMonitor, ch *openflow.Channel, splitRule openflow.
 			return
 		}
 		lb.Installed = true
-		lb.InstalledAt = ch.Sim().Now()
+		lb.InstalledAt = ch.Sim().Now() + ch.Latency
 	}
 	return lb
 }
@@ -92,7 +96,7 @@ func (lb *LoadBalancer) HandleWindow(_ float64, dets []Detection) {
 		}
 		lb.Triggers++
 		lb.Triggered = true
-		lb.TriggeredAt = det.Time
+		lb.TriggeredAt = lb.prog.Channel().Sim().Now()
 		if err := lb.prog.Install(lb.SplitRule); err != nil {
 			lb.recordFailure(err)
 		}

@@ -38,7 +38,9 @@ type PortKnock struct {
 	// OpenedAt is when the rule was sent (valid when Opened).
 	OpenedAt float64
 	// Installed reports the open rule confirmed through the channel
-	// (possibly after retries); InstalledAt is when.
+	// (possibly after retries); InstalledAt is when it lands on the
+	// switch, the channel's Latency after the confirmed send (fault
+	// jitter not included).
 	Installed   bool
 	InstalledAt float64
 	// WrongKnocks counts sequence resets.
@@ -86,7 +88,7 @@ func NewPortKnock(plan *FrequencyPlan, switchName string, voice *Voice, ch *open
 			return
 		}
 		pk.Installed = true
-		pk.InstalledAt = ch.Sim().Now()
+		pk.InstalledAt = ch.Sim().Now() + ch.Latency
 	}
 	for i, p := range distinct {
 		pk.freqForPort[p] = freqs[i]

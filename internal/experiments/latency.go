@@ -42,7 +42,7 @@ func ExtControlLatency() *Result {
 		if crossed < 0 || !lb.Installed {
 			return -1
 		}
-		return lb.InstalledAt + lb.Programmer().Channel().Latency - crossed
+		return lb.InstalledAt - crossed
 	}
 
 	runInband := func(seed int64) float64 {
