@@ -53,11 +53,20 @@ type GoertzelPlan struct {
 	coeff []float64 // 2*cos(2*pi*f/rate) per frequency, padded to whole blocks
 }
 
-// goertzelBlock is how many resonators MagnitudesInto advances
-// together. Six measured best over 3- to 130-tone banks on amd64:
+// goertzelLanes is how many resonators one pass of the amd64 AVX2
+// kernel advances: six YMM state pairs of four float64 lanes each. The
+// plan pads its coefficients to whole blocks of this width, which is
+// also a whole number of goertzelBlock blocks.
+const goertzelLanes = 24
+
+// goertzelBlock is how many resonators the portable Go kernel
+// advances per pass over the samples. Each resonator step is a
+// dependent multiply, add and subtract, so speed comes from
+// independent chains, and six state pairs are about what the sixteen
+// scalar SSE registers hold beside a sample and a temporary. On amd64
 // five was 15-45 % slower from 12 tones up, and eight, 8 % faster at
-// 130 tones, was about 40 % slower at 3 and 12, where most of its
-// lanes are padding.
+// 130 tones, was about 40 % slower at 3 and 12 tones, where most of
+// its lanes are padding.
 const goertzelBlock = 6
 
 // NewGoertzelPlan builds a plan for the given frequencies at
@@ -67,7 +76,7 @@ func NewGoertzelPlan(freqs []float64, sampleRate float64) *GoertzelPlan {
 	g := &GoertzelPlan{
 		SampleRate: sampleRate,
 		n:          n,
-		coeff:      make([]float64, (n+goertzelBlock-1)/goertzelBlock*goertzelBlock),
+		coeff:      make([]float64, (n+goertzelLanes-1)/goertzelLanes*goertzelLanes),
 	}
 	for i, f := range freqs {
 		g.coeff[i] = 2 * math.Cos(2*math.Pi*f/sampleRate)
@@ -84,13 +93,11 @@ func NewGoertzelPlan(freqs []float64, sampleRate float64) *GoertzelPlan {
 // (reusing its capacity). Results are bit-identical to Goertzel per
 // frequency.
 //
-// The resonators run in blocks of goertzelBlock with the sample loop
-// inside, so each block's state stays in registers for the whole
-// block of samples. Two samples per iteration let each state pair
-// (a, b) swap roles instead of moving: b = x + c*a - b is Goertzel's
-// s0 = x + c*s1 - s2, with the new s1 landing in b and the old s1 (now
-// s2) left in a. Each resonator thus runs Goertzel's float operations
-// in Goertzel's order.
+// On amd64 CPUs with AVX2 the resonators run 24 at a time through an
+// assembly kernel (goertzel_amd64.s); elsewhere, and on older CPUs,
+// through the portable kernel. Both run each resonator through
+// Goertzel's float operations in Goertzel's order, so the choice shows
+// only in wall time.
 func (g *GoertzelPlan) MagnitudesInto(dst []float64, samples []float64) []float64 {
 	dst = growFloat(dst, g.n)
 	if len(samples) == 0 || g.SampleRate <= 0 {
@@ -99,7 +106,42 @@ func (g *GoertzelPlan) MagnitudesInto(dst []float64, samples []float64) []float6
 		}
 		return dst
 	}
-	for j := 0; j < len(g.coeff); j += goertzelBlock {
+	if useAVX2 {
+		g.magnitudesAVX2(dst, samples)
+	} else {
+		g.magnitudesGo(dst, samples)
+	}
+	return dst
+}
+
+// magnitudesAVX2 runs the planned resonators through the AVX2 kernel,
+// one 24-lane block per call, and finishes each real lane's magnitude
+// here, dropping the padded lanes. dst has one slot per planned
+// frequency.
+func (g *GoertzelPlan) magnitudesAVX2(dst, samples []float64) {
+	var s1, s2 [goertzelLanes]float64
+	for j := 0; j < g.n; j += goertzelLanes {
+		c := (*[goertzelLanes]float64)(g.coeff[j : j+goertzelLanes])
+		goertzelAVX2(c, samples, &s1, &s2)
+		for i := range dst[j:min(j+goertzelLanes, g.n)] {
+			dst[j+i] = goertzelMagnitude(s1[i], s2[i], c[i])
+		}
+	}
+}
+
+// magnitudesGo is the portable kernel: the fallback where AVX2 is
+// missing and the reference the tests hold the AVX2 kernel to. dst has
+// one slot per planned frequency.
+//
+// The resonators run in blocks of goertzelBlock with the sample loop
+// inside, so each block's state stays in registers for the whole
+// block of samples. Two samples per iteration let each state pair
+// (a, b) swap roles instead of moving: b = x + c*a - b is Goertzel's
+// s0 = x + c*s1 - s2, with the new s1 landing in b and the old s1 (now
+// s2) left in a. Each resonator thus runs Goertzel's float operations
+// in Goertzel's order.
+func (g *GoertzelPlan) magnitudesGo(dst, samples []float64) {
+	for j := 0; j < g.n; j += goertzelBlock {
 		// Read the coefficients through the block's array inside the
 		// loop, not from locals: the compiler then reloads them from
 		// memory instead of holding them, which leaves the registers
@@ -143,7 +185,6 @@ func (g *GoertzelPlan) MagnitudesInto(dst []float64, samples []float64) []float6
 		}
 		copy(dst[j:], mags[:]) // drops the padded lanes
 	}
-	return dst
 }
 
 // GoertzelBank evaluates many frequencies over the same block through

@@ -177,39 +177,61 @@ func bankFreqs(n int) []float64 {
 	return freqs
 }
 
-// TestGoertzelPlanMatchesGoertzel checks the blocked bank bit for bit
+// TestGoertzelPlanMatchesGoertzel checks the planned bank bit for bit
 // against the per-frequency Goertzel and the sample-outer loop, over
-// watch counts that leave every partial-block width and sample counts
-// of both parities. One plan serves every trial, so no state may leak
-// from one block into the next.
+// watch counts that leave every partial width of the 24-lane block
+// (and so of the portable kernel's 6-lane one) and sample counts of
+// both parities. It checks the dispatched kernel — the AVX2 one on
+// amd64 CPUs that have it — and the portable kernel, called directly,
+// so the fallback stays tested on every host. One plan serves every
+// trial, so no state may leak from one block into the next.
 func TestGoertzelPlanMatchesGoertzel(t *testing.T) {
 	const sampleRate = 44100.0
+	t.Logf("dispatched kernel uses AVX2: %v", useAVX2)
 	x := randomReal(2205, 11)
-	for _, nf := range []int{0, 1, 2, 4, 5, 6, 7, 11, 130} {
+	watch := []int{0}
+	for nf := 1; nf <= 25; nf++ {
+		watch = append(watch, nf)
+	}
+	watch = append(watch, 47, 48, 49, 130, 145)
+	kernels := []struct {
+		name string
+		run  func(gp *GoertzelPlan, dst, block []float64) []float64
+	}{
+		{"dispatched", (*GoertzelPlan).MagnitudesInto},
+		{"portable", func(gp *GoertzelPlan, dst, block []float64) []float64 {
+			dst = growFloat(dst, gp.n)
+			gp.magnitudesGo(dst, block)
+			return dst
+		}},
+	}
+	for _, nf := range watch {
 		freqs := bankFreqs(nf)
 		gp := NewGoertzelPlan(freqs, sampleRate)
-		var got []float64
-		for trial := 0; trial < 2; trial++ {
-			for _, n := range []int{0, 1, 2, 3, 2204, 2205} {
-				block := x[:n]
-				got = gp.MagnitudesInto(got, block)
-				if len(got) != nf {
-					t.Fatalf("watch %d, %d samples: %d magnitudes", nf, n, len(got))
-				}
-				loop := sampleOuterMagnitudes(freqs, sampleRate, block)
-				for i, f := range freqs {
-					want := Goertzel(block, f, sampleRate)
-					if math.Float64bits(got[i]) != math.Float64bits(want) {
-						t.Fatalf("watch %d, %d samples, freq %g: bank %g, Goertzel %g", nf, n, f, got[i], want)
+		for _, k := range kernels {
+			var got []float64
+			for trial := 0; trial < 2; trial++ {
+				for _, n := range []int{0, 1, 2, 3, 2204, 2205} {
+					block := x[:n]
+					got = k.run(gp, got, block)
+					if len(got) != nf {
+						t.Fatalf("%s: watch %d, %d samples: %d magnitudes", k.name, nf, n, len(got))
 					}
-					if math.Float64bits(got[i]) != math.Float64bits(loop[i]) {
-						t.Fatalf("watch %d, %d samples, freq %g: bank %g, sample-outer loop %g", nf, n, f, got[i], loop[i])
+					loop := sampleOuterMagnitudes(freqs, sampleRate, block)
+					for i, f := range freqs {
+						want := Goertzel(block, f, sampleRate)
+						if math.Float64bits(got[i]) != math.Float64bits(want) {
+							t.Fatalf("%s: watch %d, %d samples, freq %g: bank %g, Goertzel %g", k.name, nf, n, f, got[i], want)
+						}
+						if math.Float64bits(got[i]) != math.Float64bits(loop[i]) {
+							t.Fatalf("%s: watch %d, %d samples, freq %g: bank %g, sample-outer loop %g", k.name, nf, n, f, got[i], loop[i])
+						}
 					}
 				}
 			}
 		}
 		bank := GoertzelBank(x, freqs, sampleRate)
-		got = gp.MagnitudesInto(got, x)
+		got := gp.MagnitudesInto(nil, x)
 		for i := range freqs {
 			if math.Float64bits(bank[i]) != math.Float64bits(got[i]) {
 				t.Fatalf("GoertzelBank[%d] = %g, plan = %g", i, bank[i], got[i])
