@@ -76,6 +76,13 @@ func (c *Channel) TrySendFlowMod(m FlowMod) (delivered bool, err error) {
 	if err != nil {
 		return false, fmt.Errorf("openflow: flow-mod: %w", err)
 	}
+	return c.sendWire(wire)
+}
+
+// sendWire is TrySendFlowMod for a Flow-MOD already marshalled by
+// MarshalFlowMod. It never writes to wire, so a caller may send the
+// same bytes again.
+func (c *Channel) sendWire(wire []byte) (delivered bool, err error) {
 	c.SentFlowMods++
 	wire, ok := c.faults.Mangle(wire)
 	if !ok {

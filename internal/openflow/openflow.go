@@ -192,13 +192,22 @@ func (m FlowMod) Validate() error {
 	return nil
 }
 
-// MarshalFlowMod encodes a Flow-MOD, or reports why it cannot ride the
-// wire format.
+// MarshalFlowMod encodes a Flow-MOD as one framed message, or reports
+// why it cannot ride the wire format. Header and payload share one
+// allocation.
 func MarshalFlowMod(m FlowMod) ([]byte, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	payload := make([]byte, 1+4+matchLen+16+1+1+len(m.Action.Ports)*4)
+	n := 1 + 4 + matchLen + 16 + 1 + 1 + len(m.Action.Ports)*4
+	if n > MaxPayload {
+		return nil, fmt.Errorf("%w: payload %d bytes, max %d", ErrTooLarge, n, MaxPayload)
+	}
+	out := make([]byte, headerLen+n)
+	binary.BigEndian.PutUint16(out[0:2], magic)
+	out[2] = byte(TypeFlowMod)
+	binary.BigEndian.PutUint16(out[3:5], uint16(n))
+	payload := out[headerLen:]
 	payload[0] = byte(m.Command)
 	binary.BigEndian.PutUint32(payload[1:5], uint32(m.Priority))
 	marshalMatch(payload[5:], m.Match)
@@ -211,18 +220,6 @@ func MarshalFlowMod(m FlowMod) ([]byte, error) {
 	for i, p := range m.Action.Ports {
 		binary.BigEndian.PutUint32(payload[off+2+i*4:], uint32(p))
 	}
-	return frame(TypeFlowMod, payload)
-}
-
-func frame(t MessageType, payload []byte) ([]byte, error) {
-	if len(payload) > MaxPayload {
-		return nil, fmt.Errorf("%w: payload %d bytes, max %d", ErrTooLarge, len(payload), MaxPayload)
-	}
-	out := make([]byte, headerLen+len(payload))
-	binary.BigEndian.PutUint16(out[0:2], magic)
-	out[2] = byte(t)
-	binary.BigEndian.PutUint16(out[3:5], uint16(len(payload)))
-	copy(out[headerLen:], payload)
 	return out, nil
 }
 

@@ -316,6 +316,16 @@ func TestFlowModWireBytes(t *testing.T) {
 	}
 }
 
+// TestMarshalFlowModAllocs: header and payload share one allocation.
+func TestMarshalFlowModAllocs(t *testing.T) {
+	m := FlowMod{Command: FlowAdd, Priority: 7, Action: netsim.Split(2, 3), HardTimeout: 10,
+		Match: netsim.Match{Dst: netsim.MustAddr("10.0.0.2"), DstPort: 80, Proto: netsim.ProtoTCP}}
+	allocs := testing.AllocsPerRun(100, func() { must(MarshalFlowMod(m)) })
+	if allocs != 1 {
+		t.Errorf("MarshalFlowMod allocates %v times, want 1", allocs)
+	}
+}
+
 // --- randomized marshal→unmarshal equality ---
 
 func randAddr(rng *rand.Rand) netip.Addr {

@@ -124,25 +124,27 @@ func (p *Programmer) Install(m FlowMod) error {
 	if err != nil {
 		return fmt.Errorf("openflow: programmer: %w", err)
 	}
-	key := string(wire)
-	if p.installed[key] {
+	if p.installed[string(wire)] {
 		p.Duplicates++
 		p.tmDuplicates.Inc()
 		return nil
 	}
 	p.pending++
-	p.attempt(m, key, 0, p.ch.Sim().Now())
+	p.attempt(m, wire, 0, p.ch.Sim().Now())
 	return nil
 }
 
-func (p *Programmer) attempt(m FlowMod, key string, try int, start float64) {
+// attempt sends wire, m marshalled once by Install, and schedules the
+// next try if the wire loses it. The bytes double as the rule's
+// idempotency key.
+func (p *Programmer) attempt(m FlowMod, wire []byte, try int, start float64) {
 	p.Attempts++
 	p.tmAttempts.Inc()
 	if try > 0 {
 		p.Retries++
 		p.tmRetries.Inc()
 	}
-	delivered, err := p.ch.TrySendFlowMod(m)
+	delivered, err := p.ch.sendWire(wire)
 	if err != nil {
 		// Validate passed at Install time; a send error here means the
 		// channel (without fault injection) failed the wire round
@@ -151,7 +153,7 @@ func (p *Programmer) attempt(m FlowMod, key string, try int, start float64) {
 		return
 	}
 	if delivered {
-		p.installed[key] = true
+		p.installed[string(wire)] = true
 		p.Installs++
 		p.tmInstalls.Inc()
 		p.finish(m, start, nil)
@@ -164,7 +166,7 @@ func (p *Programmer) attempt(m FlowMod, key string, try int, start float64) {
 			ErrRetriesExhausted, try+1, p.ch.Switch().Name))
 		return
 	}
-	p.ch.Sim().After(p.backoff(try), func() { p.attempt(m, key, try+1, start) })
+	p.ch.Sim().After(p.backoff(try), func() { p.attempt(m, wire, try+1, start) })
 }
 
 func (p *Programmer) finish(m FlowMod, start float64, err error) {
