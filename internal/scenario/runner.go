@@ -597,13 +597,14 @@ func heardLevels(qm *core.QueueMonitor) []string {
 
 // ruleEvents lists when a rule-installing app sent its rule and when
 // the rule landed on the switch. The rule is named by what it does: a
-// port knock's "open", a balancer's install action.
+// port knock's "open", a balancer's install action. Times print to the
+// millisecond, so the channel latency between the two shows.
 func ruleEvents(rule string, sent bool, sentAt float64, installed bool, installedAt float64) (out []string) {
 	if sent {
-		out = append(out, fmt.Sprintf("t=%.2fs %s rule sent", sentAt, rule))
+		out = append(out, fmt.Sprintf("t=%.3fs %s rule sent", sentAt, rule))
 	}
 	if installed {
-		out = append(out, fmt.Sprintf("t=%.2fs %s rule installed", installedAt, rule))
+		out = append(out, fmt.Sprintf("t=%.3fs %s rule installed", installedAt, rule))
 	}
 	return out
 }

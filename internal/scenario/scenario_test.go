@@ -710,7 +710,7 @@ func TestPortKnockScenarioReproducesFig3(t *testing.T) {
 	}
 	_, installed := ruleTimes(t, rep.Apps[0], "open")
 	if installed <= 11 || installed > 11.5 {
-		t.Errorf("open rule installed at %.2f s, want just after the third knock at 11 s", installed)
+		t.Errorf("open rule installed at %.3f s, want just after the third knock at 11 s", installed)
 	}
 	var h2 HostReport
 	for _, h := range rep.Hosts {
@@ -754,8 +754,8 @@ func TestControlLoopReportsSendAndLanding(t *testing.T) {
 			rules[1.0549], rules[1.0551])
 	}
 	sent, installed := ruleTimes(t, rep.Apps[0], "drop")
-	if sent != 1.05 || math.Abs(installed-lb.InstalledAt) > 0.005+1e-9 {
-		t.Errorf("report: drop rule sent %.2f s, installed %.2f s", sent, installed)
+	if sent != 1.05 || installed != 1.055 {
+		t.Errorf("report: drop rule sent %.3f s, installed %.3f s; want 1.050 and 1.055", sent, installed)
 	}
 }
 
