@@ -59,14 +59,14 @@ type GoertzelPlan struct {
 // also a whole number of goertzelBlock blocks.
 const goertzelLanes = 24
 
-// goertzelBlock is how many resonators the portable Go kernel
-// advances per pass over the samples. Each resonator step is a
-// dependent multiply, add and subtract, so speed comes from
-// independent chains, and six state pairs are about what the sixteen
-// scalar SSE registers hold beside a sample and a temporary. On amd64
-// five was 15-45 % slower from 12 tones up, and eight, 8 % faster at
-// 130 tones, was about 40 % slower at 3 and 12 tones, where most of
-// its lanes are padding.
+// goertzelBlock is how many resonators the portable kernel advances
+// per pass over the samples. Each resonator step is a dependent
+// multiply, add and subtract, so speed comes from independent chains,
+// and six state pairs are about what the sixteen scalar SSE registers
+// hold beside a sample and a temporary. Over 3- to 130-tone banks on
+// amd64, five was 15-45 % slower from 12 tones up, and eight, 8 %
+// faster at 130 tones, was about 40 % slower at 3 and 12 tones, where
+// most of its lanes are padding.
 const goertzelBlock = 6
 
 // NewGoertzelPlan builds a plan for the given frequencies at
