@@ -25,8 +25,8 @@ type Controller struct {
 	// Detector analyses each window.
 	Detector *Detector
 	// Errors collects application and subscriber failures; it feeds
-	// the health state machine. Applications deployed by a Manager
-	// share it.
+	// the health state machine. Applications with an error sink share
+	// it.
 	Errors *ErrorLog
 	// Retention, when positive, bounds the acoustic history the window
 	// loop keeps: after analysing [from, to) the controller compacts
@@ -72,6 +72,17 @@ type Controller struct {
 	Detections uint64
 	// HandlerPanics counts recovered subscriber panics.
 	HandlerPanics uint64
+}
+
+// App is the controller-side face of an MDN application: the
+// frequencies it needs watched and its per-window handler. Every
+// application in this package implements it.
+type App interface {
+	// Frequencies returns the tones the controller must watch for
+	// this application.
+	Frequencies() []float64
+	// HandleWindow consumes one detection window.
+	HandleWindow(windowStart float64, dets []Detection)
 }
 
 // DefaultWindow is the controller's default capture window: 50 ms,

@@ -154,25 +154,3 @@ func TestHealthRegisterChannelCounters(t *testing.T) {
 		t.Errorf("state = %s, want degraded on total wire loss", h.StateName)
 	}
 }
-
-func TestManagerHealthDelegates(t *testing.T) {
-	tb := newTestbed(18)
-	mgr := NewManager(tb.sim, tb.mic, tb.plan)
-	voice := tb.voiceAt("s1", acoustic.Position{X: 1})
-	hh, err := NewHeavyHitter(tb.plan, "s1", voice, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mgr.Deploy(hh); err != nil {
-		t.Fatal(err)
-	}
-	mgr.Start(0)
-	tb.sim.RunUntil(1)
-	h := mgr.Health()
-	if h.State != Healthy {
-		t.Errorf("manager health = %s (%v), want healthy", h.StateName, h.Reasons)
-	}
-	if h.Subscribers == 0 {
-		t.Error("deployed app not visible as a subscriber")
-	}
-}

@@ -134,7 +134,7 @@ type World struct {
 
 	cfg     *Config
 	appCfgs []AppConfig // Apps[i]'s config entry
-	mgr     *core.Manager
+	ctrl    *core.Controller
 	voices  map[string]*core.Voice
 	fleet   *core.Fleet
 	stream  *core.StreamController
@@ -173,8 +173,8 @@ func build(c *Config, reg *telemetry.Registry, probe *probe) (*World, error) {
 	// at each microphone's own noise floor (tones buried below the
 	// electronics cannot change a detection), and a bounded emission
 	// history — scenarios only ever consume the moving capture window,
-	// so the controller compacts 2 s behind it (Retention, set after
-	// the manager exists below).
+	// so the controller compacts 2 s behind it (Retention, set once
+	// the controller exists below).
 	room.CullThreshold = acoustic.CullAuto
 	mic := room.AddMicrophone("controller", acoustic.Position{}, 0.0005)
 	extraMics := make([]*acoustic.Microphone, 0, len(c.Mics))
@@ -236,17 +236,18 @@ func build(c *Config, reg *telemetry.Registry, probe *probe) (*World, error) {
 		sws[rc.Switch].InstallRule(netRule(rc))
 	}
 
-	// Applications, via the manager. Every switch's control hop feeds
+	// The controller's Goertzel watch list starts empty and grows by
+	// each app's frequencies below. Every switch's control hop feeds
 	// the controller's health snapshot.
-	mgr := core.NewManager(sim, mic, plan)
-	mgr.Ctrl.Instrument(reg)
-	mgr.Ctrl.Retention = 2
+	ctrl := core.NewController(sim, mic, core.NewDetector(core.MethodGoertzel, nil))
+	ctrl.Instrument(reg)
+	ctrl.Retention = 2
 	room.Instrument(reg)
 	for _, sc := range c.Switches {
-		mgr.Ctrl.RegisterVoice(sc.Name, voices[sc.Name])
+		ctrl.RegisterVoice(sc.Name, voices[sc.Name])
 		voices[sc.Name].Instrument(reg, sc.Name)
 	}
-	w := &World{Sim: sim, Mic: mic, Hosts: hostsByName, Switches: sws, cfg: c, mgr: mgr, voices: voices, probe: probe}
+	w := &World{Sim: sim, Mic: mic, Hosts: hostsByName, Switches: sws, cfg: c, ctrl: ctrl, voices: voices, probe: probe}
 	// A switch running a rule-installing app gets one OpenFlow channel,
 	// faulted like its sounder but on a stream of its own.
 	channels := make(map[string]*openflow.Channel)
@@ -258,7 +259,7 @@ func build(c *Config, reg *telemetry.Registry, probe *probe) (*World, error) {
 		if c.Faults != nil {
 			ch.InjectFaults(c.Faults.wire(mixSeed(faultSeed[name])))
 		}
-		mgr.Ctrl.RegisterChannel(name, ch)
+		ctrl.RegisterChannel(name, ch)
 		channels[name] = ch
 		return ch
 	}
@@ -277,7 +278,7 @@ func build(c *Config, reg *telemetry.Registry, probe *probe) (*World, error) {
 		// Per-app deterministic sketch seed: scenario seed plus the
 		// app's position, so two sketch apps never share hash streams.
 		sketchSeed := uint64(c.Seed)*splitmix.Gamma + uint64(appIdx) + 1
-		var app core.App                  // deployed through the manager
+		var app core.App                  // the controller-side app
 		var tap func(*netsim.Packet, int) // the switch-side hook, if any
 		switch ac.Type {
 		case "heavyhitter":
@@ -338,7 +339,7 @@ func build(c *Config, reg *telemetry.Registry, probe *probe) (*World, error) {
 			app = qm
 			if ac.Type == "loadbalance" {
 				lb := core.NewLoadBalancer(qm, channel(ac.Switch), flowMod(*ac.Install))
-				lb.SetErrorLog(mgr.Ctrl.Errors)
+				lb.SetErrorLog(ctrl.Errors)
 				lb.Programmer().Instrument(reg)
 				app = Balancer{qm, lb}
 			}
@@ -381,9 +382,6 @@ func build(c *Config, reg *telemetry.Registry, probe *probe) (*World, error) {
 			hbUsed = true
 			continue
 		}
-		if err := mgr.Deploy(app); err != nil {
-			return nil, err
-		}
 		if tap != nil {
 			taps[ac.Switch] = append(taps[ac.Switch], tap)
 		}
@@ -391,11 +389,16 @@ func build(c *Config, reg *telemetry.Registry, probe *probe) (*World, error) {
 		w.Apps, w.appCfgs = append(w.Apps, app), append(w.appCfgs, ac)
 	}
 	if hbUsed {
-		if err := mgr.Deploy(hb); err != nil {
-			return nil, err
-		}
 		hb.Instrument(reg, "controller")
 		w.Apps, w.appCfgs = append(w.Apps, hb), append(w.appCfgs, AppConfig{Type: "heartbeat", Switch: "*"})
+	}
+	// An app with an error sink shares the controller's log, so its
+	// failures feed the health state.
+	for _, app := range w.Apps {
+		if sink, ok := app.(interface{ SetErrorLog(*core.ErrorLog) }); ok {
+			sink.SetErrorLog(ctrl.Errors)
+		}
+		ctrl.Detector.AddWatch(app.Frequencies()...)
 	}
 	for name, fns := range taps {
 		fns := fns
@@ -406,21 +409,21 @@ func build(c *Config, reg *telemetry.Registry, probe *probe) (*World, error) {
 		}
 	}
 	if c.MinAmplitude > 0 {
-		mgr.Ctrl.Detector.MinAmplitude = c.MinAmplitude
+		ctrl.Detector.MinAmplitude = c.MinAmplitude
 	}
 	// Device health: extra listening points fan out through the fleet
 	// engine; any fault (or any extra mic) arms the monitor so floors
 	// recalibrate, deaf mics quarantine and rejoin, and periodically
 	// sounding speakers are fingerprinted for re-keying.
 	if len(extraMics) > 0 {
-		w.fleet = mgr.Ctrl.EnableFleet(0)
+		w.fleet = ctrl.EnableFleet(0)
 		for _, m := range extraMics {
 			w.fleet.AddMicrophone(m)
 		}
 		w.fleet.Instrument(reg)
 	}
 	if len(extraMics) > 0 || len(c.DeviceFaults) > 0 {
-		mon := mgr.Ctrl.EnableDeviceMonitor()
+		mon := ctrl.EnableDeviceMonitor()
 		for _, df := range c.DeviceFaults {
 			applyDeviceFault(room, df)
 		}
@@ -434,17 +437,29 @@ func build(c *Config, reg *telemetry.Registry, probe *probe) (*World, error) {
 			}
 		}
 	}
+	// Interval apps subscribe themselves and start their interval
+	// tickers; the rest subscribe under their type's name.
+	type intervalApp interface {
+		Start(*core.Controller, float64)
+	}
+	for _, app := range w.Apps {
+		if ia, ok := app.(intervalApp); ok {
+			ia.Start(ctrl, 0)
+		} else {
+			ctrl.SubscribeWindowsNamed(fmt.Sprintf("%T", app), app.HandleWindow)
+		}
+	}
 	if c.Stream {
 		hop := c.HopS
 		if hop == 0 {
 			hop = DefaultHopS
 		}
-		w.stream = mgr.StartStream(0, hop)
+		w.stream = ctrl.StartStream(0, hop)
 	} else {
-		mgr.Start(0)
+		ctrl.Start(0)
 	}
 	if probe != nil {
-		mgr.Ctrl.SubscribeWindowsNamed("canary", probe.HandleWindow)
+		ctrl.SubscribeWindowsNamed("canary", probe.HandleWindow)
 	}
 
 	// Traffic.
@@ -503,7 +518,7 @@ func (w *World) Run() (*Report, error) {
 		return nil, fmt.Errorf("scenario: world %q already ran", w.cfg.Name)
 	}
 	w.ran = true
-	c, mgr := w.cfg, w.mgr
+	c, ctrl := w.cfg, w.ctrl
 	w.Sim.RunUntil(c.DurationS)
 	if w.fleet != nil {
 		w.fleet.Close()
@@ -515,8 +530,8 @@ func (w *World) Run() (*Report, error) {
 	}
 
 	rep := &Report{Name: c.Name, DurationS: c.DurationS}
-	rep.WindowsAnalysed = mgr.Ctrl.Windows
-	rep.TonesDetected = mgr.Ctrl.Detections
+	rep.WindowsAnalysed = ctrl.Windows
+	rep.TonesDetected = ctrl.Detections
 	var hostNames []string
 	for name := range w.Hosts {
 		hostNames = append(hostNames, name)
@@ -567,9 +582,9 @@ func (w *World) Run() (*Report, error) {
 		}
 		rep.Apps = append(rep.Apps, ar)
 	}
-	health := mgr.Health()
+	health := ctrl.Health()
 	rep.Health = &health
-	if mon := mgr.Ctrl.DeviceMonitor(); mon != nil {
+	if mon := ctrl.DeviceMonitor(); mon != nil {
 		rep.Devices = mon.Snapshot()
 	}
 	if st := w.stream; st != nil {
