@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -11,19 +12,36 @@ import (
 // or in flight when links are lossless and queues unbounded), and
 // per-flow FIFO ordering.
 
+// newChain builds h1 — s1 — … — sn — h2 over identical links, each
+// switch forwarding traffic for h2 out of port 2 (port 1 faces h1).
+func newChain(sim *Sim, n int, rateBps, latency float64, queueCap int) (h1, h2 *Host) {
+	h1 = NewHost(sim, "h1", MustAddr("10.0.0.1"))
+	h2 = NewHost(sim, "h2", MustAddr("10.0.0.2"))
+	var prev Node = h1
+	prevPort := 1
+	for i := 0; i < n; i++ {
+		sw := NewSwitch(sim, fmt.Sprintf("s%d", i+1))
+		sw.InstallRule(Rule{Priority: 1, Match: Match{Dst: h2.Addr}, Action: Output(2)})
+		Connect(sim, prev, prevPort, sw, 1, rateBps, latency, queueCap)
+		prev, prevPort = sw, 2
+	}
+	Connect(sim, prev, prevPort, h2, 1, rateBps, latency, queueCap)
+	return h1, h2
+}
+
 func TestConservationProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		sim := NewSim()
-		l := NewLine(sim, 1+rng.Intn(3), LinkSpec{RateBps: 1e6, Latency: 0.001})
-		flow := FiveTuple{Src: l.H1.Addr, Dst: l.H2.Addr,
+		h1, h2 := newChain(sim, 1+rng.Intn(3), 1e6, 0.001, 0)
+		flow := FiveTuple{Src: h1.Addr, Dst: h2.Addr,
 			SrcPort: uint16(rng.Intn(60000)), DstPort: 80, Proto: ProtoUDP}
 		pps := 50 + rng.Float64()*200
-		src := StartPoisson(sim, l.H1, flow, pps, 500, 0, 2, seed)
+		src := StartPoisson(sim, h1, flow, pps, 500, 0, 2, seed)
 		sim.Run() // drain everything
-		// Lossless line with unbounded queues: all sent packets
+		// Lossless chain with unbounded queues: all sent packets
 		// arrive, none are invented.
-		return l.H2.RxPackets == src.Sent && l.H1.TxPackets == src.Sent
+		return h2.RxPackets == src.Sent && h1.TxPackets == src.Sent
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
@@ -54,11 +72,11 @@ func TestPerFlowFIFOProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		sim := NewSim()
-		l := NewLine(sim, 1+rng.Intn(4), LinkSpec{RateBps: 1e6, Latency: 0.002, QueueCap: 50})
+		h1, h2 := newChain(sim, 1+rng.Intn(4), 1e6, 0.002, 50)
 		var ids []uint64
-		l.H2.OnReceive = func(p *Packet) { ids = append(ids, p.ID) }
-		flow := FiveTuple{Src: l.H1.Addr, Dst: l.H2.Addr, SrcPort: 1, DstPort: 2, Proto: ProtoUDP}
-		StartPoisson(sim, l.H1, flow, 300, 800, 0, 1, seed)
+		h2.OnReceive = func(p *Packet) { ids = append(ids, p.ID) }
+		flow := FiveTuple{Src: h1.Addr, Dst: h2.Addr, SrcPort: 1, DstPort: 2, Proto: ProtoUDP}
+		StartPoisson(sim, h1, flow, 300, 800, 0, 1, seed)
 		sim.Run()
 		for i := 1; i < len(ids); i++ {
 			if ids[i] <= ids[i-1] {

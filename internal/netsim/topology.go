@@ -1,7 +1,5 @@
 package netsim
 
-import "fmt"
-
 // LinkSpec bundles the parameters of a link.
 type LinkSpec struct {
 	// RateBps is the line rate in bits/second.
@@ -11,40 +9,6 @@ type LinkSpec struct {
 	// QueueCap bounds each direction's output queue in packets
 	// (0 = unbounded).
 	QueueCap int
-}
-
-// Line is a chain topology h1 — s1 — s2 — … — sn — h2 with forwarding
-// rules pre-installed in both directions.
-type Line struct {
-	Sim      *Sim
-	H1, H2   *Host
-	Switches []*Switch
-}
-
-// NewLine builds an n-switch chain. Hosts get 10.0.0.1 and 10.0.0.2.
-// Port numbering on each switch: 1 faces h1, 2 faces h2.
-func NewLine(sim *Sim, n int, link LinkSpec) *Line {
-	if n < 1 {
-		panic("netsim: NewLine requires at least one switch")
-	}
-	l := &Line{
-		Sim: sim,
-		H1:  NewHost(sim, "h1", MustAddr("10.0.0.1")),
-		H2:  NewHost(sim, "h2", MustAddr("10.0.0.2")),
-	}
-	for i := 0; i < n; i++ {
-		l.Switches = append(l.Switches, NewSwitch(sim, fmt.Sprintf("s%d", i+1)))
-	}
-	Connect(sim, l.H1, 1, l.Switches[0], 1, link.RateBps, link.Latency, link.QueueCap)
-	for i := 0; i+1 < n; i++ {
-		Connect(sim, l.Switches[i], 2, l.Switches[i+1], 1, link.RateBps, link.Latency, link.QueueCap)
-	}
-	Connect(sim, l.Switches[n-1], 2, l.H2, 1, link.RateBps, link.Latency, link.QueueCap)
-	for _, sw := range l.Switches {
-		sw.InstallRule(Rule{Priority: 1, Match: Match{Dst: l.H2.Addr}, Action: Output(2)})
-		sw.InstallRule(Rule{Priority: 1, Match: Match{Dst: l.H1.Addr}, Action: Output(1)})
-	}
-	return l
 }
 
 // Rhombus is the paper's load-balancing topology (Section 6): four

@@ -2,30 +2,6 @@ package netsim
 
 import "testing"
 
-func TestLineForwardsBothWays(t *testing.T) {
-	sim := NewSim()
-	l := NewLine(sim, 3, LinkSpec{RateBps: 1e9, Latency: 0.001})
-	f := FiveTuple{Src: l.H1.Addr, Dst: l.H2.Addr, SrcPort: 1, DstPort: 2, Proto: ProtoUDP}
-	l.H1.Send(f, 100)
-	l.H2.Send(FiveTuple{Src: l.H2.Addr, Dst: l.H1.Addr, SrcPort: 2, DstPort: 1, Proto: ProtoUDP}, 100)
-	sim.Run()
-	if l.H2.RxPackets != 1 {
-		t.Errorf("h2 rx = %d", l.H2.RxPackets)
-	}
-	if l.H1.RxPackets != 1 {
-		t.Errorf("h1 rx = %d", l.H1.RxPackets)
-	}
-}
-
-func TestLinePanicsOnZeroSwitches(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewLine(NewSim(), 0, LinkSpec{RateBps: 1e9})
-}
-
 func TestRhombusSinglePathInitially(t *testing.T) {
 	sim := NewSim()
 	link := LinkSpec{RateBps: 1e9, Latency: 0.001}
