@@ -124,6 +124,22 @@ func TestExtCongestion(t *testing.T)    { runAndCheck(t, "ext-congestion") }
 func TestExtUltrasound(t *testing.T)    { runAndCheck(t, "ext-ultrasound") }
 func TestExtMicArray(t *testing.T)      { runAndCheck(t, "ext-micarray") }
 
+// TestExtMicArrayAttributesZones pins ext-micarray's zone attribution:
+// each of the two zones' shared 700 Hz tones goes to its own, louder
+// microphone for both of its windows, and no window goes to the other.
+func TestExtMicArrayAttributesZones(t *testing.T) {
+	r := ExtMicArray()
+	want := []string{"2 windows", "2 windows", "0 wrong"}
+	if len(r.Rows) != len(want) {
+		t.Fatalf("rows:\n%s", Render(r))
+	}
+	for i, row := range r.Rows {
+		if row.Measured != want[i] || !row.OK {
+			t.Errorf("row %q: measured %q ok=%v, want %q", row.Name, row.Measured, row.OK, want[i])
+		}
+	}
+}
+
 func TestExtFanAnomaly(t *testing.T)  { runAndCheck(t, "ext-fananomaly") }
 func TestExtFanDistance(t *testing.T) { runAndCheck(t, "ext-fandistance") }
 
