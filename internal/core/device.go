@@ -738,7 +738,15 @@ func (m *DeviceMonitor) probeSpeaker(t *speakerTracker, from, to float64) probeV
 	if n == 0 {
 		return probeNothing
 	}
-	minAmp := m.floorFor(ref, m.ctrl.Detector.MinAmplitude)
+	// As in the detection filter, a floor relative to the window's
+	// loudest detection holds too: a louder tone leaks onto the commanded
+	// bins and the grid around them (a neighbour's beat tail put ~20 % of
+	// its amplitude 80 Hz away), and that leakage is not this speaker.
+	loudest := 0.0
+	for _, a := range m.detected {
+		loudest = math.Max(loudest, a)
+	}
+	minAmp := math.Max(m.floorFor(ref, m.ctrl.Detector.MinAmplitude), minLevelRatio*loudest)
 	scale := 2 / float64(n)
 
 	// The commanded bins are the baseline the grid must beat: an

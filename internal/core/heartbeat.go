@@ -57,11 +57,14 @@ type HeartbeatAlert struct {
 // an alert.
 const HeartbeatMissThreshold = 3
 
-// NewHeartbeat builds a monitor with a 1 s period and a 3-beat miss
-// threshold.
+// DefaultHeartbeatPeriod is a new monitor's beat interval in seconds.
+const DefaultHeartbeatPeriod = 1.0
+
+// NewHeartbeat builds a monitor with the default period and a 3-beat
+// miss threshold.
 func NewHeartbeat() *Heartbeat {
 	return &Heartbeat{
-		Period:  1.0,
+		Period:  DefaultHeartbeatPeriod,
 		onset:   NewOnsetFilter(),
 		devices: make(map[float64]*heartbeatDevice),
 	}

@@ -9,6 +9,11 @@ import "math"
 //
 // The returned value is comparable to the magnitude of the
 // corresponding FFT bin of the same block.
+//
+// Every product in this file's kernels is written float64(a*b): an
+// explicit conversion rounds the product, so no architecture may fuse
+// it with the following add into one FMA (arm64 otherwise does), and
+// magnitudes are bit-identical on every GOARCH.
 func Goertzel(samples []float64, freq, sampleRate float64) float64 {
 	n := len(samples)
 	if n == 0 || sampleRate <= 0 {
@@ -20,7 +25,7 @@ func Goertzel(samples []float64, freq, sampleRate float64) float64 {
 	coeff := 2 * math.Cos(w)
 	var s0, s1, s2 float64
 	for _, x := range samples {
-		s0 = x + coeff*s1 - s2
+		s0 = x + float64(coeff*s1) - s2
 		s2 = s1
 		s1 = s0
 	}
@@ -29,7 +34,7 @@ func Goertzel(samples []float64, freq, sampleRate float64) float64 {
 
 // goertzelMagnitude is the magnitude of a resonator's final state.
 func goertzelMagnitude(s1, s2, coeff float64) float64 {
-	power := s1*s1 + s2*s2 - coeff*s1*s2
+	power := float64(s1*s1) + float64(s2*s2) - float64(coeff*s1*s2)
 	if power < 0 {
 		power = 0
 	}
@@ -152,27 +157,27 @@ func (g *GoertzelPlan) magnitudesGo(dst, samples []float64) {
 		s := samples
 		for ; len(s) >= 2; s = s[2:] {
 			x, y := s[0], s[1]
-			b0 = x + c[0]*a0 - b0
-			b1 = x + c[1]*a1 - b1
-			b2 = x + c[2]*a2 - b2
-			b3 = x + c[3]*a3 - b3
-			b4 = x + c[4]*a4 - b4
-			b5 = x + c[5]*a5 - b5
-			a0 = y + c[0]*b0 - a0
-			a1 = y + c[1]*b1 - a1
-			a2 = y + c[2]*b2 - a2
-			a3 = y + c[3]*b3 - a3
-			a4 = y + c[4]*b4 - a4
-			a5 = y + c[5]*b5 - a5
+			b0 = x + float64(c[0]*a0) - b0
+			b1 = x + float64(c[1]*a1) - b1
+			b2 = x + float64(c[2]*a2) - b2
+			b3 = x + float64(c[3]*a3) - b3
+			b4 = x + float64(c[4]*a4) - b4
+			b5 = x + float64(c[5]*a5) - b5
+			a0 = y + float64(c[0]*b0) - a0
+			a1 = y + float64(c[1]*b1) - a1
+			a2 = y + float64(c[2]*b2) - a2
+			a3 = y + float64(c[3]*b3) - a3
+			a4 = y + float64(c[4]*b4) - a4
+			a5 = y + float64(c[5]*b5) - a5
 		}
 		if len(s) == 1 {
 			x := s[0]
-			b0 = x + c[0]*a0 - b0
-			b1 = x + c[1]*a1 - b1
-			b2 = x + c[2]*a2 - b2
-			b3 = x + c[3]*a3 - b3
-			b4 = x + c[4]*a4 - b4
-			b5 = x + c[5]*a5 - b5
+			b0 = x + float64(c[0]*a0) - b0
+			b1 = x + float64(c[1]*a1) - b1
+			b2 = x + float64(c[2]*a2) - b2
+			b3 = x + float64(c[3]*a3) - b3
+			b4 = x + float64(c[4]*a4) - b4
+			b5 = x + float64(c[5]*a5) - b5
 			a0, a1, a2, a3, a4, a5, b0, b1, b2, b3, b4, b5 = b0, b1, b2, b3, b4, b5, a0, a1, a2, a3, a4, a5
 		}
 		mags := [goertzelBlock]float64{
@@ -203,5 +208,5 @@ func GoertzelPower(samples []float64, freq, sampleRate float64) float64 {
 		return 0
 	}
 	m := Goertzel(samples, freq, sampleRate)
-	return (m / n) * (m / n) * 2
+	return float64((m/n)*(m/n)) * 2
 }

@@ -18,85 +18,6 @@ import (
 // arrays), plus closing the Section 6 loop with sound-driven
 // congestion control.
 
-// ExtFailover demonstrates the paper's core motivation: when the data
-// plane dies, in-band management messages die with it, but the sound
-// channel keeps reporting. A switch streams queue telemetry both
-// in-band (management packets over its uplink) and out-of-band
-// (tones); the uplink is cut mid-run.
-func ExtFailover() *Result {
-	r := &Result{ID: "ext-failover", Title: "Management survives data-plane failure (Section 1 motivation)"}
-	const (
-		duration = 10.0
-		cutAt    = 5.0
-	)
-	sim := netsim.NewSim()
-	room := acoustic.NewRoom(44100, 101)
-	mic := room.AddMicrophone("controller", acoustic.Position{}, 0.0005)
-
-	// Topology: sw's uplink carries both data and in-band management
-	// to the management host.
-	mgmt := netsim.NewHost(sim, "mgmt", netsim.MustAddr("10.0.0.100"))
-	sw := netsim.NewSwitch(sim, "s1")
-	uplinkSw, _ := netsim.Connect(sim, sw, 1, mgmt, 1, 1e7, 0.0005, 100)
-	sw.InstallRule(netsim.Rule{Priority: 1, Match: netsim.Match{Dst: mgmt.Addr}, Action: netsim.Output(1)})
-
-	sp := room.AddSpeaker("s1", acoustic.Position{X: 1})
-	voice := core.NewVoice(sim, mp.NewSounder(mp.NewPi(sim, sp, 0.002)))
-	qm := core.NewQueueMonitorWithTones(sw, 1, voice, core.DefaultQueueFrequencies)
-	ctrl := core.NewController(sim, mic, core.NewDetector(core.MethodGoertzel, qm.Frequencies()))
-	ctrl.SubscribeWindows(qm.HandleWindow)
-	ctrl.Start(0)
-
-	// Every 300 ms the switch reports BOTH ways: an in-band
-	// management packet and the queue tone (the tone loop is
-	// StartSwitchSide; the in-band report is a packet up the link).
-	mgmtFlow := netsim.FiveTuple{
-		Src: netsim.MustAddr("10.0.0.1"), Dst: mgmt.Addr,
-		SrcPort: 9, DstPort: 161, Proto: netsim.ProtoUDP,
-	}
-	qm.StartSwitchSide(sim, 0.05)
-	var inbandSent int
-	sim.Every(0.05, qm.SampleInterval, func(now float64) {
-		inbandSent++
-		// The switch originates the report itself: inject directly
-		// into the uplink port.
-		uplinkSw.Send(&netsim.Packet{ID: uint64(inbandSent), Flow: mgmtFlow, Size: 128, CreatedAt: now})
-	})
-	sim.After(cutAt, func() { uplinkSw.SetDown(true) })
-	sim.RunUntil(duration)
-
-	// In-band reports received before/after the cut.
-	preInband := int(mgmt.RxPackets)
-	// Tones heard after the cut.
-	var preTones, postTones int
-	for _, h := range qm.Heard {
-		if h.Time < cutAt {
-			preTones++
-		} else {
-			postTones++
-		}
-	}
-	r.row("in-band management before the cut", "reports flow", preInband > 10,
-		"%d reports delivered", preInband)
-	// All post-cut in-band reports must be lost: mgmt.RxPackets stops
-	// growing at the cut.
-	expectedPre := int(cutAt/qm.SampleInterval) + 1
-	r.row("in-band management after the cut", "silenced by the data-plane failure",
-		preInband <= expectedPre, "stuck at %d (≈%d sent before cut, %d sent total)",
-		preInband, expectedPre, inbandSent)
-	r.row("sound channel before the cut", "tones heard", preTones > 10, "%d tones", preTones)
-	r.row("sound channel after the cut", "keeps reporting", postTones > 10, "%d tones", postTones)
-
-	var xs, ys []float64
-	for _, h := range qm.Heard {
-		xs = append(xs, h.Time)
-		ys = append(ys, core.DefaultQueueFrequencies[h.Level])
-	}
-	r.addSeries("out-of-band tones (Hz) — uninterrupted by the t=5 s cut", xs, ys)
-	r.note("uplink cut at t=%.0f s; %d queued in-band reports flushed", cutAt, uplinkSw.LostOnDown())
-	return r
-}
-
 // ExtRelay answers the Section 8 open question about multi-hop sound
 // transmission: a switch too far (and too quiet) for the controller
 // is heard through a frequency-translating acoustic relay.
@@ -156,64 +77,6 @@ func ExtRelay() *Result {
 	r.row("with relay: all tones delivered", "multi-hop works", r1 == 5 && hops == 5,
 		"%d of 5 tones relayed and heard", r1)
 	r.note("relay adds one detection window (~50 ms) of latency per hop")
-	return r
-}
-
-// ExtCongestion closes the Section 6 loop: AIMD rate control driven
-// purely by queue tones, compared against no control at identical
-// offered load.
-func ExtCongestion() *Result {
-	r := &Result{ID: "ext-congestion", Title: "Sound-driven congestion control (Section 6, in place of ECN/DCTCP)"}
-	run := func(withControl bool) (drops uint64, delivered uint64, finalRate float64, rateLog []netsim.Sample) {
-		sim := netsim.NewSim()
-		room := acoustic.NewRoom(44100, 130)
-		mic := room.AddMicrophone("controller", acoustic.Position{}, 0.0005)
-		h1 := netsim.NewHost(sim, "h1", netsim.MustAddr("10.0.0.1"))
-		h2 := netsim.NewHost(sim, "h2", netsim.MustAddr("10.0.0.2"))
-		sw := netsim.NewSwitch(sim, "s1")
-		netsim.Connect(sim, h1, 1, sw, 1, 1e9, 0.0001, 0)
-		egress, _ := netsim.Connect(sim, sw, 2, h2, 1, 1e6, 0.0001, 100)
-		sw.InstallRule(netsim.Rule{Priority: 1, Match: netsim.Match{Dst: h2.Addr}, Action: netsim.Output(2)})
-		sp := room.AddSpeaker("s1", acoustic.Position{X: 1})
-		voice := core.NewVoice(sim, mp.NewSounder(mp.NewPi(sim, sp, 0.002)))
-		qm := core.NewQueueMonitorWithTones(sw, 2, voice, core.DefaultQueueFrequencies)
-		flow := netsim.FiveTuple{Src: h1.Addr, Dst: h2.Addr, SrcPort: 1, DstPort: 2, Proto: netsim.ProtoUDP}
-		src := netsim.StartPaced(sim, h1, flow, 250, 1500, 0.2, 20)
-		qm.StartSwitchSide(sim, 0.05)
-		var cc *core.CongestionController
-		if withControl {
-			ctrl := core.NewController(sim, mic, core.NewDetector(core.MethodGoertzel, qm.Frequencies()))
-			cc = core.NewCongestionController(qm, src)
-			ctrl.SubscribeWindows(qm.HandleWindow)
-			ctrl.SubscribeWindows(cc.HandleWindow)
-			ctrl.Start(0)
-		}
-		sim.RunUntil(20)
-		if cc != nil {
-			rateLog = cc.RateLog
-		}
-		return egress.Out.Drops(), h2.RxPackets, src.Rate(), rateLog
-	}
-
-	dropsNone, delivNone, _, _ := run(false)
-	dropsCtl, delivCtl, rate, rateLog := run(true)
-	r.row("uncontrolled source overflows the queue", "drop-tail losses", dropsNone > 500,
-		"%d drops, %d delivered", dropsNone, delivNone)
-	r.row("tone-driven AIMD cuts losses", "ECN-like reaction without touching the transport",
-		dropsCtl*2 < dropsNone, "%d drops (%.1fx fewer), %d delivered",
-		dropsCtl, ratio(float64(dropsNone), float64(dropsCtl+1)), delivCtl)
-	r.row("rate converges toward capacity", "AIMD sawtooth around ~83 pps",
-		rate > 20 && rate < 150, "final rate %.0f pps", rate)
-	goodputRatio := float64(delivCtl) / float64(delivNone)
-	r.row("goodput preserved", "control does not starve the flow", goodputRatio > 0.85,
-		"%.0f%% of uncontrolled goodput", goodputRatio*100)
-
-	var xs, ys []float64
-	for _, s := range rateLog {
-		xs = append(xs, s.Time)
-		ys = append(ys, s.Value)
-	}
-	r.addSeries("controlled send rate (pps) — AIMD sawtooth", xs, ys)
 	return r
 }
 
@@ -331,58 +194,5 @@ func ExtMicArray() *Result {
 	r.row("no misattributions", "frequency reuse across zones is safe", wrong == 0,
 		"%d wrong", wrong)
 	r.note("both switches share the SAME 700 Hz tone; a single microphone could not tell them apart")
-	return r
-}
-
-// ExtHeartbeat demonstrates out-of-band device liveness: switches
-// beat their own tones; a dead device is noticed within a few missed
-// beats, with no network path to it at all.
-func ExtHeartbeat() *Result {
-	r := &Result{ID: "ext-heartbeat", Title: "Out-of-band device liveness (heartbeat tones)"}
-	sim := netsim.NewSim()
-	room := acoustic.NewRoom(44100, 160)
-	mic := room.AddMicrophone("controller", acoustic.Position{}, 0.0005)
-	plan := core.DefaultPlan()
-
-	hb := core.NewHeartbeat()
-	mkVoice := func(name string, x float64) *core.Voice {
-		sp := room.AddSpeaker(name, acoustic.Position{X: x})
-		return core.NewVoice(sim, mp.NewSounder(mp.NewPi(sim, sp, 0.002)))
-	}
-	f1, err := hb.Register(plan, "s1", mkVoice("s1", 1))
-	if err != nil {
-		panic(err)
-	}
-	f2, err := hb.Register(plan, "s2", mkVoice("s2", -1.5))
-	if err != nil {
-		panic(err)
-	}
-	ctrl := core.NewController(sim, mic, core.NewDetector(core.MethodGoertzel, hb.Frequencies()))
-	hb.Start(ctrl, 0)
-	ctrl.Start(0)
-	t1, err := hb.StartDevice(sim, f1, 0.2)
-	if err != nil {
-		panic(err)
-	}
-	if _, err := hb.StartDevice(sim, f2, 0.7); err != nil {
-		panic(err)
-	}
-	const dieAt = 6.0
-	sim.After(dieAt, t1.Stop)
-	sim.RunUntil(15)
-
-	r.row("live devices beat audibly", "one tone per device per period",
-		hb.BeatsOf("s1") >= 4 && hb.BeatsOf("s2") >= 12,
-		"s1: %d beats before death, s2: %d beats", hb.BeatsOf("s1"), hb.BeatsOf("s2"))
-	r.row("dead device alerted", "silence noticed after the miss threshold",
-		len(hb.Alerts) == 1 && hb.Alerts[0].Device == "s1",
-		"%d alert(s): %+v", len(hb.Alerts), hb.Alerts)
-	if len(hb.Alerts) == 1 {
-		lag := hb.Alerts[0].Time - dieAt
-		r.row("detection latency", "threshold x period",
-			lag > 2 && lag < 5.5, "%.1f s after death (threshold %d x %.0f s)",
-			lag, core.HeartbeatMissThreshold, hb.Period)
-	}
-	r.note("no packets are exchanged with the monitored devices at any point")
 	return r
 }

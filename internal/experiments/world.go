@@ -20,11 +20,17 @@ func world(name string, edit func(*scenario.Config)) (*scenario.World, *scenario
 	if edit != nil {
 		edit(c)
 	}
+	return buildWorld(c), c
+}
+
+// buildWorld builds a figure's world from its config. A figure's
+// world is fixed, so a failure to build it is a wiring error.
+func buildWorld(c *scenario.Config) *scenario.World {
 	w, err := scenario.Build(c)
 	if err != nil {
 		panic(err)
 	}
-	return w, c
+	return w
 }
 
 // runWorld runs a built world to the end of its scenario.

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"mdn/internal/core"
-	"mdn/internal/netsim"
 	"mdn/internal/telemetry"
 )
 
@@ -20,8 +19,9 @@ import (
 // half: detection decays gracefully (recall falls, nothing crashes) and
 // the controller's Health snapshot names the degradation.
 //
-// Every pipeline but the modem is a scenario Config run as `mdnsim -f`
-// runs one. Every run is seeded; the same ChaosConfig produces a
+// Every pipeline is a scenario Config built as `mdnsim -f` builds one;
+// the modem's attaches its transmitter and receiver to the built world
+// (modem.go). Every run is seeded; the same ChaosConfig produces a
 // byte-identical ChaosReport, so sweeps are replayable evidence.
 
 // ChaosScenarioNames are the pipelines the harness can run.
@@ -151,7 +151,7 @@ func RunChaos(cfg ChaosConfig, reg *telemetry.Registry) (*ChaosReport, error) {
 	pts, err := sweep(cfg.Seed, cfg.Workers, len(names), len(drops), func(r, c int, seed int64) ChaosPoint {
 		var pt ChaosPoint
 		if names[r] == "modem" {
-			pt = chaosModem(reg, netsim.Faults{DropProb: drops[c], Seed: seed}, dur, cfg.StreamHop)
+			pt = chaosModem(reg, seed, drops[c], dur, cfg.StreamHop)
 		} else {
 			pt = chaosRun(chaosConfig(names[r], seed, drops[c], dur, cfg.StreamHop), reg)
 		}
@@ -206,8 +206,8 @@ func (p *probe) HandleWindow(_ float64, dets []core.Detection) {
 }
 
 // chaosPipelines builds each control pipeline's world for a point of
-// dur simulated seconds. "modem" is not among them: it runs on the
-// modem's own world (modem.go).
+// dur simulated seconds. "modem" is not among them: its testbed has no
+// apps, and the modem attaches after the build (modem.go).
 var chaosPipelines = map[string]func(dur float64) *Config{
 	// Knock rounds, one a second, three knocks 0.3 s apart; the first
 	// accepted round installs the open rule.

@@ -454,6 +454,7 @@ func (c *Config) Validate() error {
 		}
 	}
 	devices := map[string]bool{}
+	hbPeriod := 0.0 // the first heartbeat entry's period
 	for i, a := range c.Apps {
 		if !switches[a.Switch] {
 			return fmt.Errorf("scenario: app %d references unknown switch %q", i, a.Switch)
@@ -498,6 +499,14 @@ func (c *Config) Validate() error {
 				return fmt.Errorf("scenario: heartbeat on %q period_s %g below the voice's %g s minimum gap",
 					a.Switch, a.PeriodS, core.VoiceMinGap)
 			}
+			// Every heartbeat entry joins one monitor, whose miss check
+			// runs at a single period.
+			p := orDefault(a.PeriodS, core.DefaultHeartbeatPeriod)
+			if hbPeriod != 0 && p != hbPeriod {
+				return fmt.Errorf("scenario: heartbeat on %q beats every %g s, an earlier heartbeat every %g s; heartbeats share one period",
+					a.Switch, p, hbPeriod)
+			}
+			hbPeriod = p
 		case "ddos", "superspreader":
 			if a.Buckets <= 0 {
 				return fmt.Errorf("scenario: %s on %q needs buckets", a.Type, a.Switch)

@@ -2,63 +2,39 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
-	"mdn/internal/acoustic"
 	"mdn/internal/core"
 	"mdn/internal/modem"
-	"mdn/internal/mp"
-	"mdn/internal/netsim"
 	"mdn/internal/telemetry"
 )
 
-// modemWorld builds and starts the modem's testbed: switch speaker s1
-// a metre from the controller's microphone on a faulty MP hop, with a
-// transmitter on its voice and a receiver (then canary, if any) on the
-// controller's windows, all instrumented into reg. The modem's 130
-// guard-banded tones bring their own spectrum. Detection runs batch,
-// or streamed when streamHop > 0: one ticker registration at the same
-// call position, so at streamHop == Window the report is unchanged.
-func modemWorld(reg *telemetry.Registry, faults netsim.Faults, fec modem.FEC, streamHop float64, canary *probe) (
-	*netsim.Sim, *core.Controller, *modem.Transmitter, *modem.Receiver, error) {
-	sim := netsim.NewSim()
-	room := acoustic.NewRoom(44100, faults.Seed)
-	// Same acoustic-plane defaults as the scenario runner: cull at the
-	// microphone noise floor, compact behind the window loop.
-	room.CullThreshold = acoustic.CullAuto
-	mic := room.AddMicrophone("controller", acoustic.Position{}, 0.0005)
-	sp := room.AddSpeaker("s1", acoustic.Position{X: 1})
-	voice := core.NewVoice(sim, mp.NewSounder(mp.NewPi(sim, sp, 0.002)))
-	voice.Sounder().InjectFaults(faults)
-	ctrl := core.NewController(sim, mic, core.NewDetector(core.MethodGoertzel, nil))
-	// Instrument before registering the voice so the acoustic hop's
-	// fault counters are exposed too.
-	ctrl.Instrument(reg)
-	ctrl.Retention = 2
-	room.Instrument(reg)
-	ctrl.RegisterVoice("s1", voice)
-	voice.Instrument(reg, "s1")
-
+// buildModem builds the modem's testbed through build — switch
+// speaker s1 a metre from the controller's microphone, no hosts and no
+// apps, detection batch or streamed when streamHop > 0 — and puts the
+// modem on it: a transmitter on s1's voice and a receiver on the
+// controller's windows, after the probe's, all instrumented into reg.
+// The modem's 130 guard-banded tones bring their own spectrum.
+func buildModem(reg *telemetry.Registry, p *probe, fec modem.FEC, seed int64, dur, streamHop float64, faults *FaultsConfig) (
+	*World, *modem.Transmitter, *modem.Receiver, error) {
+	w, err := build(&Config{Name: "modem", Seed: seed, DurationS: dur, Switches: []SwitchConfig{{Name: "s1", X: 1}},
+		Faults: faults, Stream: streamHop > 0, HopS: streamHop}, reg, p)
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	cfg := modem.DefaultConfig()
 	cfg.FEC = fec
 	band, err := modem.NewBand(modem.Plan(cfg), "s1", cfg)
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, nil, err
 	}
-	tx, rx := modem.NewTransmitter(sim, band, voice), modem.NewReceiver(band)
+	tx, rx := modem.NewTransmitter(w.Sim, band, w.Voice("s1")), modem.NewReceiver(band)
 	tx.Instrument(reg, "s1")
 	rx.Instrument(reg, "s1")
-	ctrl.Detector.AddWatch(band.Frequencies()...)
-	ctrl.SubscribeWindowsNamed("modem", rx.HandleWindow)
-	if canary != nil {
-		ctrl.SubscribeWindowsNamed("canary", canary.HandleWindow)
-	}
-	if streamHop > 0 {
-		ctrl.StartStream(0, streamHop)
-	} else {
-		ctrl.Start(0)
-	}
-	return sim, ctrl, tx, rx, nil
+	w.ctrl.Detector.AddWatch(band.Frequencies()...)
+	w.ctrl.SubscribeWindowsNamed("modem", rx.HandleWindow)
+	return w, tx, rx, nil
 }
 
 // chaosModem runs the acoustic data channel through the chaos sweep's
@@ -66,9 +42,9 @@ func modemWorld(reg *telemetry.Registry, faults netsim.Faults, fec modem.FEC, st
 // hop the control pipelines use, so message drops become symbol
 // erasures and bit flips become wrong tones. Ground truth is frames
 // sent; detection is CRC-verified frames delivered.
-func chaosModem(reg *telemetry.Registry, faults netsim.Faults, dur, streamHop float64) ChaosPoint {
+func chaosModem(reg *telemetry.Registry, seed int64, drop, dur, streamHop float64) ChaosPoint {
 	fec := modem.FECRS{Parity: modem.DefaultRSParity}
-	sim, ctrl, tx, rx, err := modemWorld(reg, faults, fec, streamHop, &probe{})
+	w, tx, rx, err := buildModem(reg, &probe{}, fec, seed, dur, streamHop, &FaultsConfig{DropProb: drop})
 	if err != nil {
 		return ChaosPoint{Notes: "setup failed: " + err.Error()}
 	}
@@ -92,8 +68,8 @@ func chaosModem(reg *telemetry.Registry, faults netsim.Faults, dur, streamHop fl
 	}
 
 	pt := ChaosPoint{GroundTruth: frames}
-	sim.RunUntil(dur)
-	pt.setHealth(ctrl.Health())
+	w.Sim.RunUntil(dur)
+	pt.setHealth(w.ctrl.Health())
 	pt.Detected = int(rx.FramesRx)
 	if pt.Detected > frames {
 		// The last, uncounted frame straddling the horizon delivered
@@ -201,7 +177,9 @@ func RunModemSweep(cfg ModemSweepConfig, reg *telemetry.Registry) (*ModemSweepRe
 // world with a clean wire: the corruptor attacks payload symbols at
 // schedule time.
 func modemPoint(reg *telemetry.Registry, fec modem.FEC, rate float64, seed int64, streamHop float64) ModemSweepPoint {
-	sim, _, tx, rx, err := modemWorld(reg, netsim.Faults{Seed: seed}, fec, streamHop, nil)
+	// The point runs until its last frame has had 0.5 s to land, a
+	// horizon the frames fix only once scheduled.
+	w, tx, rx, err := buildModem(reg, nil, fec, seed, math.Inf(1), streamHop, nil)
 	if err != nil {
 		return ModemSweepPoint{}
 	}
@@ -220,7 +198,7 @@ func modemPoint(reg *telemetry.Registry, fec modem.FEC, rate float64, seed int64
 		}
 		at = end
 	}
-	sim.RunUntil(at + 0.5)
+	w.Sim.RunUntil(at + 0.5)
 
 	pt := ModemSweepPoint{
 		FramesTx:         tx.FramesTx,

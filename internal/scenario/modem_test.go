@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"math"
+	"os"
+	"strings"
 	"testing"
 )
 
@@ -116,5 +118,20 @@ func TestModemSweepRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := RunModemSweep(ModemSweepConfig{StreamHop: 0.012}, nil); err == nil {
 		t.Error("misaligned stream hop accepted")
+	}
+}
+
+// TestModemBuildsNoWorld: the modem's testbed is a Config built by
+// build, so a runner fix reaches the modem sweep and the chaos modem
+// rows. modem.go must not grow a world builder of its own again.
+func TestModemBuildsNoWorld(t *testing.T) {
+	src, err := os.ReadFile("modem.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, call := range []string{"netsim.NewSim", "acoustic.NewRoom", "core.NewController", "NewVoice"} {
+		if strings.Contains(string(src), call) {
+			t.Errorf("modem.go calls %s", call)
+		}
 	}
 }

@@ -511,6 +511,13 @@ func build(c *Config, reg *telemetry.Registry, probe *probe) (*World, error) {
 	return w, nil
 }
 
+// Controller returns the world's controller. A caller may subscribe
+// to its windows before Run.
+func (w *World) Controller() *core.Controller { return w.ctrl }
+
+// Voice returns the named switch's voice, or nil for an unknown name.
+func (w *World) Voice(name string) *core.Voice { return w.voices[name] }
+
 // Run runs the world for the config's duration and returns its report.
 // A world runs once.
 func (w *World) Run() (*Report, error) {

@@ -215,6 +215,10 @@ func TestValidateRejects(t *testing.T) {
 		"neg noise level":   `{"duration_s":1,"switches":[{"name":"s"}],"noise":[{"type":"song","level":-0.1}]}`,
 		// A heartbeat faster than the voice can replay one tone.
 		"heartbeat 1ns": `{"duration_s":1,"switches":[{"name":"s"}],"apps":[{"type":"heartbeat","switch":"s","period_s":1e-9}]}`,
+		// Heartbeats share one miss check, so one period; 0 is the 1 s
+		// default.
+		"heartbeat periods differ": `{"duration_s":1,"switches":[{"name":"s1"},{"name":"s2"}],"apps":[{"type":"heartbeat","switch":"s1","period_s":1.0},{"type":"heartbeat","switch":"s2","period_s":0.3}]}`,
+		"heartbeat default vs 0.3": `{"duration_s":1,"switches":[{"name":"s1"},{"name":"s2"}],"apps":[{"type":"heartbeat","switch":"s1","period_s":0.3},{"type":"heartbeat","switch":"s2"}]}`,
 		// Port ranges past 65535.
 		"app ports wrap":     `{"duration_s":1,"switches":[{"name":"s"}],"apps":[{"type":"portscan","switch":"s","first_port":65530,"num_ports":12}]}`,
 		"knock ports wrap":   `{"duration_s":1,"switches":[{"name":"s"}],"apps":[{"type":"portknock","switch":"s","first_port":65535,"num_ports":2,"install":{"action":"drop"}}]}`,
@@ -551,7 +555,7 @@ func TestScenarioDeviceFaultsSelfHeal(t *testing.T) {
 		`"switches": [{"name": "s1", "x": 1}, {"name": "s2", "x": -1}]`,
 		`"apps": [{"type": "heartbeat", "switch": "s1", "period_s": 0.3}]`,
 		`"apps": [{"type": "heartbeat", "switch": "s1", "period_s": 0.3},
-		          {"type": "heartbeat", "switch": "s2"}]`,
+		          {"type": "heartbeat", "switch": "s2", "period_s": 0.3}]`,
 	).Replace(faulted)
 	for _, tc := range []struct {
 		name     string
@@ -647,6 +651,37 @@ func TestScenarioDeviceFaultsSelfHeal(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestDeadSpeakerBesideLiveNeighbourNotRekeyed: s1's speaker dies at
+// 6 s while s2, 2.5 m away on the neighbouring plan slot, keeps
+// beating. The monitor's detune probe must not take s2's leakage
+// around s1's tone for a detuned s1: s1 is muted as silent with no
+// re-key, and s2 stays healthy.
+func TestDeadSpeakerBesideLiveNeighbourNotRekeyed(t *testing.T) {
+	cfg, err := Load(strings.NewReader(`{
+	  "name": "dead-speaker", "seed": 160, "duration_s": 15,
+	  "switches": [{"name": "s1", "x": 1}, {"name": "s2", "x": -1.5}],
+	  "apps": [{"type": "heartbeat", "switch": "s1"}, {"type": "heartbeat", "switch": "s2"}],
+	  "device_faults": [{"kind": "speaker_decay", "device": "s1", "start_s": 6, "end_s": 6.05, "level": 0}]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byName := map[string]core.DeviceHealth{}
+	for _, d := range rep.Devices {
+		byName[d.Kind+"/"+d.Name] = d
+	}
+	if s1 := byName["speaker/s1"]; s1.Rekeys != 0 || s1.State != "silent" || !s1.Muted {
+		t.Errorf("dead s1 = %+v, want silent and muted with 0 re-keys", s1)
+	}
+	if s2 := byName["speaker/s2"]; s2.Rekeys != 0 || s2.State != "healthy" || s2.Muted {
+		t.Errorf("live s2 = %+v, want healthy", s2)
+	}
 }
 
 func TestValidateRejectsBadDeviceConfig(t *testing.T) {
