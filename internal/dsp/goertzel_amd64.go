@@ -1,8 +1,9 @@
 package dsp
 
-// useAVX2 selects the AVX2 Goertzel kernel. It is decided once, at
-// package init: the CPU must report AVX2, and the operating system
-// must save the YMM registers across context switches.
+// useAVX2 selects the AVX2 kernels, the Goertzel bank's and the FFT
+// passes'. It is decided once, at package init: the CPU must report
+// AVX2, and the operating system must save the YMM registers across
+// context switches.
 var useAVX2 = hasAVX2()
 
 // hasAVX2 reads the feature bits the way the Intel SDM prescribes for
