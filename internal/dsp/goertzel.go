@@ -198,15 +198,3 @@ func (g *GoertzelPlan) magnitudesGo(dst, samples []float64) {
 func GoertzelBank(samples []float64, freqs []float64, sampleRate float64) []float64 {
 	return NewGoertzelPlan(freqs, sampleRate).MagnitudesInto(nil, samples)
 }
-
-// GoertzelPower returns the normalised power (mean-square amplitude
-// contribution) of freq in the block, i.e. magnitude scaled so that a
-// unit-amplitude sinusoid at freq yields approximately 0.5.
-func GoertzelPower(samples []float64, freq, sampleRate float64) float64 {
-	n := float64(len(samples))
-	if n == 0 {
-		return 0
-	}
-	m := Goertzel(samples, freq, sampleRate)
-	return float64((m/n)*(m/n)) * 2
-}

@@ -75,15 +75,3 @@ func TestGoertzelBankOrder(t *testing.T) {
 		t.Errorf("bank should peak at 600 Hz: %v", mags)
 	}
 }
-
-func TestGoertzelPowerUnitAmplitude(t *testing.T) {
-	const sampleRate = 44100.0
-	x := sine(441, sampleRate, 44100) // 1 s, bin-aligned at 1 Hz resolution
-	p := GoertzelPower(x, 441, sampleRate)
-	if math.Abs(p-0.5) > 0.05 {
-		t.Errorf("unit sine power = %g, want ~0.5", p)
-	}
-	if GoertzelPower(nil, 441, sampleRate) != 0 {
-		t.Error("empty input should give 0")
-	}
-}
