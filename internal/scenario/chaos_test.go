@@ -199,7 +199,7 @@ func TestChaosGracefulDegradation(t *testing.T) {
 // TestChaosStreamInstallsRules runs the rule-installing pipelines on
 // the 10 ms streaming path. Every point must install its rule, except
 // one known failure: at 0 % drop the stream path's phantom onsets
-// (ROADMAP item 2) keep the knock from ever completing. That point
+// (ROADMAP items 4 and 5) keep the knock from ever completing. That point
 // must report recall 0, and the test fails once it passes, so the
 // expectation is updated with the fix.
 func TestChaosStreamInstallsRules(t *testing.T) {
