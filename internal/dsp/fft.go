@@ -108,7 +108,7 @@ func PowerSpectrum(x []complex128) []float64 {
 	for i := 0; i < half; i++ {
 		re := real(x[i])
 		im := imag(x[i])
-		out[i] = re*re + im*im
+		out[i] = float64(re*re) + float64(im*im)
 	}
 	return out
 }

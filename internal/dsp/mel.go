@@ -92,7 +92,7 @@ func (b *MelFilterBank) ApplyInto(dst, spectrum []float64) []float64 {
 			n = len(w)
 		}
 		for k := 0; k < n; k++ {
-			sum += w[k] * spectrum[k]
+			sum += float64(w[k] * spectrum[k])
 		}
 		dst[f] = sum
 	}

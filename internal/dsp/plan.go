@@ -400,8 +400,8 @@ func packBoth(z []complex128, rev []int32, xa, xb, ca, cb []float64) {
 	}
 	ca, cb = ca[:n], cb[:n]
 	for r, j := range rev {
-		a := complex(xa[2*r]*ca[2*r], xa[2*r+1]*ca[2*r+1])
-		b := complex(xb[2*r]*cb[2*r], xb[2*r+1]*cb[2*r+1])
+		a := complex(float64(xa[2*r]*ca[2*r]), float64(xa[2*r+1]*ca[2*r+1]))
+		b := complex(float64(xb[2*r]*cb[2*r]), float64(xb[2*r+1]*cb[2*r+1]))
 		z[j], z[j+1] = a+b, a-b
 	}
 }
@@ -421,7 +421,7 @@ func packFirst(z []complex128, rev []int32, xa, ca []float64) {
 	}
 	ca = ca[:n]
 	for r, j := range rev {
-		a := complex(xa[2*r]*ca[2*r], xa[2*r+1]*ca[2*r+1])
+		a := complex(float64(xa[2*r]*ca[2*r]), float64(xa[2*r+1]*ca[2*r+1]))
 		z[j], z[j+1] = a+zero, a-zero
 	}
 }

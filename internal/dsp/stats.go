@@ -43,14 +43,14 @@ func (c *CDF) Quantile(q float64) float64 {
 	if q >= 1 {
 		return c.samples[len(c.samples)-1]
 	}
-	pos := q * float64(len(c.samples)-1)
+	pos := float64(q * float64(len(c.samples)-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
 		return c.samples[lo]
 	}
 	frac := pos - float64(lo)
-	return c.samples[lo]*(1-frac) + c.samples[hi]*frac
+	return float64(c.samples[lo]*(1-frac)) + float64(c.samples[hi]*frac)
 }
 
 // String summarises the distribution.

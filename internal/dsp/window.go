@@ -81,11 +81,11 @@ func (w Window) compute(n int) []float64 {
 		t := float64(i) / den
 		switch w {
 		case Hann:
-			out[i] = 0.5 - 0.5*math.Cos(2*math.Pi*t)
+			out[i] = 0.5 - float64(0.5*math.Cos(2*math.Pi*t))
 		case Hamming:
-			out[i] = 0.54 - 0.46*math.Cos(2*math.Pi*t)
+			out[i] = 0.54 - float64(0.46*math.Cos(2*math.Pi*t))
 		case Blackman:
-			out[i] = 0.42 - 0.5*math.Cos(2*math.Pi*t) + 0.08*math.Cos(4*math.Pi*t)
+			out[i] = 0.42 - float64(0.5*math.Cos(2*math.Pi*t)) + float64(0.08*math.Cos(4*math.Pi*t))
 		default:
 			out[i] = 1
 		}
