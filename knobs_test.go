@@ -13,12 +13,8 @@ import (
 // knobKeep lists the exported settings TestNoUnusedKnobs accepts
 // although no production caller sets them, one reason each.
 var knobKeep = map[string]string{
-	"core.OnsetFilter.ConfirmWindows":  "ROADMAP item 4 redefines confirmation as seconds of evidence",
-	"core.OnsetFilter.HoldWindows":     "ROADMAP item 4 redefines the hold as seconds of evidence",
-	"core.KnockGenerator.EpochSeconds": "ROADMAP item 11 retires the type",
-	"core.KnockGenerator.Length":       "ROADMAP item 11 retires the type",
-	"core.KnockGenerator.PortBase":     "ROADMAP item 11 retires the type",
-	"core.KnockGenerator.PortRange":    "ROADMAP item 11 retires the type",
+	"core.OnsetFilter.ConfirmWindows": "ROADMAP item 4 redefines confirmation as seconds of evidence",
+	"core.OnsetFilter.HoldWindows":    "ROADMAP item 4 redefines the hold as seconds of evidence",
 }
 
 // TestNoUnusedKnobs keeps one value per setting. For every internal
