@@ -17,6 +17,8 @@ import (
 	"mdn/internal/core"
 	"mdn/internal/dsp"
 	"mdn/internal/experiments"
+	"mdn/internal/mp"
+	"mdn/internal/netsim"
 )
 
 func benchExperiment(b *testing.B, id string) {
@@ -79,8 +81,8 @@ func BenchmarkAblationDetectorMethod(b *testing.B) {
 		for i := range watch {
 			watch[i] = 400 + 20*float64(i)
 		}
-		for _, m := range []Method{MethodGoertzel, core.MethodFFT} {
-			det := NewDetector(m, watch)
+		for _, m := range []core.Method{core.MethodGoertzel, core.MethodFFT} {
+			det := core.NewDetector(m, watch)
 			b.Run(m.String()+"-watch-"+strconv.Itoa(n), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
@@ -115,7 +117,7 @@ func BenchmarkAblationWindowLength(b *testing.B) {
 	for _, ms := range []int{25, 50, 100, 200} {
 		dur := float64(ms) / 1000
 		tone := audio.Tone{Frequency: 700, Duration: dur, Amplitude: 0.02}.Render(44100)
-		det := NewDetector(MethodGoertzel, []float64{660, 680, 700, 720, 740})
+		det := core.NewDetector(core.MethodGoertzel, []float64{660, 680, 700, 720, 740})
 		b.Run("window-"+strconv.Itoa(ms)+"ms", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -125,21 +127,33 @@ func BenchmarkAblationWindowLength(b *testing.B) {
 	}
 }
 
+// busyRoom builds the capture benchmarks' room: ten voiced switches
+// 1-3.7 m from the controller microphone, each played one tone at
+// 0.1 s through its Pi, and a pop song, simulated to 0.5 s so every
+// tone has been emitted.
+func busyRoom() *acoustic.Microphone {
+	sim := netsim.NewSim()
+	room := acoustic.NewRoom(44100, 99)
+	mic := room.AddMicrophone("controller", acoustic.Position{}, 0.0005)
+	for i := 0; i < 10; i++ {
+		sp := room.AddSpeaker("s"+strconv.Itoa(i), acoustic.Position{X: 1 + float64(i)*0.3})
+		v := core.NewVoice(sim, mp.NewSounder(mp.NewPi(sim, sp, 0.002)))
+		f := 400 + float64(i)*80
+		sim.Schedule(0.1, func() { v.Play(f) })
+	}
+	room.AddNoise(core.PopSongNoise(44100, 2, 0.02, 5))
+	sim.RunUntil(0.5)
+	return mic
+}
+
 // BenchmarkAcousticCapture measures the cost of rendering one
 // controller window from a busy room (10 emitters + noise).
 func BenchmarkAcousticCapture(b *testing.B) {
-	tb := NewTestbed(99)
-	for i := 0; i < 10; i++ {
-		_, v := tb.AddVoicedSwitch("s"+strconv.Itoa(i), 1+float64(i)*0.3, 0)
-		f := 400 + float64(i)*80
-		tb.Sim.Schedule(0.1, func() { v.Play(f) })
-	}
-	tb.Room.AddNoise(core.PopSongNoise(44100, 2, 0.02, 5))
-	tb.Sim.RunUntil(0.5)
+	mic := busyRoom()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tb.Mic.Capture(0.1, 0.15)
+		mic.Capture(0.1, 0.15)
 	}
 }
 
@@ -148,19 +162,12 @@ func BenchmarkAcousticCapture(b *testing.B) {
 // feeding each call's return value into the next. The steady state
 // must report 0 allocs/op.
 func BenchmarkCaptureInto(b *testing.B) {
-	tb := NewTestbed(99)
-	for i := 0; i < 10; i++ {
-		_, v := tb.AddVoicedSwitch("s"+strconv.Itoa(i), 1+float64(i)*0.3, 0)
-		f := 400 + float64(i)*80
-		tb.Sim.Schedule(0.1, func() { v.Play(f) })
-	}
-	tb.Room.AddNoise(core.PopSongNoise(44100, 2, 0.02, 5))
-	tb.Sim.RunUntil(0.5)
-	buf := tb.Mic.CaptureInto(nil, 0.1, 0.15)
+	mic := busyRoom()
+	buf := mic.CaptureInto(nil, 0.1, 0.15)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = tb.Mic.CaptureInto(buf, 0.1, 0.15)
+		buf = mic.CaptureInto(buf, 0.1, 0.15)
 	}
 }
 
@@ -217,7 +224,7 @@ func BenchmarkCaptureCulled(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			room := acoustic.NewRoom(44100, 99)
 			if mode.cull {
-				room.CullThreshold = CullAuto
+				room.CullThreshold = acoustic.CullAuto
 			}
 			mic := room.AddMicrophone("controller", acoustic.Position{}, 0.0005)
 			for i := 0; i < 256; i++ {
@@ -242,7 +249,7 @@ func BenchmarkCaptureCulled(b *testing.B) {
 // fleetRoom builds the N-voice fleet world: one speaker per switch
 // holding a sustained tone, one microphone per switch, and an FFT
 // detector watching all N frequencies.
-func fleetRoom(n int) ([]*acoustic.Microphone, *Detector) {
+func fleetRoom(n int) ([]*acoustic.Microphone, *core.Detector) {
 	room := acoustic.NewRoom(44100, 7)
 	mics := make([]*acoustic.Microphone, n)
 	freqs := make([]float64, n)
@@ -255,7 +262,7 @@ func fleetRoom(n int) ([]*acoustic.Microphone, *Detector) {
 		sp.Play(0, audio.Tone{Frequency: freqs[i], Duration: 3600,
 			Amplitude: acoustic.SPLToAmplitude(60)})
 	}
-	return mics, NewDetector(core.MethodFFT, freqs)
+	return mics, core.NewDetector(core.MethodFFT, freqs)
 }
 
 // BenchmarkFleet drives the fleet engine: one 50 ms controller window
@@ -466,25 +473,5 @@ func BenchmarkAblationSTFTParallel(b *testing.B) {
 				_ = dsp.STFTParallel(fan.Samples, 44100, 4096, 2048, dsp.Hann, workers)
 			}
 		})
-	}
-}
-
-// TestFacadeSmoke exercises the public facade end to end: a voiced
-// switch plays a tone and the controller hears it.
-func TestFacadeSmoke(t *testing.T) {
-	tb := NewTestbed(1)
-	_, voice := tb.AddVoicedSwitch("s1", 1, 0)
-	freqs := tb.Plan.MustAllocate("s1", 1)
-	ctrl := tb.NewController(freqs)
-	var heard []Detection
-	ctrl.SubscribeWindows(func(_ float64, dets []Detection) { heard = append(heard, dets...) })
-	ctrl.Start(0)
-	tb.Sim.Schedule(0.3, func() { voice.Play(freqs[0]) })
-	tb.Sim.RunUntil(1)
-	if len(heard) == 0 {
-		t.Fatal("facade controller heard nothing")
-	}
-	if math.Abs(heard[0].Frequency-freqs[0]) > 1e-9 {
-		t.Errorf("heard %g, want %g", heard[0].Frequency, freqs[0])
 	}
 }

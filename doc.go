@@ -7,18 +7,19 @@
 // an MDN controller decodes tone sequences with the FFT and reacts —
 // installing flow rules, raising alerts, balancing load.
 //
-// The package is a small facade over the implementation packages,
-// holding what the example programs call:
+// The package is the scenario API, the one way a program builds a
+// world:
 //
-//   - a Testbed builder assembling the simulated network, acoustic
-//     room, frequency plan (FrequencyPlan) and controller microphone
-//   - tone detection over captured audio (Detector, OnsetFilter) and
-//     the controller event loop (Controller)
-//   - the paper's applications: PortKnock (§4), HeavyHitter, PortScan
-//     and SpreadDetector (§5), Relay (§8) and FanMonitor (§7)
-//   - the acoustic data channel (ModemBand, ModemTransmitter,
-//     ModemReceiver)
+//   - a Config states the room, switches, hosts, apps, traffic and
+//     noise; Load reads one of the shipped scenario files
+//   - Build turns a Config into a World: its simulator, controller,
+//     switch voices, topology and deployed apps (World.Apps)
+//   - a caller attaches its own listener or transmitter to the World
+//     (World.Controller, World.Voice), then runs it once (World.Run)
+//   - a listener confirms tones with an OnsetFilter; FrequencyPlan
+//     hands out tone sets, and SequenceFSM is the §4 state machine
 //
-// See the examples directory for runnable end-to-end scenarios and
-// cmd/mdnbench for the paper's full evaluation.
+// See the examples directory for runnable end-to-end scenarios,
+// cmd/mdnsim for the scenario runner and cmd/mdnbench for the paper's
+// full evaluation.
 package mdn

@@ -4,27 +4,55 @@ import (
 	"fmt"
 
 	"mdn"
+	"mdn/internal/core"
 )
 
 // The smallest possible Music-Defined Network: one voiced switch, one
 // listening controller, one tone.
 func Example() {
-	tb := mdn.NewTestbed(42)
-	_, voice := tb.AddVoicedSwitch("s1", 1.5, 0)
-	freqs := tb.Plan.MustAllocate("s1", 1)
+	w, err := mdn.Build(&mdn.Config{
+		Name: "example", Seed: 42, DurationS: 1,
+		Switches: []mdn.SwitchConfig{{Name: "s1", X: 1.5}},
+	})
+	if err != nil {
+		panic(err)
+	}
+	freqs := mdn.NewFrequencyPlan(400, 8000, 20).MustAllocate("s1", 1)
 
-	ctrl := tb.NewController(freqs)
+	ctrl := w.Controller()
+	ctrl.Detector.AddWatch(freqs...)
 	onset := mdn.NewOnsetFilter()
 	ctrl.SubscribeWindows(func(_ float64, dets []mdn.Detection) {
 		for _, d := range onset.Step(dets) {
 			fmt.Printf("heard %.0f Hz\n", d.Frequency)
 		}
 	})
-	ctrl.Start(0)
 
-	tb.Sim.Schedule(0.5, func() { voice.Play(freqs[0]) })
-	tb.Sim.RunUntil(1)
+	voice := w.Voice("s1")
+	w.Sim.Schedule(0.5, func() { voice.Play(freqs[0]) })
+	if _, err := w.Run(); err != nil {
+		panic(err)
+	}
 	// Output: heard 400 Hz
+}
+
+// A shipped scenario runs through the same builder as a hand-written
+// Config: the Section 4 knock opens the port.
+func ExampleLoad() {
+	cfg, err := mdn.Load("portknock.json")
+	if err != nil {
+		panic(err)
+	}
+	w, err := mdn.Build(cfg)
+	if err != nil {
+		panic(err)
+	}
+	if _, err := w.Run(); err != nil {
+		panic(err)
+	}
+	pk := w.Apps[0].(*core.PortKnock)
+	fmt.Printf("port opened at t=%.2fs, rule installed at t=%.3fs\n", pk.OpenedAt, pk.InstalledAt)
+	// Output: port opened at t=11.10s, rule installed at t=11.105s
 }
 
 // Frequency plans give every device a disjoint tone set and map

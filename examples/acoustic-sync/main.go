@@ -14,18 +14,25 @@ import (
 	"fmt"
 
 	"mdn"
+	"mdn/internal/modem"
 	"mdn/internal/netsim"
 	"mdn/internal/openflow"
 )
 
 func main() {
-	tb := mdn.NewTestbed(99)
-	tb.EnableCulling()
-
-	// The primary's switch carries the authoritative flow table; the
-	// standby switch, 2 m across the room, starts empty.
-	primary, voice := tb.AddVoicedSwitch("primary", 2, 0)
-	standby := netsim.NewSwitch(tb.Sim, "standby")
+	// The primary switch, 2 m from the controller's microphone,
+	// carries the authoritative flow table; the standby switch, beside
+	// the microphone it listens with, starts empty. The world has no
+	// apps: the modem below is its only user. It runs 7.5 s, past the
+	// end of the one frame sent at 0.5 s.
+	w, err := mdn.Build(&mdn.Config{
+		Name: "acoustic-sync", Seed: 99, DurationS: 7.5,
+		Switches: []mdn.SwitchConfig{{Name: "primary", X: 2}, {Name: "standby", X: 0.5}},
+	})
+	if err != nil {
+		panic(err)
+	}
+	primary, standby := w.Switches["primary"], w.Switches["standby"]
 
 	table := []openflow.FlowMod{
 		{Command: openflow.FlowAdd, Priority: 10,
@@ -59,24 +66,25 @@ func main() {
 
 	// The data channel: Reed-Solomon coded FSK over the primary's
 	// speaker, with a 3% symbol corruptor standing in for a noisy room.
-	cfg := mdn.DefaultModemConfig()
-	fec, err := mdn.ModemFECByName("rs_p48")
+	cfg := modem.DefaultConfig()
+	fec, err := modem.FECByName("rs_p48")
 	if err != nil {
 		panic(err)
 	}
 	cfg.FEC = fec
-	band, err := mdn.NewModemBand(mdn.ModemPlan(cfg), "primary", cfg)
+	band, err := modem.NewBand(modem.Plan(cfg), "primary", cfg)
 	if err != nil {
 		panic(err)
 	}
-	tx := mdn.NewModemTransmitter(tb.Sim, band, voice)
-	tx.Corruptor = mdn.NewModemCorruptor(0.03, 7)
+	tx := modem.NewTransmitter(w.Sim, band, w.Voice("primary"))
+	tx.Corruptor = modem.NewCorruptor(0.03, 7)
 
 	// The standby side listens on the controller microphone and
 	// installs whatever survives the CRC.
-	ctrl := tb.NewController(band.Frequencies())
-	rx := mdn.NewModemReceiver(band)
-	rx.OnFrame(func(fr mdn.ModemFrame) {
+	ctrl := w.Controller()
+	ctrl.Detector.AddWatch(band.Frequencies()...)
+	rx := modem.NewReceiver(band)
+	rx.OnFrame(func(fr modem.Frame) {
 		rest := fr.Payload
 		installed := 0
 		for len(rest) > 0 {
@@ -93,13 +101,13 @@ func main() {
 			fr.Time, installed, fr.Seq)
 	})
 	ctrl.SubscribeWindows(rx.HandleWindow)
-	ctrl.Start(0)
 
-	end, err := tx.Send(0.5, payload)
-	if err != nil {
+	if _, err := tx.Send(0.5, payload); err != nil {
 		panic(err)
 	}
-	tb.Sim.RunUntil(end + 0.5)
+	if _, err := w.Run(); err != nil {
+		panic(err)
+	}
 
 	fmt.Printf("channel: %d symbols sent, %d corrupted in flight, %d repaired by FEC\n",
 		tx.SymbolsTx, tx.SymbolsCorrupted, rx.FECCorrected)

@@ -2,72 +2,43 @@
 // the end of the paper's Section 5, implemented. The switch maps the
 // counterpart address of packets touching a watched host onto a
 // frequency bank; a worm-like fan-out or a many-source flood sounds
-// like many distinct tones per interval.
+// like many distinct tones per interval. In the shipped scenario three
+// clients talk to the server from 0.5 s and three more join at 3 s.
 //
 //	go run ./examples/ddos
 package main
 
 import (
 	"fmt"
+	"strings"
 
 	"mdn"
-	"mdn/internal/netsim"
+	"mdn/internal/core"
 )
 
 func main() {
-	tb := mdn.NewTestbed(5)
-	sw, voice := tb.AddVoicedSwitch("s1", 1.2, 0)
-
-	// Twelve hosts on one switch; hosts[0] is the protected server.
-	var hosts []*netsim.Host
-	for i := 0; i < 12; i++ {
-		h := netsim.NewHost(tb.Sim, fmt.Sprintf("h%d", i),
-			netsim.MustAddr(fmt.Sprintf("10.0.2.%d", i+1)))
-		netsim.Connect(tb.Sim, h, 1, sw, i+1, 1e9, 0.0001, 0)
-		sw.InstallRule(netsim.Rule{Priority: 1, Match: netsim.Match{Dst: h.Addr}, Action: netsim.Output(i + 1)})
-		hosts = append(hosts, h)
-	}
-	victim := hosts[0]
-
-	sd, err := mdn.NewSpreadDetector(tb.Plan, "s1", voice, mdn.ModeDDoSVictim,
-		victim.Addr, 24, 5)
+	cfg, err := mdn.Load("ddos.json")
 	if err != nil {
 		panic(err)
 	}
-	sw.Tap = sd.Tap
-	ctrl := tb.NewController(sd.Frequencies())
-	sd.Start(ctrl, 0)
-	ctrl.Start(0)
-
-	// Phase 1 (0–3 s): one legitimate client.
-	client := hosts[1]
-	netsim.StartCBR(tb.Sim, client, netsim.FiveTuple{
-		Src: client.Addr, Dst: victim.Addr, SrcPort: 40000, DstPort: 443,
-		Proto: netsim.ProtoTCP,
-	}, 40, 800, 0, 3)
-
-	// Phase 2 (3–7 s): eleven attackers flood the victim.
-	for i, atk := range hosts[1:] {
-		netsim.StartPoisson(tb.Sim, atk, netsim.FiveTuple{
-			Src: atk.Addr, Dst: victim.Addr, SrcPort: 6666, DstPort: 443,
-			Proto: netsim.ProtoUDP,
-		}, 10, 100, 3, 7, int64(200+i))
+	w, err := mdn.Build(cfg)
+	if err != nil {
+		panic(err)
 	}
-	tb.Sim.RunUntil(8)
+	if _, err := w.Run(); err != nil {
+		panic(err)
+	}
 
-	fmt.Printf("watched host: %s (DDoS-victim mode, k=%d)\n\n", victim.Addr, sd.K)
+	sd := w.Apps[0].(*core.SpreadDetector)
+	fmt.Printf("watched host: %s (%s mode, k=%d)\n\n", sd.Watched, sd.Mode, sd.K)
 	fmt.Println("distinct source buckets heard per 1 s interval:")
 	for _, s := range sd.History {
-		bar := ""
-		for i := 0; i < int(s.Value); i++ {
-			bar += "#"
-		}
-		fmt.Printf("  t=%4.1fs  %2.0f  %s\n", s.Time, s.Value, bar)
+		fmt.Printf("  t=%4.1fs  %2.0f  %s\n", s.Time, s.Value, strings.Repeat("#", int(s.Value)))
 	}
 	fmt.Println()
 	for _, a := range sd.Alerts {
 		fmt.Printf("t=%4.1fs  DDOS ALERT: %d distinct sources (> k=%d) contacting %s\n",
-			a.Time, a.Distinct, sd.K, victim.Addr)
+			a.Time, a.Distinct, sd.K, sd.Watched)
 	}
 	if len(sd.Alerts) == 0 {
 		fmt.Println("no alerts (unexpected)")

@@ -10,7 +10,6 @@ package main
 import (
 	"fmt"
 
-	"mdn"
 	"mdn/internal/acoustic"
 	"mdn/internal/core"
 	"mdn/internal/dsp"
@@ -18,20 +17,24 @@ import (
 
 func main() {
 	const failAt = 10.0
-	tb := mdn.NewTestbed(3)
+	// A fan is a noise source of the room, which a scenario config does
+	// not describe, so this example builds its room by hand: the
+	// controller's microphone at the origin.
+	room := acoustic.NewRoom(44100, 3)
+	mic := room.AddMicrophone("controller", acoustic.Position{}, 0.0005)
 
 	// Foreground server fan 0.3 m from the probe microphone; it
 	// stops (fails) at t=10 s.
 	fanSrc, fan := core.FanSource(44100, 2.0, 0.3, acoustic.Position{X: 0.3}, 3)
 	fanSrc.Until = failAt
-	tb.Room.AddNoise(fanSrc)
+	room.AddNoise(fanSrc)
 	// Datacenter ambience: a dozen other fans plus HVAC at ~85 dBA.
-	tb.Room.AddNoise(core.DatacenterNoise(44100, 3.0, 4))
+	room.AddNoise(core.DatacenterNoise(44100, 3.0, 4))
 
 	fmt.Printf("monitored fan: %.0f RPM, %d blades -> blade-pass %.0f Hz, harmonics %v\n",
 		fan.RPM, fan.Blades, fan.BladePassHz(), fan.HarmonicFrequencies())
 
-	fm := mdn.NewFanMonitor(tb.Mic, fan.HarmonicFrequencies())
+	fm := core.NewFanMonitor(mic, fan.HarmonicFrequencies())
 	if err := fm.Train(1, 3); err != nil {
 		panic(err)
 	}

@@ -11,46 +11,29 @@ import (
 	"fmt"
 
 	"mdn"
-	"mdn/internal/acoustic"
-	"mdn/internal/core"
-	"mdn/internal/mp"
-	"mdn/internal/netsim"
-	"mdn/internal/openflow"
 )
 
 func main() {
-	tb := mdn.NewTestbed(11)
-	rh := netsim.NewRhombusLinks(tb.Sim,
-		netsim.LinkSpec{RateBps: 1e7, Latency: 0.0001, QueueCap: 400},
-		netsim.LinkSpec{RateBps: 1e6, Latency: 0.0001, QueueCap: 400})
-
-	// Voice s1 (the path-choosing switch) through its Pi.
-	sp := tb.Room.AddSpeaker("s1", acoustic.Position{X: 1})
-	voice := core.NewVoice(tb.Sim, mp.NewSounder(mp.NewPi(tb.Sim, sp, 0.002)))
-	qm := core.NewQueueMonitorWithTones(rh.S1, 2, voice, core.DefaultQueueFrequencies)
-	lb := core.NewLoadBalancer(qm, tb.OpenFlowChannel(rh.S1, 0.005), openflow.FlowMod{
-		Command:  openflow.FlowAdd,
-		Priority: 10,
-		Match:    netsim.Match{Dst: rh.H2.Addr},
-		Action:   netsim.Split(2, 3),
-	})
-	ctrl := tb.NewController(qm.Frequencies())
-	ctrl.SubscribeWindows(qm.HandleWindow)
-	ctrl.SubscribeWindows(lb.HandleWindow)
-	qm.StartSwitchSide(tb.Sim, 0.05)
-	ctrl.Start(0)
-
-	flow := netsim.FiveTuple{Src: rh.H1.Addr, Dst: rh.H2.Addr, SrcPort: 1, DstPort: 2, Proto: netsim.ProtoUDP}
-	netsim.StartRamp(tb.Sim, rh.H1, flow, 40, 150, 1500, 0.2, 12)
-
-	tb.Sim.Every(1, 1, func(now float64) {
+	cfg, err := mdn.Load("loadbalance.json")
+	if err != nil {
+		panic(err)
+	}
+	w, err := mdn.Build(cfg)
+	if err != nil {
+		panic(err)
+	}
+	lb := w.Apps[0].(mdn.Balancer)
+	s1, s2, s3, h2 := w.Switches["s1"], w.Switches["s2"], w.Switches["s3"], w.Hosts["h2"]
+	w.Sim.Every(1, 1, func(now float64) {
 		fmt.Printf("t=%5.2fs  s1 queue=%3d pkts  upper(s2)=%5d lower(s3)=%5d pkts  split=%v\n",
-			now, rh.S1.QueueLen(2), rh.S2.RxPackets, rh.S3.RxPackets, lb.Triggered)
+			now, s1.QueueLen(2), s2.RxPackets, s3.RxPackets, lb.LoadBalancer.Triggered)
 	})
-	tb.Sim.RunUntil(12)
+	if _, err := w.Run(); err != nil {
+		panic(err)
+	}
 
-	fmt.Printf("\ncongestion tone heard and Flow-MOD sent at t=%.2fs\n", lb.TriggeredAt)
+	fmt.Printf("\ncongestion tone heard and Flow-MOD sent at t=%.2fs\n", lb.LoadBalancer.TriggeredAt)
 	fmt.Printf("delivered to h2: %d packets (upper %d / lower %d)\n",
-		rh.H2.RxPackets, rh.S2.RxPackets, rh.S3.RxPackets)
-	fmt.Printf("decoded level sequence: %v (0=low 1=mid 2=high)\n", qm.HeardLevels())
+		h2.RxPackets, s2.RxPackets, s3.RxPackets)
+	fmt.Printf("decoded level sequence: %v (0=low 1=mid 2=high)\n", lb.HeardLevels())
 }

@@ -1,9 +1,10 @@
-// Port knocking over sound (paper Section 4): a sender's TCP traffic
-// to port 8080 is dropped until the secret three-port knock sequence
+// Port knocking over sound (paper Section 4): h1's TCP traffic to
+// h2's port 8080 is dropped until the secret three-port knock sequence
 // is heard — each knock packet makes the switch play a tone, and the
 // MDN controller's finite state machine opens the port with a
-// Flow-MOD only on the exact sequence. A wrong-order attempt is shown
-// failing first.
+// Flow-MOD only on the exact sequence. The shipped scenario knocks in
+// order at 10 s; this example adds a wrong-order attempt at 1 s, which
+// fails first.
 //
 //	go run ./examples/portknock
 package main
@@ -12,66 +13,37 @@ import (
 	"fmt"
 
 	"mdn"
-	"mdn/internal/netsim"
-	"mdn/internal/openflow"
+	"mdn/internal/core"
 )
 
 func main() {
-	tb := mdn.NewTestbed(7)
-	sw, voice := tb.AddVoicedSwitch("s1", 1.5, 0)
-
-	h1 := netsim.NewHost(tb.Sim, "h1", netsim.MustAddr("10.0.0.1"))
-	h2 := netsim.NewHost(tb.Sim, "h2", netsim.MustAddr("10.0.0.2"))
-	netsim.Connect(tb.Sim, h1, 1, sw, 1, 1e8, 0.0001, 0)
-	netsim.Connect(tb.Sim, h2, 1, sw, 2, 1e8, 0.0001, 0)
-
-	sequence := []uint16{7001, 7002, 7003}
-	ch := tb.OpenFlowChannel(sw, 0.005)
-	pk, err := mdn.NewPortKnock(tb.Plan, "s1", voice, ch, sequence, openflow.FlowMod{
-		Command:  openflow.FlowAdd,
-		Priority: 10,
-		Match:    netsim.Match{Dst: h2.Addr, DstPort: 8080},
-		Action:   netsim.Output(2),
-	})
+	cfg, err := mdn.Load("portknock.json")
 	if err != nil {
 		panic(err)
 	}
-	sw.Tap = pk.Tap
-
-	ctrl := tb.NewController(pk.Frequencies())
-	ctrl.SubscribeWindows(pk.HandleWindow)
-	ctrl.Start(0)
-
-	knock := func(at float64, port uint16) {
-		tb.Sim.Schedule(at, func() {
-			fmt.Printf("t=%5.2fs  knock on port %d\n", at, port)
-			h1.Send(netsim.FiveTuple{
-				Src: h1.Addr, Dst: h2.Addr, SrcPort: 40001, DstPort: port,
-				Proto: netsim.ProtoTCP,
-			}, 64)
+	// The wrong-order attempt: one knock packet each on 7002, 7001 and
+	// 7003, half a second apart.
+	for i, port := range []uint16{7002, 7001, 7003} {
+		cfg.Traffic = append(cfg.Traffic, mdn.TrafficConfig{
+			Type: "portscan", From: "h1", To: "h2", SrcPort: 40001,
+			FirstPort: port, NumPorts: 1, StartS: 1 + 0.5*float64(i),
 		})
 	}
-	// Continuous data attempts to the protected port.
-	dataFlow := netsim.FiveTuple{
-		Src: h1.Addr, Dst: h2.Addr, SrcPort: 40000, DstPort: 8080, Proto: netsim.ProtoTCP,
+	w, err := mdn.Build(cfg)
+	if err != nil {
+		panic(err)
 	}
-	netsim.StartCBR(tb.Sim, h1, dataFlow, 20, 1000, 0, 12)
-
-	// Attempt 1: wrong order (7002 before 7001).
-	knock(1.0, 7002)
-	knock(1.5, 7001)
-	knock(2.0, 7003)
-	// Attempt 2: the real sequence.
-	knock(5.0, 7001)
-	knock(5.5, 7002)
-	knock(6.0, 7003)
-
-	tb.Sim.Every(1, 1, func(now float64) {
+	pk := w.Apps[0].(*core.PortKnock)
+	h2 := w.Hosts["h2"]
+	w.Sim.Every(2, 2, func(now float64) {
 		fmt.Printf("t=%5.2fs  delivered to h2: %6d bytes  (fsm state %s, opened=%v)\n",
 			now, h2.RxBytes, pk.State(), pk.Opened)
 	})
-	tb.Sim.RunUntil(12)
+	if _, err := w.Run(); err != nil {
+		panic(err)
+	}
 
 	fmt.Printf("\nport opened at t=%.2fs after the correct sequence; wrong knocks rejected: %d\n",
 		pk.OpenedAt, pk.WrongKnocks)
+	fmt.Printf("open rule installed at t=%.3fs\n", pk.InstalledAt)
 }

@@ -11,17 +11,23 @@ package main
 import (
 	"fmt"
 
-	"mdn"
 	"mdn/internal/acoustic"
 	"mdn/internal/core"
 	"mdn/internal/mp"
+	"mdn/internal/netsim"
 )
 
 func main() {
-	tb := mdn.NewTestbed(13)
+	// The relay's microphone and speaker are room parts a scenario
+	// config does not describe, so this example builds its room by hand:
+	// the controller's microphone at the origin.
+	sim := netsim.NewSim()
+	room := acoustic.NewRoom(44100, 13)
+	mic := room.AddMicrophone("controller", acoustic.Position{}, 0.0005)
 
-	// The far switch: 10 m away, quiet tones.
-	_, farVoice := tb.AddVoicedSwitch("far-switch", 10, 0)
+	// The far switch's voice: 10 m away, quiet tones.
+	farSpk := room.AddSpeaker("far-switch", acoustic.Position{X: 10})
+	farVoice := core.NewVoice(sim, mp.NewSounder(mp.NewPi(sim, farSpk, 0.002)))
 	farVoice.Intensity = 40      // 3.2e-4 at the controller: below its floor
 	farVoice.ToneDuration = 0.12 // two full detection windows at the relay
 
@@ -29,9 +35,9 @@ func main() {
 
 	// The relay: microphone at 8 m (2 m from the switch), speaker at
 	// 2 m from the controller.
-	relayMic := tb.Room.AddMicrophone("relay-mic", acoustic.Position{X: 8}, 0.0001)
-	relaySpk := tb.Room.AddSpeaker("relay-spk", acoustic.Position{X: 2})
-	relay, err := mdn.NewRelay(tb.Sim, relayMic, mp.NewPi(tb.Sim, relaySpk, 0.002),
+	relayMic := room.AddMicrophone("relay-mic", acoustic.Position{X: 8}, 0.0001)
+	relaySpk := room.AddSpeaker("relay-spk", acoustic.Position{X: 2})
+	relay, err := core.NewRelay(sim, relayMic, mp.NewPi(sim, relaySpk, 0.002),
 		map[float64]float64{inFreq: outFreq})
 	if err != nil {
 		panic(err)
@@ -40,12 +46,12 @@ func main() {
 
 	// The controller watches both the original and translated bands,
 	// with a floor the direct path cannot reach.
-	det := mdn.NewDetector(mdn.MethodGoertzel, []float64{inFreq, outFreq})
+	det := core.NewDetector(core.MethodGoertzel, []float64{inFreq, outFreq})
 	det.MinAmplitude = 1e-3
-	ctrl := core.NewController(tb.Sim, tb.Mic, det)
-	onset := mdn.NewOnsetFilter()
+	ctrl := core.NewController(sim, mic, det)
+	onset := core.NewOnsetFilter()
 	var direct, relayed int
-	ctrl.SubscribeWindows(func(_ float64, dets []mdn.Detection) {
+	ctrl.SubscribeWindows(func(_ float64, dets []core.Detection) {
 		for _, d := range onset.Step(dets) {
 			switch d.Frequency {
 			case inFreq:
@@ -64,9 +70,9 @@ func main() {
 		inFreq, inFreq, outFreq)
 	for i := 0; i < 5; i++ {
 		at := 0.5 + float64(i)*0.5
-		tb.Sim.Schedule(at, func() { farVoice.Play(inFreq) })
+		sim.Schedule(at, func() { farVoice.Play(inFreq) })
 	}
-	tb.Sim.RunUntil(4)
+	sim.RunUntil(4)
 
 	fmt.Printf("\ntones played: 5, relayed: %d, heard directly: %d, heard via relay: %d\n",
 		relay.Relayed, direct, relayed)

@@ -16,58 +16,26 @@ import (
 )
 
 func main() {
-	tb := mdn.NewTestbed(99)
-	sw, voice := tb.AddVoicedSwitch("s1", 1.2, 0)
-
-	h1 := netsim.NewHost(tb.Sim, "h1", netsim.MustAddr("10.0.0.1"))
-	h2 := netsim.NewHost(tb.Sim, "h2", netsim.MustAddr("10.0.0.2"))
-	netsim.Connect(tb.Sim, h1, 1, sw, 1, 1e9, 0.0001, 0)
-	netsim.Connect(tb.Sim, h2, 1, sw, 2, 1e9, 0.0001, 0)
-	sw.InstallRule(netsim.Rule{Priority: 1, Match: netsim.Match{Dst: h2.Addr}, Action: netsim.Output(2)})
-
-	// Both applications share the switch's voice; the plan keeps
-	// their frequency sets disjoint (Section 3: multiple MDN apps
-	// can coexist on different sets).
-	hh, err := mdn.NewHeavyHitter(tb.Plan, "s1", voice, 12)
+	cfg, err := mdn.Load("telemetry.json")
 	if err != nil {
 		panic(err)
 	}
-	ps, err := mdn.NewPortScan(tb.Plan, "s1", voice, 8000, 16)
+	// Calibrate the detection floor above the song's partials but below
+	// the switch tones (~0.009 at the microphone). At the shipped
+	// default floor, partials near 1360-1520 Hz are heard as probes of
+	// ports 8000-8002 and the sweep is no longer monotone.
+	cfg.MinAmplitude = 0.008
+	w, err := mdn.Build(cfg)
 	if err != nil {
 		panic(err)
 	}
-	sw.Tap = func(pkt *netsim.Packet, inPort int) {
-		hh.Tap(pkt, inPort)
-		ps.Tap(pkt, inPort)
+	if _, err := w.Run(); err != nil {
+		panic(err)
 	}
 
-	watch := append(hh.Frequencies(), ps.Frequencies()...)
-	ctrl := tb.NewController(watch)
-	// Calibrate the detection floor above the song's partials
-	// (~0.003 at the mic) but below the switch tones (~0.026).
-	ctrl.Detector.MinAmplitude = 0.008
-	// The demo scan probes every 250 ms, so ~8 distinct ports land
-	// in each 2 s alert interval.
-	ps.Threshold = 7
-	hh.Start(ctrl, 0)
-	ps.Start(ctrl, 0)
-	ctrl.Start(0)
-
-	// Background music, as in Figures 4b/4d.
-	tb.Room.AddNoise(core.PopSongNoise(44100, 5, 0.02, 17))
-
-	// Workload: an elephant, three mice, and a port scan.
-	elephant := netsim.FiveTuple{Src: h1.Addr, Dst: h2.Addr, SrcPort: 5000, DstPort: 80, Proto: netsim.ProtoTCP}
-	netsim.StartCBR(tb.Sim, h1, elephant, 250, 1500, 0.2, 8)
-	for i := 0; i < 3; i++ {
-		mouse := netsim.FiveTuple{Src: h1.Addr, Dst: h2.Addr, SrcPort: 6000 + uint16(i), DstPort: 80, Proto: netsim.ProtoTCP}
-		netsim.StartPoisson(tb.Sim, h1, mouse, 1.0, 300, 0.2, 8, int64(i))
-	}
-	scanBase := netsim.FiveTuple{Src: netsim.MustAddr("10.0.0.66"), Dst: h2.Addr, SrcPort: 4444, Proto: netsim.ProtoTCP}
-	netsim.StartPortScan(tb.Sim, h1, scanBase, 8000, 16, 0.25, 2)
-
-	tb.Sim.RunUntil(8)
-
+	hh, ps := w.Apps[0].(*core.HeavyHitter), w.Apps[1].(*core.PortScan)
+	elephant := netsim.FiveTuple{Src: w.Hosts["h1"].Addr, Dst: w.Hosts["h2"].Addr,
+		SrcPort: 5000, DstPort: 80, Proto: netsim.ProtoTCP}
 	fmt.Printf("heavy hitters: elephant hashes to bucket %d\n", hh.BucketOf(elephant))
 	for _, rep := range hh.Reports {
 		fmt.Printf("  t=%4.1fs  bucket %2d flagged (%d tone onsets >= threshold %d)\n",
