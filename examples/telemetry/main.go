@@ -16,15 +16,14 @@ import (
 )
 
 func main() {
+	// The file sets the detection floor (min_amplitude 0.008) above the
+	// song's partials but below the switch tones (~0.009 at the
+	// microphone); at the default floor, partials near 1360-1520 Hz are
+	// heard as probes of ports 8000-8002.
 	cfg, err := mdn.Load("telemetry.json")
 	if err != nil {
 		panic(err)
 	}
-	// Calibrate the detection floor above the song's partials but below
-	// the switch tones (~0.009 at the microphone). At the shipped
-	// default floor, partials near 1360-1520 Hz are heard as probes of
-	// ports 8000-8002 and the sweep is no longer monotone.
-	cfg.MinAmplitude = 0.008
 	w, err := mdn.Build(cfg)
 	if err != nil {
 		panic(err)

@@ -128,3 +128,32 @@ func BenchmarkModemReceiverWindow(b *testing.B) {
 		rx.HandleWindow(from, dets)
 	}
 }
+
+// TestTransmitterSendAllocs: after warm-up, a frame's trip from Send
+// through its scheduled tones to the speaker allocates only what the
+// FEC's Encode does, whatever the frame's length: nothing per tone.
+func TestTransmitterSendAllocs(t *testing.T) {
+	for _, fec := range []FEC{FECNone{}, FECHamming{}, FECRS{Parity: DefaultRSParity}} {
+		cfg := DefaultConfig()
+		cfg.FEC = fec
+		lb := newLoopback(t, 3, cfg)
+		at := 0.5
+		for _, n := range []int{49, 8, 120} {
+			payload := make([]byte, n)
+			send := func() {
+				end, err := lb.tx.Send(at, payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lb.sim.RunUntil(end)
+				at = end
+			}
+			send()
+			encode := testing.AllocsPerRun(20, func() { fec.Encode(payload) })
+			if allocs := testing.AllocsPerRun(20, send); allocs != encode {
+				t.Errorf("%s, %d-byte payload: a sent frame allocates %v times, its FEC encode %v",
+					fec.Name(), n, allocs, encode)
+			}
+		}
+	}
+}

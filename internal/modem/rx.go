@@ -44,7 +44,8 @@ const maxCodedBytes = 512
 // frame and are stashed, then replayed after reset, so back-to-back
 // frames need no gap.
 //
-// The steady-state window path (vote accumulation) allocates nothing;
+// The steady-state window path (vote accumulation) allocates nothing
+// once the vote table has grown to the rows of the longest frame heard;
 // per-frame assembly allocates only the coded body and the delivered
 // payload copy.
 type Receiver struct {
@@ -63,8 +64,8 @@ type Receiver struct {
 
 	// Collection state.
 	t0         float64
-	votes      []float64 // [dataEpoch][lane][value], flat
-	maxData    int       // data-epoch capacity of votes
+	votes      []float64 // [dataEpoch][lane][value], flat; grown to the rows voted on
+	maxData    int       // data-epoch rows any frame can need
 	usedEpochs int       // high-water data epoch row + 1
 	hdr        header
 	hdrParsed  bool
@@ -122,7 +123,6 @@ func NewReceiver(band *Band) *Receiver {
 	return &Receiver{
 		band:     band,
 		cfg:      cfg,
-		votes:    make([]float64, maxData*cfg.Lanes*symbolValues),
 		maxData:  maxData,
 		pendData: make([]pendObs, 0, 512),
 		pendSync: make([]pendObs, 0, 64),
@@ -241,13 +241,20 @@ func (r *Receiver) vote(from float64, ref toneRef, amp float64) {
 	if row+1 > r.usedEpochs {
 		r.usedEpochs = row + 1
 	}
+	if n := r.usedEpochs * r.cfg.Lanes * symbolValues; n > len(r.votes) {
+		r.votes = append(r.votes, make([]float64, n-len(r.votes))...)
+	}
 	r.votes[(row*r.cfg.Lanes+ref.lane)*symbolValues+ref.val] += amp
 }
 
 // argmax returns the winning nibble value for one (data epoch row,
-// lane) slot; all-zero votes (a fully erased symbol) yield 0.
+// lane) slot; all-zero votes (a fully erased symbol, or a row past the
+// table) yield 0.
 func (r *Receiver) argmax(row, lane int) int {
 	base := (row*r.cfg.Lanes + lane) * symbolValues
+	if base >= len(r.votes) {
+		return 0
+	}
 	best, bestA := 0, 0.0
 	for v := 0; v < symbolValues; v++ {
 		if a := r.votes[base+v]; a > bestA {

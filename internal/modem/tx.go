@@ -46,7 +46,9 @@ func (c *Corruptor) attack(val int) (int, bool) {
 // schedules every tone of a frame up front on the simulator, so Send
 // returns immediately with the frame's end time; the voice's
 // PlayMessage path (no same-frequency re-arm gap) carries the
-// emissions.
+// emissions. Scheduled tones live in pooled records and the frame is
+// assembled in reused buffers, so after warm-up Send allocates only
+// what the FEC's Encode does.
 type Transmitter struct {
 	band  *Band
 	sim   *netsim.Sim
@@ -55,7 +57,9 @@ type Transmitter struct {
 	// Corruptor, when set, attacks body symbols at schedule time.
 	Corruptor *Corruptor
 
-	seq byte
+	seq   byte
+	data  []byte  // payload ‖ CRC-16 of the frame being sent
+	tones []*tone // idle tone records
 
 	// FramesTx counts frames scheduled.
 	FramesTx uint64
@@ -86,11 +90,9 @@ func (t *Transmitter) Send(at float64, payload []byte) (float64, error) {
 	cfg := t.band.cfg
 
 	// Body: FEC(payload ‖ CRC-16).
-	data := make([]byte, 0, len(payload)+2)
-	data = append(data, payload...)
 	c := crc16(payload)
-	data = append(data, byte(c>>8), byte(c))
-	coded := cfg.FEC.Encode(data)
+	t.data = append(append(t.data[:0], payload...), byte(c>>8), byte(c))
+	coded := cfg.FEC.Encode(t.data)
 
 	// Header, twice.
 	hdr := make([]byte, headerBytes*headerCopies)
@@ -145,15 +147,33 @@ func (t *Transmitter) Send(at float64, payload []byte) (float64, error) {
 	return at + float64(g.totalEpochs)*T, nil
 }
 
+// tone is one scheduled emission. Records are pooled per transmitter
+// and each binds its play callback once.
+type tone struct {
+	t         *Transmitter
+	freq, dur float64
+	fire      func()
+}
+
+// play emits the tone and returns the record to the pool.
+func (n *tone) play() {
+	t := n.t
+	m := mp.Message{Frequency: n.freq, Duration: n.dur, Intensity: t.band.cfg.Intensity}
+	t.tones = append(t.tones, n)
+	t.voice.PlayMessage(m)
+}
+
 // scheduleTone emits one tone at the given absolute time.
 func (t *Transmitter) scheduleTone(at, freq, dur float64) {
-	t.sim.Schedule(at, func() {
-		t.voice.PlayMessage(mp.Message{
-			Frequency: freq,
-			Duration:  dur,
-			Intensity: t.band.cfg.Intensity,
-		})
-	})
+	var n *tone
+	if k := len(t.tones); k > 0 {
+		n, t.tones = t.tones[k-1], t.tones[:k-1]
+	} else {
+		n = &tone{t: t}
+		n.fire = n.play
+	}
+	n.freq, n.dur = freq, dur
+	t.sim.Schedule(at, n.fire)
 }
 
 // Instrument exposes the transmitter's counters under the given

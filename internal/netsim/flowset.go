@@ -86,7 +86,7 @@ func StartFlowSet(sim *Sim, h *Host, cfg FlowSetConfig) *FlowSet {
 		f.interval = 1 / pps
 		// Deterministic phase jitter spreads first emissions across
 		// one interval so CBR flows do not fire in lockstep bursts.
-		f.phase = cfg.Start + splitmix.Unit(splitmix.Mix(seed+uint64(i+1)*splitmix.Gamma))*f.interval
+		f.phase = cfg.Start + float64(splitmix.Unit(splitmix.Mix(seed+uint64(i+1)*splitmix.Gamma))*f.interval)
 		if f.phase < cfg.Stop {
 			fs.heap = append(fs.heap, fsKey{next: f.phase, i: i})
 		}
@@ -118,7 +118,7 @@ func (fs *FlowSet) step() {
 		f.count++
 		// Counter-based timing avoids drift from accumulating the
 		// interval in floating point.
-		if next := f.phase + float64(f.count)*f.interval; next < fs.stop {
+		if next := f.phase + float64(float64(f.count)*f.interval); next < fs.stop {
 			fs.heap[0].next = next
 		} else {
 			n := len(fs.heap) - 1

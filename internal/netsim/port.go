@@ -123,14 +123,14 @@ func (p *Port) transmit(pkt *Packet) {
 		tx = float64(pkt.Size) * 8 / p.RateBps
 	}
 	p.busyUntil = p.sim.now + tx
-	p.sim.schedule(p.busyUntil+p.Latency, event{kind: evDeliver, port: p, pkt: pkt})
+	p.sim.schedule(p.busyUntil+p.Latency, event{port: p, pkt: pkt})
 }
 
 // armTxDone schedules the wire-free event at the end of the current
 // frame.
 func (p *Port) armTxDone() {
 	p.txArmed = true
-	p.sim.schedule(p.busyUntil, event{kind: evTxDone, port: p})
+	p.sim.schedule(p.busyUntil, event{port: p})
 }
 
 // txDone fires when the wire finishes serialising: the head-of-queue

@@ -19,23 +19,18 @@
 // path, so the steady-state per-packet cost is zero allocations.
 package netsim
 
-// Event kinds. evFunc is the general callback; evTxDone (the wire
-// frees up for the next queued frame) and evDeliver (a frame lands at
-// the far end) are the per-packet link steps, encoded as typed events
-// so forwarding never allocates a closure.
-const (
-	evFunc uint8 = iota
-	evTxDone
-	evDeliver
-)
-
 // event is one scheduled occurrence. It waits in a Sim slot while its
-// key sits in the heap.
+// key sits in the heap. Which fields are set is its kind: fn for the
+// general callback; port and pkt for a frame landing at the far end of
+// a link; port alone for the wire freeing up for the next queued
+// frame; rule for a flow rule's timeout check. The typed kinds let
+// neither forwarding nor rule expiry allocate a closure, and with no
+// kind field an event stays four words.
 type event struct {
-	kind uint8
-	fn   func()  // evFunc
-	port *Port   // evTxDone: transmitter; evDeliver: transmitting side
-	pkt  *Packet // evDeliver
+	fn   func()
+	port *Port // the transmitting side of a link
+	pkt  *Packet
+	rule *Rule
 }
 
 // evKey is an event's heap entry: its time, its sequence number and
@@ -135,7 +130,7 @@ func (s *Sim) Now() float64 { return s.now }
 // immediately at the current time (the engine never travels backward).
 // Events at equal times run in scheduling order.
 func (s *Sim) Schedule(at float64, fn func()) {
-	s.schedule(at, event{kind: evFunc, fn: fn})
+	s.schedule(at, event{fn: fn})
 }
 
 // schedule parks e in a free slot and queues its key with the next
@@ -160,17 +155,19 @@ func (s *Sim) schedule(at float64, e event) {
 func (s *Sim) step() {
 	k := s.events.pop()
 	e := s.slots[k.slot]
-	s.slots[k.slot] = event{} // release fn/port/pkt references
+	s.slots[k.slot] = event{} // release fn/port/pkt/rule references
 	s.free = append(s.free, k.slot)
 	s.now = k.at
 	s.Events++
-	switch e.kind {
-	case evFunc:
+	switch {
+	case e.fn != nil:
 		e.fn()
-	case evTxDone:
-		e.port.txDone()
-	case evDeliver:
+	case e.pkt != nil:
 		e.port.deliver(e.pkt)
+	case e.port != nil:
+		e.port.txDone()
+	default:
+		e.rule.sw.expire(e.rule)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"net/netip"
-	"sort"
 )
 
 // Match selects packets for a flow rule. Zero-valued fields are
@@ -117,8 +116,9 @@ type Rule struct {
 	// installation regardless of traffic (0 = never).
 	HardTimeout float64
 
-	seq         uint64 // installation order
-	rrNext      int    // round-robin cursor for ActionSplit
+	sw          *Switch // the table holding the rule
+	seq         uint64  // installation order
+	rrNext      int     // round-robin cursor for ActionSplit
 	installedAt float64
 	lastHitAt   float64
 	evicted     bool
@@ -195,22 +195,31 @@ func (s *Switch) Ports() []int {
 // enforced against the simulator clock.
 func (s *Switch) InstallRule(r Rule) *Rule {
 	s.ruleSeq++
+	r.sw = s
 	r.seq = s.ruleSeq
 	r.installedAt = s.sim.Now()
 	r.lastHitAt = r.installedAt
 	rp := &r
-	s.table = append(s.table, rp)
-	sort.SliceStable(s.table, func(i, j int) bool {
-		if s.table[i].Priority != s.table[j].Priority {
-			return s.table[i].Priority > s.table[j].Priority
+	// The table is ordered by priority, highest first, then by seq. The
+	// new rule has the largest seq, so it goes after every rule whose
+	// priority is at least its own.
+	lo, hi := 0, len(s.table)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); s.table[mid].Priority >= r.Priority {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
-		return s.table[i].seq < s.table[j].seq
-	})
+	}
+	s.table = append(s.table, nil)
+	copy(s.table[lo+1:], s.table[lo:])
+	s.table[lo] = rp
 	s.scheduleEviction(rp)
 	return rp
 }
 
-// scheduleEviction arms the rule's next timeout check.
+// scheduleEviction arms the rule's next timeout check as a typed
+// event, so arming allocates nothing.
 func (s *Switch) scheduleEviction(r *Rule) {
 	if r.IdleTimeout <= 0 && r.HardTimeout <= 0 {
 		return
@@ -224,21 +233,26 @@ func (s *Switch) scheduleEviction(r *Rule) {
 			next = idle
 		}
 	}
-	s.sim.Schedule(next, func() {
-		if r.evicted {
-			return
-		}
-		now := s.sim.Now()
-		hardDue := r.HardTimeout > 0 && now >= r.installedAt+r.HardTimeout-1e-12
-		idleDue := r.IdleTimeout > 0 && now >= r.lastHitAt+r.IdleTimeout-1e-12
-		if hardDue || idleDue {
-			r.evicted = true
-			s.removeRules(func(x *Rule) bool { return x == r })
-			return
-		}
-		// Traffic refreshed the idle clock: re-arm.
-		s.scheduleEviction(r)
-	})
+	s.sim.schedule(next, event{rule: r})
+}
+
+// expire is the rule's timeout check: it evicts a rule whose hard or
+// idle timeout is due, and re-arms one whose idle clock traffic
+// refreshed.
+func (s *Switch) expire(r *Rule) {
+	if r.evicted {
+		return
+	}
+	now := s.sim.Now()
+	hardDue := r.HardTimeout > 0 && now >= r.installedAt+r.HardTimeout-1e-12
+	idleDue := r.IdleTimeout > 0 && now >= r.lastHitAt+r.IdleTimeout-1e-12
+	if hardDue || idleDue {
+		r.evicted = true
+		s.removeRules(func(x *Rule) bool { return x == r })
+		return
+	}
+	// Traffic refreshed the idle clock: re-arm.
+	s.scheduleEviction(r)
 }
 
 // removeRules deletes every rule matching the predicate and returns

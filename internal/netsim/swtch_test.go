@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -256,5 +258,75 @@ func TestActionKindString(t *testing.T) {
 		if k.String() != want {
 			t.Errorf("%d.String() = %q", k, k.String())
 		}
+	}
+}
+
+// TestInstallRuleMatchesStableSortOracle drives random installs (few
+// distinct priorities, so ties are common), timeouts and removals, and
+// after every step compares the table with the oracle the binary-search
+// insert replaced: every live rule in installation order, stably sorted
+// by descending priority.
+func TestInstallRuleMatchesStableSortOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	sim := NewSim()
+	s := NewSwitch(sim, "s1")
+	var installed []*Rule
+	for step := 0; step < 3000; step++ {
+		switch op := rng.Intn(10); {
+		case op < 6:
+			r := Rule{Priority: rng.Intn(5) - 2}
+			switch rng.Intn(3) {
+			case 0:
+				r.HardTimeout = rng.Float64()
+			case 1:
+				r.IdleTimeout = rng.Float64()
+			}
+			installed = append(installed, s.InstallRule(r))
+		case op < 9:
+			sim.RunUntil(sim.Now() + rng.Float64()/4)
+		default:
+			prio := rng.Intn(5) - 2
+			s.removeRules(func(r *Rule) bool { return r.Priority == prio })
+		}
+		var want []*Rule
+		for _, r := range installed {
+			if !r.evicted {
+				want = append(want, r)
+			}
+		}
+		sort.SliceStable(want, func(i, j int) bool { return want[i].Priority > want[j].Priority })
+		got := s.Rules()
+		if len(got) != len(want) {
+			t.Fatalf("step %d: table holds %d rules, oracle %d", step, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("step %d: entry %d is rule seq %d (priority %d), oracle seq %d (priority %d)",
+					step, i, got[i].seq, got[i].Priority, want[i].seq, want[i].Priority)
+			}
+		}
+	}
+}
+
+// TestInstallRuleAllocs: installing a rule into a populated table and
+// evicting it on its hard timeout allocates only the Rule itself.
+func TestInstallRuleAllocs(t *testing.T) {
+	sim := NewSim()
+	s := NewSwitch(sim, "s1")
+	for p := 0; p < 32; p++ {
+		s.InstallRule(Rule{Priority: p % 8})
+	}
+	prio := 0
+	cycle := func() {
+		prio = (prio + 3) % 8
+		s.InstallRule(Rule{Priority: prio, HardTimeout: 1})
+		sim.RunUntil(sim.Now() + 2)
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 1 {
+		t.Errorf("install and evict allocate %v times, want 1 (the Rule)", allocs)
+	}
+	if len(s.Rules()) != 32 {
+		t.Errorf("table holds %d rules after the cycles, want 32", len(s.Rules()))
 	}
 }

@@ -24,7 +24,7 @@ func StartCBR(sim *Sim, h *Host, flow FiveTuple, pps float64, size int, start, s
 		n++
 		// Counter-based timing avoids drift from accumulating the
 		// interval in floating point.
-		next := start + float64(n)*interval
+		next := start + float64(float64(n)*interval)
 		if next < stop {
 			sim.Schedule(next, emit)
 		}
@@ -50,7 +50,7 @@ func StartRamp(sim *Sim, h *Host, flow FiveTuple, startPPS, endPPS float64, size
 		h.Send(flow, size)
 		src.Sent++
 		frac := (now - start) / (stop - start)
-		rate := startPPS + (endPPS-startPPS)*frac
+		rate := startPPS + float64((endPPS-startPPS)*frac)
 		if rate < 1e-9 {
 			rate = 1e-9
 		}
@@ -88,7 +88,7 @@ func StartPortScan(sim *Sim, h *Host, base FiveTuple, firstPort uint16, count in
 	src := &Source{}
 	for i := 0; i < count; i++ {
 		port := firstPort + uint16(i)
-		at := start + float64(i)*interval
+		at := start + float64(float64(i)*interval)
 		sim.Schedule(at, func() {
 			f := base
 			f.DstPort = port

@@ -32,6 +32,30 @@ type Channel struct {
 	// CorruptedFlowMods counts Flow-MODs the switch-side codec
 	// rejected after injected corruption.
 	CorruptedFlowMods uint64
+
+	inFlight []*delivery // idle delivery records
+}
+
+// delivery is one decoded Flow-MOD on its way to the switch. Records
+// are pooled per channel and each binds its land callback once, so a
+// send schedules its delivery without allocating.
+type delivery struct {
+	c    *Channel
+	fm   FlowMod // decoded; fm.Action.Ports is reused across sends
+	land func()
+}
+
+// install applies the Flow-MOD at the switch and returns the record to
+// the pool. The rule gets its own copy of the ports, because the
+// record's port buffer is decoded into again.
+func (d *delivery) install() {
+	fm := d.fm
+	fm.Action.Ports = nil
+	if len(d.fm.Action.Ports) > 0 {
+		fm.Action.Ports = append([]int(nil), d.fm.Action.Ports...)
+	}
+	d.c.inFlight = append(d.c.inFlight, d)
+	fm.Apply(d.c.sw)
 }
 
 // NewChannel attaches a control channel to a switch.
@@ -79,9 +103,9 @@ func (c *Channel) TrySendFlowMod(m FlowMod) (delivered bool, err error) {
 	return c.sendWire(wire)
 }
 
-// sendWire is TrySendFlowMod for a Flow-MOD already marshalled by
-// MarshalFlowMod. It never writes to wire, so a caller may send the
-// same bytes again.
+// sendWire is TrySendFlowMod for a Flow-MOD already marshalled. It
+// neither writes to wire nor keeps it, so a caller may reuse the
+// bytes.
 func (c *Channel) sendWire(wire []byte) (delivered bool, err error) {
 	c.SentFlowMods++
 	wire, ok := c.faults.Mangle(wire)
@@ -89,16 +113,28 @@ func (c *Channel) sendWire(wire []byte) (delivered bool, err error) {
 		c.DroppedFlowMods++
 		return false, nil
 	}
-	decoded, _, err := Unmarshal(wire)
-	if err != nil {
+	d := c.delivery()
+	if _, err := decodeFlowMod(wire, &d.fm); err != nil {
+		c.inFlight = append(c.inFlight, d)
 		if c.faults != nil {
 			c.CorruptedFlowMods++
 			return false, nil
 		}
 		return false, fmt.Errorf("openflow: flow-mod failed wire round-trip: %w", err)
 	}
-	fm := decoded.(FlowMod) // the only message Unmarshal decodes
 	delay := c.Latency + c.faults.Jitter()
-	c.sim.After(delay, func() { fm.Apply(c.sw) })
+	c.sim.After(delay, d.land)
 	return true, nil
+}
+
+// delivery takes an idle record from the pool, or makes one.
+func (c *Channel) delivery() *delivery {
+	if n := len(c.inFlight); n > 0 {
+		d := c.inFlight[n-1]
+		c.inFlight = c.inFlight[:n-1]
+		return d
+	}
+	d := &delivery{c: c}
+	d.land = d.install
+	return d
 }

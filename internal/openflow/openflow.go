@@ -125,11 +125,12 @@ func checkTimeout(which string, v float64) error {
 	return nil
 }
 
-func putAddr(dst []byte, a netip.Addr) {
+func appendAddr(dst []byte, a netip.Addr) []byte {
+	var b [4]byte
 	if a.IsValid() {
-		b := a.As4()
-		copy(dst, b[:])
+		b = a.As4()
 	}
+	return append(dst, b[:]...)
 }
 
 func getAddr(src []byte) netip.Addr {
@@ -141,13 +142,13 @@ func getAddr(src []byte) netip.Addr {
 	return netip.AddrFrom4(b)
 }
 
-func marshalMatch(dst []byte, m netsim.Match) {
-	binary.BigEndian.PutUint32(dst[0:4], uint32(m.InPort))
-	putAddr(dst[4:8], m.Src)
-	putAddr(dst[8:12], m.Dst)
-	binary.BigEndian.PutUint16(dst[12:14], m.SrcPort)
-	binary.BigEndian.PutUint16(dst[14:16], m.DstPort)
-	dst[16] = m.Proto
+func appendMatch(dst []byte, m *netsim.Match) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(m.InPort))
+	dst = appendAddr(dst, m.Src)
+	dst = appendAddr(dst, m.Dst)
+	dst = binary.BigEndian.AppendUint16(dst, m.SrcPort)
+	dst = binary.BigEndian.AppendUint16(dst, m.DstPort)
+	return append(dst, m.Proto)
 }
 
 func unmarshalMatch(src []byte) netsim.Match {
@@ -196,87 +197,102 @@ func (m FlowMod) Validate() error {
 // why it cannot ride the wire format. Header and payload share one
 // allocation.
 func MarshalFlowMod(m FlowMod) ([]byte, error) {
+	return appendFlowMod(nil, &m)
+}
+
+// appendFlowMod appends m's framed message to dst, growing it at most
+// once, or reports why m cannot ride the wire format. Reusing dst's
+// capacity makes an encode allocation-free.
+func appendFlowMod(dst []byte, m *FlowMod) ([]byte, error) {
 	if err := m.Validate(); err != nil {
-		return nil, err
+		return dst, err
 	}
 	n := 1 + 4 + matchLen + 16 + 1 + 1 + len(m.Action.Ports)*4
 	if n > MaxPayload {
-		return nil, fmt.Errorf("%w: payload %d bytes, max %d", ErrTooLarge, n, MaxPayload)
+		return dst, fmt.Errorf("%w: payload %d bytes, max %d", ErrTooLarge, n, MaxPayload)
 	}
-	out := make([]byte, headerLen+n)
-	binary.BigEndian.PutUint16(out[0:2], magic)
-	out[2] = byte(TypeFlowMod)
-	binary.BigEndian.PutUint16(out[3:5], uint16(n))
-	payload := out[headerLen:]
-	payload[0] = byte(m.Command)
-	binary.BigEndian.PutUint32(payload[1:5], uint32(m.Priority))
-	marshalMatch(payload[5:], m.Match)
-	off := 5 + matchLen
-	binary.BigEndian.PutUint64(payload[off:], math.Float64bits(m.IdleTimeout))
-	binary.BigEndian.PutUint64(payload[off+8:], math.Float64bits(m.HardTimeout))
-	off += 16
-	payload[off] = byte(m.Action.Kind)
-	payload[off+1] = byte(len(m.Action.Ports))
-	for i, p := range m.Action.Ports {
-		binary.BigEndian.PutUint32(payload[off+2+i*4:], uint32(p))
+	if cap(dst)-len(dst) < headerLen+n {
+		dst = append(make([]byte, 0, len(dst)+headerLen+n), dst...)
 	}
-	return out, nil
+	dst = binary.BigEndian.AppendUint16(dst, magic)
+	dst = append(dst, byte(TypeFlowMod))
+	dst = binary.BigEndian.AppendUint16(dst, uint16(n))
+	dst = append(dst, byte(m.Command))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(m.Priority))
+	dst = appendMatch(dst, &m.Match)
+	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(m.IdleTimeout))
+	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(m.HardTimeout))
+	dst = append(dst, byte(m.Action.Kind), byte(len(m.Action.Ports)))
+	for _, p := range m.Action.Ports {
+		dst = binary.BigEndian.AppendUint32(dst, uint32(p))
+	}
+	return dst, nil
 }
 
 // Unmarshal decodes one framed message, returning the decoded FlowMod
 // and the number of bytes consumed.
 func Unmarshal(b []byte) (interface{}, int, error) {
+	var m FlowMod
+	n, err := decodeFlowMod(b, &m)
+	if err != nil {
+		return nil, 0, err
+	}
+	return m, n, nil
+}
+
+// decodeFlowMod decodes one framed Flow-MOD into m and returns the
+// number of bytes consumed. The action's ports are appended to
+// m.Action.Ports[:0], so a reused m decodes without allocating.
+func decodeFlowMod(b []byte, m *FlowMod) (int, error) {
 	if len(b) < headerLen {
-		return nil, 0, fmt.Errorf("%w: short header", ErrBadMessage)
+		return 0, fmt.Errorf("%w: short header", ErrBadMessage)
 	}
 	if binary.BigEndian.Uint16(b[0:2]) != magic {
-		return nil, 0, fmt.Errorf("%w: bad magic", ErrBadMessage)
+		return 0, fmt.Errorf("%w: bad magic", ErrBadMessage)
 	}
 	t := MessageType(b[2])
 	n := int(binary.BigEndian.Uint16(b[3:5]))
 	if len(b) < headerLen+n {
-		return nil, 0, fmt.Errorf("%w: truncated payload", ErrBadMessage)
+		return 0, fmt.Errorf("%w: truncated payload", ErrBadMessage)
 	}
 	payload := b[headerLen : headerLen+n]
-	total := headerLen + n
 	if t != TypeFlowMod {
-		return nil, 0, fmt.Errorf("%w: unknown type %d", ErrBadMessage, t)
+		return 0, fmt.Errorf("%w: unknown type %d", ErrBadMessage, t)
 	}
 	if len(payload) < 5+matchLen+16+2 {
-		return nil, 0, fmt.Errorf("%w: short flow-mod", ErrBadMessage)
+		return 0, fmt.Errorf("%w: short flow-mod", ErrBadMessage)
 	}
-	m := FlowMod{
-		Command:  FlowModCommand(payload[0]),
-		Priority: int32(binary.BigEndian.Uint32(payload[1:5])),
-		Match:    unmarshalMatch(payload[5:]),
-	}
+	m.Command = FlowModCommand(payload[0])
+	m.Priority = int32(binary.BigEndian.Uint32(payload[1:5]))
+	m.Match = unmarshalMatch(payload[5:])
 	if m.Command != FlowAdd {
-		return nil, 0, fmt.Errorf("%w: unknown flow-mod command %d", ErrBadMessage, m.Command)
+		return 0, fmt.Errorf("%w: unknown flow-mod command %d", ErrBadMessage, m.Command)
 	}
 	if m.Match.InPort > maxPort {
-		return nil, 0, fmt.Errorf("%w: match in-port outside [0, %d]", ErrBadMessage, maxPort)
+		return 0, fmt.Errorf("%w: match in-port outside [0, %d]", ErrBadMessage, maxPort)
 	}
 	off := 5 + matchLen
 	m.IdleTimeout = math.Float64frombits(binary.BigEndian.Uint64(payload[off:]))
 	m.HardTimeout = math.Float64frombits(binary.BigEndian.Uint64(payload[off+8:]))
 	if checkTimeout("idle", m.IdleTimeout) != nil || checkTimeout("hard", m.HardTimeout) != nil {
-		return nil, 0, fmt.Errorf("%w: bad flow-mod timeouts", ErrBadMessage)
+		return 0, fmt.Errorf("%w: bad flow-mod timeouts", ErrBadMessage)
 	}
 	off += 16
 	m.Action.Kind = netsim.ActionKind(payload[off])
 	if !m.Action.Kind.Valid() {
-		return nil, 0, fmt.Errorf("%w: unknown action kind %d", ErrBadMessage, payload[off])
+		return 0, fmt.Errorf("%w: unknown action kind %d", ErrBadMessage, payload[off])
 	}
 	np := int(payload[off+1])
 	if len(payload) != off+2+np*4 {
-		return nil, 0, fmt.Errorf("%w: flow-mod ports length mismatch", ErrBadMessage)
+		return 0, fmt.Errorf("%w: flow-mod ports length mismatch", ErrBadMessage)
 	}
+	m.Action.Ports = m.Action.Ports[:0]
 	for i := 0; i < np; i++ {
 		port := binary.BigEndian.Uint32(payload[off+2+i*4:])
 		if port > maxPort {
-			return nil, 0, fmt.Errorf("%w: action port %d outside [0, %d]", ErrBadMessage, port, maxPort)
+			return 0, fmt.Errorf("%w: action port %d outside [0, %d]", ErrBadMessage, port, maxPort)
 		}
 		m.Action.Ports = append(m.Action.Ports, int(port))
 	}
-	return m, total, nil
+	return headerLen + n, nil
 }

@@ -20,6 +20,8 @@ var ErrRetriesExhausted = errors.New("openflow: flow programming retries exhaust
 // a lossy channel: a rule the programmer has already confirmed
 // installed is never sent again, so a duplicate Install — or a
 // handler re-firing after partial failure — cannot double-install.
+// In-flight rules live in pooled records, so at steady state neither
+// Install, its retries nor Forget allocate.
 //
 // The programmer is driven entirely by the simulation goroutine; it
 // is not safe for concurrent use from other goroutines.
@@ -33,8 +35,10 @@ type Programmer struct {
 	ch  *Channel
 	rng splitmix.Stream
 
-	installed map[string]bool
+	installed wireSet
 	pending   int
+	wire      []byte     // Forget's encode buffer
+	idle      []*attempt // pooled in-flight records
 
 	// Attempts counts wire sends, Retries the re-sends among them.
 	Attempts uint64
@@ -73,11 +77,43 @@ const (
 // NewProgrammer wraps a channel. The seed drives the retry jitter, so
 // runs replay exactly.
 func NewProgrammer(ch *Channel, seed int64) *Programmer {
-	return &Programmer{
-		ch:        ch,
-		rng:       splitmix.New(seed),
-		installed: make(map[string]bool),
+	return &Programmer{ch: ch, rng: splitmix.New(seed)}
+}
+
+// attempt is one rule being programmed: the Flow-MOD, its wire bytes
+// (also its idempotency key) and its retry state. Records are pooled
+// per programmer and bind their retry callback once.
+type attempt struct {
+	p     *Programmer
+	m     FlowMod
+	wire  []byte
+	try   int
+	start float64
+	retry func()
+}
+
+func (a *attempt) resend() {
+	a.try++
+	a.p.send(a)
+}
+
+// attempt takes an idle record from the pool, or makes one.
+func (p *Programmer) attempt() *attempt {
+	if n := len(p.idle); n > 0 {
+		a := p.idle[n-1]
+		p.idle = p.idle[:n-1]
+		return a
 	}
+	a := &attempt{p: p}
+	a.retry = a.resend
+	return a
+}
+
+// release returns a record to the pool, dropping its hold on the
+// caller's Flow-MOD.
+func (p *Programmer) release(a *attempt) {
+	a.m = FlowMod{}
+	p.idle = append(p.idle, a)
 }
 
 // Channel returns the wrapped channel.
@@ -108,8 +144,9 @@ func (p *Programmer) Instrument(reg *telemetry.Registry) {
 // again. Callers use it when re-installation is deliberate — a
 // re-triggered application intent — rather than a retry.
 func (p *Programmer) Forget(m FlowMod) {
-	if wire, err := MarshalFlowMod(m); err == nil {
-		delete(p.installed, string(wire))
+	var err error
+	if p.wire, err = appendFlowMod(p.wire[:0], &m); err == nil {
+		p.installed.remove(p.wire)
 	}
 }
 
@@ -120,58 +157,65 @@ func (p *Programmer) Forget(m FlowMod) {
 // through OnResult. A rule already confirmed installed is suppressed
 // and counted in Duplicates.
 func (p *Programmer) Install(m FlowMod) error {
-	wire, err := MarshalFlowMod(m)
-	if err != nil {
+	a := p.attempt()
+	var err error
+	if a.wire, err = appendFlowMod(a.wire[:0], &m); err != nil {
+		p.release(a)
 		return fmt.Errorf("openflow: programmer: %w", err)
 	}
-	if p.installed[string(wire)] {
+	if p.installed.has(a.wire) {
+		p.release(a)
 		p.Duplicates++
 		p.tmDuplicates.Inc()
 		return nil
 	}
+	a.m, a.try, a.start = m, 0, p.ch.Sim().Now()
 	p.pending++
-	p.attempt(m, wire, 0, p.ch.Sim().Now())
+	p.send(a)
 	return nil
 }
 
-// attempt sends wire, m marshalled once by Install, and schedules the
-// next try if the wire loses it. The bytes double as the rule's
-// idempotency key.
-func (p *Programmer) attempt(m FlowMod, wire []byte, try int, start float64) {
+// send puts a's wire bytes on the channel and schedules the next try
+// if the wire loses them.
+func (p *Programmer) send(a *attempt) {
 	p.Attempts++
 	p.tmAttempts.Inc()
-	if try > 0 {
+	if a.try > 0 {
 		p.Retries++
 		p.tmRetries.Inc()
 	}
-	delivered, err := p.ch.sendWire(wire)
+	delivered, err := p.ch.sendWire(a.wire)
 	if err != nil {
 		// Validate passed at Install time; a send error here means the
 		// channel (without fault injection) failed the wire round
 		// trip — terminal.
-		p.finish(m, start, fmt.Errorf("%w: %v", ErrRetriesExhausted, err))
+		p.finish(a, fmt.Errorf("%w: %v", ErrRetriesExhausted, err))
 		return
 	}
 	if delivered {
-		p.installed[string(wire)] = true
+		p.installed.add(a.wire)
 		p.Installs++
 		p.tmInstalls.Inc()
-		p.finish(m, start, nil)
+		p.finish(a, nil)
 		return
 	}
-	if try+1 >= maxAttempts {
+	if a.try+1 >= maxAttempts {
 		p.Failures++
 		p.tmFailures.Inc()
-		p.finish(m, start, fmt.Errorf("%w: %d attempts lost on %q",
-			ErrRetriesExhausted, try+1, p.ch.Switch().Name))
+		p.finish(a, fmt.Errorf("%w: %d attempts lost on %q",
+			ErrRetriesExhausted, a.try+1, p.ch.Switch().Name))
 		return
 	}
-	p.ch.Sim().After(p.backoff(try), func() { p.attempt(m, wire, try+1, start) })
+	p.ch.Sim().After(p.backoff(a.try), a.retry)
 }
 
-func (p *Programmer) finish(m FlowMod, start float64, err error) {
+// finish reports a's outcome and returns the record to the pool first,
+// so OnResult may Install again.
+func (p *Programmer) finish(a *attempt, err error) {
 	p.pending--
-	p.tmProgram.Observe(p.ch.Sim().Now() - start)
+	p.tmProgram.Observe(p.ch.Sim().Now() - a.start)
+	m := a.m
+	p.release(a)
 	if p.OnResult != nil {
 		p.OnResult(m, err)
 	}
@@ -187,5 +231,8 @@ func (p *Programmer) backoff(try int) float64 {
 	if d > maxBackoff {
 		d = maxBackoff
 	}
-	return d * (1 + jitterFrac*(p.rng.Float64()-0.5))
+	// Every product is rounded before its sum, the draw's scaling
+	// inside Float64 too, so arm64 fuses none of them.
+	u := float64(p.rng.Float64())
+	return d * (1 + float64(jitterFrac*(u-0.5)))
 }

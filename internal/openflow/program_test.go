@@ -1,7 +1,10 @@
 package openflow
 
 import (
+	"bytes"
 	"errors"
+	"math"
+	"math/rand"
 	"testing"
 
 	"mdn/internal/netsim"
@@ -204,5 +207,115 @@ func TestProgrammerBackoffIsBoundedAndJittered(t *testing.T) {
 			t.Errorf("backoff(%d) = backoff(%d) = %g exactly; jitter missing", try, try-1, d)
 		}
 		prev = d
+	}
+}
+
+// TestProgrammerSteadyStateAllocs: once the pools are warm, a full
+// Install → deliver → apply → hard-timeout eviction → Forget cycle
+// allocates only the installed Rule and its port list, and a duplicate
+// Install or a Forget allocates nothing.
+func TestProgrammerSteadyStateAllocs(t *testing.T) {
+	sim, sw, p := programmerFixture(t, nil)
+	rule := FlowMod{Command: FlowAdd, Priority: 100, HardTimeout: 1,
+		Match: netsim.Match{DstPort: 7100, SrcPort: 3}, Action: netsim.Output(1)}
+	p.OnResult = func(m FlowMod, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Forget(m)
+	}
+	cycle := func() {
+		if err := p.Install(rule); err != nil {
+			t.Fatal(err)
+		}
+		sim.Run()
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 2 {
+		t.Errorf("install cycle allocates %v times, want 2 (the Rule and its ports)", allocs)
+	}
+	if len(sw.Rules()) != 0 || p.Installs != 102 || p.pending != 0 {
+		t.Errorf("rules=%d installs=%d pending=%d, want 0/102/0", len(sw.Rules()), p.Installs, p.pending)
+	}
+
+	p.OnResult = nil
+	cycle()
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := p.Install(rule); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("duplicate Install allocates %v times, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { p.Forget(rule) }); allocs != 0 {
+		t.Errorf("Forget allocates %v times, want 0", allocs)
+	}
+}
+
+// TestProgrammerKeysRulesByWireBytes: a second Install is suppressed as
+// a duplicate exactly when its wire bytes equal an installed rule's.
+// The draws come from a small domain so equal rules are common, and
+// the timeouts include -0 and +0, which compare equal as floats but
+// differ on the wire.
+func TestProgrammerKeysRulesByWireBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	timeouts := []float64{0, math.Copysign(0, -1), 0.5}
+	actions := []netsim.Action{netsim.Drop(), netsim.Output(1), netsim.Output(2), netsim.Split(1, 2), netsim.HashSplit(1, 2)}
+	draw := func() FlowMod {
+		return FlowMod{Command: FlowAdd, Priority: int32(rng.Intn(2)),
+			Match:       netsim.Match{DstPort: uint16(rng.Intn(2))},
+			Action:      actions[rng.Intn(len(actions))],
+			IdleTimeout: timeouts[rng.Intn(len(timeouts))],
+			HardTimeout: timeouts[rng.Intn(len(timeouts))]}
+	}
+	sim, _, p := programmerFixture(t, nil)
+	var installed [][]byte
+	for i := 0; i < 2000; i++ {
+		m := draw()
+		wire := must(MarshalFlowMod(m))
+		if rng.Intn(4) == 0 {
+			p.Forget(m)
+			kept := installed[:0]
+			for _, w := range installed {
+				if !bytes.Equal(w, wire) {
+					kept = append(kept, w)
+				}
+			}
+			installed = kept
+			continue
+		}
+		want := false
+		for _, w := range installed {
+			want = want || bytes.Equal(w, wire)
+		}
+		dups := p.Duplicates
+		if err := p.Install(m); err != nil {
+			t.Fatal(err)
+		}
+		sim.Run()
+		if got := p.Duplicates > dups; got != want {
+			t.Fatalf("draw %d: %+v suppressed=%v, want %v", i, m, got, want)
+		}
+		if !want {
+			installed = append(installed, wire)
+		}
+	}
+
+	neg := FlowMod{Command: FlowAdd, HardTimeout: math.Copysign(0, -1), Action: netsim.Drop()}
+	pos := neg
+	pos.HardTimeout = 0
+	p.Forget(neg)
+	p.Forget(pos)
+	installs := p.Installs
+	if err := p.Install(neg); err != nil {
+		t.Fatal(err)
+	}
+	sim.Run()
+	if err := p.Install(pos); err != nil {
+		t.Fatal(err)
+	}
+	sim.Run()
+	if p.Installs-installs != 2 {
+		t.Errorf("hard timeouts -0 and +0 installed %d rules, want 2: the wire tells them apart", p.Installs-installs)
 	}
 }
