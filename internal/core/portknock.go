@@ -28,9 +28,15 @@ type PortKnock struct {
 	errs  *ErrorLog
 
 	freqForPort map[uint16]float64
-	// symForFreq maps each knock tone to its FSM symbol, built once
-	// so the per-window dispatch does not format strings.
-	symForFreq map[float64]string
+	// tones lists the knock frequencies in first-knock order and syms
+	// their FSM symbols, built once so the per-window dispatch does not
+	// format strings. A knock has a few tones, so a scan beats a map.
+	tones []float64
+	syms  []string
+	// own is the window's knock detections, the onset filter's only
+	// input: its state then tracks the knock tones, not every
+	// frequency the controller heard.
+	own []Detection
 
 	// Opened reports whether the knock sequence was accepted and the
 	// open rule sent.
@@ -80,7 +86,8 @@ func NewPortKnock(plan *FrequencyPlan, switchName string, voice *Voice, ch *open
 		prog:        openflow.NewProgrammer(ch, 2),
 		onset:       NewOnsetFilter(),
 		freqForPort: make(map[uint16]float64, len(distinct)),
-		symForFreq:  make(map[float64]string, len(distinct)),
+		tones:       freqs,
+		syms:        make([]string, len(distinct)),
 	}
 	pk.prog.OnResult = func(m openflow.FlowMod, err error) {
 		if err != nil {
@@ -92,7 +99,7 @@ func NewPortKnock(plan *FrequencyPlan, switchName string, voice *Voice, ch *open
 	}
 	for i, p := range distinct {
 		pk.freqForPort[p] = freqs[i]
-		pk.symForFreq[freqs[i]] = knockSymbol(p)
+		pk.syms[i] = knockSymbol(p)
 	}
 	symbols := make([]string, len(sequence))
 	for i, p := range sequence {
@@ -107,23 +114,7 @@ func NewPortKnock(plan *FrequencyPlan, switchName string, voice *Voice, ch *open
 // Frequencies returns the knock-port frequencies the controller must
 // watch.
 func (pk *PortKnock) Frequencies() []float64 {
-	out := make([]float64, 0, len(pk.freqForPort))
-	for _, p := range distinctOrder(pk.Sequence) {
-		out = append(out, pk.freqForPort[p])
-	}
-	return out
-}
-
-func distinctOrder(seq []uint16) []uint16 {
-	seen := make(map[uint16]bool)
-	var out []uint16
-	for _, p := range seq {
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
-	}
-	return out
+	return append([]float64(nil), pk.tones...)
 }
 
 // Tap is the switch-side hook: a packet whose destination port is in
@@ -137,11 +128,28 @@ func (pk *PortKnock) Tap(pkt *netsim.Packet, _ int) {
 // HandleWindow is the controller-side hook: feed it every detection
 // window (wire via Controller.SubscribeWindows).
 func (pk *PortKnock) HandleWindow(_ float64, dets []Detection) {
-	for _, det := range pk.onset.Step(dets) {
-		if sym, ok := pk.symForFreq[det.Frequency]; ok {
-			pk.fsm.Step(sym)
+	// Each frequency's onset state is independent of the others', so
+	// stepping the filter over the knock tones alone confirms the same
+	// knock onsets, in the same order.
+	pk.own = pk.own[:0]
+	for _, det := range dets {
+		if pk.tone(det.Frequency) >= 0 {
+			pk.own = append(pk.own, det)
 		}
 	}
+	for _, det := range pk.onset.Step(pk.own) {
+		pk.fsm.Step(pk.syms[pk.tone(det.Frequency)])
+	}
+}
+
+// tone returns the index of freq among the knock tones, or -1.
+func (pk *PortKnock) tone(freq float64) int {
+	for i, f := range pk.tones {
+		if f == freq {
+			return i
+		}
+	}
+	return -1
 }
 
 // knockSymbol is the FSM symbol of a knock on port p.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"mdn/internal/acoustic"
@@ -185,5 +187,78 @@ func TestPortKnockAutoClosesOnIdleTimeout(t *testing.T) {
 	}
 	if len(kb.sw.Rules()) != 0 {
 		t.Errorf("opening rule still installed after idle timeout")
+	}
+}
+
+// bareKnock builds a port knock on its own simulator and switch, with
+// no controller: the test feeds its windows by hand.
+func bareKnock(t *testing.T, sequence []uint16) (*netsim.Sim, *PortKnock) {
+	t.Helper()
+	tb := newTestbed(12)
+	sw := netsim.NewSwitch(tb.sim, "s1")
+	ch := openflow.NewChannel(tb.sim, sw, 0.005)
+	openRule := openflow.FlowMod{Command: openflow.FlowAdd, Priority: 10, Action: netsim.Output(2)}
+	pk, err := NewPortKnock(tb.plan, "s1", tb.voiceAt("s1", acoustic.Position{X: 1}), ch, sequence, openRule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tb.sim, pk
+}
+
+// TestPortKnockIgnoresForeignDetections: other devices' tones in a
+// window, one of them heard by two mics, do not change what the knock
+// sees. A knock fed random windows with foreign detections interleaved
+// must keep its FSM and open state identical, window for window, to a
+// knock fed the same windows stripped to its own tones.
+func TestPortKnockIgnoresForeignDetections(t *testing.T) {
+	for _, seq := range [][]uint16{{1001, 1002, 1003}, {1001, 1001, 1002}} {
+		mixedSim, mixed := bareKnock(t, seq)
+		strippedSim, stripped := bareKnock(t, seq)
+		own := mixed.Frequencies()
+		foreign := []float64{own[0] - 50, own[0] + 50, own[len(own)-1] + 100, 3000, 9000.5}
+		rng := rand.New(rand.NewSource(int64(len(seq)) + int64(seq[1])))
+		var all, mine []Detection
+		for w := 0; w < 3000; w++ {
+			at := float64(w+1) * DefaultWindow
+			all = all[:0]
+			for _, f := range own {
+				if rng.Intn(2) == 0 {
+					all = append(all, Detection{Time: at, Frequency: f, Amplitude: rng.Float64()})
+				}
+			}
+			for _, f := range foreign {
+				if rng.Intn(2) == 0 {
+					all = append(all, Detection{Time: at, Frequency: f, Amplitude: rng.Float64()})
+				}
+			}
+			// A second mic hears a foreign tone, and sometimes a knock tone.
+			if rng.Intn(2) == 0 {
+				all = append(all, Detection{Time: at, Frequency: foreign[0], Amplitude: rng.Float64()})
+			}
+			if rng.Intn(8) == 0 {
+				all = append(all, Detection{Time: at, Frequency: own[0], Amplitude: rng.Float64()})
+			}
+			rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
+			mine = mine[:0]
+			for _, d := range all {
+				if slices.Contains(own, d.Frequency) {
+					mine = append(mine, d)
+				}
+			}
+			mixedSim.RunUntil(at)
+			strippedSim.RunUntil(at)
+			mixed.HandleWindow(at, all)
+			stripped.HandleWindow(at, mine)
+			if mixed.Accepts() != stripped.Accepts() || mixed.WrongKnocks != stripped.WrongKnocks ||
+				mixed.Opened != stripped.Opened || mixed.OpenedAt != stripped.OpenedAt {
+				t.Fatalf("sequence %v, window %d: with foreign tones accepts=%d wrong=%d opened=%v at %g; without accepts=%d wrong=%d opened=%v at %g",
+					seq, w, mixed.Accepts(), mixed.WrongKnocks, mixed.Opened, mixed.OpenedAt,
+					stripped.Accepts(), stripped.WrongKnocks, stripped.Opened, stripped.OpenedAt)
+			}
+		}
+		if mixed.Accepts() == 0 || mixed.WrongKnocks == 0 || !mixed.Opened {
+			t.Errorf("sequence %v: accepts=%d wrong=%d opened=%v, want the FSM exercised both ways",
+				seq, mixed.Accepts(), mixed.WrongKnocks, mixed.Opened)
+		}
 	}
 }

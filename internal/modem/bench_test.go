@@ -1,6 +1,7 @@
 package modem
 
 import (
+	"bytes"
 	"testing"
 
 	"mdn/internal/core"
@@ -130,8 +131,8 @@ func BenchmarkModemReceiverWindow(b *testing.B) {
 }
 
 // TestTransmitterSendAllocs: after warm-up, a frame's trip from Send
-// through its scheduled tones to the speaker allocates only what the
-// FEC's Encode does, whatever the frame's length: nothing per tone.
+// through FEC encoding and its scheduled tones to the speaker allocates
+// nothing, whatever the frame's length.
 func TestTransmitterSendAllocs(t *testing.T) {
 	for _, fec := range []FEC{FECNone{}, FECHamming{}, FECRS{Parity: DefaultRSParity}} {
 		cfg := DefaultConfig()
@@ -149,11 +150,75 @@ func TestTransmitterSendAllocs(t *testing.T) {
 				at = end
 			}
 			send()
-			encode := testing.AllocsPerRun(20, func() { fec.Encode(payload) })
-			if allocs := testing.AllocsPerRun(20, send); allocs != encode {
-				t.Errorf("%s, %d-byte payload: a sent frame allocates %v times, its FEC encode %v",
-					fec.Name(), n, allocs, encode)
+			if allocs := testing.AllocsPerRun(20, send); allocs != 0 {
+				t.Errorf("%s, %d-byte payload: a sent frame allocates %v times, want 0", fec.Name(), n, allocs)
 			}
+		}
+	}
+}
+
+// frameWindows lays one frame of payload out as the capture windows a
+// receiver hears, one per symbol epoch and starting with the frame.
+// Two empty windows follow: the receiver's clock estimate may round a
+// hair late, so the second is the one sure to complete the frame.
+// Window i starts i·SymbolPeriod after the frame.
+func frameWindows(band *Band, cfg Config, payload []byte) [][]core.Detection {
+	c := crc16(payload)
+	coded := cfg.FEC.Encode(append(append([]byte(nil), payload...), byte(c>>8), byte(c)))
+	var hdr [headerBytes * headerCopies]byte
+	encodeHeader(header{PayloadLen: len(payload), FECID: cfg.FEC.ID()}, hdr[:headerBytes])
+	copy(hdr[headerBytes:], hdr[:headerBytes])
+	g := frameGeometry(cfg, len(coded))
+	windows := make([][]core.Detection, g.totalEpochs+2)
+	for bank := 0; bank < banks; bank++ {
+		windows[bank] = []core.Detection{{Frequency: band.SyncTone(bank), Amplitude: 0.01}}
+	}
+	for e := 2; e < g.totalEpochs; e++ {
+		for lane := 0; lane < cfg.Lanes; lane++ {
+			var val int
+			if he := e - 2; he < g.hdrEpochs {
+				val = nibbleOf(hdr[:], he*cfg.Lanes+lane)
+			} else {
+				val = nibbleOf(coded, (he-g.hdrEpochs)*cfg.Lanes+lane)
+			}
+			windows[e] = append(windows[e], core.Detection{Frequency: band.DataTone(e, lane, val), Amplitude: 0.01})
+		}
+	}
+	return windows
+}
+
+// TestReceiverFrameAllocs: once its buffers and Frames have grown to
+// their bounds, a receiver demodulates, FEC-decodes and delivers a
+// frame with one allocation, the delivered payload copy.
+func TestReceiverFrameAllocs(t *testing.T) {
+	for _, fec := range []FEC{FECNone{}, FECHamming{}, FECRS{Parity: DefaultRSParity}} {
+		cfg := DefaultConfig()
+		cfg.FEC = fec
+		band, err := NewBand(Plan(cfg), "bench", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rx := NewReceiver(band)
+		payload := []byte("a replicated flow rule")
+		windows := frameWindows(band, cfg, payload)
+		from := 1.0
+		frame := func() {
+			for _, w := range windows {
+				rx.HandleWindow(from, w)
+				from += cfg.SymbolPeriod
+			}
+		}
+		for i := 0; i <= framesMax; i++ {
+			frame()
+		}
+		if rx.FramesRx != framesMax+1 {
+			t.Fatalf("%s: %d of %d warm-up frames delivered", fec.Name(), rx.FramesRx, framesMax+1)
+		}
+		if allocs := testing.AllocsPerRun(100, frame); allocs != 1 {
+			t.Errorf("%s: a delivered frame allocates %v times, want 1 (its payload)", fec.Name(), allocs)
+		}
+		if last := rx.Frames[len(rx.Frames)-1]; rx.FramesRx != framesMax+102 || !bytes.Equal(last.Payload, payload) {
+			t.Errorf("%s: %d frames delivered, last payload %q", fec.Name(), rx.FramesRx, last.Payload)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package modem
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -31,6 +32,38 @@ type FEC interface {
 	// detectable way — an undetected miscorrection is caught by the
 	// frame CRC above.
 	Decode(coded []byte, dataLen int) (data []byte, corrected int, err error)
+
+	// appendEncode is Encode appending to dst, and appendDecode is
+	// Decode appending to dst; on error appendDecode returns dst with
+	// whatever it had appended. The modem's transmitter and receiver
+	// call them with reused buffers, so a frame costs no garbage.
+	appendEncode(dst, data []byte) []byte
+	appendDecode(dst, coded []byte, dataLen int) (data []byte, corrected int, err error)
+}
+
+// extend appends n zero bytes to dst and returns the result and the
+// appended tail. It grows dst only when its capacity is short; the
+// append(dst, make([]byte, n)...) idiom allocates when the race
+// detector instruments the build.
+func extend(dst []byte, n int) ([]byte, []byte) {
+	dst = slices.Grow(dst, n)
+	tail := dst[len(dst) : len(dst)+n]
+	clear(tail)
+	return dst[:len(dst)+n], tail
+}
+
+// encodeNew and decodeNew are the exported Encode and Decode: the
+// append forms into a fresh buffer.
+func encodeNew(f FEC, data []byte) []byte {
+	return f.appendEncode(make([]byte, 0, f.CodedLen(len(data))), data)
+}
+
+func decodeNew(f FEC, coded []byte, dataLen int) ([]byte, int, error) {
+	out, corrected, err := f.appendDecode(make([]byte, 0, dataLen), coded, dataLen)
+	if err != nil {
+		return nil, corrected, err
+	}
+	return out, corrected, nil
 }
 
 // ErrCodedTooShort reports a coded body shorter than the scheme
@@ -101,20 +134,20 @@ func (FECNone) ID() byte { return fecKindNone << 4 }
 func (FECNone) CodedLen(dataLen int) int { return dataLen }
 
 // Encode implements FEC.
-func (FECNone) Encode(data []byte) []byte {
-	out := make([]byte, len(data))
-	copy(out, data)
-	return out
-}
+func (f FECNone) Encode(data []byte) []byte { return encodeNew(f, data) }
 
 // Decode implements FEC.
-func (FECNone) Decode(coded []byte, dataLen int) ([]byte, int, error) {
+func (f FECNone) Decode(coded []byte, dataLen int) ([]byte, int, error) {
+	return decodeNew(f, coded, dataLen)
+}
+
+func (FECNone) appendEncode(dst, data []byte) []byte { return append(dst, data...) }
+
+func (FECNone) appendDecode(dst, coded []byte, dataLen int) ([]byte, int, error) {
 	if len(coded) < dataLen {
-		return nil, 0, ErrCodedTooShort
+		return dst, 0, ErrCodedTooShort
 	}
-	out := make([]byte, dataLen)
-	copy(out, coded)
-	return out, 0, nil
+	return append(dst, coded[:dataLen]...), 0, nil
 }
 
 // FECHamming is interleaved Hamming(7,4): every data nibble becomes a
@@ -178,25 +211,31 @@ func (FECHamming) CodedLen(dataLen int) int { return (14*dataLen + 7) / 8 }
 // from codeword k mod C, so the four bits of any transmitted symbol
 // touch four distinct codewords whenever the body has at least two
 // data bytes.
-func (f FECHamming) Encode(data []byte) []byte {
+func (f FECHamming) Encode(data []byte) []byte { return encodeNew(f, data) }
+
+// Decode implements FEC.
+func (f FECHamming) Decode(coded []byte, dataLen int) ([]byte, int, error) {
+	return decodeNew(f, coded, dataLen)
+}
+
+func (f FECHamming) appendEncode(dst, data []byte) []byte {
 	c := 2 * len(data)
-	out := make([]byte, f.CodedLen(len(data)))
+	dst, out := extend(dst, f.CodedLen(len(data)))
 	for k := 0; k < 7*c; k++ {
 		cw := hamEnc[nibbleOf(data, k%c)]
 		if bitAt(int(cw), k/c+1) != 0 {
 			out[k/8] |= 0x80 >> (k % 8)
 		}
 	}
-	return out
+	return dst
 }
 
-// Decode implements FEC.
-func (f FECHamming) Decode(coded []byte, dataLen int) ([]byte, int, error) {
+func (f FECHamming) appendDecode(dst, coded []byte, dataLen int) ([]byte, int, error) {
 	if len(coded) < f.CodedLen(dataLen) {
-		return nil, 0, ErrCodedTooShort
+		return dst, 0, ErrCodedTooShort
 	}
 	c := 2 * dataLen
-	out := make([]byte, dataLen)
+	dst, out := extend(dst, dataLen)
 	corrected := 0
 	for i := 0; i < c; i++ {
 		w := 0
@@ -212,7 +251,7 @@ func (f FECHamming) Decode(coded []byte, dataLen int) ([]byte, int, error) {
 		}
 		setNibble(out, i, int(d&0x0F))
 	}
-	return out, corrected, nil
+	return dst, corrected, nil
 }
 
 // FECRS is Reed-Solomon over GF(256) (polynomial 0x11D): the body is
@@ -267,41 +306,47 @@ func (f FECRS) CodedLen(dataLen int) int {
 
 // Encode implements FEC. Blocks are near-equal-sized so no block is
 // disproportionately exposed.
-func (f FECRS) Encode(data []byte) []byte {
-	p := f.parity()
-	nb := f.blocks(len(data))
-	out := make([]byte, 0, f.CodedLen(len(data)))
-	for b := 0; b < nb; b++ {
-		lo, hi := b*len(data)/nb, (b+1)*len(data)/nb
-		block := data[lo:hi]
-		out = append(out, block...)
-		out = append(out, rsParity(block, p)...)
-	}
-	return out
-}
+func (f FECRS) Encode(data []byte) []byte { return encodeNew(f, data) }
 
 // Decode implements FEC.
 func (f FECRS) Decode(coded []byte, dataLen int) ([]byte, int, error) {
+	return decodeNew(f, coded, dataLen)
+}
+
+func (f FECRS) appendEncode(dst, data []byte) []byte {
+	p := f.parity()
+	nb := f.blocks(len(data))
+	for b := 0; b < nb; b++ {
+		lo, hi := b*len(data)/nb, (b+1)*len(data)/nb
+		block := data[lo:hi]
+		dst = append(dst, block...)
+		dst = appendRSParity(dst, block, p)
+	}
+	return dst
+}
+
+func (f FECRS) appendDecode(dst, coded []byte, dataLen int) ([]byte, int, error) {
 	p := f.parity()
 	nb := f.blocks(dataLen)
 	if len(coded) < f.CodedLen(dataLen) {
-		return nil, 0, ErrCodedTooShort
+		return dst, 0, ErrCodedTooShort
 	}
-	out := make([]byte, 0, dataLen)
 	corrected := 0
 	off := 0
 	for b := 0; b < nb; b++ {
 		lo, hi := b*dataLen/nb, (b+1)*dataLen/nb
+		// blocks sizes every block to at most 255 bytes with parity.
+		var buf [255]byte
 		n := hi - lo + p
-		block := make([]byte, n)
+		block := buf[:n]
 		copy(block, coded[off:off+n])
 		off += n
 		fixed, err := rsCorrect(block, p)
 		if err != nil {
-			return nil, corrected, err
+			return dst, corrected, err
 		}
 		corrected += fixed
-		out = append(out, block[:hi-lo]...)
+		dst = append(dst, block[:hi-lo]...)
 	}
-	return out, corrected, nil
+	return dst, corrected, nil
 }

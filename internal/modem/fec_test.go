@@ -156,7 +156,7 @@ func TestRSParityAlgebra(t *testing.T) {
 	for _, p := range []int{8, 16, 48} {
 		data := make([]byte, 100)
 		rng.Read(data)
-		block := append(append([]byte{}, data...), rsParity(data, p)...)
+		block := appendRSParity(append([]byte{}, data...), data, p)
 		for i := 0; i < p; i++ {
 			root := gfPowA(i)
 			var s byte

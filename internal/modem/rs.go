@@ -70,11 +70,11 @@ func rsGen(p int) []byte {
 	return gen
 }
 
-// rsParity returns the p check bytes for data (remainder of
-// data(x)·x^p divided by the generator).
-func rsParity(data []byte, p int) []byte {
+// appendRSParity appends the p check bytes for data (remainder of
+// data(x)·x^p divided by the generator) to dst.
+func appendRSParity(dst, data []byte, p int) []byte {
 	gen := rsGen(p)
-	par := make([]byte, p)
+	dst, par := extend(dst, p)
 	for _, d := range data {
 		factor := d ^ par[0]
 		copy(par, par[1:])
@@ -85,7 +85,7 @@ func rsParity(data []byte, p int) []byte {
 			}
 		}
 	}
-	return par
+	return dst
 }
 
 // errRSUncorrectable reports an error pattern beyond the block's
@@ -94,14 +94,17 @@ func rsParity(data []byte, p int) []byte {
 var errRSUncorrectable = errors.New("modem: reed-solomon block uncorrectable")
 
 // rsCorrect repairs block (data ‖ parity, parity = last p bytes) in
-// place and returns how many bytes it fixed.
+// place and returns how many bytes it fixed. A block is at most 255
+// bytes, so every polynomial it builds fits a fixed-size array on the
+// stack and correction allocates nothing.
 func rsCorrect(block []byte, p int) (int, error) {
 	n := len(block)
 	if n <= p || n > 255 {
 		return 0, errRSUncorrectable
 	}
 	// Syndromes s[i] = c(α^i); coefficient block[0] is highest-degree.
-	synd := make([]byte, p)
+	var syndBuf [255]byte
+	synd := syndBuf[:p]
 	clean := true
 	for i := 0; i < p; i++ {
 		root := gfPowA(i)
@@ -119,9 +122,13 @@ func rsCorrect(block []byte, p int) (int, error) {
 	}
 
 	// Berlekamp-Massey: find the shortest LFSR (error locator σ,
-	// lowest degree first: σ[0] = 1) generating the syndromes.
-	sigma := []byte{1}
-	prev := []byte{1}
+	// lowest degree first: σ[0] = 1) generating the syndromes. σ holds
+	// at most i+2 coefficients after step i, so at most p+1 ≤ 255 in
+	// all: σ, the previous σ and a spare rotate among three arrays.
+	var sigmaBuf, prevBuf, spareBuf [256]byte
+	sigma := append(sigmaBuf[:0], 1)
+	prev := append(prevBuf[:0], 1)
+	spare := spareBuf[:0]
 	var l, m int = 0, 1
 	var b byte = 1
 	for i := 0; i < p; i++ {
@@ -136,10 +143,10 @@ func rsCorrect(block []byte, p int) (int, error) {
 			continue
 		}
 		if 2*l <= i {
-			tmp := make([]byte, len(sigma))
-			copy(tmp, sigma)
+			tmp := append(spare[:0], sigma...)
 			sigma = polyFix(sigma, prev, gfMul(d, gfInv(b)), m)
-			prev, b, l, m = tmp, d, i+1-l, 1
+			prev, spare = tmp, prev
+			b, l, m = d, i+1-l, 1
 		} else {
 			sigma = polyFix(sigma, prev, gfMul(d, gfInv(b)), m)
 			m++
@@ -156,7 +163,8 @@ func rsCorrect(block []byte, p int) (int, error) {
 
 	// Chien search: error at byte j ⇔ σ(X_j^{-1}) = 0, with location
 	// X_j = α^(n−1−j).
-	var positions []int
+	var posBuf [255]uint8
+	positions := posBuf[:0]
 	for j := 0; j < n; j++ {
 		xinv := gfPowA(-(n - 1 - j))
 		var v byte
@@ -164,7 +172,7 @@ func rsCorrect(block []byte, p int) (int, error) {
 			v = gfMul(v, xinv) ^ sigma[k]
 		}
 		if v == 0 {
-			positions = append(positions, j)
+			positions = append(positions, uint8(j))
 		}
 	}
 	if len(positions) != nu {
@@ -173,7 +181,8 @@ func rsCorrect(block []byte, p int) (int, error) {
 
 	// Forney: Ω(x) = S(x)σ(x) mod x^p; with generator roots starting
 	// at α⁰ the magnitude at X_j is X_j·Ω(X_j^{-1})/σ'(X_j^{-1}).
-	omega := make([]byte, p)
+	var omegaBuf [255]byte
+	omega := omegaBuf[:p]
 	for i := 0; i < p; i++ {
 		var v byte
 		for j := 0; j <= i && j <= nu; j++ {
@@ -181,7 +190,8 @@ func rsCorrect(block []byte, p int) (int, error) {
 		}
 		omega[i] = v
 	}
-	for _, j := range positions {
+	for _, pos := range positions {
+		j := int(pos)
 		x := gfPowA(n - 1 - j)
 		xinv := gfInv(x)
 		var om byte
@@ -215,16 +225,15 @@ func rsCorrect(block []byte, p int) (int, error) {
 	return nu, nil
 }
 
-// polyFix returns sigma ⊕ scale·x^shift·prev.
+// polyFix sets sigma ⊕= scale·x^shift·prev, growing sigma with zeros
+// to len(prev)+shift, and returns it. It writes in sigma's backing
+// array, which must not be prev's.
 func polyFix(sigma, prev []byte, scale byte, shift int) []byte {
-	out := make([]byte, len(sigma))
-	copy(out, sigma)
-	need := len(prev) + shift
-	for len(out) < need {
-		out = append(out, 0)
+	for len(sigma) < len(prev)+shift {
+		sigma = append(sigma, 0)
 	}
 	for i, c := range prev {
-		out[i+shift] ^= gfMul(c, scale)
+		sigma[i+shift] ^= gfMul(c, scale)
 	}
-	return out
+	return sigma
 }

@@ -2,6 +2,7 @@ package modem
 
 import (
 	"math"
+	"slices"
 
 	"mdn/internal/core"
 	"mdn/internal/telemetry"
@@ -46,8 +47,9 @@ const maxCodedBytes = 512
 //
 // The steady-state window path (vote accumulation) allocates nothing
 // once the vote table has grown to the rows of the longest frame heard;
-// per-frame assembly allocates only the coded body and the delivered
-// payload copy.
+// per-frame assembly and FEC decoding reuse the receiver's buffers, so
+// a frame allocates only the delivered payload copy, which Frames and
+// the OnFrame callback keep.
 type Receiver struct {
 	band *Band
 	cfg  Config
@@ -71,6 +73,8 @@ type Receiver struct {
 	hdrParsed  bool
 	fec        FEC
 	geo        geometry
+	coded      []byte // the frame's reassembled coded body
+	data       []byte // its FEC-decoded payload ‖ CRC-16
 
 	// Frames holds delivered frames, oldest first, bounded by
 	// framesMax with keep-last-N eviction.
@@ -316,12 +320,13 @@ func (r *Receiver) parseHeaderVotes() bool {
 // then resets for the next one.
 func (r *Receiver) finish(from float64) {
 	codedLen := r.fec.CodedLen(r.hdr.PayloadLen + 2)
-	coded := make([]byte, codedLen)
+	r.coded = slices.Grow(r.coded[:0], codedLen)[:codedLen]
 	for i := 0; i < 2*codedLen; i++ {
 		row := r.geo.hdrEpochs + i/r.cfg.Lanes
-		setNibble(coded, i, r.argmax(row, i%r.cfg.Lanes))
+		setNibble(r.coded, i, r.argmax(row, i%r.cfg.Lanes))
 	}
-	data, corrected, err := r.fec.Decode(coded, r.hdr.PayloadLen+2)
+	data, corrected, err := r.fec.appendDecode(r.data[:0], r.coded, r.hdr.PayloadLen+2)
+	r.data = data
 	if err != nil {
 		r.FECFailures++
 		r.resetAndReplay()

@@ -47,8 +47,8 @@ func (c *Corruptor) attack(val int) (int, bool) {
 // returns immediately with the frame's end time; the voice's
 // PlayMessage path (no same-frequency re-arm gap) carries the
 // emissions. Scheduled tones live in pooled records and the frame is
-// assembled in reused buffers, so after warm-up Send allocates only
-// what the FEC's Encode does.
+// assembled and FEC-coded in reused buffers, so after warm-up Send
+// allocates nothing.
 type Transmitter struct {
 	band  *Band
 	sim   *netsim.Sim
@@ -59,6 +59,7 @@ type Transmitter struct {
 
 	seq   byte
 	data  []byte  // payload ‖ CRC-16 of the frame being sent
+	coded []byte  // data's FEC-coded form
 	tones []*tone // idle tone records
 
 	// FramesTx counts frames scheduled.
@@ -92,7 +93,8 @@ func (t *Transmitter) Send(at float64, payload []byte) (float64, error) {
 	// Body: FEC(payload ‖ CRC-16).
 	c := crc16(payload)
 	t.data = append(append(t.data[:0], payload...), byte(c>>8), byte(c))
-	coded := cfg.FEC.Encode(t.data)
+	coded := cfg.FEC.appendEncode(t.coded[:0], t.data)
+	t.coded = coded
 
 	// Header, twice.
 	hdr := make([]byte, headerBytes*headerCopies)

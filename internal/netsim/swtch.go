@@ -146,6 +146,7 @@ type Switch struct {
 	sim     *Sim
 	ports   []*Port // indexed by port number; nil where unconnected
 	table   []*Rule
+	free    []*Rule // evicted rule records, reused by InstallRule
 	ruleSeq uint64
 
 	// Counters.
@@ -193,13 +194,21 @@ func (s *Switch) Ports() []int {
 // rule (so callers can read its counters later). This is the
 // switch-side effect of an OpenFlow Flow-MOD. Timeouts (if any) are
 // enforced against the simulator clock.
+//
+// The switch owns the installed record: it copies r.Action.Ports, so
+// the caller may reuse its slice, and it reuses the records of evicted
+// rules. The returned pointer is valid until the rule is evicted;
+// after that the record may hold a later rule.
 func (s *Switch) InstallRule(r Rule) *Rule {
 	s.ruleSeq++
-	r.sw = s
-	r.seq = s.ruleSeq
-	r.installedAt = s.sim.Now()
-	r.lastHitAt = r.installedAt
-	rp := &r
+	rp := s.ruleRecord()
+	ports := rp.Action.Ports[:0]
+	*rp = r
+	rp.Action.Ports = append(ports, r.Action.Ports...)
+	rp.sw = s
+	rp.seq = s.ruleSeq
+	rp.installedAt = s.sim.Now()
+	rp.lastHitAt = rp.installedAt
 	// The table is ordered by priority, highest first, then by seq. The
 	// new rule has the largest seq, so it goes after every rule whose
 	// priority is at least its own.
@@ -216,6 +225,17 @@ func (s *Switch) InstallRule(r Rule) *Rule {
 	s.table[lo] = rp
 	s.scheduleEviction(rp)
 	return rp
+}
+
+// ruleRecord takes an evicted rule's record off the free list, or
+// makes one.
+func (s *Switch) ruleRecord() *Rule {
+	if n := len(s.free); n > 0 {
+		r := s.free[n-1]
+		s.free = s.free[:n-1]
+		return r
+	}
+	return new(Rule)
 }
 
 // scheduleEviction arms the rule's next timeout check as a typed
@@ -249,6 +269,8 @@ func (s *Switch) expire(r *Rule) {
 	if hardDue || idleDue {
 		r.evicted = true
 		s.removeRules(func(x *Rule) bool { return x == r })
+		// This event held the simulator's last reference to the record.
+		s.free = append(s.free, r)
 		return
 	}
 	// Traffic refreshed the idle clock: re-arm.
@@ -270,6 +292,9 @@ func (s *Switch) removeRules(pred func(*Rule) bool) int {
 			kept = append(kept, r)
 		}
 	}
+	// Clear the vacated tail so the backing array does not keep
+	// removed rules reachable.
+	clear(s.table[len(kept):])
 	s.table = kept
 	return removed
 }

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -150,6 +151,11 @@ func TestSwitchRemoveRules(t *testing.T) {
 	if len(s.Rules()) != 1 {
 		t.Errorf("rules = %d", len(s.Rules()))
 	}
+	// The vacated tail of the table's backing array must not keep the
+	// removed rule reachable.
+	if tail := s.table[len(s.table):cap(s.table)]; slices.ContainsFunc(tail, func(r *Rule) bool { return r != nil }) {
+		t.Errorf("table's spare capacity still holds removed rules: %v", tail)
+	}
 }
 
 func TestSwitchLoopGuard(t *testing.T) {
@@ -288,12 +294,10 @@ func TestInstallRuleMatchesStableSortOracle(t *testing.T) {
 			prio := rng.Intn(5) - 2
 			s.removeRules(func(r *Rule) bool { return r.Priority == prio })
 		}
-		var want []*Rule
-		for _, r := range installed {
-			if !r.evicted {
-				want = append(want, r)
-			}
-		}
+		// An evicted rule's record may be reused by a later install, so
+		// the oracle forgets it at once: every pointer it holds is live.
+		installed = slices.DeleteFunc(installed, func(r *Rule) bool { return r.evicted })
+		want := slices.Clone(installed)
 		sort.SliceStable(want, func(i, j int) bool { return want[i].Priority > want[j].Priority })
 		got := s.Rules()
 		if len(got) != len(want) {
@@ -309,24 +313,86 @@ func TestInstallRuleMatchesStableSortOracle(t *testing.T) {
 }
 
 // TestInstallRuleAllocs: installing a rule into a populated table and
-// evicting it on its hard timeout allocates only the Rule itself.
+// evicting it on its hard timeout allocates nothing once an evicted
+// record is there to reuse, port list included.
 func TestInstallRuleAllocs(t *testing.T) {
 	sim := NewSim()
 	s := NewSwitch(sim, "s1")
 	for p := 0; p < 32; p++ {
 		s.InstallRule(Rule{Priority: p % 8})
 	}
+	act := Split(2, 3)
 	prio := 0
 	cycle := func() {
 		prio = (prio + 3) % 8
-		s.InstallRule(Rule{Priority: prio, HardTimeout: 1})
+		s.InstallRule(Rule{Priority: prio, Action: act, HardTimeout: 1})
 		sim.RunUntil(sim.Now() + 2)
 	}
 	cycle()
-	if allocs := testing.AllocsPerRun(100, cycle); allocs != 1 {
-		t.Errorf("install and evict allocate %v times, want 1 (the Rule)", allocs)
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("install and evict allocate %v times, want 0", allocs)
 	}
 	if len(s.Rules()) != 32 {
 		t.Errorf("table holds %d rules after the cycles, want 32", len(s.Rules()))
+	}
+}
+
+// TestRecycledRuleStartsClean: a record reused after a hard eviction
+// carries nothing of the rule it held before, the switch owns the port
+// list it installs, and a rule removed while its eviction event is
+// pending is not reused before that event fires.
+func TestRecycledRuleStartsClean(t *testing.T) {
+	sim, h1, s, h2, h3 := star(t, true)
+	ports := []int{2, 3}
+	old := s.InstallRule(Rule{Priority: 1, Action: Action{Kind: ActionSplit, Ports: ports}, HardTimeout: 1})
+	ports[0] = 99
+	if got := old.Action.Ports; !slices.Equal(got, []int{2, 3}) {
+		t.Fatalf("changing the caller's ports changed the rule's to %v", got)
+	}
+	for i := 0; i < 3; i++ {
+		h1.Send(tuple(1, 80), 100)
+	}
+	sim.RunUntil(2)
+	if !old.evicted || old.Packets != 3 || old.rrNext != 3 {
+		t.Fatalf("first rule: evicted=%v packets=%d rrNext=%d, want true/3/3", old.evicted, old.Packets, old.rrNext)
+	}
+
+	fresh := s.InstallRule(Rule{Priority: 1, Action: Split(3, 2), IdleTimeout: 0.5})
+	if fresh != old {
+		t.Fatal("install after a hard eviction did not reuse the evicted record")
+	}
+	if fresh.evicted || fresh.Packets != 0 || fresh.Bytes != 0 || fresh.rrNext != 0 {
+		t.Errorf("reused record: evicted=%v packets=%d bytes=%d rrNext=%d, want a fresh rule",
+			fresh.evicted, fresh.Packets, fresh.Bytes, fresh.rrNext)
+	}
+	if fresh.installedAt != 2 || fresh.lastHitAt != 2 || fresh.HardTimeout != 0 || fresh.IdleTimeout != 0.5 {
+		t.Errorf("reused record: installed %g, last hit %g, hard %g, idle %g; want 2, 2, 0, 0.5",
+			fresh.installedAt, fresh.lastHitAt, fresh.HardTimeout, fresh.IdleTimeout)
+	}
+	if !slices.Equal(fresh.Action.Ports, []int{3, 2}) {
+		t.Errorf("reused record's ports = %v, want [3 2]", fresh.Action.Ports)
+	}
+	rx2, rx3 := h2.RxPackets, h3.RxPackets
+	h1.Send(tuple(1, 80), 100)
+	sim.RunUntil(2.4)
+	if h3.RxPackets != rx3+1 || h2.RxPackets != rx2 {
+		t.Error("the reused rule's round-robin did not start at its first port")
+	}
+	if fresh.evicted {
+		t.Error("the reused rule idled out on the evicted rule's clock")
+	}
+	sim.RunUntil(3)
+	if !fresh.evicted || len(s.Rules()) != 0 {
+		t.Fatal("the reused rule did not idle out 0.5 s after its last hit")
+	}
+
+	removed := s.InstallRule(Rule{Priority: 1, Action: Output(2), HardTimeout: 1})
+	s.removeRules(func(r *Rule) bool { return r == removed })
+	if next := s.InstallRule(Rule{Priority: 1, Action: Output(2)}); next == removed {
+		t.Fatal("a rule removed with its eviction pending was reused before the eviction fired")
+	}
+	sim.RunUntil(5)
+	if !removed.evicted || len(sim.events) != 0 {
+		t.Errorf("removed rule evicted=%v with %d events pending, want true/0", removed.evicted, len(sim.events))
 	}
 }

@@ -46,16 +46,11 @@ type delivery struct {
 }
 
 // install applies the Flow-MOD at the switch and returns the record to
-// the pool. The rule gets its own copy of the ports, because the
-// record's port buffer is decoded into again.
+// the pool. The switch copies the rule's ports, so the record's port
+// buffer can be decoded into again.
 func (d *delivery) install() {
-	fm := d.fm
-	fm.Action.Ports = nil
-	if len(d.fm.Action.Ports) > 0 {
-		fm.Action.Ports = append([]int(nil), d.fm.Action.Ports...)
-	}
 	d.c.inFlight = append(d.c.inFlight, d)
-	fm.Apply(d.c.sw)
+	d.fm.Apply(d.c.sw)
 }
 
 // NewChannel attaches a control channel to a switch.

@@ -50,7 +50,9 @@ type FlowMod struct {
 }
 
 // Apply installs the Flow-MOD's rule on a simulated switch and
-// returns it.
+// returns it. The switch copies the action's ports. The returned rule
+// is valid until the switch evicts it, which may then reuse the record
+// for a later rule.
 func (m FlowMod) Apply(sw *netsim.Switch) *netsim.Rule {
 	return sw.InstallRule(netsim.Rule{
 		Priority:    int(m.Priority),
