@@ -73,10 +73,11 @@ func detectionWindow() *audio.Buffer {
 
 // BenchmarkAblationDetectorMethod compares the Goertzel bank against
 // the full FFT across watch-list sizes — the crossover justifies the
-// controller's method choice.
+// controller's method choice. The sizes bracket one AVX2 pass (24
+// tones) and one AVX-512 pass (80) of the bank, and the modem's 130.
 func BenchmarkAblationDetectorMethod(b *testing.B) {
 	buf := detectionWindow()
-	for _, n := range []int{3, 12, 48, 192} {
+	for _, n := range []int{3, 12, 24, 48, 64, 80, 130, 192} {
 		watch := make([]float64, n)
 		for i := range watch {
 			watch[i] = 400 + 20*float64(i)

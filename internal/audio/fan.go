@@ -81,7 +81,7 @@ func (f Fan) Render(sampleRate, d float64) *Buffer {
 	}
 	for i := range out.Samples {
 		if i%jitterStep == 0 {
-			jitter += rng.NormFloat64() * 0.0005
+			jitter += float64(rng.NormFloat64() * 0.0005)
 			if jitter > 0.005 {
 				jitter = 0.005
 			}
@@ -93,7 +93,7 @@ func (f Fan) Render(sampleRate, d float64) *Buffer {
 		for k, base := range freqs {
 			w := 2 * math.Pi * base * (1 + jitter) / sampleRate
 			phases[k] += w
-			v += level / float64(k+1) * math.Sin(phases[k])
+			v += float64(level / float64(k+1) * math.Sin(phases[k]))
 		}
 		out.Samples[i] = v
 	}
@@ -114,14 +114,14 @@ func DatacenterAmbience(sampleRate, d, rms float64, seed int64) *Buffer {
 	rng := rand.New(rand.NewSource(seed))
 	// 12 background fans with randomised RPMs (avoiding 9000 ± 300).
 	for i := 0; i < 12; i++ {
-		rpm := 6000 + rng.Float64()*9000
+		rpm := 6000 + float64(rng.Float64()*9000)
 		if rpm > 8700 && rpm < 9300 {
 			rpm += 700
 		}
 		f := Fan{
 			RPM:    rpm,
 			Blades: 5 + rng.Intn(4),
-			Level:  0.05 + rng.Float64()*0.15,
+			Level:  0.05 + float64(rng.Float64()*0.15),
 			Seed:   seed + int64(i)*17,
 		}
 		out.MixAt(f.Render(sampleRate, d), 0, 1)

@@ -1,6 +1,9 @@
 package audio
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // The direct-mix APIs exist so the acoustic capture path can reach
 // zero steady-state allocations; their contract is bit-identity with
@@ -50,13 +53,45 @@ func TestMixEnvelopeAtAccumulates(t *testing.T) {
 	}
 }
 
+// BenchmarkMixEnvelopeAt mixes a whole 65 ms tone into a buffer, then,
+// through each synthesis kernel the host can run, the middle of a 1 s
+// tone into spans of a 10 ms hop (441 samples) and a 50 ms window (2205
+// samples), as a capture does.
 func BenchmarkMixEnvelopeAt(b *testing.B) {
 	const sr = 44100.0
-	tone := Tone{Frequency: 440, Duration: 0.065, Amplitude: 0.3}
-	out := NewBuffer(sr, 0.1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tone.MixEnvelopeAt(out, 0.01, DefaultEnvelope)
+	b.Run("tone-65ms", func(b *testing.B) {
+		tone := Tone{Frequency: 440, Duration: 0.065, Amplitude: 0.3}
+		out := NewBuffer(sr, 0.1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tone.MixEnvelopeAt(out, 0.01, DefaultEnvelope)
+		}
+	})
+	kernels := []struct {
+		name string
+		wide bool
+	}{{"go", false}}
+	if useAVX512 {
+		kernels = append(kernels, struct {
+			name string
+			wide bool
+		}{"avx512", true})
+	}
+	tone := Tone{Frequency: 1234.5, Duration: 1, Amplitude: 0.3, Phase: 1.1}
+	n := int(tone.Duration * sr)
+	edge := envelopeEdge(DefaultEnvelope, sr, n)
+	for _, k := range kernels {
+		for _, span := range []int{441, 2205} {
+			b.Run(fmt.Sprintf("%s-%d", k.name, span), func(b *testing.B) {
+				out := make([]float64, span)
+				lo := n/2 + 7 // mid-superblock, off the block grid
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					tone.mixSamples(out, sr, lo, lo+span, n, edge, k.wide)
+				}
+			})
+		}
 	}
 }

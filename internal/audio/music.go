@@ -92,7 +92,7 @@ func (s Song) Render(sampleRate, d float64) *Buffer {
 			}
 			deg := pentatonic[melodyIdx%len(pentatonic)] + 12*(melodyIdx/len(pentatonic))
 			lead := Tone{Frequency: noteHz(rootHz*2, deg), Duration: beat / 2 * 0.8, Amplitude: 0.5}
-			out.MixAt(lead.Render(sampleRate), t+float64(eighth)*beat/2, 1)
+			out.MixAt(lead.Render(sampleRate), t+float64(float64(eighth)*beat/2), 1)
 		}
 
 		// Percussion: a short noise burst on the beat (kick/snare feel).

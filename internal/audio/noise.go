@@ -65,7 +65,7 @@ func CrowdNoise(sampleRate, d, rms float64, seed int64) *Buffer {
 	gain := 1.0
 	for i := range b.Samples {
 		if i%step == 0 {
-			gain += rng.NormFloat64() * 0.05
+			gain += float64(rng.NormFloat64() * 0.05)
 			if gain < 0.6 {
 				gain = 0.6
 			}

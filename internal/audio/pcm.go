@@ -61,7 +61,7 @@ func (b *Buffer) MixAt(src *Buffer, offset, gain float64) *Buffer {
 		if j < 0 || j >= len(b.Samples) {
 			continue
 		}
-		b.Samples[j] += v * gain
+		b.Samples[j] += float64(v * gain)
 	}
 	return b
 }
@@ -92,7 +92,7 @@ func (b *Buffer) RMS() float64 {
 	}
 	sum := 0.0
 	for _, v := range b.Samples {
-		sum += v * v
+		sum += float64(v * v)
 	}
 	return math.Sqrt(sum / float64(len(b.Samples)))
 }

@@ -40,7 +40,7 @@ func (t Tone) Render(sampleRate float64) *Buffer {
 func (t Tone) RenderEnvelope(sampleRate, envelope float64) *Buffer {
 	b := NewBuffer(sampleRate, t.Duration)
 	n := len(b.Samples)
-	t.mixSamples(b.Samples, sampleRate, 0, n, n, envelopeEdge(envelope, sampleRate, n))
+	t.mixSamples(b.Samples, sampleRate, 0, n, n, envelopeEdge(envelope, sampleRate, n), useAVX512)
 	return b
 }
 
@@ -73,7 +73,7 @@ func (t Tone) MixEnvelopeAt(b *Buffer, offset, envelope float64) *Buffer {
 	if lo >= hi {
 		return b
 	}
-	t.mixSamples(b.Samples[start+lo:start+hi], sr, lo, hi, n, envelopeEdge(envelope, sr, n))
+	t.mixSamples(b.Samples[start+lo:start+hi], sr, lo, hi, n, envelopeEdge(envelope, sr, n), useAVX512)
 	return b
 }
 
@@ -111,36 +111,62 @@ const (
 // rotations and the table add ~10⁻¹⁴. Only blocks that touch a ramp pay
 // for the envelope; the rest run a branch-free loop, unrolled by four
 // for whole blocks.
-func (t Tone) mixSamples(dst []float64, sampleRate float64, lo, hi, n, edge int) {
+//
+// With wide set (useAVX512, or a test), each run of whole blocks clear
+// of both ramps inside one superblock goes to mixBlocksAVX512, which
+// runs the same operations in the same order eight samples at a time,
+// so the samples are bit-identical either way. Every product is
+// written float64(a*b): an explicit conversion rounds the product, so
+// no architecture fuses it into the following sum (arm64 otherwise
+// does), and the kernels agree on every GOARCH.
+func (t Tone) mixSamples(dst []float64, sampleRate float64, lo, hi, n, edge int, wide bool) {
 	w := 2 * math.Pi * t.Frequency / sampleRate
 	var sinK, cosK [toneBlock]float64
 	s1, c1 := math.Sincos(w)
 	sinK[0], cosK[0] = 0, 1
 	for k := 1; k < toneBlock; k++ {
-		sinK[k] = sinK[k-1]*c1 + cosK[k-1]*s1
-		cosK[k] = cosK[k-1]*c1 - sinK[k-1]*s1
+		sinK[k] = float64(sinK[k-1]*c1) + float64(cosK[k-1]*s1)
+		cosK[k] = float64(cosK[k-1]*c1) - float64(sinK[k-1]*s1)
 	}
 	sr, cr := math.Sincos(toneBlock * w)
 	a := lo - lo%toneBlock
 	// Enter at the superblock's exact anchor and rotate up to block a.
 	sup := a - a%toneSuper
-	sa, ca := math.Sincos(w*float64(sup) + t.Phase)
+	sa, ca := math.Sincos(float64(w*float64(sup)) + t.Phase)
 	for ; sup < a; sup += toneBlock {
-		sa, ca = sa*cr+ca*sr, ca*cr-sa*sr
+		sa, ca = float64(sa*cr)+float64(ca*sr), float64(ca*cr)-float64(sa*sr)
 	}
 	fe := float64(edge)
 	for ; a < hi; a += toneBlock {
+		if wide && a >= lo && a >= edge {
+			// Blocks from a up to end are whole, clear of both ramps
+			// and inside a's superblock.
+			end := min(hi, a-a%toneSuper+toneSuper)
+			if edge > 0 {
+				end = min(end, n-edge)
+			}
+			if m := (end - a) / toneBlock; m > 0 {
+				sa, ca = mixBlocksAVX512(dst[a-lo:a-lo+m*toneBlock], &cosK, &sinK, t.Amplitude, sa, ca, sr, cr)
+				// The kernel rotated past its last block; at a
+				// superblock boundary the exact anchor replaces that.
+				a += (m - 1) * toneBlock
+				if next := a + toneBlock; next%toneSuper == 0 && next < hi {
+					sa, ca = math.Sincos(float64(w*float64(next)) + t.Phase)
+				}
+				continue
+			}
+		}
 		s, c := t.Amplitude*sa, t.Amplitude*ca
 		if next := a + toneBlock; next%toneSuper != 0 {
-			sa, ca = sa*cr+ca*sr, ca*cr-sa*sr
+			sa, ca = float64(sa*cr)+float64(ca*sr), float64(ca*cr)-float64(sa*sr)
 		} else if next < hi {
-			sa, ca = math.Sincos(w*float64(next) + t.Phase)
+			sa, ca = math.Sincos(float64(w*float64(next)) + t.Phase)
 		}
 		k0, k1 := max(lo-a, 0), min(hi-a, toneBlock)
 		out := dst[a+k0-lo : a+k1-lo]
 		if edge > 0 && (a < edge || a+toneBlock > n-edge) {
 			for k := k0; k < k1; k++ {
-				v := s*cosK[k] + c*sinK[k]
+				v := float64(s*cosK[k]) + float64(c*sinK[k])
 				switch i := a + k; {
 				case i < edge:
 					v *= float64(i) / fe
@@ -156,10 +182,10 @@ func (t Tone) mixSamples(dst []float64, sampleRate float64, lo, hi, n, edge int)
 			// each sample is the same expression as in the loop below.
 			o := (*[toneBlock]float64)(out)
 			for k := 0; k < toneBlock; k += 4 {
-				o[k] += s*cosK[k] + c*sinK[k]
-				o[k+1] += s*cosK[k+1] + c*sinK[k+1]
-				o[k+2] += s*cosK[k+2] + c*sinK[k+2]
-				o[k+3] += s*cosK[k+3] + c*sinK[k+3]
+				o[k] += float64(s*cosK[k]) + float64(c*sinK[k])
+				o[k+1] += float64(s*cosK[k+1]) + float64(c*sinK[k+1])
+				o[k+2] += float64(s*cosK[k+2]) + float64(c*sinK[k+2])
+				o[k+3] += float64(s*cosK[k+3]) + float64(c*sinK[k+3])
 			}
 			continue
 		}
@@ -168,7 +194,7 @@ func (t Tone) mixSamples(dst []float64, sampleRate float64, lo, hi, n, edge int)
 		sn = sn[:len(cs)]
 		out = out[:len(cs)]
 		for k := range cs {
-			out[k] += s*cs[k] + c*sn[k]
+			out[k] += float64(s*cs[k]) + float64(c*sn[k])
 		}
 	}
 }

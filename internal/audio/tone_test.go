@@ -2,6 +2,7 @@ package audio
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"mdn/internal/dsp"
@@ -163,6 +164,78 @@ func TestToneKernelChunkInvariant(t *testing.T) {
 			}
 			got := mixCuts(long, -from, 4410, cuts)
 			sameSamples(t, got, whole[from:from+4410], "30 s tone from %d chunk %d", from, chunk)
+		}
+	}
+}
+
+// TestToneKernelsBitIdentical holds the AVX-512 path of mixSamples to
+// the Go kernel bit for bit, over 6,000 random tones (20 Hz–20 kHz, any
+// amplitude and phase, up to five superblocks long, with no ramp, the
+// default one or a random one) mixed at random offsets into buffers of
+// random length and random contents. The cases must include attack and
+// release ramps inside the mixed range, partial first and last blocks,
+// and ranges that cross a superblock boundary.
+func TestToneKernelsBitIdentical(t *testing.T) {
+	if !useAVX512 {
+		t.Skip("skipping the AVX-512 tone kernel: this CPU lacks AVX-512F")
+	}
+	t.Log("running the AVX-512 tone kernel against the Go kernel")
+	const (
+		sr     = 44100.0
+		trials = 6000
+	)
+	rng := rand.New(rand.NewSource(36))
+	var attack, release, partialFirst, partialLast, crossing int
+	for trial := 0; trial < trials; trial++ {
+		tone := Tone{
+			Frequency: 20 + rng.Float64()*19980,
+			Amplitude: rng.Float64(),
+			Phase:     (2*rng.Float64() - 1) * math.Pi,
+		}
+		n := 1 + rng.Intn(5*toneSuper)
+		envelope := [...]float64{0, DefaultEnvelope, rng.Float64() * 0.05}[rng.Intn(3)]
+		edge := envelopeEdge(envelope, sr, n)
+		// The tone starts anywhere from wholly before the buffer to
+		// its last sample, as MixEnvelopeAt's offset places it.
+		bufLen := 1 + rng.Intn(6000)
+		start := rng.Intn(n+bufLen-1) - n + 1
+		lo, hi := max(0, -start), min(n, bufLen-start)
+
+		want := make([]float64, bufLen)
+		for i := range want {
+			want[i] = rng.NormFloat64()
+		}
+		got := append([]float64(nil), want...)
+		tone.mixSamples(want[start+lo:start+hi], sr, lo, hi, n, edge, false)
+		tone.mixSamples(got[start+lo:start+hi], sr, lo, hi, n, edge, true)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%+v, n %d, edge %d, samples [%d, %d): buffer sample %d = %x, Go kernel %x",
+					tone, n, edge, lo, hi, i, got[i], want[i])
+			}
+		}
+		if lo < edge {
+			attack++
+		}
+		if hi > n-edge && edge > 0 {
+			release++
+		}
+		if lo%toneBlock != 0 {
+			partialFirst++
+		}
+		if hi%toneBlock != 0 {
+			partialLast++
+		}
+		if lo/toneSuper != (hi-1)/toneSuper {
+			crossing++
+		}
+	}
+	t.Logf("%d cases: %d with the attack ramp, %d the release ramp, %d a partial first block, %d a partial last block, %d crossing a superblock boundary",
+		trials, attack, release, partialFirst, partialLast, crossing)
+	for name, count := range map[string]int{"attack ramp": attack, "release ramp": release,
+		"partial first block": partialFirst, "partial last block": partialLast, "superblock crossing": crossing} {
+		if count < trials/20 {
+			t.Errorf("only %d of %d cases have a %s", count, trials, name)
 		}
 	}
 }

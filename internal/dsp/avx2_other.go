@@ -2,13 +2,20 @@
 
 package dsp
 
-// useAVX2 is false off amd64: the portable kernels run.
-const useAVX2 = false
+// useAVX2 and useAVX512 are false off amd64: the portable kernels run.
+const (
+	useAVX2   = false
+	useAVX512 = false
+)
 
-// goertzelAVX2 and passAVX2 exist only on amd64; useAVX2 keeps them
-// from being called here.
+// goertzelAVX2, goertzelAVX512 and passAVX2 exist only on amd64;
+// useAVX2 and useAVX512 keep them from being called here.
 func goertzelAVX2(c *[goertzelLanes]float64, samples []float64, s1, s2 *[goertzelLanes]float64) {
 	panic("dsp: AVX2 Goertzel kernel called off amd64")
+}
+
+func goertzelAVX512(c *[goertzelZLanes]float64, chains int, samples []float64, s1, s2 *[goertzelZLanes]float64) {
+	panic("dsp: AVX-512 Goertzel kernel called off amd64")
 }
 
 func passAVX2(x, tw []complex128) {

@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -287,6 +288,22 @@ func BenchmarkGoertzelVsFFT(b *testing.B) {
 			FFT(buf)
 		}
 	})
+	// The planned bank over one 50 ms window, through each kernel the
+	// host can run: the per-kernel cost behind the Goertzel-versus-FFT
+	// crossover.
+	window := randomReal(2205, 1)
+	for _, k := range goertzelKernels(b) {
+		for _, tones := range []int{3, 24, 48, 130, 192} {
+			gp := NewGoertzelPlan(bankFreqs(tones), 44100)
+			b.Run(fmt.Sprintf("bank-%s-%d", k.name, tones), func(b *testing.B) {
+				var mags []float64
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					mags = k.run(gp, mags, window)
+				}
+			})
+		}
+	}
 }
 
 func TestWindowedSpectrum(t *testing.T) {

@@ -64,6 +64,12 @@ type GoertzelPlan struct {
 // also a whole number of goertzelBlock blocks.
 const goertzelLanes = 24
 
+// goertzelZLanes is how many resonators one pass of the amd64 AVX-512
+// kernel can advance: ten ZMM state pairs of eight float64 lanes each,
+// beside ten ZMM registers of coefficients. The kernel runs whole
+// eight-lane chains, and the plan's 24-lane padding covers them.
+const goertzelZLanes = 80
+
 // goertzelBlock is how many resonators the portable kernel advances
 // per pass over the samples. Each resonator step is a dependent
 // multiply, add and subtract, so speed comes from independent chains,
@@ -99,10 +105,11 @@ func NewGoertzelPlan(freqs []float64, sampleRate float64) *GoertzelPlan {
 // frequency.
 //
 // On amd64 CPUs with AVX2 the resonators run 24 at a time through an
-// assembly kernel (goertzel_amd64.s); elsewhere, and on older CPUs,
-// through the portable kernel. Both run each resonator through
-// Goertzel's float operations in Goertzel's order, so the choice shows
-// only in wall time.
+// assembly kernel (goertzel_amd64.s), and on those with AVX-512 too,
+// lists of more than 24 run up to 80 at a time through a wider one;
+// elsewhere, and on older CPUs, they run through the portable kernel.
+// Every kernel runs each resonator through Goertzel's float operations
+// in Goertzel's order, so the choice shows only in wall time.
 func (g *GoertzelPlan) MagnitudesInto(dst []float64, samples []float64) []float64 {
 	dst = growFloat(dst, g.n)
 	if len(samples) == 0 || g.SampleRate <= 0 {
@@ -111,12 +118,38 @@ func (g *GoertzelPlan) MagnitudesInto(dst []float64, samples []float64) []float6
 		}
 		return dst
 	}
-	if useAVX2 {
+	switch {
+	case useAVX512 && g.n > goertzelLanes:
+		g.magnitudesAVX512(dst, samples)
+	case useAVX2:
 		g.magnitudesAVX2(dst, samples)
-	} else {
+	default:
 		g.magnitudesGo(dst, samples)
 	}
 	return dst
+}
+
+// magnitudesAVX512 runs the planned resonators through the AVX-512
+// kernel in as few passes of at most ten eight-lane chains as cover
+// them, with pass sizes that differ by at most one chain (130 tones
+// run as 72 + 64 lanes, not 80 + 56): a pass of ten chains is bound by
+// the floating-point ports, one of eight or fewer by each chain's
+// latency, so the balanced split is the faster one. The real lanes'
+// magnitudes are finished here; dst has one slot per planned
+// frequency.
+func (g *GoertzelPlan) magnitudesAVX512(dst, samples []float64) {
+	var c, s1, s2 [goertzelZLanes]float64
+	chains := (g.n + 7) / 8
+	for j, passes := 0, (chains+9)/10; passes > 0; passes-- {
+		k := (chains + passes - 1) / passes
+		chains -= k
+		copy(c[:], g.coeff[j:j+8*k])
+		goertzelAVX512(&c, k, samples, &s1, &s2)
+		for i := range dst[j:min(j+8*k, g.n)] {
+			dst[j+i] = goertzelMagnitude(s1[i], s2[i], c[i])
+		}
+		j += 8 * k
+	}
 }
 
 // magnitudesAVX2 runs the planned resonators through the AVX2 kernel,
@@ -190,11 +223,4 @@ func (g *GoertzelPlan) magnitudesGo(dst, samples []float64) {
 		}
 		copy(dst[j:], mags[:]) // drops the padded lanes
 	}
-}
-
-// GoertzelBank evaluates many frequencies over the same block through
-// a one-off GoertzelPlan. The result has one magnitude per requested
-// frequency, in order.
-func GoertzelBank(samples []float64, freqs []float64, sampleRate float64) []float64 {
-	return NewGoertzelPlan(freqs, sampleRate).MagnitudesInto(nil, samples)
 }

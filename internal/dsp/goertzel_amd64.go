@@ -31,6 +31,28 @@ func hasAVX2() bool {
 	return ebx7&avx2 != 0
 }
 
+// useAVX512 selects the AVX-512 Goertzel kernel for watch lists longer
+// than one AVX2 pass. It is decided once, at package init, on top of
+// useAVX2: the CPU must report AVX-512F, and the operating system must
+// save the opmask and all 32 ZMM registers across context switches.
+var useAVX512 = useAVX2 && hasAVX512()
+
+// hasAVX512 reads the AVX-512F feature bits; call it only when hasAVX2
+// holds, which checks OSXSAVE for XGETBV. XCR0 must show the opmask,
+// the upper halves of ZMM0-15 and ZMM16-31 enabled, and CPUID leaf 7
+// must report AVX-512F. The kernels use no other AVX-512 subset.
+func hasAVX512() bool {
+	const (
+		zmm     = 1<<5 | 1<<6 | 1<<7 // XCR0: opmask, ZMM_Hi256, Hi16_ZMM
+		avx512f = 1 << 16            // CPUID.(7,0):EBX
+	)
+	if xcr0, _ := xgetbv(); xcr0&zmm != zmm {
+		return false
+	}
+	_, ebx7, _, _ := cpuid(7, 0)
+	return ebx7&avx512f != 0
+}
+
 // cpuid executes CPUID for the given leaf and subleaf.
 func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 
@@ -43,3 +65,11 @@ func xgetbv() (eax, edx uint32)
 //
 //go:noescape
 func goertzelAVX2(c *[goertzelLanes]float64, samples []float64, s1, s2 *[goertzelLanes]float64)
+
+// goertzelAVX512 runs the first chains (1..10) eight-resonator chains
+// with coefficients c over samples, from zero state, and stores each of
+// their lanes' final Goertzel state: s1 the last output, s2 the one
+// before. Lanes past 8*chains hold nothing to read.
+//
+//go:noescape
+func goertzelAVX512(c *[goertzelZLanes]float64, chains int, samples []float64, s1, s2 *[goertzelZLanes]float64)

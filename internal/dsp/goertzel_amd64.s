@@ -159,3 +159,155 @@ even:
 	VMOVUPD Y11, 160(BX)
 	VZEROUPPER
 	RET
+
+// One Goertzel step for chain k: b = x + c*a - b, with x broadcast from
+// memory into every lane.
+#define ZSTEP(x, c, a, b) \
+	VMULPD      c, a, Z30; \
+	VADDPD.BCST x, Z30, Z30; \
+	VSUBPD      b, Z30, b
+
+// Both steps of one sample pair for chain k: b = x + c*a - b, then
+// a = y + c*b - a.
+#define ZPAIR(c, a, b) \
+	ZSTEP((SI), c, a, b); \
+	ZSTEP(8(SI), c, b, a)
+
+// func goertzelAVX512(c *[80]float64, chains int, samples []float64, s1, s2 *[80]float64)
+//
+// Chain k (k = 0..9) holds resonators 8k..8k+7. Its state pair is
+// (Zk, Z(k+10)): Zk is s1 and Z(k+10) is s2 after an even number of
+// samples, and Z(k+20) holds its coefficients. Each step is Goertzel's
+// s0 = x + c*s1 - s2 as a separate multiply, add and subtract, never a
+// fused multiply-add, with the sample broadcast from memory; Z30 holds
+// the partial sum. The pair loop runs the first `chains` chains
+// (1..10): it enters the unrolled chains at chain chains-1 and falls
+// through to chain 0. The odd tail and the stores run all ten; the
+// chains past `chains` hold zero state and leave nothing that is read.
+TEXT ·goertzelAVX512(SB), NOSPLIT, $0-56
+	MOVQ c+0(FP), DI
+	MOVQ chains+8(FP), R8
+	MOVQ samples_base+16(FP), SI
+	MOVQ samples_len+24(FP), CX
+	VMOVUPD (DI), Z20
+	VMOVUPD 64(DI), Z21
+	VMOVUPD 128(DI), Z22
+	VMOVUPD 192(DI), Z23
+	VMOVUPD 256(DI), Z24
+	VMOVUPD 320(DI), Z25
+	VMOVUPD 384(DI), Z26
+	VMOVUPD 448(DI), Z27
+	VMOVUPD 512(DI), Z28
+	VMOVUPD 576(DI), Z29
+	VPXORQ  Z0, Z0, Z0
+	VPXORQ  Z1, Z1, Z1
+	VPXORQ  Z2, Z2, Z2
+	VPXORQ  Z3, Z3, Z3
+	VPXORQ  Z4, Z4, Z4
+	VPXORQ  Z5, Z5, Z5
+	VPXORQ  Z6, Z6, Z6
+	VPXORQ  Z7, Z7, Z7
+	VPXORQ  Z8, Z8, Z8
+	VPXORQ  Z9, Z9, Z9
+	VPXORQ  Z10, Z10, Z10
+	VPXORQ  Z11, Z11, Z11
+	VPXORQ  Z12, Z12, Z12
+	VPXORQ  Z13, Z13, Z13
+	VPXORQ  Z14, Z14, Z14
+	VPXORQ  Z15, Z15, Z15
+	VPXORQ  Z16, Z16, Z16
+	VPXORQ  Z17, Z17, Z17
+	VPXORQ  Z18, Z18, Z18
+	VPXORQ  Z19, Z19, Z19
+	MOVQ CX, DX
+	SHRQ $1, DX
+	JZ   ztail
+
+zpair:
+	CMPQ R8, $10
+	JEQ  zchain9
+	CMPQ R8, $9
+	JEQ  zchain8
+	CMPQ R8, $8
+	JEQ  zchain7
+	CMPQ R8, $7
+	JEQ  zchain6
+	CMPQ R8, $6
+	JEQ  zchain5
+	CMPQ R8, $5
+	JEQ  zchain4
+	CMPQ R8, $4
+	JEQ  zchain3
+	CMPQ R8, $3
+	JEQ  zchain2
+	CMPQ R8, $2
+	JEQ  zchain1
+	JMP  zchain0
+
+zchain9:
+	ZPAIR(Z29, Z9, Z19)
+zchain8:
+	ZPAIR(Z28, Z8, Z18)
+zchain7:
+	ZPAIR(Z27, Z7, Z17)
+zchain6:
+	ZPAIR(Z26, Z6, Z16)
+zchain5:
+	ZPAIR(Z25, Z5, Z15)
+zchain4:
+	ZPAIR(Z24, Z4, Z14)
+zchain3:
+	ZPAIR(Z23, Z3, Z13)
+zchain2:
+	ZPAIR(Z22, Z2, Z12)
+zchain1:
+	ZPAIR(Z21, Z1, Z11)
+zchain0:
+	ZPAIR(Z20, Z0, Z10)
+	ADDQ $16, SI
+	DECQ DX
+	JNZ  zpair
+
+ztail:
+	MOVQ s1+40(FP), AX
+	MOVQ s2+48(FP), BX
+	TESTQ $1, CX
+	JZ   zstore
+
+	// An odd last sample takes one step, which leaves s1 in the
+	// second register of each pair: swap the destinations.
+	ZSTEP((SI), Z20, Z0, Z10)
+	ZSTEP((SI), Z21, Z1, Z11)
+	ZSTEP((SI), Z22, Z2, Z12)
+	ZSTEP((SI), Z23, Z3, Z13)
+	ZSTEP((SI), Z24, Z4, Z14)
+	ZSTEP((SI), Z25, Z5, Z15)
+	ZSTEP((SI), Z26, Z6, Z16)
+	ZSTEP((SI), Z27, Z7, Z17)
+	ZSTEP((SI), Z28, Z8, Z18)
+	ZSTEP((SI), Z29, Z9, Z19)
+	XCHGQ AX, BX
+
+zstore:
+	VMOVUPD Z0, (AX)
+	VMOVUPD Z1, 64(AX)
+	VMOVUPD Z2, 128(AX)
+	VMOVUPD Z3, 192(AX)
+	VMOVUPD Z4, 256(AX)
+	VMOVUPD Z5, 320(AX)
+	VMOVUPD Z6, 384(AX)
+	VMOVUPD Z7, 448(AX)
+	VMOVUPD Z8, 512(AX)
+	VMOVUPD Z9, 576(AX)
+	VMOVUPD Z10, (BX)
+	VMOVUPD Z11, 64(BX)
+	VMOVUPD Z12, 128(BX)
+	VMOVUPD Z13, 192(BX)
+	VMOVUPD Z14, 256(BX)
+	VMOVUPD Z15, 320(BX)
+	VMOVUPD Z16, 384(BX)
+	VMOVUPD Z17, 448(BX)
+	VMOVUPD Z18, 512(BX)
+	VMOVUPD Z19, 576(BX)
+	VZEROUPPER
+	RET

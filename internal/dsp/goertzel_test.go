@@ -67,7 +67,7 @@ func TestGoertzelBankOrder(t *testing.T) {
 	const sampleRate = 44100.0
 	x := sine(600, sampleRate, 4096)
 	freqs := []float64{500, 600, 700}
-	mags := GoertzelBank(x, freqs, sampleRate)
+	mags := goertzelBank(x, freqs, sampleRate)
 	if len(mags) != 3 {
 		t.Fatalf("len = %d, want 3", len(mags))
 	}

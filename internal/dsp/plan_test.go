@@ -177,34 +177,69 @@ func bankFreqs(n int) []float64 {
 	return freqs
 }
 
+// goertzelBank evaluates many frequencies over the same block through
+// a one-off GoertzelPlan: one magnitude per requested frequency, in
+// order.
+func goertzelBank(samples []float64, freqs []float64, sampleRate float64) []float64 {
+	return NewGoertzelPlan(freqs, sampleRate).MagnitudesInto(nil, samples)
+}
+
+// goertzelKernel is one bank kernel called directly, bypassing the
+// dispatch in MagnitudesInto.
+type goertzelKernel struct {
+	name string
+	run  func(gp *GoertzelPlan, dst, block []float64) []float64
+}
+
+// goertzelKernels returns the dispatched bank and every kernel this
+// host can run — the portable one always, the AVX2 and AVX-512 ones
+// where the CPU has them — and logs which ran and which were skipped.
+func goertzelKernels(t testing.TB) []goertzelKernel {
+	direct := func(magnitudes func(*GoertzelPlan, []float64, []float64)) func(*GoertzelPlan, []float64, []float64) []float64 {
+		return func(gp *GoertzelPlan, dst, block []float64) []float64 {
+			dst = growFloat(dst, gp.n)
+			magnitudes(gp, dst, block)
+			return dst
+		}
+	}
+	kernels := []goertzelKernel{
+		{"dispatched", (*GoertzelPlan).MagnitudesInto},
+		{"portable", direct((*GoertzelPlan).magnitudesGo)},
+	}
+	if useAVX2 {
+		kernels = append(kernels, goertzelKernel{"avx2", direct((*GoertzelPlan).magnitudesAVX2)})
+	} else {
+		t.Log("skipping the AVX2 kernel: this CPU lacks AVX2")
+	}
+	if useAVX512 {
+		kernels = append(kernels, goertzelKernel{"avx512", direct((*GoertzelPlan).magnitudesAVX512)})
+	} else {
+		t.Log("skipping the AVX-512 kernel: this CPU lacks AVX-512F")
+	}
+	for _, k := range kernels {
+		t.Logf("running the %s kernel", k.name)
+	}
+	return kernels
+}
+
 // TestGoertzelPlanMatchesGoertzel checks the planned bank bit for bit
 // against the per-frequency Goertzel and the sample-outer loop, over
-// watch counts that leave every partial width of the 24-lane block
-// (and so of the portable kernel's 6-lane one) and sample counts of
-// both parities. It checks the dispatched kernel — the AVX2 one on
-// amd64 CPUs that have it — and the portable kernel, called directly,
-// so the fallback stays tested on every host. One plan serves every
-// trial, so no state may leak from one block into the next.
+// watch counts that leave every partial width of the 24-lane AVX2
+// block (and so of the portable kernel's 6-lane one), every AVX-512
+// chain count from 1 to 10, and one- to four-pass AVX-512 splits,
+// and sample counts of both parities. It checks the dispatched bank
+// and each kernel the host can run, called directly, so the fallbacks
+// stay tested on every host. One plan serves every trial, so no state
+// may leak from one block or pass into the next.
 func TestGoertzelPlanMatchesGoertzel(t *testing.T) {
 	const sampleRate = 44100.0
-	t.Logf("dispatched kernel uses AVX2: %v", useAVX2)
 	x := randomReal(2205, 11)
 	watch := []int{0}
 	for nf := 1; nf <= 25; nf++ {
 		watch = append(watch, nf)
 	}
-	watch = append(watch, 47, 48, 49, 130, 145)
-	kernels := []struct {
-		name string
-		run  func(gp *GoertzelPlan, dst, block []float64) []float64
-	}{
-		{"dispatched", (*GoertzelPlan).MagnitudesInto},
-		{"portable", func(gp *GoertzelPlan, dst, block []float64) []float64 {
-			dst = growFloat(dst, gp.n)
-			gp.magnitudesGo(dst, block)
-			return dst
-		}},
-	}
+	watch = append(watch, 32, 33, 47, 48, 49, 56, 64, 65, 72, 79, 80, 81, 130, 136, 145, 160, 161, 192, 241)
+	kernels := goertzelKernels(t)
 	for _, nf := range watch {
 		freqs := bankFreqs(nf)
 		gp := NewGoertzelPlan(freqs, sampleRate)
@@ -230,11 +265,11 @@ func TestGoertzelPlanMatchesGoertzel(t *testing.T) {
 				}
 			}
 		}
-		bank := GoertzelBank(x, freqs, sampleRate)
+		bank := goertzelBank(x, freqs, sampleRate)
 		got := gp.MagnitudesInto(nil, x)
 		for i := range freqs {
 			if math.Float64bits(bank[i]) != math.Float64bits(got[i]) {
-				t.Fatalf("GoertzelBank[%d] = %g, plan = %g", i, bank[i], got[i])
+				t.Fatalf("goertzelBank[%d] = %g, plan = %g", i, bank[i], got[i])
 			}
 		}
 	}
