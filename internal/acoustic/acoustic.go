@@ -41,7 +41,7 @@ type Position struct {
 // Distance returns the Euclidean distance between two positions.
 func (p Position) Distance(q Position) float64 {
 	dx, dy, dz := p.X-q.X, p.Y-q.Y, p.Z-q.Z
-	return math.Sqrt(dx*dx + dy*dy + dz*dz)
+	return math.Sqrt(float64(dx*dx) + float64(dy*dy) + float64(dz*dz))
 }
 
 // minDistance clamps source-microphone distance so co-located devices

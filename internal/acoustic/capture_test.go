@@ -164,6 +164,80 @@ func TestCaptureIntoSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestCaptureInternedTableAllocs holds a capture whose every tone mixes
+// through the room's tone tables, one per distinct frequency played, to
+// zero allocations.
+func TestCaptureInternedTableAllocs(t *testing.T) {
+	r, mic := roomWith(testSchedule())
+	if got, want := len(r.tables), len(testSchedule()); got != want {
+		t.Fatalf("room holds %d tone tables, want one per frequency: %d", got, want)
+	}
+	for _, e := range r.emissions {
+		if e.table == nil {
+			t.Fatalf("emission at %g of %+v has no tone table", e.At, e.Tone)
+		}
+	}
+	buf := mic.CaptureInto(nil, 0, 0.05)
+	if allocs := testing.AllocsPerRun(50, func() { buf = mic.CaptureInto(buf, 0.1, 0.35) }); allocs != 0 {
+		t.Errorf("a capture through interned tone tables allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// TestReplayKnownFrequencyAllocs holds playing a frequency the room has
+// already heard to zero allocations: it finds the frequency's table and
+// builds none.
+func TestReplayKnownFrequencyAllocs(t *testing.T) {
+	r := NewRoom(44100, 1)
+	sp := r.AddSpeaker("s", Position{X: 1})
+	r.AddMicrophone("m", Position{}, 0)
+	tone := audio.Tone{Frequency: 440, Duration: 0.03, Amplitude: 0.1}
+	at := 0.0
+	for ; at < 1; at += 0.05 {
+		sp.Play(at, tone) // grows the emission store
+	}
+	r.CompactBefore(at)
+	allocs := testing.AllocsPerRun(100, func() {
+		sp.Play(at, tone)
+		at += 0.05
+		r.CompactBefore(at)
+	})
+	if allocs != 0 {
+		t.Errorf("replaying a known frequency allocates %.1f objects/op, want 0", allocs)
+	}
+	if len(r.tables) != 1 {
+		t.Errorf("room holds %d tone tables for one frequency", len(r.tables))
+	}
+}
+
+// TestToneTablesCapped plays more distinct frequencies than the room
+// keeps tables for: the room stops at maxToneTables, and a tone played
+// past the cap mixes the same samples as in a room that has its table.
+func TestToneTablesCapped(t *testing.T) {
+	r := NewRoom(44100, 1)
+	sp := r.AddSpeaker("s", Position{X: 1})
+	mic := r.AddMicrophone("m", Position{}, 0)
+	var last audio.Tone
+	var at float64
+	for i := 0; i < maxToneTables+2; i++ {
+		at = 0.01 * float64(i)
+		last = audio.Tone{Frequency: 300 + float64(i), Duration: 0.005, Amplitude: 0.1}
+		sp.Play(at, last)
+	}
+	if len(r.tables) != maxToneTables || r.emissions[len(r.emissions)-1].table != nil {
+		t.Fatalf("room holds %d tables, and the last emission has one: %v; want %d and none",
+			len(r.tables), r.emissions[len(r.emissions)-1].table != nil, maxToneTables)
+	}
+	alone := NewRoom(44100, 1)
+	alone.AddSpeaker("s", Position{X: 1}).Play(at, last)
+	want := alone.AddMicrophone("m", Position{}, 0).Capture(at, at+0.01)
+	got := mic.Capture(at, at+0.01)
+	for i := range want.Samples {
+		if math.Float64bits(got.Samples[i]) != math.Float64bits(want.Samples[i]) {
+			t.Fatalf("sample %d past the cap = %x, want %x", i, got.Samples[i], want.Samples[i])
+		}
+	}
+}
+
 func TestEmissionsStaySortedUnderOutOfOrderPlay(t *testing.T) {
 	r := NewRoom(44100, 1)
 	sp := r.AddSpeaker("s", Position{X: 1})

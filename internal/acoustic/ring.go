@@ -87,13 +87,10 @@ func (c *CaptureRing) Append(from, to float64) error {
 	if len(src) > n {
 		src = src[len(src)-n:]
 	}
-	for _, x := range src {
-		c.samples[c.w] = x
-		c.w++
-		if c.w == n {
-			c.w = 0
-		}
-	}
+	// At most two copies, split at the ring's seam.
+	k := copy(c.samples[c.w:], src)
+	copy(c.samples, src[k:])
+	c.w = (c.w + len(src)) % n
 	c.filled += len(src)
 	if c.filled > n {
 		c.filled = n

@@ -64,7 +64,47 @@ func (s *Speaker) Play(at float64, tone audio.Tone) {
 	if len(s.detuneRamp.ramps) > 0 {
 		tone.Frequency *= s.detuneRamp.atBase(1, at)
 	}
-	r.insertEmission(emission{Emission: Emission{At: at, Tone: tone, Speaker: s.Name}, sp: s})
+	r.insertEmission(emission{At: at, Tone: tone, sp: s, table: r.toneTable(tone.Frequency)})
+}
+
+// maxToneTables caps the room's tone tables at about 590 KB. A room
+// whose frequencies keep changing (a speaker's detune ramp gives every
+// emission its own) stops building tables at the cap; its later
+// frequencies mix with a table built per call, which adds the same
+// samples.
+const maxToneTables = 1024
+
+// PrepareTones builds the room's tone tables for freqs now, as their
+// first plays would build them, so that those plays allocate nothing.
+// A sender whose frequencies are fixed up front, such as a modem
+// transmitter's band, prepares them once.
+func (s *Speaker) PrepareTones(freqs []float64) {
+	r := s.room
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, f := range freqs {
+		r.toneTable(f)
+	}
+}
+
+// toneTable returns the table of tones of frequency freq, building it
+// on the frequency's first play, or nil once the room holds
+// maxToneTables. The caller holds r.mu for writing.
+func (r *Room) toneTable(freq float64) *audio.ToneTable {
+	key := math.Float64bits(freq)
+	if tab, ok := r.tables[key]; ok {
+		return tab
+	}
+	if len(r.tables) == maxToneTables {
+		return nil
+	}
+	if r.tables == nil {
+		r.tables = make(map[uint64]*audio.ToneTable)
+	}
+	tab := new(audio.ToneTable)
+	*tab = audio.NewToneTable(freq, r.SampleRate)
+	r.tables[key] = tab
+	return tab
 }
 
 // emissionLess is a total order on emissions: start time first, then
@@ -79,8 +119,8 @@ func emissionLess(a, b *emission) bool {
 	if a.At != b.At {
 		return a.At < b.At
 	}
-	if a.Speaker != b.Speaker {
-		return a.Speaker < b.Speaker
+	if a.sp.Name != b.sp.Name {
+		return a.sp.Name < b.sp.Name
 	}
 	if a.Tone.Frequency != b.Tone.Frequency {
 		return a.Tone.Frequency < b.Tone.Frequency
@@ -190,16 +230,26 @@ type Room struct {
 	// windows starting before it may be missing dropped emissions.
 	// CaptureChecked refuses such reads with ErrCompacted (ring.go).
 	horizon float64
+	// tables maps the bits of each frequency played or prepared (up to
+	// maxToneTables of them) to its tone table. Play builds a table
+	// under the write lock, once per frequency; captures only read
+	// them. Each is its own 552-byte allocation, so a table never moves
+	// and the room holds no spare capacity.
+	tables map[uint64]*audio.ToneTable
 	// tm is the capture-path telemetry; zero (all nil) until
 	// Instrument.
 	tm roomMetrics
 }
 
-// emission is the internal schedule record: the public Emission plus
-// the resolved speaker, so Capture never does a map lookup per tone.
+// emission is the internal schedule record: the public Emission with
+// the speaker resolved, and its tone's table (nil past the room's cap),
+// so Capture never does a map lookup per tone. It names the speaker
+// only through sp, which keeps the record at 56 bytes.
 type emission struct {
-	Emission
-	sp *Speaker
+	At    float64
+	Tone  audio.Tone
+	sp    *Speaker
+	table *audio.ToneTable
 }
 
 // NewRoom creates an empty room rendering at the given sample rate.
@@ -289,7 +339,8 @@ func (r *Room) Emissions() []Emission {
 	defer r.mu.RUnlock()
 	out := make([]Emission, len(r.emissions))
 	for i := range r.emissions {
-		out[i] = r.emissions[i].Emission
+		e := &r.emissions[i]
+		out[i] = Emission{At: e.At, Tone: e.Tone, Speaker: e.sp.Name}
 	}
 	return out
 }
@@ -384,7 +435,7 @@ func (m *Microphone) CaptureInto(out *audio.Buffer, from, to float64) *audio.Buf
 			culled++
 			continue
 		}
-		tone.MixEnvelopeAt(out, arrive-from, audio.DefaultEnvelope)
+		tone.MixTableAt(out, arrive-from, audio.DefaultEnvelope, e.table)
 		mixed++
 	}
 	scanned := cut - lo
@@ -497,7 +548,7 @@ func (m *Microphone) mixNoise(out *audio.Buffer, src *NoiseSource, from, to floa
 		idx += n
 	}
 	for i := i0; i < i1; i++ {
-		out.Samples[i] += loop.Samples[idx] * gain
+		out.Samples[i] += float64(loop.Samples[idx] * gain)
 		idx++
 		if idx == n {
 			idx = 0

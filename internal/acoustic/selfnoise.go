@@ -63,12 +63,12 @@ func addSelfNoise(s []float64, rms float64, key uint64, first int64) {
 		c += splitmix.Gamma
 		l, m := u&0xff, u>>11
 		if m >= zigK[l] {
-			s[i] += zigSlow(u) * rms
+			s[i] += float64(zigSlow(u) * rms)
 			continue
 		}
 		// Bit 8 moved to bit 63 is the sign: no branch to mispredict.
 		x := float64(int64(m)) * zigW[l]
-		s[i] += math.Float64frombits(math.Float64bits(x)^(u&0x100)<<55) * rms
+		s[i] += float64(math.Float64frombits(math.Float64bits(x)^(u&0x100)<<55) * rms)
 	}
 }
 
@@ -92,7 +92,7 @@ func zigSlow(u uint64) float64 {
 					x = zigR + t
 				}
 			}
-		case zigF[l]+uniform()*(zigF[l+1]-zigF[l]) >= math.Exp(-0.5*x*x):
+		case zigF[l]+float64(uniform()*(zigF[l+1]-zigF[l])) >= math.Exp(-0.5*x*x):
 			u = splitmix.Mix(u + splitmix.Gamma)
 			continue
 		}

@@ -54,9 +54,11 @@ func TestMixEnvelopeAtAccumulates(t *testing.T) {
 }
 
 // BenchmarkMixEnvelopeAt mixes a whole 65 ms tone into a buffer, then,
-// through each synthesis kernel the host can run, the middle of a 1 s
+// through each synthesis kernel the host can run, with the tone's table
+// built by the call ("fresh") or interned ("table"), the middle of a 1 s
 // tone into spans of a 10 ms hop (441 samples) and a 50 ms window (2205
-// samples), as a capture does.
+// samples), as a capture does, and the 441 samples that hold its attack
+// ramp ("ramp-441").
 func BenchmarkMixEnvelopeAt(b *testing.B) {
 	const sr = 44100.0
 	b.Run("tone-65ms", func(b *testing.B) {
@@ -81,17 +83,36 @@ func BenchmarkMixEnvelopeAt(b *testing.B) {
 	tone := Tone{Frequency: 1234.5, Duration: 1, Amplitude: 0.3, Phase: 1.1}
 	n := int(tone.Duration * sr)
 	edge := envelopeEdge(DefaultEnvelope, sr, n)
+	interned := NewToneTable(tone.Frequency, sr)
+	spans := []struct {
+		name     string
+		lo, span int
+	}{
+		{"441", n/2 + 7, 441}, // mid-superblock, off the block grid
+		{"2205", n/2 + 7, 2205},
+		{"ramp-441", 0, 441},
+	}
 	for _, k := range kernels {
-		for _, span := range []int{441, 2205} {
-			b.Run(fmt.Sprintf("%s-%d", k.name, span), func(b *testing.B) {
-				out := make([]float64, span)
-				lo := n/2 + 7 // mid-superblock, off the block grid
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					tone.mixSamples(out, sr, lo, lo+span, n, edge, k.wide)
+		for _, table := range []bool{false, true} {
+			for _, sp := range spans {
+				name := fmt.Sprintf("%s-fresh-%s", k.name, sp.name)
+				if table {
+					name = fmt.Sprintf("%s-table-%s", k.name, sp.name)
 				}
-			})
+				b.Run(name, func(b *testing.B) {
+					out := make([]float64, sp.span)
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						tab := &interned
+						if !table {
+							fresh := NewToneTable(tone.Frequency, sr)
+							tab = &fresh
+						}
+						tone.mixSamples(out, tab, sp.lo, sp.lo+sp.span, n, edge, k.wide)
+					}
+				})
+			}
 		}
 	}
 }

@@ -1,11 +1,11 @@
 package audio
 
-// useAVX512 selects the AVX-512 kernel for the whole unramped blocks of
-// Tone.mixSamples. It is decided once, at package init: CPUID leaf 1
-// must report OSXSAVE, XGETBV must show the XMM, YMM, opmask and all 32
-// ZMM registers' state enabled in XCR0 (so the operating system saves
-// them across context switches), and CPUID leaf 7 must report
-// AVX-512F, the only subset the kernel uses.
+// useAVX512 selects the AVX-512 kernel of Tone.mixSamples. It is
+// decided once, at package init: CPUID leaf 1 must report OSXSAVE,
+// XGETBV must show the XMM, YMM, opmask and all 32 ZMM registers' state
+// enabled in XCR0 (so the operating system saves them across context
+// switches), and CPUID leaf 7 must report AVX-512F, the only subset the
+// kernel uses.
 var useAVX512 = hasAVX512()
 
 func hasAVX512() bool {
@@ -34,12 +34,12 @@ func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv returns XCR0. Call it only when CPUID reports OSXSAVE.
 func xgetbv() (eax, edx uint32)
 
-// mixBlocksAVX512 adds len(out)/toneBlock whole blocks of a tone into
-// out, which must hold a positive whole number of blocks. Block b's
-// anchor is (sa, ca) rotated b times by (sr, cr); each block adds
-// amp·sa·cosK[k] + amp·ca·sinK[k] to out[k] and then rotates the anchor,
-// with mixSamples's operations in its order. It returns the anchor after
-// the last block's rotation.
+// mixSpanAVX512 is Tone.mixSpan in AVX-512, with the tone's amplitude
+// passed as amp: it adds samples [first, first+len(out)) of an n-sample
+// tone with edge-sample ramps into out, block by block from a (a
+// multiple of toneBlock, at most first) with anchor (sa, ca), up to the
+// end of a's superblock. Ramps and partial blocks run eight samples at a
+// time too, under an opmask.
 //
 //go:noescape
-func mixBlocksAVX512(out []float64, cosK, sinK *[toneBlock]float64, amp, sa, ca, sr, cr float64) (sa2, ca2 float64)
+func mixSpanAVX512(out []float64, tab *ToneTable, amp, sa, ca float64, a, first, n, edge int)

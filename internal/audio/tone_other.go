@@ -5,8 +5,8 @@ package audio
 // useAVX512 is false off amd64: mixSamples runs in Go.
 const useAVX512 = false
 
-// mixBlocksAVX512 exists only on amd64; useAVX512 keeps it from being
+// mixSpanAVX512 exists only on amd64; useAVX512 keeps it from being
 // called here.
-func mixBlocksAVX512(out []float64, cosK, sinK *[toneBlock]float64, amp, sa, ca, sr, cr float64) (sa2, ca2 float64) {
+func mixSpanAVX512(out []float64, tab *ToneTable, amp, sa, ca float64, a, first, n, edge int) {
 	panic("audio: AVX-512 tone kernel called off amd64")
 }

@@ -168,31 +168,41 @@ func TestToneKernelChunkInvariant(t *testing.T) {
 	}
 }
 
-// TestToneKernelsBitIdentical holds the AVX-512 path of mixSamples to
-// the Go kernel bit for bit, over 6,000 random tones (20 Hz–20 kHz, any
-// amplitude and phase, up to five superblocks long, with no ramp, the
-// default one or a random one) mixed at random offsets into buffers of
-// random length and random contents. The cases must include attack and
-// release ramps inside the mixed range, partial first and last blocks,
-// and ranges that cross a superblock boundary.
+// TestToneKernelsBitIdentical holds every synthesis path to the Go
+// kernel with a freshly built table, bit for bit, over 6,000 random
+// tones (20 Hz–20 kHz, any amplitude and phase, up to five superblocks
+// long, with no ramp, the default one or a random one) mixed at random
+// offsets into buffers of random length and random contents: the
+// AVX-512 kernel where the CPU has it, and MixTableAt with an interned
+// table, one per frequency of a 64-tone plan, reused across trials. The
+// cases must include attack and release ramps inside the mixed range,
+// partial first and last blocks, and ranges that cross a superblock
+// boundary.
 func TestToneKernelsBitIdentical(t *testing.T) {
-	if !useAVX512 {
-		t.Skip("skipping the AVX-512 tone kernel: this CPU lacks AVX-512F")
+	if useAVX512 {
+		t.Log("running the AVX-512 tone kernel and the interned-table path against the Go kernel")
+	} else {
+		t.Log("this CPU lacks AVX-512F: running the interned-table path against the Go kernel")
 	}
-	t.Log("running the AVX-512 tone kernel against the Go kernel")
 	const (
 		sr     = 44100.0
 		trials = 6000
 	)
 	rng := rand.New(rand.NewSource(36))
+	plan := make([]ToneTable, 64)
+	for i := range plan {
+		plan[i] = NewToneTable(20+rng.Float64()*19980, sr)
+	}
 	var attack, release, partialFirst, partialLast, crossing int
 	for trial := 0; trial < trials; trial++ {
+		tab := &plan[rng.Intn(len(plan))]
 		tone := Tone{
-			Frequency: 20 + rng.Float64()*19980,
+			Frequency: tab.freq,
 			Amplitude: rng.Float64(),
 			Phase:     (2*rng.Float64() - 1) * math.Pi,
 		}
 		n := 1 + rng.Intn(5*toneSuper)
+		tone.Duration = float64(n) / sr
 		envelope := [...]float64{0, DefaultEnvelope, rng.Float64() * 0.05}[rng.Intn(3)]
 		edge := envelopeEdge(envelope, sr, n)
 		// The tone starts anywhere from wholly before the buffer to
@@ -201,18 +211,20 @@ func TestToneKernelsBitIdentical(t *testing.T) {
 		start := rng.Intn(n+bufLen-1) - n + 1
 		lo, hi := max(0, -start), min(n, bufLen-start)
 
-		want := make([]float64, bufLen)
-		for i := range want {
-			want[i] = rng.NormFloat64()
+		base := make([]float64, bufLen)
+		for i := range base {
+			base[i] = rng.NormFloat64()
 		}
-		got := append([]float64(nil), want...)
-		tone.mixSamples(want[start+lo:start+hi], sr, lo, hi, n, edge, false)
-		tone.mixSamples(got[start+lo:start+hi], sr, lo, hi, n, edge, true)
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("%+v, n %d, edge %d, samples [%d, %d): buffer sample %d = %x, Go kernel %x",
-					tone, n, edge, lo, hi, i, got[i], want[i])
-			}
+		want := append([]float64(nil), base...)
+		fresh := NewToneTable(tone.Frequency, sr)
+		tone.mixSamples(want[start+lo:start+hi], &fresh, lo, hi, n, edge, false)
+		got := &Buffer{SampleRate: sr, Samples: append([]float64(nil), base...)}
+		tone.MixTableAt(got, float64(start)/sr, envelope, tab)
+		sameSamples(t, got.Samples, want, "MixTableAt %+v, n %d, edge %d, samples [%d, %d)", tone, n, edge, lo, hi)
+		if useAVX512 {
+			wide := append([]float64(nil), base...)
+			tone.mixSamples(wide[start+lo:start+hi], tab, lo, hi, n, edge, true)
+			sameSamples(t, wide, want, "AVX-512 %+v, n %d, edge %d, samples [%d, %d)", tone, n, edge, lo, hi)
 		}
 		if lo < edge {
 			attack++
@@ -264,7 +276,7 @@ func sameSamples(t *testing.T, got, want []float64, format string, args ...any) 
 		t.Fatalf(format+": %d samples, want %d", append(args, len(got), len(want))...)
 	}
 	for i := range want {
-		if got[i] != want[i] {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf(format+": sample %d = %x, want %x", append(args, i, got[i], want[i])...)
 		}
 	}

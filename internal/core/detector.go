@@ -20,10 +20,11 @@ const (
 	// MethodFFT computes one windowed FFT per capture and reads the
 	// watched bins — cheaper when the watch list is large (the
 	// paper's Figure 2 uses the FFT). Its cost barely depends on the
-	// list, the Goertzel bank's grows with it. Per 50 ms window the
-	// two cross between 64 and 80 watched tones on amd64 CPUs with
-	// AVX-512, and at about 24 on those with AVX2 alone
-	// (BenchmarkAblationDetectorMethod, DESIGN §5).
+	// list, the Goertzel bank's grows with it. Per 50 ms window, on
+	// amd64 CPUs with AVX-512 the FFT is the cheaper method at every
+	// list size measured (3 to 192 tones: 5.1 µs against the bank's
+	// 8.1 µs at 3), and on those with AVX2 alone the two cross at
+	// about 24 tones (BenchmarkAblationDetectorMethod, DESIGN §5).
 	MethodFFT
 )
 
@@ -88,15 +89,13 @@ type Detector struct {
 	// each goroutine its own (the FFT plans they share underneath
 	// are concurrency-safe).
 	gplan *dsp.GoertzelPlan // rebuilt when watch list or rate changes
-	// bins lists, watch by watch, the FFT bins each watch's peak is
-	// taken over: watch i owns bins[binEnd[i-1]:binEnd[i]]. It is
-	// rebuilt when the watch list, sample rate, transform size or
-	// tolerance changes, keyed by binKey.
-	bins   []int
-	binEnd []int
+	// runs lists, watch by watch, the run of FFT bins each watch's peak
+	// is taken over. It is rebuilt, and validated, when the watch list,
+	// sample rate, transform size or tolerance changes, keyed by binKey
+	// (zero when stale).
+	runs   dsp.BinRuns
 	binKey fftBinKey
 	amps   []float64
-	power  []float64
 	out    []Detection
 	// fftScr is detector-owned FFT workspace. The plan's default
 	// pooled scratch lives in a sync.Pool the GC may clear between
@@ -153,7 +152,7 @@ func (d *Detector) AddWatch(freqs ...float64) {
 	defer d.mu.Unlock()
 	d.watch = append(d.watch, freqs...)
 	d.gplan = nil // coefficients are stale
-	d.bins = nil
+	d.binKey = fftBinKey{}
 	d.watchRev.Add(1)
 }
 
@@ -273,58 +272,33 @@ type fftBinKey struct {
 }
 
 // ampsFFT estimates each watched frequency's amplitude as the peak bin
-// within ToleranceHz of the windowed spectrum, rescaled by the window's
-// coherent gain: the FFT bin magnitude of a full-window sinusoid is
-// A*n*gain/2. Only the watched bins' power is computed, and the peak is
-// taken over power; sqrt is monotone and correctly rounded, so
-// sqrt(max power) is bit for bit the max magnitude.
+// within ToleranceHz of the Hann-windowed spectrum, rescaled by the
+// window's coherent gain: the FFT bin magnitude of a full-window
+// sinusoid is A*n*gain/2. Only the watched bins' power is computed, and
+// the peak is taken over power; sqrt is monotone and correctly rounded,
+// so sqrt(max power) is bit for bit the max magnitude.
 func (d *Detector) ampsFFT(buf *audio.Buffer) []float64 {
-	n := buf.Len()
-	fftSize := dsp.NextPowerOfTwo(n)
+	fftSize := dsp.NextPowerOfTwo(buf.Len())
 	key := fftBinKey{fftSize, buf.SampleRate, d.ToleranceHz}
-	if d.bins == nil || d.binKey != key {
+	if d.binKey != key {
 		d.buildBins(key)
 	}
-	d.power = dsp.PlanFFT(fftSize).WindowedPowerAtScratch(d.power, buf.Samples, dsp.Hann, d.bins, &d.fftScr)
-	d.amps = growFloats(d.amps, len(d.watch))
-	gain := dsp.Hann.Gain(n)
-	lo := 0
-	for i, hi := range d.binEnd {
-		best := 0.0
-		for _, p := range d.power[lo:hi] {
-			if p > best {
-				best = p
-			}
-		}
-		d.amps[i] = 2 * math.Sqrt(best) / (float64(n) * gain)
-		lo = hi
-	}
+	d.amps = dsp.PlanFFT(fftSize).PeakAmplitudesScratch(d.amps, buf.Samples, dsp.Hann, &d.runs, &d.fftScr)
 	return d.amps
 }
 
-// buildBins lists, for each watch, the bins within ToleranceHz of its
-// centre bin that lie in the half spectrum.
+// buildBins lists, for each watch, the run of bins within ToleranceHz
+// of its centre bin that lie in the half spectrum.
 func (d *Detector) buildBins(key fftBinKey) {
 	span := int(math.Ceil(key.toleranceHz / dsp.BinResolution(key.fftSize, key.sampleRate)))
-	d.bins = d.bins[:0]
-	d.binEnd = d.binEnd[:0]
+	h := key.fftSize / 2
+	d.runs.Reset(key.fftSize)
 	for _, f := range d.watch {
 		center := dsp.FrequencyBin(f, key.fftSize, key.sampleRate)
-		for k := center - span; k <= center+span; k++ {
-			if k >= 0 && k <= key.fftSize/2 {
-				d.bins = append(d.bins, k)
-			}
-		}
-		d.binEnd = append(d.binEnd, len(d.bins))
+		lo := min(max(center-span, 0), h+1)
+		d.runs.Add(lo, max(min(center+span+1, h+1), lo))
 	}
 	d.binKey = key
-}
-
-func growFloats(s []float64, n int) []float64 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]float64, n)
 }
 
 // OnsetFilter turns per-window presence into confirmed tone events: a

@@ -238,19 +238,22 @@ func requireEqualComplex(t *testing.T, name string, got, want []complex128) {
 	}
 }
 
-// TestFFTKernelsBitIdentical holds the dispatched pass kernel (the
-// AVX2 one on amd64 CPUs that have it) to the portable passGo under
+// TestFFTKernelsBitIdentical holds the dispatched pass kernel (passWide
+// or passAVX2 on amd64 CPUs that have them) to the portable passGo under
 // math.Float64bits, through every entry point that runs the forward
 // kernel: Transform and InverseTransform on complex inputs, and
 // RealSpectrumInto and WindowedPowerAtScratch (every bin, all four
-// windows) on real inputs of length 0, 1, N/2+1, 2204, 2205 and N.
+// windows) on real inputs of length 0, 1, 3, N/2±1, 2204, 2205 and N.
 // It also holds the packing pass, which runs the size-2 stage, to
 // packing into bit-reversed slots followed by the whole kernel, as it
-// stood before the two were fused. Sizes run from 1 to 16384, so odd
-// and even stage counts and every pass width occur, on the inputs of
-// kernelInputs.
+// stood before the two were fused. Each kernel is also held to passGo
+// directly: every pass kernel the CPU has on every pass of every plan,
+// and the fused front end (frontAVX512) to packing followed by passGo's
+// pass 0, with and without the Hann window. Sizes run from 1 to 16384,
+// so odd and even stage counts and every pass width occur, on the
+// inputs of kernelInputs.
 func TestFFTKernelsBitIdentical(t *testing.T) {
-	t.Logf("dispatched kernel uses AVX2: %v", useAVX2)
+	t.Logf("pass kernels run: %v; fused front end runs: %v", passKernelNames(), useAVX512)
 	var s FFTScratch
 	for n := 1; n <= 16384; n *= 2 {
 		p := PlanFFT(n)
@@ -275,14 +278,35 @@ func TestFFTKernelsBitIdentical(t *testing.T) {
 				p.InverseTransform(y)
 				return y
 			})
-			for _, m := range []int{0, 1, h + 1, 2204, 2205, n} {
-				if m > n {
+			for _, k := range passKernels() {
+				for i, tw := range p.passes {
+					if k.wide && len(tw)%12 != 0 {
+						continue
+					}
+					got, want := append([]complex128(nil), x...), append([]complex128(nil), x...)
+					k.run(got, tw)
+					passGo(want, tw)
+					requireSameBits(t, fmt.Sprintf("pass %d (h=%d) n=%d %s: %s", i, len(tw)/3, n, name, k.name), got, want)
+				}
+			}
+			for _, m := range []int{0, 1, 3, h - 1, h + 1, 2204, 2205, n} {
+				if m > n || m < 0 {
 					continue
 				}
 				r := v[:m]
 				requireKernelsAgree(t, fmt.Sprintf("RealSpectrumInto n=%d m=%d %s", n, m, name), func() []complex128 {
 					return p.RealSpectrumInto(nil, r)
 				})
+				if useAVX512 && h >= 32 {
+					for _, win := range []Window{Rectangular, Hann} {
+						coef := win.coefficients(m)
+						got, want := make([]complex128, h), make([]complex128, h)
+						p.frontFused(got, r, coef)
+						p.pack(want, r, coef)
+						passGo(want, p.half.passes[0])
+						requireSameBits(t, fmt.Sprintf("frontAVX512 n=%d m=%d %v %s", n, m, win, name), got, want)
+					}
+				}
 				for _, win := range []Window{Rectangular, Hann, Hamming, Blackman} {
 					if n > 1 {
 						coef := win.coefficients(m)
@@ -299,6 +323,105 @@ func TestFFTKernelsBitIdentical(t *testing.T) {
 					})
 				}
 			}
+		}
+	}
+}
+
+// TestPeakAmplitudesBitIdentical holds the power tail to split, |X|²
+// and the scalar amplitude formula bit for bit: PeakAmplitudesScratch
+// against the formula over WindowedPowerAtScratch's powers, and the
+// vector kernel peakAVX512 (where the CPU has AVX-512) against peakGo
+// over the same packed spectrum. Runs are 0 to 9 bins long, at every
+// offset of a vector, next to bins 0 and N/2 and on them (where the
+// scalar tail takes over), over plans of 2 to 8192 points, inputs of
+// length 1, N/2+1, 2205 and N from kernelInputs, and a spectrum with
+// NaNs, which both skip.
+func TestPeakAmplitudesBitIdentical(t *testing.T) {
+	t.Logf("vector power tail runs: %v", useAVX512)
+	var s FFTScratch
+	for n := 2; n <= 8192; n *= 2 {
+		p := PlanFFT(n)
+		h := n / 2
+		// runs holds every run; interior those the vector kernel takes.
+		var runs, interior BinRuns
+		runs.Reset(n)
+		interior.Reset(n)
+		for lo := 0; lo <= h+1; lo++ {
+			if lo > 8 && lo < h-9 && lo%7 != 0 {
+				continue
+			}
+			for c := 0; c <= 9 && lo+c <= h+1; c++ {
+				runs.Add(lo, lo+c)
+				if c == 0 || (lo > 0 && lo+c <= h) {
+					interior.Add(lo, lo+c)
+				}
+			}
+		}
+		for _, in := range kernelInputs(n, int64(3*n)) {
+			for _, m := range []int{1, h + 1, 2205, n} {
+				if m > n {
+					continue
+				}
+				x := in.v[:m]
+				for _, win := range []Window{Rectangular, Hann} {
+					name := fmt.Sprintf("n=%d m=%d %v %s", n, m, win, in.name)
+					den := float64(m) * win.Gain(m)
+					for _, r := range []*BinRuns{&runs, &interior} {
+						got := p.PeakAmplitudesScratch(nil, x, win, r, &s)
+						want := make([]float64, r.Len())
+						peakGo(want, p.WindowedPowerAtScratch(nil, x, win, r.bins, &s), r.end, den)
+						requireSameFloats(t, "PeakAmplitudesScratch "+name, got, want)
+					}
+					if useAVX512 && n >= 4 {
+						z := append([]complex128(nil), p.packedSpectrum(x, win.coefficients(m), &s)...)
+						if in.name == "random" {
+							for i := 0; i < len(z); i += 5 {
+								z[i] = complex(math.NaN(), imag(z[i]))
+							}
+						}
+						got, want := make([]float64, interior.Len()), make([]float64, interior.Len())
+						peakAVX512(got, z, p.twiddle, interior.bins, interior.end, den)
+						peakGo(want, p.powerAtPacked(nil, z, interior.bins), interior.end, den)
+						requireSameFloats(t, "peakAVX512 "+name, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBinRunsRejectsOutOfRange requires BinRuns.Add to refuse a run
+// that leaves the half spectrum or ends before it starts, and
+// PeakAmplitudesScratch a plan of another size.
+func TestBinRunsRejectsOutOfRange(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: want panic", name)
+			}
+		}()
+		f()
+	}
+	var r BinRuns
+	r.Reset(8)
+	for _, run := range [][2]int{{-1, 2}, {3, 2}, {4, 6}} {
+		mustPanic(fmt.Sprint(run), func() { r.Add(run[0], run[1]) })
+	}
+	mustPanic("length 12", func() { r.Reset(12) })
+	r.Add(1, 5)
+	mustPanic("plan 16", func() { PlanFFT(16).PeakAmplitudesScratch(nil, randomReal(16, 1), Hann, &r, &FFTScratch{}) })
+}
+
+// requireSameFloats requires got and want to be bit-identical.
+func requireSameFloats(t *testing.T, name string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", name, len(got), len(want))
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: value %d = %v, want %v", name, i, got[i], want[i])
 		}
 	}
 }
@@ -372,4 +495,105 @@ func (p *FFTPlan) unfusedPacked(x, coef []float64) []complex128 {
 	}
 	p.half.forward(z)
 	return z
+}
+
+// BenchmarkFFTKernels times each FFT kernel on the detector's shape, a
+// Hann-windowed 2205-sample window in a 4096-point real transform:
+// the front end as packing plus pass 0 and as the fused kernel, every
+// later pass of the 2048-point half plan through each pass kernel the
+// host can run, and the power tail of 128 three-bin runs (the fleet's
+// watch list) as split, power and the scalar amplitude formula and as
+// the vector kernel.
+func BenchmarkFFTKernels(b *testing.B) {
+	p := PlanFFT(4096)
+	h := p.N / 2
+	x := randomReal(2205, 1)
+	coef := Hann.coefficients(len(x))
+	z := make([]complex128, h)
+	b.Run("front-pack-pass0", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			p.pack(z, x, coef)
+			fftPass(z, p.half.passes[0])
+		}
+	})
+	if useAVX512 {
+		b.Run("front-fused", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				p.frontFused(z, x, coef)
+			}
+		})
+	}
+	for _, k := range passKernels() {
+		for _, tw := range p.half.passes[1:] {
+			b.Run(fmt.Sprintf("pass-%s-h%d", k.name, len(tw)/3), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					k.run(z, tw)
+				}
+			})
+		}
+	}
+	var runs BinRuns
+	runs.Reset(p.N)
+	for i := 0; i < 128; i++ {
+		k := 100 + 11*i
+		runs.Add(k-1, k+2)
+	}
+	var s FFTScratch
+	dst := make([]float64, runs.Len())
+	den := float64(len(x)) * Hann.Gain(len(x))
+	spec := p.packedSpectrum(x, coef, &s)
+	z = append(z[:0], spec...)
+	b.Run("tail-scalar", func(b *testing.B) {
+		var pow []float64
+		for i := 0; i < b.N; i++ {
+			pow = p.powerAtPacked(pow, z, runs.bins)
+			peakGo(dst, pow, runs.end, den)
+		}
+	})
+	if useAVX512 {
+		b.Run("tail-avx512", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				peakAVX512(dst, z, p.twiddle, runs.bins, runs.end, den)
+			}
+		})
+	}
+}
+
+// passKernelNames names the pass kernels this host can run.
+func passKernelNames() []string {
+	var names []string
+	for _, k := range passKernels() {
+		names = append(names, k.name)
+	}
+	return names
+}
+
+// passKernels lists the pass kernels this host can run: passGo always,
+// passAVX2 and passAVX512 where the CPU has them. passAVX512 runs only
+// passes whose h is a multiple of four.
+func passKernels() []struct {
+	name string
+	run  func(x, tw []complex128)
+	wide bool
+} {
+	ks := []struct {
+		name string
+		run  func(x, tw []complex128)
+		wide bool
+	}{{"go", passGo, false}}
+	if useAVX2 {
+		ks = append(ks, struct {
+			name string
+			run  func(x, tw []complex128)
+			wide bool
+		}{"avx2", passAVX2, false})
+	}
+	if useAVX512 {
+		ks = append(ks, struct {
+			name string
+			run  func(x, tw []complex128)
+			wide bool
+		}{"avx512", passAVX512, true})
+	}
+	return ks
 }

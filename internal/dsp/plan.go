@@ -171,15 +171,28 @@ func (p *FFTPlan) InverseTransform(x []complex128) {
 	}
 }
 
-// fftPass runs one fused pair of stages over x: passAVX2
-// (fft_amd64.s) on amd64 CPUs with AVX2, passGo elsewhere. It is chosen
-// once, at package init; the tests swap in passGo to hold the two
-// kernels to each other bit for bit.
+// fftPass runs one fused pair of stages over x: passWide on amd64
+// CPUs with AVX-512, passAVX2 (fft_amd64.s) on those with AVX2 alone,
+// passGo elsewhere. It is chosen once, at package init; the tests swap
+// kernels in to hold them to each other bit for bit.
 var fftPass = passGo
 
 func init() {
-	if useAVX2 {
+	switch {
+	case useAVX512:
+		fftPass = passWide
+	case useAVX2:
 		fftPass = passAVX2
+	}
+}
+
+// passWide runs passAVX512 on passes whose h is a multiple of four,
+// which is every pass but the first (h = 2), and passAVX2 on that one.
+func passWide(x, tw []complex128) {
+	if len(tw)%12 == 0 {
+		passAVX512(x, tw)
+	} else {
+		passAVX2(x, tw)
 	}
 }
 
@@ -227,14 +240,15 @@ func (p *FFTPlan) forward(x []complex128) {
 		a, b := y[0], y[1]
 		y[0], y[1] = a+b, a-b
 	}
-	p.forwardPasses(x)
+	p.forwardPasses(x, 0)
 }
 
-// forwardPasses runs every stage of forward after the size-2 one.
-func (p *FFTPlan) forwardPasses(x []complex128) {
+// forwardPasses runs every stage of forward from pass from on: from 0
+// after the size-2 stage, 1 after pass 0 too.
+func (p *FFTPlan) forwardPasses(x []complex128, from int) {
 	n := p.N
 	x = x[:n]
-	for _, tw := range p.passes {
+	for _, tw := range p.passes[from:] {
 		fftPass(x, tw)
 	}
 	if p.oddStage {
@@ -304,16 +318,28 @@ func (p *FFTPlan) WindowedPowerAtScratch(dst []float64, x []float64, win Window,
 			panic(fmt.Sprintf("dsp: bin %d outside [0, %d]", k, h))
 		}
 	}
-	dst = growFloat(dst, len(bins))
-	coef := win.coefficients(len(x))
+	return p.powerAt(dst, x, win.coefficients(len(x)), bins, s)
+}
+
+// powerAt is WindowedPowerAtScratch with the window's coefficients
+// given and the bins already validated.
+func (p *FFTPlan) powerAt(dst []float64, x []float64, coef []float64, bins []int, s *FFTScratch) []float64 {
 	if p.N == 1 {
+		dst = growFloat(dst, len(bins))
 		s.spec = p.realSpectrumWindowed(s.spec[:0], x, coef, s)
 		for i := range bins {
 			dst[i] = power(s.spec[0])
 		}
 		return dst
 	}
-	z := p.packedSpectrum(x, coef, s)
+	return p.powerAtPacked(dst, p.packedSpectrum(x, coef, s), bins)
+}
+
+// powerAtPacked is powerAt from the packed half spectrum z: the split
+// and |X|² at each bin. p.N must be >= 2.
+func (p *FFTPlan) powerAtPacked(dst []float64, z []complex128, bins []int) []float64 {
+	h := p.N / 2
+	dst = growFloat(dst, len(bins))
 	lo, hi := splitEdges(z[0])
 	for i, k := range bins {
 		var c complex128
@@ -330,6 +356,92 @@ func (p *FFTPlan) WindowedPowerAtScratch(dst []float64, x []float64, win Window,
 	return dst
 }
 
+// BinRuns is a list of runs of consecutive half-spectrum bins of an
+// N-point real transform, validated as it is built: the bins a detector
+// takes each watched tone's peak over. Build it once per watch list and
+// pass it to PeakAmplitudesScratch every window. The zero value holds
+// no runs; Reset sets N.
+type BinRuns struct {
+	n    int
+	bins []int // every run's bins, run after run
+	end  []int // run i is bins[end[i-1]:end[i]]
+	// interior reports that every bin lies strictly between 0 and N/2,
+	// and N >= 2, which peakAVX512 needs.
+	interior bool
+}
+
+// Reset empties r for transforms of length n, a power of two, keeping
+// its capacity.
+func (r *BinRuns) Reset(n int) {
+	if !IsPowerOfTwo(n) {
+		panic(fmt.Sprintf("dsp: BinRuns length %d is not a power of two", n))
+	}
+	r.n, r.bins, r.end, r.interior = n, r.bins[:0], r.end[:0], n >= 2
+}
+
+// Add appends the run of bins lo..hi-1; it panics unless
+// 0 <= lo <= hi <= N/2+1. An empty run (lo == hi) reads as amplitude 0.
+func (r *BinRuns) Add(lo, hi int) {
+	h := r.n / 2
+	if lo < 0 || hi < lo || hi > h+1 {
+		panic(fmt.Sprintf("dsp: bin run [%d, %d) outside [0, %d]", lo, hi, h))
+	}
+	if lo < hi && (lo == 0 || hi > h) {
+		r.interior = false
+	}
+	for k := lo; k < hi; k++ {
+		r.bins = append(r.bins, k)
+	}
+	r.end = append(r.end, len(r.bins))
+}
+
+// Len returns the number of runs.
+func (r *BinRuns) Len() int { return len(r.end) }
+
+// PeakAmplitudesScratch estimates, for each run of bins, the amplitude
+// of a sinusoid spanning all of x from the peak power of the windowed
+// spectrum over the run: dst[i] = 2·√best / (len(x)·win.Gain(len(x))),
+// where best is the largest |X[k]|² of run i, or 0. That is the
+// amplitude a full-window tone of the run's frequency reads at, since
+// its bin magnitude is A·n·gain/2. Every value equals the same formula
+// over WindowedPowerAtScratch's powers, bit for bit. On amd64 CPUs
+// with AVX-512, runs that keep off bins 0 and N/2 run in peakAVX512. r
+// must have been built for p.N; dst is reused when it has capacity,
+// and s is the caller-owned workspace.
+func (p *FFTPlan) PeakAmplitudesScratch(dst []float64, x []float64, win Window, r *BinRuns, s *FFTScratch) []float64 {
+	if r.n != p.N {
+		panic(fmt.Sprintf("dsp: bin runs built for %d points, plan has %d", r.n, p.N))
+	}
+	dst = growFloat(dst, len(r.end))
+	n := len(x)
+	coef := win.coefficients(n)
+	den := float64(n) * win.Gain(n)
+	if useAVX512 && r.interior {
+		peakAVX512(dst, p.packedSpectrum(x, coef, s), p.twiddle, r.bins, r.end, den)
+		return dst
+	}
+	s.vals = p.powerAt(s.vals, x, coef, r.bins, s)
+	peakGo(dst, s.vals, r.end, den)
+	return dst
+}
+
+// peakGo is the portable amplitude tail and peakAVX512's oracle: run i
+// of pow (pow[end[i-1]:end[i]]) yields 2·√best/den, best the largest
+// power of the run or 0.
+func peakGo(dst, pow []float64, end []int, den float64) {
+	lo := 0
+	for i, hi := range end {
+		best := 0.0
+		for _, p := range pow[lo:hi] {
+			if p > best {
+				best = p
+			}
+		}
+		dst[i] = 2 * math.Sqrt(best) / den
+		lo = hi
+	}
+}
+
 func (p *FFTPlan) checkReal(x []float64) {
 	if len(x) > p.N {
 		panic(fmt.Sprintf("dsp: real input length %d exceeds plan length %d", len(x), p.N))
@@ -341,10 +453,10 @@ func (p *FFTPlan) checkReal(x []float64) {
 // it with the half-length kernel. It returns Z, held in s. p.N must be
 // >= 2.
 //
-// The packing runs the size-2 stage as it goes: bit-reversed slots
-// rev[r] and rev[r]+1 hold z[r] and z[r+N/4], so x is read in order,
-// each pair is combined and written once, and the kernel goes on from
-// its size-4 stage.
+// On amd64 CPUs with AVX-512, from 32 half-plan points up, frontAVX512
+// packs and runs the size-2 stage and pass 0 (stages 4 and 8) in one
+// pass over x (see frontFused); elsewhere pack runs the size-2 stage
+// as it packs. The kernel goes on from the next stage.
 func (p *FFTPlan) packedSpectrum(x []float64, coef []float64, s *FFTScratch) []complex128 {
 	p.checkReal(x)
 	h := p.N / 2
@@ -354,6 +466,41 @@ func (p *FFTPlan) packedSpectrum(x []float64, coef []float64, s *FFTScratch) []c
 		z[0] = packedAt(x, coef, 0)
 		return z
 	}
+	if useAVX512 && h >= 32 {
+		p.frontFused(z, x, coef)
+		p.half.forwardPasses(z, 1)
+		return z
+	}
+	p.pack(z, x, coef)
+	p.half.forwardPasses(z, 0)
+	return z
+}
+
+// frontFused is pack followed by pass 0 of the half plan, in one call
+// to frontAVX512: slot 8i+u of the N/2-point half plan holds packed point
+// rev(i) + (N/16)·rev₃(u), so the size-2, 4 and 8 stages act on N/16
+// independent groups of eight slots, which the kernel loads from x,
+// transforms in registers and stores as one 128-byte run each. It needs
+// AVX-512 and N >= 64.
+func (p *FFTPlan) frontFused(z []complex128, x, coef []float64) {
+	h := p.N / 2
+	m := len(x)
+	if coef != nil {
+		coef = coef[:m]
+	}
+	var lim [8]int64
+	for r := range lim {
+		lim[r] = int64(m - r*h/4)
+	}
+	frontAVX512(z[:h], x, coef, p.half.rev[:h/32], p.half.passes[0], &lim)
+}
+
+// pack writes the packed points of x, scaled by coef when non-nil, into
+// their bit-reversed slots of z and runs the size-2 stage as it goes:
+// slots rev[r] and rev[r]+1 hold z[r] and z[r+N/4], so x is read in
+// order and each pair is combined and written once. p.N must be >= 4.
+func (p *FFTPlan) pack(z []complex128, x, coef []float64) {
+	h := p.N / 2
 	// Point r < q = N/4 of z and point r+q go to slots j = rev[r] (even,
 	// since r < q) and j+1. Both have their two samples in x below nb,
 	// point r below na; past the input a point is zero.
@@ -381,8 +528,6 @@ func (p *FFTPlan) packedSpectrum(x []float64, coef []float64, s *FFTScratch) []c
 		a, b := packedAt(x, coef, r), packedAt(x, coef, r+q)
 		z[rev[r]], z[rev[r]+1] = a+b, a-b
 	}
-	p.half.forwardPasses(z)
-	return z
 }
 
 // packBoth writes slots rev[r] and rev[r]+1 for every r: the size-2

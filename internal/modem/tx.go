@@ -75,6 +75,9 @@ type Transmitter struct {
 
 // NewTransmitter wires a modem transmitter to a voice.
 func NewTransmitter(sim *netsim.Sim, band *Band, voice *core.Voice) *Transmitter {
+	// The band is fixed, so the room builds its tone tables now rather
+	// than on each tone's first play, and a send allocates none.
+	voice.Sounder().Speaker().PrepareTones(band.Frequencies())
 	return &Transmitter{band: band, sim: sim, voice: voice}
 }
 

@@ -75,6 +75,9 @@ type Sounder struct {
 // NewSounder wires a switch-side sender to its Pi.
 func NewSounder(pi *Pi) *Sounder { return &Sounder{pi: pi} }
 
+// Speaker returns the speaker of the sounder's Pi.
+func (s *Sounder) Speaker() *acoustic.Speaker { return s.pi.Speaker }
+
 // InjectFaults arms wire-fault injection on the switch→Pi hop and
 // returns the injector so callers can read its counters.
 func (s *Sounder) InjectFaults(f netsim.Faults) *netsim.FaultInjector {
