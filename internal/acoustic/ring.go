@@ -48,16 +48,21 @@ func (r *Room) CompactionHorizon() float64 {
 // not a full re-mix. The fleet's stream lanes read whole windows out
 // with Window.
 //
+// The ring is mirrored: it holds 2·windowN samples, and sample j of
+// the first half always equals sample j of the second. Whatever the
+// write position, the window is then one contiguous run, and Window
+// returns it without a copy.
+//
 // A CaptureRing is owned by one stream: it must not be used from two
 // goroutines at once.
 type CaptureRing struct {
 	mic     *Microphone
-	samples []float64 // capacity windowN, write index w
+	samples []float64 // 2·windowN, mirrored; write index w < windowN
 	w       int
 	filled  int
 
 	hop *audio.Buffer // reused hop capture scratch
-	win *audio.Buffer // reused linearized window
+	win audio.Buffer  // the window view Window returns
 }
 
 // NewCaptureRing builds a ring of windowN samples over mic.
@@ -67,8 +72,8 @@ func NewCaptureRing(mic *Microphone, windowN int) *CaptureRing {
 	}
 	return &CaptureRing{
 		mic:     mic,
-		samples: make([]float64, windowN),
-		win:     &audio.Buffer{SampleRate: mic.room.SampleRate, Samples: make([]float64, windowN)},
+		samples: make([]float64, 2*windowN),
+		win:     audio.Buffer{SampleRate: mic.room.SampleRate},
 	}
 }
 
@@ -83,13 +88,15 @@ func (c *CaptureRing) Append(from, to float64) error {
 		return err
 	}
 	src := buf.Samples
-	n := len(c.samples)
+	n := len(c.samples) / 2
 	if len(src) > n {
 		src = src[len(src)-n:]
 	}
-	// At most two copies, split at the ring's seam.
-	k := copy(c.samples[c.w:], src)
+	// Each half takes at most two copies, split at the ring's seam.
+	k := copy(c.samples[c.w:n], src)
 	copy(c.samples, src[k:])
+	copy(c.samples[n+c.w:], src[:k])
+	copy(c.samples[n:], src[k:])
 	c.w = (c.w + len(src)) % n
 	c.filled += len(src)
 	if c.filled > n {
@@ -99,15 +106,15 @@ func (c *CaptureRing) Append(from, to float64) error {
 }
 
 // Full reports whether a complete window has been appended.
-func (c *CaptureRing) Full() bool { return c.filled == len(c.samples) }
+func (c *CaptureRing) Full() bool { return c.filled == len(c.samples)/2 }
 
 // Window returns the current window, oldest sample first, as a buffer
-// owned by the ring — valid until the next Append. It is only
-// meaningful once Full, and allocates nothing.
+// viewing the ring — valid until the next Append. It is only
+// meaningful once Full, and neither copies nor allocates.
 func (c *CaptureRing) Window() *audio.Buffer {
-	n := copy(c.win.Samples, c.samples[c.w:])
-	copy(c.win.Samples[n:], c.samples[:c.w])
-	return c.win
+	end := c.w + len(c.samples)/2
+	c.win.Samples = c.samples[c.w:end:end]
+	return &c.win
 }
 
 // LastHop returns the samples of the most recent successful Append,

@@ -363,8 +363,20 @@ func (m *Microphone) Capture(from, to float64) *audio.Buffer {
 // be audible before to is visited at all.
 //
 // Captures may run concurrently, each into its own out: a microphone
-// keeps no capture state.
+// keeps no capture state. A capture is MixInto followed by
+// AddSelfNoise over the whole span.
 func (m *Microphone) CaptureInto(out *audio.Buffer, from, to float64) *audio.Buffer {
+	out = m.MixInto(out, from, to)
+	m.AddSelfNoise(out, from, 0, len(out.Samples))
+	return out
+}
+
+// MixInto is the first step of CaptureInto: it renders everything the
+// diaphragm picks up over [from, to) into out, grown as needed and
+// returned — the emissions and room noise, scaled by the microphone's
+// sensitivity — but not the microphone's self-noise, which
+// AddSelfNoise adds.
+func (m *Microphone) MixInto(out *audio.Buffer, from, to float64) *audio.Buffer {
 	r := m.room
 	n := int(math.Round((to - from) * r.SampleRate))
 	if n < 0 {
@@ -400,13 +412,14 @@ func (m *Microphone) CaptureInto(out *audio.Buffer, from, to float64) *audio.Buf
 	// Degradation model: every ramp is evaluated on the absolute time
 	// grid, never at the capture's start, so a span renders the same
 	// however it is split into captures. An emission's cull uses the
-	// sensitivity and floor at its own arrival; the gain and the
-	// self-noise level are functions of the sample index (below). A
+	// sensitivity and floor at its own arrival; the gain (below) and
+	// the self-noise level (AddSelfNoise) are functions of the sample
+	// index. A
 	// healthy microphone (no ramps) evaluates all three to its base
 	// values. Ramps only grow by append, so the schedules copied here
 	// stay valid after the lock is released.
-	sensRamp, noise, baseNoise := m.sensRamp, m.noiseRamp, m.SelfNoiseRMS
-	ramped := len(sensRamp.ramps) > 0 || len(noise.ramps) > 0
+	sensRamp := m.sensRamp
+	ramped := len(sensRamp.ramps) > 0 || len(m.noiseRamp.ramps) > 0
 	sens, floor := 1.0, r.cullFloorAt(m, from) // exact for an unramped mic
 	idx := m.idx
 	var mixed, culled int
@@ -452,11 +465,11 @@ func (m *Microphone) CaptureInto(out *audio.Buffer, from, to float64) *audio.Buf
 	tm.scanHist.Observe(float64(scanned))
 
 	// A degraded transducer scales everything it picked up — tones and
-	// room noise alike — but not the self-noise mixed below, which is
-	// electronics hiss downstream of the diaphragm: a deaf microphone
-	// still hisses. Only a span a sensitivity ramp is moving through
-	// pays for a per-sample gain; the healthy path (gain 1) skips the
-	// pass so the legacy waveform stays bit-exact.
+	// room noise alike — but not the self-noise AddSelfNoise adds,
+	// which is electronics hiss downstream of the diaphragm: a deaf
+	// microphone still hisses. Only a span a sensitivity ramp is moving
+	// through pays for a per-sample gain; the healthy path (gain 1)
+	// skips the pass so the legacy waveform stays bit-exact.
 	first := int64(math.Round(from * r.SampleRate))
 	t0, t1 := float64(first)/r.SampleRate, float64(first+int64(n-1))/r.SampleRate
 	if sens, steady := sensRamp.steadyOver(1, t0, t1); !steady {
@@ -469,23 +482,39 @@ func (m *Microphone) CaptureInto(out *audio.Buffer, from, to float64) *audio.Buf
 		}
 	}
 
-	// Sample i's hiss is a function of (room seed, microphone name,
-	// absolute sample index) alone (selfnoise.go), and so is its level,
-	// so repeated or split captures of one span agree sample for
-	// sample. Only a span a noise ramp is moving through pays for a
-	// per-sample level.
+	return out
+}
+
+// AddSelfNoise is the second step of CaptureInto: it adds the
+// microphone's self-noise to samples [lo, hi) of out, a MixInto of the
+// span starting at from. Sample i's hiss is a function of (room seed,
+// microphone name, absolute sample index) alone (selfnoise.go), and so
+// is its level, so repeated or split captures of one span agree sample
+// for sample, and so do the sample bands of one capture: disjoint
+// bands may be added concurrently. Only a band a noise ramp is moving
+// through pays for a per-sample level.
+func (m *Microphone) AddSelfNoise(out *audio.Buffer, from float64, lo, hi int) {
+	if lo >= hi {
+		return
+	}
+	r := m.room
+	r.mu.RLock()
+	noise, baseNoise := m.noiseRamp, m.SelfNoiseRMS
+	r.mu.RUnlock()
+	first := int64(math.Round(from*r.SampleRate)) + int64(lo)
+	s := out.Samples[lo:hi]
+	t0, t1 := float64(first)/r.SampleRate, float64(first+int64(len(s)-1))/r.SampleRate
 	if rms, steady := noise.steadyOver(baseNoise, t0, t1); !steady {
 		key := noiseKey(r.Seed, m.Name)
-		for i := range out.Samples {
+		for i := range s {
 			k := first + int64(i)
 			if rms := noise.atBase(baseNoise, float64(k)/r.SampleRate); rms > 0 {
-				addSelfNoise(out.Samples[i:i+1], rms, key, k)
+				addSelfNoise(s[i:i+1], rms, key, k)
 			}
 		}
 	} else if rms > 0 {
-		addSelfNoise(out.Samples, rms, noiseKey(r.Seed, m.Name), first)
+		addSelfNoise(s, rms, noiseKey(r.Seed, m.Name), first)
 	}
-	return out
 }
 
 func (m *Microphone) mixNoise(out *audio.Buffer, src *NoiseSource, from, to float64) {

@@ -42,7 +42,7 @@ type Controller struct {
 	sim    *netsim.Sim
 	mic    *acoustic.Microphone
 	ticker *netsim.Ticker
-	fleet  *Fleet // the detection engine; a fleet of one until EnableFleet
+	fleet  *Fleet // the detection engine: the controller's microphone on GOMAXPROCS workers
 	stream *StreamController
 	devmon *DeviceMonitor
 
@@ -89,7 +89,11 @@ type App interface {
 // matching the paper's sample length.
 const DefaultWindow = 0.050
 
-// NewController builds a controller polling the given microphone.
+// NewController builds a controller polling the given microphone. Its
+// fleet (see EnableFleet) has one worker per processor, so a lone
+// microphone's window is split across them when its Goertzel bank runs
+// at least two passes (see Fleet); detections are byte-identical at
+// any worker count.
 func NewController(sim *netsim.Sim, mic *acoustic.Microphone, det *Detector) *Controller {
 	c := &Controller{
 		Window:   DefaultWindow,
@@ -98,7 +102,7 @@ func NewController(sim *netsim.Sim, mic *acoustic.Microphone, det *Detector) *Co
 		sim:      sim,
 		mic:      mic,
 	}
-	c.EnableFleet(1)
+	c.EnableFleet(0)
 	return c
 }
 
@@ -189,14 +193,15 @@ func (c *Controller) noteDetections(from, to float64, dets []Detection) {
 	}
 }
 
-// EnableFleet replaces the controller's fleet of one with a
-// worker-pool fleet cloned from its detector, seeded with the
-// controller's own microphone, and returns the fleet so further
-// listening points can be added with AddMicrophone. workers <= 0
-// means GOMAXPROCS. Detections from all microphones are merged by
-// (time, frequency) before dispatch, so subscriber semantics are
-// unchanged — handlers still see one ordered batch per window. Call it
-// before Start, StartStream and EnableDeviceMonitor.
+// EnableFleet replaces the controller's fleet with one of the given
+// workers cloned from its detector, seeded with the controller's own
+// microphone, and returns the fleet so further listening points can be
+// added with AddMicrophone. workers <= 0 means GOMAXPROCS, the fleet
+// NewController builds; 1 analyses every window on the calling
+// goroutine. Detections from all microphones are merged by (time,
+// frequency) before dispatch, so subscriber semantics are unchanged —
+// handlers still see one ordered batch per window. Call it before
+// Start, StartStream and EnableDeviceMonitor.
 func (c *Controller) EnableFleet(workers int) *Fleet {
 	f := NewFleet(c.Detector, workers)
 	f.AddMicrophone(c.mic)

@@ -211,8 +211,14 @@ func (d *Detector) DetectCalibrated(buf *audio.Buffer, windowStart, minAmp float
 		return nil, nil
 	}
 	amps := d.amplitudes(buf)
-	// Keep what clears both the absolute floor and the relative floor (a
-	// fraction of the loudest watched frequency in the window).
+	return d.threshold(amps, windowStart, minAmp), amps
+}
+
+// threshold keeps the watches whose amplitude in amps clears both the
+// absolute floor minAmp and the relative floor (a fraction of the
+// loudest watched frequency in the window), stamped windowStart. The
+// returned slice is detector scratch.
+func (d *Detector) threshold(amps []float64, windowStart, minAmp float64) []Detection {
 	maxAmp := 0.0
 	for _, a := range amps {
 		if a > maxAmp {
@@ -230,9 +236,9 @@ func (d *Detector) DetectCalibrated(buf *audio.Buffer, windowStart, minAmp float
 		}
 	}
 	if len(d.out) == 0 {
-		return nil, amps
+		return nil
 	}
-	return d.out, amps
+	return d.out
 }
 
 // amplitudes computes the per-watch pre-threshold amplitude estimates
@@ -250,13 +256,25 @@ func (d *Detector) amplitudes(buf *audio.Buffer) []float64 {
 }
 
 func (d *Detector) ampsGoertzel(buf *audio.Buffer) []float64 {
-	if d.gplan == nil || d.gplan.SampleRate != buf.SampleRate {
-		d.gplan = dsp.NewGoertzelPlan(d.watch, buf.SampleRate)
+	d.amps = d.goertzelPlan(buf.SampleRate).MagnitudesInto(d.amps, buf.Samples)
+	return d.scaleGoertzel(buf.Len())
+}
+
+// goertzelPlan returns the Goertzel bank of the watch list at
+// sampleRate, built on first use and rebuilt when either changes.
+func (d *Detector) goertzelPlan(sampleRate float64) *dsp.GoertzelPlan {
+	if d.gplan == nil || d.gplan.SampleRate != sampleRate {
+		d.gplan = dsp.NewGoertzelPlan(d.watch, sampleRate)
 	}
-	d.amps = d.gplan.MagnitudesInto(d.amps, buf.Samples)
-	// A sinusoid of amplitude A spanning the whole window yields a
-	// Goertzel magnitude of A*n/2.
-	scale := 2 / float64(buf.Len())
+	return d.gplan
+}
+
+// scaleGoertzel turns d.amps, the bank's magnitudes over an n-sample
+// window, into amplitude estimates and returns them: a sinusoid of
+// amplitude A spanning the whole window yields a Goertzel magnitude of
+// A*n/2.
+func (d *Detector) scaleGoertzel(n int) []float64 {
+	scale := 2 / float64(n)
 	for i := range d.amps {
 		d.amps[i] *= scale
 	}

@@ -12,10 +12,14 @@ import (
 	"mdn/internal/telemetry"
 )
 
-// Fleet is the controller's one detection pipeline, batch or streamed
-// (a lone microphone is a fleet of one): one analysis window fanned out
-// over N microphones by the caller and its helper goroutines, each
-// running its own Detector clone. The paper's deployments are fleets — many
+// Fleet is the controller's one detection pipeline, batch or streamed:
+// one analysis window fanned out over N microphones by the caller and
+// its helper goroutines, each running its own Detector clone. A window
+// with fewer active microphones than workers — a controller's lone
+// microphone — is split instead when its Goertzel bank runs at least
+// two passes: each microphone's self-noise by sample band (batch
+// windows only) and then its bank by pass become the work items (see
+// prepareSplit). The paper's deployments are fleets — many
 // switches emitting tones toward one listening controller — and a
 // single Detector cannot serve them concurrently because its
 // per-window scratch is reused (the DSP plans underneath are shared
@@ -36,6 +40,9 @@ import (
 // A Fleet is driven from one goroutine (the simulation loop):
 // AddMicrophone and Analyse must not race each other. The concurrency
 // is inside Analyse, between the caller and its helpers (see publish).
+// A helper left idle for spinBudget exits, and the next parallel window
+// starts it again, so a fleet that is never closed holds no goroutine
+// between bursts of windows.
 type Fleet struct {
 	template *Detector
 	workers  int // caller + helpers: min(requested, GOMAXPROCS)
@@ -76,16 +83,21 @@ type Fleet struct {
 	// read by helpers after a claim (see claim).
 	from, to, winStart float64
 
+	// Split state of the in-flight window (see prepareSplit): passes is
+	// 0 when the window is handed out by microphone. Otherwise active
+	// position a analyses views[a] (nil: nothing to analyse) with
+	// dets[a]'s bank, as bands noise items and then passes bank items.
+	bands, passes int
+	views         []*audio.Buffer
+
 	// Hot hand-off (publish, claim, helper): gen counts published
-	// windows, claimWord packs a window's active count (high half) and
-	// next unclaimed position (low half), done counts its analysed
-	// microphones. Idle helpers sleep on wake, nil until they start;
-	// Close waits on exited.
+	// windows, claimWord packs a window's item count (high half) and
+	// next unclaimed item (low half), done counts its finished items.
+	// alive[w] is set while helper w runs; Close waits on exited.
 	gen, claimWord atomic.Uint64
 	done           atomic.Int64
 	stop           atomic.Bool
-	parkMu         sync.Mutex
-	wake           *sync.Cond
+	alive          []atomic.Bool
 	exited         sync.WaitGroup
 
 	// cloneRev is the template watch-list revision the worker clones
@@ -114,8 +126,8 @@ type Fleet struct {
 const staleRetries = 3
 
 // spinBudget is how long a helper that finished a window yields for
-// the next before it parks, so consecutive windows never pay a parked
-// goroutine's wake-up.
+// the next before it exits, so consecutive windows never pay a
+// goroutine start.
 const spinBudget = 200 * time.Microsecond
 
 // NewFleet builds a fleet of workers detector clones, the caller and
@@ -129,7 +141,12 @@ func NewFleet(template *Detector, workers int) *Fleet {
 		panic("core: NewFleet requires a detector template")
 	}
 	workers = min(parallel.Workers(workers), runtime.GOMAXPROCS(0))
-	return &Fleet{template: template, workers: workers}
+	return &Fleet{
+		template: template,
+		workers:  workers,
+		views:    make([]*audio.Buffer, workers),
+		alive:    make([]atomic.Bool, workers),
+	}
 }
 
 // lane is one microphone's state at hop < window: the ring holding the
@@ -261,16 +278,17 @@ func (f *Fleet) analyse(from, to float64) (dets []Detection, ok bool, err error)
 		// Lanes append the hop once; a stale-watch retry re-analyses the
 		// windows they already hold.
 		f.appendHop = attempt == 0
-		if f.workers == 1 || len(f.active) == 1 || f.stop.Load() {
+		helpers := f.workers > 1 && !f.stop.Load()
+		switch {
+		case helpers && f.prepareSplit():
+			f.fanOut(len(f.active) * (f.bands + f.passes))
+			f.finishSplit()
+		case helpers && len(f.active) > 1:
+			f.fanOut(len(f.active))
+		default:
 			// Serial reference path: same per-microphone work, same merge.
 			for _, i := range f.active {
 				f.analyseMic(0, i)
-			}
-		} else {
-			f.publish()
-			f.claim(0)
-			for f.done.Load() < int64(len(f.active)) {
-				runtime.Gosched()
 			}
 		}
 		if f.template.WatchRev() == rev || attempt >= staleRetries {
@@ -320,17 +338,13 @@ func (f *Fleet) settleLanes() (bool, error) {
 	return full, nil
 }
 
-// Close stops the helper goroutines, spinning or parked, and returns
-// once they have exited. The fleet stays usable on the serial path
-// after Close; call it when tearing a fleet down so pools built per
-// benchmark iteration or per test do not leak goroutines.
+// Close stops the helper goroutines and returns once they have exited.
+// The fleet stays usable on the serial path after Close. Idle helpers
+// exit on their own, so Close matters only to a caller that must see
+// every goroutine gone at once, such as a benchmark building a fleet
+// per iteration.
 func (f *Fleet) Close() {
 	f.stop.Store(true)
-	if f.wake != nil {
-		f.parkMu.Lock()
-		f.wake.Broadcast()
-		f.parkMu.Unlock()
-	}
 	f.exited.Wait()
 }
 
@@ -384,32 +398,38 @@ func (f *Fleet) reserve() {
 	}
 }
 
-// publish hands the window set up in the fleet's fields to the
-// helpers, starting them on first use: it resets the done count, opens
-// the claim word over the active list, bumps the generation and wakes
-// parked helpers.
-func (f *Fleet) publish() {
-	if f.wake == nil {
-		f.wake = sync.NewCond(&f.parkMu)
-		f.exited.Add(f.workers - 1)
-		for w := 1; w < f.workers; w++ {
+// fanOut hands the window's items to the helpers and claims items
+// with them until all n are done.
+func (f *Fleet) fanOut(n int) {
+	f.publish(n)
+	f.claim(0)
+	for f.done.Load() < int64(n) {
+		runtime.Gosched()
+	}
+}
+
+// publish hands the n items of the window set up in the fleet's fields
+// to the helpers: it resets the done count, opens the claim word over
+// the items, bumps the generation and starts every helper that is not
+// running.
+func (f *Fleet) publish(n int) {
+	f.done.Store(0)
+	f.claimWord.Store(uint64(n) << 32)
+	f.gen.Add(1)
+	for w := 1; w < f.workers; w++ {
+		if f.alive[w].CompareAndSwap(false, true) {
+			f.exited.Add(1)
 			go f.helper(w)
 		}
 	}
-	f.done.Store(0)
-	f.claimWord.Store(uint64(len(f.active)) << 32)
-	f.gen.Add(1)
-	f.parkMu.Lock()
-	f.wake.Broadcast()
-	f.parkMu.Unlock()
 }
 
-// claim analyses microphones with worker w's scratch until the claim
-// word runs out. An add past the window's count claims nothing, so a
-// helper arriving late, even from an earlier window, never touches a
-// window it was not handed; a claim in range happens after publish
-// set the window up, and the caller changes nothing until done
-// reaches the count.
+// claim runs items with worker w's scratch until the claim word runs
+// out: microphones, or the items of a split window. An add past the
+// window's count claims nothing, so a helper arriving late, even from
+// an earlier window, never touches a window it was not handed; a claim
+// in range happens after publish set the window up, and the caller
+// changes nothing until done reaches the count.
 func (f *Fleet) claim(w int) {
 	for {
 		c := f.claimWord.Add(1)
@@ -418,37 +438,125 @@ func (f *Fleet) claim(w int) {
 			return
 		}
 		f.busy.Add(1)
-		f.analyseMic(w, f.active[k])
+		if f.passes > 0 {
+			f.splitItem(int(k))
+		} else {
+			f.analyseMic(w, f.active[k])
+		}
 		f.busy.Add(-1)
 		f.done.Add(1)
 	}
 }
 
-// helper is worker w >= 1: it joins each window published after the
-// last one it saw, yields for spinBudget waiting for the next, then
-// parks until publish or Close wakes it. A wake-up is only a hint,
-// re-checked against gen.
+// helper is worker w >= 1: it joins the window published when it
+// starts and each one after, yielding for spinBudget between them. A
+// helper idle for longer exits, and publish starts it again.
 func (f *Fleet) helper(w int) {
 	defer f.exited.Done()
-	var seen uint64
 	for {
-		idle := time.Now()
-		for f.gen.Load() == seen && !f.stop.Load() {
+		seen := f.gen.Load()
+		f.claim(w)
+		for idle := time.Now(); f.gen.Load() == seen; runtime.Gosched() {
+			if f.stop.Load() {
+				return
+			}
 			if time.Since(idle) < spinBudget {
-				runtime.Gosched()
 				continue
 			}
-			f.parkMu.Lock()
-			for f.gen.Load() == seen && !f.stop.Load() {
-				f.wake.Wait()
+			f.alive[w].Store(false)
+			// A window published since the check above may have seen this
+			// helper alive: stay for it, unless publish started another.
+			if f.gen.Load() == seen || !f.alive[w].CompareAndSwap(false, true) {
+				return
 			}
-			f.parkMu.Unlock()
 		}
-		if f.stop.Load() {
-			return
+	}
+}
+
+// prepareSplit decides whether the window is split: it has fewer
+// active microphones than workers, and its Goertzel bank runs at least
+// two passes (dsp.GoertzelPlan.Passes). If so, it runs each active
+// microphone's serial step — the mix of a batch window, or the appended
+// hop of a streamed one — and sets the window's items up: per
+// microphone, the batch window's self-noise in one band of samples per
+// worker, then one item per bank pass. Split items write disjoint
+// samples and magnitudes, so the window is bit-identical to one
+// analysed whole.
+func (f *Fleet) prepareSplit() bool {
+	f.passes = 0
+	lead := f.dets[0]
+	if len(f.active) >= f.workers || lead.Method != MethodGoertzel || len(lead.watch) == 0 {
+		return false
+	}
+	passes := lead.goertzelPlan(f.mics[f.active[0]].Room().SampleRate).Passes()
+	if passes < 2 {
+		return false
+	}
+	f.bands = 0
+	if f.lanes == nil {
+		f.bands = f.workers
+	}
+	for a, i := range f.active {
+		f.out[i], f.amps[i] = f.out[i][:0], f.amps[i][:0]
+		var buf *audio.Buffer
+		if f.lanes == nil {
+			f.bufs[a] = f.mics[i].MixInto(f.bufs[a], f.from, f.to)
+			buf = f.bufs[a]
+		} else {
+			buf = f.capture(a, i)
 		}
-		seen = f.gen.Load()
-		f.claim(w)
+		f.views[a] = nil
+		if buf == nil || buf.Len() == 0 {
+			continue
+		}
+		f.views[a] = buf
+		d := f.dets[a]
+		d.goertzelPlan(buf.SampleRate)
+		if cap(d.amps) < len(d.watch) {
+			d.amps = make([]float64, len(d.watch))
+		}
+		d.amps = d.amps[:len(d.watch)]
+	}
+	f.passes = passes
+	return true
+}
+
+// splitItem runs item k of a split window: the self-noise of one
+// sample band, or one pass of one microphone's bank.
+func (f *Fleet) splitItem(k int) {
+	noise := len(f.active) * f.bands
+	if k < noise {
+		a, b := k/f.bands, k%f.bands
+		if buf := f.views[a]; buf != nil {
+			n := buf.Len()
+			f.mics[f.active[a]].AddSelfNoise(buf, f.from, b*n/f.bands, (b+1)*n/f.bands)
+		}
+		return
+	}
+	// The bank reads the finished window. Every noise item was claimed
+	// before this one, so the wait is for bands already being added.
+	for f.done.Load() < int64(noise) {
+		runtime.Gosched()
+	}
+	a, p := (k-noise)/f.passes, (k-noise)%f.passes
+	if buf := f.views[a]; buf != nil {
+		d := f.dets[a]
+		d.gplan.PassInto(d.amps, buf.Samples, p)
+	}
+}
+
+// finishSplit turns each microphone's bank magnitudes into its
+// detections and amplitudes, as analyseMic does after a whole window.
+func (f *Fleet) finishSplit() {
+	for a, i := range f.active {
+		buf := f.views[a]
+		if buf == nil {
+			continue
+		}
+		d := f.dets[a]
+		amps := d.scaleGoertzel(buf.Len())
+		minAmp := f.minAmplitude(d, i)
+		f.keep(i, d.threshold(amps, f.winStart, minAmp), amps)
 	}
 }
 
@@ -465,11 +573,22 @@ func (f *Fleet) analyseMic(w, i int) {
 		return
 	}
 	d := f.dets[w]
-	minAmp := d.MinAmplitude
+	dets, amps := d.DetectCalibrated(buf, f.winStart, f.minAmplitude(d, i))
+	f.keep(i, dets, amps)
+}
+
+// minAmplitude is microphone i's detection threshold: detector d's, or
+// with a device monitor attached the monitor's recalibrated floor.
+func (f *Fleet) minAmplitude(d *Detector, i int) float64 {
 	if f.mon != nil {
-		minAmp = f.mon.floorFor(i, minAmp)
+		return f.mon.floorFor(i, d.MinAmplitude)
 	}
-	dets, amps := d.DetectCalibrated(buf, f.winStart, minAmp)
+	return d.MinAmplitude
+}
+
+// keep stores microphone i's detections and amplitudes in its result
+// slots, and feeds them to the device monitor when one is attached.
+func (f *Fleet) keep(i int, dets []Detection, amps []float64) {
 	if f.mon != nil {
 		f.mon.ObserveMic(i, f.winStart, dets, amps)
 	}

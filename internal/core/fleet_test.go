@@ -85,9 +85,10 @@ func TestFleetMatchesSerialExactly(t *testing.T) {
 
 // TestFleetAnalyseAfterCloseRunsSerially is the hand-off's lifecycle:
 // a 4-worker fleet hands windows to its helpers, Close returns both
-// while they spin for the next window and after they have parked, the
-// goroutine count falls back to its baseline, and the closed fleet
-// keeps analysing on the serial path with the serial result.
+// while they spin for the next window and after they have exited on
+// their own, the goroutine count falls back to its baseline, and the
+// closed fleet keeps analysing on the serial path with the serial
+// result.
 func TestFleetAnalyseAfterCloseRunsSerially(t *testing.T) {
 	want := runFleet(8, 1)
 	for _, idle := range []time.Duration{0, 50 * spinBudget} {
@@ -100,18 +101,15 @@ func TestFleetAnalyseAfterCloseRunsSerially(t *testing.T) {
 		for w := 0; w < 5; w++ {
 			f.Analyse(0, 0.065)
 		}
-		if f.workers > 1 && f.wake == nil {
-			t.Fatal("a multi-worker fleet never started its helpers")
+		// publish starts every helper that is not running.
+		if f.workers > 1 && f.gen.Load() == 0 {
+			t.Fatal("a multi-worker fleet never published a window to its helpers")
 		}
 		// 0 closes while helpers spin; 50 budgets is well past the spin,
-		// so they have parked.
+		// so they have exited.
 		time.Sleep(idle)
 		f.Close()
-		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("idle %v: %d goroutines after Close, baseline %d", idle, runtime.NumGoroutine(), base)
-			}
-		}
+		waitGoroutines(t, base, "idle "+idle.String()+": after Close")
 		got := f.Analyse(0, 0.065)
 		if len(got) != len(want) {
 			t.Fatalf("idle %v: after Close: %d detections, want %d", idle, len(got), len(want))
@@ -124,6 +122,49 @@ func TestFleetAnalyseAfterCloseRunsSerially(t *testing.T) {
 		if runtime.NumGoroutine() > base {
 			t.Errorf("idle %v: Analyse after Close started helpers again", idle)
 		}
+	}
+}
+
+// waitGoroutines fails the test unless the goroutine count falls to
+// base within five seconds.
+func waitGoroutines(t *testing.T, base int, what string) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines, baseline %d", what, runtime.NumGoroutine(), base)
+		}
+	}
+}
+
+// TestFleetIdleHelpersExit: a fleet that is never closed holds no
+// goroutine once its helpers have been idle for the spin budget, and
+// the next parallel window starts them again with an unchanged result.
+// It runs a fleet of microphones and a split lone microphone.
+func TestFleetIdleHelpersExit(t *testing.T) {
+	for _, n := range []int{1, 8} {
+		_, mics, det := fleetRoom(n)
+		if n == 1 {
+			det = NewDetector(MethodGoertzel, splitBank(130))
+		}
+		base := runtime.NumGoroutine()
+		f := NewFleet(det, 4)
+		for _, m := range mics {
+			f.AddMicrophone(m)
+		}
+		want := append([]Detection(nil), f.Analyse(0, 0.065)...)
+		for round := 0; round < 2; round++ {
+			waitGoroutines(t, base, "an idle fleet that was never closed")
+			got := f.Analyse(0, 0.065)
+			if len(got) != len(want) {
+				t.Fatalf("%d mics, round %d: %d detections, want %d", n, round, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%d mics, round %d: detection %d = %+v, want %+v", n, round, i, got[i], want[i])
+				}
+			}
+		}
+		waitGoroutines(t, base, "an idle fleet that was never closed")
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"mdn/internal/netsim"
 	"mdn/internal/openflow"
@@ -30,9 +31,12 @@ type PortKnock struct {
 	freqForPort map[uint16]float64
 	// tones lists the knock frequencies in first-knock order and syms
 	// their FSM symbols, built once so the per-window dispatch does not
-	// format strings. A knock has a few tones, so a scan beats a map.
-	tones []float64
-	syms  []string
+	// format strings. A knock has a few tones, so a scan beats a map,
+	// and one range compare against the lowest and highest of them
+	// skips the scan for most of a busy window's detections.
+	tones           []float64
+	syms            []string
+	lowest, highest float64
 	// own is the window's knock detections, the onset filter's only
 	// input: its state then tracks the knock tones, not every
 	// frequency the controller heard.
@@ -88,6 +92,8 @@ func NewPortKnock(plan *FrequencyPlan, switchName string, voice *Voice, ch *open
 		freqForPort: make(map[uint16]float64, len(distinct)),
 		tones:       freqs,
 		syms:        make([]string, len(distinct)),
+		lowest:      slices.Min(freqs),
+		highest:     slices.Max(freqs),
 	}
 	pk.prog.OnResult = func(m openflow.FlowMod, err error) {
 		if err != nil {
@@ -133,7 +139,7 @@ func (pk *PortKnock) HandleWindow(_ float64, dets []Detection) {
 	// knock onsets, in the same order.
 	pk.own = pk.own[:0]
 	for _, det := range dets {
-		if pk.tone(det.Frequency) >= 0 {
+		if f := det.Frequency; f >= pk.lowest && f <= pk.highest && pk.tone(f) >= 0 {
 			pk.own = append(pk.own, det)
 		}
 	}

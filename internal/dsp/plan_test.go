@@ -191,28 +191,37 @@ type goertzelKernel struct {
 	run  func(gp *GoertzelPlan, dst, block []float64) []float64
 }
 
-// goertzelKernels returns the dispatched bank and every kernel this
-// host can run — the portable one always, the AVX2 and AVX-512 ones
+// goertzelKernels returns the dispatched bank, its passes run one by
+// one in reverse order, and every kernel this host can run — the portable one always, the AVX2 and AVX-512 ones
 // where the CPU has them — and logs which ran and which were skipped.
 func goertzelKernels(t testing.TB) []goertzelKernel {
-	direct := func(magnitudes func(*GoertzelPlan, []float64, []float64)) func(*GoertzelPlan, []float64, []float64) []float64 {
+	direct := func(k bankKernel) func(*GoertzelPlan, []float64, []float64) []float64 {
 		return func(gp *GoertzelPlan, dst, block []float64) []float64 {
 			dst = growFloat(dst, gp.n)
-			magnitudes(gp, dst, block)
+			for p := range gp.passes(k) {
+				gp.pass(k, dst, block, p)
+			}
 			return dst
 		}
 	}
 	kernels := []goertzelKernel{
 		{"dispatched", (*GoertzelPlan).MagnitudesInto},
-		{"portable", direct((*GoertzelPlan).magnitudesGo)},
+		{"passes, last first", func(gp *GoertzelPlan, dst, block []float64) []float64 {
+			dst = growFloat(dst, gp.n)
+			for p := gp.Passes() - 1; p >= 0; p-- {
+				gp.PassInto(dst, block, p)
+			}
+			return dst
+		}},
+		{"portable", direct(kernelGo)},
 	}
 	if useAVX2 {
-		kernels = append(kernels, goertzelKernel{"avx2", direct((*GoertzelPlan).magnitudesAVX2)})
+		kernels = append(kernels, goertzelKernel{"avx2", direct(kernelAVX2)})
 	} else {
 		t.Log("skipping the AVX2 kernel: this CPU lacks AVX2")
 	}
 	if useAVX512 {
-		kernels = append(kernels, goertzelKernel{"avx512", direct((*GoertzelPlan).magnitudesAVX512)})
+		kernels = append(kernels, goertzelKernel{"avx512", direct(kernelAVX512)})
 	} else {
 		t.Log("skipping the AVX-512 kernel: this CPU lacks AVX-512F")
 	}
