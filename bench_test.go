@@ -106,7 +106,7 @@ func BenchmarkAblationWindowFunction(b *testing.B) {
 				copy(work, buf.Samples)
 				w.Apply(work)
 				spec := dsp.FFTReal(work)
-				_ = dsp.Magnitudes(spec)
+				_ = dsp.MagnitudesInto(nil, spec)
 			}
 		})
 	}
@@ -445,17 +445,6 @@ func BenchmarkPlannedGoertzelBank(b *testing.B) {
 				mags = gp.MagnitudesInto(mags, buf.Samples)
 			}
 		})
-	}
-}
-
-// BenchmarkSTFTFrames streams spectrogram frames through the pooled
-// plan scratch — the zero-allocation path under STFT.
-func BenchmarkSTFTFrames(b *testing.B) {
-	fan := audio.DefaultFan(0.3, 1).Render(44100, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dsp.STFTFrames(fan.Samples, 44100, 4096, 2048, dsp.Hann, func(frame int, start float64, power []float64) {})
 	}
 }
 

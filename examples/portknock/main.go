@@ -26,7 +26,7 @@ func main() {
 	for i, port := range []uint16{7002, 7001, 7003} {
 		cfg.Traffic = append(cfg.Traffic, mdn.TrafficConfig{
 			Type: "portscan", From: "h1", To: "h2", SrcPort: 40001,
-			FirstPort: port, NumPorts: 1, StartS: 1 + 0.5*float64(i),
+			FirstPort: port, NumPorts: 1, StartS: 1 + float64(0.5*float64(i)),
 		})
 	}
 	w, err := mdn.Build(cfg)

@@ -45,7 +45,7 @@ func main() {
 	voice := w.Voice("s1")
 	for i, f := range freqs {
 		f := f
-		w.Sim.Schedule(0.5+0.5*float64(i), func() {
+		w.Sim.Schedule(0.5+float64(0.5*float64(i)), func() {
 			fmt.Printf("t=%.3fs  switch s1 plays %.0f Hz\n", w.Sim.Now(), f)
 			voice.Play(f)
 		})

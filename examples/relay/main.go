@@ -69,7 +69,7 @@ func main() {
 	fmt.Printf("switch at 10 m plays %0.f Hz at 40 dB; relay maps %.0f -> %.0f Hz\n\n",
 		inFreq, inFreq, outFreq)
 	for i := 0; i < 5; i++ {
-		at := 0.5 + float64(i)*0.5
+		at := 0.5 + float64(float64(i)*0.5)
 		sim.Schedule(at, func() { farVoice.Play(inFreq) })
 	}
 	sim.RunUntil(4)

@@ -245,7 +245,7 @@ func TestEmissionsStaySortedUnderOutOfOrderPlay(t *testing.T) {
 	for i, at := range ats {
 		sp.Play(at, audio.Tone{Frequency: 400 + 10*float64(i), Duration: 0.05, Amplitude: 0.1})
 	}
-	em := r.Emissions()
+	em := r.emissions
 	if len(em) != len(ats) {
 		t.Fatalf("emissions = %d, want %d", len(em), len(ats))
 	}

@@ -343,7 +343,7 @@ func TestCompactBeforeBoundsLongRunMemory(t *testing.T) {
 
 // TestConcurrentCaptureCompactPlay is the -race exercise over the
 // indexed store: concurrent captures on distinct microphones, forward
-// scheduling, compaction, and Emissions() snapshots.
+// scheduling, compaction, and EmissionCount reads.
 func TestConcurrentCaptureCompactPlay(t *testing.T) {
 	r := NewRoom(8000, 7)
 	r.CullThreshold = CullAuto
@@ -381,7 +381,6 @@ func TestConcurrentCaptureCompactPlay(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for w := 0; w < 20; w++ {
-			_ = r.Emissions()
 			_ = r.EmissionCount()
 		}
 	}()

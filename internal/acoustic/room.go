@@ -9,17 +9,6 @@ import (
 	"mdn/internal/audio"
 )
 
-// Emission is one scheduled tone: a speaker starts playing Tone at
-// time At (seconds of experiment time).
-type Emission struct {
-	// At is the start time at the speaker, in seconds.
-	At float64
-	// Tone is the emitted tone; Tone.Amplitude is the level at 1 m.
-	Tone audio.Tone
-	// Speaker identifies the emitting speaker.
-	Speaker string
-}
-
 // Speaker is a sound emitter placed in the room. Speakers are created
 // with Room.AddSpeaker.
 type Speaker struct {
@@ -48,7 +37,7 @@ type Speaker struct {
 // Play schedules a tone to start at time at (seconds). The room keeps
 // its emission list sorted by start time as tones are scheduled —
 // usually a cheap append, since simulations schedule forward in time —
-// so neither Capture nor Emissions ever re-sorts.
+// so Capture never re-sorts.
 func (s *Speaker) Play(at float64, tone audio.Tone) {
 	r := s.room
 	r.mu.Lock()
@@ -241,8 +230,9 @@ type Room struct {
 	tm roomMetrics
 }
 
-// emission is the internal schedule record: the public Emission with
-// the speaker resolved, and its tone's table (nil past the room's cap),
+// emission is one scheduled tone: its speaker starts playing Tone at
+// At (seconds of experiment time; Tone.Amplitude is the level at 1 m),
+// with the speaker resolved and the tone's table (nil past the room's cap),
 // so Capture never does a map lookup per tone. It names the speaker
 // only through sp, which keeps the record at 56 bytes.
 type emission struct {
@@ -328,21 +318,6 @@ func (r *Room) Speaker(name string) *Speaker {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.speakers[name]
-}
-
-// Emissions returns a copy of all scheduled emissions, ordered by
-// start time (ties in a fixed total order over speaker and tone). The
-// list is maintained in that order by Play, so this is a straight
-// copy — no sort.
-func (r *Room) Emissions() []Emission {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]Emission, len(r.emissions))
-	for i := range r.emissions {
-		e := &r.emissions[i]
-		out[i] = Emission{At: e.At, Tone: e.Tone, Speaker: e.sp.Name}
-	}
-	return out
 }
 
 // Capture renders what the microphone hears over [from, to) seconds:

@@ -171,7 +171,7 @@ func TestRoomEmissionsSorted(t *testing.T) {
 	sp := r.AddSpeaker("sw", Position{1, 0, 0})
 	sp.Play(2, audio.Tone{Frequency: 500, Duration: 0.1, Amplitude: 1})
 	sp.Play(1, audio.Tone{Frequency: 600, Duration: 0.1, Amplitude: 1})
-	em := r.Emissions()
+	em := r.emissions
 	if len(em) != 2 || em[0].At != 1 || em[1].At != 2 {
 		t.Errorf("emissions = %+v", em)
 	}
@@ -221,14 +221,14 @@ func TestRoomConcurrentPlayAndCapture(t *testing.T) {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 25; i++ {
 				mic.Capture(0, 0.2)
-				r.Emissions()
+				r.EmissionCount()
 			}
 		}()
 	}
 	for i := 0; i < 6; i++ {
 		<-done
 	}
-	if len(r.Emissions()) != 200 {
-		t.Errorf("emissions = %d, want 200", len(r.Emissions()))
+	if n := r.EmissionCount(); n != 200 {
+		t.Errorf("emissions = %d, want 200", n)
 	}
 }

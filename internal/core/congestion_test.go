@@ -29,8 +29,7 @@ func newCongestionBed(t *testing.T, seed int64, withControl bool) *congestionBed
 	egress, _ := netsim.Connect(tb.sim, sw, 2, h2, 1, 1e6, 0.0001, 100)
 	sw.InstallRule(netsim.Rule{Priority: 1, Match: netsim.Match{Dst: h2.Addr}, Action: netsim.Output(2)})
 
-	voice := tb.voiceAt("s1", acoustic.Position{X: 1})
-	qm := NewQueueMonitorWithTones(sw, 2, voice, DefaultQueueFrequencies)
+	qm := tb.queueMonitor(t, sw, 2, tb.voiceAt("s1", acoustic.Position{X: 1}))
 	flow := netsim.FiveTuple{Src: h1.Addr, Dst: h2.Addr, SrcPort: 1, DstPort: 2, Proto: netsim.ProtoUDP}
 	// Offered 250 pps against ~83 pps of capacity: heavy overload.
 	src := netsim.StartPaced(tb.sim, h1, flow, 250, 1500, 0.2, 20)
@@ -83,7 +82,7 @@ func TestCongestionControllerRecoversRate(t *testing.T) {
 func TestCongestionControllerMinRateFloor(t *testing.T) {
 	bed := newCongestionBed(t, 92, true)
 	// Hammer it with synthetic congested onsets.
-	high := Detection{Frequency: 700, Amplitude: 0.01}
+	high := Detection{Frequency: bed.qm.Frequencies()[LevelHigh], Amplitude: 0.01}
 	for i := 0; i < 20; i++ {
 		bed.cc.HandleWindow(float64(i), []Detection{high})
 		bed.cc.HandleWindow(float64(i)+0.5, nil)

@@ -209,8 +209,5 @@ func (c *Controller) EnableFleet(workers int) *Fleet {
 	return f
 }
 
-// Mic returns the controller's microphone.
-func (c *Controller) Mic() *acoustic.Microphone { return c.mic }
-
 // Sim returns the controller's clock.
 func (c *Controller) Sim() *netsim.Sim { return c.sim }

@@ -87,7 +87,7 @@ func TestControllerRestart(t *testing.T) {
 func TestControllerAccessors(t *testing.T) {
 	tb := newTestbed(6)
 	ctrl := tb.controller(nil)
-	if ctrl.Mic() != tb.mic || ctrl.Sim() != tb.sim {
+	if ctrl.mic != tb.mic || ctrl.Sim() != tb.sim {
 		t.Error("accessors wrong")
 	}
 }
@@ -159,8 +159,8 @@ func TestVoicePlayMessageBypassesRateLimit(t *testing.T) {
 	if voice.Emitted != 3 {
 		t.Errorf("emitted = %d", voice.Emitted)
 	}
-	if len(tb.room.Emissions()) != 3 {
-		t.Errorf("emissions = %d", len(tb.room.Emissions()))
+	if tb.room.EmissionCount() != 3 {
+		t.Errorf("emissions = %d", tb.room.EmissionCount())
 	}
 }
 

@@ -448,7 +448,7 @@ func (m *DeviceMonitor) foldNoise(t *micTracker, v float64) {
 		t.seeded = true
 		return
 	}
-	t.ewma += noiseAlpha * (med - t.ewma)
+	t.ewma += float64(noiseAlpha * (med - t.ewma))
 }
 
 // recalibrate moves one microphone's absolute detection threshold to
@@ -457,7 +457,7 @@ func (m *DeviceMonitor) foldNoise(t *micTracker, v float64) {
 // churns. Each move is one recalibration event.
 func (m *DeviceMonitor) recalibrate(t *micTracker) {
 	base := m.ctrl.Detector.MinAmplitude
-	cand := noiseMargin * t.ewma
+	cand := float64(noiseMargin * t.ewma)
 	if cand <= base {
 		if t.floor != 0 {
 			t.floor = 0
@@ -466,7 +466,7 @@ func (m *DeviceMonitor) recalibrate(t *micTracker) {
 		}
 		return
 	}
-	if t.floor == 0 || math.Abs(cand-t.floor) > recalBand*t.floor {
+	if t.floor == 0 || math.Abs(cand-t.floor) > float64(recalBand*t.floor) {
 		t.floor = cand
 		t.recalibrations++
 		m.recalibrations++
@@ -596,7 +596,7 @@ func (m *DeviceMonitor) observeSpeaker(t *speakerTracker, from, to float64) {
 			continue // noise or leakage remnants: not this speaker
 		}
 		if a >= strongLevelRatio*lv {
-			t.level[f] = lv + noiseAlpha*(a-lv)
+			t.level[f] = lv + float64(noiseAlpha*(a-lv))
 			t.trainCount++
 			strongOrig = true
 		} else {
@@ -759,7 +759,7 @@ func (m *DeviceMonitor) probeSpeaker(t *speakerTracker, from, to float64) probeV
 	probeAmps := m.probeAmps[:len(t.freqs)]
 	commanded := 0.0
 	for i, f := range t.freqs {
-		probeAmps[i] = dsp.Goertzel(buf.Samples, f, buf.SampleRate) * scale
+		probeAmps[i] = float64(dsp.Goertzel(buf.Samples, f, buf.SampleRate) * scale)
 		commanded += probeAmps[i]
 	}
 
@@ -769,10 +769,10 @@ func (m *DeviceMonitor) probeSpeaker(t *speakerTracker, from, to float64) probeV
 		if k == 0 {
 			continue // the in-tune baseline is measured above
 		}
-		r := 1 + float64(k)*detuneStep
+		r := 1 + float64(float64(k)*detuneStep)
 		sum := 0.0
 		for _, f := range t.freqs {
-			sum += dsp.Goertzel(buf.Samples, f*r, buf.SampleRate) * scale
+			sum += float64(dsp.Goertzel(buf.Samples, f*r, buf.SampleRate) * scale)
 		}
 		if sum > bestAmp {
 			bestAmp, bestRatio = sum, r
@@ -788,7 +788,7 @@ func (m *DeviceMonitor) probeSpeaker(t *speakerTracker, from, to float64) probeV
 		// forever (or, worse, muting a merely quieter driver).
 		for i, f := range t.freqs {
 			if lv, seen := t.level[f]; seen && probeAmps[i] >= minAmp {
-				t.level[f] = lv + noiseAlpha*(probeAmps[i]-lv)
+				t.level[f] = lv + float64(noiseAlpha*(probeAmps[i]-lv))
 			}
 		}
 		return probeInTune

@@ -241,9 +241,9 @@ func TestDeviceMonitorStreamQuarantineAndRejoin(t *testing.T) {
 	if r.mon.MicsQuarantined() != 1 {
 		t.Fatalf("stream path did not quarantine m1; devices = %+v", r.mon.Snapshot())
 	}
-	onsetsAt4 := r.ctrl.Stream().Onsets
+	onsetsAt4 := r.ctrl.stream.Onsets
 	r.sim.RunUntil(5.0)
-	if got := r.ctrl.Stream().Onsets; got <= onsetsAt4 {
+	if got := r.ctrl.stream.Onsets; got <= onsetsAt4 {
 		t.Errorf("onsets stalled during quarantine: %d at t=4, %d at t=5", onsetsAt4, got)
 	}
 	r.sim.RunUntil(12)
@@ -269,7 +269,7 @@ func TestStreamKeepsHandleAcrossRekey(t *testing.T) {
 	if d := deviceByName(r.mon.Snapshot(), "s1"); d.Rekeys != 1 {
 		t.Fatalf("s1 = %+v, want one re-key", d)
 	}
-	if r.ctrl.Stream() != s {
+	if r.ctrl.stream != s {
 		t.Fatal("re-key replaced the stream handle")
 	}
 	if s.Hops != r.ctrl.Windows {

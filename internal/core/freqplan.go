@@ -87,7 +87,7 @@ func (p *FrequencyPlan) Remaining() int {
 
 // slotFreq returns the frequency of slot i.
 func (p *FrequencyPlan) slotFreq(i int) float64 {
-	return p.MinHz + float64(i)*p.Spacing
+	return p.MinHz + float64(float64(i)*p.Spacing)
 }
 
 // Allocate reserves n consecutive slots for the named device and

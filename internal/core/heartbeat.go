@@ -109,7 +109,7 @@ func (hb *Heartbeat) Start(ctrl *Controller, at float64) {
 	ctrl.SubscribeWindows(hb.HandleWindow)
 	// Check half a period after each expected beat so a beat's
 	// detection windows have closed.
-	ctrl.Sim().Every(at+hb.Period*1.5, hb.Period, func(now float64) {
+	ctrl.Sim().Every(at+float64(hb.Period*1.5), hb.Period, func(now float64) {
 		hb.check(now)
 	})
 }

@@ -200,7 +200,7 @@ func TestPortScanOutOfRangePortsPlayNothing(t *testing.T) {
 	f := netsim.FiveTuple{Src: bed.h1.Addr, Dst: bed.h2.Addr, SrcPort: 1, DstPort: 9999, Proto: netsim.ProtoTCP}
 	bed.sim.Schedule(0.1, func() { bed.h1.Send(f, 64) })
 	bed.sim.RunUntil(1)
-	if len(bed.room.Emissions()) != 0 {
+	if bed.room.EmissionCount() != 0 {
 		t.Error("out-of-range port emitted a tone")
 	}
 }

@@ -74,36 +74,16 @@ type LevelSample struct {
 	Level int
 }
 
-// DefaultQueueFrequencies are the paper's exact tones: 500, 600 and
-// 700 Hz for low, mid and high.
-var DefaultQueueFrequencies = [3]float64{500, 600, 700}
-
 // NewQueueMonitor builds a monitor for one switch output port using
 // the paper's default thresholds. The three level tones are allocated
 // from the plan with guard bands so other apps cannot collide with
-// them; use NewQueueMonitorWithTones to pin the paper's literal
-// 500/600/700 Hz.
+// them (the paper's testbed used 500, 600 and 700 Hz).
 func NewQueueMonitor(plan *FrequencyPlan, sw *netsim.Switch, port int, voice *Voice) (*QueueMonitor, error) {
 	freqs, err := plan.AllocateSpaced(sw.Name+"/queuemon", 3, DefaultStride)
 	if err != nil {
 		return nil, err
 	}
-	qm := newQueueMonitor(sw, port, voice)
-	copy(qm.freqs[:], freqs)
-	return qm, nil
-}
-
-// NewQueueMonitorWithTones builds a monitor using explicit level
-// tones (low, mid, high) — e.g. the paper's 500, 600 and 700 Hz —
-// bypassing the frequency plan.
-func NewQueueMonitorWithTones(sw *netsim.Switch, port int, voice *Voice, tones [3]float64) *QueueMonitor {
-	qm := newQueueMonitor(sw, port, voice)
-	qm.freqs = tones
-	return qm
-}
-
-func newQueueMonitor(sw *netsim.Switch, port int, voice *Voice) *QueueMonitor {
-	return &QueueMonitor{
+	qm := &QueueMonitor{
 		LowThreshold:   25,
 		HighThreshold:  75,
 		SampleInterval: 0.3,
@@ -112,6 +92,8 @@ func newQueueMonitor(sw *netsim.Switch, port int, voice *Voice) *QueueMonitor {
 		voice:          voice,
 		onset:          NewOnsetFilter(),
 	}
+	copy(qm.freqs[:], freqs)
+	return qm, nil
 }
 
 // Frequencies returns the three level tones (low, mid, high).

@@ -28,8 +28,7 @@ func newQMBed(t *testing.T, seed int64, egressBps float64, queueCap int) *qmBed 
 	netsim.Connect(tb.sim, sw, 2, h2, 1, egressBps, 0.0001, queueCap)
 	sw.InstallRule(netsim.Rule{Priority: 1, Match: netsim.Match{Dst: h2.Addr}, Action: netsim.Output(2)})
 
-	voice := tb.voiceAt("s1", acoustic.Position{X: 1})
-	qm := NewQueueMonitorWithTones(sw, 2, voice, DefaultQueueFrequencies)
+	qm := tb.queueMonitor(t, sw, 2, tb.voiceAt("s1", acoustic.Position{X: 1}))
 	ctrl := tb.controller(qm.Frequencies())
 	ctrl.SubscribeWindows(qm.HandleWindow)
 	qm.StartSwitchSide(tb.sim, 0.05)
@@ -37,30 +36,41 @@ func newQMBed(t *testing.T, seed int64, egressBps float64, queueCap int) *qmBed 
 	return &qmBed{testbed: tb, h1: h1, h2: h2, sw: sw, qm: qm, ctrl: ctrl}
 }
 
+// queueMonitor builds a monitor of sw's port whose level tones come
+// from the testbed's frequency plan.
+func (tb *testbed) queueMonitor(t *testing.T, sw *netsim.Switch, port int, voice *Voice) *QueueMonitor {
+	t.Helper()
+	qm, err := NewQueueMonitor(tb.plan, sw, port, voice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return qm
+}
+
 func TestQueueMonitorLevelOf(t *testing.T) {
 	tb := newTestbed(40)
 	voice := tb.voiceAt("s1", acoustic.Position{X: 1})
 	sw := netsim.NewSwitch(tb.sim, "s1")
-	qm := NewQueueMonitorWithTones(sw, 1, voice, DefaultQueueFrequencies)
+	qm := tb.queueMonitor(t, sw, 1, voice)
 	cases := map[int]int{0: LevelLow, 24: LevelLow, 25: LevelMid, 75: LevelMid, 76: LevelHigh, 500: LevelHigh}
 	for qlen, want := range cases {
 		if got := qm.LevelOf(qlen); got != want {
 			t.Errorf("LevelOf(%d) = %s, want %s", qlen, LevelName(got), LevelName(want))
 		}
 	}
-	if qm.LevelFor(500) != LevelLow || qm.LevelFor(600) != LevelMid || qm.LevelFor(700) != LevelHigh {
+	f := qm.Frequencies()
+	if qm.LevelFor(f[0]) != LevelLow || qm.LevelFor(f[1]) != LevelMid || qm.LevelFor(f[2]) != LevelHigh {
 		t.Error("LevelFor mapping wrong")
 	}
-	if qm.LevelFor(999) != -1 {
+	if qm.LevelFor(f[0]+DefaultSpacing) != -1 {
 		t.Error("unknown frequency should map to -1")
 	}
 }
 
 func TestQueueMonitorLevelOfBoundaries(t *testing.T) {
-	// The paper's Section 6 spec: <25 packets plays 500 Hz (low),
-	// 25–75 plays 600 Hz (mid), >75 plays 700 Hz (high). Both
-	// boundaries are pinned exactly, for the defaults and for custom
-	// thresholds.
+	// The paper's Section 6 spec: <25 packets plays the low tone,
+	// 25–75 the mid tone, >75 the high tone. Both boundaries are
+	// pinned exactly, for the defaults and for custom thresholds.
 	tb := newTestbed(46)
 	voice := tb.voiceAt("s1", acoustic.Position{X: 1})
 	sw := netsim.NewSwitch(tb.sim, "s1")
@@ -80,7 +90,10 @@ func TestQueueMonitorLevelOfBoundaries(t *testing.T) {
 		{"custom above high boundary", 10, 20, 21, LevelHigh},
 	}
 	for _, tc := range cases {
-		qm := NewQueueMonitorWithTones(sw, 1, voice, DefaultQueueFrequencies)
+		qm, err := NewQueueMonitor(DefaultPlan(), sw, 1, voice)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if tc.low != 0 {
 			qm.LowThreshold = tc.low
 			qm.HighThreshold = tc.high
@@ -180,18 +193,28 @@ func TestLoadBalancerSplitsOnCongestionTone(t *testing.T) {
 	// tones, controller hears "high", installs the split Flow-MOD,
 	// and the post-split upper-path queue stabilises.
 	tb := newTestbed(44)
-	// Rhombus with fast host links and 1 Mbps core links, so the
-	// ramp congests s1's core-facing queue.
-	r := netsim.NewRhombusLinks(tb.sim,
-		netsim.LinkSpec{RateBps: 1e7, Latency: 0.0001, QueueCap: 400},
-		netsim.LinkSpec{RateBps: 1e6, Latency: 0.0001, QueueCap: 400})
-	voice := tb.voiceAt("s1", acoustic.Position{X: 1})
-	qm := NewQueueMonitorWithTones(r.S1, 2, voice, DefaultQueueFrequencies)
-	ch := openflow.NewChannel(tb.sim, r.S1, 0.005)
+	// The diamond h1 — s1 — {s2 upper, s3 lower} — s4 — h2, with
+	// 10 Mbps host links and 1 Mbps core links, so the ramp congests
+	// s1's core-facing queue. Traffic to h2 takes the upper path.
+	h1 := netsim.NewHost(tb.sim, "h1", netsim.MustAddr("10.0.0.1"))
+	h2 := netsim.NewHost(tb.sim, "h2", netsim.MustAddr("10.0.0.2"))
+	s1, s2, s3, s4 := netsim.NewSwitch(tb.sim, "s1"), netsim.NewSwitch(tb.sim, "s2"), netsim.NewSwitch(tb.sim, "s3"), netsim.NewSwitch(tb.sim, "s4")
+	netsim.Connect(tb.sim, h1, 1, s1, 1, 1e7, 0.0001, 400)
+	netsim.Connect(tb.sim, s1, 2, s2, 1, 1e6, 0.0001, 400)
+	netsim.Connect(tb.sim, s1, 3, s3, 1, 1e6, 0.0001, 400)
+	netsim.Connect(tb.sim, s2, 2, s4, 1, 1e6, 0.0001, 400)
+	netsim.Connect(tb.sim, s3, 2, s4, 2, 1e6, 0.0001, 400)
+	netsim.Connect(tb.sim, s4, 3, h2, 1, 1e7, 0.0001, 400)
+	for _, s := range []*netsim.Switch{s1, s2, s3} {
+		s.InstallRule(netsim.Rule{Priority: 1, Match: netsim.Match{Dst: h2.Addr}, Action: netsim.Output(2)})
+	}
+	s4.InstallRule(netsim.Rule{Priority: 1, Match: netsim.Match{Dst: h2.Addr}, Action: netsim.Output(3)})
+	qm := tb.queueMonitor(t, s1, 2, tb.voiceAt("s1", acoustic.Position{X: 1}))
+	ch := openflow.NewChannel(tb.sim, s1, 0.005)
 	lb := NewLoadBalancer(qm, ch, openflow.FlowMod{
 		Command:  openflow.FlowAdd,
 		Priority: 10,
-		Match:    netsim.Match{Dst: r.H2.Addr},
+		Match:    netsim.Match{Dst: h2.Addr},
 		Action:   netsim.Split(2, 3),
 	})
 	ctrl := tb.controller(qm.Frequencies())
@@ -200,16 +223,16 @@ func TestLoadBalancerSplitsOnCongestionTone(t *testing.T) {
 	qm.StartSwitchSide(tb.sim, 0.05)
 	ctrl.Start(0)
 
-	f := netsim.FiveTuple{Src: r.H1.Addr, Dst: r.H2.Addr, SrcPort: 1, DstPort: 2, Proto: netsim.ProtoUDP}
+	f := netsim.FiveTuple{Src: h1.Addr, Dst: h2.Addr, SrcPort: 1, DstPort: 2, Proto: netsim.ProtoUDP}
 	// Offered load ramps to ~1.8x one link's capacity: one path
 	// congests, two paths suffice.
-	netsim.StartRamp(tb.sim, r.H1, f, 40, 150, 1500, 0.2, 10)
+	netsim.StartRamp(tb.sim, h1, f, 40, 150, 1500, 0.2, 10)
 	tb.sim.RunUntil(10)
 
 	if !lb.Triggered {
 		t.Fatalf("congestion tone never acted on; heard levels %v", qm.HeardLevels())
 	}
-	if r.S3.RxPackets == 0 {
+	if s3.RxPackets == 0 {
 		t.Fatal("lower path still unused after split")
 	}
 	// After the split the upper queue must come back below the high

@@ -96,10 +96,6 @@ func (c *Controller) StartStream(at, hop float64) *StreamController {
 	return s
 }
 
-// Stream returns the controller's streaming pipeline, or nil when the
-// controller is on the batch path.
-func (c *Controller) Stream() *StreamController { return c.stream }
-
 // CheckStreamHop reports whether hop is a valid streaming hop for the
 // given analysis window and sample rate: positive, a whole number of
 // samples, and an exact subdivision of the window. Configuration
@@ -112,7 +108,7 @@ func CheckStreamHop(window, sampleRate, hop float64) error {
 	windowN := int(math.Round(window * sampleRate))
 	hopN := int(math.Round(hop * sampleRate))
 	if hopN <= 0 || windowN <= 0 || windowN%hopN != 0 ||
-		math.Abs(float64(hopN)-hop*sampleRate) > 1e-6 {
+		math.Abs(float64(hopN)-float64(hop*sampleRate)) > 1e-6 {
 		return fmt.Errorf(
 			"core: stream hop %g s is not an integer-sample divisor of window %g s at %g Hz",
 			hop, window, sampleRate)

@@ -225,13 +225,13 @@ func TestStreamStopHalts(t *testing.T) {
 	tb := newTestbed(19)
 	ctrl := tb.controller([]float64{1000})
 	s := ctrl.StartStream(0, 0.010)
-	if ctrl.Stream() != s {
+	if ctrl.stream != s {
 		t.Fatal("Stream() does not return the running pipeline")
 	}
 	tb.sim.RunUntil(0.2)
 	hops := s.Hops
 	ctrl.Stop()
-	if ctrl.Stream() != nil {
+	if ctrl.stream != nil {
 		t.Error("Stop left the stream attached")
 	}
 	tb.sim.RunUntil(0.5)

@@ -102,8 +102,8 @@ func TestSuperspreaderIgnoresOtherSources(t *testing.T) {
 		}
 	})
 	bed.sim.RunUntil(4)
-	if len(bed.room.Emissions()) != 0 {
-		t.Errorf("unwatched source emitted %d tones", len(bed.room.Emissions()))
+	if bed.room.EmissionCount() != 0 {
+		t.Errorf("unwatched source emitted %d tones", bed.room.EmissionCount())
 	}
 }
 

@@ -33,32 +33,6 @@ func NextPowerOfTwo(n int) int {
 	return p
 }
 
-// FFT computes the in-place decimation-in-time radix-2 fast Fourier
-// transform of x. len(x) must be a power of two; FFT panics otherwise,
-// because a wrong length is a programming error, not an input error.
-//
-// The transform follows the usual engineering convention:
-//
-//	X[k] = sum_n x[n] * exp(-2*pi*i*n*k/N)
-//
-// It runs on the cached FFTPlan for len(x); callers in a hot loop can
-// hold the plan themselves (PlanFFT) to skip the cache lookup.
-func FFT(x []complex128) {
-	if len(x) == 0 {
-		return
-	}
-	PlanFFT(len(x)).Transform(x)
-}
-
-// IFFT computes the in-place inverse FFT of x, including the 1/N
-// normalisation, so IFFT(FFT(x)) == x up to rounding.
-func IFFT(x []complex128) {
-	if len(x) == 0 {
-		return
-	}
-	PlanFFT(len(x)).InverseTransform(x)
-}
-
 // FFTReal transforms a real-valued signal. The input is zero-padded to
 // the next power of two when necessary. It returns the full complex
 // spectrum of length NextPowerOfTwo(len(x)).
@@ -84,20 +58,6 @@ func FFTReal(x []float64) []complex128 {
 	return out
 }
 
-// Magnitudes returns |X[k]| for the first len(x)/2+1 bins (the
-// non-negative frequencies of a real signal's spectrum).
-func Magnitudes(x []complex128) []float64 {
-	if len(x) == 0 {
-		return nil
-	}
-	half := len(x)/2 + 1
-	out := make([]float64, half)
-	for i := 0; i < half; i++ {
-		out[i] = cabs(x[i])
-	}
-	return out
-}
-
 // PowerSpectrum returns |X[k]|^2 for the non-negative frequency bins.
 func PowerSpectrum(x []complex128) []float64 {
 	if len(x) == 0 {
@@ -111,10 +71,6 @@ func PowerSpectrum(x []complex128) []float64 {
 		out[i] = float64(re*re) + float64(im*im)
 	}
 	return out
-}
-
-func cabs(c complex128) float64 {
-	return math.Hypot(real(c), imag(c))
 }
 
 // BinFrequency returns the centre frequency in Hz of FFT bin k for a

@@ -49,14 +49,14 @@ func TestFFTPanicsOnNonPowerOfTwo(t *testing.T) {
 			t.Fatal("expected panic for length 3")
 		}
 	}()
-	FFT(make([]complex128, 3))
+	PlanFFT(3)
 }
 
 func TestFFTImpulse(t *testing.T) {
 	// FFT of a unit impulse is all ones.
 	x := make([]complex128, 16)
 	x[0] = 1
-	FFT(x)
+	PlanFFT(len(x)).Transform(x)
 	for k, v := range x {
 		if !almostEqual(real(v), 1, 1e-12) || !almostEqual(imag(v), 0, 1e-12) {
 			t.Errorf("bin %d = %v, want 1", k, v)
@@ -71,7 +71,7 @@ func TestFFTConstant(t *testing.T) {
 	for i := range x {
 		x[i] = 2.5
 	}
-	FFT(x)
+	PlanFFT(len(x)).Transform(x)
 	if !almostEqual(real(x[0]), 2.5*float64(n), 1e-9) {
 		t.Errorf("bin 0 = %v, want %v", x[0], 2.5*float64(n))
 	}
@@ -90,7 +90,7 @@ func TestFFTSingleTone(t *testing.T) {
 	for i := range x {
 		x[i] = complex(math.Cos(2*math.Pi*float64(k)*float64(i)/float64(n)), 0)
 	}
-	FFT(x)
+	PlanFFT(len(x)).Transform(x)
 	want := float64(n) / 2
 	if got := cmplx.Abs(x[k]); !almostEqual(got, want, 1e-6) {
 		t.Errorf("bin %d magnitude = %g, want %g", k, got, want)
@@ -117,8 +117,8 @@ func TestIFFTInvertsFFT(t *testing.T) {
 			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 			orig[i] = x[i]
 		}
-		FFT(x)
-		IFFT(x)
+		PlanFFT(len(x)).Transform(x)
+		PlanFFT(len(x)).InverseTransform(x)
 		for i := range x {
 			if cmplx.Abs(x[i]-orig[i]) > 1e-9 {
 				t.Fatalf("n=%d sample %d: got %v want %v", n, i, x[i], orig[i])
@@ -146,9 +146,9 @@ func TestFFTLinearityProperty(t *testing.T) {
 			y[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 			sum[i] = complex(a, 0)*x[i] + complex(b, 0)*y[i]
 		}
-		FFT(x)
-		FFT(y)
-		FFT(sum)
+		PlanFFT(len(x)).Transform(x)
+		PlanFFT(len(y)).Transform(y)
+		PlanFFT(len(sum)).Transform(sum)
 		for i := 0; i < n; i++ {
 			want := complex(a, 0)*x[i] + complex(b, 0)*y[i]
 			if cmplx.Abs(sum[i]-want) > 1e-6*(1+cmplx.Abs(want)) {
@@ -173,7 +173,7 @@ func TestFFTParsevalProperty(t *testing.T) {
 			x[i] = complex(rng.NormFloat64(), 0)
 			timeEnergy += real(x[i]) * real(x[i])
 		}
-		FFT(x)
+		PlanFFT(len(x)).Transform(x)
 		var freqEnergy float64
 		for _, v := range x {
 			freqEnergy += real(v)*real(v) + imag(v)*imag(v)
@@ -200,18 +200,21 @@ func TestFFTRealPadsToPowerOfTwo(t *testing.T) {
 
 func TestMagnitudesAndPowerSpectrum(t *testing.T) {
 	x := []complex128{3 + 4i, 0, 1i, 2}
-	mags := Magnitudes(x)
-	if len(mags) != 3 {
-		t.Fatalf("len(mags) = %d, want 3", len(mags))
+	mags := MagnitudesInto(nil, x)
+	if len(mags) != 4 {
+		t.Fatalf("len(mags) = %d, want 4", len(mags))
 	}
 	if !almostEqual(mags[0], 5, 1e-12) {
 		t.Errorf("mags[0] = %g, want 5", mags[0])
 	}
 	pow := PowerSpectrum(x)
+	if len(pow) != 3 {
+		t.Fatalf("len(pow) = %d, want 3", len(pow))
+	}
 	if !almostEqual(pow[0], 25, 1e-12) {
 		t.Errorf("pow[0] = %g, want 25", pow[0])
 	}
-	if Magnitudes(nil) != nil || PowerSpectrum(nil) != nil {
+	if PowerSpectrum(nil) != nil {
 		t.Error("empty input should yield nil")
 	}
 }
@@ -238,13 +241,20 @@ func TestBinFrequencyRoundTrip(t *testing.T) {
 }
 
 func TestFFTZeroAndOneLength(t *testing.T) {
-	FFT(nil) // must not panic
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("PlanFFT(0) should panic")
+			}
+		}()
+		PlanFFT(0)
+	}()
 	one := []complex128{5 + 2i}
-	FFT(one)
+	PlanFFT(len(one)).Transform(one)
 	if one[0] != 5+2i {
 		t.Errorf("FFT of singleton changed value: %v", one[0])
 	}
-	IFFT(one)
+	PlanFFT(len(one)).InverseTransform(one)
 	if cmplx.Abs(one[0]-(5+2i)) > 1e-12 {
 		t.Errorf("IFFT of singleton changed value: %v", one[0])
 	}
@@ -257,11 +267,12 @@ func BenchmarkFFT2048(b *testing.B) {
 		x[i] = complex(rng.NormFloat64(), 0)
 	}
 	work := make([]complex128, len(x))
+	p := PlanFFT(len(x))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(work, x)
-		FFT(work)
+		p.Transform(work)
 	}
 }
 
@@ -281,11 +292,12 @@ func BenchmarkGoertzelVsFFT(b *testing.B) {
 	b.Run("fft-full", func(b *testing.B) {
 		b.ReportAllocs()
 		buf := make([]complex128, n)
+		p := PlanFFT(n)
 		for i := 0; i < b.N; i++ {
 			for j, v := range samples {
 				buf[j] = complex(v, 0)
 			}
-			FFT(buf)
+			p.Transform(buf)
 		}
 	})
 	// The planned bank over one 50 ms window, through each kernel the

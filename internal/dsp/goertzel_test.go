@@ -25,7 +25,7 @@ func TestGoertzelMatchesFFTBin(t *testing.T) {
 
 	g := Goertzel(x, freq, sampleRate)
 	spec := FFTReal(x)
-	fftMag := Magnitudes(spec)[k]
+	fftMag := MagnitudesInto(nil, spec)[k]
 	if math.Abs(g-fftMag) > 1e-6*fftMag {
 		t.Errorf("Goertzel = %g, FFT bin = %g", g, fftMag)
 	}

@@ -193,7 +193,7 @@ func TestWindowedPowerAtMatchesSpectrum(t *testing.T) {
 			}
 			x := randomReal(m, int64(n*31+m))
 			for _, win := range []Window{Rectangular, Hann, Hamming, Blackman} {
-				pow = p.WindowedPowerAtScratch(pow, x, win, bins, &s)
+				pow = p.powerAt(pow, x, win.coefficients(len(x)), bins, &s)
 				full = p.windowedInto(full, x, win, true, &s)
 				mags = p.WindowedSpectrumScratch(mags, x, win, &s)
 				if len(pow) != len(bins) {
@@ -209,20 +209,6 @@ func TestWindowedPowerAtMatchesSpectrum(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestWindowedPowerAtRejectsOutOfRangeBins(t *testing.T) {
-	p := PlanFFT(8)
-	for _, k := range []int{-1, 5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("bin %d: want panic", k)
-				}
-			}()
-			p.WindowedPowerAtScratch(nil, randomReal(8, 1), Hann, []int{k}, &FFTScratch{})
-		}()
 	}
 }
 
@@ -242,7 +228,7 @@ func requireEqualComplex(t *testing.T, name string, got, want []complex128) {
 // or passAVX2 on amd64 CPUs that have them) to the portable passGo under
 // math.Float64bits, through every entry point that runs the forward
 // kernel: Transform and InverseTransform on complex inputs, and
-// RealSpectrumInto and WindowedPowerAtScratch (every bin, all four
+// RealSpectrumInto and powerAt (every bin, all four
 // windows) on real inputs of length 0, 1, 3, N/2±1, 2204, 2205 and N.
 // It also holds the packing pass, which runs the size-2 stage, to
 // packing into bit-reversed slots followed by the whole kernel, as it
@@ -313,8 +299,8 @@ func TestFFTKernelsBitIdentical(t *testing.T) {
 						requireSameBits(t, fmt.Sprintf("packedSpectrum n=%d m=%d %v %s", n, m, win, name),
 							p.packedSpectrum(r, coef, &s), p.unfusedPacked(r, coef))
 					}
-					requireKernelsAgree(t, fmt.Sprintf("WindowedPowerAtScratch n=%d m=%d %v %s", n, m, win, name), func() []complex128 {
-						pow := p.WindowedPowerAtScratch(nil, r, win, bins, &s)
+					requireKernelsAgree(t, fmt.Sprintf("powerAt n=%d m=%d %v %s", n, m, win, name), func() []complex128 {
+						pow := p.powerAt(nil, r, win.coefficients(len(r)), bins, &s)
 						c := make([]complex128, len(pow))
 						for i, v := range pow {
 							c[i] = complex(v, 0)
@@ -329,7 +315,7 @@ func TestFFTKernelsBitIdentical(t *testing.T) {
 
 // TestPeakAmplitudesBitIdentical holds the power tail to split, |X|²
 // and the scalar amplitude formula bit for bit: PeakAmplitudesScratch
-// against the formula over WindowedPowerAtScratch's powers, and the
+// against the formula over powerAt's powers, and the
 // vector kernel peakAVX512 (where the CPU has AVX-512) against peakGo
 // over the same packed spectrum. Runs are 0 to 9 bins long, at every
 // offset of a vector, next to bins 0 and N/2 and on them (where the
@@ -368,8 +354,8 @@ func TestPeakAmplitudesBitIdentical(t *testing.T) {
 					den := float64(m) * win.Gain(m)
 					for _, r := range []*BinRuns{&runs, &interior} {
 						got := p.PeakAmplitudesScratch(nil, x, win, r, &s)
-						want := make([]float64, r.Len())
-						peakGo(want, p.WindowedPowerAtScratch(nil, x, win, r.bins, &s), r.end, den)
+						want := make([]float64, len(r.end))
+						peakGo(want, p.powerAt(nil, x, win.coefficients(len(x)), r.bins, &s), r.end, den)
 						requireSameFloats(t, "PeakAmplitudesScratch "+name, got, want)
 					}
 					if useAVX512 && n >= 4 {
@@ -379,7 +365,7 @@ func TestPeakAmplitudesBitIdentical(t *testing.T) {
 								z[i] = complex(math.NaN(), imag(z[i]))
 							}
 						}
-						got, want := make([]float64, interior.Len()), make([]float64, interior.Len())
+						got, want := make([]float64, len(interior.end)), make([]float64, len(interior.end))
 						peakAVX512(got, z, p.twiddle, interior.bins, interior.end, den)
 						peakGo(want, p.powerAtPacked(nil, z, interior.bins), interior.end, den)
 						requireSameFloats(t, "peakAVX512 "+name, got, want)
@@ -539,7 +525,7 @@ func BenchmarkFFTKernels(b *testing.B) {
 		runs.Add(k-1, k+2)
 	}
 	var s FFTScratch
-	dst := make([]float64, runs.Len())
+	dst := make([]float64, len(runs.end))
 	den := float64(len(x)) * Hann.Gain(len(x))
 	spec := p.packedSpectrum(x, coef, &s)
 	z = append(z[:0], spec...)

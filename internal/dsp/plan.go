@@ -304,25 +304,14 @@ func (p *FFTPlan) realSpectrumWindowed(dst []complex128, x []float64, coef []flo
 	return dst
 }
 
-// WindowedPowerAtScratch is WindowedPowerSpectrumInto evaluated only
-// at the given bins: dst[i] = |X[bins[i]]|², equal to the power
-// spectrum's value there. The transform is still the full one; what it
-// skips is the split and |X|² of every bin nobody reads, which is most
-// of them for a detector watching a few hundred bins of 2049. Bins may
-// repeat and come in any order; each must lie in [0, p.N/2]. dst is
-// reused when it has capacity, and s is the caller-owned workspace.
-func (p *FFTPlan) WindowedPowerAtScratch(dst []float64, x []float64, win Window, bins []int, s *FFTScratch) []float64 {
-	h := p.N / 2
-	for _, k := range bins {
-		if k < 0 || k > h {
-			panic(fmt.Sprintf("dsp: bin %d outside [0, %d]", k, h))
-		}
-	}
-	return p.powerAt(dst, x, win.coefficients(len(x)), bins, s)
-}
-
-// powerAt is WindowedPowerAtScratch with the window's coefficients
-// given and the bins already validated.
+// powerAt is WindowedPowerSpectrumInto evaluated only at the given
+// bins: dst[i] = |X[bins[i]]|², equal to the power spectrum's value
+// there, with the window's coefficients given. The transform is still
+// the full one; what it skips is the split and |X|² of every bin nobody
+// reads, which is most of them for a detector watching a few hundred
+// bins of 2049. Bins may repeat and come in any order; each must lie in
+// [0, p.N/2] (BinRuns.Add checks). dst is reused when it has capacity,
+// and s is the caller-owned workspace.
 func (p *FFTPlan) powerAt(dst []float64, x []float64, coef []float64, bins []int, s *FFTScratch) []float64 {
 	if p.N == 1 {
 		dst = growFloat(dst, len(bins))
@@ -395,16 +384,13 @@ func (r *BinRuns) Add(lo, hi int) {
 	r.end = append(r.end, len(r.bins))
 }
 
-// Len returns the number of runs.
-func (r *BinRuns) Len() int { return len(r.end) }
-
 // PeakAmplitudesScratch estimates, for each run of bins, the amplitude
 // of a sinusoid spanning all of x from the peak power of the windowed
 // spectrum over the run: dst[i] = 2·√best / (len(x)·win.Gain(len(x))),
 // where best is the largest |X[k]|² of run i, or 0. That is the
 // amplitude a full-window tone of the run's frequency reads at, since
 // its bin magnitude is A·n·gain/2. Every value equals the same formula
-// over WindowedPowerAtScratch's powers, bit for bit. On amd64 CPUs
+// over powerAt's powers, bit for bit. On amd64 CPUs
 // with AVX-512, runs that keep off bins 0 and N/2 run in peakAVX512. r
 // must have been built for p.N; dst is reused when it has capacity,
 // and s is the caller-owned workspace.
@@ -652,9 +638,9 @@ func (p *FFTPlan) windowedInto(dst []float64, x []float64, win Window, power boo
 }
 
 // MagnitudesInto writes |spec[k]| element-wise into dst, reusing its
-// capacity, and returns the result. Unlike Magnitudes it does not
-// halve the length: pass a half spectrum (e.g. from RealSpectrumInto)
-// to get the non-negative frequency bins.
+// capacity, and returns the result. It does not halve the length:
+// pass a half spectrum (e.g. from RealSpectrumInto) to get the
+// non-negative frequency bins.
 func MagnitudesInto(dst []float64, spec []complex128) []float64 {
 	dst = growFloat(dst, len(spec))
 	magnitudesInto(dst, spec)

@@ -2,6 +2,7 @@ package dsp
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"sync"
 	"testing"
@@ -65,7 +66,7 @@ func TestPlanMatchesNaiveDFT(t *testing.T) {
 		copy(got, ref)
 		p.Transform(got)
 		for k := range want {
-			if d := cabs(got[k] - want[k]); d > tol {
+			if d := cmplx.Abs(got[k] - want[k]); d > tol {
 				t.Fatalf("n=%d Transform bin %d: |Δ| = %g > %g", n, k, d, tol)
 			}
 		}
@@ -76,7 +77,7 @@ func TestPlanMatchesNaiveDFT(t *testing.T) {
 			t.Fatalf("n=%d RealSpectrumInto length %d, want %d", n, len(spec), padded/2+1)
 		}
 		for k := range spec {
-			if d := cabs(spec[k] - want[k]); d > tol {
+			if d := cmplx.Abs(spec[k] - want[k]); d > tol {
 				t.Fatalf("n=%d RealSpectrumInto bin %d: |Δ| = %g > %g", n, k, d, tol)
 			}
 		}
@@ -86,7 +87,7 @@ func TestPlanMatchesNaiveDFT(t *testing.T) {
 		copy(inv, got)
 		p.InverseTransform(inv)
 		for k := range ref {
-			if d := cabs(inv[k] - ref[k]); d > tol {
+			if d := cmplx.Abs(inv[k] - ref[k]); d > tol {
 				t.Fatalf("n=%d InverseTransform sample %d: |Δ| = %g > %g", n, k, d, tol)
 			}
 		}

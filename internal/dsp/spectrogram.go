@@ -99,37 +99,6 @@ func STFTParallel(x []float64, sampleRate float64, fftSize, hopSize int, win Win
 	return sg
 }
 
-// STFTFrames streams the windowed power spectrum of each frame to fn
-// without materialising a Spectrogram: the power slice is pooled plan
-// scratch reused between frames (valid only during the callback), so
-// steady-state frames are allocation-free. Frame i starts at sample
-// i*hopSize (time start seconds); the slice holds fftSize/2+1 bins of
-// the NextPowerOfTwo(fftSize) transform. It reports the number of
-// frames processed.
-func STFTFrames(x []float64, sampleRate float64, fftSize, hopSize int, win Window, fn func(frame int, start float64, power []float64)) int {
-	if len(x) == 0 || fftSize <= 0 || hopSize <= 0 {
-		return 0
-	}
-	fftSize = NextPowerOfTwo(fftSize)
-	p := PlanFFT(fftSize)
-	coef := win.coefficients(fftSize)
-	half := fftSize/2 + 1
-	s := p.getScratch()
-	nFrames := 0
-	for start := 0; start < len(x); start += hopSize {
-		end := start + fftSize
-		if end > len(x) {
-			end = len(x)
-		}
-		s.spec = p.realSpectrumWindowed(s.spec[:0], x[start:end], coef, s)
-		powerInto(s.vals[:half], s.spec)
-		fn(nFrames, float64(start)/sampleRate, s.vals[:half])
-		nFrames++
-	}
-	p.scratch.Put(s)
-	return nFrames
-}
-
 // NumFrames returns the number of analysis frames.
 func (s *Spectrogram) NumFrames() int { return len(s.Power) }
 

@@ -104,11 +104,11 @@ func TestHannReducesLeakage(t *testing.T) {
 
 	rect := make([]float64, n)
 	copy(rect, raw)
-	rectSpec := Magnitudes(FFTReal(Rectangular.Apply(rect)))
+	rectSpec := MagnitudesInto(nil, FFTReal(Rectangular.Apply(rect)))
 
 	hann := make([]float64, n)
 	copy(hann, raw)
-	hannSpec := Magnitudes(FFTReal(Hann.Apply(hann)))
+	hannSpec := MagnitudesInto(nil, FFTReal(Hann.Apply(hann)))
 
 	farBin := 130
 	if hannSpec[farBin] >= rectSpec[farBin] {

@@ -29,7 +29,7 @@ func Sec3Spacing() *Result {
 	for _, spacing := range spacings {
 		correct := 0
 		for trial := 0; trial < trials; trial++ {
-			base := 600 + rng.Float64()*2000
+			base := 600 + float64(rng.Float64()*2000)
 			watch := []float64{base, base + spacing}
 			det := core.NewDetector(core.MethodGoertzel, watch)
 
@@ -84,7 +84,7 @@ func Sec3Duration() *Result {
 	for _, dur := range durations {
 		correct := 0
 		for trial := 0; trial < trials; trial++ {
-			base := 800 + rng.Float64()*2000
+			base := 800 + float64(rng.Float64()*2000)
 			// Guard-banded neighbours, as applications allocate them.
 			watch := []float64{base - 160, base - 80, base, base + 80, base + 160}
 			det := core.NewDetector(core.MethodGoertzel, watch)
@@ -135,7 +135,7 @@ func Sec5Capacity() *Result {
 	for _, n := range counts {
 		freqs := make([]float64, n)
 		for i := range freqs {
-			freqs[i] = 300 + 20*float64(i)
+			freqs[i] = 300 + float64(20*float64(i))
 		}
 		buf := audio.NewBuffer(sampleRate, dur)
 		for _, f := range freqs {

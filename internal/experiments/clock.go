@@ -8,15 +8,3 @@ import "mdn/internal/telemetry"
 // telemetry.StepClock so the experiment's numbers (and its pass/fail
 // rows) replay exactly instead of depending on the host's load.
 var stageClock telemetry.TimeSource = telemetry.Wall()
-
-// SetStageClock overrides the compute-stage timing source and returns
-// a function restoring the previous one. Passing nil resets to wall
-// time.
-func SetStageClock(src telemetry.TimeSource) func() {
-	prev := stageClock
-	if src == nil {
-		src = telemetry.Wall()
-	}
-	stageClock = src
-	return func() { stageClock = prev }
-}

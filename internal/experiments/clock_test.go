@@ -12,10 +12,10 @@ import (
 // produces identical results run to run — the experiment's only
 // nondeterminism was the host's wall clock.
 func TestFig2bDeterministicUnderStepClock(t *testing.T) {
-	restore := SetStageClock(&telemetry.StepClock{Step: 1e-5})
+	restore := setStageClock(&telemetry.StepClock{Step: 1e-5})
 	a := Fig2b()
 	restore()
-	restore = SetStageClock(&telemetry.StepClock{Step: 1e-5})
+	restore = setStageClock(&telemetry.StepClock{Step: 1e-5})
 	b := Fig2b()
 	restore()
 	if !reflect.DeepEqual(a, b) {
@@ -39,17 +39,29 @@ func TestFig2bDeterministicUnderStepClock(t *testing.T) {
 // TestSetStageClockRestores covers the restore/reset paths.
 func TestSetStageClockRestores(t *testing.T) {
 	clock := &telemetry.StepClock{Step: 1}
-	restore := SetStageClock(clock)
+	restore := setStageClock(clock)
 	if stageClock != telemetry.TimeSource(clock) {
 		t.Error("SetStageClock did not install the clock")
 	}
-	inner := SetStageClock(nil) // nil resets to wall
+	inner := setStageClock(nil) // nil resets to wall
 	if _, ok := stageClock.(*telemetry.StepClock); ok {
-		t.Error("SetStageClock(nil) left the step clock installed")
+		t.Error("setStageClock(nil) left the step clock installed")
 	}
 	inner()
 	restore()
 	if _, ok := stageClock.(*telemetry.StepClock); ok {
 		t.Error("restore did not reinstate the original clock")
 	}
+}
+
+// setStageClock overrides the compute-stage timing source and returns
+// a function restoring the previous one. Passing nil resets to wall
+// time.
+func setStageClock(src telemetry.TimeSource) func() {
+	prev := stageClock
+	if src == nil {
+		src = telemetry.Wall()
+	}
+	stageClock = src
+	return func() { stageClock = prev }
 }

@@ -62,7 +62,7 @@ func ExtRelay() *Result {
 		}
 		ctrl.Start(0)
 		for i := 0; i < 5; i++ {
-			at := 0.5 + float64(i)*0.5
+			at := 0.5 + float64(float64(i)*0.5)
 			sim.Schedule(at, func() { srcVoice.Play(inFreq) })
 		}
 		sim.RunUntil(4)
@@ -96,7 +96,7 @@ func ExtUltrasound() *Result {
 		n = int((maxHz - minHz) / spacing)
 		freqs := make([]float64, n)
 		for i := range freqs {
-			freqs[i] = minHz + spacing*float64(i)
+			freqs[i] = minHz + float64(spacing*float64(i))
 		}
 		buf := audio.NewBuffer(sampleRate, dur)
 		for _, f := range freqs {

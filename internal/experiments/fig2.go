@@ -31,7 +31,7 @@ func Fig2a() *Result {
 	var names []string // allocation order, s1…s5: fixes the row order
 	for i := 0; i < nSwitches; i++ {
 		name := fmt.Sprintf("s%d", i+1)
-		sp := room.AddSpeaker(name, acoustic.Position{X: 0.8 + 0.4*float64(i), Y: float64(i % 2)})
+		sp := room.AddSpeaker(name, acoustic.Position{X: 0.8 + float64(0.4*float64(i)), Y: float64(i % 2)})
 		pi := mp.NewPi(sim, sp, 0.002)
 		voice := core.NewVoice(sim, mp.NewSounder(pi))
 		voice.ToneDuration = 0.2 // long tones: all five overlap fully

@@ -9,7 +9,7 @@ import (
 
 // BenchmarkModemGoodput measures delivered payload bits per simulated
 // second through the full acoustic loop, per FEC scheme, with the
-// MelodyCodec's pacing-derived rate as the baseline sub-benchmark.
+// one-tone-per-nibble rate as the baseline sub-benchmark.
 func BenchmarkModemGoodput(b *testing.B) {
 	for _, fec := range []FEC{FECNone{}, FECHamming{}, FECRS{Parity: DefaultRSParity}} {
 		b.Run(fec.Name(), func(b *testing.B) {
@@ -40,22 +40,8 @@ func BenchmarkModemGoodput(b *testing.B) {
 			b.ReportMetric(goodput, "bits/s")
 		})
 	}
-	b.Run("melody-baseline", func(b *testing.B) {
-		var bps float64
-		for i := 0; i < b.N; i++ {
-			mc, err := core.NewMelodyCodec(core.DefaultPlan(), "s1")
-			if err != nil {
-				b.Fatal(err)
-			}
-			msg := make([]byte, core.MaxMelodyBytes)
-			tones, err := mc.Encode(msg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			slot := core.VoiceMinGap + 0.01
-			bps = float64(8*len(msg)) / (float64(len(tones)) * slot)
-		}
-		b.ReportMetric(bps, "bits/s")
+	b.Run("nibble-per-tone-baseline", func(b *testing.B) {
+		b.ReportMetric(nibblePerToneBps, "bits/s")
 	})
 }
 

@@ -4,8 +4,8 @@
 // correction, in the spirit of ChirpCast (arXiv 1508.07099).
 //
 // The paper closes by observing that tone sequences can drive "any
-// finite state machine"; core.MelodyCodec is the one-symbol-per-tone
-// constructive version and tops out near 25 bit/s because every tone
+// finite state machine". One tone per nibble is the plainest
+// constructive version and tops out near 25 bit/s, because every tone
 // must respect the voice's same-frequency re-arm gap. The modem
 // instead treats the band as parallel FSK lanes on a fixed symbol
 // clock:
@@ -160,7 +160,7 @@ func NewBand(plan *core.FrequencyPlan, name string, cfg Config) (*Band, error) {
 func Plan(cfg Config) *core.FrequencyPlan {
 	cfg = cfg.withDefaults()
 	slots := (cfg.Tones()-1)*core.DefaultStride + 1
-	top := 400 + float64(slots+63)*core.DefaultSpacing // 64 spare slots
+	top := 400 + float64(float64(slots+63)*core.DefaultSpacing) // 64 spare slots
 	return core.NewFrequencyPlan(400, top, core.DefaultSpacing)
 }
 

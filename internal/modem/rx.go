@@ -160,7 +160,7 @@ func (r *Receiver) idleWindow(from float64, dets []core.Detection) {
 			r.haveSync = true
 			r.lastSync = from
 			r.syncSum[ref.bank] += d.Amplitude
-			r.syncSumT[ref.bank] += d.Amplitude * (from + r.cfg.WindowS/2)
+			r.syncSumT[ref.bank] += float64(d.Amplitude * (from + float64(r.cfg.WindowS/2)))
 		} else if r.haveSync && len(r.pendData) < cap(r.pendData) {
 			r.pendData = append(r.pendData, pendObs{from, d.Frequency, d.Amplitude})
 		}
@@ -178,7 +178,7 @@ func (r *Receiver) lock(from float64) {
 	for b := 0; b < banks; b++ {
 		if r.syncSum[b] > 0 {
 			centroid := r.syncSumT[b] / r.syncSum[b] // ≈ t0 + (b+½)T
-			t0Sum += (centroid - (float64(b)+0.5)*T) * r.syncSum[b]
+			t0Sum += float64((centroid - float64((float64(b)+0.5)*T)) * r.syncSum[b])
 			wSum += r.syncSum[b]
 		}
 	}
@@ -231,7 +231,7 @@ func (r *Receiver) vote(from float64, ref toneRef, amp float64) {
 		if e < 2 || e%banks != ref.bank || e-2 >= r.maxData {
 			continue
 		}
-		es := r.t0 + float64(e)*T
+		es := r.t0 + float64(float64(e)*T)
 		ov := math.Min(from+W, es+T) - math.Max(from, es)
 		if ov > bestOv {
 			best, bestOv = e, ov
@@ -275,7 +275,7 @@ func (r *Receiver) checkProgress(from float64) {
 	T := r.cfg.SymbolPeriod
 	if !r.hdrParsed {
 		hdrE := frameGeometry(r.cfg, 0).hdrEpochs
-		if from < r.t0+float64(2+hdrE)*T {
+		if from < r.t0+float64(float64(2+hdrE)*T) {
 			return
 		}
 		if !r.parseHeaderVotes() {
@@ -284,7 +284,7 @@ func (r *Receiver) checkProgress(from float64) {
 			return
 		}
 	}
-	if from >= r.t0+float64(r.geo.totalEpochs)*T {
+	if from >= r.t0+float64(float64(r.geo.totalEpochs)*T) {
 		r.finish(from)
 	}
 }
@@ -376,7 +376,7 @@ func (r *Receiver) resetAndReplay() {
 		r.haveSync = true
 		r.lastSync = p.from
 		r.syncSum[ref.bank] += p.amp
-		r.syncSumT[ref.bank] += p.amp * (p.from + r.cfg.WindowS/2)
+		r.syncSumT[ref.bank] += float64(p.amp * (p.from + float64(r.cfg.WindowS/2)))
 	}
 }
 

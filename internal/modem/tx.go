@@ -115,14 +115,14 @@ func (t *Transmitter) Send(at float64, payload []byte) (float64, error) {
 	// one pilot to a wire fault still locks the clock: the receiver
 	// combines whichever pilots it heard.
 	for bank := 0; bank < banks; bank++ {
-		t.scheduleTone(at+float64(bank)*T, t.band.SyncTone(bank), T)
+		t.scheduleTone(at+float64(float64(bank)*T), t.band.SyncTone(bank), T)
 	}
 
 	// Data epochs: Lanes nibbles per epoch. The body starts on a fresh
 	// epoch boundary (the header's last epoch is zero-padded), so both
 	// ends compute nibble positions from the same geometry.
 	for e := 2; e < g.totalEpochs; e++ {
-		start := at + float64(e)*T
+		start := at + float64(float64(e)*T)
 		for lane := 0; lane < cfg.Lanes; lane++ {
 			var val int
 			body := false
@@ -149,7 +149,7 @@ func (t *Transmitter) Send(at float64, payload []byte) (float64, error) {
 
 	t.FramesTx++
 	t.BitsTx += 8 * uint64(len(payload))
-	return at + float64(g.totalEpochs)*T, nil
+	return at + float64(float64(g.totalEpochs)*T), nil
 }
 
 // tone is one scheduled emission. Records are pooled per transmitter

@@ -162,39 +162,3 @@ func nan() float64 {
 	var zero float64
 	return zero / zero
 }
-
-func TestNetworkSounderFaultInjection(t *testing.T) {
-	sim := netsim.NewSim()
-	room := acoustic.NewRoom(44100, 1)
-	spk := room.AddSpeaker("pi", acoustic.Position{X: 1})
-	pi := NewPi(sim, spk, 0)
-
-	sw := netsim.NewSwitch(sim, "s1")
-	host := netsim.NewHost(sim, "pi-host", netsim.MustAddr("10.0.0.99"))
-	swPort, _ := netsim.Connect(sim, sw, 1, host, 0, 100e6, 0.0001, 0)
-	AttachPi(host, pi)
-
-	ns := NewNetworkSounder(sim, swPort, netsim.FiveTuple{Proto: netsim.ProtoUDP})
-	ns.InjectFaults(netsim.Faults{DropProb: 0.3, FlipProb: 0.4, JitterMax: 0.005, Seed: 9})
-	const sends = 300
-	for i := 0; i < sends; i++ {
-		at := float64(i) * 0.001
-		sim.Schedule(at, func() {
-			ns.Emit(Message{Frequency: 600, Duration: 0.05, Intensity: 55})
-		})
-	}
-	sim.RunUntil(5)
-	if ns.Dropped == 0 {
-		t.Error("drops not exercised")
-	}
-	if pi.Played == 0 {
-		t.Error("no packet survived the faulty link")
-	}
-	if pi.Rejected == 0 {
-		t.Error("corrupted payloads never reached the Pi decoder")
-	}
-	if got := ns.Dropped + pi.Played + pi.Rejected; got != sends {
-		t.Errorf("accounting: %d dropped + %d played + %d rejected = %d, want %d",
-			ns.Dropped, pi.Played, pi.Rejected, got, sends)
-	}
-}

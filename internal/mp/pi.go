@@ -30,13 +30,10 @@ func NewPi(sim *netsim.Sim, speaker *acoustic.Speaker, linkDelay float64) *Pi {
 	return &Pi{Speaker: speaker, LinkDelay: linkDelay, sim: sim}
 }
 
-// Handle plays one decoded message: the tone starts LinkDelay after
-// the current simulation time. Invalid messages are dropped and
-// counted, like a defensive firmware would.
-func (p *Pi) Handle(m Message) { p.HandleAfter(m, 0) }
-
-// HandleAfter is Handle with extra seconds of delay before the tone
-// starts — the hook fault injection uses for latency jitter.
+// HandleAfter plays one decoded message: the tone starts LinkDelay
+// plus extra seconds after the current simulation time (extra is the
+// hook fault injection uses for latency jitter). Invalid messages are
+// dropped and counted, like a defensive firmware would.
 func (p *Pi) HandleAfter(m Message, extra float64) {
 	if err := m.Validate(); err != nil {
 		p.Rejected++

@@ -148,12 +148,12 @@ func RunChaos(cfg ChaosConfig, reg *telemetry.Registry) (*ChaosReport, error) {
 			return nil, fmt.Errorf("scenario: chaos %s at %g s: %w", name, dur, err)
 		}
 	}
-	pts, err := sweep(cfg.Seed, cfg.Workers, len(names), len(drops), func(r, c int, seed int64) ChaosPoint {
+	pts, err := sweep(cfg.Seed, cfg.Workers, len(names), len(drops), func(r, c int, seed int64, fleet int) ChaosPoint {
 		var pt ChaosPoint
 		if names[r] == "modem" {
-			pt = chaosModem(reg, seed, drops[c], dur, cfg.StreamHop)
+			pt = chaosModem(reg, seed, drops[c], dur, cfg.StreamHop, fleet)
 		} else {
-			pt = chaosRun(chaosConfig(names[r], seed, drops[c], dur, cfg.StreamHop), reg)
+			pt = chaosRun(chaosConfig(names[r], seed, drops[c], dur, cfg.StreamHop), reg, fleet)
 		}
 		pt.Scenario = names[r]
 		pt.DropRate = drops[c]
@@ -260,10 +260,12 @@ var chaosPipelines = map[string]func(dur float64) *Config{
 			{Type: "heartbeat", Switch: "s1", PeriodS: 0.3},
 			{Type: "heartbeat", Switch: "s2", PeriodS: 0.3},
 		}
+		// float64() rounds each product before its sum, so arm64
+		// computes the same end times as amd64.
 		noiseAt, detuneAt := 0.15*dur, 0.2*dur
 		c.DeviceFaults = []DeviceFaultConfig{
-			{Kind: FaultMicNoiseRamp, Device: "m1", StartS: noiseAt, EndS: noiseAt + 0.5, Level: 0.5, ClearS: 0.5 * dur},
-			{Kind: FaultSpeakerDetune, Device: "s2", StartS: detuneAt, EndS: detuneAt + 0.5, Level: 1.04},
+			{Kind: FaultMicNoiseRamp, Device: "m1", StartS: noiseAt, EndS: float64(noiseAt) + 0.5, Level: 0.5, ClearS: 0.5 * dur},
+			{Kind: FaultSpeakerDetune, Device: "s2", StartS: detuneAt, EndS: float64(detuneAt) + 0.5, Level: 1.04},
 		}
 		return c
 	},
@@ -295,9 +297,9 @@ func chaosConfig(name string, seed int64, drop, dur, streamHop float64) *Config 
 // chaosRun measures one control pipeline. Recall is the same for every
 // pipeline: the onsets the controller confirmed over the tones the
 // switches commanded.
-func chaosRun(c *Config, reg *telemetry.Registry) ChaosPoint {
+func chaosRun(c *Config, reg *telemetry.Registry, fleet int) ChaosPoint {
 	p := &probe{onsets: core.NewOnsetFilter()}
-	w, err := build(c, reg, p)
+	w, err := build(c, reg, p, fleet)
 	var rep *Report
 	if err == nil {
 		rep, err = w.Run()

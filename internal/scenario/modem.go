@@ -16,10 +16,10 @@ import (
 // modem on it: a transmitter on s1's voice and a receiver on the
 // controller's windows, after the probe's, all instrumented into reg.
 // The modem's 130 guard-banded tones bring their own spectrum.
-func buildModem(reg *telemetry.Registry, p *probe, fec modem.FEC, seed int64, dur, streamHop float64, faults *FaultsConfig) (
+func buildModem(reg *telemetry.Registry, p *probe, fec modem.FEC, seed int64, dur, streamHop float64, faults *FaultsConfig, fleet int) (
 	*World, *modem.Transmitter, *modem.Receiver, error) {
 	w, err := build(&Config{Name: "modem", Seed: seed, DurationS: dur, Switches: []SwitchConfig{{Name: "s1", X: 1}},
-		Faults: faults, Stream: streamHop > 0, HopS: streamHop}, reg, p)
+		Faults: faults, Stream: streamHop > 0, HopS: streamHop}, reg, p, fleet)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -42,9 +42,9 @@ func buildModem(reg *telemetry.Registry, p *probe, fec modem.FEC, seed int64, du
 // hop the control pipelines use, so message drops become symbol
 // erasures and bit flips become wrong tones. Ground truth is frames
 // sent; detection is CRC-verified frames delivered.
-func chaosModem(reg *telemetry.Registry, seed int64, drop, dur, streamHop float64) ChaosPoint {
+func chaosModem(reg *telemetry.Registry, seed int64, drop, dur, streamHop float64, fleet int) ChaosPoint {
 	fec := modem.FECRS{Parity: modem.DefaultRSParity}
-	w, tx, rx, err := buildModem(reg, &probe{}, fec, seed, dur, streamHop, &FaultsConfig{DropProb: drop})
+	w, tx, rx, err := buildModem(reg, &probe{}, fec, seed, dur, streamHop, &FaultsConfig{DropProb: drop}, fleet)
 	if err != nil {
 		return ChaosPoint{Notes: "setup failed: " + err.Error()}
 	}
@@ -161,8 +161,8 @@ func RunModemSweep(cfg ModemSweepConfig, reg *telemetry.Registry) (*ModemSweepRe
 			return nil, fmt.Errorf("scenario: stream_hop: %w", err)
 		}
 	}
-	pts, err := sweep(cfg.Seed, cfg.Workers, len(fecs), len(rates), func(r, c int, seed int64) ModemSweepPoint {
-		pt := modemPoint(reg, schemes[r], rates[c], seed, cfg.StreamHop)
+	pts, err := sweep(cfg.Seed, cfg.Workers, len(fecs), len(rates), func(r, c int, seed int64, fleet int) ModemSweepPoint {
+		pt := modemPoint(reg, schemes[r], rates[c], seed, cfg.StreamHop, fleet)
 		pt.FEC = fecs[r]
 		pt.CorruptRate = rates[c]
 		return pt
@@ -176,10 +176,10 @@ func RunModemSweep(cfg ModemSweepConfig, reg *telemetry.Registry) (*ModemSweepRe
 // modemPoint measures one (FEC, corruption rate) cell on the modem
 // world with a clean wire: the corruptor attacks payload symbols at
 // schedule time.
-func modemPoint(reg *telemetry.Registry, fec modem.FEC, rate float64, seed int64, streamHop float64) ModemSweepPoint {
+func modemPoint(reg *telemetry.Registry, fec modem.FEC, rate float64, seed int64, streamHop float64, fleet int) ModemSweepPoint {
 	// The point runs until its last frame has had 0.5 s to land, a
 	// horizon the frames fix only once scheduled.
-	w, tx, rx, err := buildModem(reg, nil, fec, seed, math.Inf(1), streamHop, nil)
+	w, tx, rx, err := buildModem(reg, nil, fec, seed, math.Inf(1), streamHop, nil, fleet)
 	if err != nil {
 		return ModemSweepPoint{}
 	}

@@ -145,7 +145,7 @@ type World struct {
 // Run executes the scenario and returns its report.
 func Run(c *Config) (*Report, error) {
 	reg := telemetry.New()
-	w, err := build(c, reg, nil)
+	w, err := build(c, reg, nil, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -158,12 +158,13 @@ func Run(c *Config) (*Report, error) {
 }
 
 // Build validates c and builds its world, unmetered.
-func Build(c *Config) (*World, error) { return build(c, nil, nil) }
+func Build(c *Config) (*World, error) { return build(c, nil, nil, 0) }
 
 // build validates c and builds its world, recording telemetry into
 // reg (nil runs unmetered). A non-nil probe subscribes after every app
-// and receives the voices' emission total at the end of the run.
-func build(c *Config, reg *telemetry.Registry, probe *probe) (*World, error) {
+// and receives the voices' emission total at the end of the run. The
+// controller's fleet gets fleet workers (0 means GOMAXPROCS).
+func build(c *Config, reg *telemetry.Registry, probe *probe, fleet int) (*World, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
@@ -240,6 +241,9 @@ func build(c *Config, reg *telemetry.Registry, probe *probe) (*World, error) {
 	// each app's frequencies below. Every switch's control hop feeds
 	// the controller's health snapshot.
 	ctrl := core.NewController(sim, mic, core.NewDetector(core.MethodGoertzel, nil))
+	if fleet > 0 {
+		ctrl.EnableFleet(fleet)
+	}
 	ctrl.Instrument(reg)
 	ctrl.Retention = 2
 	room.Instrument(reg)
@@ -416,7 +420,7 @@ func build(c *Config, reg *telemetry.Registry, probe *probe) (*World, error) {
 	// recalibrate, deaf mics quarantine and rejoin, and periodically
 	// sounding speakers are fingerprinted for re-keying.
 	if len(extraMics) > 0 {
-		w.fleet = ctrl.EnableFleet(0)
+		w.fleet = ctrl.EnableFleet(fleet)
 		for _, m := range extraMics {
 			w.fleet.AddMicrophone(m)
 		}

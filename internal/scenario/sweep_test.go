@@ -2,7 +2,10 @@ package scenario
 
 import (
 	"encoding/json"
+	"runtime"
 	"testing"
+
+	"mdn/internal/parallel"
 )
 
 // TestSweepsByteIdentical is the sweeps' determinism contract, asserted
@@ -69,7 +72,7 @@ func TestSweepSeedsFollowGridPosition(t *testing.T) {
 		r, c int
 		seed int64
 	}
-	pts, err := sweep(3, 4, 2, 3, func(r, c int, seed int64) cell { return cell{r, c, seed} })
+	pts, err := sweep(3, 4, 2, 3, func(r, c int, seed int64, _ int) cell { return cell{r, c, seed} })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,6 +80,26 @@ func TestSweepSeedsFollowGridPosition(t *testing.T) {
 		r, c := i/3, i%3
 		if want := (cell{r, c, mixSeed(30000 + int64(r)*100 + int64(c))}); p != want {
 			t.Errorf("point %d = %+v, want %+v", i, p, want)
+		}
+	}
+}
+
+// TestSweepSharesProcessorsAmongPoints: a point's fleet gets the
+// processors its sibling points leave it, so the points running at once
+// never ask for more fleet workers in total than GOMAXPROCS (or one
+// each), and a serial sweep gives its one point all of them.
+func TestSweepSharesProcessorsAmongPoints(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, workers := range []int{1, 2, 4, 0} {
+		fleets, err := sweep(1, workers, 2, 3, func(_, _ int, _ int64, fleet int) int { return fleet })
+		if err != nil {
+			t.Fatal(err)
+		}
+		running := min(parallel.Workers(workers), len(fleets))
+		for i, fleet := range fleets {
+			if fleet < 1 || fleet*running > max(procs, running) || workers == 1 && fleet != procs {
+				t.Errorf("workers %d, point %d: fleet of %d workers beside %d points on %d processors", workers, i, fleet, running, procs)
+			}
 		}
 	}
 }
@@ -90,7 +113,7 @@ func TestSweepRejectsAxisOver100(t *testing.T) {
 		t.Error("101 drop rates accepted")
 	}
 	ran := false
-	if _, err := sweep(1, 1, 101, 1, func(int, int, int64) bool { ran = true; return true }); err == nil {
+	if _, err := sweep(1, 1, 101, 1, func(int, int, int64, int) bool { ran = true; return true }); err == nil {
 		t.Error("101 rows accepted")
 	}
 	if ran {

@@ -119,7 +119,7 @@ func RunTrafficSweep(cfg TrafficSweepConfig, reg *telemetry.Registry) (*TrafficS
 		errHist = reg.Histogram(core.MetricSketchError, core.SketchErrorBuckets)
 	}
 	start := time.Now()
-	pts, err := sweep(cfg.Seed, cfg.Workers, 1, len(counts), func(_, c int, seed int64) TrafficSweepPoint {
+	pts, err := sweep(cfg.Seed, cfg.Workers, 1, len(counts), func(_, c int, seed int64, _ int) TrafficSweepPoint {
 		return runTrafficPoint(counts[c], seed, errHist)
 	})
 	if err != nil {

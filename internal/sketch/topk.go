@@ -42,9 +42,6 @@ func NewTopK(k int) (*TopK, error) {
 	}, nil
 }
 
-// Len returns the number of tracked keys.
-func (t *TopK) Len() int { return len(t.entries) }
-
 // Bytes returns the tracker's footprint in bytes: the entry array plus
 // an estimate of the index map (two words per entry).
 func (t *TopK) Bytes() int { return t.k * (24 + 16) }

@@ -7,7 +7,7 @@ import (
 
 // tracked indexes the tracker's items by key.
 func tracked(tk *TopK) map[uint64]Item {
-	m := make(map[uint64]Item, tk.Len())
+	m := make(map[uint64]Item, len(tk.entries))
 	for _, it := range tk.Items() {
 		m[it.Key] = it
 	}
@@ -29,8 +29,8 @@ func TestTopKTracksExactWhenUnderCapacity(t *testing.T) {
 			t.Fatalf("key %d: %+v, %v", i, it, ok)
 		}
 	}
-	if tk.Len() != 8 {
-		t.Fatalf("under capacity Len = %d, want 8", tk.Len())
+	if len(tk.entries) != 8 {
+		t.Fatalf("under capacity Len = %d, want 8", len(tk.entries))
 	}
 }
 
@@ -104,8 +104,8 @@ func TestTopKMergeKeepsBounds(t *testing.T) {
 	if err := a.Merge(b); err != nil {
 		t.Fatal(err)
 	}
-	if a.Len() != k {
-		t.Fatalf("merged len = %d", a.Len())
+	if len(a.entries) != k {
+		t.Fatalf("merged len = %d", len(a.entries))
 	}
 	for _, it := range a.Items() {
 		truth := exact[it.Key]
