@@ -33,15 +33,16 @@ func SPLToAmplitude(db float64) float64 {
 	return math.Pow(10, (db-FullScaleSPL)/20)
 }
 
-// Position is a location in the room, in metres.
+// Position is a location on the room's floor plan, in metres: every
+// device sits at one height.
 type Position struct {
-	X, Y, Z float64
+	X, Y float64
 }
 
 // Distance returns the Euclidean distance between two positions.
 func (p Position) Distance(q Position) float64 {
-	dx, dy, dz := p.X-q.X, p.Y-q.Y, p.Z-q.Z
-	return math.Sqrt(float64(dx*dx) + float64(dy*dy) + float64(dz*dz))
+	dx, dy := p.X-q.X, p.Y-q.Y
+	return math.Sqrt(float64(dx*dx) + float64(dy*dy))
 }
 
 // minDistance clamps source-microphone distance so co-located devices

@@ -24,7 +24,7 @@ func randomScene(rng *rand.Rand, k, j int, cull float64, absorb bool) (culled, n
 	culled.AirAbsorption = absorb
 	naive.AirAbsorption = absorb
 	pos := func() Position {
-		return Position{X: rng.Float64()*10 - 5, Y: rng.Float64()*10 - 5, Z: rng.Float64() * 2}
+		return Position{X: rng.Float64()*10 - 5, Y: rng.Float64()*10 - 5}
 	}
 	for i := 0; i < k; i++ {
 		p := pos()

@@ -79,7 +79,7 @@ func TestDeviceParamRejectsBackwardSchedule(t *testing.T) {
 
 func TestMicNoiseRampRaisesCaptureFloor(t *testing.T) {
 	r := newTestRoom()
-	mic := r.AddMicrophone("ctl", Position{0, 0, 0}, 0.001)
+	mic := r.AddMicrophone("ctl", Position{0, 0}, 0.001)
 	mic.ScheduleNoiseRamp(1, 2, 0.1)
 
 	before := mic.Capture(0, 0.05).RMS()
@@ -98,8 +98,8 @@ func TestMicNoiseRampRaisesCaptureFloor(t *testing.T) {
 
 func TestMicSensitivityRampScalesTonesNotSelfNoise(t *testing.T) {
 	r := newTestRoom()
-	sp := r.AddSpeaker("sw1", Position{1, 0, 0})
-	mic := r.AddMicrophone("ctl", Position{0, 0, 0}, 0.001)
+	sp := r.AddSpeaker("sw1", Position{1, 0})
+	mic := r.AddMicrophone("ctl", Position{0, 0}, 0.001)
 	mic.ScheduleSensitivityRamp(1, 1.5, 0) // deaf from t=1.5
 
 	sp.Play(0.1, audio.Tone{Frequency: 700, Duration: 0.1, Amplitude: 0.5})
@@ -124,8 +124,8 @@ func TestMicSensitivityRampScalesTonesNotSelfNoise(t *testing.T) {
 
 func TestSpeakerDecayAndDetune(t *testing.T) {
 	r := newTestRoom()
-	sp := r.AddSpeaker("sw1", Position{1, 0, 0})
-	mic := r.AddMicrophone("ctl", Position{0, 0, 0}, 0)
+	sp := r.AddSpeaker("sw1", Position{1, 0})
+	mic := r.AddMicrophone("ctl", Position{0, 0}, 0)
 	sp.ScheduleAmplitudeDecay(1, 2, 0.5)
 	sp.ScheduleDetune(1, 2, 1.05)
 
@@ -157,8 +157,8 @@ func TestSpeakerDecayAndDetune(t *testing.T) {
 func TestDegradedCaptureDeterministic(t *testing.T) {
 	r := newTestRoom()
 	r.CullThreshold = CullAuto
-	sp := r.AddSpeaker("sw1", Position{1, 0, 0})
-	mic := r.AddMicrophone("ctl", Position{0, 0, 0}, 0.002)
+	sp := r.AddSpeaker("sw1", Position{1, 0})
+	mic := r.AddMicrophone("ctl", Position{0, 0}, 0.002)
 	mic.ScheduleNoiseRamp(0.5, 2, 0.05)
 	mic.ScheduleSensitivityRamp(0.5, 2, 0.3)
 	sp.ScheduleDetune(0.5, 2, 1.03)
@@ -179,8 +179,8 @@ func TestDegradedCaptureDeterministic(t *testing.T) {
 func TestCullFloorTracksNoiseRamp(t *testing.T) {
 	r := newTestRoom()
 	r.CullThreshold = CullAuto
-	sp := r.AddSpeaker("sw1", Position{1, 0, 0})
-	mic := r.AddMicrophone("ctl", Position{0, 0, 0}, 0.0001)
+	sp := r.AddSpeaker("sw1", Position{1, 0})
+	mic := r.AddMicrophone("ctl", Position{0, 0}, 0.0001)
 	mic.ScheduleNoiseRamp(1, 1.5, 0.05)
 
 	// Received amplitude at 1 m is ~0.01: above 0.0001, below 0.05.
@@ -202,8 +202,8 @@ func TestCullFloorTracksNoiseRamp(t *testing.T) {
 
 func TestRoomMicrophoneAccessors(t *testing.T) {
 	r := newTestRoom()
-	r.AddMicrophone("a", Position{0, 0, 0}, 0.001)
-	r.AddMicrophone("b", Position{1, 0, 0}, 0.002)
+	r.AddMicrophone("a", Position{0, 0}, 0.001)
+	r.AddMicrophone("b", Position{1, 0}, 0.002)
 	if m := r.Microphone("a"); m == nil || m.Name != "a" {
 		t.Fatalf("Microphone(a) = %v", m)
 	}

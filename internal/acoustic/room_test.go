@@ -18,8 +18,8 @@ func TestSPLCalibration(t *testing.T) {
 }
 
 func TestPositionDistance(t *testing.T) {
-	p := Position{0, 0, 0}
-	q := Position{3, 4, 0}
+	p := Position{0, 0}
+	q := Position{3, 4}
 	if d := p.Distance(q); d != 5 {
 		t.Errorf("distance = %g, want 5", d)
 	}
@@ -32,8 +32,8 @@ func newTestRoom() *Room { return NewRoom(44100, 42) }
 
 func TestRoomCaptureSingleTone(t *testing.T) {
 	r := newTestRoom()
-	sp := r.AddSpeaker("sw1", Position{1, 0, 0})
-	mic := r.AddMicrophone("ctl", Position{0, 0, 0}, 0)
+	sp := r.AddSpeaker("sw1", Position{1, 0})
+	mic := r.AddMicrophone("ctl", Position{0, 0}, 0)
 	sp.Play(0.1, audio.Tone{Frequency: 700, Duration: 0.2, Amplitude: 0.5})
 
 	buf := mic.Capture(0, 0.5)
@@ -58,9 +58,9 @@ func TestRoomCaptureSingleTone(t *testing.T) {
 
 func TestRoomAttenuationWithDistance(t *testing.T) {
 	r := newTestRoom()
-	near := r.AddSpeaker("near", Position{1, 0, 0})
-	far := r.AddSpeaker("far", Position{4, 0, 0})
-	mic := r.AddMicrophone("ctl", Position{0, 0, 0}, 0)
+	near := r.AddSpeaker("near", Position{1, 0})
+	far := r.AddSpeaker("far", Position{4, 0})
+	mic := r.AddMicrophone("ctl", Position{0, 0}, 0)
 	near.Play(0, audio.Tone{Frequency: 500, Duration: 0.3, Amplitude: 0.4})
 	far.Play(0, audio.Tone{Frequency: 900, Duration: 0.3, Amplitude: 0.4})
 
@@ -75,8 +75,8 @@ func TestRoomAttenuationWithDistance(t *testing.T) {
 
 func TestRoomPropagationDelay(t *testing.T) {
 	r := newTestRoom()
-	sp := r.AddSpeaker("sw", Position{34.3, 0, 0}) // exactly 0.1 s away
-	mic := r.AddMicrophone("ctl", Position{0, 0, 0}, 0)
+	sp := r.AddSpeaker("sw", Position{34.3, 0}) // exactly 0.1 s away
+	mic := r.AddMicrophone("ctl", Position{0, 0}, 0)
 	sp.Play(0, audio.Tone{Frequency: 1000, Duration: 0.05, Amplitude: 1})
 
 	early := mic.Capture(0.0, 0.09)
@@ -91,10 +91,10 @@ func TestRoomPropagationDelay(t *testing.T) {
 
 func TestRoomNoiseSourceWindowed(t *testing.T) {
 	r := newTestRoom()
-	mic := r.AddMicrophone("ctl", Position{0, 0, 0}, 0)
+	mic := r.AddMicrophone("ctl", Position{0, 0}, 0)
 	loop := audio.WhiteNoise(44100, 0.5, 0.3, 7)
 	r.AddNoise(&NoiseSource{
-		Name: "amb", Pos: Position{1, 0, 0}, Loop: loop,
+		Name: "amb", Pos: Position{1, 0}, Loop: loop,
 		From: 1.0, Until: 2.0,
 	})
 	if rms := mic.Capture(0.2, 0.8).RMS(); rms > 1e-9 {
@@ -110,9 +110,9 @@ func TestRoomNoiseSourceWindowed(t *testing.T) {
 
 func TestRoomNoiseLoops(t *testing.T) {
 	r := newTestRoom()
-	mic := r.AddMicrophone("ctl", Position{0.5, 0, 0}, 0)
+	mic := r.AddMicrophone("ctl", Position{0.5, 0}, 0)
 	loop := audio.WhiteNoise(44100, 0.25, 0.2, 9)
-	r.AddNoise(&NoiseSource{Name: "amb", Pos: Position{0.5, 1, 0}, Loop: loop})
+	r.AddNoise(&NoiseSource{Name: "amb", Pos: Position{0.5, 1}, Loop: loop})
 	// Way past the loop length the source must still be audible.
 	if rms := mic.Capture(10, 10.5).RMS(); rms < 0.05 {
 		t.Errorf("looped noise rms = %g, should persist", rms)
@@ -131,7 +131,7 @@ func TestRoomAddNoiseRejectsEmpty(t *testing.T) {
 
 func TestRoomMicSelfNoiseDeterministic(t *testing.T) {
 	r := newTestRoom()
-	mic := r.AddMicrophone("ctl", Position{0, 0, 0}, 0.01)
+	mic := r.AddMicrophone("ctl", Position{0, 0}, 0.01)
 	a := mic.Capture(1, 1.1)
 	b := mic.Capture(1, 1.1)
 	for i := range a.Samples {
@@ -168,7 +168,7 @@ func TestRoomDuplicateNamesPanic(t *testing.T) {
 
 func TestRoomEmissionsSorted(t *testing.T) {
 	r := newTestRoom()
-	sp := r.AddSpeaker("sw", Position{1, 0, 0})
+	sp := r.AddSpeaker("sw", Position{1, 0})
 	sp.Play(2, audio.Tone{Frequency: 500, Duration: 0.1, Amplitude: 1})
 	sp.Play(1, audio.Tone{Frequency: 600, Duration: 0.1, Amplitude: 1})
 	em := r.emissions
@@ -179,8 +179,8 @@ func TestRoomEmissionsSorted(t *testing.T) {
 
 func TestRoomMinDistanceClamp(t *testing.T) {
 	r := newTestRoom()
-	sp := r.AddSpeaker("sw", Position{0, 0, 0})
-	mic := r.AddMicrophone("ctl", Position{0, 0, 0}, 0) // co-located
+	sp := r.AddSpeaker("sw", Position{0, 0})
+	mic := r.AddMicrophone("ctl", Position{0, 0}, 0) // co-located
 	sp.Play(0, audio.Tone{Frequency: 500, Duration: 0.2, Amplitude: 0.1})
 	buf := mic.Capture(0.05, 0.15)
 	// Attenuation clamps at 0.1 m => gain 10.

@@ -112,7 +112,6 @@ type Fleet struct {
 	// the watch list changed between fan-out and merge.
 	StaleWindows uint64
 
-	busy   *telemetry.Gauge
 	window *telemetry.Histogram
 	stale  *telemetry.Counter
 	wall   telemetry.TimeSource
@@ -230,11 +229,10 @@ func (f *Fleet) setHop(window float64, windowN, hopN int) {
 // has been analysed.
 func (f *Fleet) watch() []float64 { return f.dets[0].watch }
 
-// Instrument registers the fleet's telemetry: a gauge of workers
-// currently busy and a histogram of per-window fan-out wall time
-// (capture + detect across all microphones, hand-off included).
+// Instrument registers the fleet's telemetry: a histogram of
+// per-window fan-out wall time (capture + detect across all
+// microphones, hand-off included) and the stale-window count.
 func (f *Fleet) Instrument(reg *telemetry.Registry) {
-	f.busy = reg.Gauge(metricFleetBusy)
 	f.window = reg.Histogram(metricFleetWindow, telemetry.DefaultLatencyBuckets)
 	f.stale = reg.Counter(metricFleetStale)
 	f.wall = telemetry.Wall()
@@ -437,13 +435,11 @@ func (f *Fleet) claim(w int) {
 		if k >= n {
 			return
 		}
-		f.busy.Add(1)
 		if f.passes > 0 {
 			f.splitItem(int(k))
 		} else {
 			f.analyseMic(w, f.active[k])
 		}
-		f.busy.Add(-1)
 		f.done.Add(1)
 	}
 }

@@ -1,11 +1,16 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"mdn/internal/netsim"
 	"mdn/internal/telemetry"
 )
+
+// countInterval is the counting window of the heavy-hitter and spread
+// detectors, in seconds.
+const countInterval = 1.0
 
 // HeavyHitter is the Section 5 telemetry application: the switch
 // hashes each packet's five-tuple onto its frequency set and plays
@@ -15,8 +20,6 @@ import (
 // modification), routing- and topology-oblivious — the properties the
 // paper claims for Music-Defined Telemetry.
 type HeavyHitter struct {
-	// Interval is the counting window in seconds.
-	Interval float64
 	// Threshold is the onset count within one interval that flags a
 	// bucket as a heavy hitter.
 	Threshold int
@@ -72,7 +75,6 @@ func NewHeavyHitter(plan *FrequencyPlan, switchName string, voice *Voice, bucket
 		return nil, err
 	}
 	return &HeavyHitter{
-		Interval:  1.0,
 		Threshold: 5,
 		voice:     voice,
 		freqs:     freqs,
@@ -114,15 +116,19 @@ func (hh *HeavyHitter) Tap(pkt *netsim.Packet, _ int) {
 func (hh *HeavyHitter) Start(ctrl *Controller, at float64) {
 	hh.intervalAt = at
 	ctrl.SubscribeWindows(hh.HandleWindow)
-	ctrl.Sim().Every(at+hh.Interval, hh.Interval, func(now float64) {
+	ctrl.Sim().Every(at+countInterval, countInterval, func(now float64) {
 		hh.closeInterval(now)
 	})
 }
 
-// HandleWindow consumes one detection window.
+// HandleWindow consumes one detection window, counting the onsets of
+// the switch's own bucket tones; other apps' tones would only share a
+// sketch counter's cells with the buckets.
 func (hh *HeavyHitter) HandleWindow(_ float64, dets []Detection) {
 	for _, det := range hh.onset.Step(dets) {
-		hh.counter.Add(FreqKey(det.Frequency), 1)
+		if slices.Contains(hh.freqs, det.Frequency) {
+			hh.counter.Add(FreqKey(det.Frequency), 1)
+		}
 	}
 }
 

@@ -141,3 +141,26 @@ func TestHeavyHitterHistoryCountsRateLimited(t *testing.T) {
 		}
 	}
 }
+
+// TestHeavyHitterCountsOnlyItsBuckets: a confirmed onset of another
+// app's tone leaves its key at zero in the counter, so a count-min
+// counter's cells carry bucket onsets alone.
+func TestHeavyHitterCountsOnlyItsBuckets(t *testing.T) {
+	plan := NewFrequencyPlan(400, 8000, DefaultSpacing)
+	hh, err := NewHeavyHitter(plan, "s1", nil, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	own := hh.Frequencies()[0]
+	foreign := plan.MustAllocate("s2/portscan", 1)[0]
+	dets := []Detection{{Frequency: own, Amplitude: 0.01}, {Frequency: foreign, Amplitude: 0.01}}
+	for w := 0; w < 2; w++ { // the onset filter confirms over two windows
+		hh.HandleWindow(float64(w)*DefaultWindow, dets)
+	}
+	if got := hh.Counter().Estimate(FreqKey(own)); got != 1 {
+		t.Errorf("own bucket tone counted %d, want 1", got)
+	}
+	if got := hh.Counter().Estimate(FreqKey(foreign)); got != 0 {
+		t.Errorf("foreign tone counted %d, want 0", got)
+	}
+}

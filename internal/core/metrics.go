@@ -113,11 +113,9 @@ func (c *Controller) instrumentWire(w wireRef) {
 //
 // Fleet metric names:
 //
-//	mdn_fleet_workers_busy        workers currently capturing/analysing
 //	mdn_fleet_window_seconds      per-window fan-out wall time (all mics)
 //	mdn_fleet_stale_windows_total windows re-run after a mid-window watch edit
 const (
-	metricFleetBusy   = "mdn_fleet_workers_busy"
 	metricFleetWindow = "mdn_fleet_window_seconds"
 	metricFleetStale  = "mdn_fleet_stale_windows_total"
 )

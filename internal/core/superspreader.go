@@ -51,10 +51,8 @@ type SpreadDetector struct {
 	// Watched is the host under observation (the suspected spreader
 	// or the protected victim).
 	Watched netip.Addr
-	// K is the distinct-counterpart threshold per interval.
+	// K is the distinct-counterpart threshold per countInterval.
 	K int
-	// Interval is the counting window in seconds.
-	Interval float64
 
 	voice *Voice
 	freqs []float64
@@ -95,7 +93,6 @@ func NewSpreadDetector(plan *FrequencyPlan, switchName string, voice *Voice, mod
 		Mode:     mode,
 		Watched:  watched,
 		K:        k,
-		Interval: 1.0,
 		voice:    voice,
 		freqs:    freqs,
 		onset:    NewOnsetFilter(),
@@ -158,7 +155,7 @@ func (sd *SpreadDetector) Tap(pkt *netsim.Packet, _ int) {
 // Start begins interval accounting on the controller's clock.
 func (sd *SpreadDetector) Start(ctrl *Controller, at float64) {
 	ctrl.SubscribeWindows(sd.HandleWindow)
-	ctrl.Sim().Every(at+sd.Interval, sd.Interval, func(now float64) {
+	ctrl.Sim().Every(at+countInterval, countInterval, func(now float64) {
 		sd.closeInterval(now)
 	})
 }

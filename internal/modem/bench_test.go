@@ -55,7 +55,7 @@ func benchReceiver(tb testing.TB) (*Receiver, float64, []core.Detection) {
 		tb.Fatal(err)
 	}
 	rx := NewReceiver(band)
-	T := cfg.SymbolPeriod
+	const T = symbolPeriod
 	t0 := 1.0
 	rx.HandleWindow(t0, []core.Detection{
 		{Time: t0, Frequency: band.SyncTone(0), Amplitude: 0.01}})
@@ -65,13 +65,13 @@ func benchReceiver(tb testing.TB) (*Receiver, float64, []core.Detection) {
 	var hdr [headerBytes * headerCopies]byte
 	encodeHeader(header{PayloadLen: 200, FECID: FECNone{}.ID(), Seq: 0}, hdr[:headerBytes])
 	copy(hdr[headerBytes:], hdr[:headerBytes])
-	hdrE := frameGeometry(cfg, 0).hdrEpochs
+	hdrE := frameGeometry(0).hdrEpochs
 	for he := 0; he < hdrE; he++ {
 		e := 2 + he
 		from := t0 + float64(e)*T
-		dets := make([]core.Detection, 0, cfg.Lanes)
-		for lane := 0; lane < cfg.Lanes; lane++ {
-			val := nibbleOf(hdr[:], he*cfg.Lanes+lane)
+		dets := make([]core.Detection, 0, lanes)
+		for lane := 0; lane < lanes; lane++ {
+			val := nibbleOf(hdr[:], he*lanes+lane)
 			dets = append(dets, core.Detection{
 				Time: from, Frequency: band.DataTone(e, lane, val), Amplitude: 0.01})
 		}
@@ -82,8 +82,8 @@ func benchReceiver(tb testing.TB) (*Receiver, float64, []core.Detection) {
 	// (equal window starts are valid: streaming hops may repeat them).
 	e := 2 + hdrE + 4
 	from := t0 + float64(e)*T
-	dets := make([]core.Detection, 0, cfg.Lanes)
-	for lane := 0; lane < cfg.Lanes; lane++ {
+	dets := make([]core.Detection, 0, lanes)
+	for lane := 0; lane < lanes; lane++ {
 		dets = append(dets, core.Detection{
 			Time: from, Frequency: band.DataTone(e, lane, (lane*5+3)%16), Amplitude: 0.01})
 	}
@@ -149,28 +149,27 @@ func TestTransmitterSendAllocs(t *testing.T) {
 }
 
 // frameWindows lays one frame of payload out as the capture windows a
-// receiver hears, one per symbol epoch and starting with the frame.
-// Two empty windows follow: the receiver's clock estimate may round a
-// hair late, so the second is the one sure to complete the frame.
-// Window i starts i·SymbolPeriod after the frame.
+// receiver hears, one per symbol epoch and starting with the frame,
+// then one empty window, which starts at the frame's end and completes
+// it. Window i starts i·symbolPeriod after the frame.
 func frameWindows(band *Band, cfg Config, payload []byte) [][]core.Detection {
 	c := crc16(payload)
 	coded := cfg.FEC.Encode(append(append([]byte(nil), payload...), byte(c>>8), byte(c)))
 	var hdr [headerBytes * headerCopies]byte
 	encodeHeader(header{PayloadLen: len(payload), FECID: cfg.FEC.ID()}, hdr[:headerBytes])
 	copy(hdr[headerBytes:], hdr[:headerBytes])
-	g := frameGeometry(cfg, len(coded))
-	windows := make([][]core.Detection, g.totalEpochs+2)
+	g := frameGeometry(len(coded))
+	windows := make([][]core.Detection, g.totalEpochs+1)
 	for bank := 0; bank < banks; bank++ {
 		windows[bank] = []core.Detection{{Frequency: band.SyncTone(bank), Amplitude: 0.01}}
 	}
 	for e := 2; e < g.totalEpochs; e++ {
-		for lane := 0; lane < cfg.Lanes; lane++ {
+		for lane := 0; lane < lanes; lane++ {
 			var val int
 			if he := e - 2; he < g.hdrEpochs {
-				val = nibbleOf(hdr[:], he*cfg.Lanes+lane)
+				val = nibbleOf(hdr[:], he*lanes+lane)
 			} else {
-				val = nibbleOf(coded, (he-g.hdrEpochs)*cfg.Lanes+lane)
+				val = nibbleOf(coded, (he-g.hdrEpochs)*lanes+lane)
 			}
 			windows[e] = append(windows[e], core.Detection{Frequency: band.DataTone(e, lane, val), Amplitude: 0.01})
 		}
@@ -196,7 +195,7 @@ func TestReceiverFrameAllocs(t *testing.T) {
 		frame := func() {
 			for _, w := range windows {
 				rx.HandleWindow(from, w)
-				from += cfg.SymbolPeriod
+				from += symbolPeriod
 			}
 		}
 		for i := 0; i <= framesMax; i++ {

@@ -12,9 +12,9 @@ import (
 //	epoch 1              sync tone B (likewise; the receiver locks
 //	                     its clock from whichever pilots survive)
 //	epochs 2..2+H-1      header: {len, fec, seq, crc8} sent twice
-//	                     (8 bytes = 16 nibbles, H = ceil(16/Lanes))
+//	                     (8 bytes = 16 nibbles, H = 16/lanes = 4)
 //	epochs 2+H..         body: FEC(payload ‖ CRC-16), 2 nibbles per
-//	                     coded byte, Lanes nibbles per epoch, padded
+//	                     coded byte, lanes nibbles per epoch, padded
 //	                     with zero nibbles to the epoch boundary
 //
 // The header is its own integrity domain (per-copy CRC-8, fall back
@@ -63,9 +63,9 @@ func parseHeader(b []byte) (header, bool) {
 	return header{PayloadLen: int(b[0]), FECID: b[1], Seq: b[2]}, true
 }
 
-// geometry is a frame's epoch layout for a given config and body
-// size. Both ends compute it from the same inputs, so they agree on
-// where every nibble lives.
+// geometry is a frame's epoch layout for a given body size. Both
+// ends compute it from the same input, so they agree on where every
+// nibble lives.
 type geometry struct {
 	hdrEpochs   int // header epochs
 	bodyEpochs  int // body epochs
@@ -73,11 +73,11 @@ type geometry struct {
 }
 
 // frameGeometry sizes a frame carrying codedLen body bytes.
-func frameGeometry(cfg Config, codedLen int) geometry {
+func frameGeometry(codedLen int) geometry {
 	hdrNibbles := 2 * headerBytes * headerCopies
 	g := geometry{
-		hdrEpochs:  (hdrNibbles + cfg.Lanes - 1) / cfg.Lanes,
-		bodyEpochs: (2*codedLen + cfg.Lanes - 1) / cfg.Lanes,
+		hdrEpochs:  (hdrNibbles + lanes - 1) / lanes,
+		bodyEpochs: (2*codedLen + lanes - 1) / lanes,
 	}
 	g.totalEpochs = 2 + g.hdrEpochs + g.bodyEpochs
 	return g

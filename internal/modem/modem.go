@@ -10,9 +10,9 @@
 // instead treats the band as parallel FSK lanes on a fixed symbol
 // clock:
 //
-//   - A symbol epoch lasts Config.SymbolPeriod seconds (default one
-//     controller window, 50 ms). Every epoch, each of Config.Lanes
-//     lanes sounds one of 16 tones — one nibble per lane per epoch.
+//   - A symbol epoch lasts one controller window, 50 ms. Every
+//     epoch, each of the 4 lanes sounds one of 16 tones — one nibble
+//     per lane per epoch.
 //   - Consecutive epochs alternate between two disjoint frequency
 //     banks (A for even epochs, B for odd). A capture window that
 //     straddles an epoch boundary therefore sees the two adjacent
@@ -46,65 +46,36 @@ const (
 	banks        = 2
 )
 
-// Config parameterises a modem band. The zero value is unusable; fill
-// the fields or use DefaultConfig.
+// The band's shape: 4 parallel FSK lanes, each carrying one nibble per
+// 50 ms epoch (320 bit/s raw before framing and FEC), sounded at the
+// loudness of core.Voice.
+const (
+	// lanes is the number of FSK lanes sounding each epoch.
+	lanes = 4
+	// symbolPeriod is the epoch length in seconds: one controller
+	// window, so every epoch is the dominant overlap of at least one
+	// batch capture window.
+	symbolPeriod = core.DefaultWindow
+	// windowS is the controller's capture window, which the receiver
+	// reasons about when it attributes a window to an epoch.
+	windowS = core.DefaultWindow
+	// intensity is the per-tone loudness in dB SPL at 1 m.
+	intensity = 60
+	// tones is the number of frequencies a band occupies: one sync
+	// tone per bank plus 16 tones per lane per bank.
+	tones = banks + banks*lanes*symbolValues
+)
+
+// Config selects a modem band's forward error correction. The band's
+// shape is fixed (the constants above).
 type Config struct {
-	// Lanes is the number of parallel FSK lanes sounding each epoch.
-	// Each lane carries one nibble per epoch, so raw throughput is
-	// 4·Lanes/SymbolPeriod bit/s before framing and FEC.
-	Lanes int
-	// SymbolPeriod is the epoch length in seconds. The default (one
-	// 50 ms controller window) guarantees every epoch is the dominant
-	// overlap of at least one batch capture window.
-	SymbolPeriod float64
-	// WindowS is the controller's capture window length, used by the
-	// receiver to reason about window/epoch overlap (default
-	// core.DefaultWindow).
-	WindowS float64
-	// Intensity is the per-tone emission loudness in dB SPL at 1 m
-	// (default 60, like core.Voice).
-	Intensity float64
 	// FEC is the forward error correction applied to the frame body
 	// (nil = FECNone).
 	FEC FEC
 }
 
-// DefaultConfig returns the default modem shape: 4 lanes on the 50 ms
-// controller window clock — 320 bit/s raw — with no FEC.
-func DefaultConfig() Config {
-	return Config{
-		Lanes:        4,
-		SymbolPeriod: core.DefaultWindow,
-		WindowS:      core.DefaultWindow,
-		Intensity:    60,
-		FEC:          FECNone{},
-	}
-}
-
-// withDefaults fills zero fields.
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.Lanes <= 0 {
-		c.Lanes = d.Lanes
-	}
-	if c.SymbolPeriod <= 0 {
-		c.SymbolPeriod = d.SymbolPeriod
-	}
-	if c.WindowS <= 0 {
-		c.WindowS = d.WindowS
-	}
-	if c.Intensity <= 0 {
-		c.Intensity = d.Intensity
-	}
-	if c.FEC == nil {
-		c.FEC = d.FEC
-	}
-	return c
-}
-
-// Tones returns the number of frequencies a band with this config
-// occupies: one sync tone per bank plus 16 tones per lane per bank.
-func (c Config) Tones() int { return banks + banks*c.Lanes*symbolValues }
+// DefaultConfig returns a band with no FEC.
+func DefaultConfig() Config { return Config{FEC: FECNone{}} }
 
 // toneRef identifies what a watched frequency means to the modem.
 type toneRef struct {
@@ -115,35 +86,37 @@ type toneRef struct {
 }
 
 // Band is a modem's frequency assignment: 2 sync tones and
-// 2·Lanes·16 data tones allocated guard-banded from a FrequencyPlan,
+// 2·4·16 data tones allocated guard-banded from a FrequencyPlan,
 // shared by the transmitter and receiver of one acoustic data
 // channel.
 type Band struct {
-	cfg  Config
+	fec  FEC
 	sync [banks]float64
 	// tone[bank][lane*16+val]
 	tone   [banks][]float64
 	lookup map[float64]toneRef
 }
 
-// NewBand allocates a modem band under the given name. With the
-// default config it needs 130 guard-banded slots (520 plan slots) —
-// wider than core.DefaultPlan; see Plan.
+// NewBand allocates a modem band under the given name. It needs 130
+// guard-banded slots (520 plan slots) — wider than core.DefaultPlan;
+// see Plan.
 func NewBand(plan *core.FrequencyPlan, name string, cfg Config) (*Band, error) {
-	cfg = cfg.withDefaults()
-	freqs, err := plan.AllocateSpaced(name+"/modem", cfg.Tones(), core.DefaultStride)
+	if cfg.FEC == nil {
+		cfg.FEC = FECNone{}
+	}
+	freqs, err := plan.AllocateSpaced(name+"/modem", tones, core.DefaultStride)
 	if err != nil {
 		return nil, fmt.Errorf("modem: allocating band: %w", err)
 	}
-	b := &Band{cfg: cfg, lookup: make(map[float64]toneRef, len(freqs))}
+	b := &Band{fec: cfg.FEC, lookup: make(map[float64]toneRef, len(freqs))}
 	b.sync[0], b.sync[1] = freqs[0], freqs[1]
 	b.lookup[freqs[0]] = toneRef{sync: true, bank: 0}
 	b.lookup[freqs[1]] = toneRef{sync: true, bank: 1}
 	next := 2
 	for bank := 0; bank < banks; bank++ {
-		b.tone[bank] = freqs[next : next+cfg.Lanes*symbolValues]
-		next += cfg.Lanes * symbolValues
-		for lane := 0; lane < cfg.Lanes; lane++ {
+		b.tone[bank] = freqs[next : next+lanes*symbolValues]
+		next += lanes * symbolValues
+		for lane := 0; lane < lanes; lane++ {
 			for val := 0; val < symbolValues; val++ {
 				f := b.tone[bank][lane*symbolValues+val]
 				b.lookup[f] = toneRef{bank: bank, lane: lane, val: val}
@@ -153,13 +126,12 @@ func NewBand(plan *core.FrequencyPlan, name string, cfg Config) (*Band, error) {
 	return b, nil
 }
 
-// Plan returns a frequency plan wide enough for a band of the given
-// config plus headroom for coexisting applications: the default
-// 4-lane band needs ~10.7 kHz of spectrum at the paper's 20 Hz
-// spacing, more than core.DefaultPlan's 400–8000 Hz.
-func Plan(cfg Config) *core.FrequencyPlan {
-	cfg = cfg.withDefaults()
-	slots := (cfg.Tones()-1)*core.DefaultStride + 1
+// Plan returns a frequency plan wide enough for a band, whatever its
+// FEC, plus headroom for coexisting applications: the 4-lane band
+// needs ~10.7 kHz of spectrum at the paper's 20 Hz spacing, more than
+// core.DefaultPlan's 400–8000 Hz.
+func Plan(Config) *core.FrequencyPlan {
+	slots := (tones-1)*core.DefaultStride + 1
 	top := 400 + float64(float64(slots+63)*core.DefaultSpacing) // 64 spare slots
 	return core.NewFrequencyPlan(400, top, core.DefaultSpacing)
 }
@@ -167,7 +139,7 @@ func Plan(cfg Config) *core.FrequencyPlan {
 // Frequencies returns every tone in the band — what the controller's
 // detector must watch.
 func (b *Band) Frequencies() []float64 {
-	out := make([]float64, 0, b.cfg.Tones())
+	out := make([]float64, 0, tones)
 	out = append(out, b.sync[0], b.sync[1])
 	out = append(out, b.tone[0]...)
 	out = append(out, b.tone[1]...)
@@ -187,5 +159,5 @@ func (b *Band) DataTone(epoch, lane, val int) float64 {
 func (b *Band) String() string {
 	last := b.tone[1][len(b.tone[1])-1]
 	return fmt.Sprintf("ModemBand(lanes=%d sync=%.0f/%.0fHz data=%.0f..%.0fHz %s)",
-		b.cfg.Lanes, b.sync[0], b.sync[1], b.tone[0][0], last, b.cfg.FEC.Name())
+		lanes, b.sync[0], b.sync[1], b.tone[0][0], last, b.fec.Name())
 }

@@ -52,7 +52,6 @@ const maxCodedBytes = 512
 // the OnFrame callback keep.
 type Receiver struct {
 	band *Band
-	cfg  Config
 
 	state int // rxIdle or rxCollect
 
@@ -121,12 +120,10 @@ type pendObs struct {
 
 // NewReceiver builds a receiver for a band.
 func NewReceiver(band *Band) *Receiver {
-	cfg := band.cfg
-	hdrE := frameGeometry(cfg, 0).hdrEpochs
-	maxData := hdrE + (2*maxCodedBytes+cfg.Lanes-1)/cfg.Lanes
+	hdrE := frameGeometry(0).hdrEpochs
+	maxData := hdrE + (2*maxCodedBytes+lanes-1)/lanes
 	return &Receiver{
 		band:     band,
-		cfg:      cfg,
 		maxData:  maxData,
 		pendData: make([]pendObs, 0, 512),
 		pendSync: make([]pendObs, 0, 64),
@@ -160,7 +157,7 @@ func (r *Receiver) idleWindow(from float64, dets []core.Detection) {
 			r.haveSync = true
 			r.lastSync = from
 			r.syncSum[ref.bank] += d.Amplitude
-			r.syncSumT[ref.bank] += float64(d.Amplitude * (from + float64(r.cfg.WindowS/2)))
+			r.syncSumT[ref.bank] += float64(d.Amplitude * (from + float64(windowS/2)))
 		} else if r.haveSync && len(r.pendData) < cap(r.pendData) {
 			r.pendData = append(r.pendData, pendObs{from, d.Frequency, d.Amplitude})
 		}
@@ -173,7 +170,7 @@ func (r *Receiver) idleWindow(from float64, dets []core.Detection) {
 // lock derives t0 from the pilot centroids, replays buffered data
 // detections, and switches to collection.
 func (r *Receiver) lock(from float64) {
-	T := r.cfg.SymbolPeriod
+	const T = symbolPeriod
 	var t0Sum, wSum float64
 	for b := 0; b < banks; b++ {
 		if r.syncSum[b] > 0 {
@@ -221,8 +218,7 @@ func (r *Receiver) collectWindow(from float64, dets []core.Detection) {
 // vote attributes one data detection to the same-bank epoch its
 // window overlaps most and adds an amplitude vote for its value.
 func (r *Receiver) vote(from float64, ref toneRef, amp float64) {
-	T := r.cfg.SymbolPeriod
-	W := r.cfg.WindowS
+	const T, W = symbolPeriod, windowS
 	a := (from - r.t0) / T
 	lo := int(math.Floor(a)) - 1
 	hi := int(math.Floor(a+W/T)) + 1
@@ -245,17 +241,17 @@ func (r *Receiver) vote(from float64, ref toneRef, amp float64) {
 	if row+1 > r.usedEpochs {
 		r.usedEpochs = row + 1
 	}
-	if n := r.usedEpochs * r.cfg.Lanes * symbolValues; n > len(r.votes) {
+	if n := r.usedEpochs * lanes * symbolValues; n > len(r.votes) {
 		r.votes = append(r.votes, make([]float64, n-len(r.votes))...)
 	}
-	r.votes[(row*r.cfg.Lanes+ref.lane)*symbolValues+ref.val] += amp
+	r.votes[(row*lanes+ref.lane)*symbolValues+ref.val] += amp
 }
 
 // argmax returns the winning nibble value for one (data epoch row,
 // lane) slot; all-zero votes (a fully erased symbol, or a row past the
 // table) yield 0.
 func (r *Receiver) argmax(row, lane int) int {
-	base := (row*r.cfg.Lanes + lane) * symbolValues
+	base := (row*lanes + lane) * symbolValues
 	if base >= len(r.votes) {
 		return 0
 	}
@@ -268,13 +264,19 @@ func (r *Receiver) argmax(row, lane int) int {
 	return best
 }
 
+// frameEndTol is how far before a frame's computed end a window may
+// start and still complete the frame: far under half a sample at
+// 44.1 kHz (11.3 µs), so it forgives the rounding in the clock
+// estimate t0 and never a real sample of overlap.
+const frameEndTol = 1e-6
+
 // checkProgress advances the frame state machine: windows starting at
 // or after an epoch's end can no longer contribute votes to it, so
 // the header (then the body) is final once `from` passes its epochs.
 func (r *Receiver) checkProgress(from float64) {
-	T := r.cfg.SymbolPeriod
+	const T = symbolPeriod
 	if !r.hdrParsed {
-		hdrE := frameGeometry(r.cfg, 0).hdrEpochs
+		hdrE := frameGeometry(0).hdrEpochs
 		if from < r.t0+float64(float64(2+hdrE)*T) {
 			return
 		}
@@ -284,7 +286,7 @@ func (r *Receiver) checkProgress(from float64) {
 			return
 		}
 	}
-	if from >= r.t0+float64(float64(r.geo.totalEpochs)*T) {
+	if from >= r.t0+float64(float64(r.geo.totalEpochs)*T)-frameEndTol {
 		r.finish(from)
 	}
 }
@@ -294,7 +296,7 @@ func (r *Receiver) checkProgress(from float64) {
 func (r *Receiver) parseHeaderVotes() bool {
 	var hdr [headerBytes * headerCopies]byte
 	for i := range 2 * len(hdr) {
-		setNibble(hdr[:], i, r.argmax(i/r.cfg.Lanes, i%r.cfg.Lanes))
+		setNibble(hdr[:], i, r.argmax(i/lanes, i%lanes))
 	}
 	h, ok := parseHeader(hdr[:headerBytes])
 	if !ok {
@@ -311,7 +313,7 @@ func (r *Receiver) parseHeaderVotes() bool {
 	if coded > maxCodedBytes {
 		return false
 	}
-	geo := frameGeometry(r.cfg, coded)
+	geo := frameGeometry(coded)
 	r.hdr, r.fec, r.geo, r.hdrParsed = h, fec, geo, true
 	return true
 }
@@ -322,8 +324,8 @@ func (r *Receiver) finish(from float64) {
 	codedLen := r.fec.CodedLen(r.hdr.PayloadLen + 2)
 	r.coded = slices.Grow(r.coded[:0], codedLen)[:codedLen]
 	for i := 0; i < 2*codedLen; i++ {
-		row := r.geo.hdrEpochs + i/r.cfg.Lanes
-		setNibble(r.coded, i, r.argmax(row, i%r.cfg.Lanes))
+		row := r.geo.hdrEpochs + i/lanes
+		setNibble(r.coded, i, r.argmax(row, i%lanes))
 	}
 	data, corrected, err := r.fec.appendDecode(r.data[:0], r.coded, r.hdr.PayloadLen+2)
 	r.data = data
@@ -359,7 +361,7 @@ func (r *Receiver) finish(from float64) {
 // while locked, so a frame starting in the tail of the previous one
 // is acquired with its full pilot energy.
 func (r *Receiver) resetAndReplay() {
-	for i := 0; i < r.usedEpochs*r.cfg.Lanes*symbolValues; i++ {
+	for i := 0; i < r.usedEpochs*lanes*symbolValues; i++ {
 		r.votes[i] = 0
 	}
 	r.usedEpochs = 0
@@ -376,7 +378,7 @@ func (r *Receiver) resetAndReplay() {
 		r.haveSync = true
 		r.lastSync = p.from
 		r.syncSum[ref.bank] += p.amp
-		r.syncSumT[ref.bank] += float64(p.amp * (p.from + float64(r.cfg.WindowS/2)))
+		r.syncSumT[ref.bank] += float64(p.amp * (p.from + float64(windowS/2)))
 	}
 }
 

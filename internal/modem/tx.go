@@ -91,22 +91,22 @@ func (t *Transmitter) Send(at float64, payload []byte) (float64, error) {
 	if len(payload) > MaxPayload {
 		return 0, ErrPayloadTooLong
 	}
-	cfg := t.band.cfg
+	fec := t.band.fec
 
 	// Body: FEC(payload ‖ CRC-16).
 	c := crc16(payload)
 	t.data = append(append(t.data[:0], payload...), byte(c>>8), byte(c))
-	coded := cfg.FEC.appendEncode(t.coded[:0], t.data)
+	coded := fec.appendEncode(t.coded[:0], t.data)
 	t.coded = coded
 
 	// Header, twice.
 	hdr := make([]byte, headerBytes*headerCopies)
-	encodeHeader(header{PayloadLen: len(payload), FECID: cfg.FEC.ID(), Seq: t.seq}, hdr[:headerBytes])
+	encodeHeader(header{PayloadLen: len(payload), FECID: fec.ID(), Seq: t.seq}, hdr[:headerBytes])
 	copy(hdr[headerBytes:], hdr[:headerBytes])
 	t.seq++
 
-	g := frameGeometry(cfg, len(coded))
-	T := cfg.SymbolPeriod
+	g := frameGeometry(len(coded))
+	const T = symbolPeriod
 
 	// Sync epochs: one full-period pilot per bank. A pilot must be a
 	// single emission — MP messages carry no phase, so two abutting
@@ -118,18 +118,18 @@ func (t *Transmitter) Send(at float64, payload []byte) (float64, error) {
 		t.scheduleTone(at+float64(float64(bank)*T), t.band.SyncTone(bank), T)
 	}
 
-	// Data epochs: Lanes nibbles per epoch. The body starts on a fresh
+	// Data epochs: lanes nibbles per epoch. The body starts on a fresh
 	// epoch boundary (the header's last epoch is zero-padded), so both
 	// ends compute nibble positions from the same geometry.
 	for e := 2; e < g.totalEpochs; e++ {
 		start := at + float64(float64(e)*T)
-		for lane := 0; lane < cfg.Lanes; lane++ {
+		for lane := 0; lane < lanes; lane++ {
 			var val int
 			body := false
 			if he := e - 2; he < g.hdrEpochs {
-				val = nibbleOf(hdr, he*cfg.Lanes+lane)
+				val = nibbleOf(hdr, he*lanes+lane)
 			} else {
-				val = nibbleOf(coded, (he-g.hdrEpochs)*cfg.Lanes+lane)
+				val = nibbleOf(coded, (he-g.hdrEpochs)*lanes+lane)
 				body = true
 			}
 			t.SymbolsTx++
@@ -163,7 +163,7 @@ type tone struct {
 // play emits the tone and returns the record to the pool.
 func (n *tone) play() {
 	t := n.t
-	m := mp.Message{Frequency: n.freq, Duration: n.dur, Intensity: t.band.cfg.Intensity}
+	m := mp.Message{Frequency: n.freq, Duration: n.dur, Intensity: intensity}
 	t.tones = append(t.tones, n)
 	t.voice.PlayMessage(m)
 }

@@ -59,11 +59,6 @@ type Packet struct {
 	CreatedAt float64
 	// Hops counts switch traversals, to catch forwarding loops.
 	Hops int
-	// Payload carries application bytes when a protocol rides the
-	// simulated network (e.g. Music Protocol frames to a Pi). Size
-	// still governs timing; Payload is opaque to the forwarding
-	// plane.
-	Payload []byte
 
 	// pooled marks packets born from the simulator's free list
 	// (EnablePacketPool); only those return to it on release.

@@ -85,14 +85,8 @@ const DefaultHopS = 0.010
 
 // FaultsConfig describes the injected wire faults of a chaos run.
 type FaultsConfig struct {
-	// DropProb is the probability a whole MP message is lost.
+	// DropProb is the probability a whole message is lost.
 	DropProb float64 `json:"drop_prob,omitempty"`
-	// FlipProb is the probability one random bit is inverted.
-	FlipProb float64 `json:"flip_prob,omitempty"`
-	// TruncProb is the probability the message is cut short.
-	TruncProb float64 `json:"trunc_prob,omitempty"`
-	// JitterMaxS is the maximum extra one-way latency in seconds.
-	JitterMaxS float64 `json:"jitter_max_s,omitempty"`
 }
 
 // SwitchConfig places one switch (and its speaker) in the room.
@@ -125,15 +119,14 @@ type HostConfig struct {
 	Queue     int     `json:"queue,omitempty"`
 }
 
-// LinkConfig joins two switches.
+// LinkConfig joins two switches over a 0.1 ms link.
 type LinkConfig struct {
-	A         string  `json:"a"`
-	APort     int     `json:"a_port"`
-	B         string  `json:"b"`
-	BPort     int     `json:"b_port"`
-	RateMbps  float64 `json:"rate_mbps,omitempty"`
-	LatencyMs float64 `json:"latency_ms,omitempty"`
-	Queue     int     `json:"queue,omitempty"`
+	A        string  `json:"a"`
+	APort    int     `json:"a_port"`
+	B        string  `json:"b"`
+	BPort    int     `json:"b_port"`
+	RateMbps float64 `json:"rate_mbps,omitempty"`
+	Queue    int     `json:"queue,omitempty"`
 }
 
 // RuleConfig is a flow rule: pre-installed on Switch, or, as an app's
@@ -177,25 +170,19 @@ type AppConfig struct {
 	// Analytics selects the counting store behind the detection apps:
 	// "" or "exact" keeps the exact per-interval maps (the accuracy
 	// baseline); "sketch" bounds memory with a count-min sketch
-	// (heavyhitter) or HyperLogLog (portscan, ddos, superspreader),
-	// seeded from the scenario seed so runs replay exactly.
+	// (heavyhitter; sketchEpsilon, sketchDelta) or a HyperLogLog
+	// (portscan, ddos, superspreader; sketchPrecision), seeded from the
+	// scenario seed so runs replay exactly.
 	Analytics string `json:"analytics,omitempty"`
-	// SketchEpsilon is the count-min relative error budget (0 means
-	// DefaultSketchEpsilon). Only with analytics="sketch".
-	SketchEpsilon float64 `json:"sketch_epsilon,omitempty"`
-	// SketchDelta is the count-min error-bound failure probability
-	// (0 means DefaultSketchDelta). Only with analytics="sketch".
-	SketchDelta float64 `json:"sketch_delta,omitempty"`
-	// SketchPrecision is the HyperLogLog precision p, registers=2^p
-	// (0 means DefaultSketchPrecision). Only with analytics="sketch".
-	SketchPrecision int `json:"sketch_precision,omitempty"`
 }
 
-// Default sketch knobs for analytics="sketch" apps.
+// The sketches behind analytics="sketch" apps: a count-min sketch
+// within relative error sketchEpsilon except with probability
+// sketchDelta, and a HyperLogLog with 2^sketchPrecision registers.
 const (
-	DefaultSketchEpsilon   = 0.01
-	DefaultSketchDelta     = 0.01
-	DefaultSketchPrecision = 12
+	sketchEpsilon   = 0.01
+	sketchDelta     = 0.01
+	sketchPrecision = 12
 )
 
 // TrafficConfig runs one generator.
@@ -217,14 +204,12 @@ type TrafficConfig struct {
 	IntervalMs float64 `json:"interval_ms,omitempty"`
 }
 
-// MicConfig places one extra controller microphone in the room.
+// MicConfig places one extra controller microphone in the room. Every
+// microphone has the controller's micNoiseRMS electronics floor.
 type MicConfig struct {
 	Name string  `json:"name"`
 	X    float64 `json:"x"`
 	Y    float64 `json:"y"`
-	// NoiseRMS is the microphone's electronics noise floor (linear
-	// RMS); 0 means the 0.0005 default.
-	NoiseRMS float64 `json:"noise_rms,omitempty"`
 }
 
 // Device fault kinds accepted by DeviceFaultConfig.Kind.
@@ -430,8 +415,8 @@ func (c *Config) Validate() error {
 		if !switches[l.A] || !switches[l.B] {
 			return fmt.Errorf("scenario: link %s<->%s references unknown switch", l.A, l.B)
 		}
-		if l.RateMbps < 0 || l.LatencyMs < 0 || l.Queue < 0 {
-			return fmt.Errorf("scenario: link %s<->%s rate_mbps, latency_ms and queue must be non-negative", l.A, l.B)
+		if l.RateMbps < 0 || l.Queue < 0 {
+			return fmt.Errorf("scenario: link %s<->%s rate_mbps and queue must be non-negative", l.A, l.B)
 		}
 		plugs = append(plugs, swPort{l.A, l.APort}, swPort{l.B, l.BPort})
 	}
@@ -518,20 +503,7 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("scenario: unknown app type %q", a.Type)
 		}
 		switch a.Analytics {
-		case "", "exact":
-			if a.SketchEpsilon != 0 || a.SketchDelta != 0 || a.SketchPrecision != 0 {
-				return fmt.Errorf("scenario: app %d sets sketch knobs without analytics=\"sketch\"", i)
-			}
-		case "sketch":
-			if a.SketchEpsilon < 0 || a.SketchEpsilon >= 1 {
-				return fmt.Errorf("scenario: app %d sketch_epsilon %g outside (0, 1)", i, a.SketchEpsilon)
-			}
-			if a.SketchDelta < 0 || a.SketchDelta >= 1 {
-				return fmt.Errorf("scenario: app %d sketch_delta %g outside (0, 1)", i, a.SketchDelta)
-			}
-			if a.SketchPrecision != 0 && (a.SketchPrecision < 4 || a.SketchPrecision > 18) {
-				return fmt.Errorf("scenario: app %d sketch_precision %d outside [4, 18]", i, a.SketchPrecision)
-			}
+		case "", "exact", "sketch":
 		default:
 			return fmt.Errorf("scenario: app %d unknown analytics %q", i, a.Analytics)
 		}
@@ -593,9 +565,6 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("scenario: duplicate mic %q", mc.Name)
 		}
 		mics[mc.Name] = true
-		if mc.NoiseRMS < 0 {
-			return fmt.Errorf("scenario: mic %q noise_rms must be non-negative", mc.Name)
-		}
 	}
 	for i, df := range c.DeviceFaults {
 		switch df.Kind {
@@ -637,18 +606,8 @@ func (c *Config) Validate() error {
 		}
 		lastRamp[key] = end
 	}
-	if f := c.Faults; f != nil {
-		for _, p := range []struct {
-			name string
-			v    float64
-		}{{"drop_prob", f.DropProb}, {"flip_prob", f.FlipProb}, {"trunc_prob", f.TruncProb}} {
-			if p.v < 0 || p.v > 1 {
-				return fmt.Errorf("scenario: faults.%s %g outside [0, 1]", p.name, p.v)
-			}
-		}
-		if f.JitterMaxS < 0 {
-			return fmt.Errorf("scenario: faults.jitter_max_s must be non-negative")
-		}
+	if f := c.Faults; f != nil && !(f.DropProb >= 0 && f.DropProb <= 1) {
+		return fmt.Errorf("scenario: faults.drop_prob %g outside [0, 1]", f.DropProb)
 	}
 	return nil
 }

@@ -82,16 +82,17 @@ func chaosModem(reg *telemetry.Registry, seed int64, drop, dur, streamHop float6
 	return pt
 }
 
+// modemSweepFECs are the FEC schemes a modem sweep runs, one grid row
+// each (see modem.FECByName).
+var modemSweepFECs = []string{"none", "hamming7_4", "rs_p48"}
+
 // ModemSweepConfig parameterises a modem corruption sweep: a grid of
-// FEC schemes × seeded symbol-corruption rates on an otherwise clean
-// wire, measuring how each scheme's delivery degrades.
+// FEC schemes (modemSweepFECs) × seeded symbol-corruption rates on an
+// otherwise clean wire, measuring how each scheme's delivery degrades.
 type ModemSweepConfig struct {
 	// Seed drives every stochastic component; per-point corruptor
 	// streams derive from it and the grid position.
 	Seed int64 `json:"seed"`
-	// FECs are the scheme names to sweep (default none, hamming7_4,
-	// rs_p48; see modem.FECByName).
-	FECs []string `json:"fecs,omitempty"`
 	// CorruptRates are the per-symbol corruption probabilities to
 	// sweep (default 0, 0.02, 0.05, 0.10).
 	CorruptRates []float64 `json:"corrupt_rates,omitempty"`
@@ -134,10 +135,7 @@ type ModemSweepReport struct {
 // Every point records its controller, room and modem telemetry into
 // reg (nil runs unmetered).
 func RunModemSweep(cfg ModemSweepConfig, reg *telemetry.Registry) (*ModemSweepReport, error) {
-	fecs := cfg.FECs
-	if len(fecs) == 0 {
-		fecs = []string{"none", "hamming7_4", "rs_p48"}
-	}
+	fecs := modemSweepFECs
 	rates := cfg.CorruptRates
 	if len(rates) == 0 {
 		rates = []float64{0, 0.02, 0.05, 0.10}

@@ -13,20 +13,20 @@ import (
 	"mdn/internal/telemetry"
 )
 
+// micNoiseRMS is every scenario microphone's electronics noise floor
+// (linear RMS).
+const micNoiseRMS = 0.0005
+
+// linkLatencyS is the one-way latency of a switch-to-switch link, and
+// of a host link that sets no latency_ms.
+const linkLatencyS = 0.1 / 1000
+
 // orDefault substitutes def for an unset (zero) knob.
 func orDefault(v, def float64) float64 {
 	if v == 0 {
 		return def
 	}
 	return v
-}
-
-// sketchPrecision resolves an app's HyperLogLog precision knob.
-func sketchPrecision(ac AppConfig) uint8 {
-	if ac.SketchPrecision == 0 {
-		return DefaultSketchPrecision
-	}
-	return uint8(ac.SketchPrecision)
 }
 
 // Report is what a scenario run produces.
@@ -177,15 +177,11 @@ func build(c *Config, reg *telemetry.Registry, probe *probe, fleet int) (*World,
 	// so the controller compacts 2 s behind it (Retention, set once
 	// the controller exists below).
 	room.CullThreshold = acoustic.CullAuto
-	mic := room.AddMicrophone("controller", acoustic.Position{}, 0.0005)
+	mic := room.AddMicrophone("controller", acoustic.Position{}, micNoiseRMS)
 	extraMics := make([]*acoustic.Microphone, 0, len(c.Mics))
 	for _, mc := range c.Mics {
-		noise := mc.NoiseRMS
-		if noise == 0 {
-			noise = 0.0005
-		}
 		extraMics = append(extraMics,
-			room.AddMicrophone(mc.Name, acoustic.Position{X: mc.X, Y: mc.Y}, noise))
+			room.AddMicrophone(mc.Name, acoustic.Position{X: mc.X, Y: mc.Y}, micNoiseRMS))
 	}
 	plan := core.DefaultPlan()
 
@@ -213,11 +209,7 @@ func build(c *Config, reg *telemetry.Registry, probe *probe, fleet int) (*World,
 		if rate <= 0 {
 			rate = 1000
 		}
-		lat := hc.LatencyMs
-		if lat <= 0 {
-			lat = 0.1
-		}
-		netsim.Connect(sim, h, 1, sws[hc.Switch], hc.Port, rate*1e6, lat/1000, hc.Queue)
+		netsim.Connect(sim, h, 1, sws[hc.Switch], hc.Port, rate*1e6, orDefault(hc.LatencyMs/1000, linkLatencyS), hc.Queue)
 		hostsByName[hc.Name] = h
 	}
 	// Switch-switch links.
@@ -226,11 +218,7 @@ func build(c *Config, reg *telemetry.Registry, probe *probe, fleet int) (*World,
 		if rate <= 0 {
 			rate = 1000
 		}
-		lat := lc.LatencyMs
-		if lat <= 0 {
-			lat = 0.1
-		}
-		netsim.Connect(sim, sws[lc.A], lc.APort, sws[lc.B], lc.BPort, rate*1e6, lat/1000, lc.Queue)
+		netsim.Connect(sim, sws[lc.A], lc.APort, sws[lc.B], lc.BPort, rate*1e6, linkLatencyS, lc.Queue)
 	}
 	// Rules.
 	for _, rc := range c.Rules {
@@ -294,9 +282,7 @@ func build(c *Config, reg *telemetry.Registry, probe *probe, fleet int) (*World,
 				hh.Threshold = ac.Threshold
 			}
 			if ac.Analytics == "sketch" {
-				fc, err := core.NewSketchFlowCounter(
-					orDefault(ac.SketchEpsilon, DefaultSketchEpsilon),
-					orDefault(ac.SketchDelta, DefaultSketchDelta), sketchSeed)
+				fc, err := core.NewSketchFlowCounter(sketchEpsilon, sketchDelta, sketchSeed)
 				if err != nil {
 					return nil, err
 				}
@@ -313,7 +299,7 @@ func build(c *Config, reg *telemetry.Registry, probe *probe, fleet int) (*World,
 				ps.Threshold = ac.Threshold
 			}
 			if ac.Analytics == "sketch" {
-				dc, err := core.NewSketchDistinctCounter(sketchPrecision(ac), sketchSeed)
+				dc, err := core.NewSketchDistinctCounter(sketchPrecision, sketchSeed)
 				if err != nil {
 					return nil, err
 				}
@@ -362,7 +348,7 @@ func build(c *Config, reg *telemetry.Registry, probe *probe, fleet int) (*World,
 				return nil, err
 			}
 			if ac.Analytics == "sketch" {
-				dc, err := core.NewSketchDistinctCounter(sketchPrecision(ac), sketchSeed)
+				dc, err := core.NewSketchDistinctCounter(sketchPrecision, sketchSeed)
 				if err != nil {
 					return nil, err
 				}
@@ -648,13 +634,7 @@ func flowMod(rc RuleConfig) openflow.FlowMod {
 
 // wire is the fault configuration of one control hop seeded seed.
 func (f *FaultsConfig) wire(seed int64) netsim.Faults {
-	return netsim.Faults{
-		DropProb:  f.DropProb,
-		FlipProb:  f.FlipProb,
-		TruncProb: f.TruncProb,
-		JitterMax: f.JitterMaxS,
-		Seed:      seed,
-	}
+	return netsim.Faults{DropProb: f.DropProb, Seed: seed}
 }
 
 // applyDeviceFault schedules one validated degradation ramp (and its

@@ -684,12 +684,42 @@ func TestDeadSpeakerBesideLiveNeighbourNotRekeyed(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsRemovedKeys: the keys the scenario format dropped
+// are unknown fields now, so an old file that sets one fails to load
+// instead of running with the value silently ignored. Each case is a
+// valid config until the key is added.
+func TestLoadRejectsRemovedKeys(t *testing.T) {
+	const head = `{"duration_s":1,"switches":[{"name":"s"},{"name":"t"}],`
+	cases := []struct{ key, valid, removed string }{
+		{"faults.flip_prob", `"faults":{"drop_prob":0.1}}`, `"faults":{"drop_prob":0.1,"flip_prob":0.1}}`},
+		{"faults.trunc_prob", `"faults":{"drop_prob":0.1}}`, `"faults":{"drop_prob":0.1,"trunc_prob":0.1}}`},
+		{"faults.jitter_max_s", `"faults":{"drop_prob":0.1}}`, `"faults":{"drop_prob":0.1,"jitter_max_s":0.01}}`},
+		{"links[].latency_ms", `"links":[{"a":"s","a_port":1,"b":"t","b_port":1}]}`,
+			`"links":[{"a":"s","a_port":1,"b":"t","b_port":1,"latency_ms":0.5}]}`},
+		{"mics[].noise_rms", `"mics":[{"name":"m"}]}`, `"mics":[{"name":"m","noise_rms":0.001}]}`},
+		{"apps[].sketch_epsilon", `"apps":[{"type":"heavyhitter","switch":"s","buckets":4,"analytics":"sketch"}]}`,
+			`"apps":[{"type":"heavyhitter","switch":"s","buckets":4,"analytics":"sketch","sketch_epsilon":0.05}]}`},
+		{"apps[].sketch_delta", `"apps":[{"type":"heavyhitter","switch":"s","buckets":4,"analytics":"sketch"}]}`,
+			`"apps":[{"type":"heavyhitter","switch":"s","buckets":4,"analytics":"sketch","sketch_delta":0.05}]}`},
+		{"apps[].sketch_precision", `"apps":[{"type":"ddos","switch":"s","buckets":4,"watch":"10.0.0.1","analytics":"sketch"}]}`,
+			`"apps":[{"type":"ddos","switch":"s","buckets":4,"watch":"10.0.0.1","analytics":"sketch","sketch_precision":10}]}`},
+	}
+	for _, c := range cases {
+		if _, err := Load(strings.NewReader(head + c.valid)); err != nil {
+			t.Errorf("%s: the config without it fails: %v", c.key, err)
+		}
+		_, err := Load(strings.NewReader(head + c.removed))
+		if err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Errorf("%s: Load error %v, want an unknown field", c.key, err)
+		}
+	}
+}
+
 func TestValidateRejectsBadDeviceConfig(t *testing.T) {
 	cases := map[string]string{
 		"dup mic":         `{"duration_s":1,"switches":[{"name":"s"}],"mics":[{"name":"m"},{"name":"m"}]}`,
 		"reserved mic":    `{"duration_s":1,"switches":[{"name":"s"}],"mics":[{"name":"controller"}]}`,
 		"empty mic":       `{"duration_s":1,"switches":[{"name":"s"}],"mics":[{"name":""}]}`,
-		"neg mic noise":   `{"duration_s":1,"switches":[{"name":"s"}],"mics":[{"name":"m","noise_rms":-1}]}`,
 		"bad fault kind":  `{"duration_s":1,"switches":[{"name":"s"}],"device_faults":[{"kind":"rust","device":"s","start_s":0,"end_s":1,"level":0}]}`,
 		"unknown mic":     `{"duration_s":1,"switches":[{"name":"s"}],"device_faults":[{"kind":"mic_noise_ramp","device":"x","start_s":0,"end_s":1,"level":0.1}]}`,
 		"unknown speaker": `{"duration_s":1,"switches":[{"name":"s"}],"device_faults":[{"kind":"speaker_detune","device":"x","start_s":0,"end_s":1,"level":1.04}]}`,

@@ -42,20 +42,6 @@ func (g *Gauge) Set(v float64) {
 	}
 }
 
-// Add adjusts the gauge by d (atomically, via CAS).
-func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Value returns the current gauge reading.
 func (g *Gauge) Value() float64 {
 	if g == nil {

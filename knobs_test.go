@@ -7,102 +7,122 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"os"
 	"path"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
+
+	"mdn/internal/scenario"
 )
 
 // knobKeep lists the exported settings TestNoUnusedKnobs accepts
-// although no production caller sets them, one reason each.
+// although no program or shipped scenario sets them, one reason each.
 var knobKeep = map[string]string{
 	"core.OnsetFilter.ConfirmWindows": "ROADMAP item 4 redefines confirmation as seconds of evidence",
 	"core.OnsetFilter.HoldWindows":    "ROADMAP item 4 redefines the hold as seconds of evidence",
+	"scenario.AppConfig.Analytics":    "TestSketchAnalyticsMatchesExact holds analytics=\"sketch\" to the exact counter (ROADMAP aim 3)",
 }
 
-// TestNoUnusedKnobs keeps one value per setting. For every internal
-// struct type T that a New*/Enable* function or method returns as *T,
-// it flags each exported field that constructors set only to a
-// literal or a Default* constant (or never set), and that no non-test
-// file of the module, examples excluded, writes anywhere else: such a
-// field is a constant in disguise. Fields bench/ refers to, fields
-// whose address is taken and func-typed fields are exempt. Fields are
-// matched by name, so a write to any field of that name counts.
+// TestNoUnusedKnobs keeps one value per setting. A setting is an
+// exported, non-func field of an internal struct type that an exported
+// New*, Enable*, Default* or Load function or method returns (by value
+// or pointer), that an exported Run* function takes, or that exported
+// fields of such a type reach. A setting is in use when non-test code,
+// bench/ and the examples included, writes that field object, or when
+// a shipped scenarios/*.json leaves it non-zero after scenario.Load.
+// Two writes do not count: a constant that a New*, Enable* or Default*
+// function stores, and a copy of the same field (c.F = d.F). Any
+// reference from bench/ holds a field open, because the benchmark's
+// sources change only with the benchmark. A setting nothing uses is a
+// constant in disguise.
 func TestNoUnusedKnobs(t *testing.T) {
-	type file struct {
-		dir     string
-		node    *ast.File
-		imports map[string]bool // imported package names
-	}
-	var files []file
-	structs := map[string]*ast.StructType{} // "dir.Type"
-	for _, pattern := range []string{"*.go", "cmd/*/*.go", "internal/*/*.go", "bench/*.go"} {
-		paths, _ := filepath.Glob(pattern)
-		for _, p := range paths {
-			if strings.HasSuffix(p, "_test.go") {
+	m := loadModule(t)
+	info := m.info
+
+	// The settings, by field object, named "pkg.Type.Field".
+	settings := map[*types.Var]string{}
+	byPath := map[string]*types.Var{} // "import/path.Type.Field"
+	seen := map[*types.Named]bool{}
+	var reach func(types.Type)
+	reach = func(typ types.Type) {
+		for { // through pointers, slices, arrays and map values
+			e, ok := typ.(interface{ Elem() types.Type })
+			if !ok {
+				break
+			}
+			typ = e.Elem()
+		}
+		named, ok := typ.(*types.Named)
+		if !ok || seen[named] || named.Obj().Pkg() == nil || !strings.HasPrefix(named.Obj().Pkg().Path(), "mdn/internal/") {
+			return
+		}
+		st, ok := named.Underlying().(*types.Struct)
+		if !ok {
+			return
+		}
+		seen[named] = true
+		for i := 0; i < st.NumFields(); i++ {
+			f := st.Field(i)
+			if _, fn := f.Type().Underlying().(*types.Signature); fn || !f.Exported() {
 				continue
 			}
-			f, err := parser.ParseFile(token.NewFileSet(), p, nil, 0)
-			if err != nil {
-				t.Fatal(err)
+			obj := named.Obj()
+			settings[f] = obj.Pkg().Name() + "." + obj.Name() + "." + f.Name()
+			byPath[obj.Pkg().Path()+"."+obj.Name()+"."+f.Name()] = f
+			reach(f.Type())
+		}
+	}
+	for id, o := range info.Defs {
+		fn, ok := o.(*types.Func)
+		if !ok || !id.IsExported() {
+			continue
+		}
+		sig := fn.Type().(*types.Signature)
+		switch name := fn.Name(); {
+		case isCtor(name) || name == "Load":
+			for i := 0; i < sig.Results().Len(); i++ {
+				reach(sig.Results().At(i).Type())
 			}
-			imports := map[string]bool{}
-			for _, im := range f.Imports {
-				imports[path.Base(strings.Trim(im.Path.Value, `"`))] = true
+		case strings.HasPrefix(name, "Run"):
+			for i := 0; i < sig.Params().Len(); i++ {
+				reach(sig.Params().At(i).Type())
 			}
-			files = append(files, file{filepath.Dir(p), f, imports})
-			ast.Inspect(f, func(n ast.Node) bool {
-				if ts, ok := n.(*ast.TypeSpec); ok {
-					if st, ok := ts.Type.(*ast.StructType); ok {
-						structs[filepath.Dir(p)+"."+ts.Name.Name] = st
-					}
-				}
-				return true
-			})
 		}
 	}
 
-	built := map[string]string{} // "dir.Type" -> "pkg.Type"
-	ctors := map[ast.Decl]bool{}
-	for _, f := range files {
-		for _, d := range f.node.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || !strings.HasPrefix(f.dir, "internal") || fd.Type.Results == nil ||
-				!strings.HasPrefix(fd.Name.Name, "New") && !strings.HasPrefix(fd.Name.Name, "Enable") {
-				continue
-			}
-			for _, r := range fd.Type.Results.List {
-				if star, ok := r.Type.(*ast.StarExpr); ok {
-					if id, ok := star.X.(*ast.Ident); ok && structs[f.dir+"."+id.Name] != nil {
-						built[f.dir+"."+id.Name] = f.node.Name.Name + "." + id.Name
-						ctors[d] = true
-					}
-				}
+	// Writes by non-test code, and every field bench/ refers to.
+	used := map[*types.Var]bool{}
+	fieldOf := func(e ast.Expr) *types.Var {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+				return s.Obj().(*types.Var)
 			}
 		}
+		return nil
 	}
-
-	// used holds every field name that is written outside a
-	// constructor, written by one with a non-constant value, has its
-	// address taken, or is referred to from bench/.
-	used := map[string]bool{}
-	var visit func(root ast.Node, f file, inCtor bool)
-	visit = func(root ast.Node, f file, inCtor bool) {
-		write := func(e, value ast.Expr) {
-			if sel, ok := e.(*ast.SelectorExpr); ok && !(inCtor && isConstant(value)) {
-				used[sel.Sel.Name] = true
+	var visit func(root ast.Node, inCtor, inBench bool)
+	visit = func(root ast.Node, inCtor, inBench bool) {
+		// write records a write of value (nil: unknown) to field f,
+		// unless it is a constructor's constant or a copy of f itself.
+		write := func(f *types.Var, value ast.Expr) {
+			if f == nil || value != nil && (inCtor && (info.Types[value].Value != nil || info.Types[value].IsNil()) || fieldOf(value) == f) {
+				return
 			}
+			used[f] = true
 		}
 		ast.Inspect(root, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncLit:
 				if inCtor { // a closure the constructor builds runs later
-					visit(n.Body, f, false)
+					visit(n.Body, false, inBench)
 					return false
 				}
 			case *ast.SelectorExpr:
-				if x, ok := n.X.(*ast.Ident); f.dir == "bench" && !(ok && f.imports[x.Name]) {
-					used[n.Sel.Name] = true
+				if f := fieldOf(n); f != nil && inBench {
+					used[f] = true
 				}
 			case *ast.AssignStmt:
 				for i, lhs := range n.Lhs {
@@ -110,64 +130,104 @@ func TestNoUnusedKnobs(t *testing.T) {
 					if n.Tok == token.ASSIGN && len(n.Rhs) == len(n.Lhs) {
 						value = n.Rhs[i]
 					}
-					write(lhs, value)
+					write(fieldOf(lhs), value)
 				}
 			case *ast.IncDecStmt:
-				write(n.X, nil)
+				write(fieldOf(n.X), nil)
 			case *ast.UnaryExpr:
 				if n.Op == token.AND {
-					write(n.X, nil)
+					write(fieldOf(n.X), nil)
 				}
-			case *ast.KeyValueExpr:
-				if k, ok := n.Key.(*ast.Ident); ok && !(inCtor && isConstant(n.Value)) {
-					used[k.Name] = true
+			case *ast.CompositeLit:
+				st, ok := info.Types[n].Type.Underlying().(*types.Struct)
+				if !ok {
+					break
+				}
+				for i, el := range n.Elts {
+					if kv, ok := el.(*ast.KeyValueExpr); ok {
+						f, _ := info.Uses[kv.Key.(*ast.Ident)].(*types.Var)
+						write(f, kv.Value)
+					} else {
+						write(st.Field(i), el)
+					}
 				}
 			}
 			return true
 		})
 	}
-	for _, f := range files {
-		for _, d := range f.node.Decls {
-			visit(d, f, ctors[d])
+	for _, f := range m.files {
+		inBench := filepath.Dir(m.fset.Position(f.Pos()).Filename) == "bench"
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			visit(d, ok && isCtor(fd.Name.Name), inBench)
 		}
 	}
 
-	knobs := map[string]bool{}
-	for key, name := range built {
-		for _, field := range structs[key].Fields.List {
-			for _, id := range field.Names {
-				if _, fn := field.Type.(*ast.FuncType); !fn && id.IsExported() && !used[id.Name] {
-					knobs[name+"."+id.Name] = true
-				}
+	// Fields the shipped scenarios leave non-zero.
+	paths, _ := filepath.Glob("scenarios/*.json")
+	if len(paths) == 0 {
+		t.Fatal("no scenarios/*.json")
+	}
+	for _, p := range paths {
+		f, err := os.Open(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := scenario.Load(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		markSet(reflect.ValueOf(c), byPath, used)
+	}
+
+	unused := map[string]bool{}
+	for f, name := range settings {
+		if !used[f] {
+			unused[name] = true
+			if knobKeep[name] == "" {
+				t.Errorf("%s (%s) is an exported setting no program or shipped scenario sets: make it a constant", name, m.fset.Position(f.Pos()))
 			}
 		}
 	}
-	for knob := range knobs {
-		if knobKeep[knob] == "" {
-			t.Errorf("%s is an exported setting no production caller sets: make it a constant", knob)
-		}
-	}
-	for knob := range knobKeep {
-		if !knobs[knob] {
-			t.Errorf("knobKeep lists %s, which is no longer an unused setting: drop the entry", knob)
+	for name := range knobKeep {
+		if !unused[name] {
+			t.Errorf("knobKeep lists %s, which is not an unused setting: drop the entry", name)
 		}
 	}
 }
 
-// isConstant reports whether e is a literal, possibly negated, or a
-// Default* constant.
-func isConstant(e ast.Expr) bool {
-	switch e := e.(type) {
-	case *ast.BasicLit:
-		return true
-	case *ast.Ident:
-		return e.Name == "true" || e.Name == "false" || strings.HasPrefix(e.Name, "Default")
-	case *ast.SelectorExpr:
-		return strings.HasPrefix(e.Sel.Name, "Default")
-	case *ast.UnaryExpr:
-		return isConstant(e.X)
+// isCtor reports whether a function of this name builds a value whose
+// constant fields are defaults rather than settings.
+func isCtor(name string) bool {
+	return strings.HasPrefix(name, "New") || strings.HasPrefix(name, "Enable") || strings.HasPrefix(name, "Default")
+}
+
+// markSet marks in used every struct field v holds a non-zero value
+// in, walking pointers, slices and nested structs; fields are keyed as
+// byPath keys them.
+func markSet(v reflect.Value, byPath map[string]*types.Var, used map[*types.Var]bool) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			markSet(v.Elem(), byPath, used)
+		}
+	case reflect.Slice, reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			markSet(v.Index(i), byPath, used)
+		}
+	case reflect.Struct:
+		typ := v.Type()
+		for i := 0; i < v.NumField(); i++ {
+			if v.Field(i).IsZero() {
+				continue
+			}
+			if f := byPath[typ.PkgPath()+"."+typ.Name()+"."+typ.Field(i).Name]; f != nil {
+				used[f] = true
+			}
+			markSet(v.Field(i), byPath, used)
+		}
 	}
-	return false
 }
 
 // exportKeep lists the exported functions, methods and types under
@@ -197,28 +257,8 @@ var exportKeep = map[string]string{
 // interface that non-test code uses, inline interfaces included, or
 // fmt.Stringer.
 func TestNoTestOnlyExports(t *testing.T) {
-	fset := token.NewFileSet()
-	info := &types.Info{
-		Types: map[ast.Expr]types.TypeAndValue{},
-		Defs:  map[*ast.Ident]types.Object{},
-		Uses:  map[*ast.Ident]types.Object{},
-	}
-	imp := &moduleImporter{
-		fset: fset,
-		std:  importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
-		info: info,
-		pkgs: map[string]*types.Package{},
-	}
-	var dirs []string
-	for _, pattern := range []string{".", "bench", "cmd/*", "examples/*", "internal/*"} {
-		m, _ := filepath.Glob(pattern)
-		dirs = append(dirs, m...)
-	}
-	for _, dir := range dirs {
-		if _, err := imp.check(dir); err != nil {
-			t.Fatal(err)
-		}
-	}
+	imp := loadModule(t)
+	fset, info := imp.fset, imp.info
 
 	// Every reference non-test code makes, keyed by the exported
 	// declaration it sits in (nil outside one), and every interface it
@@ -402,6 +442,45 @@ func origin(o types.Object) types.Object {
 		return fn.Origin()
 	}
 	return o
+}
+
+var (
+	moduleOnce sync.Once
+	module     *moduleImporter
+	moduleErr  error
+)
+
+// loadModule type-checks the module's non-test files, bench/ and the
+// examples included, once per test binary; the gates share the result.
+func loadModule(t *testing.T) *moduleImporter {
+	moduleOnce.Do(func() {
+		fset := token.NewFileSet()
+		module = &moduleImporter{
+			fset: fset,
+			std:  importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+			info: &types.Info{
+				Types:      map[ast.Expr]types.TypeAndValue{},
+				Defs:       map[*ast.Ident]types.Object{},
+				Uses:       map[*ast.Ident]types.Object{},
+				Selections: map[*ast.SelectorExpr]*types.Selection{},
+			},
+			pkgs: map[string]*types.Package{},
+		}
+		var dirs []string
+		for _, pattern := range []string{".", "bench", "cmd/*", "examples/*", "internal/*"} {
+			m, _ := filepath.Glob(pattern)
+			dirs = append(dirs, m...)
+		}
+		for _, dir := range dirs {
+			if _, moduleErr = module.check(dir); moduleErr != nil {
+				return
+			}
+		}
+	})
+	if moduleErr != nil {
+		t.Fatal(moduleErr)
+	}
+	return module
 }
 
 // moduleImporter type-checks the module's packages from their non-test
